@@ -1,8 +1,9 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
-.PHONY: ci hygiene lint invariants typecheck test bench-smoke bench-baseline fleet-demo
+.PHONY: ci hygiene lint invariants typecheck test examples-smoke bench-smoke bench-baseline fleet-demo
 
-## Run every CI gate locally (hygiene + lint + typecheck + tests + bench baseline).
+## Run every CI gate locally (hygiene + lint + typecheck + tests + examples
+## smoke + bench baseline).
 ci:
 	bash scripts/ci.sh
 
@@ -32,6 +33,10 @@ typecheck:
 ## Full test suite.
 test:
 	python -m pytest -x -q
+
+## Every script under examples/ runs to completion (also part of `ci`).
+examples-smoke:
+	@for f in examples/*.py; do python "$$f" >/dev/null || exit 1; echo "ok $$f"; done
 
 ## Quick benchmark smoke: the jobs CI runs on every PR.
 bench-smoke:

@@ -16,6 +16,7 @@ Run with:  python examples/backup_scheduling_walkthrough.py
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -41,6 +42,12 @@ from repro.timeseries.frame import LoadFrame
 
 
 def main() -> None:
+    # The lake is a directory of extracts; a throwaway one does for a demo.
+    with tempfile.TemporaryDirectory(prefix="seagull-walkthrough-") as lake_dir:
+        walkthrough(lake_dir)
+
+
+def walkthrough(lake_dir: str) -> None:
     regions = ("region-0", "region-1")
     spec = default_fleet_spec(servers_per_region=(60, 30), weeks=4, seed=29)
     fleet = WorkloadGenerator(spec).generate_fleet()
@@ -48,7 +55,7 @@ def main() -> None:
     # ---- 1. Raw telemetry + 2. weekly extraction --------------------------
     raw = RawTelemetryStore()
     raw.ingest_frame(fleet, noise_rng=np.random.default_rng(0))
-    lake = DataLakeStore()
+    lake = DataLakeStore(lake_dir)
     extraction = LoadExtractionQuery(raw, lake)
     for week in range(spec.weeks):
         for report in extraction.extract_all_regions(week):

@@ -43,6 +43,13 @@ echo "== test suite =="
 python -m pytest tests -x -q
 
 echo
+echo "== examples smoke (each script runs to completion) =="
+for f in examples/*.py; do
+    python "$f" >/dev/null
+    echo "ok $f"
+done
+
+echo
 echo "== benchmark smoke + baseline gate =="
 timeout_flag=""
 if python -c "import pytest_timeout" >/dev/null 2>&1; then

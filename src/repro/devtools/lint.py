@@ -14,7 +14,7 @@ Rules
     called or constructed inside their owning package -- e.g.
     ``ScoringEndpoint`` is an internal transport of :mod:`repro.serving`,
     and the raw ``.sgx`` helpers (``frame_from_sgx_bytes``,
-    ``scan_sgx_bytes``, ``upgrade_sgx_bytes``) plus direct ``open()`` of
+    ``scan_sgx_bytes``, ``aggregate_sgx_bytes``) plus direct ``open()`` of
     ``*.sgx`` files belong to :mod:`repro.storage`; everything else must
     go through ``DataLakeStore.query()``.
 
@@ -43,8 +43,8 @@ Rules
     named ``*_SIZE``/``*_ENTRY_SIZE``/``*_BYTES`` constant equal to its
     ``struct.calcsize``, raw ``struct.pack``/``unpack`` calls with inline
     format strings are rejected there, and the ``.sgx`` magic literal may
-    appear in no other module -- writer, reader and ``upgrade_sgx_bytes``
-    must agree on the layout through those shared names.
+    appear in no other module -- writer and reader must agree on the
+    layout through those shared names.
 
 ``frozen-dataclass``
     ``object.__setattr__`` is permitted only inside the
@@ -115,7 +115,6 @@ INTERNAL_SYMBOLS: dict[str, tuple[str, ...]] = {
     "frame_from_sgx_bytes": ("repro.storage",),
     "scan_sgx_bytes": ("repro.storage",),
     "aggregate_sgx_bytes": ("repro.storage",),
-    "upgrade_sgx_bytes": ("repro.storage",),
 }
 
 #: Calls that perform raw file I/O; combined with a ``.sgx`` literal in

@@ -124,7 +124,7 @@ def build_convert_parser() -> argparse.ArgumentParser:
         help="chunking policy for .sgx targets: split each server's series at "
         "absolute multiples of this many minutes (0 = one whole-series chunk; "
         "default: the columnar layer's per-day policy). Passing it explicitly "
-        "also re-chunks extracts that are already .sgx v2",
+        "also re-chunks extracts that are already .sgx",
     )
     parser.add_argument(
         "--delete-source",
@@ -440,8 +440,7 @@ def live_main(argv: list[str]) -> int:
                     )
                 days.append(entry)
             pending = ingestor.pending_rows()
-        manifest = store.manifest
-        generation = manifest.current().generation if manifest is not None else 0
+        generation = store.current_generation()
         health = service.health(args.region)
     except (LiveIngestError, LakeManifestError, PermissionError) as exc:
         print(f"live simulation aborted: {exc}", file=sys.stderr)

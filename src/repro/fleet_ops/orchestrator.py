@@ -20,20 +20,16 @@ Both layers live in per-unit files under ``cache_dir``, so process-pool
 workers never contend on a shared cache file and warm re-runs work across
 operating-system processes.
 
-The unit of worker handoff is ``(lake handle, ExtractQuery)``: every task
-carries the lake's root path plus a typed query pinned to its ``(region,
-week)`` partition, and the worker re-opens the lake and reads only its
-shard.  Whole extract payloads never cross the process boundary -- an
-in-memory lake is spilled once to a coordinator-owned on-disk lake (same
-bytes, so unit fingerprints are unchanged) and workers read from that,
-which keeps coordinator RSS flat however large the fleet is.
+The unit of worker handoff is ``(lake root, ExtractQuery, generation)``:
+every task carries the lake's root path, a typed query pinned to its
+``(region, week)`` partition and the committed manifest generation the
+run is pinned to; the worker re-opens the lake at that generation and
+reads only its shard.  Whole extract payloads never cross the process
+boundary, which keeps coordinator RSS flat however large the fleet is.
 """
 
 from __future__ import annotations
 
-import hashlib
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -78,13 +74,9 @@ def unit_cache_path(cache_dir: str | Path, region: str, week: int) -> Path:
 class _UnitTask:
     """Everything a (possibly out-of-process) worker needs for one unit.
 
-    Deliberately tiny and payload-free: a lake *handle* (the root path --
-    for in-memory lakes, the coordinator's spill directory) plus the
-    typed :class:`~repro.storage.query.ExtractQuery` describing the
-    unit's shard.  The worker re-opens the lake and runs the query
-    itself; format negotiation (``.sgx`` preferred, damaged ``.sgx``
-    degrades to a co-located CSV) happens inside the worker's own
-    :class:`DataLakeStore`.
+    Deliberately tiny and payload-free (see the module docstring); format
+    negotiation (``.sgx`` preferred, damaged ``.sgx`` degrades to a
+    co-located CSV) happens inside the worker's own :class:`DataLakeStore`.
     """
 
     region: str
@@ -92,11 +84,11 @@ class _UnitTask:
     config: PipelineConfig
     lake_root: str
     query: ExtractQuery
-    cache_dir: str | None = None
     #: Committed manifest generation the worker pins its lake handle to:
     #: every unit of one fleet run reads the same immutable snapshot,
     #: however the live lake moves underneath it.
-    generation: int | None = None
+    generation: int
+    cache_dir: str | None = None
 
 
 def _failed_outcome(task: _UnitTask, reason: str, wall: float) -> FleetUnitOutcome:
@@ -174,7 +166,7 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     ingest_seconds = time.perf_counter() - ingest_started
 
     # Roll up the shard's load through the aggregate query path: on .sgx
-    # v4 lakes fully covered chunks reduce from chunk-table statistics
+    # lakes fully covered chunks reduce from chunk-table statistics
     # without their value buffers ever being decoded.  Best-effort -- a
     # lake that cannot answer it leaves the summary empty rather than
     # failing a unit whose row read succeeded.
@@ -248,12 +240,9 @@ class FleetOrchestrator:
     Parameters
     ----------
     lake:
-        Extract store holding the fleet's weekly extracts.  Disk-backed
-        lakes are handed to workers by root path; in-memory lakes are
-        spilled (byte-identical, both stored formats) to a
-        coordinator-owned temporary on-disk lake that workers re-open --
-        whole extract payloads never ride along inside tasks, with any
-        backend.
+        Extract store holding the fleet's weekly extracts.  It is handed
+        to workers by root path -- whole extract payloads never ride
+        along inside tasks, with any backend.
     config:
         Pipeline configuration applied to every unit.
     backend / n_workers / executor:
@@ -269,7 +258,7 @@ class FleetOrchestrator:
     principal:
         Principal presented to the lake's access checks (required for
         lakes constructed with ``granted_principals``).  Out-of-process
-        workers reopen disk lakes from the root path without the
+        workers reopen the lake from the root path without the
         allow-list, so enforcement happens here at the coordinator.
     """
 
@@ -293,19 +282,10 @@ class FleetOrchestrator:
         self._cache_dir = str(cache_dir) if cache_dir is not None else None
         if self._cache_dir is not None:
             Path(self._cache_dir).mkdir(parents=True, exist_ok=True)
-        self._spill_dir: str | None = None
-        #: What each spilled key's stored copies looked like when spilled:
-        #: key -> tuple of (format, sha256 of bytes).  Re-runs skip the
-        #: disk rewrite for keys whose stored bytes are unchanged.
-        self._spill_signatures: dict[ExtractKey, tuple[tuple[str, str], ...]] = {}
 
     def _make_executor(self, n_units: int | None) -> PartitionedExecutor:
         n_workers = self._n_workers
-        backend = (
-            ExecutionBackend(self._backend)
-            if isinstance(self._backend, str)
-            else self._backend
-        )
+        backend = ExecutionBackend(self._backend)  # accepts the value or the member
         if n_workers is None and backend is not ExecutionBackend.SERIAL:
             # Unknown unit count (pool built before the first run) still
             # gets the CPU/cap bounds; a known count tightens it further.
@@ -327,13 +307,9 @@ class FleetOrchestrator:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release the worker pool (if owned) and any spill directory."""
+        """Release the worker pool (if owned)."""
         if self._owns_executor and self._executor is not None:
             self._executor.close()
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
-            self._spill_signatures.clear()
 
     def __enter__(self) -> "FleetOrchestrator":
         return self
@@ -343,87 +319,38 @@ class FleetOrchestrator:
 
     # ------------------------------------------------------------------ #
 
-    def _spill_to_disk(self, units: list[ExtractKey]) -> str:
-        """Materialise an in-memory lake's extracts as an on-disk lake.
-
-        Byte-identical copies of every stored format are written (so unit
-        fingerprints -- sha256 of stored bytes -- and the lake's
-        damaged-``.sgx``-degrades-to-CSV behaviour are preserved), and
-        stale spill copies of removed extracts are dropped.  Workers then
-        re-open the spill directory like any disk lake: the coordinator
-        never ships payload bytes through the executor, which is what
-        keeps its RSS flat for very large fleets.
-
-        Re-runs stay cheap: a key whose stored bytes are unchanged since
-        it was last spilled (hashing the in-memory bytes is CPU-only) is
-        not rewritten to disk, so a fully warm run spills nothing.
-        """
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="seagull-spill-")
-        spill = DataLakeStore(self._spill_dir)
-        for key in units:
-            formats = self._lake.extract_formats(key, principal=self._principal)
-            payloads: list[tuple[str, bytes]] = [
-                (
-                    fmt,
-                    self._lake.read_extract_bytes(key, principal=self._principal, fmt=fmt)[1],
-                )
-                for fmt in formats
-            ]
-            signature = tuple(
-                (fmt, hashlib.sha256(payload).hexdigest()) for fmt, payload in payloads
-            )
-            if self._spill_signatures.get(key) == signature:
-                continue  # byte-identical since last spill: no disk rewrite
-            spill.delete_extract(key)  # drop stale copies from earlier runs
-            for fmt, payload in payloads:
-                spill.write_extract_bytes(key, fmt, payload, keep_other_formats=True)
-            self._spill_signatures[key] = signature
-        return self._spill_dir
-
-    def _task_for(
-        self, key: ExtractKey, lake_root: str, generation: int
-    ) -> _UnitTask:
-        return _UnitTask(
-            region=key.region,
-            week=key.week,
-            config=self._config,
-            lake_root=lake_root,
-            query=ExtractQuery.for_key(
-                key, interval_minutes=self._config.interval_minutes
-            ),
-            cache_dir=self._cache_dir,
-            generation=generation,
-        )
-
     def run(self, units: list[ExtractKey] | None = None) -> FleetReport:
         """Process ``units`` (default: every extract in the lake).
 
-        Units are sharded across the executor as ``(lake handle,
-        ExtractQuery)`` tasks; the consolidated report covers successes,
-        failures (missing/invalid extracts become failed outcomes plus
-        incident entries, they never abort the fleet run), cache activity
-        and scan/pushdown statistics.
+        Units are sharded across the executor as ``(lake root,
+        ExtractQuery, generation)`` tasks; the consolidated report covers
+        successes, failures (missing/invalid extracts become failed
+        outcomes plus incident entries, they never abort the fleet run),
+        cache activity and scan/pushdown statistics.
         """
         started = time.perf_counter()
-        # Enforced here for explicit unit lists too: disk workers reopen
+        # Enforced here for explicit unit lists too: workers reopen
         # the lake without the allow-list, so the coordinator is the gate.
         self._lake.check_access(self._principal)
         if units is None:
             units = self._lake.list_extracts(principal=self._principal)
-        units = sorted(units)
-        root = self._lake.root
-        lake_root = str(root) if root is not None else self._spill_to_disk(units)
         # Pin the whole run to the lake's current committed generation:
         # every worker reads the same immutable snapshot, so a writer
         # publishing mid-run cannot make two units disagree about the
-        # lake's contents.  (Spill lakes get their generation from the
-        # spill directory's own manifest.)
-        if root is not None:
-            generation = self._lake.current_generation(principal=self._principal)
-        else:
-            generation = DataLakeStore(lake_root).current_generation()
-        tasks = [self._task_for(key, lake_root, generation) for key in units]
+        # lake's contents.
+        generation = self._lake.current_generation(principal=self._principal)
+        tasks = [
+            _UnitTask(
+                region=key.region,
+                week=key.week,
+                config=self._config,
+                lake_root=str(self._lake.root),
+                query=ExtractQuery.for_key(key, interval_minutes=self._config.interval_minutes),
+                generation=generation,
+                cache_dir=self._cache_dir,
+            )
+            for key in sorted(units)
+        ]
         if self._executor is None:
             # Deferred so the owned pool can be sized by the fleet
             # heuristic for the actual unit count; later runs reuse it.

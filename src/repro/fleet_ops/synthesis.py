@@ -15,7 +15,7 @@ from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.telemetry.fleet import FleetSpec
 from repro.telemetry.generator import WorkloadGenerator
 
-#: Manifest file recording which spec a disk lake's extracts came from.
+#: Manifest file recording which spec a lake's extracts came from.
 SPEC_MANIFEST_NAME = "_fleet_spec.json"
 
 
@@ -47,13 +47,13 @@ def populate_lake(
     content is deterministic per key within one spec, so re-generating
     them would be wasted work, and migrating a lake between formats is
     ``python -m repro.fleet_ops convert``'s job, not the generator's.
-    Pass ``skip_existing=False`` to overwrite.  Disk-backed lakes record the
+    Pass ``skip_existing=False`` to overwrite.  The lake records the
     spec in a ``_fleet_spec.json`` manifest: when the spec changes (seed,
     region sizes, horizon, ...), existing extracts are stale and are
     regenerated instead of silently reused.  Returns every key now
     present for the spec.
     """
-    if skip_existing and lake.root is not None:
+    if skip_existing:
         manifest_path = lake.root / SPEC_MANIFEST_NAME
         manifest = _spec_manifest(spec)
         stored: object = None

@@ -59,8 +59,10 @@ def recommended_fleet_workers(n_units: int, available: int | None = None) -> int
     never more than the usable CPUs (``available`` defaults to
     :func:`default_worker_count`, which respects container affinity), and
     never more than :data:`MAX_FLEET_WORKERS`.  A result of 1 means
-    parallel sharding cannot win on this host/workload -- callers gate
-    parallel-speedup assertions on it.
+    parallel sharding cannot win on this host/workload; a larger result
+    is a sizing bound, not a promise of a speed-up -- whether a pool
+    beats the serial loop is measured by ``python -m bench compare``,
+    never asserted from this number.
     """
     if n_units < 1:
         return 1

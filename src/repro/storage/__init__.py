@@ -20,7 +20,7 @@
   are pushed down into the ``.sgx`` reader.
 * :mod:`~repro.storage.aggregate` -- the aggregate-query merge core:
   :class:`~repro.storage.aggregate.AggregateAccumulator` folds ``.sgx``
-  v4 chunk-table statistics, decoded slices and CSV rows into one exact
+  chunk-table statistics, decoded slices and CSV rows into one exact
   answer (pairwise Welford merge for mean/variance), which is what lets
   ``aggregates=(...)`` queries skip decoding value buffers entirely for
   fully covered chunks.
@@ -29,7 +29,7 @@
 * :mod:`~repro.storage.manifest` -- the transactional lake manifest:
   generation-numbered, atomically published snapshots over immutable
   content-addressed segment files, an append-only intent/commit log, and
-  crash recovery -- the durability layer every on-disk
+  crash recovery -- the durability layer every
   :class:`~repro.storage.datalake.DataLakeStore` mutation goes through.
 * :class:`~repro.storage.artifacts.ArtifactStore` -- a content-addressed
   cache of pipeline stage outputs keyed by extract content hash, which is
@@ -53,7 +53,6 @@ from repro.storage.columnar import (
     read_frame_sgx,
     scan_sgx_bytes,
     sgx_version,
-    upgrade_sgx_bytes,
     write_frame_sgx,
 )
 from repro.storage.csv_io import read_frame_csv, write_frame_csv
@@ -80,7 +79,6 @@ __all__ = [
     "aggregate_sgx_bytes",
     "scan_sgx_bytes",
     "sgx_version",
-    "upgrade_sgx_bytes",
     "AGGREGATE_GROUP_KEYS",
     "AGGREGATE_REDUCTIONS",
     "AggregateAccumulator",

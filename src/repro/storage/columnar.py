@@ -39,25 +39,22 @@ further pushdowns ride the same structure (:func:`scan_sgx_bytes`):
 * **server filtering** -- an allow-list or metadata predicate is decided
   from the (structure-verified) record header alone, so a filtered-out
   server's chunks are never read, decoded or checksummed;
-* **column projection** -- per-column CRCs (the v3 change) let a
-  timestamps-only read skip decoding *and* checksumming every values
-  buffer; unprojected values surface as NaN ("not loaded", never 0.0);
-* **aggregation pushdown** -- the v4 change: each chunk-table entry also
-  carries pre-aggregates of its values buffer (sum / min / max /
-  sum-of-squares; count and the time bounds were already there), so
-  :func:`aggregate_sgx_bytes` answers count/sum/min/max/mean/variance
-  reductions for any chunk lying fully inside the requested time range
-  *without reading its payload at all* -- only partial-overlap chunks are
-  decoded, and the two sources merge exactly (pairwise moments, see
-  :mod:`repro.storage.aggregate`).
+* **column projection** -- per-column CRCs let a timestamps-only read
+  skip decoding *and* checksumming every values buffer; unprojected
+  values surface as NaN ("not loaded", never 0.0);
+* **aggregation pushdown** -- each chunk-table entry also carries
+  pre-aggregates of its values buffer (sum / min / max / sum-of-squares,
+  next to the count and time bounds), so :func:`aggregate_sgx_bytes`
+  answers count/sum/min/max/mean/variance reductions for any chunk lying
+  fully inside the requested time range *without reading its payload at
+  all* -- only partial-overlap chunks are decoded, and the two sources
+  merge exactly (pairwise moments, see :mod:`repro.storage.aggregate`).
 
-Format v3 (per-column CRCs, no pre-aggregates), v2 (one joint payload
-CRC per chunk) and v1 (one chunk per server, header and payload inline)
-remain fully readable; on v1/v2, column projection still skips the
-decode but must checksum the whole payload -- the joint CRC cannot vouch
-for one column alone -- and on anything below v4 value reductions fall
-back to decoding (a count-only aggregate is still answered from chunk
-headers, which every version carries).
+v4 is the only layout this module reads or writes.  Files in the older
+v1-v3 layouts (no writer has emitted them since v4 landed) are rejected
+by the header check with a :class:`ColumnarFormatError` that names the
+version and the remedy: re-extract, or convert with a checkout that
+still carries their decoders.
 
 Zone maps are only trustworthy for sorted data: the writer refuses
 non-strictly-increasing timestamps (they would round-trip with a wrong
@@ -89,8 +86,8 @@ from repro.timeseries.series import LoadSeries
 MAGIC = b"SGXF"
 #: Version the writer emits.
 VERSION = 4
-#: Versions the reader accepts.
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
+#: Versions the reader accepts: the one the writer emits, nothing else.
+SUPPORTED_VERSIONS = (VERSION,)
 
 #: Per-point column buffers of the format, in stored order.  A column
 #: projection is a subset of these; ``timestamps`` is the series index
@@ -115,29 +112,18 @@ _HEADER_CRC = struct.Struct("<I")
 HEADER_CRC_SIZE = 4
 HEADER_BYTES = FILE_HEADER_SIZE + HEADER_CRC_SIZE  # 36
 
-#: v2/v3 per-server fixed fields: region_idx | engine_idx | true_class_idx
+#: per-server fixed fields: region_idx | engine_idx | true_class_idx
 #: | backup_start | backup_end | backup_duration | n_chunks
 _SERVER_FIXED = struct.Struct("<IIIqqII")
 SERVER_FIXED_ENTRY_SIZE = 36
-#: v2 per-chunk header: n_points | min_ts | max_ts | payload_crc
-_CHUNK_HEADER_V2 = struct.Struct("<QqqI")
-CHUNK_HEADER_V2_ENTRY_SIZE = 28
-#: v3 per-chunk header: n_points | min_ts | max_ts | ts_crc | vs_crc --
-#: one CRC per column buffer, so a projected read can verify only the
-#: buffers it actually ingests.
-_CHUNK_HEADER_V3 = struct.Struct("<QqqII")
-CHUNK_HEADER_V3_ENTRY_SIZE = 32
-#: v4 per-chunk header: the v3 fields plus pre-aggregates of the values
-#: buffer (sum | min | max | sum-of-squares), so aggregate queries can
-#: answer fully covered chunks without reading their payload.  Covered by
-#: the structure CRC like every other chunk-header field.
+#: per-chunk header: n_points | min_ts | max_ts | ts_crc | vs_crc -- one
+#: CRC per column buffer, so a projected read can verify only the buffers
+#: it actually ingests -- plus pre-aggregates of the values buffer (sum
+#: | min | max | sum-of-squares), so aggregate queries can answer fully
+#: covered chunks without reading their payload.  Covered by the
+#: structure CRC like every other chunk-header field.
 _CHUNK_HEADER_V4 = struct.Struct("<QqqIIdddd")
 CHUNK_HEADER_V4_ENTRY_SIZE = 64
-#: v1 per-server chunk: region_idx | engine_idx | true_class_idx
-#: | backup_start | backup_end | backup_duration | n_points | min_ts
-#: | max_ts | payload_crc
-_CHUNK_FIXED_V1 = struct.Struct("<IIIqqIQqqI")
-CHUNK_FIXED_V1_ENTRY_SIZE = 60
 _STRING_LEN = struct.Struct("<H")
 STRING_LEN_SIZE = 2
 
@@ -168,7 +154,7 @@ class SgxReadStats:
     column-projected read verifies strictly fewer bytes than a full read
     of the same file.  A filtered-out server's chunks count as both seen
     and pruned; ``columns_skipped`` counts column buffers whose decode
-    (and, from format v3, whose checksum) a projection skipped.
+    and checksum a projection skipped.
 
     Aggregate walks (:func:`aggregate_sgx_bytes`) additionally count
     ``chunks_answered_from_stats`` -- chunks whose reductions came from
@@ -367,7 +353,10 @@ def _read_string(view: memoryview, offset: int, what: str) -> tuple[str, int]:
 
 def _parse_header(view: memoryview) -> tuple[int, int, int, int, int]:
     """Validate the header; returns
-    ``(version, interval, n_servers, n_dict, structure_crc)``."""
+    ``(version, interval, n_servers, n_dict, structure_crc)``.
+
+    Any version but :data:`VERSION` is rejected here, so everything
+    downstream parses exactly one layout."""
     if view.nbytes < HEADER_BYTES:
         raise ColumnarFormatError(
             f"truncated .sgx extract: {view.nbytes} bytes, header needs {HEADER_BYTES}"
@@ -388,9 +377,16 @@ def _parse_header(view: memoryview) -> tuple[int, int, int, int, int]:
     if zlib.crc32(view[: _FILE_HEADER.size]) != header_crc:
         raise ColumnarFormatError("garbled .sgx extract: header checksum mismatch")
     if version not in SUPPORTED_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
+        remedy = ""
+        if version < VERSION:
+            remedy = (
+                "; re-extract it, or rewrite it as v4 by running `python -m "
+                "repro.fleet_ops convert` from a checkout at or before PR 11 "
+                "(the last one that decodes v1-v3)"
+            )
         raise ColumnarFormatError(
-            f"unsupported .sgx version {version} (this reader supports {supported})"
+            f"unsupported .sgx version {version}: this reader supports only "
+            f"v{VERSION}{remedy}"
         )
     if file_length != view.nbytes:
         raise ColumnarFormatError(
@@ -402,8 +398,9 @@ def _parse_header(view: memoryview) -> tuple[int, int, int, int, int]:
 def sgx_version(data) -> int:
     """Format version of ``data``, validated against the header CRC.
 
-    Cheap (header bytes only); the lake converter uses it to decide
-    whether a stored ``.sgx`` copy needs an in-place v1 -> v2 upgrade.
+    Cheap (header bytes only).  Only :data:`VERSION` is ever returned:
+    any other version raises the same :class:`ColumnarFormatError` a
+    read of the file would.
     """
     return _parse_header(_as_view(data))[0]
 
@@ -417,114 +414,182 @@ def _dict_lookup(dictionary: list[str], index: int, what: str) -> str:
 
 
 def _parse_structure(view: memoryview):
-    """Validate header + dictionary; return
-    ``(version, interval, dictionary, records)``.
+    """Validate header, dictionary and every record; return
+    ``(interval, dictionary, records)``.
 
-    ``records`` is a generator of ``(server_id, meta_fields, chunks)``
-    per server, where ``meta_fields`` is ``(region_idx, engine_idx,
-    true_class_idx, backup_start, backup_end, backup_duration)`` and
-    ``chunks`` is a list of ``(n_points, min_ts, max_ts, ts_crc, vs_crc,
-    payload_offset, vstats)`` entries -- for v1/v2 chunks ``ts_crc``
-    holds the single joint payload CRC and ``vs_crc`` is ``None``;
-    ``vstats`` is the v4 pre-aggregate tuple ``(sum, min, max, sum_sq)``
-    of the values buffer, or ``None`` below v4.  It
-    bounds-checks every record, and on exhaustion verifies that the
-    records exactly fill the file and that the accumulated structure CRC
-    matches the header -- the single walk both the reader and the
-    inspector use, so the two can never diverge on the layout.  Format
-    v1 records (one inline chunk per server) surface through the same
-    shape.
+    ``records`` lists ``(server_id, meta_fields, chunks)`` per server,
+    where ``meta_fields`` is ``(region_idx, engine_idx, true_class_idx,
+    backup_start, backup_end, backup_duration)`` and ``chunks`` is a list
+    of ``(n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset,
+    vstats)`` entries; ``vstats`` is the pre-aggregate tuple ``(sum, min,
+    max, sum_sq)`` of the values buffer.  Every record is bounds-checked,
+    the records must exactly fill the file, and the accumulated structure
+    CRC must match the header -- payloads are not touched.  This is the
+    single walk both the reader and the inspector use, so the two can
+    never diverge on the layout.
     """
-    version, interval, n_servers, n_dict, structure_crc = _parse_header(view)
+    _version, interval, n_servers, n_dict, structure_crc = _parse_header(view)
     total = view.nbytes
-    offset = HEADER_BYTES
+    position = HEADER_BYTES
     dictionary: list[str] = []
     for _ in range(n_dict):
-        text, offset = _read_string(view, offset, "dictionary string")
+        text, position = _read_string(view, position, "dictionary string")
         dictionary.append(text)
-    dict_end = offset
-
-    def records():
-        position = dict_end
-        seen_crc = zlib.crc32(view[HEADER_BYTES:dict_end])
-        for _ in range(n_servers):
-            record_start = position
-            server_id, position = _read_string(view, record_start, "server id")
-            if version == 1:
-                if position + _CHUNK_FIXED_V1.size > total:
-                    raise ColumnarFormatError(
-                        f"truncated .sgx extract: chunk header of {server_id!r} "
-                        f"at byte {position}"
-                    )
-                fields = _CHUNK_FIXED_V1.unpack_from(view, position)
-                payload_offset = position + _CHUNK_FIXED_V1.size
-                seen_crc = zlib.crc32(view[record_start:payload_offset], seen_crc)
-                n_points = fields[6]
-                chunks = [(n_points, fields[7], fields[8], fields[9], None, payload_offset, None)]
-                position = payload_offset + n_points * _POINT_BYTES
-                if position > total:
-                    raise ColumnarFormatError(
-                        f"truncated .sgx extract: payload of {server_id!r} "
-                        f"at byte {payload_offset}"
-                    )
-            else:
-                if position + _SERVER_FIXED.size > total:
-                    raise ColumnarFormatError(
-                        f"truncated .sgx extract: server record of {server_id!r} "
-                        f"at byte {position}"
-                    )
-                fields = _SERVER_FIXED.unpack_from(view, position)
-                n_chunks = fields[6]
-                chunk_struct = (
-                    _CHUNK_HEADER_V4
-                    if version >= 4
-                    else _CHUNK_HEADER_V3 if version == 3 else _CHUNK_HEADER_V2
-                )
-                table_offset = position + _SERVER_FIXED.size
-                table_end = table_offset + n_chunks * chunk_struct.size
-                if table_end > total:
-                    raise ColumnarFormatError(
-                        f"truncated .sgx extract: chunk table of {server_id!r} "
-                        f"at byte {table_offset}"
-                    )
-                seen_crc = zlib.crc32(view[record_start:table_end], seen_crc)
-                chunks = []
-                payload_offset = table_end
-                for index in range(n_chunks):
-                    entry = chunk_struct.unpack_from(
-                        view, table_offset + index * chunk_struct.size
-                    )
-                    vstats = None
-                    if version >= 4:
-                        n_points, min_ts, max_ts, ts_crc, vs_crc = entry[:5]
-                        vstats = entry[5:9]
-                    elif version == 3:
-                        n_points, min_ts, max_ts, ts_crc, vs_crc = entry
-                    else:
-                        n_points, min_ts, max_ts, ts_crc = entry
-                        vs_crc = None
-                    chunks.append(
-                        (n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset, vstats)
-                    )
-                    payload_offset += n_points * _POINT_BYTES
-                position = payload_offset
-                if position > total:
-                    raise ColumnarFormatError(
-                        f"truncated .sgx extract: payloads of {server_id!r} "
-                        f"at byte {table_end}"
-                    )
-            yield server_id, fields[:6], chunks
-        if position != total:
+    seen_crc = zlib.crc32(view[HEADER_BYTES:position])
+    records: list[tuple[str, tuple, list[tuple]]] = []
+    for _ in range(n_servers):
+        record_start = position
+        server_id, position = _read_string(view, record_start, "server id")
+        if position + _SERVER_FIXED.size > total:
             raise ColumnarFormatError(
-                f"garbled .sgx extract: {total - position} trailing bytes after last chunk"
+                f"truncated .sgx extract: server record of {server_id!r} at byte {position}"
             )
-        if seen_crc != structure_crc:
-            # Covers the dictionary, zone maps and every server's metadata
-            # fields -- tampered structure must not be silently ingested,
-            # nor allowed to mis-prune a time-range read.
-            raise ColumnarFormatError("garbled .sgx extract: structure checksum mismatch")
+        fields = _SERVER_FIXED.unpack_from(view, position)
+        table_offset = position + _SERVER_FIXED.size
+        table_end = table_offset + fields[6] * _CHUNK_HEADER_V4.size
+        if table_end > total:
+            raise ColumnarFormatError(
+                f"truncated .sgx extract: chunk table of {server_id!r} at byte {table_offset}"
+            )
+        seen_crc = zlib.crc32(view[record_start:table_end], seen_crc)
+        chunks = []
+        position = table_end
+        for entry in _CHUNK_HEADER_V4.iter_unpack(view[table_offset:table_end]):
+            chunks.append((*entry[:5], position, entry[5:]))
+            position += entry[0] * _POINT_BYTES
+        if position > total:
+            raise ColumnarFormatError(
+                f"truncated .sgx extract: payloads of {server_id!r} at byte {table_end}"
+            )
+        records.append((server_id, fields[:6], chunks))
+    if position != total:
+        raise ColumnarFormatError(
+            f"garbled .sgx extract: {total - position} trailing bytes after last chunk"
+        )
+    if seen_crc != structure_crc:
+        # Covers the dictionary, zone maps and every server's metadata
+        # fields -- tampered structure must not be silently ingested,
+        # nor allowed to mis-prune a time-range read.
+        raise ColumnarFormatError("garbled .sgx extract: structure checksum mismatch")
+    return interval, dictionary, records
 
-    return version, interval, dictionary, records()
+
+def _walk_servers(
+    view: memoryview,
+    start_minute: int | None,
+    end_minute: int | None,
+    servers: Collection[str] | None,
+    predicate: Callable[[ServerMetadata], bool] | None,
+    stats: SgxReadStats | None,
+):
+    """Verify the whole structure, then return ``(interval, bounds,
+    survivors)``.
+
+    The header, dictionary and every record/chunk header are walked --
+    and the structure CRC verified -- before this returns (payloads stay
+    untouched), so truncation, bounds violations and tampering raise
+    before anything acts on a zone map or metadata field.  ``bounds`` is
+    the half-open ``(lo, hi)`` time range with open ends made explicit,
+    or ``None`` for an unbounded read.  ``survivors`` lazily yields
+    ``(metadata, chunks)`` per server with both header-only pushdowns
+    applied and counted in ``stats``: a server failing the ``servers``
+    allow-list or the metadata ``predicate`` is skipped whole, and under
+    ``bounds`` a chunk whose zone map misses the range (or that is
+    empty) is dropped -- pruned payloads are never read or checksummed.
+    """
+    interval, dictionary, records = _parse_structure(view)
+    allow = frozenset(servers) if servers is not None else None
+    bounds = None
+    if start_minute is not None or end_minute is not None:
+        bounds = (
+            start_minute if start_minute is not None else MIN_MINUTE,
+            end_minute if end_minute is not None else MAX_MINUTE,
+        )
+
+    def survivors() -> Iterator[tuple[ServerMetadata, list[tuple]]]:
+        seen_ids: set[str] = set()
+        for server_id, fields, chunks in records:
+            if server_id in seen_ids:
+                raise ColumnarFormatError(
+                    f"garbled .sgx extract: duplicate chunk for server {server_id!r}"
+                )
+            seen_ids.add(server_id)
+            metadata = ServerMetadata(
+                server_id=server_id,
+                region=_dict_lookup(dictionary, fields[0], "region"),
+                engine=_dict_lookup(dictionary, fields[1], "engine"),
+                default_backup_start=fields[3],
+                default_backup_end=fields[4],
+                backup_duration_minutes=fields[5],
+                true_class=_dict_lookup(dictionary, fields[2], "true class"),
+            )
+            skipped = (allow is not None and server_id not in allow) or (
+                predicate is not None and not predicate(metadata)
+            )
+            if skipped:
+                kept = []
+            elif bounds is not None:
+                lo, hi = bounds
+                kept = [c for c in chunks if c[0] and c[2] >= lo and c[1] < hi]
+            else:
+                kept = chunks
+            if stats is not None:
+                stats.servers_seen += 1
+                if skipped:
+                    stats.servers_skipped += 1
+                stats.chunks_seen += len(chunks)
+                stats.chunks_pruned += len(chunks) - len(kept)
+                stats.payload_bytes_total += sum(c[0] for c in chunks) * _POINT_BYTES
+            if not skipped:
+                yield metadata, kept
+
+    return interval, bounds, survivors()
+
+
+def _decode_chunk(
+    view: memoryview,
+    server_id: str,
+    chunk: tuple,
+    want_values: bool,
+    bounds: tuple[int, int] | None,
+    stats: SgxReadStats | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """CRC-verify one chunk's column buffers and view them as arrays,
+    cut to ``bounds`` when the chunk straddles them.
+
+    Returns ``(timestamps, values)`` as zero-copy ``frombuffer`` views
+    over ``view`` (possibly empty after the cut).  With ``want_values``
+    false the values buffer is neither checksummed nor decoded
+    (``values`` is ``None``) -- the per-column CRCs let the timestamps
+    vouch for themselves.
+    """
+    n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset, _vstats = chunk
+    column_bytes = 8 * n_points
+    vs_offset = payload_offset + column_bytes
+    if zlib.crc32(view[payload_offset:vs_offset]) != ts_crc or (
+        want_values and zlib.crc32(view[vs_offset : vs_offset + column_bytes]) != vs_crc
+    ):
+        raise ColumnarFormatError(
+            f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
+        )
+    if stats is not None:
+        if want_values:
+            stats.payload_bytes_verified += 2 * column_bytes
+        else:
+            stats.payload_bytes_verified += column_bytes
+            stats.columns_skipped += 1
+    timestamps = np.frombuffer(view, dtype="<i8", count=n_points, offset=payload_offset)
+    values = (
+        np.frombuffer(view, dtype="<f8", count=n_points, offset=vs_offset)
+        if want_values
+        else None
+    )
+    if bounds is not None and (min_ts < bounds[0] or max_ts >= bounds[1]):
+        lo, hi = np.searchsorted(timestamps, bounds, side="left").tolist()
+        timestamps = timestamps[lo:hi]
+        if values is not None:
+            values = values[lo:hi]
+    return timestamps, values
 
 
 def normalize_columns(columns: Iterable[str] | str | None) -> bool:
@@ -578,11 +643,8 @@ def scan_sgx_bytes(
       skipped from its record header alone; its chunk payloads are never
       read, decoded or checksummed.
     * ``columns`` -- a projection over :data:`COLUMNS`.  Excluding
-      ``values`` skips decoding every values buffer, and (v3 files) its
-      checksum too; the yielded series carry NaN values, marking "not
-      loaded".  v1/v2 files have one joint CRC per chunk, so there the
-      whole payload is still checksummed before the timestamps are
-      trusted.
+      ``values`` skips decoding every values buffer and its checksum
+      too; the yielded series carry NaN values, marking "not loaded".
 
     ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview``; non-
     ``bytes`` buffers are read through a view, never copied wholesale.
@@ -590,136 +652,37 @@ def scan_sgx_bytes(
     """
     want_values = normalize_columns(columns)
     view = _as_view(data)
-    version, interval, dictionary, records = _parse_structure(view)
+    interval, bounds, survivors = _walk_servers(
+        view, start_minute, end_minute, servers, predicate, stats
+    )
     if interval_minutes is None:
         interval_minutes = interval
-    # Full structure walk (headers only -- payloads untouched) up front:
-    # raises on truncation, bounds violations and structure-CRC mismatch
-    # before anything is yielded.
-    record_list = list(records)
+    # A ranged read keeps a small fraction of the file; copying the kept
+    # slices releases the file buffer (frombuffer views would pin it for
+    # the frame's lifetime).  Full reads of immutable ``bytes`` stay
+    # zero-copy -- there the frame spans the buffer anyway -- but mutable
+    # buffers must be copied chunk-by-chunk (still never the whole file)
+    # or the frame would alias caller state.
+    copy = bounds is not None or not isinstance(data, bytes)
 
-    pruning = start_minute is not None or end_minute is not None
-    range_lo = start_minute if start_minute is not None else MIN_MINUTE
-    range_hi = end_minute if end_minute is not None else MAX_MINUTE
-    allow = frozenset(servers) if servers is not None else None
-    # bytes objects are immutable, so full reads can hand out zero-copy
-    # frombuffer views; mutable buffers must be copied chunk-by-chunk
-    # (still never the whole file) or the frame would alias caller state.
-    zero_copy = isinstance(data, bytes)
-
-    seen_ids: set[str] = set()
-    for server_id, meta_fields, chunks in record_list:
-        if server_id in seen_ids:
-            raise ColumnarFormatError(
-                f"garbled .sgx extract: duplicate chunk for server {server_id!r}"
-            )
-        seen_ids.add(server_id)
-        (
-            region_idx,
-            engine_idx,
-            true_class_idx,
-            backup_start,
-            backup_end,
-            backup_duration,
-        ) = meta_fields
-        metadata = ServerMetadata(
-            server_id=server_id,
-            region=_dict_lookup(dictionary, region_idx, "region"),
-            engine=_dict_lookup(dictionary, engine_idx, "engine"),
-            default_backup_start=backup_start,
-            default_backup_end=backup_end,
-            backup_duration_minutes=backup_duration,
-            true_class=_dict_lookup(dictionary, true_class_idx, "true class"),
-        )
-        if stats is not None:
-            stats.servers_seen += 1
-        if (allow is not None and server_id not in allow) or (
-            predicate is not None and not predicate(metadata)
-        ):
-            # Server filtered out from its (structure-verified) header:
-            # every chunk payload stays unread and unverified.
-            if stats is not None:
-                stats.servers_skipped += 1
-                stats.chunks_seen += len(chunks)
-                stats.chunks_pruned += len(chunks)
-                stats.payload_bytes_total += sum(c[0] for c in chunks) * _POINT_BYTES
-            continue
+    for metadata, chunks in survivors:
+        server_id = metadata.server_id
         kept_ts: list[np.ndarray] = []
         kept_vs: list[np.ndarray] = []
-        for n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset, _vstats in chunks:
-            payload_bytes = n_points * _POINT_BYTES
-            if stats is not None:
-                stats.chunks_seen += 1
-                stats.payload_bytes_total += payload_bytes
-            if pruning and (n_points == 0 or max_ts < range_lo or min_ts >= range_hi):
-                # Zone-map pruned: payload untouched, checksum unverified.
-                if stats is not None:
-                    stats.chunks_pruned += 1
+        for chunk in chunks:
+            timestamps, values = _decode_chunk(view, server_id, chunk, want_values, bounds, stats)
+            if not timestamps.shape[0]:
                 continue
-            ts_bytes = 8 * n_points
-            if vs_crc is None:
-                # v1/v2: one joint CRC over both column buffers, so even a
-                # timestamps-only projection must checksum the payload.
-                if zlib.crc32(view[payload_offset : payload_offset + payload_bytes]) != ts_crc:
-                    raise ColumnarFormatError(
-                        f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                    )
-                verified = payload_bytes
-            else:
-                if zlib.crc32(view[payload_offset : payload_offset + ts_bytes]) != ts_crc:
-                    raise ColumnarFormatError(
-                        f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                    )
-                verified = ts_bytes
-                if want_values:
-                    if (
-                        zlib.crc32(view[payload_offset + ts_bytes : payload_offset + payload_bytes])
-                        != vs_crc
-                    ):
-                        raise ColumnarFormatError(
-                            f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                        )
-                    verified = payload_bytes
-            if stats is not None:
-                stats.payload_bytes_verified += verified
-                if not want_values:
-                    stats.columns_skipped += 1
-            timestamps = np.frombuffer(view, dtype="<i8", count=n_points, offset=payload_offset)
-            values = (
-                np.frombuffer(view, dtype="<f8", count=n_points, offset=payload_offset + ts_bytes)
-                if want_values
-                else None
-            )
-            if pruning:
-                if min_ts < range_lo or max_ts >= range_hi:
-                    lo = int(np.searchsorted(timestamps, range_lo, side="left"))
-                    hi = int(np.searchsorted(timestamps, range_hi, side="left"))
-                    if lo == hi:
-                        continue
-                    timestamps = timestamps[lo:hi]
-                    if values is not None:
-                        values = values[lo:hi]
-                # A partial read keeps a small fraction of the file;
-                # copying the kept slices releases the file buffer
-                # (frombuffer views would pin it for the frame's
-                # lifetime).  Full reads of immutable bytes stay
-                # zero-copy -- there the frame spans the buffer anyway.
-                timestamps = timestamps.copy()
-                if values is not None:
-                    values = values.copy()
-            elif not zero_copy:
-                timestamps = timestamps.copy()
-                if values is not None:
-                    values = values.copy()
             if values is None:
                 # Unprojected values surface as NaN -- "not loaded", never
                 # a fabricated 0.0 load.
                 values = np.full(timestamps.shape[0], np.nan, dtype="<f8")
-            if n_points:
-                kept_ts.append(timestamps)
-                kept_vs.append(values)
+            elif copy:
+                values = values.copy()
+            kept_ts.append(timestamps.copy() if copy else timestamps)
+            kept_vs.append(values)
         if not kept_ts:
-            if pruning:
+            if bounds is not None:
                 continue  # no samples in range: server omitted
             timestamps = np.empty(0, dtype="<i8")
             values = np.empty(0, dtype="<f8")
@@ -816,13 +779,11 @@ def aggregate_sgx_bytes(
     The decode-free read path: the structure walk is verified exactly as
     in :func:`scan_sgx_bytes`, then each surviving chunk is answered from
     its chunk-table statistics whenever that is exact -- the chunk lies
-    fully inside the time range, does not straddle a day boundary when
-    grouping by day, and carries the statistics the reductions need (v4
-    value pre-aggregates, or just ``n_points`` for count-only
-    aggregates, which every version stores).  Only partial-overlap
-    chunks (and stat-less chunks of pre-v4 files) are decoded, CRC-
-    verified and folded sample-by-sample; the pairwise merge inside the
-    accumulator makes mixing the two sources exact.
+    fully inside the time range and does not straddle a day boundary
+    when grouping by day.  Only partial-overlap and day-straddling
+    chunks are decoded, CRC-verified and folded sample-by-sample; the
+    pairwise merge inside the accumulator makes mixing the two sources
+    exact.
 
     Chunks answered from statistics never have their payload read or
     checksummed -- their integrity rests on the structure CRC, which
@@ -830,210 +791,36 @@ def aggregate_sgx_bytes(
     ``chunks_answered_from_stats``/``bytes_decoded_avoided``.
     """
     view = _as_view(data)
-    version, _interval, dictionary, records = _parse_structure(view)
-    record_list = list(records)
-
-    pruning = start_minute is not None or end_minute is not None
-    range_lo = start_minute if start_minute is not None else MIN_MINUTE
-    range_hi = end_minute if end_minute is not None else MAX_MINUTE
-    allow = frozenset(servers) if servers is not None else None
+    _interval, bounds, survivors = _walk_servers(
+        view, start_minute, end_minute, servers, predicate, stats
+    )
     values_needed = accumulator.values_needed
     by_day = accumulator.by_day
 
-    seen_ids: set[str] = set()
-    for server_id, meta_fields, chunks in record_list:
-        if server_id in seen_ids:
-            raise ColumnarFormatError(
-                f"garbled .sgx extract: duplicate chunk for server {server_id!r}"
-            )
-        seen_ids.add(server_id)
-        (
-            region_idx,
-            engine_idx,
-            true_class_idx,
-            backup_start,
-            backup_end,
-            backup_duration,
-        ) = meta_fields
-        metadata = ServerMetadata(
-            server_id=server_id,
-            region=_dict_lookup(dictionary, region_idx, "region"),
-            engine=_dict_lookup(dictionary, engine_idx, "engine"),
-            default_backup_start=backup_start,
-            default_backup_end=backup_end,
-            backup_duration_minutes=backup_duration,
-            true_class=_dict_lookup(dictionary, true_class_idx, "true class"),
-        )
-        if stats is not None:
-            stats.servers_seen += 1
-        if (allow is not None and server_id not in allow) or (
-            predicate is not None and not predicate(metadata)
-        ):
-            if stats is not None:
-                stats.servers_skipped += 1
-                stats.chunks_seen += len(chunks)
-                stats.chunks_pruned += len(chunks)
-                stats.payload_bytes_total += sum(c[0] for c in chunks) * _POINT_BYTES
-            continue
-        for n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset, vstats in chunks:
-            payload_bytes = n_points * _POINT_BYTES
-            if stats is not None:
-                stats.chunks_seen += 1
-                stats.payload_bytes_total += payload_bytes
-            if pruning and (n_points == 0 or max_ts < range_lo or min_ts >= range_hi):
-                if stats is not None:
-                    stats.chunks_pruned += 1
-                continue
-            fully_inside = not pruning or (min_ts >= range_lo and max_ts < range_hi)
+    for metadata, chunks in survivors:
+        server_id = metadata.server_id
+        for chunk in chunks:
+            n_points, min_ts, max_ts = chunk[:3]
+            fully_inside = bounds is None or (min_ts >= bounds[0] and max_ts < bounds[1])
             day_compatible = not by_day or (
                 min_ts // MINUTES_PER_DAY == max_ts // MINUTES_PER_DAY
             )
-            stats_available = not values_needed or vstats is not None
-            if fully_inside and day_compatible and stats_available:
+            if fully_inside and day_compatible:
                 # Answered from the chunk table alone: the payload stays
                 # unread; the statistics are vouched for by the already-
                 # verified structure CRC.
                 accumulator.fold_chunk_stats(
-                    server_id,
-                    min_ts // MINUTES_PER_DAY,
-                    n_points,
-                    *(vstats if vstats is not None else (0.0, 0.0, 0.0, 0.0)),
+                    server_id, min_ts // MINUTES_PER_DAY, n_points, *chunk[6]
                 )
                 if stats is not None:
                     stats.chunks_answered_from_stats += 1
-                    stats.bytes_decoded_avoided += payload_bytes
+                    stats.bytes_decoded_avoided += n_points * _POINT_BYTES
                 continue
-            # Decode path: partial overlap, day-straddling chunk, or a
-            # pre-v4 chunk without value statistics.
-            ts_bytes = 8 * n_points
-            if vs_crc is None:
-                if zlib.crc32(view[payload_offset : payload_offset + payload_bytes]) != ts_crc:
-                    raise ColumnarFormatError(
-                        f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                    )
-                verified = payload_bytes
-            else:
-                if zlib.crc32(view[payload_offset : payload_offset + ts_bytes]) != ts_crc:
-                    raise ColumnarFormatError(
-                        f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                    )
-                verified = ts_bytes
-                if values_needed:
-                    if (
-                        zlib.crc32(view[payload_offset + ts_bytes : payload_offset + payload_bytes])
-                        != vs_crc
-                    ):
-                        raise ColumnarFormatError(
-                            f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                        )
-                    verified = payload_bytes
-            if stats is not None:
-                stats.payload_bytes_verified += verified
-                if not values_needed:
-                    stats.columns_skipped += 1
-            timestamps = np.frombuffer(view, dtype="<i8", count=n_points, offset=payload_offset)
-            values = (
-                np.frombuffer(view, dtype="<f8", count=n_points, offset=payload_offset + ts_bytes)
-                if values_needed
-                else None
+            # Decode path: partial overlap or day-straddling chunk.
+            timestamps, values = _decode_chunk(
+                view, server_id, chunk, values_needed, bounds, stats
             )
-            if pruning and (min_ts < range_lo or max_ts >= range_hi):
-                lo = int(np.searchsorted(timestamps, range_lo, side="left"))
-                hi = int(np.searchsorted(timestamps, range_hi, side="left"))
-                if lo == hi:
-                    continue
-                timestamps = timestamps[lo:hi]
-                if values is not None:
-                    values = values[lo:hi]
             accumulator.fold_columns(server_id, timestamps, values)
-
-
-def upgrade_sgx_bytes(data) -> bytes:
-    """Re-encode older-version ``.sgx`` bytes as format v4, preserving
-    every chunk boundary byte-for-byte.
-
-    Payload bytes are copied verbatim and each chunk keeps its exact
-    point span and zone map -- only the chunk-table entries (which gain
-    per-column CRCs below v3 and the v4 value pre-aggregates) and the
-    file header are rewritten.  The source's stored checksums are
-    verified while the values are read, so a damaged file cannot be
-    laundered into a fresh-looking v4 copy.  Already-v4 input is
-    returned unchanged.
-    """
-    view = _as_view(data)
-    version, interval, dictionary, records = _parse_structure(view)
-    if version == VERSION:
-        return bytes(view)
-
-    record_blobs: list[tuple[bytes, list[bytes]]] = []
-    for server_id, meta_fields, chunks in records:
-        chunk_table = bytearray()
-        payloads: list[bytes] = []
-        for n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset, _vstats in chunks:
-            ts_end = payload_offset + 8 * n_points
-            payload_end = payload_offset + n_points * _POINT_BYTES
-            ts_buf = bytes(view[payload_offset:ts_end])
-            vs_buf = bytes(view[ts_end:payload_end])
-            if vs_crc is None:
-                if zlib.crc32(ts_buf + vs_buf) != ts_crc:
-                    raise ColumnarFormatError(
-                        f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                    )
-                new_ts_crc = zlib.crc32(ts_buf)
-                new_vs_crc = zlib.crc32(vs_buf)
-            else:
-                if zlib.crc32(ts_buf) != ts_crc or zlib.crc32(vs_buf) != vs_crc:
-                    raise ColumnarFormatError(
-                        f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
-                    )
-                new_ts_crc, new_vs_crc = ts_crc, vs_crc
-            if n_points:
-                values = np.frombuffer(vs_buf, dtype="<f8")
-                vs_sum = float(values.sum())
-                vs_min = float(values.min())
-                vs_max = float(values.max())
-                vs_sum_sq = float(np.dot(values, values))
-            else:
-                vs_sum = vs_min = vs_max = vs_sum_sq = 0.0
-            chunk_table += _CHUNK_HEADER_V4.pack(
-                n_points,
-                min_ts,
-                max_ts,
-                new_ts_crc,
-                new_vs_crc,
-                vs_sum,
-                vs_min,
-                vs_max,
-                vs_sum_sq,
-            )
-            payloads.append(ts_buf + vs_buf)
-        record_header = (
-            _packed_string(server_id, "server id")
-            + _SERVER_FIXED.pack(*meta_fields, len(payloads))
-            + bytes(chunk_table)
-        )
-        record_blobs.append((record_header, payloads))
-
-    dict_section = b"".join(_packed_string(text, "dictionary string") for text in dictionary)
-    structure_crc = zlib.crc32(dict_section)
-    for record_header, _payloads in record_blobs:
-        structure_crc = zlib.crc32(record_header, structure_crc)
-    body_parts = [dict_section]
-    for record_header, payloads in record_blobs:
-        body_parts.append(record_header)
-        body_parts.extend(payloads)
-    body = b"".join(body_parts)
-    header = _FILE_HEADER.pack(
-        MAGIC,
-        VERSION,
-        0,
-        interval,
-        len(record_blobs),
-        len(dictionary),
-        HEADER_BYTES + len(body),
-        structure_crc,
-    )
-    return header + _HEADER_CRC.pack(zlib.crc32(header)) + body
 
 
 # --------------------------------------------------------------------- #
@@ -1045,32 +832,34 @@ def sgx_summary(data) -> dict[str, object]:
     """Describe ``.sgx`` bytes without verifying payload checksums.
 
     Returns header fields plus one zone-map entry per chunk (each tagged
-    with its server id -- a v2 server contributes one entry per day
+    with its server id -- a server contributes one entry per day
     chunk) -- the inspection hook for tests and debugging (cheap:
     payloads are skipped, not read).
     """
     view = _as_view(data)
-    version, interval, dictionary, record_iter = _parse_structure(view)
+    interval, dictionary, records = _parse_structure(view)
     chunks: list[dict[str, object]] = []
-    n_servers = 0
     total_points = 0
-    for server_id, _meta_fields, chunk_list in record_iter:
-        n_servers += 1
+    for server_id, _meta_fields, chunk_list in records:
         for n_points, min_ts, max_ts, _ts_crc, _vs_crc, _payload_offset, vstats in chunk_list:
             total_points += n_points
-            entry: dict[str, object] = {
-                "server_id": server_id,
-                "n_points": n_points,
-                "min_ts": min_ts,
-                "max_ts": max_ts,
-            }
-            if vstats is not None:
-                entry["vs_sum"], entry["vs_min"], entry["vs_max"], entry["vs_sum_sq"] = vstats
-            chunks.append(entry)
+            vs_sum, vs_min, vs_max, vs_sum_sq = vstats
+            chunks.append(
+                {
+                    "server_id": server_id,
+                    "n_points": n_points,
+                    "min_ts": min_ts,
+                    "max_ts": max_ts,
+                    "vs_sum": vs_sum,
+                    "vs_min": vs_min,
+                    "vs_max": vs_max,
+                    "vs_sum_sq": vs_sum_sq,
+                }
+            )
     return {
-        "version": version,
+        "version": VERSION,  # the only one _parse_structure accepts
         "interval_minutes": interval,
-        "n_servers": n_servers,
+        "n_servers": len(records),
         "n_dictionary_strings": len(dictionary),
         "n_points": total_points,
         "n_chunks": len(chunks),

@@ -42,7 +42,7 @@ def write_frame_csv(frame: LoadFrame, path: str | Path) -> int:
 
 
 def frame_to_csv_text(frame: LoadFrame) -> str:
-    """Serialise ``frame`` to a CSV string (used by in-memory stores)."""
+    """Serialise ``frame`` to a CSV string (what the lake stores as bytes)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(LoadFrame.CSV_HEADER)

@@ -3,9 +3,9 @@
 The load-extraction query writes one extract file per ``(region, week)``;
 the AML pipeline later picks up the extract for the region it is scheduled
 on (Section 2.2).  :class:`DataLakeStore` reproduces that contract on the
-local filesystem (or purely in memory for tests) with listing, existence
-checks and simple access control mirroring the "location of input data in
-ADLS and access rights to this data" knobs called out in Section 2.4.
+local filesystem with listing, existence checks and simple access control
+mirroring the "location of input data in ADLS and access rights to this
+data" knobs called out in Section 2.4.
 
 Extracts exist in two formats and the store negotiates between them:
 
@@ -36,7 +36,7 @@ counts them in ``tail_rows_scanned``), except for pinned stores -- a pin
 names a committed generation, and the tail is by definition uncommitted.
 
 Durability is the manifest subsystem's job
-(:mod:`repro.storage.manifest`): on-disk lakes keep their truth in a
+(:mod:`repro.storage.manifest`): a lake keeps its truth in a
 generation-numbered manifest pointing at immutable, content-addressed
 segment files, every mutation is an intent-logged transaction published
 atomically via ``os.replace``, and every read operation resolves one
@@ -48,8 +48,7 @@ reclaim is the explicit ``gc`` pass
 a store with ``pinned_generation=N`` yields a read-only view of exactly
 generation ``N`` (what out-of-process fleet workers do).  Pre-manifest
 lakes keep working: generation 0 is inferred from the legacy directory
-layout and the first mutation adopts it into a real manifest.  In-memory
-stores have no crash states and bypass the manifest entirely.
+layout and the first mutation adopts it into a real manifest.
 """
 
 from __future__ import annotations
@@ -131,9 +130,8 @@ class DataLakeStore:
     Parameters
     ----------
     root:
-        Directory to persist extracts under.  When ``None`` the store keeps
-        extracts purely in memory, which is what the unit tests and most
-        benchmarks use.
+        Directory to persist extracts under (created if missing).  Tests
+        that want a throwaway lake point it at a temporary directory.
     granted_principals:
         Optional allow-list of principal names.  When set, every operation
         (reads, writes and metadata accessors alike) must pass a
@@ -149,36 +147,32 @@ class DataLakeStore:
         default) uses the columnar layer's per-day default; ``0`` writes
         one whole-series chunk per server.
     pinned_generation:
-        When given (on-disk stores only), every read answers from exactly
-        that committed manifest generation, however far the live lake
-        moves on -- the fleet's unit of worker handoff.  A pinned store
+        When given, every read answers from exactly that committed
+        manifest generation, however far the live lake moves on -- the
+        fleet's unit of worker handoff.  A pinned store
         is read-only; mutations raise
         :class:`~repro.storage.manifest.LakeManifestError`.
     """
 
     def __init__(
         self,
-        root: str | Path | None = None,
+        root: str | Path,
         granted_principals: set[str] | None = None,
         write_format: str = "csv",
         chunk_minutes: int | None = None,
         pinned_generation: int | None = None,
     ) -> None:
-        self._root = Path(root) if root is not None else None
-        if self._root is not None:
-            self._root.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[ExtractKey, dict[str, bytes]] = {}
+        self._root = Path(root)
+        self._root.mkdir(parents=True, exist_ok=True)
         self._granted = set(granted_principals) if granted_principals is not None else None
         self._write_format = check_format(write_format)
         if chunk_minutes is not None and chunk_minutes < 0:
             raise ValueError("chunk_minutes must be a non-negative number of minutes")
         self._chunk_minutes = chunk_minutes
-        self._manifest = LakeManifest(self._root) if self._root is not None else None
+        self._manifest = LakeManifest(self._root)
         self._live: LiveTailIndex | None = None
         self._pinned: ManifestSnapshot | None = None
         if pinned_generation is not None:
-            if self._manifest is None:
-                raise ValueError("pinned_generation requires an on-disk lake root")
             # Loaded eagerly: generation files are immutable, so the pin
             # is one read here and zero manifest I/O per query after.
             self._pinned = self._manifest.snapshot_at(pinned_generation)
@@ -186,8 +180,8 @@ class DataLakeStore:
     # ------------------------------------------------------------------ #
 
     @property
-    def root(self) -> Path | None:
-        """Filesystem root of the store (``None`` for in-memory stores)."""
+    def root(self) -> Path:
+        """Filesystem root of the store."""
         return self._root
 
     @property
@@ -201,8 +195,8 @@ class DataLakeStore:
         return self._chunk_minutes
 
     @property
-    def manifest(self) -> LakeManifest | None:
-        """The lake's manifest handle (``None`` for in-memory stores)."""
+    def manifest(self) -> LakeManifest:
+        """The lake's manifest handle."""
         return self._manifest
 
     @property
@@ -214,14 +208,10 @@ class DataLakeStore:
         """The committed manifest generation reads currently resolve to.
 
         ``0`` for a legacy lake that has not been adopted yet; for pinned
-        stores, the pin.  In-memory stores have no manifest and raise
-        :class:`ValueError`.
+        stores, the pin.
         """
         self._check_access(principal)
-        snap = self._snapshot()
-        if snap is None:
-            raise ValueError("in-memory stores have no manifest generations")
-        return snap.generation
+        return self._snapshot().generation
 
     def extract_path(self, key: ExtractKey, fmt: str | None = None,
                      principal: str | None = None) -> Path:
@@ -231,13 +221,10 @@ class DataLakeStore:
         The path is an *immutable segment file* owned by the manifest:
         valid for reading (tests also use it to simulate disk damage),
         never for writing -- mutations go through the write API so they
-        are published transactionally.  In-memory stores raise
-        :class:`ValueError`.
+        are published transactionally.
         """
         self._check_access(principal)
         snap = self._snapshot()
-        if snap is None or self._root is None:
-            raise ValueError("in-memory extracts have no filesystem path")
         fmt = self._resolve_format(key, fmt, snap)[0]
         return self._root / self._entry(key, fmt, snap).relpath
 
@@ -245,9 +232,9 @@ class DataLakeStore:
         """Raise :class:`AccessDeniedError` unless ``principal`` is granted.
 
         An explicit probe for coordinators (e.g. the fleet orchestrator)
-        that hand work to out-of-process workers which reopen disk lakes
-        from the root path without the in-memory allow-list -- the
-        coordinator checks once up front, whatever unit list it was given.
+        that hand work to out-of-process workers which reopen the lake
+        from the root path without the allow-list -- the coordinator
+        checks once up front, whatever unit list it was given.
         """
         self._check_access(principal)
 
@@ -259,25 +246,22 @@ class DataLakeStore:
                 f"principal {principal!r} is not granted access to this data lake"
             )
 
-    def _snapshot(self) -> ManifestSnapshot | None:
+    def _snapshot(self) -> ManifestSnapshot:
         """The committed manifest generation this operation reads from.
 
         Resolved once per public read operation and threaded through, so
         one ``query()``/``scan()`` never mixes two generations however
-        many extracts it touches.  ``None`` for in-memory stores.
+        many extracts it touches.
         """
-        if self._manifest is None:
-            return None
         if self._pinned is not None:
             return self._pinned
         return self._manifest.current()
 
     def _tail_index(self) -> "LiveTailIndex | None":
         """The lake's live-tail view, or ``None`` when reads must not see
-        unsealed rows (in-memory stores have no tails; pinned stores name
-        a committed generation, which the tail is by definition not part
-        of)."""
-        if self._root is None or self._pinned is not None:
+        unsealed rows (pinned stores name a committed generation, which
+        the tail is by definition not part of)."""
+        if self._pinned is not None:
             return None
         if self._live is None:
             # Imported lazily: repro.storage.live sits one layer above
@@ -294,33 +278,21 @@ class DataLakeStore:
             raise ExtractNotFoundError(f"no {fmt} extract for {key}")
         return entry
 
-    def _stored_formats(
-        self, key: ExtractKey, snap: ManifestSnapshot | None
-    ) -> tuple[str, ...]:
+    def _stored_formats(self, key: ExtractKey, snap: ManifestSnapshot) -> tuple[str, ...]:
         """Formats present for ``key``, in read-preference order."""
-        if snap is None:
-            stored = self._memory.get(key, {})
-            return tuple(fmt for fmt in EXTRACT_FORMATS if fmt in stored)
         return snap.formats(key.region, key.week)
 
-    def _stored_bytes(
-        self, key: ExtractKey, fmt: str, snap: ManifestSnapshot | None
-    ) -> bytes:
-        if snap is None:
-            return self._memory[key][fmt]
-        assert self._root is not None
+    def _stored_bytes(self, key: ExtractKey, fmt: str, snap: ManifestSnapshot) -> bytes:
         return (self._root / self._entry(key, fmt, snap).relpath).read_bytes()
 
-    def _require_formats(
-        self, key: ExtractKey, snap: ManifestSnapshot | None
-    ) -> tuple[str, ...]:
+    def _require_formats(self, key: ExtractKey, snap: ManifestSnapshot) -> tuple[str, ...]:
         formats = self._stored_formats(key, snap)
         if not formats:
             raise ExtractNotFoundError(f"no extract for {key}")
         return formats
 
     def _resolve_format(
-        self, key: ExtractKey, fmt: str | None, snap: ManifestSnapshot | None
+        self, key: ExtractKey, fmt: str | None, snap: ManifestSnapshot
     ) -> tuple[str, ...]:
         """Stored formats to read ``key`` from: the preference-ordered list,
         or just ``fmt`` when one is forced (must exist)."""
@@ -398,34 +370,23 @@ class DataLakeStore:
     ) -> None:
         self._require_writable()
         others = () if keep_other_formats else tuple(o for o in EXTRACT_FORMATS if o != fmt)
-        if self._manifest is None:
-            slot = self._memory.setdefault(key, {})
-            slot[fmt] = payload
+        # One manifest transaction: the new segment is staged under a
+        # content-addressed name, fsync'd, and the write -- including
+        # dropping now-stale other-format entries -- becomes visible in
+        # one atomic pointer swap.  A crash at any point leaves readers
+        # on the previous committed generation.
+        with self._manifest.transaction(f"write {key.filename(fmt)}") as txn:
+            txn.stage(key.region, key.week, fmt, payload)
             for other in others:
-                slot.pop(other, None)
-        else:
-            # One manifest transaction: the new segment is staged under a
-            # content-addressed name, fsync'd, and the write -- including
-            # dropping now-stale other-format entries -- becomes visible
-            # in one atomic pointer swap.  A crash at any point leaves
-            # readers on the previous committed generation.
-            with self._manifest.transaction(f"write {key.filename(fmt)}") as txn:
-                txn.stage(key.region, key.week, fmt, payload)
-                for other in others:
-                    txn.drop(key.region, key.week, other)
+                txn.drop(key.region, key.week, other)
 
     # ------------------------------------------------------------------ #
     # The query surface (the one read path)
     # ------------------------------------------------------------------ #
 
-    def _list_keys(
-        self, snap: ManifestSnapshot | None, region: str | None
-    ) -> list[ExtractKey]:
-        """Extract keys of ``snap`` (or the in-memory store), sorted."""
-        if snap is None:
-            keys = sorted(key for key in self._memory if self._memory[key])
-        else:
-            keys = [ExtractKey(region=r, week=w) for r, w in snap.keys()]
+    def _list_keys(self, snap: ManifestSnapshot, region: str | None) -> list[ExtractKey]:
+        """Extract keys of ``snap``, sorted."""
+        keys = [ExtractKey(region=r, week=w) for r, w in snap.keys()]
         if region is not None:
             keys = [key for key in keys if key.region == region]
         return keys
@@ -433,7 +394,7 @@ class DataLakeStore:
     def _query_keys(
         self,
         q: ExtractQuery,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
         tails: "LiveTailIndex | None" = None,
     ) -> list[ExtractKey]:
         """Extract keys inside ``q``'s partition scope, sorted.
@@ -455,7 +416,7 @@ class DataLakeStore:
         key: ExtractKey,
         q: ExtractQuery,
         stats: ScanStats | None,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
     ) -> LoadFrame:
         """Parse ``key``'s CSV copy and apply ``q`` post-parse.
 
@@ -502,7 +463,7 @@ class DataLakeStore:
         key: ExtractKey,
         q: ExtractQuery,
         stats: ScanStats | None,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
     ) -> LoadFrame:
         """Materialise ``q`` against one stored extract, negotiating the
         format (damaged ``.sgx`` degrades to a co-located CSV copy).
@@ -638,7 +599,7 @@ class DataLakeStore:
         q: ExtractQuery,
         accumulator: AggregateAccumulator,
         stats: ScanStats | None,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
     ) -> None:
         """Fold ``key``'s CSV copy into ``accumulator`` (post-parse path).
 
@@ -676,7 +637,7 @@ class DataLakeStore:
         q: ExtractQuery,
         accumulator: AggregateAccumulator,
         stats: ScanStats | None,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
     ) -> None:
         """Fold one stored extract into ``accumulator``, negotiating the
         format.
@@ -717,19 +678,19 @@ class DataLakeStore:
         self,
         q: ExtractQuery,
         stats: ScanStats,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
         tails: "LiveTailIndex | None",
     ) -> QueryResult:
         """Answer an aggregate query: reductions, no materialised rows.
 
         Chunks fully inside the time range and server/engine scope are
-        answered from ``.sgx`` v4 chunk-table statistics without their
+        answered from ``.sgx`` chunk-table statistics without their
         value buffers ever being decoded (``stats`` counts them in
         ``chunks_answered_from_stats``/``bytes_decoded_avoided``); only
-        partial-overlap chunks, stat-less pre-v4 chunks and CSV extracts
-        are decoded, and the pairwise merge makes mixing the sources
-        exact.  The result's ``aggregates`` maps group-key tuples to the
-        requested reductions; its frame is empty.
+        partial-overlap chunks and CSV extracts are decoded, and the
+        pairwise merge makes mixing the sources exact.  The result's
+        ``aggregates`` maps group-key tuples to the requested reductions;
+        its frame is empty.
         """
         assert q.aggregates is not None
         accumulator = AggregateAccumulator(q.aggregates, q.group_by)
@@ -836,7 +797,7 @@ class DataLakeStore:
         key: ExtractKey,
         q: ExtractQuery,
         stats: ScanStats | None,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
     ) -> Iterator[tuple[ServerMetadata, LoadSeries]]:
         """Stream one extract's servers under ``q``.
 
@@ -893,7 +854,7 @@ class DataLakeStore:
         key: ExtractKey,
         q: ExtractQuery,
         stats: ScanStats | None,
-        snap: ManifestSnapshot | None,
+        snap: ManifestSnapshot,
         tails: "LiveTailIndex | None",
     ) -> Iterator[tuple[ServerMetadata, LoadSeries]]:
         """One partition's scan stream: committed servers first (resampled
@@ -1062,16 +1023,12 @@ class DataLakeStore:
         self._check_access(principal)
         snap = self._snapshot()
         fmt = self._require_formats(key, snap)[0]
-        digest = hashlib.sha256()
-        if self._root is None:
-            digest.update(self._memory[key][fmt])
-            return digest.hexdigest()
-        assert snap is not None
         entry = self._entry(key, fmt, snap)
         if entry.sha256 is not None and not verify:
             # Content-addressed segments record their digest in the
             # manifest at stage time; no re-hash needed.
             return entry.sha256
+        digest = hashlib.sha256()
         with (self._root / entry.relpath).open("rb") as handle:
             for chunk in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(chunk)
@@ -1107,9 +1064,6 @@ class DataLakeStore:
         self._check_access(principal)
         snap = self._snapshot()
         fmt = self._resolve_format(key, fmt, snap)[0]
-        if self._root is None:
-            return len(self._memory[key][fmt])
-        assert snap is not None
         return self._entry(key, fmt, snap).size
 
     def delete_extract(
@@ -1119,8 +1073,8 @@ class DataLakeStore:
 
         With ``fmt`` given only that format's copy is removed (the lake
         converter uses this to drop the source format after verification);
-        otherwise every stored copy goes.  On disk the delete is one
-        manifest transaction publishing a generation without the dropped
+        otherwise every stored copy goes.  The delete is one manifest
+        transaction publishing a generation without the dropped
         entries: readers either see every copy or none, and a crash
         mid-delete rolls back cleanly on the next open.  Deleting an
         absent extract (or format) drops nothing and publishes no new
@@ -1131,17 +1085,7 @@ class DataLakeStore:
         """
         self._check_access(principal)
         formats = (check_format(fmt),) if fmt is not None else EXTRACT_FORMATS
-        if self._root is None:
-            slot = self._memory.get(key)
-            if slot is None:
-                return
-            for name in formats:
-                slot.pop(name, None)
-            if not slot:
-                self._memory.pop(key, None)
-            return
         self._require_writable()
-        assert self._manifest is not None
         # Presence is decided from txn.base *inside* the transaction lock:
         # a pre-lock snapshot could race a concurrent writer committing
         # between the check and the drop.  Dropping an absent format is a
@@ -1158,11 +1102,8 @@ class DataLakeStore:
         :meth:`~repro.storage.manifest.LakeManifest.collect_garbage` and
         returns its :class:`~repro.storage.manifest.GcReport`.  Invalidates
         stores pinned to older generations -- run it only when no pinned
-        readers are in flight.  In-memory stores have nothing to reclaim
-        and raise :class:`ValueError`.
+        readers are in flight.
         """
         self._check_access(principal)
         self._require_writable()
-        if self._manifest is None:
-            raise ValueError("in-memory stores have no on-disk garbage to collect")
         return self._manifest.collect_garbage()

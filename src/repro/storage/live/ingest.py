@@ -33,7 +33,6 @@ precisely that window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -126,8 +125,8 @@ class LiveIngestor:
     Parameters
     ----------
     store:
-        The lake to ingest into.  Must be on-disk (tails are files) and
-        unpinned (sealing publishes new generations).
+        The lake to ingest into.  Must be unpinned (sealing publishes
+        new generations).
     interval_minutes:
         The extract grid sealed segments are bucketed onto.
     chunk_minutes:
@@ -156,8 +155,6 @@ class LiveIngestor:
         fsync_every: int = 16,
         principal: str | None = None,
     ) -> None:
-        if store.root is None:
-            raise ValueError("live ingestion needs an on-disk lake (tails are files)")
         if store.pinned_generation is not None:
             raise ValueError("cannot ingest into a pinned (read-only) store")
         store.check_access(principal)
@@ -176,7 +173,7 @@ class LiveIngestor:
                 f"fall on grid points"
             )
         self._store = store
-        self._root: Path = store.root
+        self._root = store.root
         self._interval = int(interval_minutes)
         self._chunk = int(chunk_minutes)
         self._fsync_every = fsync_every
@@ -357,7 +354,6 @@ class LiveIngestor:
 
         payload = columnar.frame_to_sgx_bytes(merged, chunk_minutes=self._chunk)
         manifest = self._store.manifest
-        assert manifest is not None  # on-disk store, checked at construction
         with manifest.transaction(seal_op(key.region, key.week, through)) as txn:
             txn.stage(key.region, key.week, "sgx", payload)
             txn.drop(key.region, key.week, "csv")

@@ -170,44 +170,26 @@ class LakeConversionReport:
         return "\n".join(lines)
 
 
-def _upgrade_sgx_in_place(
+def _rechunk_sgx_in_place(
     lake: DataLakeStore,
     key: ExtractKey,
     frame,
     raw: bytes,
     verify: bool,
-    chunk_minutes: int | None,
+    chunk_minutes: int,
     principal: str | None,
 ) -> ConversionRecord | None:
-    """Re-encode ``key``'s stored ``.sgx`` copy under the current format
-    version and chunking policy; returns the record, or ``None`` when the
-    stored bytes are already exactly what the policy would produce.
+    """Re-encode ``key``'s stored ``.sgx`` copy under a forced chunking
+    policy; returns the record, or ``None`` when the stored bytes are
+    already exactly what the policy would produce.
 
-    Unlike a cross-format conversion, an upgrade *overwrites its own
+    Unlike a cross-format conversion, a re-chunk *overwrites its own
     source*, so with ``verify`` the new encoding is round-tripped in
     memory and compared by content hash **before** any write -- once the
     old file is gone there is nothing left to fall back to.  The exact
     verified bytes are what lands on disk (no re-encode in between).
-
-    A version-only upgrade of a file that already carries per-chunk zone
-    maps (v2+) must not disturb how the series were chunked: without an
-    explicit ``chunk_minutes`` it goes through
-    :func:`~repro.storage.columnar.upgrade_sgx_bytes`, which preserves
-    every chunk boundary byte-for-byte and only rewrites the chunk-table
-    entries (adding per-column CRCs below v3 and the v4 value
-    pre-aggregates).  v1 files carry one whole-series chunk per server,
-    so they are re-chunked under the effective policy -- that *is* their
-    upgrade.  Forcing ``chunk_minutes`` always re-chunks.
     """
-    if chunk_minutes is None and columnar.sgx_version(raw) >= 2:
-        new_bytes = columnar.upgrade_sgx_bytes(raw)
-    else:
-        policy = chunk_minutes
-        if policy is None:
-            policy = lake.chunk_minutes
-        if policy is None:
-            policy = columnar.DEFAULT_CHUNK_MINUTES
-        new_bytes = columnar.frame_to_sgx_bytes(frame, chunk_minutes=policy)
+    new_bytes = columnar.frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes)
     if new_bytes == bytes(raw):
         return None
     if verify:
@@ -244,15 +226,15 @@ def convert_lake(
     Extracts already stored in the target format are health-checked (read
     back) and then skipped; a damaged target copy is dropped and
     re-converted from a healthy source-format copy instead of being
-    trusted.  An ``.sgx`` copy in an *older format version* is not
-    "already current": it is upgraded in place (v1 gains per-day chunks;
-    v2/v3 gain the v4 chunk statistics with their chunk boundaries
-    preserved byte-for-byte), verified in memory *before* the old file is
-    overwritten -- an upgrade rewrites its own source, so post-write
-    rollback would be too late.
+    trusted -- which is also what happens to an ``.sgx`` copy in a
+    pre-v4 layout, which this reader rejects: with a CSV copy beside it
+    it is re-converted from the CSV, alone it raises
+    :class:`ConversionVerificationError` and nothing is published.
     ``chunk_minutes`` sets the ``.sgx`` chunking policy of converted
     extracts; passing it explicitly also forces already-current extracts
-    to be re-chunked under that policy.  With
+    to be re-chunked under that policy, verified in memory *before* the
+    old file is overwritten -- a re-chunk rewrites its own source, so
+    post-write rollback would be too late.  With
     ``verify`` (the default) the converted copy is read back and its frame
     content hash compared against the source frame; a mismatch raises
     :class:`ConversionVerificationError` and leaves the source untouched.
@@ -268,8 +250,8 @@ def convert_lake(
             # Already current -- but only trust the stored target copy if
             # it actually reads back; a damaged one is dropped and
             # re-converted from a healthy source below.  For .sgx the
-            # bytes are fetched once and parsed in memory, so the later
-            # version probe costs no second disk read.
+            # bytes are fetched once and parsed in memory, so a forced
+            # re-chunk costs no second disk read.
             raw = None
             try:
                 if to_format == "sgx":
@@ -286,14 +268,11 @@ def convert_lake(
                 lake.delete_extract(key, principal=principal, fmt=to_format)
                 formats = tuple(fmt for fmt in formats if fmt != to_format)
             else:
-                upgrade_record = None
-                if to_format == "sgx" and (
-                    columnar.sgx_version(raw) != columnar.VERSION or chunk_minutes is not None
-                ):
-                    # An older-version (or differently chunked, when the
-                    # policy is forced) .sgx copy is not "already
-                    # current": re-encode it in place.
-                    upgrade_record = _upgrade_sgx_in_place(
+                rechunk_record = None
+                if raw is not None and chunk_minutes is not None:
+                    # With the policy forced, a differently chunked .sgx
+                    # copy is not "already current": re-encode it in place.
+                    rechunk_record = _rechunk_sgx_in_place(
                         lake, key, target, raw, verify, chunk_minutes, principal
                     )
                 # With ``delete_source`` the leftover source copies (e.g.
@@ -315,8 +294,8 @@ def convert_lake(
                         lake.delete_extract(key, principal=principal, fmt=leftover)
                 deleted = tuple(leftovers) if delete_source and leftovers else ()
                 record = (
-                    replace(upgrade_record, deleted_formats=deleted, bytes_freed=freed)
-                    if upgrade_record is not None
+                    replace(rechunk_record, deleted_formats=deleted, bytes_freed=freed)
+                    if rechunk_record is not None
                     else ConversionRecord(
                         key=key,
                         source_format=to_format,

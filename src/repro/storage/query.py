@@ -16,8 +16,8 @@ replaces that with one frozen, hashable value describing *what* to read:
   (``engines``), both pushed down into the ``.sgx`` reader so excluded
   servers' chunks are never decoded or checksummed;
 * **columns** -- a projection over :data:`~repro.storage.columnar.COLUMNS`;
-  excluding ``values`` skips decoding (and, on format v3, checksumming)
-  every values buffer, and the materialised series carry NaN values;
+  excluding ``values`` skips decoding and checksumming every values
+  buffer, and the materialised series carry NaN values;
 * **execution details** -- ``interval_minutes`` and a stored-format
   preference ``fmt``.  ``fmt`` never changes the answer (both formats
   materialise the same frame), so it is excluded from

@@ -106,8 +106,8 @@ class TestPipelineFailurePaths:
         assert result.abort_reason == "invalid input data"
         assert pipeline.incidents.has_critical()
 
-    def test_missing_extract_from_lake(self):
-        pipeline = SeagullPipeline(PipelineConfig(), data_lake=DataLakeStore())
+    def test_missing_extract_from_lake(self, tmp_path):
+        pipeline = SeagullPipeline(PipelineConfig(), data_lake=DataLakeStore(tmp_path))
         result = pipeline.run_from_lake("region-0", 5)
         assert not result.succeeded
         assert result.abort_reason == "missing input data"
@@ -299,7 +299,7 @@ class TestArtifactCachedPipeline:
 
 
 class TestEndToEndFromLake:
-    def test_full_flow_extraction_to_scheduling(self):
+    def test_full_flow_extraction_to_scheduling(self, tmp_path):
         from repro.scheduling.backup import BackupScheduler
         from repro.telemetry.extraction import LoadExtractionQuery
         from repro.telemetry.raw_store import RawTelemetryStore
@@ -309,7 +309,7 @@ class TestEndToEndFromLake:
 
         raw = RawTelemetryStore()
         raw.ingest_frame(frame, noise_rng=np.random.default_rng(1))
-        lake = DataLakeStore()
+        lake = DataLakeStore(tmp_path)
         query = LoadExtractionQuery(raw, lake)
         # Extract all four weeks into a single frame for the pipeline run.
         merged = LoadFrame(5)

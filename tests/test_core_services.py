@@ -247,10 +247,10 @@ class TestDashboard:
 
 class TestPipelineScheduler:
     @pytest.fixture
-    def lake_with_extracts(self):
+    def lake_with_extracts(self, tmp_path):
         spec = default_fleet_spec(servers_per_region=(8,), weeks=4, seed=13)
         frame = WorkloadGenerator(spec).generate_region("region-0")
-        lake = DataLakeStore()
+        lake = DataLakeStore(tmp_path)
         lake.write_extract(ExtractKey("region-0", 3), frame)
         return lake
 

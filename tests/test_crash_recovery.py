@@ -3,7 +3,7 @@
 Every mutation of an on-disk :class:`DataLakeStore` is one manifest
 transaction; this suite kills the writer at every fault point of every
 mutation protocol (fresh write, overwrite, byte write, delete, lake
-conversion, in-place ``.sgx`` upgrade) and asserts the recovered lake is
+conversion, in-place ``.sgx`` re-chunk) and asserts the recovered lake is
 *exactly* the pre-transaction or the post-transaction state -- never a
 mix -- and that re-running the interrupted mutation converges on the
 clean outcome.  A hypothesis property test does the same over random
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.columnar import frame_to_sgx_bytes
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.live import LIVE_FAULT_POINTS, LiveIngestor
 from repro.storage.manifest import FAULT_POINTS, InjectedCrash, fault_handler
@@ -34,7 +35,7 @@ from repro.storage.query import ExtractQuery
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import CrashInjector, frame_to_sgx_v1_bytes, make_series
+from tests.helpers import CrashInjector, make_series
 
 
 def small_frame(n: int = 2, level: float = 1.0, prefix: str = "s") -> LoadFrame:
@@ -51,7 +52,7 @@ def lake_state(root: Path) -> dict:
     """The complete reader-observable state of the lake at ``root``.
 
     Keys, their stored formats, and a digest of every stored payload --
-    byte-level, so an in-place ``.sgx`` version upgrade (same logical
+    byte-level, so an in-place ``.sgx`` re-chunk (same logical
     content, different bytes) still reads as a distinct state.  Opening a
     fresh store here is the point: it runs crash recovery exactly like a
     process that reopens the lake after a kill.
@@ -110,10 +111,15 @@ def _setup_dual(root: Path) -> None:
     lake.write_extract(KEY, small_frame(), fmt="sgx", keep_other_formats=True)
 
 
-def _setup_v1(root: Path) -> None:
-    DataLakeStore(root).write_extract_bytes(
-        KEY, "sgx", frame_to_sgx_v1_bytes(small_frame())
+def _setup_day_chunked(root: Path) -> None:
+    # One series straddling midnight: two chunks under the per-day
+    # default, one under ``chunk_minutes=0``.
+    frame = LoadFrame(5)
+    frame.add_server(
+        ServerMetadata(server_id="s0", region="r0"),
+        make_series([1.0, 2.0, 3.0], start=MINUTES_PER_DAY - 5),
     )
+    DataLakeStore(root, write_format="sgx").write_extract(KEY, frame)
 
 
 SCENARIOS = [
@@ -137,7 +143,7 @@ SCENARIOS = [
         name="write-bytes",
         setup=_setup_csv,
         mutate=lambda root: DataLakeStore(root).write_extract_bytes(
-            KEY, "sgx", frame_to_sgx_v1_bytes(small_frame(level=9.0))
+            KEY, "sgx", frame_to_sgx_bytes(small_frame(level=9.0))
         ),
     ),
     Scenario(
@@ -165,11 +171,12 @@ SCENARIOS = [
         ],
     ),
     Scenario(
-        # In-place v1 -> current upgrade: same logical content before and
+        # Forced in-place re-chunk (verify in memory, then overwrite the
+        # stored copy's own source): same logical content before and
         # after, so only the byte-level state digests tell pre from post.
-        name="upgrade-v1-in-place",
-        setup=_setup_v1,
-        mutate=lambda root: convert_lake(DataLakeStore(root), "sgx"),
+        name="rechunk-in-place",
+        setup=_setup_day_chunked,
+        mutate=lambda root: convert_lake(DataLakeStore(root), "sgx", chunk_minutes=0),
     ),
 ]
 

@@ -15,21 +15,14 @@ from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.telemetry.generator import WorkloadGenerator
 
 
-def columnar_version() -> int:
-    """The current .sgx writer version (what an in-place upgrade targets)."""
-    from repro.storage import columnar
-
-    return columnar.VERSION
-
-
 @pytest.fixture(scope="module")
 def fleet_spec():
     return default_fleet_spec(servers_per_region=(8, 5), weeks=4, seed=13)
 
 
 @pytest.fixture(scope="module")
-def memory_lake(fleet_spec):
-    lake = DataLakeStore()
+def fleet_lake(fleet_spec, tmp_path_factory):
+    lake = DataLakeStore(tmp_path_factory.mktemp("fleet-lake"))
     populate_lake(lake, fleet_spec, weeks=range(2))
     return lake
 
@@ -63,14 +56,14 @@ class TestExtractSynthesis:
             != generator.generate_weekly_extract("region-0", 1).content_hash()
         )
 
-    def test_populate_lake_writes_every_unit(self, memory_lake, fleet_spec):
-        keys = memory_lake.list_extracts()
+    def test_populate_lake_writes_every_unit(self, fleet_lake, fleet_spec):
+        keys = fleet_lake.list_extracts()
         assert len(keys) == 4  # 2 regions x 2 weeks
         for key in keys:
-            assert memory_lake.extract_fingerprint(key)
+            assert fleet_lake.extract_fingerprint(key)
 
-    def test_populate_lake_skips_existing(self, fleet_spec):
-        lake = DataLakeStore()
+    def test_populate_lake_skips_existing(self, fleet_spec, tmp_path):
+        lake = DataLakeStore(tmp_path)
         first = populate_lake(lake, fleet_spec, weeks=[0])
         fingerprints = {key: lake.extract_fingerprint(key) for key in first}
         second = populate_lake(lake, fleet_spec, weeks=[0])
@@ -96,8 +89,8 @@ class TestExtractSynthesis:
 
 class TestOrchestratorRun:
     @pytest.fixture(scope="class")
-    def report(self, memory_lake):
-        with FleetOrchestrator(memory_lake, PipelineConfig()) as orchestrator:
+    def report(self, fleet_lake):
+        with FleetOrchestrator(fleet_lake, PipelineConfig()) as orchestrator:
             return orchestrator.run()
 
     def test_all_units_processed(self, report):
@@ -131,14 +124,14 @@ class TestOrchestratorRun:
         text = report.render_text()
         assert "region-0" in text and "region-1" in text
 
-    def test_explicit_unit_subset(self, memory_lake):
-        with FleetOrchestrator(memory_lake, PipelineConfig()) as orchestrator:
+    def test_explicit_unit_subset(self, fleet_lake):
+        with FleetOrchestrator(fleet_lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run([ExtractKey("region-1", 0)])
         assert report.n_units == 1
         assert report.outcomes[0].region == "region-1"
 
-    def test_missing_extract_fails_unit_not_fleet(self, memory_lake):
-        with FleetOrchestrator(memory_lake, PipelineConfig()) as orchestrator:
+    def test_missing_extract_fails_unit_not_fleet(self, fleet_lake):
+        with FleetOrchestrator(fleet_lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run(
                 [ExtractKey("region-0", 0), ExtractKey("region-9", 7)]
             )
@@ -149,8 +142,8 @@ class TestOrchestratorRun:
         assert failed.region == "region-9"
         assert report.incident_rollup()["by_severity"].get("critical") == 1
 
-    def test_executor_shared_across_runs(self, memory_lake):
-        orchestrator = FleetOrchestrator(memory_lake, PipelineConfig(), backend="threads")
+    def test_executor_shared_across_runs(self, fleet_lake):
+        orchestrator = FleetOrchestrator(fleet_lake, PipelineConfig(), backend="threads")
         try:
             orchestrator.run([ExtractKey("region-0", 0), ExtractKey("region-1", 0)])
             first_pool = orchestrator.executor._pool
@@ -182,19 +175,19 @@ class TestOrchestratorRun:
             with pytest.raises(AccessDeniedError):
                 orchestrator.run([ExtractKey("region-0", 0)])
 
-    def test_owned_parallel_executor_sized_by_fleet_heuristic(self, memory_lake):
+    def test_owned_parallel_executor_sized_by_fleet_heuristic(self, fleet_lake):
         with FleetOrchestrator(
-            memory_lake, PipelineConfig(), backend="threads"
+            fleet_lake, PipelineConfig(), backend="threads"
         ) as orchestrator:
             orchestrator.run([ExtractKey("region-0", 0), ExtractKey("region-1", 0)])
             # min(units, usable CPUs, cap) can never exceed the unit count.
             assert orchestrator.executor.n_workers <= 2
 
-    def test_external_executor_not_closed(self, memory_lake):
+    def test_external_executor_not_closed(self, fleet_lake):
         from repro.parallel.executor import PartitionedExecutor
 
         executor = PartitionedExecutor.serial()
-        with FleetOrchestrator(memory_lake, PipelineConfig(), executor=executor):
+        with FleetOrchestrator(fleet_lake, PipelineConfig(), executor=executor):
             pass
         assert not executor.closed
 
@@ -360,9 +353,9 @@ class TestFleetReportEdgeCases:
 
 
 class TestColumnarFleetRuns:
-    def test_sgx_memory_lake_matches_csv_lake(self, fleet_spec):
-        csv_lake = DataLakeStore()
-        sgx_lake = DataLakeStore(write_format="sgx")
+    def test_sgx_lake_matches_csv_lake(self, fleet_spec, tmp_path):
+        csv_lake = DataLakeStore(tmp_path / "csv")
+        sgx_lake = DataLakeStore(tmp_path / "sgx", write_format="sgx")
         populate_lake(csv_lake, fleet_spec, weeks=[0])
         populate_lake(sgx_lake, fleet_spec, weeks=[0])
         with FleetOrchestrator(csv_lake, PipelineConfig()) as orchestrator:
@@ -383,19 +376,17 @@ class TestColumnarFleetRuns:
             report = orchestrator.run()
         assert report.n_failed == 0
 
-    def test_memory_lake_corrupt_sgx_falls_back_to_csv_copy(self, fleet_spec):
-        # The in-memory handoff must keep the lake's damaged-.sgx-degrades-
-        # to-CSV behaviour: workers get the CSV bytes as a fallback.
-        from repro.storage.columnar import frame_to_sgx_bytes
-
-        lake = DataLakeStore()
+    def test_corrupt_sgx_falls_back_to_csv_copy_inside_the_worker(self, fleet_spec, tmp_path):
+        # The root-path handoff keeps the lake's damaged-.sgx-degrades-
+        # to-CSV behaviour: the worker's own store negotiates the format.
+        lake = DataLakeStore(tmp_path)
         populate_lake(lake, fleet_spec, weeks=[0])
         key = lake.list_extracts()[0]
         frame = lake.read_extract(key)
         lake.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
-        damaged = bytearray(frame_to_sgx_bytes(frame))
+        damaged = bytearray(lake.extract_path(key, fmt="sgx").read_bytes())
         damaged[-3] ^= 0xFF
-        lake._memory[key]["sgx"] = bytes(damaged)
+        lake.extract_path(key, fmt="sgx").write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
         with FleetOrchestrator(lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run([key])
         assert report.n_failed == 0
@@ -524,66 +515,38 @@ class TestConvertCli:
         # Nothing half-written: the .sgx copy is still the only one.
         assert lake.extract_formats(ExtractKey("r0", 0)) == ("sgx",)
 
-    def test_convert_upgrades_v1_sgx_in_place(self, capsys, tmp_path):
-        from repro.storage.columnar import sgx_version
-
-        from tests.helpers import frame_to_sgx_v1_bytes
-
-        lake = self._csv_lake(tmp_path)
-        assert fleet_main(["convert", "--lake-dir", str(lake.root), "--delete-source"]) == 0
-        key = lake.list_extracts()[0]
-        frame = lake.read_extract(key, None)
-        lake.write_extract_bytes(key, "sgx", frame_to_sgx_v1_bytes(frame))
-        assert sgx_version(lake.read_extract_bytes(key, fmt="sgx")[1]) == 1
-        capsys.readouterr()
-        assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
-        out = capsys.readouterr().out
-        assert "1 extract(s) converted, 3 already current" in out
-        assert sgx_version(lake.read_extract_bytes(key, fmt="sgx")[1]) == columnar_version()
-        assert lake.read_extract(key, None).content_hash() == frame.content_hash()
-
-    def test_convert_upgrade_deletes_leftover_source(self, tmp_path):
-        # A v1 .sgx with a CSV sibling: one --delete-source upgrade run
-        # must both re-encode the .sgx and drop the stale CSV.
-        from repro.storage.columnar import sgx_version
+    def test_convert_heals_pre_v4_sgx_from_its_csv_sibling(self, tmp_path):
+        # A pre-v4 .sgx is unreadable to this reader; with a CSV sibling
+        # one --delete-source run re-converts from the CSV and drops it.
         from repro.storage.migrate import convert_lake
 
-        from tests.helpers import frame_to_sgx_v1_bytes
+        from tests.helpers import bare_sgx_header
 
         lake = self._csv_lake(tmp_path)
         convert_lake(lake, "sgx")  # keeps CSV sources
         key = lake.list_extracts()[0]
         frame = lake.read_extract(key, None)
-        lake.write_extract_bytes(
-            key, "sgx", frame_to_sgx_v1_bytes(frame), keep_other_formats=True
-        )
+        lake.write_extract_bytes(key, "sgx", bare_sgx_header(1), keep_other_formats=True)
         report = convert_lake(lake, "sgx", delete_source=True)
-        assert sgx_version(lake.read_extract_bytes(key, fmt="sgx")[1]) == columnar_version()
         for each in lake.list_extracts():
             assert lake.extract_formats(each) == ("sgx",)
-        upgraded = [r for r in report.records if not r.skipped]
-        assert len(upgraded) == 1
-        assert upgraded[0].deleted_formats == ("csv",)
+        converted = [r for r in report.records if not r.skipped]
+        assert len(converted) == 1
+        assert converted[0].source_format == "csv"
+        assert converted[0].deleted_formats == ("csv",)
         assert lake.read_extract(key, None).content_hash() == frame.content_hash()
 
-    def test_convert_upgrade_honours_store_chunk_policy(self, tmp_path):
-        # Without an explicit --chunk-minutes, an in-place upgrade must
-        # follow the lake's configured policy, same as fresh conversions.
-        from repro.storage.columnar import sgx_summary, sgx_version
+    def test_convert_honours_store_chunk_policy(self, tmp_path):
+        # Without an explicit --chunk-minutes, conversions follow the
+        # lake's configured policy, same as any other .sgx write.
+        from repro.storage.columnar import sgx_summary
         from repro.storage.migrate import convert_lake
 
-        from tests.helpers import frame_to_sgx_v1_bytes
-
         seeded = self._csv_lake(tmp_path)
-        convert_lake(seeded, "sgx", delete_source=True)
-        key = seeded.list_extracts()[0]
-        frame = seeded.read_extract(key, None)
-        seeded.write_extract_bytes(key, "sgx", frame_to_sgx_v1_bytes(frame))
         lake = DataLakeStore(seeded.root, write_format="sgx", chunk_minutes=0)
         convert_lake(lake, "sgx")
-        raw = lake.read_extract_bytes(key, fmt="sgx")[1]
-        assert sgx_version(raw) == columnar_version()
-        info = sgx_summary(raw)
+        key = lake.list_extracts()[0]
+        info = sgx_summary(lake.read_extract_bytes(key, fmt="sgx")[1])
         assert info["n_chunks"] == info["n_servers"]  # whole-series chunks
 
     def test_convert_chunk_minutes_rechunks_already_current_lake(self, capsys, tmp_path):
@@ -719,16 +682,16 @@ class TestQueryHandoff:
             report = orchestrator.run(units)
             return report, captured, orchestrator
 
-    def test_tasks_carry_handle_and_query_not_payloads(self, monkeypatch, memory_lake):
+    def test_tasks_carry_handle_and_query_not_payloads(self, monkeypatch, fleet_lake):
         import pickle
 
         from repro.storage.query import ExtractQuery
 
-        report, tasks, _orch = self._captured_tasks(monkeypatch, memory_lake)
+        report, tasks, _orch = self._captured_tasks(monkeypatch, fleet_lake)
         assert report.n_failed == 0
         assert len(tasks) == 4
         extract_bytes = sum(
-            memory_lake.extract_size_bytes(key) for key in memory_lake.list_extracts()
+            fleet_lake.extract_size_bytes(key) for key in fleet_lake.list_extracts()
         )
         for task in tasks:
             assert not hasattr(task, "payload")
@@ -740,22 +703,20 @@ class TestQueryHandoff:
             # describes: payload bytes stay out of the executor entirely.
             assert len(pickle.dumps(task)) < extract_bytes // 20
 
-    def test_memory_lake_spills_to_disk_handle(self, monkeypatch, fleet_spec):
-        from pathlib import Path
-
-        lake = DataLakeStore(write_format="sgx")
+    def test_tasks_point_at_the_lake_root_and_generation(self, monkeypatch, fleet_spec, tmp_path):
+        lake = DataLakeStore(tmp_path, write_format="sgx")
         populate_lake(lake, fleet_spec, weeks=[0])
-        report, tasks, orchestrator = self._captured_tasks(monkeypatch, lake)
+        report, tasks, _orch = self._captured_tasks(monkeypatch, lake)
         assert report.n_failed == 0
-        spill_root = Path(tasks[0].lake_root)
-        assert all(task.lake_root == str(spill_root) for task in tasks)
-        # close() (already called) removed the spill directory.
-        assert not spill_root.exists()
+        assert all(task.lake_root == str(lake.root) for task in tasks)
+        assert all(task.generation == lake.current_generation() for task in tasks)
+        # close() (already called) owns no directory: the lake is untouched.
+        assert lake.list_extracts()
 
-    def test_spill_preserves_fingerprints_and_unit_cache(self, tmp_path, fleet_spec):
-        # The unit-outcome cache is keyed by the stored-bytes fingerprint;
-        # spilling must be byte-identical or warm re-runs would recompute.
-        lake = DataLakeStore()
+    def test_warm_rerun_hits_the_unit_cache_for_every_unit(self, tmp_path, fleet_spec):
+        # The unit-outcome cache is keyed by the stored-bytes fingerprint
+        # the worker reads through its own handle.
+        lake = DataLakeStore(tmp_path / "lake")
         populate_lake(lake, fleet_spec, weeks=[0])
         cache_dir = tmp_path / "cache"
         with FleetOrchestrator(lake, PipelineConfig(), cache_dir=cache_dir) as orchestrator:
@@ -764,73 +725,51 @@ class TestQueryHandoff:
         assert cold.cache_summary()["unit_hits"] == 0
         assert warm.cache_summary()["unit_hits"] == 2
 
-    def test_memory_lake_with_process_backend(self, fleet_spec):
-        # The ROADMAP open item: in-memory lakes used to ship whole
-        # payloads to process workers; the spill handle closes that.
-        lake = DataLakeStore(write_format="sgx")
-        populate_lake(
-            lake,
-            default_fleet_spec(servers_per_region=(4, 3), weeks=4, seed=5),
-            weeks=[0],
-        )
-        with FleetOrchestrator(
-            lake, PipelineConfig(), backend="processes", n_workers=2
-        ) as orchestrator:
-            report = orchestrator.run()
-        assert report.n_units == 2
-        assert report.n_failed == 0
-
-    def test_warm_rerun_does_not_rewrite_unchanged_spill(self, fleet_spec):
-        # Re-spilling the whole lake on every run would defeat cheap warm
-        # re-runs; unchanged stored bytes must not be rewritten to disk.
-        from pathlib import Path
-
-        lake = DataLakeStore(write_format="sgx")
+    def test_runs_never_write_to_the_lake(self, fleet_spec, tmp_path):
+        # Workers only read: no segment is rewritten and no generation is
+        # published, however many times the fleet runs.
+        lake = DataLakeStore(tmp_path, write_format="sgx")
         keys = populate_lake(lake, fleet_spec, weeks=[0])
+        generation = lake.current_generation()
+        before = {path: path.stat().st_mtime_ns for path in tmp_path.rglob("extract_*")}
+        assert before
         with FleetOrchestrator(lake, PipelineConfig()) as orchestrator:
             orchestrator.run(keys)
-            spill_root = Path(orchestrator._spill_dir)
-            before = {
-                path: path.stat().st_mtime_ns for path in spill_root.rglob("extract_*")
-            }
-            assert before
             orchestrator.run(keys)
-            after = {
-                path: path.stat().st_mtime_ns for path in spill_root.rglob("extract_*")
-            }
-        assert after == before  # byte-identical extracts: no rewrite
+        after = {path: path.stat().st_mtime_ns for path in tmp_path.rglob("extract_*")}
+        assert after == before
+        assert lake.current_generation() == generation
 
-    def test_spill_refreshes_changed_extracts(self, monkeypatch, fleet_spec):
-        lake = DataLakeStore()
+    def test_write_between_runs_is_seen_by_the_second_run(self, fleet_spec, tmp_path):
+        lake = DataLakeStore(tmp_path)
         keys = populate_lake(lake, fleet_spec, weeks=[0])
         with FleetOrchestrator(lake, PipelineConfig()) as orchestrator:
             first = orchestrator.run([keys[0]])
-            # Mutate the in-memory extract between runs; the spill handle
-            # must serve the new content, not a stale copy.
+            # Each run() pins the generation current when it starts, so a
+            # write between two runs of one orchestrator is not stale.
             frame = WorkloadGenerator(fleet_spec).generate_weekly_extract(
                 keys[0].region, 3
             )
             lake.write_extract(keys[0], frame)
             second = orchestrator.run([keys[0]])
         assert first.n_failed == second.n_failed == 0
-        assert (
-            second.outcomes[0].n_servers == len(frame)
-        )
+        assert second.lake_generation == first.lake_generation + 1
+        assert second.outcomes[0].n_servers == len(frame)
 
 
 class TestScanRollup:
     """Satellite: per-unit ScanStats roll into FleetReport."""
 
-    def test_outcomes_carry_scan_stats(self, memory_lake):
-        with FleetOrchestrator(memory_lake, PipelineConfig()) as orchestrator:
+    def test_outcomes_carry_scan_stats(self, fleet_lake):
+        with FleetOrchestrator(fleet_lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run()
         for outcome in report.outcomes:
             assert outcome.scan["extracts_scanned"] == 1
             assert outcome.scan["rows"] > 0
             assert outcome.scan["servers_seen"] == outcome.n_servers
 
-    def test_scan_rollup_sums_units(self, memory_lake):
-        with FleetOrchestrator(memory_lake, PipelineConfig()) as orchestrator:
+    def test_scan_rollup_sums_units(self, fleet_lake):
+        with FleetOrchestrator(fleet_lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run()
         rollup = report.scan_rollup()
         assert rollup["extracts_scanned"] == 4
@@ -838,8 +777,8 @@ class TestScanRollup:
         assert 0.0 < rollup["verified_fraction"] <= 1.0
         assert rollup["servers_seen"] == 26
 
-    def test_scan_rollup_rendered_and_serialized(self, memory_lake):
-        with FleetOrchestrator(memory_lake, PipelineConfig()) as orchestrator:
+    def test_scan_rollup_rendered_and_serialized(self, fleet_lake):
+        with FleetOrchestrator(fleet_lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run()
         assert "Scan:" in report.render_text()
         assert "payload bytes CRC-verified" in report.render_text()
@@ -858,8 +797,8 @@ class TestScanRollup:
             assert after.from_unit_cache
             assert after.scan == before.scan
 
-    def test_failed_unit_has_empty_scan(self, memory_lake):
-        with FleetOrchestrator(memory_lake, PipelineConfig()) as orchestrator:
+    def test_failed_unit_has_empty_scan(self, fleet_lake):
+        with FleetOrchestrator(fleet_lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run([ExtractKey("region-9", 7)])
         assert report.outcomes[0].scan == {}
         assert report.scan_rollup()["extracts_scanned"] == 0

@@ -208,10 +208,10 @@ class TestRunnerService:
         runner.run_day("c", 1, {}, {})
         assert len(runner.executions()) == 1
 
-    def _lake_with_due_servers(self):
+    def _lake_with_due_servers(self, tmp_path):
         from repro.storage.datalake import DataLakeStore, ExtractKey
 
-        lake = DataLakeStore(write_format="sgx")
+        lake = DataLakeStore(tmp_path, write_format="sgx")
         frame = LoadFrame(5)
         frame.add_server(metadata_for("srv-0"), diurnal_series(28))
         frame.add_server(metadata_for("srv-1"), diurnal_series(28, seed=2))
@@ -224,10 +224,10 @@ class TestRunnerService:
         lake.write_extract(ExtractKey("region-9", 0), other)
         return lake
 
-    def test_run_day_from_lake_streams_due_metadata(self):
+    def test_run_day_from_lake_streams_due_metadata(self, tmp_path):
         predictions = {"srv-0": diurnal_series(28).day(27)}
         runner = RunnerService("region-0", serving=serving_with(predictions))
-        lake = self._lake_with_due_servers()
+        lake = self._lake_with_due_servers(tmp_path)
         verdicts = {"srv-0": predictable_verdict("srv-0")}
         execution = runner.run_day_from_lake("cluster-1", 27, lake, verdicts)
         assert execution.succeeded
@@ -236,11 +236,11 @@ class TestRunnerService:
         assert set(execution.decisions) == {"srv-0", "srv-1"}
         assert execution.decisions["srv-0"].moved
 
-    def test_run_day_from_lake_narrows_with_query(self):
+    def test_run_day_from_lake_narrows_with_query(self, tmp_path):
         from repro.storage.query import ExtractQuery
 
         runner = RunnerService("region-0", serving=serving_with({}))
-        lake = self._lake_with_due_servers()
+        lake = self._lake_with_due_servers(tmp_path)
         execution = runner.run_day_from_lake(
             "cluster-1",
             27,

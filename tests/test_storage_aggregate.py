@@ -23,7 +23,7 @@ from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
-from tests.helpers import diurnal_series, frame_to_sgx_v3_bytes
+from tests.helpers import diurnal_series
 
 ALL_REDUCTIONS = ("count", "sum", "min", "max", "mean", "variance", "std")
 
@@ -44,10 +44,14 @@ def build_frame(n_servers: int = 4, n_days: int = 7) -> LoadFrame:
     return frame
 
 
-def make_lake(frame: LoadFrame, fmt: str) -> DataLakeStore:
-    lake = DataLakeStore(write_format=fmt)
-    lake.write_extract(ExtractKey("westus2", 0), frame)
-    return lake
+@pytest.fixture
+def make_lake(tmp_path):
+    def make(frame: LoadFrame, fmt: str) -> DataLakeStore:
+        lake = DataLakeStore(tmp_path / "lake", write_format=fmt)
+        lake.write_extract(ExtractKey("westus2", 0), frame)
+        return lake
+
+    return make
 
 
 def naive_aggregate(frame, query):
@@ -114,7 +118,7 @@ class TestAggregateRowParity:
         ids=["full", "chunk-aligned", "partial-overlap"],
     )
     @pytest.mark.parametrize("group_by", [None, ("server",), ("day",), ("server", "day")])
-    def test_parity(self, fmt, start, end, group_by):
+    def test_parity(self, make_lake, fmt, start, end, group_by):
         frame = build_frame()
         lake = make_lake(frame, fmt)
         query = ExtractQuery(
@@ -128,7 +132,7 @@ class TestAggregateRowParity:
         assert_aggregates_close(result.aggregates, naive_aggregate(frame, query))
 
     @pytest.mark.parametrize("fmt", ["csv", "sgx"])
-    def test_parity_with_server_and_engine_filters(self, fmt):
+    def test_parity_with_server_and_engine_filters(self, make_lake, fmt):
         frame = build_frame(n_servers=6)
         lake = make_lake(frame, fmt)
         query = ExtractQuery(
@@ -142,7 +146,7 @@ class TestAggregateRowParity:
         assert set(result.aggregates) == {("srv-1",), ("srv-3",), ("srv-5",)}
         assert_aggregates_close(result.aggregates, want)
 
-    def test_empty_scope_is_empty_mapping_not_nan(self):
+    def test_empty_scope_is_empty_mapping_not_nan(self, make_lake):
         lake = make_lake(build_frame(), "sgx")
         result = lake.query(
             ExtractQuery(aggregates=("mean", "min"), servers=("no-such-server",))
@@ -153,7 +157,7 @@ class TestAggregateRowParity:
         )
         assert ranged.aggregates == {}
 
-    def test_results_are_nan_free(self):
+    def test_results_are_nan_free(self, make_lake):
         frame = build_frame()
         lake = make_lake(frame, "sgx")
         result = lake.query(
@@ -164,9 +168,9 @@ class TestAggregateRowParity:
             for value in reductions.values():
                 assert not math.isnan(value)
 
-    def test_damaged_sgx_falls_back_to_csv_without_double_count(self):
+    def test_damaged_sgx_falls_back_to_csv_without_double_count(self, tmp_path):
         frame = build_frame()
-        lake = DataLakeStore(write_format="sgx")
+        lake = DataLakeStore(tmp_path / "lake", write_format="sgx")
         key = ExtractKey("westus2", 0)
         lake.write_extract(key, frame)
         _fmt, raw = lake.read_extract_bytes(key, fmt="sgx")
@@ -187,7 +191,7 @@ class TestAggregateRowParity:
 class TestDecodeAvoidance:
     """Fully covered chunks are answered from statistics, not payloads."""
 
-    def test_full_scan_decodes_nothing(self):
+    def test_full_scan_decodes_nothing(self, make_lake):
         lake = make_lake(build_frame(), "sgx")
         result = lake.query(ExtractQuery(aggregates=ALL_REDUCTIONS, group_by=("day",)))
         stats = result.stats
@@ -195,7 +199,7 @@ class TestDecodeAvoidance:
         assert stats.payload_bytes_verified == 0
         assert stats.bytes_decoded_avoided == stats.payload_bytes_stored
 
-    def test_partial_range_decodes_only_edge_chunks(self):
+    def test_partial_range_decodes_only_edge_chunks(self, make_lake):
         lake = make_lake(build_frame(n_servers=2, n_days=7), "sgx")
         result = lake.query(
             ExtractQuery(
@@ -210,30 +214,16 @@ class TestDecodeAvoidance:
         assert stats.payload_bytes_verified == 2 * 288 * 16  # the two partial chunks
         assert stats.bytes_decoded_avoided == 2 * 4 * 288 * 16
 
-    def test_count_only_needs_no_value_stats_on_any_version(self):
+    def test_count_only_is_answered_from_chunk_headers(self):
         frame = build_frame(n_servers=2, n_days=3)
-        v3 = frame_to_sgx_v3_bytes(frame)
+        data = columnar.frame_to_sgx_bytes(frame)
         acc = AggregateAccumulator(("count",), ("server",))
         stats = columnar.SgxReadStats()
-        columnar.aggregate_sgx_bytes(v3, acc, stats=stats)
+        columnar.aggregate_sgx_bytes(data, acc, stats=stats)
         assert stats.chunks_answered_from_stats == stats.chunks_seen
         assert stats.payload_bytes_verified == 0
         for i in range(2):
             assert acc.results()[(f"srv-{i}",)]["count"] == 3 * 288
-
-    def test_value_reductions_on_v3_fall_back_to_decode(self):
-        frame = build_frame(n_servers=2, n_days=3)
-        v3 = frame_to_sgx_v3_bytes(frame)
-        acc = AggregateAccumulator(("mean",), ("server",))
-        stats = columnar.SgxReadStats()
-        columnar.aggregate_sgx_bytes(v3, acc, stats=stats)
-        assert stats.chunks_answered_from_stats == 0
-        assert stats.payload_bytes_verified == stats.payload_bytes_total
-        for i in range(2):
-            series = frame.series(f"srv-{i}")
-            assert acc.results()[(f"srv-{i}",)]["mean"] == pytest.approx(
-                float(series.values.mean())
-            )
 
     def test_day_straddling_chunk_decodes_when_grouped_by_day(self):
         # One whole-series chunk spanning 3 days: grouping by day cannot
@@ -280,69 +270,25 @@ class TestQueryValidation:
         agg = ExtractQuery(aggregates=("count",))
         assert row.cache_token() != agg.cache_token()
 
-    def test_scan_rejects_aggregate_queries(self):
+    def test_scan_rejects_aggregate_queries(self, make_lake):
         lake = make_lake(build_frame(n_servers=1, n_days=1), "sgx")
         with pytest.raises(QueryError, match="row stream"):
             list(lake.scan(ExtractQuery(aggregates=("count",))))
 
 
-class TestUpgrade:
-    """In-place v4 upgrades: boundary preservation and idempotence."""
-
-    def test_upgrade_preserves_custom_chunk_boundaries_byte_for_byte(self):
-        frame = build_frame(n_servers=2, n_days=6)
-        v3 = frame_to_sgx_v3_bytes(frame, chunk_minutes=720)  # half-day chunks
-        upgraded = columnar.upgrade_sgx_bytes(v3)
-        assert columnar.sgx_version(upgraded) == 4
-        old = columnar.sgx_summary(v3)["chunks"]
-        new = columnar.sgx_summary(upgraded)["chunks"]
-        assert [
-            (c["server_id"], c["n_points"], c["min_ts"], c["max_ts"]) for c in old
-        ] == [(c["server_id"], c["n_points"], c["min_ts"], c["max_ts"]) for c in new]
-        # The payload region is byte-identical: only header + chunk tables changed.
-        restored = columnar.frame_from_sgx_bytes(upgraded)
-        assert restored.content_hash() == frame.content_hash()
-
-    def test_upgrade_is_idempotent_on_v4(self):
-        data = columnar.frame_to_sgx_bytes(build_frame(n_servers=1, n_days=2))
-        assert columnar.upgrade_sgx_bytes(data) == data
-
-    def test_upgrade_rejects_corrupt_payload(self):
-        damaged = bytearray(frame_to_sgx_v3_bytes(build_frame(n_servers=1, n_days=2)))
-        damaged[-1] ^= 0x01
-        with pytest.raises(columnar.ColumnarFormatError, match="checksum"):
-            columnar.upgrade_sgx_bytes(bytes(damaged))
-
-    def test_upgraded_v3_matches_fresh_v4_writer(self):
-        frame = build_frame(n_servers=2, n_days=3)
-        upgraded = columnar.upgrade_sgx_bytes(frame_to_sgx_v3_bytes(frame))
-        fresh = columnar.frame_to_sgx_bytes(frame)
-        assert upgraded == fresh  # default per-day chunks: identical files
-
-    def test_convert_lake_preserves_v3_boundaries_and_short_circuits(self, tmp_path):
+class TestConvertKeepsChunking:
+    def test_convert_lake_leaves_custom_chunk_boundaries_alone(self, tmp_path):
         from repro.storage.migrate import convert_lake
 
         frame = build_frame(n_servers=2, n_days=6)
         lake = DataLakeStore(tmp_path / "lake", write_format="sgx")
         key = ExtractKey("westus2", 0)
-        # Land a genuine v3 file with non-default half-day chunks.
-        lake.write_extract_bytes(key, "sgx", frame_to_sgx_v3_bytes(frame, chunk_minutes=720))
-        before = columnar.sgx_summary(lake.read_extract_bytes(key, fmt="sgx")[1])
+        # Non-default half-day chunks: without a forced --chunk-minutes
+        # policy the stored copy is already current, however it is chunked.
+        raw = columnar.frame_to_sgx_bytes(frame, chunk_minutes=720)
+        lake.write_extract_bytes(key, "sgx", raw)
         report = convert_lake(lake, "sgx")
-        assert report.n_converted == 1
-        raw = lake.read_extract_bytes(key, fmt="sgx")[1]
-        assert columnar.sgx_version(raw) == columnar.VERSION
-        after = columnar.sgx_summary(raw)
-        assert [
-            (c["server_id"], c["n_points"], c["min_ts"], c["max_ts"])
-            for c in after["chunks"]
-        ] == [
-            (c["server_id"], c["n_points"], c["min_ts"], c["max_ts"])
-            for c in before["chunks"]
-        ]
-        # Re-converting the now-v4 lake is a no-op short-circuit.
-        again = convert_lake(lake, "sgx")
-        assert again.n_converted == 0 and again.n_skipped == 1
+        assert report.n_converted == 0 and report.n_skipped == 1
         assert lake.read_extract_bytes(key, fmt="sgx")[1] == raw
 
 

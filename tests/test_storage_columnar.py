@@ -1,5 +1,6 @@
 """Unit tests for the binary columnar ``.sgx`` extract format."""
 
+import hashlib
 import struct
 import zlib
 
@@ -22,7 +23,7 @@ from repro.storage.columnar import (
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
-from tests.helpers import frame_to_sgx_v1_bytes, frame_to_sgx_v2_bytes, make_series
+from tests.helpers import bare_sgx_header, make_series
 
 #: Bytes from a chunk's max_ts field to the end of its fixed header
 #: (max_ts i64 + ts_crc u32 + vs_crc u32).
@@ -249,6 +250,41 @@ def multi_day_frame(n_servers=2, n_days=7, interval=5) -> LoadFrame:
     return frame
 
 
+def assemble_sgx(servers) -> bytes:
+    """Hand-assemble a checksum-consistent v4 file from ``(server_id,
+    [timestamp arrays])`` pairs (all-zero values), bypassing the writer's
+    sanity checks so tests can build layouts it would refuse to emit."""
+
+    def packed(text):
+        encoded = text.encode()
+        return struct.pack("<H", len(encoded)) + encoded
+
+    dict_section = packed("r") + packed("e") + packed("")
+    structure_crc = zlib.crc32(dict_section)
+    body = dict_section
+    for server_id, chunk_timestamps in servers:
+        table = payloads = b""
+        for ts in chunk_timestamps:
+            vs = np.zeros(ts.shape[0], dtype="<f8")
+            table += columnar._CHUNK_HEADER_V4.pack(
+                ts.shape[0], int(ts[0]), int(ts[-1]),
+                zlib.crc32(ts.tobytes()), zlib.crc32(vs.tobytes()),
+                0.0, 0.0, 0.0, 0.0,
+            )
+            payloads += ts.tobytes() + vs.tobytes()
+        record = (
+            packed(server_id)
+            + columnar._SERVER_FIXED.pack(0, 1, 2, 0, 0, 60, len(chunk_timestamps))
+            + table
+        )
+        structure_crc = zlib.crc32(record, structure_crc)
+        body += record + payloads
+    header = columnar._FILE_HEADER.pack(
+        MAGIC, columnar.VERSION, 0, 5, len(servers), 3, HEADER_BYTES + len(body), structure_crc
+    )
+    return header + struct.pack("<I", zlib.crc32(header)) + body
+
+
 class TestUnsortedRejection:
     """The headline bugfix: unsorted series must be rejected, not
     round-tripped with a corrupt zone map."""
@@ -409,34 +445,12 @@ class TestChunking:
         assert len(frame_from_sgx_bytes(data, start_minute=0, end_minute=10)) == 0
 
     def test_out_of_order_chunks_rejected(self):
-        # Hand-assemble a v2 file whose two chunks are swapped in time but
+        # Hand-assemble a file whose two chunks are swapped in time but
         # whose CRCs are all internally consistent -- the reader must not
         # silently merge them into a corrupt (unsorted) series.
-        import struct as _struct
-        import zlib as _zlib
-
-        def packed(text):
-            encoded = text.encode()
-            return _struct.pack("<H", len(encoded)) + encoded
-
         day0_ts = np.arange(0, 1440, 5, dtype="<i8")
         day1_ts = np.arange(1440, 2880, 5, dtype="<i8")
-        vs = np.zeros(day0_ts.shape[0], dtype="<f8")
-        payloads, table = [], b""
-        for ts in (day1_ts, day0_ts):  # wrong order on purpose
-            payload = ts.tobytes() + vs.tobytes()
-            table += columnar._CHUNK_HEADER_V2.pack(
-                ts.shape[0], int(ts[0]), int(ts[-1]), _zlib.crc32(payload)
-            )
-            payloads.append(payload)
-        dict_section = packed("r") + packed("e") + packed("")
-        record = packed("srv-0") + columnar._SERVER_FIXED.pack(0, 1, 2, 0, 0, 60, 2) + table
-        structure_crc = _zlib.crc32(record, _zlib.crc32(dict_section))
-        body = dict_section + record + b"".join(payloads)
-        header = columnar._FILE_HEADER.pack(
-            MAGIC, 2, 0, 5, 1, 3, HEADER_BYTES + len(body), structure_crc
-        )
-        data = header + _struct.pack("<I", _zlib.crc32(header)) + body
+        data = assemble_sgx([("srv-0", [day1_ts, day0_ts])])  # wrong order on purpose
         with pytest.raises(ColumnarFormatError, match="out-of-order"):
             frame_from_sgx_bytes(data)
 
@@ -447,92 +461,96 @@ class TestChunking:
             frame_from_sgx_bytes(data[: len(data) // 2])
 
 
-class TestV1Compatibility:
-    """Files written by the v1 (single-chunk) writer stay readable."""
-
-    def test_v1_roundtrip_preserves_content_hash(self):
-        frame = build_frame()
-        data = frame_to_sgx_v1_bytes(frame)
-        assert sgx_version(data) == 1
-        restored = frame_from_sgx_bytes(data)
-        assert restored.content_hash() == frame.content_hash()
-
-    def test_v1_metadata_preserved(self):
-        frame = build_frame()
-        restored = frame_from_sgx_bytes(frame_to_sgx_v1_bytes(frame))
-        for server_id in frame.server_ids():
-            assert restored.metadata(server_id) == frame.metadata(server_id)
-
-    def test_v1_summary_reports_version_and_single_chunks(self):
-        frame = multi_day_frame(n_servers=2, n_days=7)
-        info = sgx_summary(frame_to_sgx_v1_bytes(frame))
-        assert info["version"] == 1
-        assert info["n_servers"] == 2
-        assert info["n_chunks"] == 2  # one whole-series chunk per server
-
-    def test_v1_pruned_read_still_works_per_server(self):
-        frame = build_frame(n_servers=3, points=12)  # server i starts at i*1440
-        data = frame_to_sgx_v1_bytes(frame)
-        part = frame_from_sgx_bytes(data, start_minute=1440, end_minute=2880)
-        assert part.server_ids() == ["srv-1"]
-
-    def test_v1_time_slice_within_server(self):
-        frame = multi_day_frame(n_servers=1, n_days=7)
-        data = frame_to_sgx_v1_bytes(frame)
-        part = frame_from_sgx_bytes(data, start_minute=1000, end_minute=2000)
-        assert part.series("srv-0") == frame.series("srv-0").slice(1000, 2000)
-
-    def test_v1_empty_series_roundtrip(self):
-        frame = LoadFrame(5)
-        frame.add_server(ServerMetadata(server_id="idle"), LoadSeries.empty(5))
-        restored = frame_from_sgx_bytes(frame_to_sgx_v1_bytes(frame))
-        assert restored.series("idle").is_empty
-
-    def test_v1_payload_corruption_detected(self):
-        data = bytearray(frame_to_sgx_v1_bytes(build_frame()))
-        data[-1] ^= 0x01
-        with pytest.raises(ColumnarFormatError, match="checksum"):
-            frame_from_sgx_bytes(bytes(data))
+class TestVersionGate:
+    """v4 is the one layout; every other version is rejected up front."""
 
     def test_version_four_is_current(self):
         assert columnar.VERSION == 4
+        assert columnar.SUPPORTED_VERSIONS == (4,)
         assert sgx_version(frame_to_sgx_bytes(build_frame())) == 4
+        # The hand-packed header is a genuine (empty) extract at v4, so
+        # the rejections below are about the version and nothing else.
+        assert len(frame_from_sgx_bytes(bare_sgx_header(4))) == 0
 
+    def test_v4_bytes_are_golden(self):
+        # Integer-valued samples: chunk statistics are exact in any
+        # summation order, so the digest is stable across platforms.
+        frame = multi_day_frame()
+        digests = {
+            1440: "2febbcee949352fd7d6a6cefee39647ca4681ba9ff670312145efc8acfe84b61",
+            0: "9cd1c29caeb59abdc6c894c7ea83c425766b86963c83f9db67f8e9f4d40927ac",
+        }
+        for chunk_minutes, digest in digests.items():
+            data = frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes)
+            assert hashlib.sha256(data).hexdigest() == digest
 
-class TestV2Compatibility:
-    """Files written by the v2 (joint-payload-CRC) writer stay readable."""
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    def test_every_byte_level_reader_rejects_other_versions(self, version):
+        from repro.storage.aggregate import AggregateAccumulator
 
-    def test_v2_roundtrip_preserves_content_hash(self):
-        frame = multi_day_frame(n_servers=2, n_days=7)
-        data = frame_to_sgx_v2_bytes(frame)
-        assert sgx_version(data) == 2
-        restored = frame_from_sgx_bytes(data)
-        assert restored.content_hash() == frame.content_hash()
+        data = bare_sgx_header(version)
+        readers = [
+            lambda: frame_from_sgx_bytes(data),
+            lambda: list(columnar.scan_sgx_bytes(data)),
+            lambda: columnar.aggregate_sgx_bytes(data, AggregateAccumulator(("count",), ())),
+            lambda: sgx_summary(data),
+            lambda: sgx_version(data),
+        ]
+        for read in readers:
+            with pytest.raises(ColumnarFormatError, match=f"version {version}.*only v4"):
+                read()
 
-    def test_v2_time_slice_within_server(self):
-        frame = multi_day_frame(n_servers=1, n_days=7)
-        data = frame_to_sgx_v2_bytes(frame)
-        part = frame_from_sgx_bytes(data, start_minute=1000, end_minute=2000)
-        assert part.series("srv-0") == frame.series("srv-0").slice(1000, 2000)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_old_version_error_names_the_remedy(self, version):
+        with pytest.raises(ColumnarFormatError, match="re-extract.*convert.*PR 11"):
+            frame_from_sgx_bytes(bare_sgx_header(version))
 
-    def test_v2_payload_corruption_detected(self):
-        data = bytearray(frame_to_sgx_v2_bytes(build_frame()))
-        data[-1] ^= 0x01
-        with pytest.raises(ColumnarFormatError, match="checksum"):
-            frame_from_sgx_bytes(bytes(data))
+    def test_newer_version_error_offers_no_downgrade_remedy(self):
+        with pytest.raises(ColumnarFormatError) as excinfo:
+            frame_from_sgx_bytes(bare_sgx_header(5))
+        assert "re-extract" not in str(excinfo.value)
 
-    def test_v2_projection_still_checksums_whole_payload(self):
-        # The joint CRC cannot vouch for the timestamps alone, so a
-        # timestamps-only read of a v2 file must verify all payload bytes
-        # (the decode is still skipped).
-        frame = multi_day_frame(n_servers=2, n_days=2)
-        stats = SgxReadStats()
-        restored = frame_from_sgx_bytes(
-            frame_to_sgx_v2_bytes(frame), columns=("timestamps",), stats=stats
-        )
-        assert stats.payload_bytes_verified == stats.payload_bytes_total
-        assert stats.columns_skipped == 4  # 2 servers x 2 day chunks
-        assert np.isnan(restored.series("srv-0").values).all()
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    def test_lake_rejects_a_lone_other_version_extract(self, tmp_path, version):
+        from repro.storage.datalake import DataLakeStore, ExtractKey
+        from repro.storage.migrate import ConversionVerificationError, convert_lake
+        from repro.storage.query import ExtractQuery
+
+        lake = DataLakeStore(tmp_path / "lake")
+        key = ExtractKey("westus2", 0)
+        lake.write_extract_bytes(key, "sgx", bare_sgx_header(version))
+        q = ExtractQuery.for_key(key, interval_minutes=None)
+        with pytest.raises(ColumnarFormatError, match=f"version {version}"):
+            lake.query(q)
+        with pytest.raises(ColumnarFormatError, match=f"version {version}"):
+            list(lake.scan(q))
+        with pytest.raises(ColumnarFormatError, match=f"version {version}"):
+            lake.query(ExtractQuery.for_key(key, aggregates=("count",)))
+        generation = lake.current_generation()
+        with pytest.raises(ConversionVerificationError, match=f"version {version}"):
+            convert_lake(lake, "sgx")
+        assert lake.current_generation() == generation
+        assert lake.read_extract_bytes(key) == ("sgx", bare_sgx_header(version))
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    def test_lake_answers_from_a_colocated_csv_copy(self, tmp_path, version):
+        from repro.storage.datalake import DataLakeStore, ExtractKey
+        from repro.storage.query import ExtractQuery
+
+        lake = DataLakeStore(tmp_path / "lake")
+        key = ExtractKey("westus2", 0)
+        frame = build_frame()
+        lake.write_extract(key, frame, fmt="csv")
+        lake.write_extract_bytes(key, "sgx", bare_sgx_header(version), keep_other_formats=True)
+        assert lake.extract_formats(key) == ("sgx", "csv")
+        result = lake.query(ExtractQuery.for_key(key))
+        assert result.frame.content_hash() == frame.content_hash()
+        # The answer came from the CSV copy: its bytes were the ones
+        # read, and no .sgx chunk was ever walked.
+        assert result.stats.payload_bytes_verified == lake.extract_size_bytes(key, fmt="csv")
+        assert result.stats.chunks_seen == 0
+        counted = lake.query(ExtractQuery.for_key(key, aggregates=("count",)))
+        assert counted.aggregates[()]["count"] == frame.total_points()
 
 
 class TestServerPushdown:
@@ -672,27 +690,10 @@ class TestStreamingScan:
             next(scan)
 
     def test_duplicate_server_records_rejected(self):
-        # Hand-assemble a v3 file holding the same server twice with
+        # Hand-assemble a file holding the same server twice with
         # internally consistent CRCs; the reader must refuse it.
-        def packed(text):
-            encoded = text.encode()
-            return struct.pack("<H", len(encoded)) + encoded
-
         ts = np.arange(0, 60, 5, dtype="<i8")
-        vs = np.zeros(ts.shape[0], dtype="<f8")
-        table = columnar._CHUNK_HEADER_V3.pack(
-            ts.shape[0], int(ts[0]), int(ts[-1]),
-            zlib.crc32(ts.tobytes()), zlib.crc32(vs.tobytes()),
-        )
-        record = packed("srv-0") + columnar._SERVER_FIXED.pack(0, 1, 2, 0, 0, 60, 1) + table
-        payload = ts.tobytes() + vs.tobytes()
-        dict_section = packed("r") + packed("e") + packed("")
-        structure_crc = zlib.crc32(record, zlib.crc32(record, zlib.crc32(dict_section)))
-        body = dict_section + record + payload + record + payload
-        header = columnar._FILE_HEADER.pack(
-            MAGIC, 3, 0, 5, 2, 3, HEADER_BYTES + len(body), structure_crc
-        )
-        data = header + struct.pack("<I", zlib.crc32(header)) + body
+        data = assemble_sgx([("srv-0", [ts]), ("srv-0", [ts])])
         with pytest.raises(ColumnarFormatError, match="duplicate"):
             frame_from_sgx_bytes(data)
 

@@ -23,44 +23,49 @@ def small_frame(n=2) -> LoadFrame:
     return frame
 
 
-class TestInMemoryStore:
-    def test_write_then_read(self):
-        store = DataLakeStore()
+class TestStoreBasics:
+    def test_root_is_required(self):
+        # One lake shape: there is no in-memory mode to fall back to.
+        with pytest.raises(TypeError):
+            DataLakeStore()
+
+    def test_write_then_read(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 3)
         store.write_extract(key, small_frame())
         loaded = store.read_extract(key)
         assert len(loaded) == 2
 
-    def test_read_missing_raises(self):
+    def test_read_missing_raises(self, tmp_path):
         with pytest.raises(ExtractNotFoundError):
-            DataLakeStore().read_extract(ExtractKey("r0", 0))
+            DataLakeStore(tmp_path).read_extract(ExtractKey("r0", 0))
 
-    def test_has_extract(self):
-        store = DataLakeStore()
+    def test_has_extract(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 1)
         assert not store.has_extract(key)
         store.write_extract(key, small_frame())
         assert store.has_extract(key)
 
-    def test_list_extracts_filters_by_region(self):
-        store = DataLakeStore()
+    def test_list_extracts_filters_by_region(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         store.write_extract(ExtractKey("r0", 0), small_frame())
         store.write_extract(ExtractKey("r1", 0), small_frame())
         assert store.list_extracts() == [ExtractKey("r0", 0), ExtractKey("r1", 0)]
         assert store.list_extracts("r1") == [ExtractKey("r1", 0)]
 
-    def test_extract_size_bytes_positive(self):
-        store = DataLakeStore()
+    def test_extract_size_bytes_positive(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         assert store.extract_size_bytes(key) > 0
 
-    def test_size_of_missing_raises(self):
+    def test_size_of_missing_raises(self, tmp_path):
         with pytest.raises(ExtractNotFoundError):
-            DataLakeStore().extract_size_bytes(ExtractKey("r0", 9))
+            DataLakeStore(tmp_path).extract_size_bytes(ExtractKey("r0", 9))
 
-    def test_delete_extract(self):
-        store = DataLakeStore()
+    def test_delete_extract(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         store.delete_extract(key)
@@ -90,27 +95,27 @@ class TestFileBackedStore:
 
 
 class TestAccessControl:
-    def test_denies_unknown_principal(self):
-        store = DataLakeStore(granted_principals={"seagull"})
+    def test_denies_unknown_principal(self, tmp_path):
+        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
         with pytest.raises(AccessDeniedError):
             store.write_extract(ExtractKey("r0", 0), small_frame(), principal="intruder")
 
-    def test_denies_missing_principal(self):
-        store = DataLakeStore(granted_principals={"seagull"})
+    def test_denies_missing_principal(self, tmp_path):
+        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
         with pytest.raises(AccessDeniedError):
             store.read_extract(ExtractKey("r0", 0))
 
-    def test_allows_granted_principal(self):
-        store = DataLakeStore(granted_principals={"seagull"})
+    def test_allows_granted_principal(self, tmp_path):
+        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame(), principal="seagull")
         assert len(store.read_extract(key, principal="seagull")) == 2
 
-    def test_metadata_accessors_enforce_access(self):
+    def test_metadata_accessors_enforce_access(self, tmp_path):
         # extract_fingerprint / extract_size_bytes / has_extract /
         # list_extracts historically bypassed the allow-list, leaking
         # existence, size and change signals to ungranted callers.
-        store = DataLakeStore(granted_principals={"seagull"})
+        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame(), principal="seagull")
         for call in (
@@ -125,8 +130,8 @@ class TestAccessControl:
             with pytest.raises(AccessDeniedError):
                 call()
 
-    def test_metadata_accessors_allow_granted_principal(self):
-        store = DataLakeStore(granted_principals={"seagull"})
+    def test_metadata_accessors_allow_granted_principal(self, tmp_path):
+        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame(), principal="seagull")
         assert store.has_extract(key, principal="seagull")
@@ -162,9 +167,8 @@ class TestListExtractParsing:
 
 
 class TestFormatNegotiation:
-    @pytest.mark.parametrize("root", [None, "disk"])
-    def test_sgx_write_and_read(self, tmp_path, root):
-        store = DataLakeStore(tmp_path if root else None, write_format="sgx")
+    def test_sgx_write_and_read(self, tmp_path):
+        store = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 2)
         rows = store.write_extract(key, small_frame())
         assert rows == 4  # 2 servers x 2 points
@@ -172,9 +176,8 @@ class TestFormatNegotiation:
         loaded = store.read_extract(key)
         assert loaded.content_hash() == small_frame().content_hash()
 
-    @pytest.mark.parametrize("root", [None, "disk"])
-    def test_sgx_preferred_over_csv(self, tmp_path, root):
-        store = DataLakeStore(tmp_path if root else None)
+    def test_sgx_preferred_over_csv(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         store.write_extract(key, small_frame(3), fmt="sgx", keep_other_formats=True)
@@ -241,31 +244,31 @@ class TestFormatNegotiation:
         assert not store.has_extract(key)
         assert store.list_extracts() == []
 
-    def test_delete_single_format(self):
-        store = DataLakeStore()
+    def test_delete_single_format(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame(), fmt="csv")
         store.write_extract(key, small_frame(), fmt="sgx", keep_other_formats=True)
         store.delete_extract(key, fmt="sgx")
         assert store.extract_formats(key) == ("csv",)
 
-    def test_read_extract_text_decodes_columnar(self):
-        store = DataLakeStore(write_format="sgx")
+    def test_read_extract_text_decodes_columnar(self, tmp_path):
+        store = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         text = store.read_extract_text(key)
         assert text.startswith("server_id,")
         assert "s0" in text
 
-    def test_unknown_format_rejected(self):
-        store = DataLakeStore()
+    def test_unknown_format_rejected(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         with pytest.raises(ValueError, match="unknown extract format"):
             store.write_extract(ExtractKey("r0", 0), small_frame(), fmt="parquet")
         with pytest.raises(ValueError, match="unknown extract format"):
-            DataLakeStore(write_format="arrow")
+            DataLakeStore(tmp_path, write_format="arrow")
 
-    def test_forced_format_read_missing_raises(self):
-        store = DataLakeStore()
+    def test_forced_format_read_missing_raises(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame(), fmt="csv")
         with pytest.raises(ExtractNotFoundError):
@@ -321,38 +324,38 @@ class TestChunkPolicy:
         _fmt, raw = store.read_extract_bytes(key)
         return sgx_summary(raw)["n_chunks"]
 
-    def test_default_policy_is_one_chunk_per_day(self):
-        store = DataLakeStore(write_format="sgx")
+    def test_default_policy_is_one_chunk_per_day(self, tmp_path):
+        store = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 0)
         store.write_extract(key, self.week_frame())
         assert self._chunks(store, key) == 7
 
-    def test_store_chunk_minutes_config(self):
-        store = DataLakeStore(write_format="sgx", chunk_minutes=0)
+    def test_store_chunk_minutes_config(self, tmp_path):
+        store = DataLakeStore(tmp_path, write_format="sgx", chunk_minutes=0)
         key = ExtractKey("r0", 0)
         store.write_extract(key, self.week_frame())
         assert self._chunks(store, key) == 1
 
-    def test_write_extract_override_beats_store_config(self):
-        store = DataLakeStore(write_format="sgx", chunk_minutes=0)
+    def test_write_extract_override_beats_store_config(self, tmp_path):
+        store = DataLakeStore(tmp_path, write_format="sgx", chunk_minutes=0)
         key = ExtractKey("r0", 0)
         store.write_extract(key, self.week_frame(), chunk_minutes=720)
         assert self._chunks(store, key) == 14
 
-    def test_negative_chunk_minutes_rejected(self):
+    def test_negative_chunk_minutes_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="chunk_minutes"):
-            DataLakeStore(chunk_minutes=-5)
+            DataLakeStore(tmp_path, chunk_minutes=-5)
 
-    def test_write_extract_bytes_stores_exact_payload(self):
-        store = DataLakeStore()
+    def test_write_extract_bytes_stores_exact_payload(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         payload = frame_to_sgx_bytes(self.week_frame(), chunk_minutes=0)
         store.write_extract_bytes(key, "sgx", payload)
         fmt, raw = store.read_extract_bytes(key)
         assert (fmt, raw) == ("sgx", payload)
 
-    def test_write_extract_bytes_drops_stale_other_format(self):
-        store = DataLakeStore()
+    def test_write_extract_bytes_drops_stale_other_format(self, tmp_path):
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, self.week_frame(), fmt="csv")
         payload = frame_to_sgx_bytes(self.week_frame())
@@ -370,7 +373,7 @@ class TestChunkPolicy:
         part = store.read_extract(key, start_minute=1440, end_minute=2880)
         assert part.series("s0") == frame.series("s0").slice(1440, 2880)
 
-    def test_unsorted_series_write_is_rejected_loudly(self):
+    def test_unsorted_series_write_is_rejected_loudly(self, tmp_path):
         # The lake must surface the writer's zone-map guard, not persist
         # a corrupt extract.
         import numpy as np
@@ -385,7 +388,7 @@ class TestChunkPolicy:
             validate=False,
         )
         frame.add_server(ServerMetadata(server_id="bad", region="r0"), series)
-        store = DataLakeStore(write_format="sgx")
+        store = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 0)
         with pytest.raises(ColumnarFormatError, match="bad"):
             store.write_extract(key, frame)
@@ -423,17 +426,6 @@ class TestCorruptionFallback:
         store.extract_path(key, fmt="sgx").write_bytes(truncated)  # repro: allow[manifest-boundary] simulating out-of-band disk damage
         with pytest.raises(ColumnarFormatError, match="truncated"):
             store.read_extract(key)
-
-    def test_in_memory_corrupt_sgx_falls_back(self):
-        store = DataLakeStore()
-        key = ExtractKey("r0", 0)
-        frame = small_frame()
-        store.write_extract(key, frame, fmt="csv")
-        store.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
-        damaged = bytearray(frame_to_sgx_bytes(frame))
-        damaged[-3] ^= 0xFF
-        store._memory[key]["sgx"] = bytes(damaged)
-        assert store.read_extract(key).content_hash() == frame.content_hash()
 
 
 class TestExtractKey:

@@ -212,9 +212,7 @@ def make_ingestor(tmp_path, **kwargs):
 
 
 class TestLiveIngestor:
-    def test_requires_on_disk_unpinned_store(self, tmp_path):
-        with pytest.raises(ValueError, match="on-disk"):
-            LiveIngestor(DataLakeStore())
+    def test_requires_unpinned_store(self, tmp_path):
         store = DataLakeStore(tmp_path / "lake")
         store.write_extract(KEY, LoadFrame(5))
         pinned = DataLakeStore(tmp_path / "lake", pinned_generation=1)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.fleet_ops.cli import gc_main, main as fleet_main, manifest_main
+from repro.storage.csv_io import frame_to_csv_text
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.manifest import (
     FAULT_POINTS,
@@ -39,9 +40,7 @@ def plant_legacy_extract(root, key: ExtractKey, payload: bytes) -> None:
 
 
 def legacy_csv_payload() -> bytes:
-    store = DataLakeStore()
-    store.write_extract(KEY, small_frame())
-    return store.read_extract_bytes(KEY)[1]
+    return frame_to_csv_text(small_frame()).encode("utf-8")
 
 
 class TestAdoption:
@@ -178,13 +177,6 @@ class TestLogicalDeleteAndGc:
         lake.collect_garbage()
         assert foreign.exists()
 
-    def test_in_memory_store_has_no_gc_or_generations(self):
-        store = DataLakeStore()
-        with pytest.raises(ValueError):
-            store.collect_garbage()
-        with pytest.raises(ValueError):
-            store.current_generation()
-
 
 class TestPinnedStores:
     def test_pinned_store_is_read_only(self, tmp_path):
@@ -197,10 +189,6 @@ class TestPinnedStores:
             reader.delete_extract(KEY)
         with pytest.raises(LakeManifestError):
             reader.collect_garbage()
-
-    def test_pinning_requires_an_on_disk_root(self):
-        with pytest.raises(ValueError):
-            DataLakeStore(pinned_generation=0)
 
     def test_uncommitted_generation_cannot_be_pinned(self, tmp_path):
         lake = DataLakeStore(tmp_path, write_format="sgx")

@@ -134,15 +134,15 @@ class TestLakeQuery:
         q = ExtractQuery.for_key(key)
         assert lake.query(q).frame.content_hash() == lake.read_extract(key).content_hash()
 
-    def test_query_no_match_returns_empty_result(self):
-        lake = DataLakeStore()
+    def test_query_no_match_returns_empty_result(self, tmp_path):
+        lake = DataLakeStore(tmp_path)
         result = lake.query(ExtractQuery(regions=("nowhere",)))
         assert result.stats.extracts_scanned == 0
         assert len(result.frame) == 0
 
-    def test_read_extract_shim_still_raises_on_missing(self):
+    def test_read_extract_shim_still_raises_on_missing(self, tmp_path):
         with pytest.raises(ExtractNotFoundError):
-            DataLakeStore().read_extract(ExtractKey("r0", 0))
+            DataLakeStore(tmp_path).read_extract(ExtractKey("r0", 0))
 
     def test_server_allow_list(self, lake_one_key):
         lake, key = lake_one_key
@@ -227,8 +227,8 @@ class TestLakeQuery:
         result = lake.query(ExtractQuery.for_key(key))
         assert result.frame.content_hash() == frame.content_hash()
 
-    def test_access_control_enforced(self):
-        lake = DataLakeStore(granted_principals={"seagull"})
+    def test_access_control_enforced(self, tmp_path):
+        lake = DataLakeStore(tmp_path, granted_principals={"seagull"})
         with pytest.raises(AccessDeniedError):
             lake.query(ExtractQuery())
         with pytest.raises(AccessDeniedError):

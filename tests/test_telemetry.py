@@ -159,17 +159,17 @@ class TestRawStoreAndExtraction:
         with pytest.raises(KeyError):
             store.raw_rows("region-0", "missing")
 
-    def test_extraction_writes_weekly_extract(self, raw_setup):
+    def test_extraction_writes_weekly_extract(self, raw_setup, tmp_path):
         _, frame, store = raw_setup
-        lake = DataLakeStore()
+        lake = DataLakeStore(tmp_path)
         query = LoadExtractionQuery(store, lake)
         report = query.extract_week("region-0", 0)
         assert report.servers > 0
         assert lake.has_extract(ExtractKey("region-0", 0))
 
-    def test_extracted_load_close_to_original(self, raw_setup):
+    def test_extracted_load_close_to_original(self, raw_setup, tmp_path):
         _, frame, store = raw_setup
-        lake = DataLakeStore()
+        lake = DataLakeStore(tmp_path)
         LoadExtractionQuery(store, lake).extract_week("region-0", 0)
         extract = lake.read_extract(ExtractKey("region-0", 0))
         sid = next(
@@ -182,30 +182,30 @@ class TestRawStoreAndExtraction:
         assert common_original.size > 0
         assert np.mean(np.abs(common_original - common_extracted)) < 2.0
 
-    def test_extract_all_regions(self, raw_setup):
+    def test_extract_all_regions(self, raw_setup, tmp_path):
         _, _, store = raw_setup
-        lake = DataLakeStore()
+        lake = DataLakeStore(tmp_path)
         reports = LoadExtractionQuery(store, lake).extract_all_regions(1)
         assert len(reports) == 1
         assert reports[0].key.week == 1
 
-    def test_extraction_report_as_dict(self, raw_setup):
+    def test_extraction_report_as_dict(self, raw_setup, tmp_path):
         _, _, store = raw_setup
-        lake = DataLakeStore()
+        lake = DataLakeStore(tmp_path)
         report = LoadExtractionQuery(store, lake).extract_week("region-0", 0)
         payload = report.as_dict()
         assert payload["region"] == "region-0"
         assert payload["extracted_points"] > 0
         assert payload["verified"] is False
 
-    def test_extraction_readback_verification(self, raw_setup):
+    def test_extraction_readback_verification(self, raw_setup, tmp_path):
         _, _, store = raw_setup
-        lake = DataLakeStore(write_format="sgx")
+        lake = DataLakeStore(tmp_path, write_format="sgx")
         report = LoadExtractionQuery(store, lake).extract_week("region-0", 0, verify=True)
         assert report.verified
         assert report.servers > 0
 
-    def test_extraction_verification_detects_lost_write(self, raw_setup):
+    def test_extraction_verification_detects_lost_write(self, raw_setup, tmp_path):
         from repro.telemetry.extraction import ExtractionVerificationError
 
         _, _, store = raw_setup
@@ -215,6 +215,6 @@ class TestRawStoreAndExtraction:
                 trimmed = frame.select(frame.server_ids()[:-1])  # drop one server
                 return super().write_extract(key, trimmed, **kwargs)
 
-        lake = LossyLake(write_format="sgx")
+        lake = LossyLake(tmp_path, write_format="sgx")
         with pytest.raises(ExtractionVerificationError, match="did not read back"):
             LoadExtractionQuery(store, lake).extract_week("region-0", 0, verify=True)
