@@ -34,9 +34,16 @@ typecheck:
 test:
 	python -m pytest -x -q
 
-## Every script under examples/ runs to completion (also part of `ci`).
+## Every script under examples/ runs to completion, and the fleet CLI's
+## warm re-run over a fresh --cache-dir exits 0 with every unit served
+## from the unit cache (also part of `ci`; the CI test job runs this target).
 examples-smoke:
 	@for f in examples/*.py; do python "$$f" >/dev/null || exit 1; echo "ok $$f"; done
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 \
+		--cache-dir "$$tmp/cache" --rerun --json > "$$tmp/report.json" \
+	&& python -c 'import json, sys; warm = json.load(open(sys.argv[1]))["rerun"]; sys.exit(warm["cache"]["unit_hits"] != warm["n_units"])' "$$tmp/report.json" \
+	&& echo "ok python -m repro.fleet_ops --cache-dir --rerun"
 
 ## Quick benchmark smoke: the jobs CI runs on every PR.
 bench-smoke:
@@ -50,5 +57,6 @@ bench-baseline:
 
 ## Fleet orchestrator demo: cold + warm-cache run over a synthetic fleet.
 fleet-demo:
+	@cache="$$(mktemp -d)"; trap 'rm -rf "$$cache"' EXIT; \
 	PYTHONPATH=src python -m repro.fleet_ops --servers 16,10,6 --weeks 2 \
-		--cache-dir .fleet-cache --rerun
+		--cache-dir "$$cache" --rerun

@@ -43,11 +43,8 @@ echo "== test suite =="
 python -m pytest tests -x -q
 
 echo
-echo "== examples smoke (each script runs to completion) =="
-for f in examples/*.py; do
-    python "$f" >/dev/null
-    echo "ok $f"
-done
+echo "== examples smoke (each script runs to completion; fleet CLI warm re-run hits the cache) =="
+make --no-print-directory examples-smoke
 
 echo
 echo "== benchmark smoke + baseline gate =="

@@ -18,7 +18,7 @@ the reproduction:
 * ``python -m repro.fleet_ops`` -- CLI running the whole flow.
 """
 
-from repro.fleet_ops.orchestrator import FleetOrchestrator, unit_cache_path
+from repro.fleet_ops.orchestrator import FleetOrchestrator
 from repro.fleet_ops.report import FleetReport, FleetUnitOutcome
 from repro.fleet_ops.synthesis import populate_lake
 
@@ -27,5 +27,4 @@ __all__ = [
     "FleetReport",
     "FleetUnitOutcome",
     "populate_lake",
-    "unit_cache_path",
 ]

@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for per-unit artifact caches (default: caching off)",
+        help="artifact cache directory, shared by every unit and worker (default: caching off)",
     )
     parser.add_argument(
         "--rerun",

@@ -16,9 +16,11 @@ Two cache layers make re-runs cheap:
   evaluation) keyed by extract content hash -- a changed configuration
   reuses whichever stages its parameters do not touch.
 
-Both layers live in per-unit files under ``cache_dir``, so process-pool
-workers never contend on a shared cache file and warm re-runs work across
-operating-system processes.
+Both layers live in one :class:`~repro.storage.artifacts.ArtifactStore`
+directory, ``cache_dir``, which every worker opens for itself: entries are
+immutable content-keyed files published by atomic rename, so pool workers
+share it without coordination, warm re-runs work across operating-system
+processes, and identical stage inputs are computed once across units.
 
 The unit of worker handoff is ``(lake root, ExtractQuery, generation)``:
 every task carries the lake's root path, a typed query pinned to its
@@ -62,12 +64,6 @@ def _unit_cache_params(config: PipelineConfig) -> dict[str, Any]:
     for field_name in _EXECUTION_ONLY_FIELDS:
         params.pop(field_name, None)
     return params
-
-
-def unit_cache_path(cache_dir: str | Path, region: str, week: int) -> Path:
-    """Cache file for one ``(region, week)`` unit (one file per unit, so
-    parallel workers never write the same file)."""
-    return Path(cache_dir) / f"unit_{region}_week{week:04d}.json"
 
 
 @dataclass(frozen=True)
@@ -119,9 +115,9 @@ def _failed_outcome(task: _UnitTask, reason: str, wall: float) -> FleetUnitOutco
 def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     """Run the pipeline for one ``(region, week)`` unit.
 
-    Module-level so the process-pool backend can pickle it.  The unit's
-    artifact cache is opened from ``task.cache_dir`` inside the worker --
-    cache objects never cross process boundaries.
+    Module-level so the process-pool backend can pickle it.  The artifact
+    cache is opened from ``task.cache_dir`` inside the worker -- cache
+    objects never cross process boundaries.
     """
     started = time.perf_counter()
     key = ExtractKey(region=task.region, week=task.week)
@@ -143,7 +139,7 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     cache: ArtifactStore | None = None
     unit_key = ""
     if task.cache_dir is not None:
-        cache = ArtifactStore.at(unit_cache_path(task.cache_dir, task.region, task.week))
+        cache = ArtifactStore.at(task.cache_dir)
         unit_key = artifact_key(STAGE_UNIT_OUTCOME, fingerprint, _unit_cache_params(task.config))
         payload = cache.get(unit_key)
         if payload is not None:
@@ -253,8 +249,8 @@ class FleetOrchestrator:
         :func:`~repro.parallel.executor.recommended_fleet_workers` for the
         unit count being sharded.
     cache_dir:
-        Directory for per-unit artifact caches.  ``None`` disables
-        caching.
+        Directory of the artifact cache shared by every unit and worker.
+        ``None`` disables caching.
     principal:
         Principal presented to the lake's access checks (required for
         lakes constructed with ``granted_principals``).  Out-of-process
@@ -280,8 +276,6 @@ class FleetOrchestrator:
         self._executor = executor
         self._owns_executor = executor is None
         self._cache_dir = str(cache_dir) if cache_dir is not None else None
-        if self._cache_dir is not None:
-            Path(self._cache_dir).mkdir(parents=True, exist_ok=True)
 
     def _make_executor(self, n_units: int | None) -> PartitionedExecutor:
         n_workers = self._n_workers

@@ -5,10 +5,10 @@
 * :class:`~repro.storage.datalake.DataLakeStore` -- a local, partitioned
   file store playing the role of Azure Data Lake Store (ADLS): extracts are
   keyed by ``(region, week)``.
-* :class:`~repro.storage.documentdb.DocumentStore` -- a lightweight JSON
-  document store playing the role of Cosmos DB: pipeline results, model
-  records and scheduling decisions are persisted as keyed documents in
-  named containers.
+* :class:`~repro.storage.documentdb.DocumentStore` -- a lightweight
+  in-process document store playing the role of Cosmos DB: pipeline
+  results, model records and scheduling decisions are kept as keyed
+  documents in named containers (nothing is written to disk).
 * :mod:`~repro.storage.columnar` -- the binary columnar ``.sgx`` extract
   format: dictionary-encoded metadata, per-server column chunks with
   zone maps and checksums, zero-copy ``numpy.frombuffer`` ingestion.
@@ -33,7 +33,8 @@
   :class:`~repro.storage.datalake.DataLakeStore` mutation goes through.
 * :class:`~repro.storage.artifacts.ArtifactStore` -- a content-addressed
   cache of pipeline stage outputs keyed by extract content hash, which is
-  what lets fleet re-runs skip recomputation on unchanged extracts.
+  what lets fleet re-runs skip recomputation on unchanged extracts: a
+  directory of checksummed one-entry files published by atomic rename.
 """
 
 from repro.storage.aggregate import (

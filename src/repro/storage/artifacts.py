@@ -10,28 +10,30 @@ on identical input skips the computation entirely.
 Keys are ``sha256(stage || input content hash || canonical parameter
 JSON)``: any change to the extract content or to a parameter that feeds
 the stage produces a different key, i.e. cache invalidation is structural
-rather than time-based.  Entries carry a checksum over their payload;
-entries that fail to decode or whose checksum mismatches (partial writes,
-bit rot, manual edits) are treated as misses, evicted and recomputed --
-the cache can never poison a run.
+rather than time-based.  Each entry is its own file carrying a checksum
+over its stored bytes; entries that fail to decode or whose checksum
+mismatches (partial writes, bit rot, manual edits) are treated as misses,
+evicted and recomputed -- the cache can never poison a run, and damage
+costs one entry, never the directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
+import uuid
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.storage.documentdb import DocumentStore
-
-#: Default container name artifacts live in inside the document store.
-ARTIFACTS_CONTAINER = "seagull_artifacts"
-
 #: Version of the cache entry envelope; bump to invalidate all entries.
 _ENVELOPE_VERSION = 1
+
+#: ``<stage>-<sha256 hex>``, the only shape :func:`artifact_key` produces.
+_KEY = re.compile(r"([A-Za-z0-9_]+)-([0-9a-f]{64})")
 
 
 def canonical_json(payload: Any) -> str:
@@ -95,84 +97,54 @@ class ArtifactCacheStats:
 
 
 class ArtifactStore:
-    """Keyed artifact cache backed by a :class:`DocumentStore`.
+    """Keyed artifact cache: a directory holding one file per entry.
 
-    Parameters
-    ----------
-    store:
-        Backing document store; in-memory by default, file-persisted when
-        the store was opened with a path (which is what makes warm re-runs
-        across processes possible).
-    container:
-        Container name to keep artifacts in.
+    ``<cache_dir>/<stage>/<sha256>.json`` is a header line
+    ``{"sha256": ..., "v": ...}`` followed by the compact JSON payload the
+    checksum covers.  Entries are written to a unique temporary name and
+    ``os.replace``d into place, so any number of handles -- threads, pool
+    workers, separate runs -- may share one directory: a reader sees a
+    whole entry or none.  Nothing is fsynced; an entry torn by a crash
+    fails its checksum and is recomputed.
     """
 
-    def __init__(
-        self,
-        store: DocumentStore | None = None,
-        container: str = ARTIFACTS_CONTAINER,
-    ) -> None:
-        self._store = store if store is not None else DocumentStore()
-        self._container = container
-        self._store.create_container(container)
+    def __init__(self, cache_dir: str | Path) -> None:
+        self._root = Path(cache_dir)
         self._stats = ArtifactCacheStats()
 
     @classmethod
-    def at(cls, path: str | Path, container: str = ARTIFACTS_CONTAINER) -> "ArtifactStore":
-        """Open a file-persisted artifact store at ``path``.
-
-        An unreadable backing file (truncated write, manual edit) is moved
-        aside and the store starts empty: a corrupt cache means
-        recomputation, never a crash.
-        """
-        path = Path(path)
-        try:
-            return cls(DocumentStore(path), container)
-        except (ValueError, OSError, KeyError, TypeError):
-            quarantined = path.with_suffix(path.suffix + ".corrupt")
-            try:
-                path.replace(quarantined)
-            except OSError:
-                path.unlink(missing_ok=True)
-            return cls(DocumentStore(path), container)
+    def at(cls, cache_dir: str | Path) -> "ArtifactStore":
+        """Open the artifact cache in ``cache_dir`` (created on first put)."""
+        return cls(cache_dir)
 
     @property
     def stats(self) -> ArtifactCacheStats:
         return self._stats
 
-    # ------------------------------------------------------------------ #
-    # Lookup / insert
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _stage_of(key: str) -> str:
-        return key.rsplit("-", 1)[0]
-
     def get(self, key: str) -> dict[str, Any] | None:
         """Return the cached payload for ``key``, or ``None`` on a miss.
 
-        Undecodable or checksum-mismatching entries count as misses (and
-        are evicted) so a corrupt cache degrades to recomputation instead
-        of crashing or silently returning bad data.
+        An unreadable, torn, edited or wrong-version entry counts as a miss
+        and is evicted, so a corrupt cache degrades to recomputing that one
+        entry instead of crashing or silently returning bad data.
         """
-        stage = self._stage_of(key)
+        stage, path = self._locate(key)
+        payload: dict[str, Any] | None = None
         try:
-            document = self._store.try_get(self._container, key)
-        except Exception:
-            document = None
-        if document is None:
-            self._miss(stage)
-            return None
-        payload = self._decode(document.body)
-        if payload is None:
+            payload = _decode(path.read_bytes())
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError, KeyError, TypeError):
             self._stats.corrupt_entries += 1
             try:
-                self._store.delete(self._container, key)
-            except Exception:
+                path.unlink(missing_ok=True)
+            except OSError:
                 # The entry stays corrupt on disk; record that eviction
                 # failed so the degradation is observable in stats.
                 self._stats.failed_evictions += 1
-            self._miss(stage)
+        if payload is None:
+            self._stats.misses += 1
+            self._stats.misses_by_stage[stage] = self._stats.misses_by_stage.get(stage, 0) + 1
             return None
         self._stats.hits += 1
         self._stats.hits_by_stage[stage] = self._stats.hits_by_stage.get(stage, 0) + 1
@@ -180,46 +152,36 @@ class ArtifactStore:
 
     def put(self, key: str, payload: Mapping[str, Any]) -> None:
         """Store ``payload`` under ``key`` with an integrity checksum."""
-        body = {
-            "v": _ENVELOPE_VERSION,
-            "checksum": content_digest(canonical_json(dict(payload))),
-            "payload": dict(payload),
-        }
-        self._store.upsert(self._container, key, body)
+        _, path = self._locate(key)
+        body = canonical_json(dict(payload)).encode("utf-8")
+        head = canonical_json({"v": _ENVELOPE_VERSION, "sha256": content_digest(body)})
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.tmp-{uuid.uuid4().hex}")
+        try:
+            tmp.write_bytes(head.encode("utf-8") + b"\n" + body)
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
         self._stats.puts += 1
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns whether it existed."""
-        return self._store.delete(self._container, key)
+    def _locate(self, key: str) -> tuple[str, Path]:
+        """Stage and entry file of ``key``; keys become file names, so
+        anything but ``<stage>-<sha256>`` is rejected before any I/O."""
+        match = _KEY.fullmatch(key)
+        if match is None:
+            raise ValueError(f"artifact key must be '<stage>-<64 hex digits>', got {key!r}")
+        stage, sha = match.groups()
+        return stage, self._root / stage / f"{sha}.json"
 
-    def clear(self) -> None:
-        """Drop every cached artifact (stats are kept)."""
-        self._store.drop_container(self._container)
-        self._store.create_container(self._container)
 
-    def __len__(self) -> int:
-        return self._store.count(self._container)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _miss(self, stage: str) -> None:
-        self._stats.misses += 1
-        self._stats.misses_by_stage[stage] = self._stats.misses_by_stage.get(stage, 0) + 1
-
-    @staticmethod
-    def _decode(body: Mapping[str, Any]) -> dict[str, Any] | None:
-        try:
-            if int(body["v"]) != _ENVELOPE_VERSION:
-                return None
-            payload = body["payload"]
-            checksum = body["checksum"]
-            if not isinstance(payload, Mapping):
-                return None
-            payload = dict(payload)
-            if content_digest(canonical_json(payload)) != checksum:
-                return None
-            return payload
-        except Exception:
-            return None
+def _decode(raw: bytes) -> dict[str, Any]:
+    """Payload of one entry file; anything else raises (see ``get``)."""
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    if header["v"] != _ENVELOPE_VERSION or header["sha256"] != content_digest(body):
+        raise ValueError("wrong envelope version or checksum mismatch")
+    payload = json.loads(body)
+    if not isinstance(payload, dict):
+        raise ValueError("artifact payload is not an object")
+    return payload

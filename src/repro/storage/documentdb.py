@@ -2,17 +2,15 @@
 
 The Seagull pipeline stores prediction results, accuracy evaluations, model
 records and scheduling decisions in Cosmos DB (Section 2.2).  This module
-provides a small document database with named containers, upserts, point
-reads, predicate queries and optional file persistence -- the subset of
-Cosmos DB behaviour the pipeline actually depends on.
+provides a small in-process document database with named containers,
+upserts, point reads and predicate queries -- the subset of Cosmos DB
+behaviour the pipeline actually depends on.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 
@@ -36,9 +34,6 @@ class Document:
     body: Mapping[str, Any]
     version: int = 1
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "version": self.version, "body": dict(self.body)}
-
 
 @dataclass
 class _Container:
@@ -47,13 +42,10 @@ class _Container:
 
 
 class DocumentStore:
-    """An in-process document database with optional JSON-file persistence."""
+    """An in-process document database (nothing is written to disk)."""
 
-    def __init__(self, path: str | Path | None = None) -> None:
+    def __init__(self) -> None:
         self._containers: dict[str, _Container] = {}
-        self._path = Path(path) if path is not None else None
-        if self._path is not None and self._path.exists():
-            self._load()
 
     # ------------------------------------------------------------------ #
     # Container management
@@ -66,7 +58,6 @@ class DocumentStore:
                 return
             raise DocumentConflictError(f"container {name!r} already exists")
         self._containers[name] = _Container(name)
-        self._persist()
 
     def list_containers(self) -> list[str]:
         """Return the names of all containers."""
@@ -75,7 +66,6 @@ class DocumentStore:
     def drop_container(self, name: str) -> None:
         """Remove a container and all of its documents."""
         self._containers.pop(name, None)
-        self._persist()
 
     def _container(self, name: str) -> _Container:
         try:
@@ -96,7 +86,6 @@ class DocumentStore:
             )
         document = Document(id=doc_id, body=dict(body), version=1)
         cont.documents[doc_id] = document
-        self._persist()
         return document
 
     def upsert(self, container: str, doc_id: str, body: Mapping[str, Any]) -> Document:
@@ -106,7 +95,6 @@ class DocumentStore:
         version = 1 if existing is None else existing.version + 1
         document = Document(id=doc_id, body=dict(body), version=version)
         cont.documents[doc_id] = document
-        self._persist()
         return document
 
     def get(self, container: str, doc_id: str) -> Document:
@@ -127,9 +115,7 @@ class DocumentStore:
     def delete(self, container: str, doc_id: str) -> bool:
         """Delete a document; returns whether it existed."""
         cont = self._container(container)
-        existed = cont.documents.pop(doc_id, None) is not None
-        self._persist()
-        return existed
+        return cont.documents.pop(doc_id, None) is not None
 
     def query(
         self,
@@ -145,28 +131,3 @@ class DocumentStore:
     def count(self, container: str) -> int:
         """Number of documents in a container."""
         return len(self._container(container).documents)
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-
-    def _persist(self) -> None:
-        if self._path is None:
-            return
-        payload = {
-            name: {doc_id: doc.as_dict() for doc_id, doc in cont.documents.items()}
-            for name, cont in self._containers.items()
-        }
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str))
-
-    def _load(self) -> None:
-        assert self._path is not None
-        payload = json.loads(self._path.read_text())
-        for name, docs in payload.items():
-            container = _Container(name)
-            for doc_id, doc in docs.items():
-                container.documents[doc_id] = Document(
-                    id=doc["id"], body=doc["body"], version=int(doc["version"])
-                )
-            self._containers[name] = container

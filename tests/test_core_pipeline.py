@@ -176,10 +176,10 @@ class TestArtifactCachedPipeline:
         spec = default_fleet_spec(servers_per_region=(12,), weeks=4, seed=41)
         return WorkloadGenerator(spec).generate_region("region-0")
 
-    def test_cold_run_misses_then_populates(self, small_frame):
+    def test_cold_run_misses_then_populates(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore
 
-        cache = ArtifactStore()
+        cache = ArtifactStore.at(tmp_path)
         pipeline = SeagullPipeline(PipelineConfig(), artifact_cache=cache)
         result = pipeline.run(small_frame, region="region-0", week=3)
         assert result.succeeded
@@ -190,10 +190,10 @@ class TestArtifactCachedPipeline:
         }
         assert cache.stats.puts == 3
 
-    def test_warm_run_hits_every_stage(self, small_frame):
+    def test_warm_run_hits_every_stage(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore
 
-        cache = ArtifactStore()
+        cache = ArtifactStore.at(tmp_path)
         SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
             small_frame, region="region-0", week=3
         )
@@ -207,11 +207,11 @@ class TestArtifactCachedPipeline:
             "evaluation": "hit",
         }
 
-    def test_content_change_invalidates(self, small_frame):
+    def test_content_change_invalidates(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore
         from repro.timeseries.frame import LoadFrame as Frame
 
-        cache = ArtifactStore()
+        cache = ArtifactStore.at(tmp_path)
         SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
             small_frame, region="region-0", week=3
         )
@@ -230,10 +230,10 @@ class TestArtifactCachedPipeline:
             "evaluation": "miss",
         }
 
-    def test_config_change_invalidates_model_stages_only(self, small_frame):
+    def test_config_change_invalidates_model_stages_only(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore
 
-        cache = ArtifactStore()
+        cache = ArtifactStore.at(tmp_path)
         SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
             small_frame, region="region-0", week=3
         )
@@ -245,11 +245,11 @@ class TestArtifactCachedPipeline:
         assert other_model.cache_events["train_infer"] == "miss"
         assert other_model.cache_events["evaluation"] == "miss"
 
-    def test_cached_outputs_identical_to_fresh(self, small_frame):
+    def test_cached_outputs_identical_to_fresh(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore, canonical_json
 
         fresh = SeagullPipeline(PipelineConfig()).run(small_frame, region="region-0", week=3)
-        cache = ArtifactStore()
+        cache = ArtifactStore.at(tmp_path)
         SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
             small_frame, region="region-0", week=3
         )
@@ -274,18 +274,18 @@ class TestArtifactCachedPipeline:
             )
             assert response.series == prediction
 
-    def test_corrupt_cache_entry_recomputes_without_crash(self, small_frame):
-        from repro.storage.artifacts import ARTIFACTS_CONTAINER, ArtifactStore
-        from repro.storage.documentdb import DocumentStore
+    def test_corrupt_cache_entry_recomputes_without_crash(self, small_frame, tmp_path):
+        from repro.storage.artifacts import ArtifactStore
 
-        backing = DocumentStore()
-        cache = ArtifactStore(backing)
+        cache = ArtifactStore.at(tmp_path)
         SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
             small_frame, region="region-0", week=3
         )
         # Corrupt every cached entry in place.
-        for document in list(backing.query(ARTIFACTS_CONTAINER)):
-            backing.upsert(ARTIFACTS_CONTAINER, document.id, {"garbage": True})
+        entries = list(tmp_path.glob("*/*.json"))
+        assert len(entries) == 3
+        for entry in entries:
+            entry.write_text('{"garbage": true}')
         result = SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
             small_frame, region="region-0", week=3
         )

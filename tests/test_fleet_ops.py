@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.fleet_ops.cli import main as fleet_main
-from repro.fleet_ops.orchestrator import FleetOrchestrator, unit_cache_path
+from repro.fleet_ops.orchestrator import FleetOrchestrator
 from repro.fleet_ops.report import FleetReport, FleetUnitOutcome
 from repro.fleet_ops.synthesis import populate_lake
 from repro.storage.datalake import DataLakeStore, ExtractKey
@@ -262,8 +262,10 @@ class TestOrchestratorCaching:
         with FleetOrchestrator(
             disk_lake, PipelineConfig(), cache_dir=cache_dir
         ) as orchestrator:
+            orchestrator.run([ExtractKey("region-0", 0)])
+            (entry,) = (cache_dir / "unit_outcome").iterdir()
             orchestrator.run()
-            unit_cache_path(cache_dir, "region-0", 0).write_text("not json at all")
+            entry.write_text("not json at all")
             report = orchestrator.run()
         assert report.n_failed == 0
         # The corrupted unit recomputed; the others were cache hits.
@@ -712,18 +714,6 @@ class TestQueryHandoff:
         assert all(task.generation == lake.current_generation() for task in tasks)
         # close() (already called) owns no directory: the lake is untouched.
         assert lake.list_extracts()
-
-    def test_warm_rerun_hits_the_unit_cache_for_every_unit(self, tmp_path, fleet_spec):
-        # The unit-outcome cache is keyed by the stored-bytes fingerprint
-        # the worker reads through its own handle.
-        lake = DataLakeStore(tmp_path / "lake")
-        populate_lake(lake, fleet_spec, weeks=[0])
-        cache_dir = tmp_path / "cache"
-        with FleetOrchestrator(lake, PipelineConfig(), cache_dir=cache_dir) as orchestrator:
-            cold = orchestrator.run()
-            warm = orchestrator.run()
-        assert cold.cache_summary()["unit_hits"] == 0
-        assert warm.cache_summary()["unit_hits"] == 2
 
     def test_runs_never_write_to_the_lake(self, fleet_spec, tmp_path):
         # Workers only read: no segment is rewritten and no generation is

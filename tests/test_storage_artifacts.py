@@ -1,17 +1,18 @@
 """Unit tests for the content-addressed artifact cache."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.storage.artifacts import (
-    ARTIFACTS_CONTAINER,
     ArtifactStore,
     artifact_key,
     canonical_json,
     content_digest,
 )
-from repro.storage.documentdb import DocumentStore
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
@@ -63,9 +64,14 @@ class TestFrameContentHash:
         ).content_hash()
 
 
+def entry_path(cache_dir, key):
+    stage, _, sha = key.rpartition("-")
+    return cache_dir / stage / f"{sha}.json"
+
+
 class TestArtifactStoreHitMiss:
-    def test_miss_then_hit(self):
-        store = ArtifactStore()
+    def test_miss_then_hit(self, tmp_path):
+        store = ArtifactStore.at(tmp_path)
         key = artifact_key("features", "hash", {})
         assert store.get(key) is None
         store.put(key, {"value": [1, 2, 3]})
@@ -75,98 +81,162 @@ class TestArtifactStoreHitMiss:
         assert store.stats.puts == 1
         assert store.stats.hit_rate == pytest.approx(0.5)
 
-    def test_content_change_misses(self):
-        store = ArtifactStore()
+    def test_content_change_misses(self, tmp_path):
+        store = ArtifactStore.at(tmp_path)
         store.put(artifact_key("features", make_frame((1.0,)).content_hash(), {}), {"x": 1})
         changed_key = artifact_key("features", make_frame((2.0,)).content_hash(), {})
         assert store.get(changed_key) is None
 
-    def test_per_stage_counters(self):
-        store = ArtifactStore()
+    def test_per_stage_counters(self, tmp_path):
+        store = ArtifactStore.at(tmp_path)
         store.put(artifact_key("a_stage", "h", {}), {"x": 1})
         store.get(artifact_key("a_stage", "h", {}))
         store.get(artifact_key("b_stage", "h", {}))
         assert store.stats.hits_by_stage == {"a_stage": 1}
         assert store.stats.misses_by_stage == {"b_stage": 1}
 
-    def test_invalidate_and_clear(self):
-        store = ArtifactStore()
-        key = artifact_key("s", "h", {})
-        store.put(key, {"x": 1})
-        assert store.invalidate(key)
-        assert not store.invalidate(key)
-        store.put(key, {"x": 1})
-        store.clear()
-        assert len(store) == 0
-        assert store.get(key) is None
+    @pytest.mark.parametrize("key", ["", "../x", "a/b-" + "0" * 64, "s-" + "0" * 63, "s-" + "G" * 64])
+    def test_keys_that_are_not_stage_dash_sha256_are_rejected_before_any_io(self, tmp_path, key):
+        store = ArtifactStore.at(tmp_path / "cache")
+        with pytest.raises(ValueError, match="artifact key"):
+            store.get(key)
+        with pytest.raises(ValueError, match="artifact key"):
+            store.put(key, {"x": 1})
+        assert list(tmp_path.iterdir()) == []
+        assert store.stats.lookups == 0 and store.stats.puts == 0
+
+
+def _truncate(raw: bytes) -> bytes:
+    return raw[: len(raw) // 2]
+
+
+def _flip_one_byte(raw: bytes) -> bytes:
+    return raw[:-2] + bytes([raw[-2] ^ 0x01]) + raw[-1:]
+
+
+def _other_envelope_version(raw: bytes) -> bytes:
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    header["v"] += 1
+    return canonical_json(header).encode() + b"\n" + body
 
 
 class TestCorruptionFallback:
-    def test_checksum_mismatch_is_a_miss_and_evicts(self):
-        backing = DocumentStore()
-        store = ArtifactStore(backing)
-        key = artifact_key("features", "h", {})
-        store.put(key, {"x": 1})
-        # Tamper with the payload without updating the checksum.
-        document = backing.get(ARTIFACTS_CONTAINER, key)
-        body = dict(document.body)
-        body["payload"] = {"x": 2}
-        backing.upsert(ARTIFACTS_CONTAINER, key, body)
-        assert store.get(key) is None
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _truncate,
+            _flip_one_byte,
+            _other_envelope_version,
+            lambda raw: b"not json at all",
+            lambda raw: b'["no header"]\n{}',
+        ],
+        ids=["truncated", "byte-flip", "other-version", "garbage", "no-header"],
+    )
+    def test_damaged_entry_is_a_counted_miss_evicted_and_healed_by_put(self, tmp_path, damage):
+        writer = ArtifactStore.at(tmp_path)
+        keys = [artifact_key("features", f"h{i}", {}) for i in range(3)]
+        for index, key in enumerate(keys):
+            writer.put(key, {"x": index, "series": [0.5] * 50})
+        victim = entry_path(tmp_path, keys[1])
+        victim.write_bytes(damage(victim.read_bytes()))
+
+        store = ArtifactStore.at(tmp_path)
+        assert store.get(keys[1]) is None
         assert store.stats.corrupt_entries == 1
-        # The corrupt entry was evicted; a fresh put works again.
-        store.put(key, {"x": 3})
-        assert store.get(key) == {"x": 3}
-
-    def test_garbage_envelope_is_a_miss(self):
-        backing = DocumentStore()
-        store = ArtifactStore(backing)
-        key = artifact_key("features", "h", {})
-        backing.upsert(ARTIFACTS_CONTAINER, key, {"not": "an envelope"})
-        assert store.get(key) is None
+        assert store.stats.failed_evictions == 0
+        assert not victim.exists()
+        # Damage costs that one entry: its neighbours still hit ...
+        assert store.get(keys[0]) == {"x": 0, "series": [0.5] * 50}
+        assert store.get(keys[2]) == {"x": 2, "series": [0.5] * 50}
+        # ... a second lookup is a plain miss, and a re-put heals it.
+        assert store.get(keys[1]) is None
         assert store.stats.corrupt_entries == 1
+        store.put(keys[1], {"x": 3})
+        assert store.get(keys[1]) == {"x": 3}
 
-    def test_failed_eviction_is_recorded_not_swallowed(self):
-        # A corrupt entry whose eviction itself fails must still read as a
-        # miss, and the failure must be visible in stats rather than
-        # silently dropped.
-        class StubbornStore(DocumentStore):
-            def delete(self, container, key):
-                raise RuntimeError("backing store refused the delete")
-
-        backing = StubbornStore()
-        store = ArtifactStore(backing)
+    def test_unreadable_entry_and_failed_eviction_are_recorded_not_swallowed(self, tmp_path):
+        # An entry that cannot even be read (here: a directory sits at its
+        # path) must still read as a miss, and the eviction that fails on
+        # it must be visible in stats rather than silently dropped.
+        store = ArtifactStore.at(tmp_path)
         key = artifact_key("features", "h", {})
-        store.put(key, {"x": 1})
-        document = backing.get(ARTIFACTS_CONTAINER, key)
-        body = dict(document.body)
-        body["payload"] = {"x": 2}
-        backing.upsert(ARTIFACTS_CONTAINER, key, body)
+        entry_path(tmp_path, key).mkdir(parents=True)
         assert store.get(key) is None
         assert store.stats.corrupt_entries == 1
         assert store.stats.failed_evictions == 1
         assert store.stats.as_dict()["failed_evictions"] == 1
 
-    def test_unreadable_persisted_file_recovers(self, tmp_path):
-        path = tmp_path / "artifacts.json"
-        store = ArtifactStore.at(path)
+    def test_leftover_tmp_file_is_never_served_and_does_not_block_a_put(self, tmp_path):
+        # What a writer killed between write and rename leaves behind.
+        store = ArtifactStore.at(tmp_path)
+        key, other = artifact_key("features", "h", {}), artifact_key("features", "g", {})
+        store.put(other, {"x": "complete and valid"})
+        final = entry_path(tmp_path, key)
+        leftover = final.with_name(final.name + ".tmp-4242-deadbeef")
+        leftover.write_bytes(entry_path(tmp_path, other).read_bytes())
+        assert store.get(key) is None
+        assert store.stats.corrupt_entries == 0
+        store.put(key, {"x": 1})
+        assert store.get(key) == {"x": 1}
+
+    def test_a_bug_inside_the_store_is_not_read_as_a_miss(self, tmp_path, monkeypatch):
+        store = ArtifactStore.at(tmp_path)
         key = artifact_key("features", "h", {})
         store.put(key, {"x": 1})
-        # Corrupt the JSON file on disk; reopening must not crash -- the bad
-        # file is quarantined, the cache starts empty and the caller simply
-        # recomputes.
-        path.write_text("{ this is not json")
-        fresh = ArtifactStore.at(path)
-        assert fresh.get(key) is None
-        assert (tmp_path / "artifacts.json.corrupt").exists()
-        fresh.put(key, {"x": 2})
-        assert ArtifactStore.at(path).get(key) == {"x": 2}
 
-    def test_persisted_roundtrip(self, tmp_path):
-        path = tmp_path / "artifacts.json"
-        ArtifactStore.at(path).put(artifact_key("s", "h", {"p": 1}), {"data": [1.5, 2.5]})
-        reopened = ArtifactStore.at(path)
-        assert reopened.get(artifact_key("s", "h", {"p": 1})) == {"data": [1.5, 2.5]}
+        def broken_decode(raw):
+            raise RuntimeError("programming error")
+
+        monkeypatch.setattr("repro.storage.artifacts._decode", broken_decode)
+        with pytest.raises(RuntimeError, match="programming error"):
+            store.get(key)
+        assert entry_path(tmp_path, key).exists()
+
+
+_WRITER = """
+import sys
+from repro.storage.artifacts import ArtifactStore, artifact_key
+
+cache_dir, writer, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+store = ArtifactStore.at(cache_dir)
+for i in range(count):
+    store.put(artifact_key("shared", str(i), {}), {"i": i, "blob": "x" * 50_000})
+    store.put(artifact_key("own", writer + str(i), {}), {"writer": writer, "i": i})
+"""
+
+
+class TestConcurrentWriters:
+    def test_processes_sharing_one_directory_never_expose_a_partial_entry(self, tmp_path):
+        # More writers than this host may have cores, all putting the same
+        # keys with the same payloads plus keys of their own, while this
+        # process reads: every get is a miss or a whole, checksum-valid
+        # payload -- never a torn one.
+        writers, count = ("a", "b", "c"), 40
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path), name, str(count)], env=env)
+            for name in writers
+        ]
+        reader = ArtifactStore.at(tmp_path)
+        shared = [artifact_key("shared", str(i), {}) for i in range(count)]
+        try:
+            while any(proc.poll() is None for proc in procs):
+                for i, key in enumerate(shared):
+                    assert reader.get(key) in (None, {"i": i, "blob": "x" * 50_000})
+        finally:
+            for proc in procs:
+                assert proc.wait(timeout=60) == 0
+        assert reader.stats.corrupt_entries == 0
+
+        third = ArtifactStore.at(tmp_path)
+        for i, key in enumerate(shared):
+            assert third.get(key) == {"i": i, "blob": "x" * 50_000}
+        for name in writers:
+            for i in range(count):
+                assert third.get(artifact_key("own", name + str(i), {})) == {"writer": name, "i": i}
+        assert third.stats.misses == 0 and third.stats.corrupt_entries == 0
+        assert not list(tmp_path.rglob("*.tmp-*"))
 
 
 class TestCanonicalJson:

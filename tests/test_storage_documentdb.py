@@ -79,19 +79,3 @@ class TestDocuments:
         store.insert("results", "b", {})
         assert store.count("results") == 2
         assert len(list(store.query("results"))) == 2
-
-    def test_document_as_dict(self, store):
-        doc = store.insert("results", "a", {"x": 1})
-        assert doc.as_dict() == {"id": "a", "version": 1, "body": {"x": 1}}
-
-
-class TestPersistence:
-    def test_roundtrip_through_file(self, tmp_path):
-        path = tmp_path / "db.json"
-        db = DocumentStore(path)
-        db.create_container("results")
-        db.upsert("results", "a", {"value": 42})
-
-        reloaded = DocumentStore(path)
-        assert reloaded.get("results", "a").body["value"] == 42
-        assert reloaded.get("results", "a").version == 1
