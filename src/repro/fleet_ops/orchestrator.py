@@ -10,8 +10,8 @@ results into one :class:`~repro.fleet_ops.report.FleetReport`.
 
 Two cache layers make re-runs cheap:
 
-* a **unit-level outcome cache** keyed by the raw extract fingerprint --
-  an unchanged extract skips ingestion, parsing and every pipeline stage;
+* a **unit-level outcome cache** keyed by unit and raw extract fingerprint
+  -- an unchanged extract skips ingestion, parsing and every pipeline stage;
 * the pipeline's **stage-level artifact cache** (features, train/infer,
   evaluation) keyed by extract content hash -- a changed configuration
   reuses whichever stages its parameters do not touch.
@@ -58,12 +58,17 @@ from repro.storage.query import ExtractQuery
 _EXECUTION_ONLY_FIELDS = ("executor_backend", "n_workers")
 
 
-def _unit_cache_params(config: PipelineConfig) -> dict[str, Any]:
-    """Configuration fingerprint for the whole-unit outcome cache."""
-    params = config.as_dict()
+def _unit_cache_params(task: "_UnitTask") -> dict[str, Any]:
+    """What a cached unit outcome depends on besides the extract's bytes.
+
+    The outcome names its region and week, so units whose stored bytes are
+    identical (empty, replicated or backfilled extracts) must not share an
+    entry; the stage entries underneath depend on the frame alone and do.
+    """
+    params = task.config.as_dict()
     for field_name in _EXECUTION_ONLY_FIELDS:
         params.pop(field_name, None)
-    return params
+    return {**params, "region": task.region, "week": task.week}
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     unit_key = ""
     if task.cache_dir is not None:
         cache = ArtifactStore.at(task.cache_dir)
-        unit_key = artifact_key(STAGE_UNIT_OUTCOME, fingerprint, _unit_cache_params(task.config))
+        unit_key = artifact_key(STAGE_UNIT_OUTCOME, fingerprint, _unit_cache_params(task))
         payload = cache.get(unit_key)
         if payload is not None:
             outcome: FleetUnitOutcome | None

@@ -114,7 +114,10 @@ class ArtifactStore:
 
     @classmethod
     def at(cls, cache_dir: str | Path) -> "ArtifactStore":
-        """Open the artifact cache in ``cache_dir`` (created on first put)."""
+        """Open the artifact cache in ``cache_dir`` (created on first put).
+
+        The one supported way to open a store; call this, not the class.
+        """
         return cls(cache_dir)
 
     @property
@@ -124,17 +127,15 @@ class ArtifactStore:
     def get(self, key: str) -> dict[str, Any] | None:
         """Return the cached payload for ``key``, or ``None`` on a miss.
 
-        An unreadable, torn, edited or wrong-version entry counts as a miss
-        and is evicted, so a corrupt cache degrades to recomputing that one
-        entry instead of crashing or silently returning bad data.
+        A torn, edited or wrong-version entry counts as a miss and is
+        evicted, so a corrupt cache degrades to recomputing that one entry
+        instead of crashing or silently returning bad data.
         """
         stage, path = self._locate(key)
         payload: dict[str, Any] | None = None
         try:
             payload = _decode(path.read_bytes())
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, IsADirectoryError):
             self._stats.corrupt_entries += 1
             try:
                 path.unlink(missing_ok=True)
@@ -142,6 +143,10 @@ class ArtifactStore:
                 # The entry stays corrupt on disk; record that eviction
                 # failed so the degradation is observable in stats.
                 self._stats.failed_evictions += 1
+        except OSError:
+            # No entry, or a read failure (EACCES, EMFILE, EIO) that says
+            # nothing about the file's content: a plain miss, file kept.
+            pass
         if payload is None:
             self._stats.misses += 1
             self._stats.misses_by_stage[stage] = self._stats.misses_by_stage.get(stage, 0) + 1

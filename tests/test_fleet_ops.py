@@ -271,6 +271,26 @@ class TestOrchestratorCaching:
         # The corrupted unit recomputed; the others were cache hits.
         assert report.cache_summary()["unit_hits"] == 3
 
+    def test_units_storing_identical_bytes_keep_their_own_outcomes(self, tmp_path, fleet_spec):
+        # A replicated or backfilled extract: same stored bytes, hence the
+        # same fingerprint, under two keys of one shared cache directory.
+        lake = DataLakeStore(tmp_path / "lake")
+        frame = WorkloadGenerator(fleet_spec).generate_weekly_extract("region-0", 3)
+        units = [ExtractKey("region-0", 3), ExtractKey("region-0", 7)]
+        for key in units:
+            lake.write_extract(key, frame)
+        assert lake.extract_fingerprint(units[0]) == lake.extract_fingerprint(units[1])
+        with FleetOrchestrator(lake, PipelineConfig(), cache_dir=tmp_path / "cache") as orchestrator:
+            cold = orchestrator.run()
+            warm = orchestrator.run()
+        for report, served_from_cache in ((cold, False), (warm, True)):
+            assert [(o.region, o.week, o.from_unit_cache) for o in report.outcomes] == [
+                ("region-0", 3, served_from_cache),
+                ("region-0", 7, served_from_cache),
+            ]
+        # The stage entries underneath depend on the frame alone and dedupe.
+        assert cold.outcomes[1].cache_events["features"] == "hit"
+
     def test_executor_backend_change_keeps_unit_cache(self, disk_lake, tmp_path):
         cache_dir = tmp_path / "cache"
         units = [ExtractKey("region-0", 0)]
@@ -714,6 +734,18 @@ class TestQueryHandoff:
         assert all(task.generation == lake.current_generation() for task in tasks)
         # close() (already called) owns no directory: the lake is untouched.
         assert lake.list_extracts()
+
+    def test_warm_rerun_hits_the_unit_cache_for_every_unit(self, tmp_path, fleet_spec):
+        # The unit-outcome cache is keyed by the stored-bytes fingerprint
+        # the worker reads through its own handle.
+        lake = DataLakeStore(tmp_path / "lake")
+        populate_lake(lake, fleet_spec, weeks=[0])
+        cache_dir = tmp_path / "cache"
+        with FleetOrchestrator(lake, PipelineConfig(), cache_dir=cache_dir) as orchestrator:
+            cold = orchestrator.run()
+            warm = orchestrator.run()
+        assert cold.cache_summary()["unit_hits"] == 0
+        assert warm.cache_summary()["unit_hits"] == 2
 
     def test_runs_never_write_to_the_lake(self, fleet_spec, tmp_path):
         # Workers only read: no segment is rewritten and no generation is

@@ -167,6 +167,21 @@ class TestCorruptionFallback:
         assert store.stats.failed_evictions == 1
         assert store.stats.as_dict()["failed_evictions"] == 1
 
+    def test_a_failed_read_of_a_healthy_entry_is_a_plain_miss_and_keeps_it(self, tmp_path, monkeypatch):
+        # EACCES / EMFILE / EIO say nothing about the bytes on disk.
+        store = ArtifactStore.at(tmp_path)
+        key = artifact_key("features", "h", {})
+        store.put(key, {"x": 1})
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        with monkeypatch.context() as patched:
+            patched.setattr("pathlib.Path.read_bytes", denied)
+            assert store.get(key) is None
+        assert (store.stats.misses, store.stats.corrupt_entries) == (1, 0)
+        assert store.get(key) == {"x": 1}
+
     def test_leftover_tmp_file_is_never_served_and_does_not_block_a_put(self, tmp_path):
         # What a writer killed between write and rename leaves behind.
         store = ArtifactStore.at(tmp_path)
