@@ -20,7 +20,7 @@ lint: invariants
 
 ## Repo-specific AST invariant linter (api-boundary, import-layering,
 ## lock-discipline, format-invariants, frozen-dataclass, broad-except,
-## manifest-boundary).
+## manifest-boundary, live-boundary).
 invariants:
 	PYTHONPATH=src python -m repro.devtools.lint src
 

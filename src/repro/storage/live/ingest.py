@@ -44,6 +44,7 @@ from repro.storage.live.wal import (
     TailFrame,
     TailWal,
     committed_seal_watermark,
+    committed_seal_watermarks,
     seal_op,
 )
 from repro.storage.manifest import FAULT_POINTS, fault_point
@@ -184,15 +185,22 @@ class LiveIngestor:
     # ------------------------------------------------------------------ #
 
     def _replay_existing(self) -> None:
-        index = livewal.LiveTailIndex(self._root)
-        for region, week in index.keys():
-            self._open_tail(ExtractKey(region=region, week=week))
+        # One txlog walk answers for every partition.
+        watermarks = committed_seal_watermarks(self._root)
+        for region, week in livewal.LiveTailIndex(self._root).keys():
+            self._open_tail(
+                ExtractKey(region=region, week=week),
+                watermarks.get((region, week), NO_WATERMARK),
+            )
 
-    def _open_tail(self, key: ExtractKey) -> _ActiveTail:
+    def _open_tail(self, key: ExtractKey, watermark: int | None = None) -> _ActiveTail:
+        """The partition's open tail, opening it against ``watermark`` (its
+        committed seal watermark, looked up in the txlog when not given)."""
         tail = self._tails.get(key)
         if tail is not None:
             return tail
-        watermark = committed_seal_watermark(self._root, key.region, key.week)
+        if watermark is None:
+            watermark = committed_seal_watermark(self._root, key.region, key.week)
         wal, replay = TailWal.open(
             livewal.wal_path(self._root, key.region, key.week),
             key.region,

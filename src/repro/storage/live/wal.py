@@ -35,6 +35,15 @@ A torn tail (crash mid-append) is detected by the length/CRC framing:
 the partial last frame is dropped *loudly* (a :class:`LiveWalWarning` plus
 counters in :class:`TailReplay`) and every complete frame before it
 survives -- mirroring the manifest txlog's torn-tail semantics.
+
+Both readers share one frame walk (:func:`_walk_frames`).
+:func:`read_tail` is the full replay -- header to EOF -- that the writer
+heals from and the tests use as reference.  :class:`LiveTailIndex`, the
+query side, runs the same walk from the end of the last frame it already
+verified: the file is append-only between seals and atomically *replaced*
+by every trim or heal, so a verified prefix stays verified until the file
+is no longer the same file, and a read costs the frames appended since
+the previous read instead of every frame since the last seal.
 """
 
 from __future__ import annotations
@@ -45,8 +54,9 @@ import re
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +79,7 @@ __all__ = [
     "TailSnapshot",
     "TailWal",
     "committed_seal_watermark",
+    "committed_seal_watermarks",
     "live_dir",
     "seal_op",
     "wal_path",
@@ -120,35 +131,42 @@ def seal_op(region: str, week: int, through: int) -> str:
     return f"live-seal {region} week{week:04d} through {through}"
 
 
-def committed_seal_watermark(root: Path, region: str, week: int) -> int:
-    """Highest watermark of any *committed* seal of ``(region, week)``.
+def committed_seal_watermarks(root: Path) -> dict[tuple[str, int], int]:
+    """Highest *committed* seal watermark of every ``(region, week)``.
 
-    Walks the manifest transaction log exactly like crash recovery does:
-    an ``intent`` whose op parses as a seal of this partition contributes
-    its watermark once a ``commit`` (or a ``recovered`` resolution with
-    ``action="commit"``) for the same txid follows.  Returns
-    :data:`NO_WATERMARK` when no seal ever committed.
+    One walk of the manifest transaction log, exactly like crash recovery
+    does it: an ``intent`` whose op parses as a seal contributes its
+    watermark to its partition once a ``commit`` (or a ``recovered``
+    resolution with ``action="commit"``) for the same txid follows.
+    Partitions no seal ever committed for are absent.
     """
     log = TransactionLog(root / MANIFEST_DIR_NAME / TXLOG_NAME)
-    watermark = NO_WATERMARK
-    intents: dict[str, int] = {}
+    watermarks: dict[tuple[str, int], int] = {}
+    intents: dict[str, tuple[tuple[str, int], int]] = {}
     for record in log.records():
         kind = record.get("type")
         if kind == "intent":
             match = _SEAL_OP_RE.match(str(record.get("op", "")))
-            if (
-                match is not None
-                and match.group("region") == region
-                and int(match.group("week")) == week
-            ):
-                intents[str(record.get("txid", ""))] = int(match.group("through"))
+            if match is not None:
+                intents[str(record.get("txid", ""))] = (
+                    (match.group("region"), int(match.group("week"))),
+                    int(match.group("through")),
+                )
         elif kind == "commit" or (
             kind == "recovered" and record.get("action") == "commit"
         ):
-            through = intents.get(str(record.get("txid", "")))
-            if through is not None:
-                watermark = max(watermark, through)
-    return watermark
+            sealed = intents.get(str(record.get("txid", "")))
+            if sealed is not None:
+                key, through = sealed
+                watermarks[key] = max(watermarks.get(key, NO_WATERMARK), through)
+    return watermarks
+
+
+def committed_seal_watermark(root: Path, region: str, week: int) -> int:
+    """Highest watermark of any *committed* seal of ``(region, week)``;
+    :data:`NO_WATERMARK` when no seal ever committed (see
+    :func:`committed_seal_watermarks`)."""
+    return committed_seal_watermarks(root).get((region, week), NO_WATERMARK)
 
 
 @dataclass(frozen=True)
@@ -221,15 +239,15 @@ def encode_frame(metadata: ServerMetadata, timestamps: np.ndarray, values: np.nd
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _decode_payload(payload: bytes) -> TailFrame:
+def _decode_payload(payload: memoryview) -> TailFrame:
     if len(payload) < _U32.size:
         raise LiveWalError("frame payload shorter than its metadata length field")
     (meta_len,) = _U32.unpack_from(payload)
     meta_end = _U32.size + meta_len
     column_bytes = len(payload) - meta_end
-    if meta_len < 0 or column_bytes < 0 or column_bytes % 16 != 0:
+    if column_bytes < 0 or column_bytes % 16 != 0:
         raise LiveWalError("frame payload does not frame two equal column buffers")
-    meta = json.loads(payload[_U32.size:meta_end].decode("utf-8"))
+    meta = json.loads(str(payload[_U32.size:meta_end], "utf-8"))
     rows = column_bytes // 16
     if int(meta.get("rows", rows)) != rows:
         raise LiveWalError("frame metadata row count disagrees with payload size")
@@ -245,6 +263,62 @@ def _decode_payload(payload: bytes) -> TailFrame:
         true_class=str(meta.get("true_class", "")),
     )
     return TailFrame(metadata, ts.copy(), vs.copy())
+
+
+class _FrameWalk(NamedTuple):
+    """What :func:`_walk_frames` verified in one buffer."""
+
+    #: Surviving frames in append order, cut to rows at or above the watermark.
+    frames: list[TailFrame]
+    #: Complete frames whose rows all predate the watermark.
+    deduped: int
+    #: Buffer index just past the last complete, CRC-verified, decoded
+    #: frame; anything between it and the end of the buffer is torn.
+    end: int
+    #: Buffer index of that last frame's 8-byte frame header (the walk's
+    #: starting index when it verified no frame).
+    last_frame: int
+
+
+def _walk_frames(data: bytes, offset: int, watermark: int) -> _FrameWalk:
+    """Walk the frames of ``data`` from ``offset``: the one frame parser.
+
+    Length/CRC framing, payload decode, watermark filter, and a stop at
+    the first frame that is incomplete, fails its CRC or does not decode
+    -- framing trust is gone from there on, so nothing after it is
+    looked at.  The walk neither warns nor counts: whoever calls it
+    decides whether ``end < len(data)`` is loud (:func:`read_tail`) or
+    simply retried on the next growth (:class:`LiveTailIndex`).
+    """
+    view = memoryview(data)
+    frames: list[TailFrame] = []
+    deduped = 0
+    last_frame = offset
+    while len(view) - offset >= _FRAME_HEADER.size:
+        length, crc = _FRAME_HEADER.unpack_from(view, offset)
+        end = offset + _FRAME_HEADER.size + length
+        if end > len(view):
+            break
+        payload = view[offset + _FRAME_HEADER.size:end]
+        if zlib.crc32(payload) != crc:
+            break
+        try:
+            frame = _decode_payload(payload)
+        except (LiveWalError, ValueError, KeyError):
+            # The CRC passed but the payload does not parse: as torn as
+            # a failed CRC.
+            break
+        last_frame, offset = offset, end
+        keep = frame.timestamps >= watermark
+        if keep.all():
+            frames.append(frame)
+        elif keep.any():
+            frames.append(
+                TailFrame(frame.metadata, frame.timestamps[keep], frame.values[keep])
+            )
+        else:
+            deduped += 1
+    return _FrameWalk(frames, deduped, offset, last_frame)
 
 
 def read_tail(path: Path, *, watermark: int | None = None) -> TailReplay | None:
@@ -277,40 +351,13 @@ def read_tail(path: Path, *, watermark: int | None = None) -> TailReplay | None:
         return replay
     region, week, interval, sealed_through, offset = header_probe
     effective = sealed_through if watermark is None else max(sealed_through, watermark)
-    replay = TailReplay(region, week, interval, effective)
-    while offset < len(data):
-        remaining = len(data) - offset
-        if remaining < _FRAME_HEADER.size:
-            replay.frames_dropped += 1
-            replay.bytes_dropped += remaining
-            break
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER.size
-        end = start + length
-        if end > len(data) or zlib.crc32(data[start:end]) != crc:
-            replay.frames_dropped += 1
-            replay.bytes_dropped += len(data) - offset
-            break
-        try:
-            frame = _decode_payload(data[start:end])
-        except (LiveWalError, ValueError, KeyError):
-            # The CRC passed but the payload does not parse: treat the
-            # frame -- and everything after it, since framing trust is
-            # gone -- as torn.
-            replay.frames_dropped += 1
-            replay.bytes_dropped += len(data) - offset
-            break
-        offset = end
-        keep = frame.timestamps >= effective
-        if not keep.all():
-            if not keep.any():
-                replay.frames_deduped += 1
-                continue
-            frame = TailFrame(
-                frame.metadata, frame.timestamps[keep], frame.values[keep]
-            )
-        replay.frames.append(frame)
-    if replay.torn:
+    walk = _walk_frames(data, offset, effective)
+    replay = TailReplay(
+        region, week, interval, effective, walk.frames, frames_deduped=walk.deduped
+    )
+    if walk.end < len(data):
+        replay.frames_dropped = 1
+        replay.bytes_dropped = len(data) - walk.end
         warnings.warn(
             f"live tail {path.name}: dropped {replay.bytes_dropped} torn trailing "
             f"byte(s) ({replay.frames_dropped} partial frame(s)); "
@@ -511,12 +558,6 @@ class TailWal:
         self._unsynced = 0
         self._handle = self._path.open("ab")
 
-    def delete(self) -> None:
-        """Close and remove the WAL file (partition fully sealed and idle)."""
-        self.close()
-        self._path.unlink(missing_ok=True)
-        _fsync_dir(self._path.parent)
-
     def close(self) -> None:
         if self._handle is not None:
             self.flush()
@@ -535,6 +576,9 @@ class TailWal:
 # ---------------------------------------------------------------------- #
 
 
+_Servers = dict[str, tuple[ServerMetadata, np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class TailSnapshot:
     """An immutable point-in-time view of one partition's live tail.
@@ -549,48 +593,172 @@ class TailSnapshot:
     week: int
     interval_minutes: int
     sealed_through: int
-    servers: dict[str, tuple[ServerMetadata, np.ndarray, np.ndarray]]
+    servers: _Servers
 
     @property
     def raw_rows(self) -> int:
         return sum(int(ts.size) for _, ts, _ in self.servers.values())
 
 
-def _snapshot_from_replay(replay: TailReplay) -> TailSnapshot:
-    order: dict[str, list[TailFrame]] = {}
-    for frame in replay.frames:
-        order.setdefault(frame.metadata.server_id, []).append(frame)
-    servers: dict[str, tuple[ServerMetadata, np.ndarray, np.ndarray]] = {}
-    for server_id, frames in order.items():
-        ts = np.concatenate([f.timestamps for f in frames])
-        vs = np.concatenate([f.values for f in frames])
-        servers[server_id] = (frames[0].metadata, ts, vs)
-    return TailSnapshot(
-        region=replay.region,
-        week=replay.week,
-        interval_minutes=replay.interval_minutes,
-        sealed_through=replay.sealed_through,
-        servers=servers,
+def _fold(servers: _Servers, frames: list[TailFrame]) -> _Servers:
+    """``servers`` with ``frames`` appended, as a new mapping.
+
+    Snapshots are handed to callers, so nothing they hold is written to:
+    a server the frames touch gets new concatenated arrays, every other
+    server's arrays are shared with ``servers`` as they are.  A server
+    keeps the metadata of its first frame.
+    """
+    pieces: dict[str, list[TailFrame]] = {}
+    for frame in frames:
+        server_id = frame.metadata.server_id
+        if server_id not in pieces:
+            held = servers.get(server_id)
+            pieces[server_id] = [TailFrame(*held)] if held is not None else []
+        pieces[server_id].append(frame)
+    out = dict(servers)
+    for server_id, parts in pieces.items():
+        out[server_id] = (
+            parts[0].metadata,
+            np.concatenate([part.timestamps for part in parts]),
+            np.concatenate([part.values for part in parts]),
+        )
+    return out
+
+
+@dataclass(frozen=True)
+class _VerifiedPrefix:
+    """What the index knows about one WAL file as of its last read of it.
+
+    Every byte below ``offset`` belongs to the header or to a complete,
+    CRC-verified, decoded frame, and every surviving row of those frames
+    is in ``snapshot``.  Replaced whole on every read, never updated.
+    """
+
+    #: ``(st_dev, st_ino, st_size, st_mtime_ns)`` from ``fstat`` of the
+    #: descriptor the bytes were read through.
+    signature: tuple[int, int, int, int]
+    #: The file's header bytes, and the seal watermark they carry.
+    header: bytes
+    header_sealed: int
+    #: End of the last verified frame (of the header, before any frame).
+    offset: int
+    #: Where that frame's 8-byte frame header sits and what it reads
+    #: (``b""`` before any frame).
+    last_frame: int
+    last_frame_header: bytes
+    snapshot: TailSnapshot
+
+    def unchanged_below_offset(self, fd: int, st: os.stat_result) -> bool:
+        """Is the file open at ``fd`` still the file this prefix was read
+        from, as far as the prefix reaches?  (Conditions 1, 2, 4 and 5 of
+        :class:`LiveTailIndex`.)"""
+        return (
+            self.signature[:2] == (st.st_dev, st.st_ino)
+            and st.st_size >= self.offset
+            and os.pread(fd, len(self.header), 0) == self.header
+            and os.pread(fd, len(self.last_frame_header), self.last_frame)
+            == self.last_frame_header
+        )
+
+
+def _stat_signature(st: os.stat_result) -> tuple[int, int, int, int]:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _extend_prefix(
+    path: Path, prefix: _VerifiedPrefix | None, watermark: int
+) -> _VerifiedPrefix | None:
+    """Verify and fold what the WAL at ``path`` holds past ``prefix``.
+
+    The file is opened once; identity, header and new bytes all come from
+    that descriptor, so the offset kept is an offset into the file that
+    was checked.  Without a prefix that still holds, the walk starts
+    behind the header with nothing folded -- the full replay.  ``None``:
+    the file is gone or torn inside its header.  A torn tail is silent
+    here (the owning ingestor warns and heals on its next open) and stays
+    outside the prefix.
+    """
+    try:
+        handle = path.open("rb", buffering=0)
+    except FileNotFoundError:
+        return None
+    with handle:
+        fd = handle.fileno()
+        st = os.fstat(fd)
+        if prefix is not None and prefix.unchanged_below_offset(fd, st):
+            base = prefix.offset
+            data = os.pread(fd, st.st_size - base, base)
+        else:
+            base = 0
+            data = os.pread(fd, st.st_size, 0)
+            probe = _try_decode_header(data)
+            if probe is None:
+                return None
+            region, week, interval, sealed, end = probe
+            nothing = TailSnapshot(region, week, interval, max(sealed, watermark), {})
+            prefix = _VerifiedPrefix(
+                _stat_signature(st), data[:end], sealed, end, end, b"", nothing
+            )
+    start = prefix.offset - base
+    walk = _walk_frames(data, start, prefix.snapshot.sealed_through)
+    if walk.end == start:
+        return replace(prefix, signature=_stat_signature(st))
+    return _VerifiedPrefix(
+        _stat_signature(st),
+        prefix.header,
+        prefix.header_sealed,
+        base + walk.end,
+        base + walk.last_frame,
+        data[walk.last_frame:walk.last_frame + _FRAME_HEADER.size],
+        replace(prefix.snapshot, servers=_fold(prefix.snapshot.servers, walk.frames)),
     )
 
 
 class LiveTailIndex:
     """Read-only, cross-process view of every live tail under one lake.
 
-    Queries consult this instead of talking to a :class:`TailWal` writer:
-    the WAL is append-only between seals and atomically replaced by them,
-    so a stat signature of ``(size, mtime_ns)`` over the WAL file *and*
-    the transaction log (whose committed seal ops shift the effective
-    watermark without touching the WAL) is a sound cache key.  A reader in
-    a different process than the ingestor sees exactly the fsync'd state.
+    Queries consult this instead of talking to a :class:`TailWal` writer;
+    a reader in a different process than the ingestor sees exactly what
+    is on disk.  Two things are cached, each behind the stat signature of
+    the file it was read from:
+
+    * per ``(region, week)``, a :class:`_VerifiedPrefix`: the WAL's
+      identity and header bytes, the offset up to which its frames were
+      verified, and the per-server rows folded so far;
+    * the committed seal watermark of every partition, from one walk of
+      ``txlog.jsonl``, keyed on the txlog's signature alone -- a commit
+      that seals nothing re-walks the log once and re-parses no WAL.
+
+    A read whose WAL signature and watermark are what they were opens
+    nothing.  Otherwise the WAL is opened once, ``fstat``-ed, and read
+    through that descriptor, and the cached prefix is reused only if
+
+    1. ``(st_dev, st_ino)`` are the prefix's,
+    2. the header bytes are byte-equal,
+    3. the effective watermark ``max(header, txlog)`` is unchanged,
+    4. ``st_size`` is not below the verified offset, and
+    5. the frame header of the last verified frame still reads back
+       identically at its offset (a delete + recreate can reuse an inode).
+
+    Then only the bytes past the verified offset are read, verified and
+    folded; anything else is the same walk with no prefix.  Growth never
+    invalidates: the writer only appends between seals, and a trim or a
+    heal replaces the file (new inode, and a new header when the
+    watermark moved), so bytes once verified cannot change while 1-5
+    hold.  A torn last frame is not part of the prefix -- the offset
+    stays before it and the next read looks at it again -- so a reader
+    that saw half a frame returns the whole frame once the writer
+    finishes it.
     """
 
     def __init__(self, root: Path) -> None:
         self._root = root
-        self._cache: dict[
-            tuple[str, int],
-            tuple[tuple[int, int, int, int], TailSnapshot],
-        ] = {}
+        self._prefixes: dict[tuple[str, int], _VerifiedPrefix] = {}
+        #: ``(txlog stat signature, every partition's watermark)``; no
+        #: txlog (signature ``None``) is no committed seal.
+        self._seals: tuple[
+            tuple[int, int, int, int] | None, dict[tuple[str, int], int]
+        ] = (None, {})
 
     def keys(self) -> list[tuple[str, int]]:
         """Partitions with an on-disk tail WAL, sorted."""
@@ -607,37 +775,37 @@ class LiveTailIndex:
                     found.append((region_dir.name, int(match.group("week"))))
         return sorted(found)
 
-    def _signature(self, region: str, week: int) -> tuple[int, int, int, int] | None:
+    def _watermark(self, key: tuple[str, int]) -> int:
+        """``key``'s committed seal watermark; the txlog is re-walked only
+        when its stat signature moved.  Stat first, then read: a commit
+        landing in between is read again next time, never missed."""
         try:
-            wal_stat = wal_path(self._root, region, week).stat()
+            signature = _stat_signature((self._root / MANIFEST_DIR_NAME / TXLOG_NAME).stat())
         except FileNotFoundError:
-            return None
-        try:
-            log_stat = (self._root / MANIFEST_DIR_NAME / TXLOG_NAME).stat()
-            log_sig = (log_stat.st_size, log_stat.st_mtime_ns)
-        except FileNotFoundError:
-            log_sig = (0, 0)
-        return (wal_stat.st_size, wal_stat.st_mtime_ns, *log_sig)
+            signature = None
+        if self._seals[0] != signature:
+            self._seals = (signature, committed_seal_watermarks(self._root))
+        return self._seals[1].get(key, NO_WATERMARK)
 
     def tail(self, region: str, week: int) -> TailSnapshot | None:
         """The partition's current tail snapshot (``None``: no tail/empty)."""
-        signature = self._signature(region, week)
-        if signature is None:
-            self._cache.pop((region, week), None)
+        key = (region, week)
+        path = wal_path(self._root, region, week)
+        try:
+            signature = _stat_signature(path.stat())
+        except FileNotFoundError:
+            self._prefixes.pop(key, None)
             return None
-        cached = self._cache.get((region, week))
-        if cached is not None and cached[0] == signature:
-            snapshot = cached[1]
-            return snapshot if snapshot.servers else None
-        watermark = committed_seal_watermark(self._root, region, week)
-        with warnings.catch_warnings():
-            # Query-side replay of a torn tail must not spam every read;
-            # the owning ingestor warns (and heals) on its next open.
-            warnings.simplefilter("ignore", LiveWalWarning)
-            replay = read_tail(wal_path(self._root, region, week), watermark=watermark)
-        if replay is None:
-            self._cache.pop((region, week), None)
-            return None
-        snapshot = _snapshot_from_replay(replay)
-        self._cache[(region, week)] = (signature, snapshot)
-        return snapshot if snapshot.servers else None
+        watermark = self._watermark(key)
+        prefix = self._prefixes.get(key)
+        if prefix is not None and (
+            max(prefix.header_sealed, watermark) != prefix.snapshot.sealed_through
+        ):
+            prefix = None  # its rows were cut at another watermark
+        if prefix is None or prefix.signature != signature:
+            prefix = _extend_prefix(path, prefix, watermark)
+            if prefix is None:
+                self._prefixes.pop(key, None)
+                return None
+            self._prefixes[key] = prefix
+        return prefix.snapshot if prefix.snapshot.servers else None

@@ -5,13 +5,23 @@ dedupe), the read-side :class:`LiveTailIndex`, the
 :class:`LiveIngestor` write surface (sealing = one manifest
 transaction), and the query/scan/aggregate unification of committed
 segments with unsealed tail rows -- plus the gc-vs-active-tail safety
-regression.
+regression.  The index is incremental (it parses only what was appended
+since its last read), so it is also held against a cold index: pinned
+cases for every way a verified prefix can stop being true, and generated
+histories (``TestTailIndexHistories``) for the ones nobody listed.
 """
 
+import os
+import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotFoundError
 from repro.storage.live import (
@@ -25,13 +35,15 @@ from repro.storage.live import (
     committed_seal_watermark,
     wal_path,
 )
-from repro.storage.live.wal import TailWal, read_tail
+from repro.storage.live import wal as livewal
+from repro.storage.live.wal import TailWal, encode_frame, read_tail
+from repro.storage.manifest import InjectedCrash, fault_handler
 from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.resample import regularize
 
-from tests.helpers import make_series
+from tests.helpers import CrashInjector, make_series
 
 META = ServerMetadata(server_id="srv-a", region="r0")
 META_B = ServerMetadata(server_id="srv-b", region="r0")
@@ -197,6 +209,412 @@ class TestLiveTailIndex:
         wal, _ = TailWal.open(wal_path(tmp_path, "r0", 0), "r0", 0, 5)
         wal.close()
         assert index.tail("r0", 0) is None  # header only, no frames
+
+    def test_torn_header_is_no_tail_until_the_writer_recreates_it(self, tmp_path):
+        path = wal_path(tmp_path, "r0", 0)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"SGW")  # creation crashed inside the header
+        index = LiveTailIndex(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert index.tail("r0", 0) is None
+        with pytest.warns(LiveWalWarning, match="header torn"):
+            wal, _ = TailWal.open(path, "r0", 0, 5)
+        wal.append(META, *minute_batch(0, 5))
+        wal.close()
+        assert index.tail("r0", 0).raw_rows == 5
+
+
+def assert_same_snapshot(got, expected):
+    """Two ``TailSnapshot``s (or two ``None``s) hold the same tail."""
+    assert (got is None) == (expected is None)
+    if expected is None:
+        return
+    assert (got.region, got.week, got.interval_minutes, got.sealed_through) == (
+        expected.region, expected.week, expected.interval_minutes, expected.sealed_through
+    )
+    assert list(got.servers) == list(expected.servers)
+    for server_id, (metadata, ts, vs) in expected.servers.items():
+        got_metadata, got_ts, got_vs = got.servers[server_id]
+        assert got_metadata == metadata
+        np.testing.assert_array_equal(got_ts, ts)
+        np.testing.assert_array_equal(got_vs, vs)
+
+
+def append_bytes(path, data):
+    """Bytes landing on the WAL behind the writer's back (a torn append,
+    another process's frame)."""
+    with path.open("ab") as handle:
+        handle.write(data)
+
+
+def bump_mtime(path, past):
+    """A file changed behind the index is told apart by its stat
+    signature; make sure the clock's granularity cannot hide the change."""
+    st = path.stat()
+    os.utime(path, ns=(st.st_atime_ns, max(st.st_mtime_ns, past.st_mtime_ns) + 1))
+
+
+class TestIncrementalTail:
+    """Each case breaks an offset cache that trusts its prefix for the
+    wrong reason; the index must answer like a cold one every time."""
+
+    def test_half_written_frame_is_returned_whole_once_completed(self, tmp_path):
+        path = wal_path(tmp_path, "r0", 0)
+        wal, _ = TailWal.open(path, "r0", 0, 5)
+        wal.append(META, *minute_batch(0, 5))
+        wal.close()
+        frame = encode_frame(META, *minute_batch(5, 5, level=2.0))
+        # Three writes: into the frame header, into the payload, the rest.
+        # The first read already finds torn bytes behind a whole frame.
+        cuts = (0, 3, len(frame) // 2, len(frame))
+        index = LiveTailIndex(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # torn bytes stay silent on the read side
+            for start, end in zip(cuts, cuts[1:]):
+                append_bytes(path, frame[start:end])
+                whole = index.tail("r0", 0)
+                assert whole.raw_rows == (5 if end < len(frame) else 10)
+        assert whole.raw_rows == 10
+        assert_same_snapshot(whole, LiveTailIndex(tmp_path).tail("r0", 0))
+
+    def test_torn_tail_healed_by_reopen_keeps_the_prefix_and_sees_new_frames(self, tmp_path):
+        path = wal_path(tmp_path, "r0", 0)
+        wal, _ = TailWal.open(path, "r0", 0, 5)
+        wal.append(META, *minute_batch(0, 5))
+        wal.append(META_B, *minute_batch(0, 5))
+        wal.close()
+        append_bytes(path, b"\xde\xad\xbe\xef torn")
+        index = LiveTailIndex(tmp_path)
+        assert index.tail("r0", 0).raw_rows == 10
+        torn_size = path.stat().st_size
+
+        with pytest.warns(LiveWalWarning):
+            wal, _ = TailWal.open(path, "r0", 0, 5)  # same frames, shorter file
+        assert path.stat().st_size < torn_size
+        assert index.tail("r0", 0).raw_rows == 10
+        wal.append(META, *minute_batch(5, 5))
+        wal.close()
+        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
+        assert index.tail("r0", 0).raw_rows == 15
+
+    def test_seal_trim_drops_the_sealed_rows_from_a_warm_reader(self, tmp_path):
+        store, ingestor = make_ingestor(tmp_path)
+        ingestor.ingest(KEY, META, *minute_batch(0, MINUTES_PER_DAY + 60))
+        ingestor.flush()
+        q = ExtractQuery.for_key(KEY)
+        assert store.query(q).stats.tail_rows_scanned == MINUTES_PER_DAY + 60
+
+        ingestor.seal(KEY, MINUTES_PER_DAY)  # header watermark moves, file replaced
+        ingestor.close()
+        warm, cold = store.query(q), DataLakeStore(store.root).query(q)
+        assert warm.stats.tail_rows_scanned == 60
+        assert warm.rows == cold.rows == (MINUTES_PER_DAY + 60) // 5
+        assert warm.frame.content_hash() == cold.frame.content_hash()
+
+    def test_committed_seal_whose_trim_was_lost_surfaces_rows_once(self, tmp_path):
+        store, ingestor = make_ingestor(tmp_path)
+        ingestor.ingest(KEY, META, *minute_batch(0, MINUTES_PER_DAY + 60))
+        ingestor.flush()
+        q = ExtractQuery.for_key(KEY)
+        before = store.query(q)
+        wal_bytes = wal_path(store.root, "r0", 0).read_bytes()
+
+        with fault_handler(CrashInjector("live.wal.rewrite")), pytest.raises(InjectedCrash):
+            ingestor.seal(KEY, MINUTES_PER_DAY)
+        # Only the txlog watermark moved; the WAL still carries the sealed day.
+        assert wal_path(store.root, "r0", 0).read_bytes() == wal_bytes
+        warm, cold = store.query(q), DataLakeStore(store.root).query(q)
+        assert warm.stats.tail_rows_scanned == cold.stats.tail_rows_scanned == 60
+        assert warm.rows == before.rows == (MINUTES_PER_DAY + 60) // 5
+        assert warm.frame.content_hash() == before.frame.content_hash()
+
+    def test_wal_deleted_and_recreated_with_the_same_size(self, tmp_path):
+        path = wal_path(tmp_path, "r0", 0)
+
+        def write(level):
+            wal, _ = TailWal.open(path, "r0", 0, 5)
+            wal.append(META, *minute_batch(0, 5, level=level))
+            wal.append(META, *minute_batch(5, 5, level=level + 1.0))
+            wal.close()
+            return path.stat()
+
+        old = write(1.0)
+        index = LiveTailIndex(tmp_path)
+        assert set(index.tail("r0", 0).servers["srv-a"][2]) == {1.0, 2.0}
+
+        path.unlink()
+        new = write(3.0)
+        assert new.st_size == old.st_size  # the inode may well be the old one too
+        bump_mtime(path, old)
+        assert set(index.tail("r0", 0).servers["srv-a"][2]) == {3.0, 4.0}
+        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
+
+    def test_same_inode_same_frames_under_another_header(self, tmp_path):
+        def write(root, watermark):
+            path = wal_path(root, "r0", 0)
+            wal, _ = TailWal.open(path, "r0", 0, 5, watermark=watermark)
+            wal.append(META, *minute_batch(0, 5))
+            wal.append(META, *minute_batch(5, 5))
+            wal.close()
+            return path
+
+        path = write(tmp_path, None)
+        index = LiveTailIndex(tmp_path)
+        assert index.tail("r0", 0).raw_rows == 10
+
+        # What a delete + recreate that lands on the old inode looks like,
+        # without depending on the filesystem to hand the inode out again:
+        # same size, same last frame, but rows below 3 were sealed elsewhere.
+        other = write(tmp_path / "elsewhere", 3).read_bytes()
+        before = path.stat()
+        assert len(other) == before.st_size
+        with path.open("r+b") as handle:
+            handle.write(other)
+        bump_mtime(path, before)
+        assert index.tail("r0", 0).raw_rows == 7
+        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
+
+    def test_replaced_by_a_file_that_differs_only_before_the_last_frame(self, tmp_path):
+        path = wal_path(tmp_path, "r0", 0)
+        wal, _ = TailWal.open(path, "r0", 0, 5)
+        wal.append(META, *minute_batch(0, 5, level=1.0))
+        wal.append(META, *minute_batch(5, 5, level=2.0))
+        wal.flush()
+        index = LiveTailIndex(tmp_path)
+        first = index.tail("r0", 0)
+        size = path.stat().st_size
+
+        # Same header, same size, same last frame: only the inode says
+        # this is another file (a rewrite never reuses the one it replaces).
+        replay = read_tail(path)
+        replay.frames[0].values[:] = 7.0
+        wal.rewrite(replay.frames, NO_WATERMARK)
+        wal.close()
+        assert path.stat().st_size == size
+        second = index.tail("r0", 0)
+        assert set(second.servers["srv-a"][2]) == {7.0, 2.0}
+        assert set(first.servers["srv-a"][2]) == {1.0, 2.0}
+        assert_same_snapshot(second, LiveTailIndex(tmp_path).tail("r0", 0))
+
+    def test_truncated_in_place_below_the_verified_offset(self, tmp_path):
+        path = wal_path(tmp_path, "r0", 0)
+        wal, _ = TailWal.open(path, "r0", 0, 5)
+        wal.append(META, *minute_batch(0, 5))
+        wal.append(META, *minute_batch(5, 5))
+        wal.close()
+        index = LiveTailIndex(tmp_path)
+        assert index.tail("r0", 0).raw_rows == 10
+
+        os.truncate(path, path.stat().st_size - 20)  # the last frame's header survives
+        assert index.tail("r0", 0).raw_rows == 5
+        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
+
+    def test_a_read_decodes_only_the_frames_appended_since_the_last_one(
+        self, tmp_path, monkeypatch
+    ):
+        decodes = []
+        decode_payload = livewal._decode_payload
+
+        def counting(payload):
+            decodes.append(len(payload))
+            return decode_payload(payload)
+
+        monkeypatch.setattr(livewal, "_decode_payload", counting)
+        store = DataLakeStore(tmp_path)
+        index = LiveTailIndex(tmp_path)
+        wal, _ = TailWal.open(wal_path(tmp_path, "r0", 0), "r0", 0, 5)
+        for batch in range(7):
+            wal.append(META if batch % 2 else META_B, *minute_batch(5 * batch, 5))
+        wal.flush()
+        assert index.tail("r0", 0).raw_rows == 35 and len(decodes) == 7
+
+        for batch in range(7, 10):
+            wal.append(META, *minute_batch(5 * batch, 5))
+        wal.flush()
+        grown = index.tail("r0", 0)
+        assert grown.raw_rows == 50 and len(decodes) == 7 + 3
+        assert index.tail("r0", 0) is grown and len(decodes) == 10
+
+        # An unrelated commit moves the txlog, not this tail's watermark.
+        frame = LoadFrame(5)
+        frame.add_server(META, make_series([1.0] * 12))
+        store.write_extract(ExtractKey(region="elsewhere", week=3), frame)
+        assert index.tail("r0", 0) is grown and len(decodes) == 10
+        wal.close()
+        del decodes[:]
+        assert_same_snapshot(grown, LiveTailIndex(tmp_path).tail("r0", 0))
+        assert len(decodes) == 10  # what a reader without a prefix pays
+
+    def test_snapshots_already_handed_out_are_never_written_to(self, tmp_path):
+        wal, _ = TailWal.open(wal_path(tmp_path, "r0", 0), "r0", 0, 5)
+        wal.append(META, *minute_batch(0, 5))
+        wal.append(META_B, *minute_batch(0, 5))
+        wal.flush()
+        index = LiveTailIndex(tmp_path)
+        first = index.tail("r0", 0)
+        held = {sid: (ts.copy(), vs.copy()) for sid, (_, ts, vs) in first.servers.items()}
+
+        wal.append(META, *minute_batch(5, 5, level=99.0))
+        wal.close()
+        second = index.tail("r0", 0)
+        assert second.servers["srv-a"][1].size == 10
+        for server_id, (ts, vs) in held.items():
+            np.testing.assert_array_equal(first.servers[server_id][1], ts)
+            np.testing.assert_array_equal(first.servers[server_id][2], vs)
+        # The server the read did not touch is shared, not copied.
+        assert second.servers["srv-b"][1] is first.servers["srv-b"][1]
+
+
+HISTORY_KEYS = (ExtractKey(region="r0", week=0), ExtractKey(region="r1", week=0))
+
+
+class TailIndexHistory(RuleBasedStateMachine):
+    """One lake, one index that lives through everything done to it.
+
+    After every step the long-lived :class:`LiveTailIndex` must hold what
+    a cold one reads off the disk, and a long-lived store must answer
+    like a cold store.  Timestamps rise per (partition, server), so every
+    history is one a collector could have produced.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="tail-history-")) / "lake"
+        self.index = LiveTailIndex(self.root)
+        self.store = DataLakeStore(self.root)
+        self.ingestor = self._open_ingestor()
+        self.clock = {}
+        self.unrelated_commits = 0
+        for key in HISTORY_KEYS:  # every history starts with two live tails
+            self.ingestor.ingest(key, *self._next_batch(key, "srv-a", 20, False))
+        self.ingestor.flush()
+
+    def teardown(self):
+        if self.ingestor is not None:
+            self.ingestor.close()
+        shutil.rmtree(self.root.parent)
+
+    def _open_ingestor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LiveWalWarning)  # healing a torn tail
+            # A seal boundary every 15 minutes: short histories reach one.
+            return LiveIngestor(self.store, interval_minutes=5, chunk_minutes=15, fsync_every=4)
+
+    def _next_batch(self, key, server, rows, irregular):
+        """The server's next ``rows`` samples: one-minute cadence, or
+        gaps of one to three minutes."""
+        start = max(
+            self.clock.get((key, server), 0),
+            committed_seal_watermark(self.root, key.region, key.week),
+        )
+        gaps = (np.arange(rows) * 7 + start) % 3 if irregular else np.zeros(rows, dtype=np.int64)
+        ts = start + np.arange(rows) + np.cumsum(gaps) - gaps[0]
+        self.clock[(key, server)] = int(ts[-1]) + 1
+        metadata = ServerMetadata(server_id=server, region=key.region)
+        return metadata, ts.astype(np.int64), ts % 17 + 0.5
+
+    alive = precondition(lambda self: self.ingestor is not None)
+    keys = st.sampled_from(HISTORY_KEYS)
+
+    @alive
+    @rule(key=keys, server=st.sampled_from(("srv-a", "srv-b", "srv-c")),
+          rows=st.integers(1, 45), irregular=st.booleans(), flush=st.booleans())
+    def ingest(self, key, server, rows, irregular, flush):
+        self.ingestor.ingest(key, *self._next_batch(key, server, rows, irregular))
+        if flush:
+            self.ingestor.flush(key)
+
+    @alive
+    @rule()
+    def flush(self):
+        self.ingestor.flush()
+
+    @rule(key=keys, rows=st.integers(1, 6), percent=st.integers(1, 99), finish=st.booleans())
+    def append_a_frame_in_two_writes(self, key, rows, percent, finish):
+        """Another process's append, seen half-way; ``finish=False`` is a
+        writer that died there."""
+        path = wal_path(self.root, key.region, key.week)
+        if path.exists():
+            frame = encode_frame(*self._next_batch(key, "srv-oob", rows, False))
+            cut = max(1, len(frame) * percent // 100)
+            append_bytes(path, frame[:cut])
+            if finish:
+                self.warm_readers_answer_like_cold_ones()
+                append_bytes(path, frame[cut:])
+
+    @rule(key=keys, garbage=st.binary(min_size=1, max_size=24))
+    def append_garbage(self, key, garbage):
+        path = wal_path(self.root, key.region, key.week)
+        if path.exists():
+            append_bytes(path, garbage)
+
+    @rule()
+    def reopen_ingestor(self):
+        if self.ingestor is not None:
+            self.ingestor.close()
+        self.ingestor = self._open_ingestor()
+
+    @alive
+    @rule()
+    def seal(self):
+        for key in HISTORY_KEYS:
+            self.ingestor.seal(key)
+
+    @alive
+    @rule()
+    def seal_crashing_before_the_trim(self):
+        try:
+            with fault_handler(CrashInjector("live.wal.rewrite")):
+                for key in HISTORY_KEYS:
+                    self.ingestor.seal(key)
+        except InjectedCrash:
+            # The collector died: only a reopen brings one back.
+            self.ingestor.close()
+            self.ingestor = None
+
+    @rule()
+    def unrelated_commit(self):
+        frame = LoadFrame(5)
+        frame.add_server(META, make_series([float(self.unrelated_commits)] * 3))
+        self.store.write_extract(ExtractKey(region="elsewhere", week=9), frame)
+        self.unrelated_commits += 1
+
+    @rule(key=keys)
+    def delete_the_wal_and_start_it_again(self, key):
+        if self.ingestor is not None:
+            self.ingestor.close()
+        wal_path(self.root, key.region, key.week).unlink(missing_ok=True)
+        self.ingestor = self._open_ingestor()
+        self.ingestor.ingest(key, *self._next_batch(key, "srv-a", 5, False))
+        self.ingestor.flush()
+
+    @rule()
+    def reopen_store(self):
+        if self.ingestor is not None:
+            self.ingestor.close()
+        self.store = DataLakeStore(self.root)
+        self.ingestor = self._open_ingestor()
+
+    @invariant()
+    def warm_readers_answer_like_cold_ones(self):
+        cold_index, cold_store = LiveTailIndex(self.root), DataLakeStore(self.root)
+        assert self.index.keys() == cold_index.keys()
+        for key in HISTORY_KEYS:
+            assert_same_snapshot(
+                self.index.tail(key.region, key.week), cold_index.tail(key.region, key.week)
+            )
+            q = ExtractQuery.for_key(key)
+            warm, cold = self.store.query(q), cold_store.query(q)
+            assert warm.rows == cold.rows
+            assert warm.stats.tail_rows_scanned == cold.stats.tail_rows_scanned
+            assert warm.frame.content_hash() == cold.frame.content_hash()
+
+
+TestTailIndexHistories = TailIndexHistory.TestCase
+TestTailIndexHistories.settings = settings(
+    max_examples=30, stateful_step_count=30, deadline=None, derandomize=True, database=None
+)
 
 
 # ---------------------------------------------------------------------- #
