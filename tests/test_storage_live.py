@@ -328,6 +328,7 @@ class TestIncrementalTail:
         assert warm.stats.tail_rows_scanned == cold.stats.tail_rows_scanned == 60
         assert warm.rows == before.rows == (MINUTES_PER_DAY + 60) // 5
         assert warm.frame.content_hash() == before.frame.content_hash()
+        ingestor.close()
 
     def test_wal_deleted_and_recreated_with_the_same_size(self, tmp_path):
         path = wal_path(tmp_path, "r0", 0)
