@@ -39,8 +39,8 @@ else
 fi
 
 echo
-echo "== test suite =="
-python -m pytest tests -x -q
+echo "== test suite + python -m bench smoke test =="
+python -m pytest tests bench -x -q
 
 echo
 echo "== examples smoke (each script runs to completion; fleet CLI warm re-run hits the cache) =="

@@ -11,7 +11,8 @@
   documents in named containers (nothing is written to disk).
 * :mod:`~repro.storage.columnar` -- the binary columnar ``.sgx`` extract
   format: dictionary-encoded metadata, per-server column chunks with
-  zone maps and checksums, zero-copy ``numpy.frombuffer`` ingestion.
+  zone maps and checksums; a column buffer becomes an array through
+  ``numpy.frombuffer``, with no copy and no parse.
 * :mod:`~repro.storage.query` -- the typed extract-query surface:
   :class:`~repro.storage.query.ExtractQuery` (frozen, hashable,
   cache-keyable), :class:`~repro.storage.query.QueryResult` and

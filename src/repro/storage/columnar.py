@@ -4,7 +4,7 @@ CSV parsing dominates cold-run ingestion: every value is re-tokenised and
 re-converted on every read.  The ``.sgx`` format stores a weekly extract
 the way the pipeline consumes it -- per-server columns of raw
 little-endian ``int64`` timestamps and ``float64`` CPU values -- so a read
-is a :func:`numpy.frombuffer` over the file bytes instead of a row loop.
+is a :func:`numpy.frombuffer` over the column bytes instead of a row loop.
 
 Format v4 layout (all integers little-endian)::
 
@@ -67,10 +67,29 @@ the structure verifies), and the per-chunk column CRCs over the buffers
 actually read.  Any damage (bad magic, truncation, checksum mismatch,
 out-of-range dictionary index, out-of-order chunks) raises the typed
 :class:`ColumnarFormatError` so callers can degrade to a CSV fallback.
+
+A read is two things, and the code keeps them apart.  The **verified
+structure** (:class:`SgxStructure`: interval, server metadata, one
+compact chunk table with zone maps, CRCs, pre-aggregates and payload
+offsets) comes only from the structure walk, which runs every check that
+does not need payload bytes -- once per parse, never less.  The **byte
+source** hands :func:`_decode_chunk` exactly the column buffers it is
+about to CRC: slices of a buffer in memory, or ``os.pread`` on a
+descriptor.  An :class:`SgxSegment` pairs the two; every reader here
+takes either raw bytes ("parse the structure, then read from this
+buffer") or a segment whose structure already verified, and runs the same
+walk and the same decoder over both.  A structure is immutable and a pure
+function of the file's bytes, so a caller that knows the bytes have not
+changed (:class:`~repro.storage.datalake.DataLakeStore`, by segment
+sha256) may keep it and skip both the whole-file read and the re-walk.
+Checks on payload are never skipped or hoisted: every column buffer
+returned is CRC-checked against the verified table on every read, and a
+file read shorter than asked is a :class:`ColumnarFormatError`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from collections.abc import Callable, Collection, Iterable, Iterator
@@ -124,6 +143,25 @@ SERVER_FIXED_ENTRY_SIZE = 36
 #: structure CRC like every other chunk-header field.
 _CHUNK_HEADER_V4 = struct.Struct("<QqqIIdddd")
 CHUNK_HEADER_V4_ENTRY_SIZE = 64
+#: The same entry as a numpy record, so a reader views a whole chunk table
+#: with one ``frombuffer`` instead of unpacking it entry by entry.
+_CHUNK_TABLE_DTYPE = np.dtype(
+    [
+        ("n_points", "<u8"),
+        ("min_ts", "<i8"),
+        ("max_ts", "<i8"),
+        ("ts_crc", "<u4"),
+        ("vs_crc", "<u4"),
+        ("vs_sum", "<f8"),
+        ("vs_min", "<f8"),
+        ("vs_max", "<f8"),
+        ("vs_sum_sq", "<f8"),
+    ]
+)
+assert _CHUNK_TABLE_DTYPE.itemsize == CHUNK_HEADER_V4_ENTRY_SIZE
+#: A chunk as a verified structure keeps it: the table entry plus the
+#: absolute file offset of its payload (timestamps buffer, then values).
+_CHUNK_DTYPE = np.dtype([*_CHUNK_TABLE_DTYPE.descr, ("payload_offset", "<i8")])
 _STRING_LEN = struct.Struct("<H")
 STRING_LEN_SIZE = 2
 
@@ -413,20 +451,47 @@ def _dict_lookup(dictionary: list[str], index: int, what: str) -> str:
     return dictionary[index]
 
 
-def _parse_structure(view: memoryview):
-    """Validate header, dictionary and every record; return
-    ``(interval, dictionary, records)``.
+@dataclass(frozen=True, eq=False)
+class SgxStructure:
+    """The verified layout of one ``.sgx`` file: everything but its payload.
 
-    ``records`` lists ``(server_id, meta_fields, chunks)`` per server,
-    where ``meta_fields`` is ``(region_idx, engine_idx, true_class_idx,
-    backup_start, backup_end, backup_duration)`` and ``chunks`` is a list
-    of ``(n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset,
-    vstats)`` entries; ``vstats`` is the pre-aggregate tuple ``(sum, min,
-    max, sum_sq)`` of the values buffer.  Every record is bounds-checked,
-    the records must exactly fill the file, and the accumulated structure
-    CRC must match the header -- payloads are not touched.  This is the
-    single walk both the reader and the inspector use, so the two can
-    never diverge on the layout.
+    Only the structure walk (:func:`_parse_structure`) produces one, and
+    that walk is the single place the header CRC, version and declared
+    length, the structure CRC, record/table bounds, the exact fill of the
+    file, dictionary indices and duplicate server ids are checked -- so
+    holding a structure means all of those held for the bytes it was
+    parsed from.  It is immutable and shares no memory with those bytes:
+    it can outlive the file buffer and answer any later read of the same
+    bytes.  Zone maps, pre-aggregates, column CRCs and payload offsets
+    all come from here; payload bytes never do, and every column buffer a
+    read returns is CRC-checked against this table on every read.
+
+    ``servers`` holds one ``(metadata, first, end, n_points)`` per server
+    record in file order: ``chunks[first:end]`` is the server's chunk
+    table and ``n_points`` its total sample count.  ``chunks`` is one
+    72-byte numpy record per chunk (:data:`_CHUNK_DTYPE`) -- a column
+    store, not per-chunk Python objects, so keeping a structure costs
+    little more than the table bytes themselves.  The
+    :class:`ServerMetadata` objects are frozen and shared by every read.
+    """
+
+    interval_minutes: int
+    n_bytes: int
+    n_dictionary_strings: int
+    servers: tuple[tuple[ServerMetadata, int, int, int], ...]
+    chunks: np.ndarray
+
+
+def _parse_structure(view: memoryview) -> SgxStructure:
+    """Validate header, dictionary and every record; return the
+    :class:`SgxStructure`.
+
+    Every record is bounds-checked, the records must exactly fill the
+    file, every dictionary index must resolve, no server id may repeat
+    and the accumulated structure CRC must match the header -- payloads
+    are not touched.  This is the single walk the reader, the lake's
+    structure cache and the inspector use, so they can never diverge on
+    the layout.
     """
     _version, interval, n_servers, n_dict, structure_crc = _parse_header(view)
     total = view.nbytes
@@ -436,7 +501,15 @@ def _parse_structure(view: memoryview):
         text, position = _read_string(view, position, "dictionary string")
         dictionary.append(text)
     seen_crc = zlib.crc32(view[HEADER_BYTES:position])
-    records: list[tuple[str, tuple, list[tuple]]] = []
+    servers: list[tuple[ServerMetadata, int, int, int]] = []
+    seen_ids: set[str] = set()
+    tables: list[memoryview] = []
+    # Per server: where its payloads start, less the payload bytes of all
+    # earlier servers -- what turns a running sum of chunk sizes over the
+    # whole file into absolute payload offsets (below).
+    shifts: list[int] = []
+    n_chunks_seen = 0
+    points_seen = 0
     for _ in range(n_servers):
         record_start = position
         server_id, position = _read_string(view, record_start, "server id")
@@ -444,24 +517,50 @@ def _parse_structure(view: memoryview):
             raise ColumnarFormatError(
                 f"truncated .sgx extract: server record of {server_id!r} at byte {position}"
             )
-        fields = _SERVER_FIXED.unpack_from(view, position)
+        (
+            region_idx,
+            engine_idx,
+            true_class_idx,
+            backup_start,
+            backup_end,
+            backup_duration,
+            n_chunks,
+        ) = _SERVER_FIXED.unpack_from(view, position)
         table_offset = position + _SERVER_FIXED.size
-        table_end = table_offset + fields[6] * _CHUNK_HEADER_V4.size
+        table_end = table_offset + n_chunks * CHUNK_HEADER_V4_ENTRY_SIZE
         if table_end > total:
             raise ColumnarFormatError(
                 f"truncated .sgx extract: chunk table of {server_id!r} at byte {table_offset}"
             )
         seen_crc = zlib.crc32(view[record_start:table_end], seen_crc)
-        chunks = []
-        position = table_end
-        for entry in _CHUNK_HEADER_V4.iter_unpack(view[table_offset:table_end]):
-            chunks.append((*entry[:5], position, entry[5:]))
-            position += entry[0] * _POINT_BYTES
+        table = view[table_offset:table_end]
+        tables.append(table)
+        # Summed as Python ints: a garbled u64 count must fail the bounds
+        # check, not wrap around it.
+        n_points = sum(np.frombuffer(table, _CHUNK_TABLE_DTYPE)["n_points"].tolist())
+        position = table_end + n_points * _POINT_BYTES
         if position > total:
             raise ColumnarFormatError(
                 f"truncated .sgx extract: payloads of {server_id!r} at byte {table_end}"
             )
-        records.append((server_id, fields[:6], chunks))
+        if server_id in seen_ids:
+            raise ColumnarFormatError(
+                f"garbled .sgx extract: duplicate chunk for server {server_id!r}"
+            )
+        seen_ids.add(server_id)
+        metadata = ServerMetadata(
+            server_id=server_id,
+            region=_dict_lookup(dictionary, region_idx, "region"),
+            engine=_dict_lookup(dictionary, engine_idx, "engine"),
+            default_backup_start=backup_start,
+            default_backup_end=backup_end,
+            backup_duration_minutes=backup_duration,
+            true_class=_dict_lookup(dictionary, true_class_idx, "true class"),
+        )
+        servers.append((metadata, n_chunks_seen, n_chunks_seen + n_chunks, n_points))
+        shifts.append(table_end - points_seen * _POINT_BYTES)
+        n_chunks_seen += n_chunks
+        points_seen += n_points
     if position != total:
         raise ColumnarFormatError(
             f"garbled .sgx extract: {total - position} trailing bytes after last chunk"
@@ -471,103 +570,200 @@ def _parse_structure(view: memoryview):
         # fields -- tampered structure must not be silently ingested,
         # nor allowed to mis-prune a time-range read.
         raise ColumnarFormatError("garbled .sgx extract: structure checksum mismatch")
-    return interval, dictionary, records
+    # Copied out of the file buffer, so the structure does not pin it.
+    chunks = np.empty(n_chunks_seen, dtype=_CHUNK_DTYPE)
+    chunks[list(_CHUNK_TABLE_DTYPE.names)] = np.frombuffer(
+        b"".join(tables), _CHUNK_TABLE_DTYPE
+    )
+    # Every count passed the bounds check above, so int64 cannot wrap.
+    sizes = chunks["n_points"].astype(np.int64) * _POINT_BYTES
+    per_server = [end - first for _metadata, first, end, _n_points in servers]
+    chunks["payload_offset"] = np.cumsum(sizes) - sizes + np.repeat(shifts, per_server)
+    chunks.flags.writeable = False
+    return SgxStructure(interval, total, n_dict, tuple(servers), chunks)
+
+
+class _BufferSource:
+    """Payload bytes already in memory: a whole ``.sgx`` image (``base``
+    0), or one run of a file read at offset ``base``."""
+
+    def __init__(self, data, base: int = 0) -> None:
+        self._view = _as_view(data)
+        self._base = base
+        self._mutable = not isinstance(data, bytes)
+
+    def fetch(self, server_id: str, start: int, end: int) -> tuple[memoryview, int]:
+        """A buffer holding file bytes ``[start, end)`` and the file
+        offset of the buffer's first byte."""
+        return self._view, self._base
+
+    def copies(self, ranged: bool) -> bool:
+        """Whether arrays a scan keeps must be copied out of this buffer.
+
+        Arrays over a mutable buffer would alias caller state, so those
+        are always copied (chunk by chunk, never the whole file).  Over
+        immutable ``bytes`` a full read stays zero-copy -- the frame
+        spans the buffer anyway -- but a ranged read keeps a small
+        fraction of the file and copying its slices releases the rest.
+        """
+        return ranged or self._mutable
+
+
+class _FileSource:
+    """Payload bytes ``pread`` from an open descriptor, exactly the ranges
+    asked for.  The descriptor stays the caller's to close."""
+
+    def __init__(self, descriptor: int) -> None:
+        self._descriptor = descriptor
+
+    def fetch(self, server_id: str, start: int, end: int) -> tuple[memoryview, int]:
+        data = os.pread(self._descriptor, end - start, start)
+        if len(data) != end - start:
+            raise ColumnarFormatError(
+                f"truncated .sgx extract: payload of {server_id!r} at byte {start} "
+                f"is {len(data)} bytes, expected {end - start}"
+            )
+        return memoryview(data), start
+
+    def copies(self, ranged: bool) -> bool:
+        return False  # each read owns a buffer no larger than what it asked for
+
+
+class SgxSegment:
+    """One ``.sgx`` file opened for reading: its verified
+    :class:`SgxStructure` plus where payload bytes come from.
+
+    :meth:`from_bytes` is "parse the structure, then read from this
+    buffer" -- what every read of raw bytes does.  :meth:`from_descriptor`
+    pairs a structure that already verified with an open file holding
+    the same bytes, so a read fetches only the column buffers it is about
+    to CRC.  Either way the same scan, aggregate and chunk decoder run
+    over it; which bytes get read is the only difference.
+    """
+
+    def __init__(self, structure: SgxStructure, source: "_BufferSource | _FileSource") -> None:
+        self.structure = structure
+        self._source = source
+
+    @classmethod
+    def from_bytes(cls, data) -> "SgxSegment":
+        """Verify ``data``'s structure and read payloads from ``data``
+        (``bytes``, ``bytearray`` or ``memoryview``; never copied whole)."""
+        return cls(_parse_structure(_as_view(data)), _BufferSource(data))
+
+    @classmethod
+    def from_descriptor(cls, structure: SgxStructure, descriptor: int) -> "SgxSegment":
+        """Read payloads with ``os.pread`` on ``descriptor``, trusting
+        ``structure`` for the layout.
+
+        The caller vouches that the file is the one ``structure`` was
+        parsed from and keeps the descriptor open while the segment is
+        read.  If that is wrong the answer is still never wrong data:
+        every column buffer is CRC-checked against ``structure``, and a
+        read shorter than asked raises :class:`ColumnarFormatError`.
+        """
+        return cls(structure, _FileSource(descriptor))
+
+
+def _as_segment(data) -> SgxSegment:
+    return data if isinstance(data, SgxSegment) else SgxSegment.from_bytes(data)
 
 
 def _walk_servers(
-    view: memoryview,
+    structure: SgxStructure,
     start_minute: int | None,
     end_minute: int | None,
     servers: Collection[str] | None,
     predicate: Callable[[ServerMetadata], bool] | None,
     stats: SgxReadStats | None,
 ):
-    """Verify the whole structure, then return ``(interval, bounds,
-    survivors)``.
+    """Apply the header-only pushdowns to a verified structure; return
+    ``(bounds, survivors)``.
 
-    The header, dictionary and every record/chunk header are walked --
-    and the structure CRC verified -- before this returns (payloads stay
-    untouched), so truncation, bounds violations and tampering raise
-    before anything acts on a zone map or metadata field.  ``bounds`` is
-    the half-open ``(lo, hi)`` time range with open ends made explicit,
-    or ``None`` for an unbounded read.  ``survivors`` lazily yields
-    ``(metadata, chunks)`` per server with both header-only pushdowns
-    applied and counted in ``stats``: a server failing the ``servers``
-    allow-list or the metadata ``predicate`` is skipped whole, and under
-    ``bounds`` a chunk whose zone map misses the range (or that is
-    empty) is dropped -- pruned payloads are never read or checksummed.
+    Nothing here reads the file: ``structure`` already passed every
+    structural check (see :class:`SgxStructure`), so zone maps and
+    metadata fields can be acted on.  ``bounds`` is the half-open
+    ``(lo, hi)`` time range with open ends made explicit, or ``None``
+    for an unbounded read.  ``survivors`` lazily yields ``(metadata,
+    chunks)`` per server -- ``chunks`` a list of :data:`_CHUNK_DTYPE`
+    rows as tuples -- with both pushdowns applied and counted in
+    ``stats``: a server failing the ``servers`` allow-list or the
+    metadata ``predicate`` is skipped whole, and under ``bounds`` a
+    chunk whose zone map misses the range (or that is empty) is dropped
+    -- pruned payloads are never read or checksummed.
     """
-    interval, dictionary, records = _parse_structure(view)
     allow = frozenset(servers) if servers is not None else None
+    chunks = structure.chunks
     bounds = None
+    in_range = None
     if start_minute is not None or end_minute is not None:
         bounds = (
             start_minute if start_minute is not None else MIN_MINUTE,
             end_minute if end_minute is not None else MAX_MINUTE,
         )
+        in_range = (
+            (chunks["n_points"] > 0)
+            & (chunks["max_ts"] >= bounds[0])
+            & (chunks["min_ts"] < bounds[1])
+        )
 
     def survivors() -> Iterator[tuple[ServerMetadata, list[tuple]]]:
-        seen_ids: set[str] = set()
-        for server_id, fields, chunks in records:
-            if server_id in seen_ids:
-                raise ColumnarFormatError(
-                    f"garbled .sgx extract: duplicate chunk for server {server_id!r}"
-                )
-            seen_ids.add(server_id)
-            metadata = ServerMetadata(
-                server_id=server_id,
-                region=_dict_lookup(dictionary, fields[0], "region"),
-                engine=_dict_lookup(dictionary, fields[1], "engine"),
-                default_backup_start=fields[3],
-                default_backup_end=fields[4],
-                backup_duration_minutes=fields[5],
-                true_class=_dict_lookup(dictionary, fields[2], "true class"),
-            )
-            skipped = (allow is not None and server_id not in allow) or (
+        for metadata, first, end, n_points in structure.servers:
+            skipped = (allow is not None and metadata.server_id not in allow) or (
                 predicate is not None and not predicate(metadata)
             )
             if skipped:
                 kept = []
-            elif bounds is not None:
-                lo, hi = bounds
-                kept = [c for c in chunks if c[0] and c[2] >= lo and c[1] < hi]
+            elif in_range is None:
+                kept = chunks[first:end].tolist()
             else:
-                kept = chunks
+                kept = chunks[first:end][in_range[first:end]].tolist()
             if stats is not None:
                 stats.servers_seen += 1
                 if skipped:
                     stats.servers_skipped += 1
-                stats.chunks_seen += len(chunks)
-                stats.chunks_pruned += len(chunks) - len(kept)
-                stats.payload_bytes_total += sum(c[0] for c in chunks) * _POINT_BYTES
+                stats.chunks_seen += end - first
+                stats.chunks_pruned += end - first - len(kept)
+                stats.payload_bytes_total += n_points * _POINT_BYTES
             if not skipped:
                 yield metadata, kept
 
-    return interval, bounds, survivors()
+    return bounds, survivors()
+
+
+#: Positions in a :data:`_CHUNK_DTYPE` row.
+_VALUE_STATS = slice(5, 9)  # vs_sum | vs_min | vs_max | vs_sum_sq
+_PAYLOAD_OFFSET = 9
 
 
 def _decode_chunk(
-    view: memoryview,
+    source: "_BufferSource | _FileSource",
     server_id: str,
     chunk: tuple,
     want_values: bool,
     bounds: tuple[int, int] | None,
     stats: SgxReadStats | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """CRC-verify one chunk's column buffers and view them as arrays,
-    cut to ``bounds`` when the chunk straddles them.
+    """Fetch one chunk's column buffers from ``source``, CRC-verify them
+    against the chunk's (structure-verified) table row and view them as
+    arrays, cut to ``bounds`` when the chunk straddles them.
 
     Returns ``(timestamps, values)`` as zero-copy ``frombuffer`` views
-    over ``view`` (possibly empty after the cut).  With ``want_values``
-    false the values buffer is neither checksummed nor decoded
-    (``values`` is ``None``) -- the per-column CRCs let the timestamps
-    vouch for themselves.
+    over what ``source`` returned (possibly empty after the cut).  With
+    ``want_values`` false the values buffer is neither fetched,
+    checksummed nor decoded (``values`` is ``None``) -- the per-column
+    CRCs let the timestamps vouch for themselves.
     """
-    n_points, min_ts, max_ts, ts_crc, vs_crc, payload_offset, _vstats = chunk
+    n_points, min_ts, max_ts, ts_crc, vs_crc = chunk[:5]
     column_bytes = 8 * n_points
-    vs_offset = payload_offset + column_bytes
-    if zlib.crc32(view[payload_offset:vs_offset]) != ts_crc or (
-        want_values and zlib.crc32(view[vs_offset : vs_offset + column_bytes]) != vs_crc
+    offset = chunk[_PAYLOAD_OFFSET]
+    buffer, base = source.fetch(
+        server_id, offset, offset + (2 * column_bytes if want_values else column_bytes)
+    )
+    offset -= base
+    vs_offset = offset + column_bytes
+    if zlib.crc32(buffer[offset:vs_offset]) != ts_crc or (
+        want_values and zlib.crc32(buffer[vs_offset : vs_offset + column_bytes]) != vs_crc
     ):
         raise ColumnarFormatError(
             f"garbled .sgx extract: chunk checksum mismatch for {server_id!r}"
@@ -578,9 +774,9 @@ def _decode_chunk(
         else:
             stats.payload_bytes_verified += column_bytes
             stats.columns_skipped += 1
-    timestamps = np.frombuffer(view, dtype="<i8", count=n_points, offset=payload_offset)
+    timestamps = np.frombuffer(buffer, dtype="<i8", count=n_points, offset=offset)
     values = (
-        np.frombuffer(view, dtype="<f8", count=n_points, offset=vs_offset)
+        np.frombuffer(buffer, dtype="<f8", count=n_points, offset=vs_offset)
         if want_values
         else None
     )
@@ -626,11 +822,11 @@ def scan_sgx_bytes(
     """Lazily yield ``(metadata, series)`` per server, with pushdown.
 
     This is the streaming core every ``.sgx`` read goes through.  The
-    header, dictionary and every record/chunk header are walked -- and
-    the structure CRC verified -- *before* the first yield, so pruning
-    and filtering decisions are never made from an unverified layout,
-    even when a consumer stops early.  Payloads, by contrast, are only
-    read as the generator is consumed: abandoning the scan after k
+    whole structure is verified *before* the first yield (see
+    :class:`SgxStructure` for what that covers), so pruning and
+    filtering decisions are never made from an unverified layout, even
+    when a consumer stops early.  Payloads, by contrast, are only
+    fetched as the generator is consumed: abandoning the scan after k
     servers never touches the remaining servers' bytes.
 
     Three pushdowns avoid work at the byte level:
@@ -646,31 +842,43 @@ def scan_sgx_bytes(
       ``values`` skips decoding every values buffer and its checksum
       too; the yielded series carry NaN values, marking "not loaded".
 
-    ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview``; non-
-    ``bytes`` buffers are read through a view, never copied wholesale.
-    ``stats``, when given, is filled incrementally as the scan advances.
+    ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview`` (non-
+    ``bytes`` buffers are read through a view, never copied wholesale) --
+    then the structure is parsed from it first -- or an
+    :class:`SgxSegment` whose structure already verified.  ``stats``,
+    when given, is filled incrementally as the scan advances, identically
+    for either.
     """
     want_values = normalize_columns(columns)
-    view = _as_view(data)
-    interval, bounds, survivors = _walk_servers(
-        view, start_minute, end_minute, servers, predicate, stats
+    segment = _as_segment(data)
+    source = segment._source
+    bounds, survivors = _walk_servers(
+        segment.structure, start_minute, end_minute, servers, predicate, stats
     )
     if interval_minutes is None:
-        interval_minutes = interval
-    # A ranged read keeps a small fraction of the file; copying the kept
-    # slices releases the file buffer (frombuffer views would pin it for
-    # the frame's lifetime).  Full reads of immutable ``bytes`` stay
-    # zero-copy -- there the frame spans the buffer anyway -- but mutable
-    # buffers must be copied chunk-by-chunk (still never the whole file)
-    # or the frame would alias caller state.
-    copy = bounds is not None or not isinstance(data, bytes)
+        interval_minutes = segment.structure.interval_minutes
+    copy = source.copies(bounds is not None)
 
     for metadata, chunks in survivors:
         server_id = metadata.server_id
+        chunk_source = source
+        if want_values and len(chunks) > 1:
+            # A server's chunks lie back to back in the file and zone-map
+            # survivors are consecutive: fetch the run once, not per chunk.
+            last = chunks[-1]
+            chunk_source = _BufferSource(
+                *source.fetch(
+                    server_id,
+                    chunks[0][_PAYLOAD_OFFSET],
+                    last[_PAYLOAD_OFFSET] + last[0] * _POINT_BYTES,
+                )
+            )
         kept_ts: list[np.ndarray] = []
         kept_vs: list[np.ndarray] = []
         for chunk in chunks:
-            timestamps, values = _decode_chunk(view, server_id, chunk, want_values, bounds, stats)
+            timestamps, values = _decode_chunk(
+                chunk_source, server_id, chunk, want_values, bounds, stats
+            )
             if not timestamps.shape[0]:
                 continue
             if values is None:
@@ -724,16 +932,18 @@ def frame_from_sgx_bytes(
     column projection down to the byte level -- see
     :func:`scan_sgx_bytes`, which this wraps.
 
-    ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview``; non-
-    ``bytes`` buffers are read through a view, never copied wholesale --
-    a pruned read materialises only the slices it keeps.  ``stats``, when
-    given, is filled with chunk/byte counters for observability.
+    ``data`` is what :func:`scan_sgx_bytes` accepts: a ``bytes``,
+    ``bytearray`` or ``memoryview`` (never copied wholesale -- a pruned
+    read materialises only the slices it keeps) or an
+    :class:`SgxSegment`.  ``stats``, when given, is filled with
+    chunk/byte counters for observability.
     """
+    segment = _as_segment(data)
     if interval_minutes is None:
-        interval_minutes = _parse_header(_as_view(data))[1]
+        interval_minutes = segment.structure.interval_minutes
     frame = LoadFrame(interval_minutes)
     for metadata, series in scan_sgx_bytes(
-        data,
+        segment,
         interval_minutes,
         start_minute,
         end_minute,
@@ -776,23 +986,25 @@ def aggregate_sgx_bytes(
 ) -> None:
     """Fold ``.sgx`` bytes into an :class:`~repro.storage.aggregate.AggregateAccumulator`.
 
-    The decode-free read path: the structure walk is verified exactly as
-    in :func:`scan_sgx_bytes`, then each surviving chunk is answered from
+    The decode-free read path: ``data`` is taken and its structure
+    verified exactly as in :func:`scan_sgx_bytes`, then each surviving
+    chunk is answered from
     its chunk-table statistics whenever that is exact -- the chunk lies
     fully inside the time range and does not straddle a day boundary
     when grouping by day.  Only partial-overlap and day-straddling
-    chunks are decoded, CRC-verified and folded sample-by-sample; the
-    pairwise merge inside the accumulator makes mixing the two sources
-    exact.
+    chunks are fetched, CRC-verified, decoded and folded
+    sample-by-sample; the pairwise merge inside the accumulator makes
+    mixing the two sources exact.
 
     Chunks answered from statistics never have their payload read or
     checksummed -- their integrity rests on the structure CRC, which
     covers every chunk-table field.  ``stats`` counts them in
     ``chunks_answered_from_stats``/``bytes_decoded_avoided``.
     """
-    view = _as_view(data)
-    _interval, bounds, survivors = _walk_servers(
-        view, start_minute, end_minute, servers, predicate, stats
+    segment = _as_segment(data)
+    source = segment._source
+    bounds, survivors = _walk_servers(
+        segment.structure, start_minute, end_minute, servers, predicate, stats
     )
     values_needed = accumulator.values_needed
     by_day = accumulator.by_day
@@ -810,7 +1022,7 @@ def aggregate_sgx_bytes(
                 # unread; the statistics are vouched for by the already-
                 # verified structure CRC.
                 accumulator.fold_chunk_stats(
-                    server_id, min_ts // MINUTES_PER_DAY, n_points, *chunk[6]
+                    server_id, min_ts // MINUTES_PER_DAY, n_points, *chunk[_VALUE_STATS]
                 )
                 if stats is not None:
                     stats.chunks_answered_from_stats += 1
@@ -818,7 +1030,7 @@ def aggregate_sgx_bytes(
                 continue
             # Decode path: partial overlap or day-straddling chunk.
             timestamps, values = _decode_chunk(
-                view, server_id, chunk, values_needed, bounds, stats
+                source, server_id, chunk, values_needed, bounds, stats
             )
             accumulator.fold_columns(server_id, timestamps, values)
 
@@ -836,33 +1048,20 @@ def sgx_summary(data) -> dict[str, object]:
     chunk) -- the inspection hook for tests and debugging (cheap:
     payloads are skipped, not read).
     """
-    view = _as_view(data)
-    interval, dictionary, records = _parse_structure(view)
+    structure = _parse_structure(_as_view(data))
+    fields = ["n_points", "min_ts", "max_ts", "vs_sum", "vs_min", "vs_max", "vs_sum_sq"]
+    table = structure.chunks[fields]
     chunks: list[dict[str, object]] = []
-    total_points = 0
-    for server_id, _meta_fields, chunk_list in records:
-        for n_points, min_ts, max_ts, _ts_crc, _vs_crc, _payload_offset, vstats in chunk_list:
-            total_points += n_points
-            vs_sum, vs_min, vs_max, vs_sum_sq = vstats
-            chunks.append(
-                {
-                    "server_id": server_id,
-                    "n_points": n_points,
-                    "min_ts": min_ts,
-                    "max_ts": max_ts,
-                    "vs_sum": vs_sum,
-                    "vs_min": vs_min,
-                    "vs_max": vs_max,
-                    "vs_sum_sq": vs_sum_sq,
-                }
-            )
+    for metadata, first, end, _n_points in structure.servers:
+        for row in table[first:end].tolist():
+            chunks.append({"server_id": metadata.server_id, **dict(zip(fields, row))})
     return {
         "version": VERSION,  # the only one _parse_structure accepts
-        "interval_minutes": interval,
-        "n_servers": len(records),
-        "n_dictionary_strings": len(dictionary),
-        "n_points": total_points,
+        "interval_minutes": structure.interval_minutes,
+        "n_servers": len(structure.servers),
+        "n_dictionary_strings": structure.n_dictionary_strings,
+        "n_points": sum(n_points for *_server, n_points in structure.servers),
         "n_chunks": len(chunks),
-        "n_bytes": view.nbytes,
+        "n_bytes": structure.n_bytes,
         "chunks": chunks,
     }

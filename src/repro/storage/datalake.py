@@ -11,7 +11,9 @@ Extracts exist in two formats and the store negotiates between them:
 
 * ``csv`` -- the paper's row-oriented text schema (Section 5.3.1);
 * ``sgx`` -- the binary columnar format of :mod:`repro.storage.columnar`
-  (zero-copy ingestion, zone-map-pruned time-range reads).
+  (column buffers become arrays without a copy or a parse; zone maps,
+  server filters and chunk statistics decide which of them are read from
+  disk at all).
 
 Writes go to the store's ``write_format`` (and drop the other format's
 now-stale copy); reads prefer ``.sgx`` when both exist and fall back to a
@@ -54,7 +56,10 @@ layout and the first mutation adopts it into a real manifest.
 from __future__ import annotations
 
 import hashlib
+import os
+from collections import OrderedDict
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -124,6 +129,53 @@ class ExtractKey:
         return f"extract_{self.region}_week{self.week:04d}.{fmt}"
 
 
+#: Most chunk-table entries a store's structure cache retains (72 bytes
+#: each, so about 9 MiB): two dozen 200-server four-week segments.
+MAX_CACHED_CHUNKS = 1 << 17
+
+#: What must still be true of a segment file for its cached structure to
+#: be reused: ``(st_dev, st_ino, st_size, st_mtime_ns)`` of the open file.
+_FileSignature = tuple[int, int, int, int]
+
+
+class _StructureCache:
+    """LRU of verified ``.sgx`` structures keyed by segment sha256.
+
+    Bounded by the total chunk-table entries retained
+    (:data:`MAX_CACHED_CHUNKS`), not by entry count: segments differ a
+    hundredfold in size and the table is what a structure costs.  A
+    structure larger than the whole bound is simply not retained.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[str, tuple[_FileSignature, columnar.SgxStructure]] = (
+            OrderedDict()
+        )
+        self._chunks = 0
+
+    def get(self, sha256: str, signature: _FileSignature) -> columnar.SgxStructure | None:
+        """The structure cached for ``sha256`` if the file still carries
+        ``signature``; an entry whose file changed is dropped."""
+        entry = self._entries.get(sha256)
+        if entry is None:
+            return None
+        if entry[0] != signature:
+            del self._entries[sha256]
+            self._chunks -= entry[1].chunks.shape[0]
+            return None
+        self._entries.move_to_end(sha256)
+        return entry[1]
+
+    def put(
+        self, sha256: str, signature: _FileSignature, structure: columnar.SgxStructure
+    ) -> None:
+        self._entries[sha256] = (signature, structure)
+        self._chunks += structure.chunks.shape[0]
+        while self._chunks > MAX_CACHED_CHUNKS:
+            _sha256, (_signature, evicted) = self._entries.popitem(last=False)
+            self._chunks -= evicted.chunks.shape[0]
+
+
 class DataLakeStore:
     """Weekly per-region extract store with CSV / ``.sgx`` negotiation.
 
@@ -152,6 +204,44 @@ class DataLakeStore:
         fleet's unit of worker handoff.  A pinned store
         is read-only; mutations raise
         :class:`~repro.storage.manifest.LakeManifestError`.
+
+    Notes
+    -----
+    **Read cost follows the answer, not the file.**  The store keeps a
+    small LRU of verified ``.sgx`` structures
+    (:class:`~repro.storage.columnar.SgxStructure`: server metadata and
+    one compact chunk table -- no payload bytes, no descriptors), keyed
+    by the segment's full sha256 and bounded by
+    :data:`MAX_CACHED_CHUNKS` table entries.  The first read of a segment
+    reads the file whole, once, verifies its structure, answers from the
+    bytes in hand and retains only the structure.  Later reads open the
+    file, ``fstat`` it and ``pread`` one contiguous run per surviving
+    server: chunks pruned by zone map, skipped by a server filter or
+    answered from chunk statistics are never read from disk.
+
+    A retained structure is reused only when all of these hold:
+
+    * the manifest entry carries a sha256 -- legacy adopted files are
+      not content-addressed, so they are read whole every time and never
+      retained;
+    * the whole structure verified when it was filled -- a fill that
+      raises caches nothing, and the damaged-``.sgx`` -> CSV degrade
+      happens exactly as on any cold read;
+    * the opened descriptor's ``(st_dev, st_ino, st_size, st_mtime_ns)``
+      are what they were at fill -- anything else drops the entry and
+      reads cold.
+
+    Growth of the lake never invalidates an entry: segments are
+    immutable and content-addressed, an overwrite or a seal publishes a
+    *new* sha256 (one fill), and an unrelated commit touches nothing
+    that is cached.  An out-of-band edit that slips past the signature
+    still cannot produce a wrong answer: the structure used is the one
+    that verified, and every payload byte returned is CRC-checked
+    against it on every read, so the edit surfaces as a
+    :class:`~repro.storage.columnar.ColumnarFormatError` (or a short
+    read, same error) -- never as data.  ``ScanStats`` are the same
+    whether a read filled the cache or used it.  The cache belongs to
+    the store object and, like the store, is not shared between threads.
     """
 
     def __init__(
@@ -171,6 +261,7 @@ class DataLakeStore:
         self._chunk_minutes = chunk_minutes
         self._manifest = LakeManifest(self._root)
         self._live: LiveTailIndex | None = None
+        self._structures = _StructureCache()
         self._pinned: ManifestSnapshot | None = None
         if pinned_generation is not None:
             # Loaded eagerly: generation files are immutable, so the pin
@@ -284,6 +375,34 @@ class DataLakeStore:
 
     def _stored_bytes(self, key: ExtractKey, fmt: str, snap: ManifestSnapshot) -> bytes:
         return (self._root / self._entry(key, fmt, snap).relpath).read_bytes()
+
+    @contextmanager
+    def _open_sgx(self, key: ExtractKey, snap: ManifestSnapshot) -> Iterator[columnar.SgxSegment]:
+        """Open ``key``'s ``.sgx`` segment for one read.
+
+        A segment whose structure this store has already verified is
+        read through its descriptor (closed when the ``with`` block
+        ends): only the column buffers the read keeps are fetched.
+        Otherwise the file is read whole, once, its structure verified
+        -- :class:`~repro.storage.columnar.ColumnarFormatError` from
+        here means nothing was cached -- the read answers from the bytes
+        in hand, and only the structure is retained for the next one.
+        See the class docstring for when a structure may be reused.
+        """
+        entry = self._entry(key, "sgx", snap)
+        with open(self._root / entry.relpath, "rb", buffering=0) as handle:
+            status = os.fstat(handle.fileno())
+            signature = (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns)
+            if entry.sha256 is not None:
+                structure = self._structures.get(entry.sha256, signature)
+                if structure is not None:
+                    yield columnar.SgxSegment.from_descriptor(structure, handle.fileno())
+                    return
+            data = handle.readall()
+        segment = columnar.SgxSegment.from_bytes(data)
+        if entry.sha256 is not None:
+            self._structures.put(entry.sha256, signature, segment.structure)
+        yield segment
 
     def _require_formats(self, key: ExtractKey, snap: ManifestSnapshot) -> tuple[str, ...]:
         formats = self._stored_formats(key, snap)
@@ -478,16 +597,17 @@ class DataLakeStore:
         if formats[0] == "sgx":
             sgx_stats = SgxReadStats()
             try:
-                frame = columnar.frame_from_sgx_bytes(
-                    self._stored_bytes(key, "sgx", snap),
-                    None,
-                    start_minute=q.start_minute,
-                    end_minute=q.end_minute,
-                    stats=sgx_stats,
-                    servers=q.servers,
-                    predicate=q.metadata_predicate(),
-                    columns=q.columns,
-                )
+                with self._open_sgx(key, snap) as segment:
+                    frame = columnar.frame_from_sgx_bytes(
+                        segment,
+                        None,
+                        start_minute=q.start_minute,
+                        end_minute=q.end_minute,
+                        stats=sgx_stats,
+                        servers=q.servers,
+                        predicate=q.metadata_predicate(),
+                        columns=q.columns,
+                    )
             except ColumnarFormatError:
                 if "csv" not in formats:
                     raise
@@ -655,15 +775,16 @@ class DataLakeStore:
             partial = accumulator.spawn()
             sgx_stats = SgxReadStats()
             try:
-                columnar.aggregate_sgx_bytes(
-                    self._stored_bytes(key, "sgx", snap),
-                    partial,
-                    range_lo,
-                    range_hi,
-                    servers=q.servers,
-                    predicate=q.metadata_predicate(),
-                    stats=sgx_stats,
-                )
+                with self._open_sgx(key, snap) as segment:
+                    columnar.aggregate_sgx_bytes(
+                        segment,
+                        partial,
+                        range_lo,
+                        range_hi,
+                        servers=q.servers,
+                        predicate=q.metadata_predicate(),
+                        stats=sgx_stats,
+                    )
             except ColumnarFormatError:
                 if "csv" not in formats:
                     raise
@@ -802,7 +923,8 @@ class DataLakeStore:
         """Stream one extract's servers under ``q``.
 
         ``.sgx`` extracts stream truly lazily (a consumer that stops
-        early never touches the remaining servers' payload bytes).  A
+        early never touches the remaining servers' payload bytes, and the
+        segment's descriptor is closed as the generator is).  A
         damaged ``.sgx`` copy degrades to the co-located CSV only when
         the damage surfaces before the first server is yielded (structure
         damage always does -- the layout is verified up front); payload
@@ -814,29 +936,25 @@ class DataLakeStore:
             stats.extracts_scanned += 1
         if formats[0] == "sgx":
             sgx_stats = SgxReadStats()
-            generator = columnar.scan_sgx_bytes(
-                self._stored_bytes(key, "sgx", snap),
-                None,
-                q.start_minute,
-                q.end_minute,
-                servers=q.servers,
-                predicate=q.metadata_predicate(),
-                columns=q.columns,
-                stats=sgx_stats,
-            )
-            fall_back = False
+            yielded = fall_back = False
             try:
-                try:
-                    first = next(generator)
-                except StopIteration:
-                    return
-                except ColumnarFormatError:
-                    if "csv" not in formats:
-                        raise
-                    fall_back = True
-                else:
-                    yield first
-                    yield from generator
+                with self._open_sgx(key, snap) as segment:
+                    for item in columnar.scan_sgx_bytes(
+                        segment,
+                        None,
+                        q.start_minute,
+                        q.end_minute,
+                        servers=q.servers,
+                        predicate=q.metadata_predicate(),
+                        columns=q.columns,
+                        stats=sgx_stats,
+                    ):
+                        yielded = True
+                        yield item
+            except ColumnarFormatError:
+                if yielded or "csv" not in formats:
+                    raise
+                fall_back = True
             finally:
                 if stats is not None and not fall_back:
                     stats.absorb_sgx(sgx_stats)
@@ -986,8 +1104,9 @@ class DataLakeStore:
         """Return ``(format, raw bytes)`` of the preferred stored copy,
         or of one specific format when ``fmt`` is given.
 
-        This is what ships extracts to out-of-process fleet workers without
-        forcing a parse/re-serialise round trip in the coordinator.
+        The byte-level dual of :meth:`write_extract_bytes`: the lake
+        converter's health check reads the stored copy through here so it
+        decodes exactly the bytes on disk.
         """
         self._check_access(principal)
         snap = self._snapshot()

@@ -696,6 +696,54 @@ class TestStreamingScan:
         data = assemble_sgx([("srv-0", [ts]), ("srv-0", [ts])])
         with pytest.raises(ColumnarFormatError, match="duplicate"):
             frame_from_sgx_bytes(data)
+        # Part of the structure, so found by the walk itself: before the
+        # first yield, by the inspector, and when a filter skips the server.
+        with pytest.raises(ColumnarFormatError, match="duplicate"):
+            next(columnar.scan_sgx_bytes(data, servers=("someone-else",)), None)
+        with pytest.raises(ColumnarFormatError, match="duplicate"):
+            sgx_summary(data)
+
+
+class TestSegment:
+    """A verified structure plus a descriptor reads like the bytes do."""
+
+    def test_descriptor_reads_match_buffer_reads(self, tmp_path):
+        from repro.storage.aggregate import AggregateAccumulator
+
+        frame = multi_day_frame(n_servers=3, n_days=4)
+        data = frame_to_sgx_bytes(frame)
+        path = tmp_path / "x.sgx"
+        path.write_bytes(data)
+        structure = columnar.SgxSegment.from_bytes(data).structure
+        assert structure.n_bytes == len(data) and structure.chunks.shape == (12,)
+        shapes = [
+            {},
+            {"start_minute": 700, "end_minute": 3000},
+            {"servers": ("srv-1",), "start_minute": 1440, "end_minute": 2880},
+            {"columns": ("timestamps",), "end_minute": 2000},
+        ]
+        with open(path, "rb") as handle:
+            segment = columnar.SgxSegment.from_descriptor(structure, handle.fileno())
+            for shape in shapes:
+                from_file, from_bytes = SgxReadStats(), SgxReadStats()
+                got = frame_from_sgx_bytes(segment, stats=from_file, **shape)
+                want = frame_from_sgx_bytes(data, stats=from_bytes, **shape)
+                assert got.content_hash() == want.content_hash()
+                assert from_file == from_bytes
+            sums = []
+            for source in (segment, data):
+                accumulator = AggregateAccumulator(("count", "sum", "max"), ("day",))
+                columnar.aggregate_sgx_bytes(source, accumulator, 700, 3000)
+                sums.append(accumulator.results())
+            assert sums[0] == sums[1]
+
+    def test_structure_does_not_pin_or_alias_the_file_buffer(self):
+        buffer = bytearray(frame_to_sgx_bytes(build_frame()))
+        structure = columnar.SgxSegment.from_bytes(buffer).structure
+        before = structure.chunks.copy()
+        buffer[:] = bytes(len(buffer))
+        assert np.array_equal(structure.chunks, before)
+        assert not structure.chunks.flags.writeable
 
 
 class TestBufferHandling:

@@ -474,3 +474,50 @@ class TestLakeScan:
         assert len(metadata_by_server) == 4
         assert stats.columns_skipped == stats.chunks_seen - stats.chunks_pruned
         assert stats.payload_bytes_verified == stats.payload_bytes_stored // 2
+
+
+class TestTraceBoundary:
+    """``bench/trace.py`` measures the columnar layer by ``setattr``-wrapping
+    ``repro.storage.columnar.scan_sgx_bytes`` / ``aggregate_sgx_bytes``.
+    That only sees calls that look the name up on the module when they are
+    made, so "every lake ``.sgx`` read passes through them, once per
+    segment" is a contract of the read path, not an accident of it."""
+
+    def test_each_sgx_segment_read_calls_the_module_level_reader_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.storage import columnar
+
+        def frame_for(tag):
+            frame = LoadFrame(5)
+            for index in range(3):
+                metadata = ServerMetadata(server_id=f"{tag}-s{index}", region="r0")
+                frame.add_server(metadata, make_series([float(index)] * 864))
+            return frame
+
+        lake = DataLakeStore(tmp_path, write_format="sgx")
+        for region, week in (("r0", 0), ("r0", 1), ("r1", 0)):
+            lake.write_extract(ExtractKey(region, week), frame_for(f"{region}w{week}"))
+        lake.write_extract(ExtractKey("r2", 0), frame_for("csv"), fmt="csv")  # not an .sgx read
+
+        calls = []
+        for name in ("scan_sgx_bytes", "aggregate_sgx_bytes"):
+            def counting(*args, _name=name, _fn=getattr(columnar, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(columnar, name, counting)
+
+        rows = ExtractQuery(start_minute=1440, end_minute=2880)
+        rollup = ExtractQuery(aggregates=("count", "max"), group_by=("day",))
+        # A cold store, the same store warm, and the streaming dual.
+        for store in (lake, lake, DataLakeStore(tmp_path)):
+            del calls[:]
+            assert store.query(rows).stats.extracts_scanned == 4
+            assert calls == ["scan_sgx_bytes"] * 3
+            del calls[:]
+            assert store.query(rollup).stats.extracts_scanned == 4
+            assert calls == ["aggregate_sgx_bytes"] * 3
+            del calls[:]
+            assert len(list(store.scan(rows))) == 12
+            assert calls == ["scan_sgx_bytes"] * 3
