@@ -84,11 +84,13 @@ def preads(monkeypatch):
 
 def rewrite_in_place(path, data: bytes, keep_mtime=False) -> None:
     """Out-of-band edit of a segment file (same inode); ``keep_mtime``
-    restores the timestamps so only the size can give the edit away."""
+    restores the timestamps so only the size can give the edit away.
+    Otherwise the mtime moves by a whole second: a coarse filesystem
+    clock may stamp two writes a millisecond apart identically."""
     before = path.stat()
     path.write_bytes(data)
-    if keep_mtime:
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    shift = 0 if keep_mtime else 1_000_000_000
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + shift))
 
 
 def open_descriptors() -> int:
@@ -232,20 +234,32 @@ class TestWhenAStructureMayBeReused:
             with pytest.raises(ColumnarFormatError, match="truncated.*'s01'"):
                 next(scan)
 
-    def test_file_rewritten_in_place_with_another_valid_extract_reads_cold(self, lake, parses):
+    @pytest.mark.parametrize("gives_it_away", ["mtime", "size", "inode"])
+    def test_file_replaced_by_another_valid_extract_reads_cold(
+        self, lake, parses, gives_it_away
+    ):
+        # Each part of the signature on its own: the other parts are held
+        # equal, and the store must still answer from the new bytes --
+        # exactly what a store without a cache does.
         lake.query(point_query())
-        other = week_frame(level=5.0)
-        for keep_mtime in (False, True):  # size alone is enough
-            other.add_server(
-                ServerMetadata(server_id=f"extra-{keep_mtime}", region="r0"), make_series([1.0])
-            )
-            rewrite_in_place(
-                lake.extract_path(KEY, fmt="sgx"), frame_to_sgx_bytes(other), keep_mtime
-            )
-            before = len(parses)
-            for _ in range(2):
-                assert lake.read_extract(KEY, fmt="sgx").content_hash() == other.content_hash()
-            assert len(parses) == before + 1  # dropped, read cold, retained again
+        path = lake.extract_path(KEY, fmt="sgx")
+        other = week_frame(level=5.0)  # same shape: same encoded size
+        if gives_it_away == "size":
+            other.add_server(ServerMetadata(server_id="extra", region="r0"), make_series([1.0]))
+        data = frame_to_sgx_bytes(other)
+        assert (len(data) == path.stat().st_size) == (gives_it_away != "size")
+        if gives_it_away == "inode":
+            before = path.stat()
+            scratch = path.with_name("replacement")
+            scratch.write_bytes(data)
+            os.utime(scratch, ns=(before.st_atime_ns, before.st_mtime_ns))
+            os.replace(scratch, path)
+            assert path.stat().st_ino != before.st_ino
+        else:
+            rewrite_in_place(path, data, keep_mtime=gives_it_away == "size")
+        for _ in range(2):
+            assert lake.read_extract(KEY, fmt="sgx").content_hash() == other.content_hash()
+        assert len(parses) == 2  # dropped, read cold once, retained again
 
     def test_structure_damaged_before_the_first_read_caches_nothing(self, lake, parses):
         path = lake.extract_path(KEY, fmt="sgx")
