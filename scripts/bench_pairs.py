@@ -80,8 +80,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     """``(verdict, wins, ties, parent quartiles, change quartiles)`` of one
     metric over paired runs."""
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
-    ties = sum(c == p for p, c in zip(parent, change))
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change, strict=True))
+    ties = sum(c == p for p, c in zip(parent, change, strict=True))
     losses = len(parent) - wins - ties
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     spread = p3 - p1
@@ -124,8 +124,8 @@ def compare_workload(trees: dict[str, Path], workload: str, args, metrics: list[
     if args.layer:
         traced = {side: run_once(trees[side], workload, args.seed, traced=True)
                   for side in ("parent", "change")}
-        runs["parent"].append(traced["parent"])
-        runs["change"].append(traced["change"])
+        for side in traced:  # their operations count towards the failed share
+            runs[side].append(traced[side])
         print(f"{'layer metric (one traced run a side)':<44}{'parent':>16}{'change':>16}")
         for name in args.layer:
             values = [traced[side]["metrics"].get(name, {}).get("value") for side in traced]

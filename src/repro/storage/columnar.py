@@ -162,6 +162,11 @@ assert _CHUNK_TABLE_DTYPE.itemsize == CHUNK_HEADER_V4_ENTRY_SIZE
 #: A chunk as a verified structure keeps it: the table entry plus the
 #: absolute file offset of its payload (timestamps buffer, then values).
 _CHUNK_DTYPE = np.dtype([*_CHUNK_TABLE_DTYPE.descr, ("payload_offset", "<i8")])
+#: Positions in a :data:`_CHUNK_DTYPE` row read out as a tuple (``tolist``).
+_VALUE_STATS = slice(  # vs_sum | vs_min | vs_max | vs_sum_sq
+    _CHUNK_DTYPE.names.index("vs_sum"), _CHUNK_DTYPE.names.index("vs_sum_sq") + 1
+)
+_PAYLOAD_OFFSET = _CHUNK_DTYPE.names.index("payload_offset")
 _STRING_LEN = struct.Struct("<H")
 STRING_LEN_SIZE = 2
 
@@ -731,11 +736,6 @@ def _walk_servers(
     return bounds, survivors()
 
 
-#: Positions in a :data:`_CHUNK_DTYPE` row.
-_VALUE_STATS = slice(5, 9)  # vs_sum | vs_min | vs_max | vs_sum_sq
-_PAYLOAD_OFFSET = 9
-
-
 def _decode_chunk(
     source: "_BufferSource | _FileSource",
     server_id: str,
@@ -988,13 +988,12 @@ def aggregate_sgx_bytes(
 
     The decode-free read path: ``data`` is taken and its structure
     verified exactly as in :func:`scan_sgx_bytes`, then each surviving
-    chunk is answered from
-    its chunk-table statistics whenever that is exact -- the chunk lies
-    fully inside the time range and does not straddle a day boundary
-    when grouping by day.  Only partial-overlap and day-straddling
-    chunks are fetched, CRC-verified, decoded and folded
-    sample-by-sample; the pairwise merge inside the accumulator makes
-    mixing the two sources exact.
+    chunk is answered from its chunk-table statistics whenever that is
+    exact -- the chunk lies fully inside the time range and does not
+    straddle a day boundary when grouping by day.  Only partial-overlap
+    and day-straddling chunks are fetched, CRC-verified, decoded and
+    folded sample-by-sample; the pairwise merge inside the accumulator
+    makes mixing the two sources exact.
 
     Chunks answered from statistics never have their payload read or
     checksummed -- their integrity rests on the structure CRC, which
@@ -1054,7 +1053,9 @@ def sgx_summary(data) -> dict[str, object]:
     chunks: list[dict[str, object]] = []
     for metadata, first, end, _n_points in structure.servers:
         for row in table[first:end].tolist():
-            chunks.append({"server_id": metadata.server_id, **dict(zip(fields, row))})
+            chunks.append(
+                {"server_id": metadata.server_id, **dict(zip(fields, row, strict=True))}
+            )
     return {
         "version": VERSION,  # the only one _parse_structure accepts
         "interval_minutes": structure.interval_minutes,

@@ -144,7 +144,9 @@ class _StructureCache:
     Bounded by the total chunk-table entries retained
     (:data:`MAX_CACHED_CHUNKS`), not by entry count: segments differ a
     hundredfold in size and the table is what a structure costs.  A
-    structure larger than the whole bound is simply not retained.
+    structure larger than the whole bound is simply not retained, and
+    neither is one without a sha256 (a legacy adopted file is not
+    content-addressed, so nothing names its bytes).
     """
 
     def __init__(self) -> None:
@@ -153,10 +155,12 @@ class _StructureCache:
         )
         self._chunks = 0
 
-    def get(self, sha256: str, signature: _FileSignature) -> columnar.SgxStructure | None:
+    def get(
+        self, sha256: str | None, signature: _FileSignature
+    ) -> columnar.SgxStructure | None:
         """The structure cached for ``sha256`` if the file still carries
         ``signature``; an entry whose file changed is dropped."""
-        entry = self._entries.get(sha256)
+        entry = self._entries.get(sha256) if sha256 is not None else None
         if entry is None:
             return None
         if entry[0] != signature:
@@ -167,8 +171,10 @@ class _StructureCache:
         return entry[1]
 
     def put(
-        self, sha256: str, signature: _FileSignature, structure: columnar.SgxStructure
+        self, sha256: str | None, signature: _FileSignature, structure: columnar.SgxStructure
     ) -> None:
+        if sha256 is None:
+            return
         self._entries[sha256] = (signature, structure)
         self._chunks += structure.chunks.shape[0]
         while self._chunks > MAX_CACHED_CHUNKS:
@@ -393,15 +399,13 @@ class DataLakeStore:
         with open(self._root / entry.relpath, "rb", buffering=0) as handle:
             status = os.fstat(handle.fileno())
             signature = (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns)
-            if entry.sha256 is not None:
-                structure = self._structures.get(entry.sha256, signature)
-                if structure is not None:
-                    yield columnar.SgxSegment.from_descriptor(structure, handle.fileno())
-                    return
+            structure = self._structures.get(entry.sha256, signature)
+            if structure is not None:
+                yield columnar.SgxSegment.from_descriptor(structure, handle.fileno())
+                return
             data = handle.readall()
         segment = columnar.SgxSegment.from_bytes(data)
-        if entry.sha256 is not None:
-            self._structures.put(entry.sha256, signature, segment.structure)
+        self._structures.put(entry.sha256, signature, segment.structure)
         yield segment
 
     def _require_formats(self, key: ExtractKey, snap: ManifestSnapshot) -> tuple[str, ...]:

@@ -154,7 +154,7 @@ class LakeHistory(RuleBasedStateMachine):
     @invariant()
     def a_store_that_saw_everything_answers_like_a_cold_one(self):
         warm, cold = answers(self.store), answers(DataLakeStore(self.root))
-        for q, got, want in zip(QUERIES, warm, cold):
+        for q, got, want in zip(QUERIES, warm, cold, strict=True):
             assert got == want, q
 
     @invariant()
