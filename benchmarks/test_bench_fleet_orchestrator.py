@@ -32,8 +32,8 @@ from repro.telemetry.fleet import default_fleet_spec
 FLEET_SERVERS = (16, 10, 6)
 EXTRACT_WEEKS = 2
 
-#: A forecaster with a real training cost, so that compute (not CSV
-#: parsing) dominates and sharding/caching effects are representative.
+#: A forecaster with a real training cost, so that compute (not
+#: ingestion) dominates and sharding/caching effects are representative.
 MODEL = "seasonal_additive"
 
 

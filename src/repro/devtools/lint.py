@@ -16,7 +16,8 @@ Rules
     and the raw ``.sgx`` helpers (``frame_from_sgx_bytes``,
     ``scan_sgx_bytes``, ``aggregate_sgx_bytes``) plus direct ``open()`` of
     ``*.sgx`` files belong to :mod:`repro.storage`; everything else must
-    go through ``DataLakeStore.query()``.
+    go through ``DataLakeStore.query()``.  ``frame_from_csv_text`` belongs
+    to the import edge (:mod:`repro.storage.migrate`) alone.
 
 ``import-layering``
     Imports must follow the declared layer DAG (:data:`LAYERS`):
@@ -115,11 +116,14 @@ INTERNAL_SYMBOLS: dict[str, tuple[str, ...]] = {
     "frame_from_sgx_bytes": ("repro.storage",),
     "scan_sgx_bytes": ("repro.storage",),
     "aggregate_sgx_bytes": ("repro.storage",),
+    # CSV is the lake's import edge, not a stored format: one parser, one
+    # caller (``convert``), so a CSV parse cannot grow back into a read.
+    "frame_from_csv_text": ("repro.storage.migrate", "repro.storage.csv_io"),
 }
 
 #: Calls that perform raw file I/O; combined with a ``.sgx`` literal in
-#: their argument/receiver expression they bypass the lake's format
-#: negotiation and belong to :mod:`repro.storage` alone.
+#: their argument/receiver expression they bypass the lake's read path
+#: and belong to :mod:`repro.storage` alone.
 _SGX_IO_CALLS = frozenset({"open", "read_bytes", "write_bytes", "read_text", "write_text"})
 
 #: The declared layer of each runtime package under ``repro``.  A module

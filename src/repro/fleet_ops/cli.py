@@ -8,9 +8,10 @@ Five commands:
   ``--rerun`` runs the fleet twice to show the artifact cache at work
   (the second pass serves unchanged extracts from the unit-outcome
   cache);
-* ``python -m repro.fleet_ops convert`` migrates an existing lake in
-  place between the CSV and columnar ``.sgx`` extract formats and prints
-  a rollup of extracts, rows and bytes converted;
+* ``python -m repro.fleet_ops convert`` imports a lake's CSV entries
+  (left by older stores, or legacy ``.csv`` files) as verified ``.sgx``
+  segments, re-chunks segments under ``--chunk-minutes``, and prints a
+  rollup of extracts, rows and bytes converted;
 * ``python -m repro.fleet_ops manifest`` inspects a lake's transactional
   manifest: committed generation, segment files, log records, and any
   crash leftovers recovery would clean up;
@@ -34,7 +35,7 @@ from pathlib import Path
 from repro.core.config import PipelineConfig
 from repro.fleet_ops.orchestrator import FleetOrchestrator
 from repro.fleet_ops.synthesis import populate_lake
-from repro.storage.datalake import EXTRACT_FORMATS, DataLakeStore, ExtractKey
+from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.migrate import ConversionVerificationError, convert_lake
 from repro.telemetry.fleet import default_fleet_spec
 
@@ -77,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         "min(units, usable CPUs, cap))",
     )
     parser.add_argument(
-        "--extract-format",
-        choices=EXTRACT_FORMATS,
-        default="sgx",
-        help="format newly generated extracts are written in "
-        "(.sgx is the columnar fast path; default: %(default)s)",
-    )
-    parser.add_argument(
         "--lake-dir",
         default=None,
         help="directory for the extract lake (default: a temporary directory)",
@@ -105,31 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
 def build_convert_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet_ops convert",
-        description="Convert a lake's extracts in place between CSV and columnar .sgx.",
+        description="Import a lake's CSV entries as verified columnar .sgx segments "
+        "(one transaction per extract) and health-check the segments already there.",
     )
     parser.add_argument("--lake-dir", required=True, help="root directory of the lake")
-    parser.add_argument(
-        "--to",
-        choices=EXTRACT_FORMATS,
-        default="sgx",
-        dest="to_format",
-        help="target extract format (default: %(default)s)",
-    )
     parser.add_argument("--region", default=None, help="convert only this region")
     parser.add_argument(
         "--chunk-minutes",
         type=int,
         default=None,
         dest="chunk_minutes",
-        help="chunking policy for .sgx targets: split each server's series at "
+        help="chunking policy: split each server's series at "
         "absolute multiples of this many minutes (0 = one whole-series chunk; "
         "default: the columnar layer's per-day policy). Passing it explicitly "
         "also re-chunks extracts that are already .sgx",
-    )
-    parser.add_argument(
-        "--delete-source",
-        action="store_true",
-        help="remove the source-format copy after (verified) conversion",
     )
     parser.add_argument(
         "--no-verify",
@@ -161,9 +144,7 @@ def convert_main(argv: list[str]) -> int:
     try:
         report = convert_lake(
             lake,
-            to_format=args.to_format,
             region=args.region,
-            delete_source=args.delete_source,
             verify=not args.no_verify,
             chunk_minutes=args.chunk_minutes,
         )
@@ -527,7 +508,7 @@ def run_main(argv: list[str] | None = None) -> int:
         temp_holder = tempfile.TemporaryDirectory(prefix="seagull-lake-")
         lake_dir = temp_holder.name
     try:
-        lake = DataLakeStore(lake_dir, write_format=args.extract_format)
+        lake = DataLakeStore(lake_dir)
         keys = populate_lake(lake, spec, weeks=range(args.weeks))
         with FleetOrchestrator(
             lake,

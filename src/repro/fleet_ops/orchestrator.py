@@ -49,7 +49,12 @@ from repro.parallel.executor import (
     recommended_fleet_workers,
 )
 from repro.storage.artifacts import ArtifactStore, artifact_key
-from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotFoundError
+from repro.storage.datalake import (
+    DataLakeStore,
+    ExtractKey,
+    ExtractNotFoundError,
+    ExtractNotImportedError,
+)
 from repro.storage.query import ExtractQuery
 
 
@@ -75,9 +80,10 @@ def _unit_cache_params(task: "_UnitTask") -> dict[str, Any]:
 class _UnitTask:
     """Everything a (possibly out-of-process) worker needs for one unit.
 
-    Deliberately tiny and payload-free (see the module docstring); format
-    negotiation (``.sgx`` preferred, damaged ``.sgx`` degrades to a
-    co-located CSV) happens inside the worker's own :class:`DataLakeStore`.
+    Deliberately tiny and payload-free (see the module docstring): the
+    worker reads its shard through its own :class:`DataLakeStore`, and an
+    extract that is damaged or not imported yet fails that unit with the
+    lake's message, never the run.
     """
 
     region: str
@@ -129,11 +135,13 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     lake = DataLakeStore(task.lake_root, pinned_generation=task.generation)
 
     # Fingerprint the raw extract bytes (no parsing yet).  The digest
-    # covers the stored representation, so converting a lake to .sgx
-    # refreshes unit fingerprints while stage-cache keys (frame content
-    # hashes) stay valid.
+    # covers the stored representation, so re-chunking a lake refreshes
+    # unit fingerprints while stage-cache keys (frame content hashes)
+    # stay valid.
     try:
         fingerprint = lake.extract_fingerprint(key)
+    except ExtractNotImportedError as exc:
+        return _failed_outcome(task, exc.args[0], time.perf_counter() - started)
     except ExtractNotFoundError:
         return _failed_outcome(
             task,
@@ -166,9 +174,9 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     frame = answer.frame
     ingest_seconds = time.perf_counter() - ingest_started
 
-    # Roll up the shard's load through the aggregate query path: on .sgx
-    # lakes fully covered chunks reduce from chunk-table statistics
-    # without their value buffers ever being decoded.  Best-effort -- a
+    # Roll up the shard's load through the aggregate query path: fully
+    # covered chunks reduce from chunk-table statistics without their
+    # value buffers ever being decoded.  Best-effort -- a
     # lake that cannot answer it leaves the summary empty rather than
     # failing a unit whose row read succeeded.
     load: dict[str, Any] = {}

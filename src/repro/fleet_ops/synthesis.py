@@ -41,12 +41,11 @@ def populate_lake(
 ) -> list[ExtractKey]:
     """Write one weekly extract per ``(region, week)`` into ``lake``.
 
-    ``weeks`` defaults to ``range(spec.weeks)``.  Extracts are written in
-    the lake's ``write_format`` (CSV or columnar ``.sgx``); existing
-    extracts are kept by default *in whatever format they are stored* --
-    content is deterministic per key within one spec, so re-generating
-    them would be wasted work, and migrating a lake between formats is
-    ``python -m repro.fleet_ops convert``'s job, not the generator's.
+    ``weeks`` defaults to ``range(spec.weeks)``.  Existing extracts are
+    kept by default -- content is deterministic per key within one spec,
+    so re-generating them would be wasted work (a key that still waits
+    for ``python -m repro.fleet_ops convert`` to import it counts as
+    existing: importing is that command's job, not the generator's).
     Pass ``skip_existing=False`` to overwrite.  The lake records the
     spec in a ``_fleet_spec.json`` manifest: when the spec changes (seed,
     region sizes, horizon, ...), existing extracts are stale and are

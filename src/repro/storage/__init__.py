@@ -1,10 +1,10 @@
 """Storage substrates standing in for the Azure services the paper uses.
 
-* :mod:`~repro.storage.csv_io` -- reading and writing the weekly extract
-  CSV files (the schema from Section 5.3.1).
+* :mod:`~repro.storage.csv_io` -- the weekly extract CSV schema (Section
+  5.3.1): the lake's import and export edge, never a stored format.
 * :class:`~repro.storage.datalake.DataLakeStore` -- a local, partitioned
   file store playing the role of Azure Data Lake Store (ADLS): extracts are
-  keyed by ``(region, week)``.
+  keyed by ``(region, week)`` and stored as ``.sgx`` segments.
 * :class:`~repro.storage.documentdb.DocumentStore` -- a lightweight
   in-process document store playing the role of Cosmos DB: pipeline
   results, model records and scheduling decisions are kept as keyed
@@ -21,12 +21,13 @@
   are pushed down into the ``.sgx`` reader.
 * :mod:`~repro.storage.aggregate` -- the aggregate-query merge core:
   :class:`~repro.storage.aggregate.AggregateAccumulator` folds ``.sgx``
-  chunk-table statistics, decoded slices and CSV rows into one exact
+  chunk-table statistics, decoded slices and live-tail rows into one exact
   answer (pairwise Welford merge for mean/variance), which is what lets
   ``aggregates=(...)`` queries skip decoding value buffers entirely for
   fully covered chunks.
-* :mod:`~repro.storage.migrate` -- in-place lake conversion between the
-  CSV and ``.sgx`` extract formats (the ``convert`` CLI's engine).
+* :mod:`~repro.storage.migrate` -- the ``convert`` CLI's engine: imports
+  CSV manifest entries as verified ``.sgx`` segments and re-chunks
+  segments in place.
 * :mod:`~repro.storage.manifest` -- the transactional lake manifest:
   generation-numbered, atomically published snapshots over immutable
   content-addressed segment files, an append-only intent/commit log, and
@@ -58,7 +59,7 @@ from repro.storage.columnar import (
     write_frame_sgx,
 )
 from repro.storage.csv_io import read_frame_csv, write_frame_csv
-from repro.storage.datalake import EXTRACT_FORMATS, DataLakeStore, ExtractKey
+from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.documentdb import Document, DocumentStore
 from repro.storage.manifest import (
     GcReport,
@@ -88,7 +89,6 @@ __all__ = [
     "SgxReadStats",
     "COLUMNS",
     "DEFAULT_CHUNK_MINUTES",
-    "EXTRACT_FORMATS",
     "MIN_MINUTE",
     "MAX_MINUTE",
     "DataLakeStore",

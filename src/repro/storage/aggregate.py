@@ -20,9 +20,7 @@ This module owns the algebra that makes mixing the two sources exact:
 * :class:`AggregateAccumulator` maps group keys (``server`` and/or
   absolute ``day``) to states and knows how to fold decoded column
   arrays (splitting at day boundaries when the grouping asks for it),
-  fold stored chunk statistics, and merge whole accumulators (which is
-  what lets a per-extract fold be discarded wholesale when a damaged
-  ``.sgx`` copy degrades to its CSV sibling mid-walk).
+  fold stored chunk statistics, and merge whole accumulators.
 
 Results are NaN-free by construction: a group only exists once at least
 one sample folded into it, so ``min``/``max``/``mean`` are always
@@ -196,7 +194,7 @@ class AggregateAccumulator:
     Group keys are tuples of the ``group_by`` values in canonical order
     (``server`` before ``day``); the global aggregate uses the empty
     tuple.  The accumulator is what every source folds into -- stored
-    chunk statistics, decoded ``.sgx`` slices and parsed CSV series all
+    chunk statistics, decoded ``.sgx`` slices and live-tail rows all
     meet here, which is what makes the merged answer exact.
     """
 
@@ -289,15 +287,6 @@ class AggregateAccumulator:
             if mine is None:
                 mine = self._groups[key] = GroupState()
             mine.merge(state)
-
-    def spawn(self) -> "AggregateAccumulator":
-        """A fresh, empty accumulator with the same reductions/grouping.
-
-        Per-extract folds go into a spawned accumulator first and are
-        merged on success, so a damaged ``.sgx`` copy discovered mid-walk
-        can be discarded wholesale before the CSV fallback re-folds.
-        """
-        return AggregateAccumulator(self.aggregates, self.group_by)
 
     # -------------------------------------------------------------- #
 

@@ -66,7 +66,7 @@ silently loaded -- pruning and filtering decisions are only trusted once
 the structure verifies), and the per-chunk column CRCs over the buffers
 actually read.  Any damage (bad magic, truncation, checksum mismatch,
 out-of-range dictionary index, out-of-order chunks) raises the typed
-:class:`ColumnarFormatError` so callers can degrade to a CSV fallback.
+:class:`ColumnarFormatError`; the lake re-raises it naming the segment.
 
 A read is two things, and the code keeps them apart.  The **verified
 structure** (:class:`SgxStructure`: interval, server metadata, one

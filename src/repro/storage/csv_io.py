@@ -4,7 +4,8 @@ The input files to the AML pipeline are CSV extracts containing
 ``server identifier, timestamp in minutes, average user CPU load percentage
 per five minutes, default backup start and end timestamps`` (Section 5.3.1).
 This module reads and writes that schema, with a few extra metadata columns
-used by the synthetic substrate (region, engine, true class).
+used by the synthetic substrate (region, engine, true class).  It is the
+data lake's import/export edge: a lake stores ``.sgx`` segments only.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def write_frame_csv(frame: LoadFrame, path: str | Path) -> int:
 
 
 def frame_to_csv_text(frame: LoadFrame) -> str:
-    """Serialise ``frame`` to a CSV string (what the lake stores as bytes)."""
+    """Serialise ``frame`` to a CSV string (what the lake exports)."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(LoadFrame.CSV_HEADER)

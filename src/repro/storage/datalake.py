@@ -7,35 +7,34 @@ local filesystem with listing, existence checks and simple access control
 mirroring the "location of input data in ADLS and access rights to this
 data" knobs called out in Section 2.4.
 
-Extracts exist in two formats and the store negotiates between them:
-
-* ``csv`` -- the paper's row-oriented text schema (Section 5.3.1);
-* ``sgx`` -- the binary columnar format of :mod:`repro.storage.columnar`
-  (column buffers become arrays without a copy or a parse; zone maps,
-  server filters and chunk statistics decide which of them are read from
-  disk at all).
-
-Writes go to the store's ``write_format`` (and drop the other format's
-now-stale copy); reads prefer ``.sgx`` when both exist and fall back to a
-co-located CSV when an ``.sgx`` file is damaged.  Fingerprints, sizes,
-listing and deletion cover both formats, and every accessor -- including
-the metadata ones -- enforces the principal allow-list.
+A lake stores, queries and writes one format: the binary columnar
+``.sgx`` of :mod:`repro.storage.columnar` (column buffers become arrays
+without a copy or a parse; zone maps, server filters and chunk statistics
+decide which of them are read from disk at all).  The paper's CSV schema
+(Section 5.3.1) lives at two edges: ``convert``
+(:mod:`repro.storage.migrate`) *imports* a CSV manifest entry -- left by a
+store that predates this rule, or a legacy-layout ``.csv`` file -- and
+:meth:`DataLakeStore.read_extract_text` *exports* a segment as text.
+Until imported, a CSV entry is listed and deletable, and every read of
+its key raises :class:`ExtractNotImportedError` naming that command.
+Nothing answers for a damaged segment either: the read raises
+:class:`~repro.storage.columnar.ColumnarFormatError` naming the extract,
+the segment file and the remedy.  Every accessor -- the metadata ones
+included -- enforces the principal allow-list.
 
 Reading goes through one declarative surface:
 :meth:`DataLakeStore.query` materialises a typed
 :class:`~repro.storage.query.ExtractQuery` (server filters and column
-projections are pushed down into the ``.sgx`` reader; CSV extracts get
-post-parse equivalents, so both formats answer identically) and
-:meth:`DataLakeStore.scan` streams the same answer one server at a time.
-``read_extract`` remains as a thin back-compat shim that builds a query
-internally.  Extracts are read at the sampling interval they record and
-bucket-mean resampled onto ``q.interval_minutes`` on the way out, so the
-field is an honest contract rather than a relabeling.  Reads also unify
-the committed lake with the *live tail* (:mod:`repro.storage.live`):
-unsealed ingested rows under ``_manifest/live/`` answer through the same
-filters, projections and aggregate accumulators (``stats``
-counts them in ``tail_rows_scanned``), except for pinned stores -- a pin
-names a committed generation, and the tail is by definition uncommitted.
+projections are pushed down into the ``.sgx`` reader) and
+:meth:`DataLakeStore.scan` streams the same answer one server at a time;
+``read_extract`` is the one-key convenience over it.  Extracts are read
+at the sampling interval they record and bucket-mean resampled onto
+``q.interval_minutes`` on the way out.  Reads also unify the committed
+lake with the *live tail* (:mod:`repro.storage.live`): unsealed rows
+under ``_manifest/live/`` answer through the same filters, projections
+and accumulators (``stats.tail_rows_scanned`` counts them), except for
+pinned stores -- a pin names a committed generation, which the tail is
+by definition not part of.
 
 Durability is the manifest subsystem's job
 (:mod:`repro.storage.manifest`): a lake keeps its truth in a
@@ -73,16 +72,11 @@ from repro.storage.manifest import (
     ManifestSnapshot,
     SegmentEntry,
 )
-
-# Format names and validation live with the query types now; re-exported
-# here because this has always been their public import path.
 from repro.storage.query import (
-    EXTRACT_FORMATS,
     ExtractQuery,
     QueryError,
     QueryResult,
     ScanStats,
-    check_format,
     project_series,
     resample_series,
     truncate_series,
@@ -96,22 +90,26 @@ if TYPE_CHECKING:
     from repro.storage.live.wal import LiveTailIndex
 
 __all__ = [
-    "EXTRACT_FORMATS",
     "AccessDeniedError",
     "DataLakeStore",
     "ExtractKey",
     "ExtractNotFoundError",
+    "ExtractNotImportedError",
     "ExtractQuery",
     "LakeManifestError",
     "QueryError",
     "QueryResult",
     "ScanStats",
-    "check_format",
 ]
 
 
 class ExtractNotFoundError(KeyError):
     """Raised when an extract for a requested (region, week) does not exist."""
+
+
+class ExtractNotImportedError(ExtractNotFoundError):
+    """Raised on every read of a key whose only manifest entry is CSV:
+    ``python -m repro.fleet_ops convert`` has to import it first."""
 
 
 class AccessDeniedError(PermissionError):
@@ -125,7 +123,7 @@ class ExtractKey:
     region: str
     week: int
 
-    def filename(self, fmt: str = "csv") -> str:
+    def filename(self, fmt: str = "sgx") -> str:
         return f"extract_{self.region}_week{self.week:04d}.{fmt}"
 
 
@@ -183,7 +181,7 @@ class _StructureCache:
 
 
 class DataLakeStore:
-    """Weekly per-region extract store with CSV / ``.sgx`` negotiation.
+    """Weekly per-region extract store over ``.sgx`` segments.
 
     Parameters
     ----------
@@ -195,9 +193,8 @@ class DataLakeStore:
         (reads, writes and metadata accessors alike) must pass a
         ``principal`` that is in the list.
     write_format:
-        Format new extracts are written in (``"csv"`` by default; pass
-        ``"sgx"`` for columnar lakes).  Reading negotiates independently
-        of this setting.
+        Accepted for callers that still pass ``write_format="sgx"``; it
+        selects nothing, and any other value raises :class:`ValueError`.
     chunk_minutes:
         Chunking policy for ``.sgx`` writes: each server's series is
         split at absolute multiples of this many minutes, so zone maps
@@ -231,8 +228,7 @@ class DataLakeStore:
       not content-addressed, so they are read whole every time and never
       retained;
     * the whole structure verified when it was filled -- a fill that
-      raises caches nothing, and the damaged-``.sgx`` -> CSV degrade
-      happens exactly as on any cold read;
+      raises caches nothing, so the next read fills (and raises) again;
     * the opened descriptor's ``(st_dev, st_ino, st_size, st_mtime_ns)``
       are what they were at fill -- anything else drops the entry and
       reads cold.
@@ -254,17 +250,24 @@ class DataLakeStore:
         self,
         root: str | Path,
         granted_principals: set[str] | None = None,
-        write_format: str = "csv",
+        write_format: str = "sgx",
         chunk_minutes: int | None = None,
         pinned_generation: int | None = None,
     ) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
         self._granted = set(granted_principals) if granted_principals is not None else None
-        self._write_format = check_format(write_format)
+        if write_format != "sgx":
+            raise ValueError(
+                f"a lake stores .sgx only, not {write_format!r}: CSV entries are "
+                "imported by `python -m repro.fleet_ops convert` and CSV text is "
+                "exported by read_extract_text()"
+            )
         if chunk_minutes is not None and chunk_minutes < 0:
             raise ValueError("chunk_minutes must be a non-negative number of minutes")
-        self._chunk_minutes = chunk_minutes
+        self._chunk_minutes = (
+            chunk_minutes if chunk_minutes is not None else columnar.DEFAULT_CHUNK_MINUTES
+        )
         self._manifest = LakeManifest(self._root)
         self._live: LiveTailIndex | None = None
         self._structures = _StructureCache()
@@ -282,13 +285,8 @@ class DataLakeStore:
         return self._root
 
     @property
-    def write_format(self) -> str:
-        """Format new extracts are persisted in."""
-        return self._write_format
-
-    @property
-    def chunk_minutes(self) -> int | None:
-        """Configured ``.sgx`` chunking policy (``None``: columnar default)."""
+    def chunk_minutes(self) -> int:
+        """The store's ``.sgx`` chunking policy."""
         return self._chunk_minutes
 
     @property
@@ -310,10 +308,8 @@ class DataLakeStore:
         self._check_access(principal)
         return self._snapshot().generation
 
-    def extract_path(self, key: ExtractKey, fmt: str | None = None,
-                     principal: str | None = None) -> Path:
-        """Filesystem path of the stored copy backing ``key`` (the
-        preferred format, or ``fmt`` when forced).
+    def extract_path(self, key: ExtractKey, principal: str | None = None) -> Path:
+        """Filesystem path of the segment backing ``key``.
 
         The path is an *immutable segment file* owned by the manifest:
         valid for reading (tests also use it to simulate disk damage),
@@ -321,9 +317,7 @@ class DataLakeStore:
         are published transactionally.
         """
         self._check_access(principal)
-        snap = self._snapshot()
-        fmt = self._resolve_format(key, fmt, snap)[0]
-        return self._root / self._entry(key, fmt, snap).relpath
+        return self._root / self._entry(key, self._snapshot()).relpath
 
     def check_access(self, principal: str | None = None) -> None:
         """Raise :class:`AccessDeniedError` unless ``principal`` is granted.
@@ -369,18 +363,19 @@ class DataLakeStore:
             self._live = LiveTailIndex(self._root)
         return self._live
 
-    def _entry(self, key: ExtractKey, fmt: str, snap: ManifestSnapshot) -> SegmentEntry:
-        entry = snap.entry(key.region, key.week, fmt)
-        if entry is None:
-            raise ExtractNotFoundError(f"no {fmt} extract for {key}")
-        return entry
-
-    def _stored_formats(self, key: ExtractKey, snap: ManifestSnapshot) -> tuple[str, ...]:
-        """Formats present for ``key``, in read-preference order."""
-        return snap.formats(key.region, key.week)
-
-    def _stored_bytes(self, key: ExtractKey, fmt: str, snap: ManifestSnapshot) -> bytes:
-        return (self._root / self._entry(key, fmt, snap).relpath).read_bytes()
+    def _entry(self, key: ExtractKey, snap: ManifestSnapshot) -> SegmentEntry:
+        """The ``.sgx`` entry every read of ``key`` answers from."""
+        entry = snap.entry(key.region, key.week, "sgx")
+        if entry is not None:
+            return entry
+        unimported = snap.entry(key.region, key.week, "csv")
+        if unimported is None:
+            raise ExtractNotFoundError(f"no extract for {key}")
+        raise ExtractNotImportedError(
+            f"extract for {key.region} week {key.week} is stored only as CSV "
+            f"({unimported.relpath}), which a lake does not read; import it with "
+            f"`python -m repro.fleet_ops convert --lake-dir {self._root}`"
+        )
 
     @contextmanager
     def _open_sgx(self, key: ExtractKey, snap: ManifestSnapshot) -> Iterator[columnar.SgxSegment]:
@@ -389,43 +384,42 @@ class DataLakeStore:
         A segment whose structure this store has already verified is
         read through its descriptor (closed when the ``with`` block
         ends): only the column buffers the read keeps are fetched.
-        Otherwise the file is read whole, once, its structure verified
-        -- :class:`~repro.storage.columnar.ColumnarFormatError` from
-        here means nothing was cached -- the read answers from the bytes
-        in hand, and only the structure is retained for the next one.
-        See the class docstring for when a structure may be reused.
+        Otherwise the file is read whole, once, its structure verified,
+        the read answers from the bytes in hand, and only the structure
+        is retained for the next one.  See the class docstring for when
+        a structure may be reused.
+
+        Damage -- found while filling (nothing is cached then) or by the
+        read running inside the ``with`` block, cold or warm -- leaves
+        here as the :class:`~repro.storage.columnar.ColumnarFormatError`
+        the reader raised, prefixed with which extract and segment file
+        it was and what to do about it.
         """
-        entry = self._entry(key, "sgx", snap)
-        with open(self._root / entry.relpath, "rb", buffering=0) as handle:
-            status = os.fstat(handle.fileno())
-            signature = (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns)
-            structure = self._structures.get(entry.sha256, signature)
-            if structure is not None:
-                yield columnar.SgxSegment.from_descriptor(structure, handle.fileno())
-                return
-            data = handle.readall()
-        segment = columnar.SgxSegment.from_bytes(data)
-        self._structures.put(entry.sha256, signature, segment.structure)
-        yield segment
-
-    def _require_formats(self, key: ExtractKey, snap: ManifestSnapshot) -> tuple[str, ...]:
-        formats = self._stored_formats(key, snap)
-        if not formats:
-            raise ExtractNotFoundError(f"no extract for {key}")
-        return formats
-
-    def _resolve_format(
-        self, key: ExtractKey, fmt: str | None, snap: ManifestSnapshot
-    ) -> tuple[str, ...]:
-        """Stored formats to read ``key`` from: the preference-ordered list,
-        or just ``fmt`` when one is forced (must exist)."""
-        formats = self._require_formats(key, snap)
-        if fmt is None:
-            return formats
-        check_format(fmt)
-        if fmt not in formats:
-            raise ExtractNotFoundError(f"no {fmt} extract for {key}")
-        return (fmt,)
+        entry = self._entry(key, snap)
+        try:
+            with open(self._root / entry.relpath, "rb", buffering=0) as handle:
+                status = os.fstat(handle.fileno())
+                signature = (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns)
+                structure = self._structures.get(entry.sha256, signature)
+                if structure is not None:
+                    yield columnar.SgxSegment.from_descriptor(structure, handle.fileno())
+                    return
+                data = handle.readall()
+            segment = columnar.SgxSegment.from_bytes(data)
+            self._structures.put(entry.sha256, signature, segment.structure)
+            yield segment
+        except ColumnarFormatError as exc:
+            sha256 = entry.sha256[:12] if entry.sha256 is not None else "unrecorded"
+            remedy = "re-extract it or restore that file"
+            if snap.entry(key.region, key.week, "csv") is not None:
+                remedy = (
+                    f"`python -m repro.fleet_ops convert --lake-dir {self._root}` "
+                    "re-imports it from the CSV entry this generation still holds"
+                )
+            raise ColumnarFormatError(
+                f"damaged extract for {key.region} week {key.week} (segment "
+                f"{entry.relpath}, sha256 {sha256}; {remedy}): {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------ #
 
@@ -434,52 +428,31 @@ class DataLakeStore:
         key: ExtractKey,
         frame: LoadFrame,
         principal: str | None = None,
-        fmt: str | None = None,
-        keep_other_formats: bool = False,
         chunk_minutes: int | None = None,
     ) -> int:
         """Persist ``frame`` as the extract for ``key``; returns rows written.
 
-        The extract is written in ``fmt`` (default: the store's
-        ``write_format``).  ``chunk_minutes`` overrides the store's
-        ``.sgx`` chunking policy for this write (``None``: use the
-        store's; the lake converter passes its ``--chunk-minutes`` knob
-        through here).  Copies of the same key in *other* formats are
-        removed -- they would otherwise serve stale content to readers --
-        unless ``keep_other_formats`` is set (the lake converter keeps the
-        source copy alive until the new one is verified).
+        ``chunk_minutes`` overrides the store's chunking policy for this
+        write (``None``: use the store's).
         """
         self._check_access(principal)
-        fmt = check_format(fmt if fmt is not None else self._write_format)
-        if fmt == "sgx":
-            if chunk_minutes is None:
-                chunk_minutes = self._chunk_minutes
-            if chunk_minutes is None:
-                chunk_minutes = columnar.DEFAULT_CHUNK_MINUTES
-            payload = columnar.frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes)
-        else:
-            payload = csv_io.frame_to_csv_text(frame).encode("utf-8")
-        self._store_payload(key, fmt, payload, keep_other_formats)
+        if chunk_minutes is None:
+            chunk_minutes = self._chunk_minutes
+        self._store_payload(key, columnar.frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes))
         return frame.total_points()
 
     def write_extract_bytes(
-        self,
-        key: ExtractKey,
-        fmt: str,
-        payload: bytes,
-        principal: str | None = None,
-        keep_other_formats: bool = False,
+        self, key: ExtractKey, payload: bytes, principal: str | None = None
     ) -> None:
-        """Persist pre-encoded extract ``payload`` as ``key``'s ``fmt`` copy.
+        """Persist pre-encoded ``.sgx`` ``payload`` as ``key``'s segment.
 
         The byte-level dual of :meth:`read_extract_bytes`: the payload is
         stored exactly as given, trusting the caller's encoding -- the
         lake converter uses this to land precisely the bytes it verified
-        in memory, with no re-encode in between.  Stale other-format
-        copies follow the same rules as :meth:`write_extract`.
+        in memory, with no re-encode in between.
         """
         self._check_access(principal)
-        self._store_payload(key, check_format(fmt), bytes(payload), keep_other_formats)
+        self._store_payload(key, bytes(payload))
 
     def _require_writable(self) -> None:
         if self._pinned is not None:
@@ -488,20 +461,17 @@ class DataLakeStore:
                 "and therefore read-only"
             )
 
-    def _store_payload(
-        self, key: ExtractKey, fmt: str, payload: bytes, keep_other_formats: bool
-    ) -> None:
+    def _store_payload(self, key: ExtractKey, payload: bytes) -> None:
         self._require_writable()
-        others = () if keep_other_formats else tuple(o for o in EXTRACT_FORMATS if o != fmt)
         # One manifest transaction: the new segment is staged under a
-        # content-addressed name, fsync'd, and the write -- including
-        # dropping now-stale other-format entries -- becomes visible in
-        # one atomic pointer swap.  A crash at any point leaves readers
-        # on the previous committed generation.
-        with self._manifest.transaction(f"write {key.filename(fmt)}") as txn:
-            txn.stage(key.region, key.week, fmt, payload)
-            for other in others:
-                txn.drop(key.region, key.week, other)
+        # content-addressed name, fsync'd, and becomes visible in one
+        # atomic pointer swap together with the retirement of any
+        # un-imported CSV entry for the key -- a later ``convert`` must
+        # never import stale text over these rows.  A crash at any point
+        # leaves readers on the previous committed generation.
+        with self._manifest.transaction(f"write {key.filename()}") as txn:
+            txn.stage(key.region, key.week, "sgx", payload)
+            txn.drop(key.region, key.week, "csv")
 
     # ------------------------------------------------------------------ #
     # The query surface (the one read path)
@@ -534,92 +504,30 @@ class DataLakeStore:
                     keys.add(key)
         return sorted(keys)
 
-    def _read_csv_for_query(
-        self,
-        key: ExtractKey,
-        q: ExtractQuery,
-        stats: ScanStats | None,
-        snap: ManifestSnapshot,
-    ) -> LoadFrame:
-        """Parse ``key``'s CSV copy and apply ``q`` post-parse.
-
-        The CSV schema has no checksums, zone maps or column buffers, so
-        nothing can be skipped at the byte level; the filters run after
-        the parse and produce exactly the frame the ``.sgx`` pushdowns
-        would.  In particular, a ranged read drops servers whose sliced
-        series come up empty -- same as the ``.sgx`` path omitting
-        servers with no samples in range.  The parse uses the canonical
-        CSV grid (the schema records no interval of its own) and
-        ``q.interval_minutes`` is honoured by resampling, exactly like
-        the ``.sgx`` path.
-        """
-        raw = self._stored_bytes(key, "csv", snap)
-        frame = csv_io.frame_from_csv_text(raw.decode("utf-8"), DEFAULT_INTERVAL_MINUTES)
-        if stats is not None:
-            stats.payload_bytes_stored += len(raw)
-            stats.payload_bytes_verified += len(raw)
-        allow = set(q.servers) if q.servers is not None else None
-        predicate = q.metadata_predicate()
-        rng = q.time_range() if q.is_ranged else None
-        target = (
-            q.interval_minutes if q.interval_minutes is not None else frame.interval_minutes
-        )
-        out = LoadFrame(target)
-        for server_id, metadata, series in frame.items():
-            if stats is not None:
-                stats.servers_seen += 1
-            if (allow is not None and server_id not in allow) or (
-                predicate is not None and not predicate(metadata)
-            ):
-                if stats is not None:
-                    stats.servers_skipped += 1
-                continue
-            series = project_series(series, q.wants_values, rng)
-            series = resample_series(series, target, rng)
-            if q.is_ranged and series.is_empty:
-                continue  # parity with .sgx: no samples in range, omitted
-            out.add_server(metadata, series)
-        return out
-
     def _read_one_for_query(
-        self,
-        key: ExtractKey,
-        q: ExtractQuery,
-        stats: ScanStats | None,
-        snap: ManifestSnapshot,
+        self, key: ExtractKey, q: ExtractQuery, stats: ScanStats, snap: ManifestSnapshot
     ) -> LoadFrame:
-        """Materialise ``q`` against one stored extract, negotiating the
-        format (damaged ``.sgx`` degrades to a co-located CSV copy).
+        """Materialise ``q`` against ``key``'s stored segment.
 
-        ``.sgx`` extracts are decoded at the interval they record (the
-        pushdowns prune on the stored layout) and resampled onto
+        The segment is decoded at the interval it records (the pushdowns
+        prune on the stored layout) and resampled onto
         ``q.interval_minutes`` afterwards -- the honest half of the
         query's interval contract."""
-        formats = self._resolve_format(key, q.fmt, snap)
-        if stats is not None:
-            stats.extracts_scanned += 1
-        if formats[0] == "sgx":
-            sgx_stats = SgxReadStats()
-            try:
-                with self._open_sgx(key, snap) as segment:
-                    frame = columnar.frame_from_sgx_bytes(
-                        segment,
-                        None,
-                        start_minute=q.start_minute,
-                        end_minute=q.end_minute,
-                        stats=sgx_stats,
-                        servers=q.servers,
-                        predicate=q.metadata_predicate(),
-                        columns=q.columns,
-                    )
-            except ColumnarFormatError:
-                if "csv" not in formats:
-                    raise
-            else:
-                if stats is not None:
-                    stats.absorb_sgx(sgx_stats)
-                return self._resample_frame(frame, q)
-        return self._read_csv_for_query(key, q, stats, snap)
+        stats.extracts_scanned += 1
+        sgx_stats = SgxReadStats()
+        with self._open_sgx(key, snap) as segment:
+            frame = columnar.frame_from_sgx_bytes(
+                segment,
+                None,
+                start_minute=q.start_minute,
+                end_minute=q.end_minute,
+                stats=sgx_stats,
+                servers=q.servers,
+                predicate=q.metadata_predicate(),
+                columns=q.columns,
+            )
+        stats.absorb_sgx(sgx_stats)
+        return self._resample_frame(frame, q)
 
     def _resample_frame(self, frame: LoadFrame, q: ExtractQuery) -> LoadFrame:
         """Bucket-mean ``frame`` onto ``q.interval_minutes`` (no-op when
@@ -717,87 +625,32 @@ class DataLakeStore:
                 series = series.slice(*rng)
             accumulator.fold_columns(server_id, series.timestamps, series.values)
 
-    def _aggregate_csv(
-        self,
-        key: ExtractKey,
-        q: ExtractQuery,
-        accumulator: AggregateAccumulator,
-        stats: ScanStats | None,
-        snap: ManifestSnapshot,
-    ) -> None:
-        """Fold ``key``'s CSV copy into ``accumulator`` (post-parse path).
-
-        CSV extracts carry no chunk statistics, so everything is parsed
-        and folded sample-by-sample -- the answer matches the ``.sgx``
-        path exactly because both fold into the same accumulator algebra.
-        """
-        raw = self._stored_bytes(key, "csv", snap)
-        frame = csv_io.frame_from_csv_text(
-            raw.decode("utf-8"),
-            q.interval_minutes if q.interval_minutes is not None else DEFAULT_INTERVAL_MINUTES,
-        )
-        if stats is not None:
-            stats.payload_bytes_stored += len(raw)
-            stats.payload_bytes_verified += len(raw)
-        allow = set(q.servers) if q.servers is not None else None
-        predicate = q.metadata_predicate()
-        rng = q.time_range() if q.is_ranged else None
-        for server_id, metadata, series in frame.items():
-            if stats is not None:
-                stats.servers_seen += 1
-            if (allow is not None and server_id not in allow) or (
-                predicate is not None and not predicate(metadata)
-            ):
-                if stats is not None:
-                    stats.servers_skipped += 1
-                continue
-            if rng is not None:
-                series = series.slice(*rng)
-            accumulator.fold_columns(server_id, series.timestamps, series.values)
-
     def _aggregate_one(
         self,
         key: ExtractKey,
         q: ExtractQuery,
         accumulator: AggregateAccumulator,
-        stats: ScanStats | None,
+        stats: ScanStats,
         snap: ManifestSnapshot,
     ) -> None:
-        """Fold one stored extract into ``accumulator``, negotiating the
-        format.
+        """Fold ``key``'s stored segment into ``accumulator``.
 
-        The fold goes into a spawned (empty) accumulator first and is
-        merged only on success: a damaged ``.sgx`` copy discovered
-        mid-walk is discarded wholesale before the CSV fallback re-folds,
-        so no chunk is ever double-counted.
+        Straight into the caller's accumulator: damage raises out of the
+        whole query, so a partial fold is never part of an answer.
         """
-        formats = self._resolve_format(key, q.fmt, snap)
-        if stats is not None:
-            stats.extracts_scanned += 1
-        range_lo, range_hi = (q.start_minute, q.end_minute) if q.is_ranged else (None, None)
-        if formats[0] == "sgx":
-            partial = accumulator.spawn()
-            sgx_stats = SgxReadStats()
-            try:
-                with self._open_sgx(key, snap) as segment:
-                    columnar.aggregate_sgx_bytes(
-                        segment,
-                        partial,
-                        range_lo,
-                        range_hi,
-                        servers=q.servers,
-                        predicate=q.metadata_predicate(),
-                        stats=sgx_stats,
-                    )
-            except ColumnarFormatError:
-                if "csv" not in formats:
-                    raise
-            else:
-                accumulator.merge(partial)
-                if stats is not None:
-                    stats.absorb_sgx(sgx_stats)
-                return
-        self._aggregate_csv(key, q, accumulator, stats, snap)
+        stats.extracts_scanned += 1
+        sgx_stats = SgxReadStats()
+        with self._open_sgx(key, snap) as segment:
+            columnar.aggregate_sgx_bytes(
+                segment,
+                accumulator,
+                q.start_minute,
+                q.end_minute,
+                servers=q.servers,
+                predicate=q.metadata_predicate(),
+                stats=sgx_stats,
+            )
+        stats.absorb_sgx(sgx_stats)
 
     def _query_aggregate(
         self,
@@ -812,15 +665,15 @@ class DataLakeStore:
         answered from ``.sgx`` chunk-table statistics without their
         value buffers ever being decoded (``stats`` counts them in
         ``chunks_answered_from_stats``/``bytes_decoded_avoided``); only
-        partial-overlap chunks and CSV extracts are decoded, and the
-        pairwise merge makes mixing the sources exact.  The result's
+        partial-overlap chunks are decoded, and the pairwise merge makes
+        mixing the sources (and the live tail) exact.  The result's
         ``aggregates`` maps group-key tuples to the requested reductions;
         its frame is empty.
         """
         assert q.aggregates is not None
         accumulator = AggregateAccumulator(q.aggregates, q.group_by)
         for key in self._query_keys(q, snap, tails):
-            if self._stored_formats(key, snap):
+            if snap.formats(key.region, key.week):
                 self._aggregate_one(key, q, accumulator, stats, snap)
             if tails is not None:
                 self._aggregate_tail(key, q, accumulator, stats, tails)
@@ -841,21 +694,20 @@ class DataLakeStore:
         """Answer ``q`` with one materialised frame plus scan statistics.
 
         Every extract in ``q``'s partition scope is read with the
-        server-filter and column-projection pushdowns (or their CSV
-        post-parse equivalents) applied; a query matching no extract
-        returns an empty frame (``stats.extracts_scanned == 0`` tells the
+        server-filter and column-projection pushdowns applied; a query
+        matching no extract returns an empty frame (``stats.extracts_scanned == 0`` tells the
         caller nothing was found).  A server appearing in several matched
         extracts has its series concatenated in key order -- overlapping
         copies raise :class:`~repro.storage.query.QueryError` (narrow the
         query) -- keeping the metadata of the first key that carried it.
         ``q.limit`` caps the total rows materialised; once reached, the
-        remaining extracts are not read at all.  Forcing ``q.fmt`` raises
-        :class:`ExtractNotFoundError` when a matched key lacks that
-        format's copy.
+        remaining extracts are not read at all.  A matched key that is
+        damaged (:class:`~repro.storage.columnar.ColumnarFormatError`) or
+        not imported yet (:class:`ExtractNotImportedError`) fails the
+        whole query.
 
-        Unless ``include_tail=False`` (or the store is pinned, or
-        ``q.fmt`` forces one stored format), partitions with live-tail
-        rows answer from committed segments *plus* the tail: the unsealed
+        Unless ``include_tail=False`` (or the store is pinned),
+        partitions with live-tail rows answer from committed segments *plus* the tail: the unsealed
         rows ride after the committed ones through the same filters and
         accumulators, counted in ``stats.tail_rows_scanned``.  The seal
         path reads with ``include_tail=False`` -- merging the tail back
@@ -868,7 +720,7 @@ class DataLakeStore:
         self._check_access(principal)
         stats = ScanStats()
         snap = self._snapshot()
-        tails = self._tail_index() if include_tail and q.fmt is None else None
+        tails = self._tail_index() if include_tail else None
         if q.is_aggregate:
             return self._query_aggregate(q, stats, snap, tails)
         out: LoadFrame | None = None
@@ -877,7 +729,7 @@ class DataLakeStore:
             if remaining is not None and remaining <= 0:
                 break
             frames: list[LoadFrame] = []
-            if self._stored_formats(key, snap):
+            if snap.formats(key.region, key.week):
                 frames.append(self._read_one_for_query(key, q, stats, snap))
             if tails is not None:
                 tail_frame = self._tail_frame_for_query(key, q, stats, tails)
@@ -924,52 +776,29 @@ class DataLakeStore:
         stats: ScanStats | None,
         snap: ManifestSnapshot,
     ) -> Iterator[tuple[ServerMetadata, LoadSeries]]:
-        """Stream one extract's servers under ``q``.
-
-        ``.sgx`` extracts stream truly lazily (a consumer that stops
-        early never touches the remaining servers' payload bytes, and the
-        segment's descriptor is closed as the generator is).  A
-        damaged ``.sgx`` copy degrades to the co-located CSV only when
-        the damage surfaces before the first server is yielded (structure
-        damage always does -- the layout is verified up front); payload
-        damage discovered mid-stream propagates, since silently
-        re-starting from CSV would duplicate already-yielded servers.
-        """
-        formats = self._resolve_format(key, q.fmt, snap)
+        """Stream ``key``'s stored servers under ``q``, truly lazily: a
+        consumer that stops early never touches the remaining servers'
+        payload bytes, and the segment's descriptor is closed as the
+        generator is.  Damage met mid-stream raises out of the scan
+        after the servers already yielded."""
         if stats is not None:
             stats.extracts_scanned += 1
-        if formats[0] == "sgx":
-            sgx_stats = SgxReadStats()
-            yielded = fall_back = False
-            try:
-                with self._open_sgx(key, snap) as segment:
-                    for item in columnar.scan_sgx_bytes(
-                        segment,
-                        None,
-                        q.start_minute,
-                        q.end_minute,
-                        servers=q.servers,
-                        predicate=q.metadata_predicate(),
-                        columns=q.columns,
-                        stats=sgx_stats,
-                    ):
-                        yielded = True
-                        yield item
-            except ColumnarFormatError:
-                if yielded or "csv" not in formats:
-                    raise
-                fall_back = True
-            finally:
-                if stats is not None and not fall_back:
-                    stats.absorb_sgx(sgx_stats)
-            if not fall_back:
-                return
-            # The damaged read's counters are discarded wholesale; the CSV
-            # re-read below accounts for itself.
-        for _server_id, metadata, series in self._read_csv_for_query(
-            key, q, stats, snap
-        ).items():
-            yield metadata, series
+        sgx_stats = SgxReadStats()
+        try:
+            with self._open_sgx(key, snap) as segment:
+                yield from columnar.scan_sgx_bytes(
+                    segment,
+                    None,
+                    q.start_minute,
+                    q.end_minute,
+                    servers=q.servers,
+                    predicate=q.metadata_predicate(),
+                    columns=q.columns,
+                    stats=sgx_stats,
+                )
+        finally:
+            if stats is not None:
+                stats.absorb_sgx(sgx_stats)
 
     def _scan_sources(
         self,
@@ -981,7 +810,7 @@ class DataLakeStore:
     ) -> Iterator[tuple[ServerMetadata, LoadSeries]]:
         """One partition's scan stream: committed servers first (resampled
         onto ``q.interval_minutes``), then its live-tail servers."""
-        if self._stored_formats(key, snap):
+        if snap.formats(key.region, key.week):
             rng = q.time_range() if q.is_ranged else None
             for metadata, series in self._scan_one(key, q, stats, snap):
                 series = resample_series(series, q.interval_minutes, rng)
@@ -1013,9 +842,9 @@ class DataLakeStore:
         next server's payload would be decoded).  Like :meth:`query`, a
         scan refuses to silently mix sampling intervals across matched
         extracts, applies the ``q.interval_minutes`` resample, and (unless
-        ``include_tail=False``, a pinned store or a forced ``q.fmt``)
-        streams each partition's live-tail servers after its committed
-        ones.  ``stats``, when given, fills in as the scan advances.
+        ``include_tail=False`` or a pinned store) streams each
+        partition's live-tail servers after its committed ones.
+        ``stats``, when given, fills in as the scan advances.
         Aggregate queries have no row stream -- use :meth:`query`.
         """
         self._check_access(principal)
@@ -1032,7 +861,7 @@ class DataLakeStore:
         # writers publishing new generations never change what an
         # in-flight scan observes.
         snap = self._snapshot()
-        tails = self._tail_index() if include_tail and q.fmt is None else None
+        tails = self._tail_index() if include_tail else None
         expected_interval: int | None = None
         for key in self._query_keys(q, snap, tails):
             for metadata, series in self._scan_sources(key, q, stats, snap, tails):
@@ -1060,80 +889,68 @@ class DataLakeStore:
         key: ExtractKey,
         interval_minutes: int | None = DEFAULT_INTERVAL_MINUTES,
         principal: str | None = None,
-        fmt: str | None = None,
         start_minute: int | None = None,
         end_minute: int | None = None,
     ) -> LoadFrame:
         """Load the extract for ``key``; raises :class:`ExtractNotFoundError`.
 
-        Back-compat shim over :meth:`query`: builds the equivalent
-        single-key :class:`~repro.storage.query.ExtractQuery` and returns
-        its frame.  Reads negotiate the stored format (``.sgx`` preferred,
-        damaged ``.sgx`` degrades to a co-located CSV copy);
-        ``interval_minutes=None`` means "the interval the extract itself
-        records"; ``start_minute``/``end_minute`` cut to a half-open time
-        range; ``fmt`` forces one specific stored format.
+        The one-key convenience over :meth:`query`, with its own
+        contract: a key without a committed extract raises instead of
+        answering with an empty frame.  ``interval_minutes=None`` means
+        "the interval the extract itself records";
+        ``start_minute``/``end_minute`` cut to a half-open time range.
         """
         self._check_access(principal)
-        # Preserve the historical contract: a missing key (or missing
-        # forced format) raises instead of answering with an empty frame.
-        self._resolve_format(key, fmt, self._snapshot())
+        self._entry(key, self._snapshot())
         q = ExtractQuery.for_key(
             key,
             interval_minutes=interval_minutes,
-            fmt=fmt,
             start_minute=start_minute,
             end_minute=end_minute,
         )
         return self.query(q, principal=principal).frame
 
     def read_extract_text(self, key: ExtractKey, principal: str | None = None) -> str:
-        """Return the extract for ``key`` as CSV text.
+        """Export the stored extract for ``key`` as CSV text.
 
-        Extracts stored only in columnar form are decoded and re-serialised
-        to the canonical CSV schema, so callers that need row-oriented text
-        (exports, debugging) work regardless of the stored format.
+        The export edge: the segment is decoded and serialised to the
+        paper's row-oriented schema (Section 5.3.1) for callers that need
+        text -- hand-offs, debugging, a lake that predates ``.sgx``.
         """
         self._check_access(principal)
-        snap = self._snapshot()
-        formats = self._require_formats(key, snap)
-        if "csv" in formats:
-            return self._stored_bytes(key, "csv", snap).decode("utf-8")
-        frame = columnar.frame_from_sgx_bytes(self._stored_bytes(key, "sgx", snap))
+        with self._open_sgx(key, self._snapshot()) as segment:
+            frame = columnar.frame_from_sgx_bytes(segment)
         return csv_io.frame_to_csv_text(frame)
 
-    def read_extract_bytes(
-        self, key: ExtractKey, principal: str | None = None, fmt: str | None = None
-    ) -> tuple[str, bytes]:
-        """Return ``(format, raw bytes)`` of the preferred stored copy,
-        or of one specific format when ``fmt`` is given.
+    def read_extract_bytes(self, key: ExtractKey, principal: str | None = None) -> bytes:
+        """Return the raw bytes of ``key``'s stored segment.
 
         The byte-level dual of :meth:`write_extract_bytes`: the lake
-        converter's health check reads the stored copy through here so it
-        decodes exactly the bytes on disk.
+        converter's health check reads the stored segment through here so
+        it decodes exactly the bytes on disk.
         """
-        self._check_access(principal)
-        snap = self._snapshot()
-        fmt = self._resolve_format(key, fmt, snap)[0]
-        return fmt, self._stored_bytes(key, fmt, snap)
+        return self.extract_path(key, principal).read_bytes()
 
     def extract_formats(
         self, key: ExtractKey, principal: str | None = None
     ) -> tuple[str, ...]:
-        """Formats stored for ``key`` in read-preference order (may be empty)."""
+        """Formats of ``key``'s manifest entries, ``.sgx`` first (may be
+        empty).  Anything but ``("sgx",)`` is work left for ``convert``:
+        a ``"csv"`` alone cannot be read until it is imported, one beside
+        an ``.sgx`` is an un-retired source the reads ignore."""
         self._check_access(principal)
-        return self._stored_formats(key, self._snapshot())
+        return self._snapshot().formats(key.region, key.week)
 
     def extract_fingerprint(
         self, key: ExtractKey, principal: str | None = None, *, verify: bool = False
     ) -> str:
-        """Hex sha256 digest of the preferred stored copy's raw bytes.
+        """Hex sha256 digest of the stored segment's raw bytes.
 
         Hashing the stored bytes is much cheaper than parsing the extract,
         which lets the fleet orchestrator decide "unchanged since last
         run?" without paying the ingestion cost.  The digest covers the
-        bytes the next read would ingest: converting a lake to ``.sgx``
-        changes fingerprints (the stored bytes changed) even though frame
+        bytes the next read would ingest: re-chunking a lake changes
+        fingerprints (the stored bytes changed) even though frame
         content -- and therefore every stage-cache key -- is unchanged.
 
         For manifested segments the default is the digest recorded at
@@ -1144,9 +961,7 @@ class DataLakeStore:
         speed.
         """
         self._check_access(principal)
-        snap = self._snapshot()
-        fmt = self._require_formats(key, snap)[0]
-        entry = self._entry(key, fmt, snap)
+        entry = self._entry(key, self._snapshot())
         if entry.sha256 is not None and not verify:
             # Content-addressed segments record their digest in the
             # manifest at stage time; no re-hash needed.
@@ -1158,64 +973,53 @@ class DataLakeStore:
         return digest.hexdigest()
 
     def has_extract(self, key: ExtractKey, principal: str | None = None) -> bool:
-        """Return whether an extract exists for ``key`` in any format."""
-        self._check_access(principal)
-        return bool(self._stored_formats(key, self._snapshot()))
+        """Return whether ``key`` has a manifest entry (imported or not)."""
+        return bool(self.extract_formats(key, principal))
 
     def list_extracts(
         self, region: str | None = None, principal: str | None = None
     ) -> list[ExtractKey]:
         """List available extract keys, optionally restricted to a region.
 
-        A key stored in both formats is listed once.  The listing is the
-        committed manifest generation's (pinned stores list their pinned
-        generation), so files staged by an in-flight or crashed
-        transaction are never visible here.
+        Every key with a manifest entry is listed once, un-imported CSV
+        entries included.  The listing is the committed manifest
+        generation's (pinned stores list their pinned generation), so
+        files staged by an in-flight or crashed transaction are never
+        visible here.
         """
         self._check_access(principal)
         return self._list_keys(self._snapshot(), region)
 
-    def extract_size_bytes(
-        self, key: ExtractKey, principal: str | None = None, fmt: str | None = None
-    ) -> int:
-        """Size in bytes of the preferred stored copy (what a read ingests),
-        or of one specific format when ``fmt`` is given.
+    def extract_size_bytes(self, key: ExtractKey, principal: str | None = None) -> int:
+        """Size in bytes of the stored segment (what a full read ingests).
 
         Region extract size is the scalability axis of Figure 12; the
         benchmark harness reports it alongside runtimes.
         """
         self._check_access(principal)
-        snap = self._snapshot()
-        fmt = self._resolve_format(key, fmt, snap)[0]
-        return self._entry(key, fmt, snap).size
+        return self._entry(key, self._snapshot()).size
 
-    def delete_extract(
-        self, key: ExtractKey, principal: str | None = None, fmt: str | None = None
-    ) -> None:
+    def delete_extract(self, key: ExtractKey, principal: str | None = None) -> None:
         """Remove the extract for ``key`` if present.
 
-        With ``fmt`` given only that format's copy is removed (the lake
-        converter uses this to drop the source format after verification);
-        otherwise every stored copy goes.  The delete is one manifest
-        transaction publishing a generation without the dropped
-        entries: readers either see every copy or none, and a crash
-        mid-delete rolls back cleanly on the next open.  Deleting an
-        absent extract (or format) drops nothing and publishes no new
-        generation.  The payload
-        files themselves are retired logically -- still on disk (older
-        pinned generations may reference them) until
-        :meth:`collect_garbage` reclaims them.
+        One manifest transaction publishing a generation without any of
+        the key's entries (an un-imported CSV entry goes too): readers
+        see the key or they do not, and a crash mid-delete rolls back
+        cleanly on the next open.  Deleting an absent extract drops
+        nothing and publishes no new generation.  The payload files
+        themselves are retired logically -- still on disk (older pinned
+        generations may reference them) until :meth:`collect_garbage`
+        reclaims them.
         """
         self._check_access(principal)
-        formats = (check_format(fmt),) if fmt is not None else EXTRACT_FORMATS
         self._require_writable()
         # Presence is decided from txn.base *inside* the transaction lock:
         # a pre-lock snapshot could race a concurrent writer committing
-        # between the check and the drop.  Dropping an absent format is a
-        # no-op, and a transaction that drops nothing commits nothing.
-        with self._manifest.transaction(f"delete {key} {' '.join(formats)}") as txn:
-            for name in formats:
-                txn.drop(key.region, key.week, name)
+        # between the check and the drop.  A transaction that drops
+        # nothing commits nothing.
+        with self._manifest.transaction(f"delete {key}") as txn:
+            for fmt in txn.base.formats(key.region, key.week):
+                txn.drop(key.region, key.week, fmt)
 
     def collect_garbage(self, principal: str | None = None):
         """Physically reclaim segment files and generations no longer

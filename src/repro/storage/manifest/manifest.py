@@ -48,7 +48,6 @@ from types import TracebackType
 
 from repro.storage.manifest.faults import fault_point
 from repro.storage.manifest.txlog import TransactionLog
-from repro.storage.query import EXTRACT_FORMATS
 
 try:  # pragma: no cover - POSIX everywhere we run; the fallback documents intent
     import fcntl
@@ -95,7 +94,13 @@ FAULT_POINTS: tuple[str, ...] = (
     "txlog.commit",
 )
 
-_FMT_ALTERNATION = "|".join(re.escape(fmt) for fmt in EXTRACT_FORMATS)
+#: Format names a manifest entry may carry, ``.sgx`` first.  A lake reads
+#: and writes ``.sgx`` only; ``csv`` entries come from stores that predate
+#: that (or from adopted legacy files) and wait for ``convert`` to import
+#: them, so they must keep parsing, listing and garbage-collecting.
+ENTRY_FORMATS = ("sgx", "csv")
+
+_FMT_ALTERNATION = "|".join(re.escape(fmt) for fmt in ENTRY_FORMATS)
 
 #: Content-addressed segment file names: the legacy stem plus 12 hex
 #: digits of the payload's sha256.  The week digits being followed by
@@ -198,9 +203,9 @@ class ManifestSnapshot:
         return self._index.get((region, week, fmt))
 
     def formats(self, region: str, week: int) -> tuple[str, ...]:
-        """Stored formats for ``(region, week)`` in read-preference order."""
+        """Entry formats present for ``(region, week)``, ``.sgx`` first."""
         return tuple(
-            fmt for fmt in EXTRACT_FORMATS if (region, week, fmt) in self._index
+            fmt for fmt in ENTRY_FORMATS if (region, week, fmt) in self._index
         )
 
     def keys(self) -> list[tuple[str, int]]:
@@ -395,7 +400,7 @@ class LakeManifest:
                     if (
                         match is None
                         or match.group("region") != region_dir.name
-                        or match.group("fmt") not in EXTRACT_FORMATS
+                        or match.group("fmt") not in ENTRY_FORMATS
                     ):
                         continue
                     entries.append(

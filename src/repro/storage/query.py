@@ -1,10 +1,8 @@
 """Typed, declarative extract queries: the lake's one read surface.
 
-Reading telemetry used to be a sprawl of positional/keyword arguments
-(``read_extract(key, interval_minutes, principal, fmt, start_minute,
-end_minute)``) that every consumer re-invented, and the only pushdown the
-``.sgx`` reader knew was time-range chunk pruning.  :class:`ExtractQuery`
-replaces that with one frozen, hashable value describing *what* to read:
+:class:`ExtractQuery` is one frozen, hashable value describing *what* to
+read from the lake's ``.sgx`` segments (and, on unpinned stores, the live
+tail riding after them):
 
 * **partitions** -- ``regions`` / ``weeks`` select which ``(region,
   week)`` extracts are scanned (extract keys are partition names, not
@@ -18,18 +16,15 @@ replaces that with one frozen, hashable value describing *what* to read:
 * **columns** -- a projection over :data:`~repro.storage.columnar.COLUMNS`;
   excluding ``values`` skips decoding and checksumming every values
   buffer, and the materialised series carry NaN values;
-* **execution details** -- ``interval_minutes`` and a stored-format
-  preference ``fmt``.  ``fmt`` never changes the answer (both formats
-  materialise the same frame), so it is excluded from
-  :meth:`ExtractQuery.cache_token`;
+* **resolution** -- ``interval_minutes``: extracts are read at the
+  interval they record and bucket-mean resampled onto this one;
 * **aggregates** -- ``aggregates=(...)`` turns the query into a
   reduction (``count`` / ``sum`` / ``min`` / ``max`` / ``mean`` /
   ``variance`` / ``std``), optionally grouped via ``group_by`` over
   ``server`` and/or absolute ``day``.  Aggregate queries return no
-  frame; on ``.sgx`` v4 extracts they are answered from chunk-table
-  statistics without decoding value buffers wherever a chunk lies fully
-  inside the time range and scope (see
-  :func:`~repro.storage.columnar.aggregate_sgx_bytes`).
+  frame; they are answered from chunk-table statistics without decoding
+  value buffers wherever a chunk lies fully inside the time range and
+  scope (see :func:`~repro.storage.columnar.aggregate_sgx_bytes`).
 
 Queries are value objects: equivalent constructions (list vs tuple server
 ids, unordered inputs) normalise to the same instance, hash equal, and
@@ -61,20 +56,6 @@ from repro.timeseries.frame import LoadFrame, ServerMetadata
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (datalake imports us)
     from repro.storage.datalake import ExtractKey
-
-#: Known extract formats, in read-preference order: the columnar format
-#: ingests an order of magnitude faster, so it wins when both exist.
-#: (Defined here -- the base module of the storage read path -- and
-#: re-exported by :mod:`repro.storage.datalake` for compatibility.)
-EXTRACT_FORMATS = ("sgx", "csv")
-
-
-def check_format(fmt: str) -> str:
-    """Validate an extract format name; returns it for chaining."""
-    if fmt not in EXTRACT_FORMATS:
-        raise ValueError(f"unknown extract format {fmt!r}; expected one of {EXTRACT_FORMATS}")
-    return fmt
-
 
 class QueryError(ValueError):
     """Raised for malformed queries and unanswerable query shapes."""
@@ -131,12 +112,8 @@ class ExtractQuery:
     #: Cap on total rows materialised (scans stop once it is reached).
     limit: int | None = None
     #: Sampling interval of the result; ``None`` means "whatever the
-    #: extract records" (the ``.sgx`` header value / the CSV default).
+    #: extract records" (the ``.sgx`` header value).
     interval_minutes: int | None = DEFAULT_INTERVAL_MINUTES
-    #: Stored-format preference; ``None`` negotiates (prefer ``.sgx``,
-    #: degrade to a co-located CSV when the ``.sgx`` copy is damaged).
-    #: Never part of :meth:`cache_token` -- it cannot change the answer.
-    fmt: str | None = None
     #: Reductions to compute instead of materialising rows (``None``:
     #: a row query).  Canonicalised subset of
     #: :data:`~repro.storage.aggregate.AGGREGATE_REDUCTIONS`.
@@ -173,8 +150,6 @@ class ExtractQuery:
             raise QueryError(f"limit must be a non-negative integer, got {self.limit!r}")
         if self.interval_minutes is not None and self.interval_minutes <= 0:
             raise QueryError("interval_minutes must be positive (or None)")
-        if self.fmt is not None:
-            check_format(self.fmt)
         if self.aggregates is not None:
             try:
                 object.__setattr__(self, "aggregates", check_reductions(self.aggregates))
@@ -243,10 +218,6 @@ class ExtractQuery:
         params component.
 
         Covers exactly the fields that determine the materialised frame.
-        ``fmt`` is excluded on purpose: both stored formats answer the
-        same query identically, so a cached stage output keyed under the
-        default negotiation stays valid when the read is later forced to
-        one format (and vice versa).
         """
         return {
             "regions": self.regions,
@@ -270,10 +241,7 @@ class ScanStats:
     ``payload_bytes_stored`` counts the payload bytes of every chunk the
     scan walked; ``payload_bytes_verified`` counts the bytes actually
     CRC-checked and ingested.  The gap between the two is what zone-map
-    pruning, server filtering and column projection saved.  For CSV
-    extracts (no checksums, no sub-file structure) the whole file is
-    parsed, so both counters advance by the file size and the skip
-    counters stay untouched -- the pushdowns are post-parse there.
+    pruning, server filtering and column projection saved.
 
     Aggregate queries additionally count ``chunks_answered_from_stats``
     (chunks whose reductions came from stored chunk-table pre-aggregates)
@@ -396,8 +364,9 @@ def resample_series(series, interval_minutes: int | None, rng: tuple[int, int] |
 
 
 def project_series(series, wants_values: bool, rng: tuple[int, int] | None):
-    """Post-parse equivalents of the ``.sgx`` pushdowns for CSV frames:
-    slice ``series`` to ``rng`` and blank unprojected values to NaN."""
+    """The ``.sgx`` pushdowns' equivalents for rows that never were in a
+    segment (the live tail): slice ``series`` to ``rng`` and blank
+    unprojected values to NaN."""
     import numpy as np
 
     if rng is not None:
@@ -408,12 +377,10 @@ def project_series(series, wants_values: bool, rng: tuple[int, int] | None):
 
 
 __all__ = [
-    "EXTRACT_FORMATS",
     "ExtractQuery",
     "QueryError",
     "QueryResult",
     "ScanStats",
-    "check_format",
     "project_series",
     "resample_series",
     "truncate_series",

@@ -30,7 +30,6 @@ class ExtractionReport:
     servers: int
     raw_rows: int
     extracted_points: int
-    extract_format: str = "csv"
     extract_bytes: int = 0
     #: Whether the stored copy was read back and checked after the write.
     verified: bool = False
@@ -42,7 +41,6 @@ class ExtractionReport:
             "servers": self.servers,
             "raw_rows": self.raw_rows,
             "extracted_points": self.extracted_points,
-            "extract_format": self.extract_format,
             "extract_bytes": self.extract_bytes,
             "verified": self.verified,
         }
@@ -81,8 +79,7 @@ class LoadExtractionQuery:
         With ``verify`` the stored copy is immediately read back through
         the lake's query surface with a *timestamps-only column
         projection* -- the cheapest structural read the format offers
-        (values buffers are neither decoded nor checksummed on ``.sgx``)
-        -- and its server/row counts are checked against what was
+        (values buffers are neither decoded nor checksummed) -- and its server/row counts are checked against what was
         extracted; a mismatch raises
         :class:`ExtractionVerificationError`.
         """
@@ -122,7 +119,6 @@ class LoadExtractionQuery:
             servers=len(frame),
             raw_rows=raw_rows,
             extracted_points=frame.total_points(),
-            extract_format=self._lake.write_format,
             extract_bytes=self._lake.extract_size_bytes(key),
             verified=verify,
         )

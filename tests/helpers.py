@@ -7,10 +7,89 @@ import zlib
 
 import numpy as np
 
+from repro.storage.csv_io import frame_to_csv_text
+from repro.storage.migrate import convert_lake
 from repro.timeseries.calendar import MINUTES_PER_DAY, points_per_day
+from repro.timeseries.frame import LoadFrame
 from repro.timeseries.series import LoadSeries
 
 POINTS_PER_DAY = points_per_day(5)
+
+
+def plant_csv(lake, key, frame, legacy_layout: bool = False) -> None:
+    """Leave ``key`` with a CSV entry, as a lake may still hold one.
+
+    By default the way a PR <= 18 store wrote it: a manifest transaction
+    staging ``"csv"`` bytes (beside whatever ``.sgx`` entry the key has).
+    ``legacy_layout`` drops a pre-manifest ``.csv`` file instead, which a
+    lake that was never adopted infers as part of generation 0.
+    """
+    payload = frame_to_csv_text(frame).encode("utf-8")
+    if legacy_layout:
+        path = lake.root / key.region / key.filename("csv")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload)  # repro: allow[manifest-boundary] fabricating a pre-manifest legacy lake
+        return
+    with lake.manifest.transaction(f"write {key.filename('csv')}") as txn:
+        txn.stage(key.region, key.week, "csv", payload)
+
+
+def write_via(origin: str, lake, key, frame) -> None:
+    """Store ``frame`` under ``key`` natively (``"sgx"``) or by importing
+    a planted CSV entry with ``convert`` (``"csv"``): whatever a test
+    asserts of a written lake has to hold for an imported one too."""
+    if origin == "sgx":
+        lake.write_extract(key, frame)
+    else:
+        plant_csv(lake, key, frame)
+        convert_lake(lake, region=key.region)
+
+
+def naive_rows(frame: LoadFrame, q) -> LoadFrame:
+    """Re-answer the row query ``q`` from the frame that was written.
+
+    The independent reference the lake's pushdowns are held against, one
+    sample at a time in plain Python: filter servers and engines, slice
+    to the time range, blank unprojected values, bucket-mean onto
+    ``q.interval_minutes``, drop servers a ranged read leaves empty, cap
+    at the row limit in stored order.
+    """
+    interval = q.interval_minutes if q.interval_minutes is not None else frame.interval_minutes
+    lo, hi = q.time_range()
+    out = LoadFrame(interval)
+    remaining = q.limit
+    for server_id, metadata, series in frame.items():
+        if q.servers is not None and server_id not in q.servers:
+            continue
+        if q.engines is not None and metadata.engine not in q.engines:
+            continue
+        rows = [
+            (int(t), float(v) if q.wants_values else float("nan"))
+            for t, v in zip(series.timestamps, series.values, strict=True)
+            if lo <= t < hi
+        ]
+        if interval != frame.interval_minutes:
+            buckets: dict[int, list[float]] = {}
+            for t, v in rows:
+                buckets.setdefault(t // interval * interval, []).append(v)
+            rows = [(t, sum(vs) / len(vs)) for t, vs in sorted(buckets.items()) if lo <= t < hi]
+        if q.is_ranged and not rows:
+            continue
+        if remaining is not None:
+            if remaining <= 0:
+                break
+            rows = rows[:remaining]
+            remaining -= len(rows)
+        out.add_server(
+            metadata,
+            LoadSeries(
+                np.array([t for t, _ in rows], dtype=np.int64),
+                np.array([v for _, v in rows], dtype=np.float64),
+                interval,
+                validate=False,
+            ),
+        )
+    return out
 
 def bare_sgx_header(version: int) -> bytes:
     """A 36-byte ``.sgx`` file (no servers, no dictionary) stamped with

@@ -2,14 +2,15 @@
 
 Every mutation of an on-disk :class:`DataLakeStore` is one manifest
 transaction; this suite kills the writer at every fault point of every
-mutation protocol (fresh write, overwrite, byte write, delete, lake
-conversion, in-place ``.sgx`` re-chunk) and asserts the recovered lake is
+mutation protocol (fresh write, overwrite, byte write, delete, CSV
+import, in-place ``.sgx`` re-chunk) and asserts the recovered lake is
 *exactly* the pre-transaction or the post-transaction state -- never a
 mix -- and that re-running the interrupted mutation converges on the
 clean outcome.  A hypothesis property test does the same over random
 operation sequences, and a pinned-reader test asserts the ISSUE's
 acceptance criterion: a reader holding generation N through a concurrent
-convert keeps answering byte-for-byte from generation N.
+convert keeps answering byte-for-byte from generation N.  CSV entries are
+planted the way a PR <= 18 store wrote them (``tests.helpers.plant_csv``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.storage.query import ExtractQuery
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import CrashInjector, make_series
+from tests.helpers import CrashInjector, make_series, plant_csv
 
 
 def small_frame(n: int = 2, level: float = 1.0, prefix: str = "s") -> LoadFrame:
@@ -51,19 +52,16 @@ def small_frame(n: int = 2, level: float = 1.0, prefix: str = "s") -> LoadFrame:
 def lake_state(root: Path) -> dict:
     """The complete reader-observable state of the lake at ``root``.
 
-    Keys, their stored formats, and a digest of every stored payload --
-    byte-level, so an in-place ``.sgx`` re-chunk (same logical
-    content, different bytes) still reads as a distinct state.  Opening a
-    fresh store here is the point: it runs crash recovery exactly like a
-    process that reopens the lake after a kill.
+    Keys, the formats of their entries, and a digest of every entry's
+    payload file -- byte-level, so an in-place ``.sgx`` re-chunk (same
+    logical content, different bytes) still reads as a distinct state.
+    Opening a fresh store here is the point: it runs crash recovery
+    exactly like a process that reopens the lake after a kill.
     """
-    lake = DataLakeStore(root)
-    state = {}
-    for key in lake.list_extracts():
-        state[(key.region, key.week)] = {
-            fmt: hashlib.sha256(lake.read_extract_bytes(key, fmt=fmt)[1]).hexdigest()
-            for fmt in lake.extract_formats(key)
-        }
+    state: dict = {}
+    for entry in DataLakeStore(root).manifest.current().segments:
+        digest = hashlib.sha256((root / entry.relpath).read_bytes()).hexdigest()
+        state.setdefault((entry.region, entry.week), {})[entry.fmt] = digest
     return state
 
 
@@ -102,13 +100,13 @@ def _setup_empty(root: Path) -> None:
 
 
 def _setup_csv(root: Path) -> None:
-    DataLakeStore(root, write_format="csv").write_extract(KEY, small_frame())
+    plant_csv(DataLakeStore(root), KEY, small_frame())
 
 
 def _setup_dual(root: Path) -> None:
-    lake = DataLakeStore(root, write_format="csv")
+    lake = DataLakeStore(root)
     lake.write_extract(KEY, small_frame())
-    lake.write_extract(KEY, small_frame(), fmt="sgx", keep_other_formats=True)
+    plant_csv(lake, KEY, small_frame())
 
 
 def _setup_day_chunked(root: Path) -> None:
@@ -131,19 +129,17 @@ SCENARIOS = [
         ),
     ),
     Scenario(
-        # Overwriting a CSV copy with .sgx drops the stale CSV entry in
-        # the same transaction -- a crash must never publish one half.
+        # Overwriting an un-imported CSV entry retires it in the same
+        # transaction -- a crash must never publish one half.
         name="overwrite-drops-other-format",
         setup=_setup_csv,
-        mutate=lambda root: DataLakeStore(root).write_extract(
-            KEY, small_frame(level=5.0), fmt="sgx"
-        ),
+        mutate=lambda root: DataLakeStore(root).write_extract(KEY, small_frame(level=5.0)),
     ),
     Scenario(
         name="write-bytes",
         setup=_setup_csv,
         mutate=lambda root: DataLakeStore(root).write_extract_bytes(
-            KEY, "sgx", frame_to_sgx_bytes(small_frame(level=9.0))
+            KEY, frame_to_sgx_bytes(small_frame(level=9.0))
         ),
     ),
     Scenario(
@@ -153,22 +149,13 @@ SCENARIOS = [
         stages_segments=False,
     ),
     Scenario(
-        # convert --delete-source runs two transactions per key: stage
-        # the .sgx copy (keeping the CSV alive for verification), then
-        # drop the CSV.  The dual-format middle state is a legal
-        # transaction boundary; anything else is a torn write.
-        name="convert-delete-source",
+        # An import is one transaction per key -- stage the verified
+        # .sgx, retire the CSV entry -- so there is no ``ref_stages``
+        # middle state: a crash leaves the key CSV or .sgx, never both,
+        # never neither.
+        name="convert-imports-csv",
         setup=_setup_csv,
-        mutate=lambda root: convert_lake(
-            DataLakeStore(root), "sgx", delete_source=True
-        ),
-        ref_stages=[
-            lambda root: (lambda lake: lake.write_extract(
-                KEY, lake.read_extract(KEY, fmt="csv"), fmt="sgx",
-                keep_other_formats=True,
-            ))(DataLakeStore(root)),
-            lambda root: DataLakeStore(root).delete_extract(KEY, fmt="csv"),
-        ],
+        mutate=lambda root: convert_lake(DataLakeStore(root)),
     ),
     Scenario(
         # Forced in-place re-chunk (verify in memory, then overwrite the
@@ -176,7 +163,7 @@ SCENARIOS = [
         # after, so only the byte-level state digests tell pre from post.
         name="rechunk-in-place",
         setup=_setup_day_chunked,
-        mutate=lambda root: convert_lake(DataLakeStore(root), "sgx", chunk_minutes=0),
+        mutate=lambda root: convert_lake(DataLakeStore(root), chunk_minutes=0),
     ),
 ]
 
@@ -241,7 +228,7 @@ def test_commit_point_is_the_pointer_swap(tmp_path):
         injector = CrashInjector(point)
         with fault_handler(injector):
             with pytest.raises(InjectedCrash):
-                DataLakeStore(root).write_extract(KEY, small_frame(level=3.0), fmt="sgx")
+                DataLakeStore(root).write_extract(KEY, small_frame(level=3.0))
         recovered = lake_state(root)
         if index < commit_index:
             assert recovered == pre, f"crash at {point} must roll back"
@@ -253,7 +240,7 @@ def test_commit_point_is_the_pointer_swap(tmp_path):
 def test_write_protocol_hits_every_fault_point_in_order(tmp_path):
     recorder = CrashInjector(None)
     with fault_handler(recorder):
-        DataLakeStore(tmp_path).write_extract(KEY, small_frame(), fmt="sgx")
+        DataLakeStore(tmp_path).write_extract(KEY, small_frame())
     assert tuple(recorder.seen) == FAULT_POINTS
 
 
@@ -267,7 +254,6 @@ _op = st.one_of(
     st.tuples(
         st.just("write"),
         st.sampled_from(range(len(_KEYS))),
-        st.sampled_from(["csv", "sgx"]),
         st.integers(min_value=0, max_value=5),
     ),
     st.tuples(st.just("delete"), st.sampled_from(range(len(_KEYS)))),
@@ -277,8 +263,8 @@ _op = st.one_of(
 def _apply(root: Path, op: tuple) -> None:
     lake = DataLakeStore(root)
     if op[0] == "write":
-        _tag, key_index, fmt, level = op
-        lake.write_extract(_KEYS[key_index], small_frame(level=float(level)), fmt=fmt)
+        _tag, key_index, level = op
+        lake.write_extract(_KEYS[key_index], small_frame(level=float(level)))
     else:
         lake.delete_extract(_KEYS[op[1]])
 
@@ -334,9 +320,9 @@ def test_random_sequence_crash_parity(ops, crash_index, point):
 
 def test_pinned_reader_survives_concurrent_convert(tmp_path):
     """ISSUE acceptance: a reader pinned to generation N while the lake
-    is converted (CSV -> .sgx, source deleted) keeps returning results
-    identical to its pre-convert reads."""
-    lake = DataLakeStore(tmp_path, write_format="csv")
+    is converted (every segment re-chunked in place) keeps returning
+    results identical to its pre-convert reads."""
+    lake = DataLakeStore(tmp_path)
     keys = [ExtractKey("r0", 1), ExtractKey("r0", 2)]
     for index, key in enumerate(keys):
         lake.write_extract(key, small_frame(level=float(index), prefix=f"w{index}-"))
@@ -346,14 +332,13 @@ def test_pinned_reader_survives_concurrent_convert(tmp_path):
     before = reader.query(q)
     before_bytes = {key: reader.read_extract_bytes(key) for key in keys}
 
-    convert_lake(DataLakeStore(tmp_path), "sgx", delete_source=True)
+    assert convert_lake(DataLakeStore(tmp_path), chunk_minutes=5).n_converted == 2
 
     # The live lake moved on...
     live = DataLakeStore(tmp_path)
     assert live.current_generation() > reader.pinned_generation
-    assert all(live.extract_formats(key) == ("sgx",) for key in keys)
+    assert all(live.read_extract_bytes(key) != before_bytes[key] for key in keys)
     # ...but the pinned reader still serves generation N, byte for byte.
-    assert reader.extract_formats(keys[0]) == ("csv",)
     assert {key: reader.read_extract_bytes(key) for key in keys} == before_bytes
     after = reader.query(q)
     assert after.rows == before.rows
@@ -376,7 +361,7 @@ def test_scan_in_flight_is_isolated_from_writes(tmp_path):
     # Overwrite both extracts while the scan is in flight.
     writer = DataLakeStore(tmp_path)
     for index, key in enumerate(keys):
-        writer.write_extract(key, small_frame(level=50.0, prefix=f"w{index}-"), fmt="sgx")
+        writer.write_extract(key, small_frame(level=50.0, prefix=f"w{index}-"))
 
     rest = list(stream)
     assert [key for key, _m, _s in rest] == [keys[0], keys[1], keys[1]]

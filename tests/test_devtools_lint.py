@@ -96,6 +96,27 @@ class TestApiBoundary:
         )
         assert "api-boundary" in rules_of(findings)
 
+    @pytest.mark.parametrize(
+        "module, flagged",
+        [
+            ("repro/storage/datalake.py", True),  # not even the lake's own read path
+            ("repro/fleet_ops/bad.py", True),
+            ("repro/storage/migrate.py", False),  # the import edge
+        ],
+    )
+    def test_csv_parse_belongs_to_the_import_edge_alone(self, tmp_path, module, flagged):
+        findings = lint_snippet(
+            tmp_path,
+            module,
+            """
+            from repro.storage import csv_io
+
+            def parse(raw):
+                return csv_io.frame_from_csv_text(raw.decode("utf-8"), 5)
+            """,
+        )
+        assert ("api-boundary" in rules_of(findings)) == flagged
+
     def test_direct_sgx_open_outside_storage_flags(self, tmp_path):
         findings = lint_snippet(
             tmp_path,

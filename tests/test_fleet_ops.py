@@ -14,10 +14,24 @@ from repro.telemetry.fleet import default_fleet_spec, extract_spec
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.telemetry.generator import WorkloadGenerator
 
+from tests.helpers import plant_csv
+
 
 @pytest.fixture(scope="module")
 def fleet_spec():
     return default_fleet_spec(servers_per_region=(8, 5), weeks=4, seed=13)
+
+
+def csv_lake(root, spec, weeks) -> DataLakeStore:
+    """What ``populate_lake`` left behind up to PR 18 by default: every
+    extract of ``spec`` as a CSV manifest entry, waiting for ``convert``."""
+    lake = DataLakeStore(root)
+    generator = WorkloadGenerator(spec)
+    for region in spec.regions:
+        for week in weeks:
+            key = ExtractKey(region=region.name, week=week)
+            plant_csv(lake, key, generator.generate_weekly_extract(region, week))
+    return lake
 
 
 @pytest.fixture(scope="module")
@@ -376,11 +390,13 @@ class TestFleetReportEdgeCases:
 
 class TestColumnarFleetRuns:
     def test_sgx_lake_matches_csv_lake(self, fleet_spec, tmp_path):
-        csv_lake = DataLakeStore(tmp_path / "csv")
-        sgx_lake = DataLakeStore(tmp_path / "sgx", write_format="sgx")
-        populate_lake(csv_lake, fleet_spec, weeks=[0])
+        from repro.storage.migrate import convert_lake
+
+        imported = csv_lake(tmp_path / "csv", fleet_spec, weeks=[0])
+        convert_lake(imported)
+        sgx_lake = DataLakeStore(tmp_path / "sgx")
         populate_lake(sgx_lake, fleet_spec, weeks=[0])
-        with FleetOrchestrator(csv_lake, PipelineConfig()) as orchestrator:
+        with FleetOrchestrator(imported, PipelineConfig()) as orchestrator:
             from_csv = orchestrator.run()
         with FleetOrchestrator(sgx_lake, PipelineConfig()) as orchestrator:
             from_sgx = orchestrator.run()
@@ -398,25 +414,47 @@ class TestColumnarFleetRuns:
             report = orchestrator.run()
         assert report.n_failed == 0
 
-    def test_corrupt_sgx_falls_back_to_csv_copy_inside_the_worker(self, fleet_spec, tmp_path):
-        # The root-path handoff keeps the lake's damaged-.sgx-degrades-
-        # to-CSV behaviour: the worker's own store negotiates the format.
+    def test_damaged_or_unimported_extract_fails_only_its_unit(self, fleet_spec, tmp_path):
+        # Nothing answers for a damaged segment or an un-imported CSV
+        # entry: each fails exactly its unit, carrying the lake's message
+        # (which extract, which file, what to run), and ``convert``
+        # re-imports both from the CSV entries the generation holds.
+        from repro.storage.migrate import convert_lake
+
         lake = DataLakeStore(tmp_path)
-        populate_lake(lake, fleet_spec, weeks=[0])
-        key = lake.list_extracts()[0]
-        frame = lake.read_extract(key)
-        lake.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
-        damaged = bytearray(lake.extract_path(key, fmt="sgx").read_bytes())
+        damaged_key, csv_only_key, *healthy = populate_lake(lake, fleet_spec, weeks=[0, 1])
+        plant_csv(lake, damaged_key, lake.read_extract(damaged_key))
+        segment = lake.extract_path(damaged_key)
+        damaged = bytearray(segment.read_bytes())
         damaged[-3] ^= 0xFF
-        lake.extract_path(key, fmt="sgx").write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
+        segment.write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
+        frame = lake.read_extract(csv_only_key)
+        lake.delete_extract(csv_only_key)
+        plant_csv(lake, csv_only_key, frame)
+
+        remedy = f"python -m repro.fleet_ops convert --lake-dir {tmp_path}"
         with FleetOrchestrator(lake, PipelineConfig()) as orchestrator:
-            report = orchestrator.run([key])
-        assert report.n_failed == 0
+            report = orchestrator.run()
+            reasons = {
+                ExtractKey(o.region, o.week): o.abort_reason
+                for o in report.outcomes
+                if not o.succeeded
+            }
+            assert set(reasons) == {damaged_key, csv_only_key}
+            assert report.n_succeeded == len(healthy) == 2
+            relpath = segment.relative_to(tmp_path).as_posix()
+            assert relpath in reasons[damaged_key] and "checksum mismatch" in reasons[damaged_key]
+            assert remedy in reasons[damaged_key] and remedy in reasons[csv_only_key]
+            assert "stored only as CSV" in reasons[csv_only_key]
+            assert report.outcomes[0].incidents[0]["message"] == reasons[damaged_key]
+
+            assert convert_lake(lake).n_converted == 2
+            assert orchestrator.run().n_failed == 0
 
     def test_convert_refreshes_fingerprints_but_keeps_stage_cache(
         self, tmp_path, fleet_spec
     ):
-        """Converting the lake changes stored bytes (new unit fingerprints)
+        """Re-chunking the lake changes stored bytes (new unit fingerprints)
         while frame content -- and so every stage-cache key -- is unchanged."""
         from repro.storage.migrate import convert_lake
 
@@ -427,7 +465,7 @@ class TestColumnarFleetRuns:
             lake, PipelineConfig(), cache_dir=cache_dir
         ) as orchestrator:
             orchestrator.run()
-            convert_lake(lake, "sgx", delete_source=True)
+            assert convert_lake(lake, chunk_minutes=720).n_converted == 2
             report = orchestrator.run()
         assert report.cache_summary()["unit_hits"] == 0
         for outcome in report.outcomes:
@@ -437,11 +475,10 @@ class TestColumnarFleetRuns:
 
 
 class TestConvertCli:
+    SPEC = default_fleet_spec(servers_per_region=(4, 3), weeks=4, seed=5)
+
     def _csv_lake(self, tmp_path):
-        spec = default_fleet_spec(servers_per_region=(4, 3), weeks=4, seed=5)
-        lake = DataLakeStore(tmp_path / "lake")
-        populate_lake(lake, spec, weeks=range(2))
-        return lake
+        return csv_lake(tmp_path / "lake", self.SPEC, weeks=range(2))
 
     def test_convert_reports_rollup(self, capsys, tmp_path):
         lake = self._csv_lake(tmp_path)
@@ -450,37 +487,49 @@ class TestConvertCli:
         assert code == 0
         assert "4 extract(s) converted" in out
         assert "rows" in out and "bytes" in out
+        assert "Retired 4 CSV entry(ies)" in out
         for key in lake.list_extracts():
-            assert lake.extract_formats(key) == ("sgx", "csv")
+            assert lake.extract_formats(key) == ("sgx",)
 
     def test_convert_delete_source_migrates_in_place(self, capsys, tmp_path):
+        # One transaction per key stages the segment and retires the CSV
+        # source: no flag, no second pass, no dual-format middle state.
         lake = self._csv_lake(tmp_path)
-        before = {key: lake.read_extract(key).content_hash() for key in lake.list_extracts()}
-        code = fleet_main(
-            ["convert", "--lake-dir", str(lake.root), "--delete-source"]
-        )
-        assert code == 0
-        for key, content_hash in before.items():
+        generation = lake.current_generation()
+        assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
+        assert lake.current_generation() == generation + 4
+        generator = WorkloadGenerator(self.SPEC)
+        for key in lake.list_extracts():
+            planted = generator.generate_weekly_extract(key.region, key.week)
             assert lake.extract_formats(key) == ("sgx",)
-            assert lake.read_extract(key).content_hash() == content_hash
+            assert lake.read_extract(key).content_hash() == planted.content_hash()
+        for removed in ("--delete-source", "--to=csv"):
+            with pytest.raises(SystemExit) as excinfo:
+                fleet_main(["convert", "--lake-dir", str(lake.root), removed])
+            assert excinfo.value.code == 2
 
     def test_convert_back_to_csv_is_lossless(self, capsys, tmp_path):
+        # CSV text in, CSV text out: what the export edge hands back is
+        # byte for byte what the import edge was given.
         lake = self._csv_lake(tmp_path)
-        before = {key: lake.read_extract(key).content_hash() for key in lake.list_extracts()}
-        assert fleet_main(["convert", "--lake-dir", str(lake.root), "--delete-source"]) == 0
-        assert fleet_main(
-            ["convert", "--lake-dir", str(lake.root), "--to", "csv", "--delete-source"]
-        ) == 0
-        for key, content_hash in before.items():
-            assert lake.extract_formats(key) == ("csv",)
-            assert lake.read_extract(key).content_hash() == content_hash
+        snapshot = lake.manifest.current()
+        planted = {
+            ExtractKey(e.region, e.week): (lake.root / e.relpath).read_bytes()
+            for e in snapshot.segments
+        }
+        assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
+        for key, text in planted.items():
+            identical = lake.read_extract_text(key).encode("utf-8") == text
+            assert identical, key  # not ``assert a == b``: a diff of megabytes never ends
 
     def test_convert_is_idempotent(self, capsys, tmp_path):
         lake = self._csv_lake(tmp_path)
         assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
         capsys.readouterr()
+        generation = lake.current_generation()
         assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
         assert "0 extract(s) converted, 4 already current" in capsys.readouterr().out
+        assert lake.current_generation() == generation  # nothing published
 
     def test_convert_json_rollup(self, capsys, tmp_path):
         lake = self._csv_lake(tmp_path)
@@ -490,101 +539,97 @@ class TestConvertCli:
         assert payload["n_converted"] == 4
         assert payload["rows_converted"] > 0
         assert payload["bytes_out"] < payload["bytes_in"]  # columnar is smaller
+        assert payload["n_csv_retired"] == 4
+        assert payload["csv_bytes_retired"] == payload["bytes_in"]
+
+    def _dual_lake(self, tmp_path):
+        """What a PR <= 18 ``convert`` without ``--delete-source`` left:
+        every key's segment with the same rows as a CSV entry beside it."""
+        from repro.storage.migrate import convert_lake
+
+        lake = self._csv_lake(tmp_path)
+        convert_lake(lake)
+        for key in lake.list_extracts():
+            plant_csv(lake, key, lake.read_extract(key))
+            assert lake.extract_formats(key) == ("sgx", "csv")
+        return lake
 
     def test_delete_source_cleans_up_dual_format_lake(self, capsys, tmp_path):
-        # A convert without --delete-source leaves both formats; a later
-        # --delete-source run must still remove the stale sources even
-        # though every key is already in the target format.
-        lake = self._csv_lake(tmp_path)
+        # Every key is already .sgx, and the CSV entries beside them still
+        # have to go -- after the same lossless check.
+        lake = self._dual_lake(tmp_path)
         assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
-        assert all("csv" in lake.extract_formats(key) for key in lake.list_extracts())
-        capsys.readouterr()
-        assert fleet_main(["convert", "--lake-dir", str(lake.root), "--delete-source"]) == 0
         for key in lake.list_extracts():
             assert lake.extract_formats(key) == ("sgx",)
-        # The destructive run must say so, not read like a no-op.
+        # The run retired entries: it must say so, not read like a no-op.
         out = capsys.readouterr().out
-        assert "Deleted 4 source copy(ies)" in out
-        assert "removed stale .csv copy" in out
+        assert "0 extract(s) converted, 4 already current" in out
+        assert "Retired 4 CSV entry(ies)" in out
+        assert "retired its CSV entry" in out
 
     def test_delete_source_refuses_on_diverged_copies(self, tmp_path):
         from repro.storage.migrate import ConversionVerificationError, convert_lake
 
-        lake = self._csv_lake(tmp_path)
+        lake = self._dual_lake(tmp_path)
         keys = lake.list_extracts()
-        convert_lake(lake, "sgx")
-        # Make one CSV copy diverge from its .sgx sibling.
-        frame = lake.read_extract(keys[0]).filter(lambda md, s: md.server_id != "")
+        # Make one CSV entry diverge from the segment it sits beside.
+        frame = lake.read_extract(keys[0])
         frame.remove_server(frame.server_ids()[0])
-        lake.write_extract(keys[0], frame, fmt="csv", keep_other_formats=True)
+        plant_csv(lake, keys[0], frame)
+        generation = lake.current_generation()
         with pytest.raises(ConversionVerificationError, match="disagrees"):
-            convert_lake(lake, "sgx", delete_source=True)
-        assert "csv" in lake.extract_formats(keys[0])  # source kept
-
-    def test_convert_to_csv_refuses_empty_series_server(self, tmp_path):
-        from repro.storage.migrate import ConversionVerificationError, convert_lake
-        from repro.timeseries.frame import LoadFrame, ServerMetadata
-        from repro.timeseries.series import LoadSeries
-
-        lake = DataLakeStore(tmp_path / "lake", write_format="sgx")
-        frame = LoadFrame(5)
-        frame.add_server(
-            ServerMetadata(server_id="retired", region="r0"), LoadSeries.empty(5)
-        )
-        lake.write_extract(ExtractKey("r0", 0), frame)
-        with pytest.raises(ConversionVerificationError, match="no samples"):
-            convert_lake(lake, "csv")
-        # Nothing half-written: the .sgx copy is still the only one.
-        assert lake.extract_formats(ExtractKey("r0", 0)) == ("sgx",)
+            convert_lake(lake)
+        assert lake.extract_formats(keys[0]) == ("sgx", "csv")  # nothing retired
+        assert lake.current_generation() == generation
 
     def test_convert_heals_pre_v4_sgx_from_its_csv_sibling(self, tmp_path):
-        # A pre-v4 .sgx is unreadable to this reader; with a CSV sibling
-        # one --delete-source run re-converts from the CSV and drops it.
+        # A pre-v4 .sgx is unreadable to this reader; with a CSV entry
+        # beside it one run re-imports from the CSV and retires it.
         from repro.storage.migrate import convert_lake
 
         from tests.helpers import bare_sgx_header
 
-        lake = self._csv_lake(tmp_path)
-        convert_lake(lake, "sgx")  # keeps CSV sources
+        lake = self._dual_lake(tmp_path)
         key = lake.list_extracts()[0]
         frame = lake.read_extract(key, None)
-        lake.write_extract_bytes(key, "sgx", bare_sgx_header(1), keep_other_formats=True)
-        report = convert_lake(lake, "sgx", delete_source=True)
+        lake.write_extract_bytes(key, bare_sgx_header(1))
+        plant_csv(lake, key, frame)
+        report = convert_lake(lake)
         for each in lake.list_extracts():
             assert lake.extract_formats(each) == ("sgx",)
         converted = [r for r in report.records if not r.skipped]
         assert len(converted) == 1
         assert converted[0].source_format == "csv"
-        assert converted[0].deleted_formats == ("csv",)
+        assert converted[0].csv_bytes_retired == converted[0].bytes_in
         assert lake.read_extract(key, None).content_hash() == frame.content_hash()
 
     def test_convert_honours_store_chunk_policy(self, tmp_path):
-        # Without an explicit --chunk-minutes, conversions follow the
-        # lake's configured policy, same as any other .sgx write.
+        # Without an explicit --chunk-minutes, imports follow the lake's
+        # configured policy, same as any other .sgx write.
         from repro.storage.columnar import sgx_summary
         from repro.storage.migrate import convert_lake
 
         seeded = self._csv_lake(tmp_path)
-        lake = DataLakeStore(seeded.root, write_format="sgx", chunk_minutes=0)
-        convert_lake(lake, "sgx")
+        lake = DataLakeStore(seeded.root, chunk_minutes=0)
+        convert_lake(lake)
         key = lake.list_extracts()[0]
-        info = sgx_summary(lake.read_extract_bytes(key, fmt="sgx")[1])
+        info = sgx_summary(lake.read_extract_bytes(key))
         assert info["n_chunks"] == info["n_servers"]  # whole-series chunks
 
     def test_convert_chunk_minutes_rechunks_already_current_lake(self, capsys, tmp_path):
         from repro.storage.columnar import sgx_summary
 
         lake = self._csv_lake(tmp_path)
-        assert fleet_main(["convert", "--lake-dir", str(lake.root), "--delete-source"]) == 0
+        assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
         key = lake.list_extracts()[0]
-        per_day = sgx_summary(lake.read_extract_bytes(key, fmt="sgx")[1])["n_chunks"]
+        per_day = sgx_summary(lake.read_extract_bytes(key))["n_chunks"]
         capsys.readouterr()
         code = fleet_main(
             ["convert", "--lake-dir", str(lake.root), "--chunk-minutes", "720"]
         )
         assert code == 0
         assert "4 extract(s) converted" in capsys.readouterr().out
-        assert sgx_summary(lake.read_extract_bytes(key, fmt="sgx")[1])["n_chunks"] > per_day
+        assert sgx_summary(lake.read_extract_bytes(key))["n_chunks"] > per_day
         # Re-running under the same policy finds byte-identical encodings.
         capsys.readouterr()
         assert fleet_main(
@@ -615,21 +660,20 @@ class TestConvertCli:
         assert "has no partition" in capsys.readouterr().err
 
     def _corrupt_sgx_file(self, lake, key):
-        damaged = bytearray(lake.extract_path(key, fmt="sgx").read_bytes())
+        damaged = bytearray(lake.extract_path(key).read_bytes())
         damaged[-3] ^= 0xFF
-        lake.extract_path(key, fmt="sgx").write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
+        lake.extract_path(key).write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
 
     def test_reconverts_damaged_target_from_healthy_source(self, tmp_path):
         from repro.storage.migrate import convert_lake
 
-        lake = self._csv_lake(tmp_path)
+        lake = self._dual_lake(tmp_path)
         key = lake.list_extracts()[0]
         expected = lake.read_extract(key).content_hash()
-        convert_lake(lake, "sgx")  # dual-format lake
         self._corrupt_sgx_file(lake, key)
         # Re-running must not trust the damaged .sgx -- with or without
-        # verification, and even when deleting sources.
-        report = convert_lake(lake, "sgx", delete_source=True, verify=False)
+        # verification.
+        report = convert_lake(lake, verify=False)
         assert report.n_converted == 1  # the damaged one, from its CSV
         assert lake.extract_formats(key) == ("sgx",)
         assert lake.read_extract(key).content_hash() == expected
@@ -639,24 +683,24 @@ class TestConvertCli:
 
         lake = self._csv_lake(tmp_path)
         key = lake.list_extracts()[0]
-        convert_lake(lake, "sgx", delete_source=True)
+        convert_lake(lake)
         self._corrupt_sgx_file(lake, key)
         # Library: typed error naming the problem.
         from repro.storage.migrate import ConversionVerificationError
 
         with pytest.raises(ConversionVerificationError, match="unreadable"):
-            convert_lake(lake, "sgx")
+            convert_lake(lake)
         # CLI: documented exit code and message, not a traceback.
-        code = fleet_main(["convert", "--lake-dir", str(lake.root), "--to", "csv"])
+        code = fleet_main(["convert", "--lake-dir", str(lake.root)])
         assert code == 1
         assert "conversion aborted" in capsys.readouterr().err
 
     def test_convert_preserves_nondefault_interval(self, tmp_path):
-        from repro.storage.migrate import ConversionVerificationError, convert_lake
+        from repro.storage.migrate import convert_lake
         from repro.timeseries.frame import LoadFrame, ServerMetadata
         from tests.helpers import make_series
 
-        lake = DataLakeStore(tmp_path / "lake", write_format="sgx")
+        lake = DataLakeStore(tmp_path / "lake")
         frame = LoadFrame(10)
         frame.add_server(
             ServerMetadata(server_id="s0", region="r0"),
@@ -664,17 +708,12 @@ class TestConvertCli:
         )
         key = ExtractKey("r0", 0)
         lake.write_extract(key, frame)
-        # Idempotent re-convert must keep the recorded 10-minute interval,
-        # not rewrite it to the 5-minute default.
-        convert_lake(lake, "sgx")
+        # Neither an idempotent re-convert nor a forced re-chunk may
+        # rewrite the recorded 10-minute interval to the 5-minute default.
+        convert_lake(lake)
         assert lake.read_extract(key, None).interval_minutes == 10
-        # The CSV schema cannot carry the interval; converting must refuse
-        # rather than silently degrade it -- with or without verification.
-        with pytest.raises(ConversionVerificationError, match="sampling interval"):
-            convert_lake(lake, "csv")
-        with pytest.raises(ConversionVerificationError, match="sampling interval"):
-            convert_lake(lake, "csv", verify=False, delete_source=True)
-        assert lake.extract_formats(key) == ("sgx",)
+        assert convert_lake(lake, chunk_minutes=10).n_converted == 1
+        assert lake.read_extract(key, None).content_hash() == frame.content_hash()
 
     def test_convert_single_region(self, capsys, tmp_path):
         lake = self._csv_lake(tmp_path)
@@ -683,7 +722,7 @@ class TestConvertCli:
         )
         assert code == 0
         assert lake.extract_formats(ExtractKey("region-0", 0)) == ("csv",)
-        assert "sgx" in lake.extract_formats(ExtractKey("region-1", 0))
+        assert lake.extract_formats(ExtractKey("region-1", 0)) == ("sgx",)
 
 
 class TestQueryHandoff:

@@ -1,10 +1,10 @@
 """Tests for the aggregate query mode and the v4 chunk-statistics path.
 
 Parity is the contract under test: whatever mix of sources answers an
-aggregate -- stored v4 chunk statistics, decoded partial-overlap chunks,
-CSV rows -- the reductions must match a naive recompute over the
-materialised row path, and degraded/legacy lakes must agree with fresh
-ones.  The pairwise (Chan/Welford) merge is additionally checked for
+aggregate -- stored v4 chunk statistics, decoded partial-overlap chunks
+-- the reductions must match a naive recompute over the materialised row
+path, on a lake that was written and on one that was imported from CSV
+entries.  The pairwise (Chan/Welford) merge is additionally checked for
 fold-order independence with hypothesis.
 """
 
@@ -23,7 +23,7 @@ from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
-from tests.helpers import diurnal_series
+from tests.helpers import diurnal_series, write_via
 
 ALL_REDUCTIONS = ("count", "sum", "min", "max", "mean", "variance", "std")
 
@@ -46,9 +46,9 @@ def build_frame(n_servers: int = 4, n_days: int = 7) -> LoadFrame:
 
 @pytest.fixture
 def make_lake(tmp_path):
-    def make(frame: LoadFrame, fmt: str) -> DataLakeStore:
-        lake = DataLakeStore(tmp_path / "lake", write_format=fmt)
-        lake.write_extract(ExtractKey("westus2", 0), frame)
+    def make(frame: LoadFrame, origin: str) -> DataLakeStore:
+        lake = DataLakeStore(tmp_path / "lake")
+        write_via(origin, lake, ExtractKey("westus2", 0), frame)
         return lake
 
     return make
@@ -168,25 +168,6 @@ class TestAggregateRowParity:
             for value in reductions.values():
                 assert not math.isnan(value)
 
-    def test_damaged_sgx_falls_back_to_csv_without_double_count(self, tmp_path):
-        frame = build_frame()
-        lake = DataLakeStore(tmp_path / "lake", write_format="sgx")
-        key = ExtractKey("westus2", 0)
-        lake.write_extract(key, frame)
-        _fmt, raw = lake.read_extract_bytes(key, fmt="sgx")
-        lake.write_extract_bytes(key, "csv", b"", keep_other_formats=True)
-        import repro.storage.csv_io as csv_io
-
-        lake.write_extract_bytes(
-            key, "csv", csv_io.frame_to_csv_text(frame).encode(), keep_other_formats=True
-        )
-        damaged = bytearray(raw)
-        damaged[-1] ^= 0x01  # payload corruption: structure still parses
-        lake.write_extract_bytes(key, "sgx", bytes(damaged), keep_other_formats=True)
-        query = ExtractQuery(aggregates=ALL_REDUCTIONS, group_by=("server",))
-        result = lake.query(query)
-        assert_aggregates_close(result.aggregates, naive_aggregate(frame, query))
-
 
 class TestDecodeAvoidance:
     """Fully covered chunks are answered from statistics, not payloads."""
@@ -286,10 +267,10 @@ class TestConvertKeepsChunking:
         # Non-default half-day chunks: without a forced --chunk-minutes
         # policy the stored copy is already current, however it is chunked.
         raw = columnar.frame_to_sgx_bytes(frame, chunk_minutes=720)
-        lake.write_extract_bytes(key, "sgx", raw)
-        report = convert_lake(lake, "sgx")
+        lake.write_extract_bytes(key, raw)
+        report = convert_lake(lake)
         assert report.n_converted == 0 and report.n_skipped == 1
-        assert lake.read_extract_bytes(key, fmt="sgx")[1] == raw
+        assert lake.read_extract_bytes(key) == raw
 
 
 # Hypothesis strategies ---------------------------------------------------- #
@@ -337,7 +318,7 @@ class TestMergeExactness:
     def test_accumulator_merge_matches_single_fold(self, parts):
         merged = AggregateAccumulator(ALL_REDUCTIONS, ("server",))
         for part in parts:
-            partial = merged.spawn()
+            partial = AggregateAccumulator(ALL_REDUCTIONS, ("server",))
             partial.fold_columns("srv", np.arange(part.shape[0], dtype=np.int64), part)
             merged.merge(partial)
         direct = AggregateAccumulator(ALL_REDUCTIONS, ("server",))

@@ -8,10 +8,13 @@ from repro.storage.datalake import (
     DataLakeStore,
     ExtractKey,
     ExtractNotFoundError,
+    ExtractNotImportedError,
 )
+from repro.storage.migrate import convert_lake
+from repro.storage.query import ExtractQuery
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series
+from tests.helpers import make_series, naive_rows, plant_csv, write_via
 
 
 def small_frame(n=2) -> LoadFrame:
@@ -167,8 +170,12 @@ class TestListExtractParsing:
 
 
 class TestFormatNegotiation:
+    """What is left of it: reads answer from the ``.sgx`` entry alone, a
+    CSV entry (planted the way a PR <= 18 store wrote one) is listed,
+    ignored by reads and retired by the next write."""
+
     def test_sgx_write_and_read(self, tmp_path):
-        store = DataLakeStore(tmp_path, write_format="sgx")
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 2)
         rows = store.write_extract(key, small_frame())
         assert rows == 4  # 2 servers x 2 points
@@ -179,28 +186,27 @@ class TestFormatNegotiation:
     def test_sgx_preferred_over_csv(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame())
-        store.write_extract(key, small_frame(3), fmt="sgx", keep_other_formats=True)
+        store.write_extract(key, small_frame(3))
+        plant_csv(store, key, small_frame())
         assert store.extract_formats(key) == ("sgx", "csv")
-        assert len(store.read_extract(key)) == 3  # the .sgx copy wins
-        fmt, payload = store.read_extract_bytes(key)
-        assert fmt == "sgx" and payload.startswith(b"SGXF")
+        assert len(store.read_extract(key)) == 3  # the CSV entry is never read
+        assert store.read_extract_bytes(key).startswith(b"SGXF")
 
     def test_write_drops_stale_other_format(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), fmt="sgx")
-        store.write_extract(key, small_frame(3), fmt="csv")
-        # The .sgx copy would be stale; it must be gone.
-        assert store.extract_formats(key) == ("csv",)
+        plant_csv(store, key, small_frame())
+        store.write_extract(key, small_frame(3))
+        # A later convert must not import the stale text over these rows.
+        assert store.extract_formats(key) == ("sgx",)
         assert len(store.read_extract(key)) == 3
 
     def test_mixed_lake_lists_each_key_once(self, tmp_path):
         store = DataLakeStore(tmp_path)
-        store.write_extract(ExtractKey("r0", 0), small_frame(), fmt="csv")
-        store.write_extract(ExtractKey("r0", 1), small_frame(), fmt="sgx")
-        store.write_extract(ExtractKey("r1", 0), small_frame(), fmt="sgx")
-        store.write_extract(ExtractKey("r1", 0), small_frame(), fmt="csv", keep_other_formats=True)
+        plant_csv(store, ExtractKey("r0", 0), small_frame())
+        store.write_extract(ExtractKey("r0", 1), small_frame())
+        store.write_extract(ExtractKey("r1", 0), small_frame())
+        plant_csv(store, ExtractKey("r1", 0), small_frame())
         assert store.list_extracts() == [
             ExtractKey("r0", 0),
             ExtractKey("r0", 1),
@@ -210,50 +216,42 @@ class TestFormatNegotiation:
     def test_mixed_lake_reads_consistently(self, tmp_path):
         store = DataLakeStore(tmp_path)
         frame = small_frame()
-        store.write_extract(ExtractKey("r0", 0), frame, fmt="csv")
-        store.write_extract(ExtractKey("r0", 1), frame, fmt="sgx")
-        csv_frame = store.read_extract(ExtractKey("r0", 0))
-        sgx_frame = store.read_extract(ExtractKey("r0", 1))
-        assert csv_frame.content_hash() == sgx_frame.content_hash()
+        plant_csv(store, ExtractKey("r0", 0), frame)
+        store.write_extract(ExtractKey("r0", 1), frame)
+        convert_lake(store)
+        imported = store.read_extract(ExtractKey("r0", 0))
+        written = store.read_extract(ExtractKey("r0", 1))
+        assert imported.content_hash() == written.content_hash() == frame.content_hash()
 
     def test_fingerprint_covers_stored_bytes(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), fmt="csv")
-        csv_fingerprint = store.extract_fingerprint(key)
-        store.write_extract(key, small_frame(), fmt="sgx", keep_other_formats=True)
+        store.write_extract(key, small_frame())
+        per_day = store.extract_fingerprint(key)
+        store.write_extract(key, small_frame(), chunk_minutes=5)
         # Same content, different stored representation: new fingerprint.
-        assert store.extract_fingerprint(key) != csv_fingerprint
+        assert store.read_extract(key).content_hash() == small_frame().content_hash()
+        assert store.extract_fingerprint(key) != per_day
 
     def test_size_reports_preferred_format(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), fmt="csv")
-        csv_size = store.extract_size_bytes(key)
-        store.write_extract(key, small_frame(), fmt="sgx", keep_other_formats=True)
-        sgx_size = store.extract_path(key, fmt="sgx").stat().st_size
-        assert store.extract_size_bytes(key) == sgx_size  # .sgx preferred
-        assert store.extract_size_bytes(key, fmt="csv") == csv_size
+        store.write_extract(key, small_frame())
+        plant_csv(store, key, small_frame())
+        assert store.extract_size_bytes(key) == store.extract_path(key).stat().st_size
+        assert store.extract_path(key).suffix == ".sgx"
 
     def test_delete_removes_all_formats(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), fmt="csv")
-        store.write_extract(key, small_frame(), fmt="sgx", keep_other_formats=True)
+        store.write_extract(key, small_frame())
+        plant_csv(store, key, small_frame())
         store.delete_extract(key)
         assert not store.has_extract(key)
         assert store.list_extracts() == []
 
-    def test_delete_single_format(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), fmt="csv")
-        store.write_extract(key, small_frame(), fmt="sgx", keep_other_formats=True)
-        store.delete_extract(key, fmt="sgx")
-        assert store.extract_formats(key) == ("csv",)
-
     def test_read_extract_text_decodes_columnar(self, tmp_path):
-        store = DataLakeStore(tmp_path, write_format="sgx")
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         text = store.read_extract_text(key)
@@ -261,18 +259,63 @@ class TestFormatNegotiation:
         assert "s0" in text
 
     def test_unknown_format_rejected(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        with pytest.raises(ValueError, match="unknown extract format"):
-            store.write_extract(ExtractKey("r0", 0), small_frame(), fmt="parquet")
-        with pytest.raises(ValueError, match="unknown extract format"):
-            DataLakeStore(tmp_path, write_format="arrow")
+        # One accepted value, kept only for callers that still pass it.
+        DataLakeStore(tmp_path, write_format="sgx")
+        for fmt in ("csv", "arrow"):
+            with pytest.raises(ValueError, match="stores .sgx only.*convert"):
+                DataLakeStore(tmp_path, write_format=fmt)
+        with pytest.raises(TypeError):
+            DataLakeStore(tmp_path).write_extract(ExtractKey("r0", 0), small_frame(), fmt="csv")
 
-    def test_forced_format_read_missing_raises(self, tmp_path):
+
+@pytest.mark.parametrize("legacy_layout", [False, True], ids=["manifest-entry", "legacy-file"])
+class TestCsvEntries:
+    """A generation holding a CSV entry lists it, refuses every read of it
+    with one typed error naming the remedy, and answers after ``convert``."""
+
+    KEY = ExtractKey("r0", 4)
+
+    def test_listed_but_unreadable(self, tmp_path, legacy_layout):
         store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), fmt="csv")
-        with pytest.raises(ExtractNotFoundError):
-            store.read_extract(key, fmt="sgx")
+        plant_csv(store, self.KEY, small_frame(), legacy_layout)
+        assert store.has_extract(self.KEY) and store.list_extracts() == [self.KEY]
+        assert store.extract_formats(self.KEY) == ("csv",)
+        q = ExtractQuery.for_key(self.KEY)
+        for read in (
+            lambda: store.query(q),
+            lambda: store.query(ExtractQuery(aggregates=("count",))),
+            lambda: list(store.scan(q)),
+            lambda: store.read_extract(self.KEY),
+            lambda: store.read_extract_text(self.KEY),
+            lambda: store.read_extract_bytes(self.KEY),
+            lambda: store.extract_path(self.KEY),
+            lambda: store.extract_fingerprint(self.KEY),
+            lambda: store.extract_size_bytes(self.KEY),
+        ):
+            with pytest.raises(ExtractNotImportedError) as excinfo:
+                read()
+            message = excinfo.value.args[0]
+            assert "r0 week 4" in message and f"r0/{self.KEY.filename('csv')[:-4]}" in message
+            assert f"python -m repro.fleet_ops convert --lake-dir {tmp_path}" in message
+        assert isinstance(excinfo.value, ExtractNotFoundError)  # what the fleet isolates
+
+    def test_convert_imports_once(self, tmp_path, legacy_layout):
+        store = DataLakeStore(tmp_path)
+        plant_csv(store, self.KEY, small_frame(), legacy_layout)
+        report = convert_lake(store)
+        assert report.n_converted == 1 and report.records[0].source_format == "csv"
+        assert store.extract_formats(self.KEY) == ("sgx",)
+        for reader in (store, DataLakeStore(tmp_path)):
+            assert reader.read_extract(self.KEY).content_hash() == small_frame().content_hash()
+        generation = store.current_generation()
+        assert convert_lake(store).n_converted == 0
+        assert store.current_generation() == generation
+
+    def test_deletable(self, tmp_path, legacy_layout):
+        store = DataLakeStore(tmp_path)
+        plant_csv(store, self.KEY, small_frame(), legacy_layout)
+        store.delete_extract(self.KEY)
+        assert not store.has_extract(self.KEY)
 
 
 class TestTimeRangeReads:
@@ -290,21 +333,24 @@ class TestTimeRangeReads:
 
     @pytest.mark.parametrize("fmt", ["csv", "sgx"])
     def test_partial_read_prunes_servers(self, tmp_path, fmt):
-        store = DataLakeStore(tmp_path, write_format=fmt)
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, self.frame_two_days())
+        write_via(fmt, store, key, self.frame_two_days())
         part = store.read_extract(key, start_minute=1440, end_minute=2880)
         assert part.server_ids() == ["b"]
         assert part.total_points() == 288
 
     def test_partial_read_identical_across_formats(self, tmp_path):
+        # Imported from a CSV entry vs written: same partial read.
         frame = self.frame_two_days()
         store = DataLakeStore(tmp_path)
-        store.write_extract(ExtractKey("r0", 0), frame, fmt="csv")
-        store.write_extract(ExtractKey("r0", 1), frame, fmt="sgx")
+        write_via("csv", store, ExtractKey("r0", 0), frame)
+        write_via("sgx", store, ExtractKey("r0", 1), frame)
         via_csv = store.read_extract(ExtractKey("r0", 0), start_minute=100, end_minute=700)
         via_sgx = store.read_extract(ExtractKey("r0", 1), start_minute=100, end_minute=700)
         assert via_csv.content_hash() == via_sgx.content_hash()
+        want = naive_rows(frame, ExtractQuery(start_minute=100, end_minute=700))
+        assert via_csv.content_hash() == want.content_hash()
 
 
 class TestChunkPolicy:
@@ -321,8 +367,7 @@ class TestChunkPolicy:
     def _chunks(self, store, key) -> int:
         from repro.storage.columnar import sgx_summary
 
-        _fmt, raw = store.read_extract_bytes(key)
-        return sgx_summary(raw)["n_chunks"]
+        return sgx_summary(store.read_extract_bytes(key))["n_chunks"]
 
     def test_default_policy_is_one_chunk_per_day(self, tmp_path):
         store = DataLakeStore(tmp_path, write_format="sgx")
@@ -350,20 +395,15 @@ class TestChunkPolicy:
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         payload = frame_to_sgx_bytes(self.week_frame(), chunk_minutes=0)
-        store.write_extract_bytes(key, "sgx", payload)
-        fmt, raw = store.read_extract_bytes(key)
-        assert (fmt, raw) == ("sgx", payload)
+        store.write_extract_bytes(key, payload)
+        assert store.read_extract_bytes(key) == payload
 
     def test_write_extract_bytes_drops_stale_other_format(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, self.week_frame(), fmt="csv")
-        payload = frame_to_sgx_bytes(self.week_frame())
-        store.write_extract_bytes(key, "sgx", payload)
+        plant_csv(store, key, self.week_frame())
+        store.write_extract_bytes(key, frame_to_sgx_bytes(self.week_frame()))
         assert store.extract_formats(key) == ("sgx",)
-        store.write_extract(key, self.week_frame(), fmt="csv", keep_other_formats=True)
-        store.write_extract_bytes(key, "sgx", payload, keep_other_formats=True)
-        assert store.extract_formats(key) == ("sgx", "csv")
 
     def test_partial_read_within_server_matches_slice(self, tmp_path):
         store = DataLakeStore(tmp_path, write_format="sgx")
@@ -396,22 +436,16 @@ class TestChunkPolicy:
 
 
 class TestCorruptionFallback:
-    def _corrupt_sgx(self, store, key):
-        damaged = bytearray(store.extract_path(key, fmt="sgx").read_bytes())
-        damaged[-3] ^= 0xFF
-        store.extract_path(key, fmt="sgx").write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
+    """There is none: damage is a typed error (what it says, cold and
+    warm, for every read shape: ``test_storage_structure_cache.py``)."""
 
-    def test_corrupt_sgx_falls_back_to_colocated_csv(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        frame = small_frame()
-        store.write_extract(key, frame, fmt="csv")
-        store.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
-        self._corrupt_sgx(store, key)
-        assert store.read_extract(key).content_hash() == frame.content_hash()
+    def _corrupt_sgx(self, store, key):
+        damaged = bytearray(store.extract_path(key).read_bytes())
+        damaged[-3] ^= 0xFF
+        store.extract_path(key).write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
 
     def test_corrupt_sgx_without_csv_raises_typed_error(self, tmp_path):
-        store = DataLakeStore(tmp_path, write_format="sgx")
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         self._corrupt_sgx(store, key)
@@ -419,21 +453,22 @@ class TestCorruptionFallback:
             store.read_extract(key)
 
     def test_truncated_sgx_header_raises_typed_error(self, tmp_path):
-        store = DataLakeStore(tmp_path, write_format="sgx")
+        store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
-        truncated = store.extract_path(key, fmt="sgx").read_bytes()[:10]
-        store.extract_path(key, fmt="sgx").write_bytes(truncated)  # repro: allow[manifest-boundary] simulating out-of-band disk damage
+        truncated = store.extract_path(key).read_bytes()[:10]
+        store.extract_path(key).write_bytes(truncated)  # repro: allow[manifest-boundary] simulating out-of-band disk damage
         with pytest.raises(ColumnarFormatError, match="truncated"):
             store.read_extract(key)
 
 
 class TestExtractKey:
     def test_filename_format(self):
-        assert ExtractKey("eastus", 7).filename() == "extract_eastus_week0007.csv"
+        assert ExtractKey("eastus", 7).filename() == "extract_eastus_week0007.sgx"
 
     def test_filename_with_format(self):
-        assert ExtractKey("eastus", 7).filename("sgx") == "extract_eastus_week0007.sgx"
+        # The name a legacy-layout file waiting to be imported carries.
+        assert ExtractKey("eastus", 7).filename("csv") == "extract_eastus_week0007.csv"
 
     def test_ordering(self):
         assert ExtractKey("a", 1) < ExtractKey("b", 0)

@@ -41,9 +41,8 @@ from repro.storage.manifest import InjectedCrash, fault_handler
 from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
-from repro.timeseries.resample import regularize
 
-from tests.helpers import CrashInjector, make_series
+from tests.helpers import CrashInjector, make_series, naive_rows, write_via
 
 META = ServerMetadata(server_id="srv-a", region="r0")
 META_B = ServerMetadata(server_id="srv-b", region="r0")
@@ -672,7 +671,7 @@ class TestLiveIngestor:
 
         # The committed segment holds exactly the sealed window; the
         # unified read surface adds the 60 unsealed minutes on top.
-        sealed = store.read_extract(KEY, fmt="sgx")
+        sealed = store.query(ExtractQuery.for_key(KEY), include_tail=False).frame
         assert sealed.series("srv-a").start == 0
         assert len(sealed.series("srv-a")) == MINUTES_PER_DAY // 5
         unified = store.read_extract(KEY)
@@ -771,7 +770,7 @@ class TestTailReads:
             store.read_extract(KEY)  # stored-segment contract unchanged
         ingestor.close()
 
-    def test_include_tail_false_and_forced_fmt_exclude_tail(self, tmp_path):
+    def test_include_tail_false_and_a_pin_exclude_the_tail(self, tmp_path):
         store, ingestor = make_ingestor(tmp_path)
         ingestor.ingest(KEY, META, *minute_batch(0, MINUTES_PER_DAY + 300))
         ingestor.seal(KEY, MINUTES_PER_DAY)
@@ -780,8 +779,8 @@ class TestTailReads:
         no_tail = store.query(ExtractQuery.for_key(KEY), include_tail=False)
         assert len(no_tail.frame.series("srv-a")) == committed_rows
         assert no_tail.stats.tail_rows_scanned == 0
-        forced = store.query(ExtractQuery.for_key(KEY, fmt="sgx"))
-        assert len(forced.frame.series("srv-a")) == committed_rows
+        pinned = DataLakeStore(store.root, pinned_generation=store.current_generation())
+        assert len(pinned.query(ExtractQuery.for_key(KEY)).frame.series("srv-a")) == committed_rows
         ingestor.close()
 
     def test_tail_rows_respect_server_and_range_filters(self, tmp_path):
@@ -906,7 +905,7 @@ class TestGcSafety:
 class TestIntervalResampleParity:
     @pytest.mark.parametrize("fmt", ["sgx", "csv"])
     def test_query_interval_matches_manual_resample(self, tmp_path, fmt):
-        store = DataLakeStore(tmp_path / "lake", write_format=fmt)
+        store = DataLakeStore(tmp_path / "lake")
         rng = np.random.default_rng(11)
         frame = LoadFrame(5)
         for meta in (META, META_B):
@@ -914,16 +913,19 @@ class TestIntervalResampleParity:
                 meta,
                 make_series(rng.uniform(0.0, 100.0, 288), start=0, interval=5),
             )
-        store.write_extract(KEY, frame)
+        write_via(fmt, store, KEY, frame)
 
-        native = store.query(ExtractQuery.for_key(KEY, interval_minutes=None)).frame
-        bucketed = store.query(ExtractQuery.for_key(KEY, interval_minutes=60)).frame
-        for server_id, _meta, series in native.items():
-            expected = regularize(series.timestamps, series.values, 60)
-            got = bucketed.series(server_id)
-            assert got.interval_minutes == 60
-            np.testing.assert_array_equal(got.timestamps, expected.timestamps)
-            np.testing.assert_allclose(got.values, expected.values)
+        for q in (
+            ExtractQuery.for_key(KEY, interval_minutes=60),
+            ExtractQuery.for_key(KEY, interval_minutes=60, start_minute=90, end_minute=600),
+        ):
+            bucketed, expected = store.query(q).frame, naive_rows(frame, q)
+            assert bucketed.server_ids() == expected.server_ids()
+            for server_id, _meta, want in expected.items():
+                got = bucketed.series(server_id)
+                assert got.interval_minutes == 60
+                np.testing.assert_array_equal(got.timestamps, want.timestamps)
+                np.testing.assert_allclose(got.values, want.values)
 
     def test_ranged_resample_stays_inside_the_range(self, tmp_path):
         store = DataLakeStore(tmp_path / "lake")

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.fleet_ops.cli import gc_main, main as fleet_main, manifest_main
-from repro.storage.csv_io import frame_to_csv_text
-from repro.storage.datalake import DataLakeStore, ExtractKey
+from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotImportedError
 from repro.storage.manifest import (
     FAULT_POINTS,
     LakeManifest,
@@ -16,7 +15,7 @@ from repro.storage.manifest import (
 )
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series
+from tests.helpers import make_series, plant_csv
 
 KEY = ExtractKey("r0", 3)
 
@@ -31,31 +30,24 @@ def small_frame(n=2, level=1.0) -> LoadFrame:
     return frame
 
 
-def plant_legacy_extract(root, key: ExtractKey, payload: bytes) -> None:
+def plant_legacy_extract(root, key: ExtractKey) -> None:
     """Fabricate a pre-manifest lake file under its legacy name."""
-    region_dir = root / key.region
-    region_dir.mkdir(parents=True, exist_ok=True)
-    # repro: allow[manifest-boundary] fabricating a pre-manifest legacy lake
-    (region_dir / key.filename("csv")).write_bytes(payload)
-
-
-def legacy_csv_payload() -> bytes:
-    return frame_to_csv_text(small_frame()).encode("utf-8")
+    plant_csv(DataLakeStore(root), key, small_frame(), legacy_layout=True)
 
 
 class TestAdoption:
     def test_legacy_lake_reads_as_generation_zero(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY, legacy_csv_payload())
+        plant_legacy_extract(tmp_path, KEY)
         lake = DataLakeStore(tmp_path)
         assert lake.current_generation() == 0
         assert lake.list_extracts() == [KEY]
         assert not (tmp_path / "_manifest" / "MANIFEST.json").exists()
 
     def test_first_mutation_adopts_and_materialises_gen_zero(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY, legacy_csv_payload())
+        plant_legacy_extract(tmp_path, KEY)
         lake = DataLakeStore(tmp_path)
         other = ExtractKey("r1", 5)
-        lake.write_extract(other, small_frame(), fmt="sgx")
+        lake.write_extract(other, small_frame())
         assert lake.current_generation() == 1
         manifest_dir = tmp_path / "_manifest"
         assert (manifest_dir / "MANIFEST.json").exists()
@@ -63,12 +55,16 @@ class TestAdoption:
         # readers of generation 0 resolve from a file afterwards.
         assert (manifest_dir / "gen-00000000.json").exists()
         assert (manifest_dir / "gen-00000001.json").exists()
-        # The legacy file is carried into generation 1 as-is.
+        # The legacy file is carried into generation 1 as-is: a CSV entry
+        # that is listed, and read once ``convert`` has imported it.
         assert sorted(lake.list_extracts()) == [KEY, other]
+        with pytest.raises(ExtractNotImportedError):
+            lake.read_extract(KEY)
+        assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
         assert lake.read_extract(KEY).server_ids() == ["s0", "s1"]
 
     def test_foreign_and_content_addressed_files_invisible_to_inference(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY, legacy_csv_payload())
+        plant_legacy_extract(tmp_path, KEY)
         (tmp_path / KEY.region / "notes.txt").write_text("not an extract")
         snapshot = LakeManifest(tmp_path).current()
         assert snapshot.generation == 0
@@ -162,7 +158,6 @@ class TestLogicalDeleteAndGc:
         lake.write_extract(KEY, small_frame())
         generation = lake.current_generation()
         lake.delete_extract(ExtractKey("r9", 99))  # nothing to drop
-        lake.delete_extract(KEY, fmt="csv")  # stored as .sgx only
         assert lake.current_generation() == generation
         assert lake.manifest.log.pending() is None
         lake.delete_extract(KEY)  # a real drop still commits
@@ -197,7 +192,7 @@ class TestPinnedStores:
             DataLakeStore(tmp_path, pinned_generation=lake.current_generation() + 1)
 
     def test_legacy_lake_pins_only_generation_zero(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY, legacy_csv_payload())
+        plant_legacy_extract(tmp_path, KEY)
         reader = DataLakeStore(tmp_path, pinned_generation=0)
         assert reader.list_extracts() == [KEY]
         with pytest.raises(LakeManifestError):
@@ -249,7 +244,7 @@ class TestManifestInternals:
         log_path.write_bytes(raw[:-10])  # tear the commit record mid-line
         other = ExtractKey("r1", 5)
         # First reopen resolves the dangling intent, then commits anew.
-        DataLakeStore(tmp_path).write_extract(other, small_frame(level=2.0), fmt="sgx")
+        DataLakeStore(tmp_path).write_extract(other, small_frame(level=2.0))
         reopened = DataLakeStore(tmp_path)  # recovery runs again here
         assert sorted(reopened.list_extracts()) == [KEY, other]
         assert reopened.read_extract(KEY).server_ids() == ["s0", "s1"]

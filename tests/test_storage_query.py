@@ -18,7 +18,7 @@ from repro.timeseries.calendar import MAX_MINUTE, MIN_MINUTE
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
-from tests.helpers import make_series
+from tests.helpers import make_series, naive_rows, write_via
 
 
 def mixed_frame(n=4, points=288, interval=5) -> LoadFrame:
@@ -40,9 +40,10 @@ def mixed_frame(n=4, points=288, interval=5) -> LoadFrame:
 
 @pytest.fixture(params=["csv", "sgx"])
 def lake_one_key(request, tmp_path):
-    lake = DataLakeStore(tmp_path / request.param, write_format=request.param)
+    """One key, written natively or imported from a planted CSV entry."""
+    lake = DataLakeStore(tmp_path / request.param)
     key = ExtractKey("r0", 0)
-    lake.write_extract(key, mixed_frame())
+    write_via(request.param, lake, key, mixed_frame())
     return lake, key
 
 
@@ -84,8 +85,8 @@ class TestExtractQueryValueSemantics:
             ExtractQuery(weeks=(-1,))
         with pytest.raises(QueryError):
             ExtractQuery(interval_minutes=0)
-        with pytest.raises(ValueError, match="unknown extract format"):
-            ExtractQuery(fmt="parquet")
+        with pytest.raises(TypeError):
+            ExtractQuery(fmt="sgx")  # one stored format: nothing to select
 
     def test_time_range_uses_shared_sentinels(self):
         assert ExtractQuery().time_range() == (MIN_MINUTE, MAX_MINUTE)
@@ -104,14 +105,6 @@ class TestQueryCacheKey:
         by_list = ExtractQuery(regions=["r0"], servers=["b", "a"], weeks=[1])
         by_tuple = ExtractQuery(regions=("r0",), servers=("a", "b"), weeks=(1,))
         assert self._key(by_list) == self._key(by_tuple)
-
-    def test_default_and_explicit_format_share_the_artifact_key(self):
-        # fmt is a storage-negotiation detail: both formats answer the
-        # same query with the same frame, so it must not split the cache.
-        negotiated = ExtractQuery(regions=("r0",), weeks=(0,))
-        forced = ExtractQuery(regions=("r0",), weeks=(0,), fmt="sgx")
-        assert negotiated != forced  # still distinct values...
-        assert self._key(negotiated) == self._key(forced)  # ...same cache key
 
     def test_different_projection_changes_the_artifact_key(self):
         full = ExtractQuery(regions=("r0",))
@@ -207,26 +200,6 @@ class TestLakeQuery:
         with pytest.raises(QueryError, match="overlapping"):
             lake.query(ExtractQuery(regions=("r0",)))
 
-    def test_forced_format_missing_raises(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="csv")
-        key = ExtractKey("r0", 0)
-        lake.write_extract(key, mixed_frame())
-        with pytest.raises(ExtractNotFoundError):
-            lake.query(ExtractQuery.for_key(key, fmt="sgx"))
-
-    def test_damaged_sgx_degrades_to_csv(self, tmp_path):
-        lake = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        frame = mixed_frame()
-        lake.write_extract(key, frame, fmt="csv")
-        lake.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
-        path = lake.extract_path(key, fmt="sgx")
-        damaged = bytearray(path.read_bytes())
-        damaged[-3] ^= 0xFF
-        path.write_bytes(bytes(damaged))
-        result = lake.query(ExtractQuery.for_key(key))
-        assert result.frame.content_hash() == frame.content_hash()
-
     def test_access_control_enforced(self, tmp_path):
         lake = DataLakeStore(tmp_path, granted_principals={"seagull"})
         with pytest.raises(AccessDeniedError):
@@ -266,13 +239,13 @@ class TestPushdownByteLevel:
 
     def test_corrupt_excluded_server_invisible_to_filtered_query(self, tmp_path):
         lake, key = self._sgx_lake(tmp_path, n=4)
-        path = lake.extract_path(key, fmt="sgx")
+        path = lake.extract_path(key)
         damaged = bytearray(path.read_bytes())
         damaged[-4] ^= 0xFF  # inside the last server's values buffer
         path.write_bytes(bytes(damaged))
         with pytest.raises(ColumnarFormatError):
-            lake.query(ExtractQuery.for_key(key, fmt="sgx"))
-        filtered = lake.query(ExtractQuery.for_key(key, fmt="sgx", servers=("s0", "s1")))
+            lake.query(ExtractQuery.for_key(key))
+        filtered = lake.query(ExtractQuery.for_key(key, servers=("s0", "s1")))
         assert filtered.frame.server_ids() == ["s0", "s1"]
 
     def test_projection_reduces_verified_bytes(self, tmp_path):
@@ -283,19 +256,20 @@ class TestPushdownByteLevel:
 
     def test_corrupt_values_invisible_to_projected_query(self, tmp_path):
         lake, key = self._sgx_lake(tmp_path, n=1)
-        path = lake.extract_path(key, fmt="sgx")
+        path = lake.extract_path(key)
         damaged = bytearray(path.read_bytes())
         damaged[-4] ^= 0xFF
         path.write_bytes(bytes(damaged))
         with pytest.raises(ColumnarFormatError):
-            lake.query(ExtractQuery.for_key(key, fmt="sgx"))
-        projected = lake.query(ExtractQuery.for_key(key, fmt="sgx", columns=("timestamps",)))
+            lake.query(ExtractQuery.for_key(key))
+        projected = lake.query(ExtractQuery.for_key(key, columns=("timestamps",)))
         assert projected.frame.server_ids() == ["s0"]
 
 
 class TestCrossFormatParity:
-    """Satellite: the same query answers identically on CSV and .sgx,
-    including empty-series handling after slicing."""
+    """The pushdowns answer what a naive re-answer of the written frame
+    does (``tests.helpers.naive_rows``), including empty-series handling
+    after slicing.  The reference used to be a CSV lake, hence the name."""
 
     QUERIES = [
         ExtractQuery(regions=("r0",), weeks=(0,)),
@@ -318,41 +292,37 @@ class TestCrossFormatParity:
     ]
 
     @pytest.fixture()
-    def dual_lakes(self, tmp_path):
-        frame = mixed_frame()
-        csv_lake = DataLakeStore(tmp_path / "csv", write_format="csv")
-        sgx_lake = DataLakeStore(tmp_path / "sgx", write_format="sgx")
-        key = ExtractKey("r0", 0)
-        csv_lake.write_extract(key, frame)
-        sgx_lake.write_extract(key, frame)
-        return csv_lake, sgx_lake
+    def lake(self, tmp_path):
+        lake = DataLakeStore(tmp_path)
+        lake.write_extract(ExtractKey("r0", 0), mixed_frame())
+        return lake
 
     @pytest.mark.parametrize("query", QUERIES, ids=range(len(QUERIES)))
-    def test_same_query_identical_frames(self, dual_lakes, query):
-        csv_lake, sgx_lake = dual_lakes
-        via_csv = csv_lake.query(query).frame
-        via_sgx = sgx_lake.query(query).frame
-        assert via_csv.server_ids() == via_sgx.server_ids()
-        assert via_csv.content_hash() == via_sgx.content_hash()
+    def test_same_query_identical_frames(self, lake, query):
+        want = naive_rows(mixed_frame(), query)
+        for got in (lake.query(query).frame, lake.query(query).frame):  # cold, then warm
+            assert got.server_ids() == want.server_ids()
+            assert got.content_hash() == want.content_hash()
 
-    def test_ranged_query_drops_empty_series_in_both_formats(self, dual_lakes):
-        csv_lake, sgx_lake = dual_lakes
+    def test_ranged_query_drops_empty_series_in_both_formats(self, lake):
         # Only s3 (starting at minute 3*1440) overlaps this range.
         q = ExtractQuery(regions=("r0",), weeks=(0,), start_minute=3 * 1440, end_minute=4 * 1440)
-        assert csv_lake.query(q).frame.server_ids() == ["s3"]
-        assert sgx_lake.query(q).frame.server_ids() == ["s3"]
+        assert naive_rows(mixed_frame(), q).server_ids() == ["s3"]
+        assert lake.query(q).frame.server_ids() == ["s3"]
+        assert [m.server_id for _k, m, _s in lake.scan(q)] == ["s3"]
 
     def test_unranged_sgx_keeps_empty_series_servers(self, tmp_path):
-        # CSV cannot represent a zero-sample server at all, so parity is
-        # only definable for ranged reads; lock the .sgx behaviour here.
         lake = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 0)
         frame = LoadFrame(5)
         frame.add_server(ServerMetadata(server_id="idle", region="r0"), LoadSeries.empty(5))
         lake.write_extract(key, frame)
+        for q in (
+            ExtractQuery.for_key(key),
+            ExtractQuery.for_key(key, start_minute=0, end_minute=10),
+        ):
+            assert lake.query(q).frame.server_ids() == naive_rows(frame, q).server_ids()
         assert lake.query(ExtractQuery.for_key(key)).frame.server_ids() == ["idle"]
-        ranged = lake.query(ExtractQuery.for_key(key, start_minute=0, end_minute=10))
-        assert ranged.frame.server_ids() == []
 
 
 class TestLakeScan:
@@ -397,27 +367,14 @@ class TestLakeScan:
         lake = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 0)
         lake.write_extract(key, mixed_frame(n=3))
-        path = lake.extract_path(key, fmt="sgx")
+        path = lake.extract_path(key)
         damaged = bytearray(path.read_bytes())
         damaged[-4] ^= 0xFF
         path.write_bytes(bytes(damaged))
-        scan = lake.scan(ExtractQuery.for_key(key, fmt="sgx"))
+        scan = lake.scan(ExtractQuery.for_key(key))
         _key, metadata, _series = next(scan)
         assert metadata.server_id == "s0"
         scan.close()
-
-    def test_scan_structure_damage_falls_back_to_csv(self, tmp_path):
-        lake = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        frame = mixed_frame(n=2)
-        lake.write_extract(key, frame, fmt="csv")
-        lake.write_extract(key, frame, fmt="sgx", keep_other_formats=True)
-        path = lake.extract_path(key, fmt="sgx")
-        damaged = bytearray(path.read_bytes())
-        damaged[50] ^= 0xFF  # dictionary/structure region
-        path.write_bytes(bytes(damaged))
-        rows = list(lake.scan(ExtractQuery.for_key(key)))
-        assert [m.server_id for _k, m, _s in rows] == ["s0", "s1"]
 
     def test_scan_limit_exhaustion_stops_before_next_server_decode(self, tmp_path):
         # Once the row limit is exhausted the scan must return without
@@ -426,12 +383,12 @@ class TestLakeScan:
         lake = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 0)
         lake.write_extract(key, mixed_frame(n=2))
-        path = lake.extract_path(key, fmt="sgx")
+        path = lake.extract_path(key)
         damaged = bytearray(path.read_bytes())
         damaged[-4] ^= 0xFF  # s1's values buffer
         path.write_bytes(bytes(damaged))
         stats = ScanStats()
-        q = ExtractQuery.for_key(key, fmt="sgx", limit=288)  # exactly s0's rows
+        q = ExtractQuery.for_key(key, limit=288)  # exactly s0's rows
         rows = list(lake.scan(q, stats=stats))
         assert [m.server_id for _k, m, _s in rows] == ["s0"]
         assert stats.rows == 288
@@ -498,7 +455,6 @@ class TestTraceBoundary:
         lake = DataLakeStore(tmp_path, write_format="sgx")
         for region, week in (("r0", 0), ("r0", 1), ("r1", 0)):
             lake.write_extract(ExtractKey(region, week), frame_for(f"{region}w{week}"))
-        lake.write_extract(ExtractKey("r2", 0), frame_for("csv"), fmt="csv")  # not an .sgx read
 
         calls = []
         for name in ("scan_sgx_bytes", "aggregate_sgx_bytes"):
@@ -513,11 +469,11 @@ class TestTraceBoundary:
         # A cold store, the same store warm, and the streaming dual.
         for store in (lake, lake, DataLakeStore(tmp_path)):
             del calls[:]
-            assert store.query(rows).stats.extracts_scanned == 4
+            assert store.query(rows).stats.extracts_scanned == 3
             assert calls == ["scan_sgx_bytes"] * 3
             del calls[:]
-            assert store.query(rollup).stats.extracts_scanned == 4
+            assert store.query(rollup).stats.extracts_scanned == 3
             assert calls == ["aggregate_sgx_bytes"] * 3
             del calls[:]
-            assert len(list(store.scan(rows))) == 12
+            assert len(list(store.scan(rows))) == 9
             assert calls == ["scan_sgx_bytes"] * 3

@@ -5,8 +5,9 @@ has read (keyed by segment sha256) and afterwards ``pread``s only the
 column buffers an answer keeps.  Each case here is one way a naive
 sha-keyed cache would go wrong -- parse too often, read too much, trust a
 file that changed, cache something that never verified, leak a
-descriptor -- held next to what a cold store does.  Generated histories
-live in ``test_lake_histories.py``.
+descriptor -- held next to what a cold store does.  ``TestDamageIsLoud``
+pins what a read says when the segment is damaged, for every read shape,
+cold and warm.  Generated histories live in ``test_lake_histories.py``.
 """
 
 import os
@@ -17,10 +18,11 @@ import pytest
 from repro.storage import columnar, datalake
 from repro.storage.columnar import ColumnarFormatError, SgxSegment, frame_to_sgx_bytes
 from repro.storage.datalake import DataLakeStore, ExtractKey
+from repro.storage.migrate import convert_lake
 from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series
+from tests.helpers import make_series, plant_csv
 
 DAY = 1440
 KEY = ExtractKey("r0", 0)
@@ -188,7 +190,7 @@ class TestWhatIsParsedAndRead:
 class TestWhenAStructureMayBeReused:
     def test_payload_flipped_after_a_read_is_a_typed_error_naming_the_server(self, lake):
         lake.query(point_query())
-        path = lake.extract_path(KEY, fmt="sgx")
+        path = lake.extract_path(KEY)
         damaged = bytearray(path.read_bytes())
         damaged[-3] ^= 0xFF  # the last server's values buffer
         # Slipping past the signature (same inode, size, mtime) changes
@@ -199,23 +201,9 @@ class TestWhenAStructureMayBeReused:
                 lake.query(ExtractQuery.for_key(KEY))
             assert lake.query(point_query()).rows == 10 * (DAY // 5)  # undamaged servers
 
-    def test_payload_flipped_after_a_read_degrades_to_the_csv_copy(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        frame = week_frame(3, 2)
-        store.write_extract(KEY, frame, fmt="csv")
-        store.write_extract(KEY, frame, fmt="sgx", keep_other_formats=True)
-        assert store.read_extract(KEY).content_hash() == frame.content_hash()
-        path = store.extract_path(KEY, fmt="sgx")
-        damaged = bytearray(path.read_bytes())
-        damaged[-3] ^= 0xFF
-        rewrite_in_place(path, bytes(damaged), keep_mtime=True)
-        assert store.read_extract(KEY).content_hash() == frame.content_hash()
-        rows = list(store.scan(ExtractQuery.for_key(KEY, servers=["s02"])))
-        assert [m.server_id for _k, m, _s in rows] == ["s02"]
-
     def test_truncated_after_a_read_is_a_typed_error_never_a_short_array(self, lake):
         lake.query(point_query())
-        path = lake.extract_path(KEY, fmt="sgx")
+        path = lake.extract_path(KEY)
         rewrite_in_place(path, path.read_bytes()[:-100], keep_mtime=True)
         with pytest.raises(ColumnarFormatError, match="truncated"):
             lake.query(ExtractQuery.for_key(KEY))
@@ -242,7 +230,7 @@ class TestWhenAStructureMayBeReused:
         # equal, and the store must still answer from the new bytes --
         # exactly what a store without a cache does.
         lake.query(point_query())
-        path = lake.extract_path(KEY, fmt="sgx")
+        path = lake.extract_path(KEY)
         other = week_frame(level=5.0)  # same shape: same encoded size
         if gives_it_away == "size":
             other.add_server(ServerMetadata(server_id="extra", region="r0"), make_series([1.0]))
@@ -258,11 +246,11 @@ class TestWhenAStructureMayBeReused:
         else:
             rewrite_in_place(path, data, keep_mtime=gives_it_away == "size")
         for _ in range(2):
-            assert lake.read_extract(KEY, fmt="sgx").content_hash() == other.content_hash()
+            assert lake.read_extract(KEY).content_hash() == other.content_hash()
         assert len(parses) == 2  # dropped, read cold once, retained again
 
     def test_structure_damaged_before_the_first_read_caches_nothing(self, lake, parses):
-        path = lake.extract_path(KEY, fmt="sgx")
+        path = lake.extract_path(KEY)
         good = path.read_bytes()
         damaged = bytearray(good)
         damaged[columnar.HEADER_BYTES + 3] ^= 0x01  # a dictionary string: structure CRC
@@ -307,6 +295,73 @@ class TestWhenAStructureMayBeReused:
         assert len(parses) == 3
 
 
+#: One read per shape; each decodes the last server's last chunk, where
+#: ``damage()`` flips its payload byte.
+READS = {
+    "query": lambda store: store.query(ExtractQuery.for_key(KEY)),
+    "aggregate": lambda store: store.query(
+        ExtractQuery.for_key(KEY, aggregates=("sum",), start_minute=DAY // 2, end_minute=3 * DAY - 5)
+    ),
+    "scan": lambda store: list(store.scan(ExtractQuery.for_key(KEY))),
+}
+
+
+def damage(path, where: str) -> None:
+    """Out-of-band damage a warm store's signature cannot see when it is
+    in the payload (size and mtime kept), and must see when it is in the
+    structure (only a fill walks the structure, so the mtime moves)."""
+    data = bytearray(path.read_bytes())
+    data[-3 if where == "payload" else columnar.HEADER_BYTES + 3] ^= 0x01
+    rewrite_in_place(path, bytes(data), keep_mtime=where == "payload")
+
+
+class TestDamageIsLoud:
+    """Nothing answers for a damaged segment: every read shape raises the
+    reader's typed error, saying which extract and file and what to do."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("where", ["structure", "payload"])
+    @pytest.mark.parametrize("shape", list(READS))
+    def test_error_names_extract_segment_remedy(self, lake, shape, where, warm):
+        if warm:
+            READS[shape](lake)
+        relpath = lake.extract_path(KEY).relative_to(lake.root).as_posix()
+        damage(lake.extract_path(KEY), where)
+        detail = "structure checksum" if where == "structure" else "checksum mismatch for 's11'"
+        for _ in range(2):  # a failed read leaves nothing behind that answers the next one
+            with pytest.raises(ColumnarFormatError, match=detail) as excinfo:
+                READS[shape](lake)
+            message = str(excinfo.value)
+            assert "r0 week 0" in message and relpath in message
+            assert lake.extract_fingerprint(KEY)[:12] in message
+            assert "re-extract" in message and "convert" not in message
+
+    def test_mid_stream_damage_raises_after_yields(self, lake):
+        damage(lake.extract_path(KEY), "payload")
+        scan = lake.scan(ExtractQuery.for_key(KEY))
+        assert [next(scan)[1].server_id for _ in range(11)] == [f"s{i:02d}" for i in range(11)]
+        with pytest.raises(ColumnarFormatError, match="damaged extract for r0 week 0"):
+            next(scan)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_beside_csv_names_convert(self, lake, warm):
+        frame = week_frame()
+        plant_csv(lake, KEY, frame)
+        if warm:
+            lake.query(point_query())
+        damage(lake.extract_path(KEY), "payload")
+        remedy = f"python -m repro.fleet_ops convert --lake-dir {lake.root}"
+        for shape in READS:
+            with pytest.raises(ColumnarFormatError, match="'s11'") as excinfo:
+                READS[shape](lake)
+            assert remedy in str(excinfo.value)
+        report = convert_lake(lake)
+        assert [r.source_format for r in report.records] == ["csv"]
+        assert lake.extract_formats(KEY) == ("sgx",)
+        for store in (lake, DataLakeStore(lake.root)):
+            assert store.read_extract(KEY).content_hash() == frame.content_hash()
+
+
 class TestDescriptors:
     def test_abandoned_warm_scan_leaves_no_open_descriptor(self, lake):
         list(lake.scan(ExtractQuery.for_key(KEY)))
@@ -323,7 +378,7 @@ class TestDescriptors:
         lake.query(point_query())
         lake.query(ROLLUP)
         assert list(lake.scan(ExtractQuery.for_key(KEY, limit=10)))
-        path = lake.extract_path(KEY, fmt="sgx")
+        path = lake.extract_path(KEY)
         damaged = bytearray(path.read_bytes())
         damaged[-3] ^= 0xFF
         rewrite_in_place(path, bytes(damaged), keep_mtime=True)
