@@ -1,26 +1,29 @@
-"""Decode-free aggregation over extract chunks: the merge core.
+"""Aggregation over extract chunks: the mergeable moment algebra.
 
 Fleet-wide rollups (the Figure 12a/13-style runtime and load summaries)
-used to decode every value buffer just to compute a handful of
-reductions.  ``.sgx`` format v4 stores per-chunk, per-column
-pre-aggregates (count / sum / min / max / sum-of-squares) in the chunk
-table, so a chunk lying fully inside a query's time range and
-server/engine scope can be *answered from its statistics* without its
-payload ever being read -- the same pre-computed-annotation move that
-replaces full traversals with window-function lookups in DMR-XPath.
+need a handful of reductions, not rows.  Every ``.sgx`` chunk-table row
+carries its chunk's sample count, zone map and value pre-aggregates
+(sum / min / max / sum-of-squares), so a chunk lying fully inside a
+query's time range and server/engine scope is answered from its table
+row without its payload ever being read; only the chunks a range edge or
+a day boundary cuts are decoded (see
+:func:`~repro.storage.columnar.aggregate_sgx_bytes`).
 
-This module owns the algebra that makes mixing the two sources exact:
+This module owns the algebra that makes mixing those sources exact:
 
 * :class:`GroupState` accumulates one group's running moments.  Mean and
   variance are kept as ``(count, mean, M2)`` and merged with the pairwise
   (Chan et al.) update -- the parallel generalisation of Welford's
-  algorithm -- so folding chunk statistics, folding decoded arrays and
-  merging partial accumulators all agree to floating-point accuracy,
-  independent of fold order.
+  algorithm -- so reduced chunk statistics, decoded arrays and partial
+  accumulators all agree to floating-point accuracy, independent of fold
+  order.
 * :class:`AggregateAccumulator` maps group keys (``server`` and/or
-  absolute ``day``) to states and knows how to fold decoded column
-  arrays (splitting at day boundaries when the grouping asks for it),
-  fold stored chunk statistics, and merge whole accumulators.
+  absolute ``day``) to states and folds three sources into them: a
+  segment's answerable chunk-table rows, reduced per group key in one
+  array pass (:meth:`~AggregateAccumulator.fold_chunk_table`); decoded
+  column arrays, split at day boundaries when the grouping asks for it
+  (:meth:`~AggregateAccumulator.fold_columns`); and whole partial
+  accumulators (:meth:`~AggregateAccumulator.merge`).
 
 Results are NaN-free by construction: a group only exists once at least
 one sample folded into it, so ``min``/``max``/``mean`` are always
@@ -31,16 +34,17 @@ NaN.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from repro.timeseries.calendar import MINUTES_PER_DAY
 
 #: Reductions a query may request, in canonical (output) order.
-#: ``count`` needs no value bytes at all -- a count-only aggregate is
-#: answered from chunk headers on *every* format version; the rest need
-#: the v4 value statistics (or a decode).
+#: ``count`` needs no value data at all -- a count-only aggregate is
+#: answered from the chunk table's ``n_points`` and zone maps, and a
+#: decoded chunk contributes its timestamps only; the rest need the
+#: chunk table's value statistics (or a decoded values buffer).
 AGGREGATE_REDUCTIONS = ("count", "sum", "min", "max", "mean", "variance", "std")
 
 #: Grouping keys a query may ask for, in canonical order.  ``server``
@@ -81,8 +85,9 @@ def check_group_by(group_by: Iterable[str] | str) -> tuple[str, ...]:
 def values_needed(aggregates: Iterable[str]) -> bool:
     """Whether these reductions need value statistics (or value bytes).
 
-    ``count`` alone is answered from chunk headers (``n_points`` plus the
-    zone map), which every supported format version carries.
+    ``count`` alone is answered from the chunk table (``n_points`` plus
+    the zone map); a chunk it has to decode is read for its timestamps
+    only.
     """
     return any(name != "count" for name in aggregates)
 
@@ -97,13 +102,21 @@ class GroupState:
 
     __slots__ = ("count", "total", "minimum", "maximum", "mean", "m2")
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.mean = 0.0
-        self.m2 = 0.0
+    def __init__(
+        self,
+        count: int = 0,
+        total: float = 0.0,
+        minimum: float = math.inf,
+        maximum: float = -math.inf,
+        mean: float = 0.0,
+        m2: float = 0.0,
+    ) -> None:
+        self.count = count
+        self.total = total
+        self.minimum = minimum
+        self.maximum = maximum
+        self.mean = mean
+        self.m2 = m2
 
     # -------------------------------------------------------------- #
 
@@ -123,21 +136,6 @@ class GroupState:
     def fold_count(self, count: int) -> None:
         """Fold a bare sample count (count-only aggregates)."""
         self.count += count
-
-    def fold_stats(
-        self, count: int, total: float, minimum: float, maximum: float, sum_sq: float
-    ) -> None:
-        """Fold one chunk's stored pre-aggregates without any payload."""
-        if count == 0:
-            return
-        mean = total / count
-        # M2 = sum_sq - count * mean^2; clamp the cancellation residue so a
-        # constant chunk can never fold a tiny negative variance.
-        m2 = max(sum_sq - total * mean, 0.0)
-        self.total += total
-        self.minimum = min(self.minimum, minimum)
-        self.maximum = max(self.maximum, maximum)
-        self._merge_moments(count, mean, m2)
 
     def fold_array(self, values: np.ndarray) -> None:
         """Fold decoded value samples (the row path / partial chunks)."""
@@ -201,8 +199,8 @@ class AggregateAccumulator:
     def __init__(self, aggregates: Iterable[str], group_by: Iterable[str] | None) -> None:
         self.aggregates = check_reductions(aggregates)
         self.group_by = check_group_by(group_by) if group_by is not None else ()
-        #: Whether folds need value data (False: count-only, answerable
-        #: from chunk headers on any format version).
+        #: Whether folds need value data (False: count-only, answered from
+        #: sample counts and timestamps alone).
         self.values_needed = values_needed(self.aggregates)
         self.by_day = "day" in self.group_by
         self._groups: dict[tuple, GroupState] = {}
@@ -219,33 +217,92 @@ class AggregateAccumulator:
                 key.append(day)
         return tuple(key)
 
-    def state(self, server_id: str, day: int | None = None) -> GroupState:
-        key = self.group_key(server_id, day)
+    def _group(self, key: tuple) -> GroupState:
         state = self._groups.get(key)
         if state is None:
             state = self._groups[key] = GroupState()
         return state
 
+    def state(self, server_id: str, day: int | None = None) -> GroupState:
+        return self._group(self.group_key(server_id, day))
+
     # -------------------------------------------------------------- #
 
-    def fold_chunk_stats(
+    def fold_chunk_table(
         self,
-        server_id: str,
-        day: int,
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        sum_sq: float,
+        table: np.ndarray,
+        table_server: np.ndarray,
+        server_id: Callable[[int], str],
     ) -> None:
-        """Fold one chunk's stored statistics (the decode-free path)."""
-        if count == 0:
+        """Fold chunk-table rows answered from their stored statistics.
+
+        ``table`` is a record array with the chunk table's ``n_points``,
+        ``min_ts``, ``vs_sum``, ``vs_min``, ``vs_max`` and ``vs_sum_sq``
+        fields; each row must lie within one group -- one server and,
+        when grouping by day, the day of its ``min_ts``.
+        ``table_server[i]`` is row ``i``'s server index and
+        ``server_id(index)`` that server's id.
+
+        The rows are reduced per group key in one array pass into one
+        partial :class:`GroupState` per group, which joins the
+        accumulator through :meth:`GroupState.merge`.  ``count`` is an
+        exact integer sum; ``M2`` comes from the per-row ``(n, mean, m2)``
+        triples -- ``m2_i = sum_sq_i - sum_i * mean_i``, clamped at 0 so a
+        constant chunk's cancellation residue cannot go negative -- as
+        ``sum(m2_i) + sum(n_i * (mean_i - mean_g) ** 2)``, never as
+        ``sum(sum_sq) - sum(sum) ** 2 / N``, whose cancellation loses a
+        near-constant group's variance.  Empty rows create no group.
+        """
+        counts = table["n_points"].astype(np.int64)
+        nonempty = counts > 0
+        if not nonempty.all():
+            table = table.compress(nonempty)
+            table_server, counts = table_server[nonempty], counts[nonempty]
+        if not counts.shape[0]:
             return
-        state = self.state(server_id, day)
-        if self.values_needed:
-            state.fold_stats(count, total, minimum, maximum, sum_sq)
+        columns = []
+        if "server" in self.group_by:
+            columns.append(table_server)
+        if self.by_day:
+            columns.append(table["min_ts"] // MINUTES_PER_DAY)
+        if columns:
+            # Sort rows by key (lexsort: the last column is the primary key)
+            # and number the runs of equal keys: the group of every row.
+            order = np.lexsort(columns[::-1])
+            ordered = np.stack(columns, axis=1)[order]
+            starts = np.ones(ordered.shape[0], dtype=bool)
+            starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+            keys = ordered[starts]
+            group = np.empty(ordered.shape[0], dtype=np.intp)
+            group[order] = np.cumsum(starts) - 1
         else:
-            state.fold_count(count)
+            keys, group = np.empty((1, 0), dtype=np.int64), np.zeros(counts.shape[0], np.intp)
+        n_groups = keys.shape[0]
+        group_count = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(group_count, group, counts)
+        fields = [group_count]
+        if self.values_needed:
+            sums = table["vs_sum"]
+            total = np.bincount(group, weights=sums, minlength=n_groups)
+            minimum = np.full(n_groups, math.inf)
+            np.minimum.at(minimum, group, table["vs_min"])
+            maximum = np.full(n_groups, -math.inf)
+            np.maximum.at(maximum, group, table["vs_max"])
+            row_mean = sums / counts
+            row_m2 = np.maximum(table["vs_sum_sq"] - sums * row_mean, 0.0)
+            mean = total / group_count
+            spread = row_mean - mean[group]
+            m2 = np.bincount(group, weights=row_m2 + counts * spread * spread, minlength=n_groups)
+            fields += [total, minimum, maximum, mean, m2]
+        for key, partial in zip(
+            keys.tolist(), zip(*(field.tolist() for field in fields)), strict=True
+        ):
+            self._group(
+                tuple(
+                    server_id(value) if name == "server" else value
+                    for name, value in zip(self.group_by, key, strict=True)
+                )
+            ).merge(GroupState(*partial))
 
     def fold_columns(
         self, server_id: str, timestamps: np.ndarray, values: np.ndarray | None
@@ -283,10 +340,7 @@ class AggregateAccumulator:
     def merge(self, other: "AggregateAccumulator") -> None:
         """Fold a partial accumulator (e.g. one extract's) into this one."""
         for key, state in other._groups.items():
-            mine = self._groups.get(key)
-            if mine is None:
-                mine = self._groups[key] = GroupState()
-            mine.merge(state)
+            self._group(key).merge(state)
 
     # -------------------------------------------------------------- #
 

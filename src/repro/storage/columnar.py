@@ -162,10 +162,8 @@ assert _CHUNK_TABLE_DTYPE.itemsize == CHUNK_HEADER_V4_ENTRY_SIZE
 #: A chunk as a verified structure keeps it: the table entry plus the
 #: absolute file offset of its payload (timestamps buffer, then values).
 _CHUNK_DTYPE = np.dtype([*_CHUNK_TABLE_DTYPE.descr, ("payload_offset", "<i8")])
-#: Positions in a :data:`_CHUNK_DTYPE` row read out as a tuple (``tolist``).
-_VALUE_STATS = slice(  # vs_sum | vs_min | vs_max | vs_sum_sq
-    _CHUNK_DTYPE.names.index("vs_sum"), _CHUNK_DTYPE.names.index("vs_sum_sq") + 1
-)
+#: Position of the payload offset in a :data:`_CHUNK_DTYPE` row read out
+#: as a tuple (``tolist``).
 _PAYLOAD_OFFSET = _CHUNK_DTYPE.names.index("payload_offset")
 _STRING_LEN = struct.Struct("<H")
 STRING_LEN_SIZE = 2
@@ -476,8 +474,11 @@ class SgxStructure:
     table and ``n_points`` its total sample count.  ``chunks`` is one
     72-byte numpy record per chunk (:data:`_CHUNK_DTYPE`) -- a column
     store, not per-chunk Python objects, so keeping a structure costs
-    little more than the table bytes themselves.  The
-    :class:`ServerMetadata` objects are frozen and shared by every read.
+    little more than the table bytes themselves.  ``server_chunks`` holds
+    each server record's chunk count (``end - first``) as an array, so a
+    read can broadcast per-server decisions onto the table without
+    walking the records.  The :class:`ServerMetadata` objects are frozen
+    and shared by every read.
     """
 
     interval_minutes: int
@@ -485,6 +486,7 @@ class SgxStructure:
     n_dictionary_strings: int
     servers: tuple[tuple[ServerMetadata, int, int, int], ...]
     chunks: np.ndarray
+    server_chunks: np.ndarray
 
 
 def _parse_structure(view: memoryview) -> SgxStructure:
@@ -582,10 +584,13 @@ def _parse_structure(view: memoryview) -> SgxStructure:
     )
     # Every count passed the bounds check above, so int64 cannot wrap.
     sizes = chunks["n_points"].astype(np.int64) * _POINT_BYTES
-    per_server = [end - first for _metadata, first, end, _n_points in servers]
+    per_server = np.array(
+        [end - first for _metadata, first, end, _n_points in servers], dtype=np.int64
+    )
     chunks["payload_offset"] = np.cumsum(sizes) - sizes + np.repeat(shifts, per_server)
     chunks.flags.writeable = False
-    return SgxStructure(interval, total, n_dict, tuple(servers), chunks)
+    per_server.flags.writeable = False
+    return SgxStructure(interval, total, n_dict, tuple(servers), chunks, per_server)
 
 
 class _BufferSource:
@@ -674,6 +679,61 @@ def _as_segment(data) -> SgxSegment:
     return data if isinstance(data, SgxSegment) else SgxSegment.from_bytes(data)
 
 
+def _prune(
+    structure: SgxStructure,
+    start_minute: int | None,
+    end_minute: int | None,
+    servers: Collection[str] | None,
+    predicate: Callable[[ServerMetadata], bool] | None,
+) -> tuple[tuple[int, int] | None, np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the header-only pushdowns to a verified structure; return
+    ``(bounds, server_kept, row_kept, row_server)``.
+
+    The one definition of what survives a read, shared by scan and
+    aggregate.  Nothing here reads the file: ``structure`` already passed
+    every structural check (see :class:`SgxStructure`), so zone maps and
+    metadata fields can be acted on.  ``bounds`` is the half-open
+    ``(lo, hi)`` time range with open ends made explicit, or ``None`` for
+    an unbounded read.  ``server_kept`` holds one flag per server record:
+    a server failing the ``servers`` allow-list or the metadata
+    ``predicate`` is skipped whole.  ``row_kept`` holds one flag per
+    chunk-table row: its server is kept and, under ``bounds``, its zone
+    map meets the range (an empty chunk meets none).  ``row_server`` is
+    the server index of each row.  Pruned payloads are never read or
+    checksummed.
+    """
+    chunks = structure.chunks
+    per_server = structure.server_chunks
+    row_server = np.repeat(np.arange(per_server.shape[0]), per_server)
+    if servers is None and predicate is None:
+        server_kept = np.ones(per_server.shape[0], dtype=bool)
+        row_kept = np.ones(chunks.shape[0], dtype=bool)
+    else:
+        allow = frozenset(servers) if servers is not None else None
+        server_kept = np.fromiter(
+            (
+                (allow is None or metadata.server_id in allow)
+                and (predicate is None or bool(predicate(metadata)))
+                for metadata, _first, _end, _n_points in structure.servers
+            ),
+            dtype=bool,
+            count=per_server.shape[0],
+        )
+        row_kept = np.repeat(server_kept, per_server)
+    bounds = None
+    if start_minute is not None or end_minute is not None:
+        bounds = (
+            start_minute if start_minute is not None else MIN_MINUTE,
+            end_minute if end_minute is not None else MAX_MINUTE,
+        )
+        row_kept &= (
+            (chunks["n_points"] > 0)
+            & (chunks["max_ts"] >= bounds[0])
+            & (chunks["min_ts"] < bounds[1])
+        )
+    return bounds, server_kept, row_kept, row_server
+
+
 def _walk_servers(
     structure: SgxStructure,
     start_minute: int | None,
@@ -682,55 +742,32 @@ def _walk_servers(
     predicate: Callable[[ServerMetadata], bool] | None,
     stats: SgxReadStats | None,
 ):
-    """Apply the header-only pushdowns to a verified structure; return
-    ``(bounds, survivors)``.
+    """The scan's per-server view of :func:`_prune`; return ``(bounds,
+    survivors)``.
 
-    Nothing here reads the file: ``structure`` already passed every
-    structural check (see :class:`SgxStructure`), so zone maps and
-    metadata fields can be acted on.  ``bounds`` is the half-open
-    ``(lo, hi)`` time range with open ends made explicit, or ``None``
-    for an unbounded read.  ``survivors`` lazily yields ``(metadata,
-    chunks)`` per server -- ``chunks`` a list of :data:`_CHUNK_DTYPE`
-    rows as tuples -- with both pushdowns applied and counted in
-    ``stats``: a server failing the ``servers`` allow-list or the
-    metadata ``predicate`` is skipped whole, and under ``bounds`` a
-    chunk whose zone map misses the range (or that is empty) is dropped
-    -- pruned payloads are never read or checksummed.
+    ``survivors`` lazily yields ``(metadata, chunks)`` per kept server --
+    ``chunks`` its kept :data:`_CHUNK_DTYPE` rows as a list of tuples, in
+    file order -- and fills ``stats`` one server at a time as the
+    consumer advances.
     """
-    allow = frozenset(servers) if servers is not None else None
+    bounds, server_kept, row_kept, _row_server = _prune(
+        structure, start_minute, end_minute, servers, predicate
+    )
     chunks = structure.chunks
-    bounds = None
-    in_range = None
-    if start_minute is not None or end_minute is not None:
-        bounds = (
-            start_minute if start_minute is not None else MIN_MINUTE,
-            end_minute if end_minute is not None else MAX_MINUTE,
-        )
-        in_range = (
-            (chunks["n_points"] > 0)
-            & (chunks["max_ts"] >= bounds[0])
-            & (chunks["min_ts"] < bounds[1])
-        )
 
     def survivors() -> Iterator[tuple[ServerMetadata, list[tuple]]]:
-        for metadata, first, end, n_points in structure.servers:
-            skipped = (allow is not None and metadata.server_id not in allow) or (
-                predicate is not None and not predicate(metadata)
-            )
-            if skipped:
-                kept = []
-            elif in_range is None:
-                kept = chunks[first:end].tolist()
-            else:
-                kept = chunks[first:end][in_range[first:end]].tolist()
+        for kept_server, (metadata, first, end, n_points) in zip(
+            server_kept.tolist(), structure.servers, strict=True
+        ):
+            kept = chunks[first:end].compress(row_kept[first:end]).tolist() if kept_server else []
             if stats is not None:
                 stats.servers_seen += 1
-                if skipped:
+                if not kept_server:
                     stats.servers_skipped += 1
                 stats.chunks_seen += end - first
                 stats.chunks_pruned += end - first - len(kept)
                 stats.payload_bytes_total += n_points * _POINT_BYTES
-            if not skipped:
+            if kept_server:
                 yield metadata, kept
 
     return bounds, survivors()
@@ -987,13 +1024,18 @@ def aggregate_sgx_bytes(
     """Fold ``.sgx`` bytes into an :class:`~repro.storage.aggregate.AggregateAccumulator`.
 
     The decode-free read path: ``data`` is taken and its structure
-    verified exactly as in :func:`scan_sgx_bytes`, then each surviving
-    chunk is answered from its chunk-table statistics whenever that is
-    exact -- the chunk lies fully inside the time range and does not
-    straddle a day boundary when grouping by day.  Only partial-overlap
-    and day-straddling chunks are fetched, CRC-verified, decoded and
-    folded sample-by-sample; the pairwise merge inside the accumulator
-    makes mixing the two sources exact.
+    verified exactly as in :func:`scan_sgx_bytes`, and the pushdowns of
+    :func:`_prune` decide which chunk-table rows survive.  A surviving
+    row is *answerable from statistics* when that is exact: the chunk
+    lies fully inside the time range and, when grouping by day, does not
+    straddle a day boundary.  All answerable rows of the segment are
+    folded in one array reduction per group key
+    (:meth:`~repro.storage.aggregate.AggregateAccumulator.fold_chunk_table`);
+    only the rest -- partial-overlap chunks, day-straddling chunks, and
+    under an unbounded by-day grouping the empty chunk's sentinel zone
+    map -- are fetched, CRC-verified, decoded and folded sample by
+    sample.  The pairwise merge inside the accumulator makes mixing the
+    two sources exact.
 
     Chunks answered from statistics never have their payload read or
     checksummed -- their integrity rests on the structure CRC, which
@@ -1001,37 +1043,45 @@ def aggregate_sgx_bytes(
     ``chunks_answered_from_stats``/``bytes_decoded_avoided``.
     """
     segment = _as_segment(data)
-    source = segment._source
-    bounds, survivors = _walk_servers(
-        segment.structure, start_minute, end_minute, servers, predicate, stats
+    structure = segment.structure
+    chunks = structure.chunks
+    bounds, server_kept, row_kept, row_server = _prune(
+        structure, start_minute, end_minute, servers, predicate
     )
-    values_needed = accumulator.values_needed
-    by_day = accumulator.by_day
-
-    for metadata, chunks in survivors:
-        server_id = metadata.server_id
-        for chunk in chunks:
-            n_points, min_ts, max_ts = chunk[:3]
-            fully_inside = bounds is None or (min_ts >= bounds[0] and max_ts < bounds[1])
-            day_compatible = not by_day or (
-                min_ts // MINUTES_PER_DAY == max_ts // MINUTES_PER_DAY
-            )
-            if fully_inside and day_compatible:
-                # Answered from the chunk table alone: the payload stays
-                # unread; the statistics are vouched for by the already-
-                # verified structure CRC.
-                accumulator.fold_chunk_stats(
-                    server_id, min_ts // MINUTES_PER_DAY, n_points, *chunk[_VALUE_STATS]
-                )
-                if stats is not None:
-                    stats.chunks_answered_from_stats += 1
-                    stats.bytes_decoded_avoided += n_points * _POINT_BYTES
-                continue
-            # Decode path: partial overlap or day-straddling chunk.
-            timestamps, values = _decode_chunk(
-                source, server_id, chunk, values_needed, bounds, stats
-            )
-            accumulator.fold_columns(server_id, timestamps, values)
+    answerable = row_kept.copy()
+    if bounds is not None:
+        answerable &= (chunks["min_ts"] >= bounds[0]) & (chunks["max_ts"] < bounds[1])
+    if accumulator.by_day:
+        answerable &= chunks["min_ts"] // MINUTES_PER_DAY == chunks["max_ts"] // MINUTES_PER_DAY
+    if stats is not None:
+        # Python ints: the u64 point counts passed the structure's bounds
+        # check, so these sums are the exact byte counts.
+        n_points = chunks["n_points"]
+        stats.servers_seen += server_kept.shape[0]
+        stats.servers_skipped += server_kept.shape[0] - int(np.count_nonzero(server_kept))
+        stats.chunks_seen += chunks.shape[0]
+        stats.chunks_pruned += chunks.shape[0] - int(np.count_nonzero(row_kept))
+        stats.payload_bytes_total += int(n_points.sum()) * _POINT_BYTES
+        stats.chunks_answered_from_stats += int(np.count_nonzero(answerable))
+        stats.bytes_decoded_avoided += int(n_points[answerable].sum()) * _POINT_BYTES
+    # Answered from the chunk table alone: the payloads stay unread; the
+    # statistics are vouched for by the already-verified structure CRC.
+    # (``compress``, not a mask index: numpy copies masked records of a
+    # structured dtype several times slower.)
+    accumulator.fold_chunk_table(
+        chunks.compress(answerable),
+        row_server.compress(answerable),
+        lambda index: structure.servers[index][0].server_id,
+    )
+    decode = row_kept & ~answerable
+    for chunk, index in zip(
+        chunks.compress(decode).tolist(), row_server.compress(decode).tolist(), strict=True
+    ):
+        server_id = structure.servers[index][0].server_id
+        timestamps, values = _decode_chunk(
+            segment._source, server_id, chunk, accumulator.values_needed, bounds, stats
+        )
+        accumulator.fold_columns(server_id, timestamps, values)
 
 
 # --------------------------------------------------------------------- #

@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage import columnar
-from repro.storage.aggregate import AggregateAccumulator, GroupState
+from repro.storage.aggregate import AggregateAccumulator
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.query import ExtractQuery, QueryError
 from repro.timeseries.calendar import MINUTES_PER_DAY
@@ -284,27 +284,55 @@ def load_arrays(min_size=1, max_size=200):
     )
 
 
+def stats_table(*parts: np.ndarray) -> np.ndarray:
+    """The chunk-table rows the writer stores for ``parts``: one server,
+    one whole-series chunk per part."""
+    frame = LoadFrame(5)
+    for i, part in enumerate(parts):
+        frame.add_server(
+            ServerMetadata(server_id=f"s{i}", region="r", engine="e"),
+            LoadSeries.from_values(part, interval_minutes=5),
+        )
+    data = columnar.frame_to_sgx_bytes(frame, chunk_minutes=0)
+    return columnar.SgxSegment.from_bytes(data).structure.chunks
+
+
+def fold_table(acc: AggregateAccumulator, part: np.ndarray) -> None:
+    """Fold ``part``'s stored statistics into ``acc`` as a one-row table."""
+    acc.fold_chunk_table(stats_table(part), np.zeros(1, dtype=np.intp), lambda _index: "srv")
+
+
+def assert_matches_oracle(got, want, reductions):
+    """Exact counts and extrema; sums and means to rel 1e-9; the second
+    moment to rel 1e-6 / abs 1e-7 (stored sum-of-squares cancellation)."""
+    assert set(got) == set(want)
+    for key in want:
+        for name in reductions:
+            if name in ("count", "min", "max"):
+                assert got[key][name] == want[key][name], (key, name)
+            elif name in ("sum", "mean"):
+                assert got[key][name] == pytest.approx(want[key][name], rel=1e-9), (key, name)
+            else:
+                assert got[key][name] == pytest.approx(
+                    want[key][name], rel=1e-6, abs=1e-7
+                ), (key, name)
+
+
 class TestMergeExactness:
     """The pairwise merge agrees with a naive recompute, any fold order."""
 
     @given(st.lists(load_arrays(), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_chunked_fold_matches_naive(self, parts):
-        state = GroupState()
+        acc = AggregateAccumulator(ALL_REDUCTIONS, ())
         for part in parts:
             # Alternate the two fold paths: stored statistics vs arrays.
             if len(part) % 2:
-                state.fold_stats(
-                    int(part.shape[0]),
-                    float(part.sum()),
-                    float(part.min()),
-                    float(part.max()),
-                    float(np.dot(part, part)),
-                )
+                fold_table(acc, part)
             else:
-                state.fold_array(part)
+                acc.fold_columns("srv", np.arange(part.shape[0], dtype=np.int64), part)
         values = np.concatenate(parts)
-        got = state.result(ALL_REDUCTIONS)
+        got = acc.results()[()]
         assert got["count"] == values.shape[0]
         assert got["sum"] == pytest.approx(float(values.sum()), rel=1e-9)
         assert got["min"] == float(values.min())
@@ -330,38 +358,177 @@ class TestMergeExactness:
             assert got[name] == pytest.approx(want[name], rel=1e-9, abs=1e-7)
 
     @given(load_arrays(min_size=2))
+    # 122 x 54.3625: the stored sum_sq - sum * mean is -1.2e-10, the
+    # residue the fold must clamp.
+    @example(np.full(122, 54.36249923706055))
     @settings(max_examples=60, deadline=None)
     def test_constant_series_variance_never_negative(self, values):
-        constant = np.full(values.shape[0], float(values[0]))
-        state = GroupState()
-        state.fold_stats(
-            int(constant.shape[0]),
-            float(constant.sum()),
-            float(constant.min()),
-            float(constant.max()),
-            float(np.dot(constant, constant)),
-        )
-        result = state.result(("variance", "std"))
+        acc = AggregateAccumulator(("variance", "std"), ())
+        fold_table(acc, np.full(values.shape[0], float(values[0])))
+        result = acc.results()[()]
         assert result["variance"] >= 0.0
         assert result["std"] >= 0.0
 
-    @given(st.lists(load_arrays(max_size=120), min_size=1, max_size=4))
-    @settings(max_examples=40, deadline=None)
-    def test_sgx_roundtrip_aggregate_matches_naive(self, parts):
+    def test_near_constant_table_fold_matches_sequential_pairwise(self):
+        # 1000 +- 1e-3 over 28 day-chunks: the stored sum-of-squares is
+        # ~2.9e8 per chunk while the group's M2 is ~3e-3, so the formula
+        # the fold uses decides whether the variance survives.
+        values = 1000.0 + np.random.default_rng(25).uniform(-1e-3, 1e-3, 28 * 288)
         frame = LoadFrame(5)
-        for i, part in enumerate(parts):
-            frame.add_server(
-                ServerMetadata(server_id=f"s{i}", region="r", engine="e"),
-                LoadSeries.from_values(part, interval_minutes=5),
-            )
+        frame.add_server(
+            ServerMetadata(server_id="srv", region="r", engine="e"),
+            LoadSeries.from_values(values, interval_minutes=5),
+        )
         data = columnar.frame_to_sgx_bytes(frame)
-        acc = AggregateAccumulator(ALL_REDUCTIONS, ("server",))
+        table = columnar.SgxSegment.from_bytes(data).structure.chunks
+        assert table.shape == (28,)
+        acc = AggregateAccumulator(("variance",), ("server",))
         stats = columnar.SgxReadStats()
         columnar.aggregate_sgx_bytes(data, acc, stats=stats)
-        assert stats.payload_bytes_verified == 0  # all from stored stats
-        for i, part in enumerate(parts):
-            got = acc.results()[(f"s{i}",)]
-            assert got["mean"] == pytest.approx(float(part.mean()), rel=1e-9)
-            assert got["variance"] == pytest.approx(
-                float(part.var()), rel=1e-6, abs=1e-7
+        assert stats.chunks_answered_from_stats == 28
+        got = acc.results()[("srv",)]["variance"]
+
+        # Reference: fold the same stored rows one at a time, pairwise.
+        count, mean, m2 = 0, 0.0, 0.0
+        for n, total, sum_sq in table[["n_points", "vs_sum", "vs_sum_sq"]].tolist():
+            row_mean = total / n
+            row_m2 = max(sum_sq - total * row_mean, 0.0)
+            combined = count + n
+            delta = row_mean - mean
+            mean += delta * n / combined
+            m2 += row_m2 + delta * delta * count * n / combined
+            count = combined
+        want = m2 / count
+
+        assert got >= 0.0
+        assert got == pytest.approx(want, rel=1e-9)
+        # The case tells the formulas apart: sum_sq - sum^2 / N is far off.
+        total, sum_sq = float(table["vs_sum"].sum()), float(table["vs_sum_sq"].sum())
+        naive = (sum_sq - total * total / count) / count
+        assert abs(naive - want) > 1e-6 * want
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2 * MINUTES_PER_DAY // 5),  # start, in 5-minute steps
+                st.integers(1, 3 * MINUTES_PER_DAY // 5),  # samples (up to 3 days)
+                st.sampled_from(["mysql", "postgresql"]),
+                st.integers(0, 2**32 - 1),  # value seed
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([None, (), ("server",), ("day",), ("server", "day")]),
+        st.booleans(),  # count-only
+        st.one_of(st.none(), st.integers(0, 3 * MINUTES_PER_DAY)),
+        st.one_of(st.none(), st.integers(MINUTES_PER_DAY, 5 * MINUTES_PER_DAY)),
+        st.booleans(),  # allow-list
+        st.sampled_from([None, ("mysql",), ("postgresql",)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sgx_roundtrip_aggregate_matches_naive(
+        self, servers, group_by, count_only, start, end, allow, engines
+    ):
+        # Multi-day servers under day chunking, plus an empty-series server
+        # in the same segment and a multi-day whole-series server in a
+        # second segment written with chunk_minutes=0, folded into one
+        # accumulator as the lake folds its extracts.
+        day_chunked, whole = LoadFrame(5), LoadFrame(5)
+        oracle = LoadFrame(5)
+        for i, (start_step, n, engine, seed) in enumerate(servers):
+            values = np.random.default_rng(seed).uniform(0.0, 100.0, n)
+            series = LoadSeries.from_values(values, start=5 * start_step, interval_minutes=5)
+            metadata = ServerMetadata(server_id=f"s{i}", region="r", engine=engine)
+            day_chunked.add_server(metadata, series)
+            oracle.add_server(metadata, series)
+        empty = ServerMetadata(server_id="empty", region="r", engine="mysql")
+        day_chunked.add_server(empty, LoadSeries.from_values(np.empty(0), interval_minutes=5))
+        oracle.add_server(empty, LoadSeries.from_values(np.empty(0), interval_minutes=5))
+        straddling = ServerMetadata(server_id="whole", region="r", engine="postgresql")
+        series = LoadSeries.from_values(
+            np.random.default_rng(len(servers)).uniform(0.0, 100.0, 700),
+            start=1000,
+            interval_minutes=5,
+        )
+        whole.add_server(straddling, series)
+        oracle.add_server(straddling, series)
+        if start is not None and end is not None and end <= start:
+            end = start + 1
+        query = ExtractQuery(
+            aggregates=("count",) if count_only else ALL_REDUCTIONS,
+            group_by=group_by,
+            start_minute=start,
+            end_minute=end,
+            servers=("s0", "empty", "whole") if allow else None,
+            engines=engines,
+        )
+        acc = AggregateAccumulator(query.aggregates, query.group_by)
+        for frame, chunk_minutes in ((day_chunked, MINUTES_PER_DAY), (whole, 0)):
+            columnar.aggregate_sgx_bytes(
+                columnar.frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes),
+                acc,
+                query.start_minute,
+                query.end_minute,
+                servers=query.servers,
+                predicate=query.metadata_predicate(),
             )
+        assert_matches_oracle(acc.results(), naive_aggregate(oracle, query), query.aggregates)
+
+
+class TestPinnedReadStats:
+    """Every :class:`SgxReadStats` counter of an aggregate read, pinned to
+    the values the per-chunk fold produced before the table fold."""
+
+    def test_unbounded_by_day_with_empty_series_server(self):
+        frame = build_frame(n_servers=4, n_days=3)
+        frame.add_server(
+            ServerMetadata(server_id="srv-empty", region="westus2", engine="mysql"),
+            LoadSeries.from_values(np.empty(0), interval_minutes=5),
+        )
+        acc = AggregateAccumulator(ALL_REDUCTIONS, ("day",))
+        stats = columnar.SgxReadStats()
+        columnar.aggregate_sgx_bytes(columnar.frame_to_sgx_bytes(frame), acc, stats=stats)
+        # The empty chunk's sentinel zone map (0 / -1) straddles "days" -1
+        # and 0, so it takes the decode path: zero bytes, no group.
+        assert stats == columnar.SgxReadStats(
+            chunks_seen=13,
+            chunks_pruned=0,
+            servers_seen=5,
+            servers_skipped=0,
+            columns_skipped=0,
+            chunks_answered_from_stats=12,
+            bytes_decoded_avoided=12 * 288 * 16,
+            payload_bytes_total=12 * 288 * 16,
+            payload_bytes_verified=0,
+        )
+        assert sorted(acc.results()) == [(0,), (1,), (2,)]
+
+    def test_allow_list_engines_and_mid_day_bounds_by_server_and_day(self):
+        frame = build_frame(n_servers=6, n_days=5)
+        acc = AggregateAccumulator(ALL_REDUCTIONS, ("server", "day"))
+        stats = columnar.SgxReadStats()
+        columnar.aggregate_sgx_bytes(
+            columnar.frame_to_sgx_bytes(frame),
+            acc,
+            700,
+            4 * MINUTES_PER_DAY - 300,
+            servers=("srv-1", "srv-2", "srv-3", "srv-5"),
+            predicate=lambda metadata: metadata.engine == "postgresql",
+            stats=stats,
+        )
+        # srv-1/3/5 survive; their days 1-2 come from statistics, days 0
+        # and 3 are cut by the bounds and decoded, day 4 is pruned.
+        assert stats == columnar.SgxReadStats(
+            chunks_seen=30,
+            chunks_pruned=18,
+            servers_seen=6,
+            servers_skipped=3,
+            columns_skipped=0,
+            chunks_answered_from_stats=6,
+            bytes_decoded_avoided=6 * 288 * 16,
+            payload_bytes_total=30 * 288 * 16,
+            payload_bytes_verified=6 * 288 * 16,
+        )
+        assert sorted(acc.results()) == [
+            (server, day) for server in ("srv-1", "srv-3", "srv-5") for day in range(4)
+        ]
