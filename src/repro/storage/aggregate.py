@@ -265,38 +265,36 @@ class AggregateAccumulator:
             columns.append(table_server)
         if self.by_day:
             columns.append(table["min_ts"] // MINUTES_PER_DAY)
+        n_rows = counts.shape[0]
+        starts = np.zeros(n_rows, dtype=bool)
+        starts[0] = True
         if columns:
-            # Sort rows by key (lexsort: the last column is the primary key)
-            # and number the runs of equal keys: the group of every row.
+            # Order rows by key (lexsort: the last column is the primary
+            # key) and mark where each run of equal keys starts.
             order = np.lexsort(columns[::-1])
             ordered = np.stack(columns, axis=1)[order]
-            starts = np.ones(ordered.shape[0], dtype=bool)
             starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-            keys = ordered[starts]
-            group = np.empty(ordered.shape[0], dtype=np.intp)
-            group[order] = np.cumsum(starts) - 1
+            keys = ordered[starts].tolist()
         else:
-            keys, group = np.empty((1, 0), dtype=np.int64), np.zeros(counts.shape[0], np.intp)
-        n_groups = keys.shape[0]
-        group_count = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(group_count, group, counts)
+            order, keys = np.arange(n_rows), [[]]
+        first = np.flatnonzero(starts)
+        counts = counts[order]
+        group_count = np.add.reduceat(counts, first)
         fields = [group_count]
         if self.values_needed:
-            sums = table["vs_sum"]
+            group = np.cumsum(starts) - 1
+            n_groups = first.shape[0]
+            sums = table["vs_sum"][order]
             total = np.bincount(group, weights=sums, minlength=n_groups)
-            minimum = np.full(n_groups, math.inf)
-            np.minimum.at(minimum, group, table["vs_min"])
-            maximum = np.full(n_groups, -math.inf)
-            np.maximum.at(maximum, group, table["vs_max"])
+            minimum = np.minimum.reduceat(table["vs_min"][order], first)
+            maximum = np.maximum.reduceat(table["vs_max"][order], first)
             row_mean = sums / counts
-            row_m2 = np.maximum(table["vs_sum_sq"] - sums * row_mean, 0.0)
+            row_m2 = np.maximum(table["vs_sum_sq"][order] - sums * row_mean, 0.0)
             mean = total / group_count
             spread = row_mean - mean[group]
             m2 = np.bincount(group, weights=row_m2 + counts * spread * spread, minlength=n_groups)
             fields += [total, minimum, maximum, mean, m2]
-        for key, partial in zip(
-            keys.tolist(), zip(*(field.tolist() for field in fields)), strict=True
-        ):
+        for key, partial in zip(keys, zip(*(field.tolist() for field in fields)), strict=True):
             self._group(
                 tuple(
                     server_id(value) if name == "server" else value

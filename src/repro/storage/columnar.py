@@ -92,7 +92,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -474,11 +474,12 @@ class SgxStructure:
     table and ``n_points`` its total sample count.  ``chunks`` is one
     72-byte numpy record per chunk (:data:`_CHUNK_DTYPE`) -- a column
     store, not per-chunk Python objects, so keeping a structure costs
-    little more than the table bytes themselves.  ``server_chunks`` holds
-    each server record's chunk count (``end - first``) as an array, so a
-    read can broadcast per-server decisions onto the table without
-    walking the records.  The :class:`ServerMetadata` objects are frozen
-    and shared by every read.
+    little more than the table bytes themselves.  ``chunk_server[i]`` is
+    the index in ``servers`` of chunk ``i``'s server and ``server_index``
+    maps each server id to its index, so a read can broadcast per-server
+    decisions onto the table and resolve an allow-list without walking
+    the records.  The :class:`ServerMetadata` objects are frozen and
+    shared by every read.
     """
 
     interval_minutes: int
@@ -486,7 +487,8 @@ class SgxStructure:
     n_dictionary_strings: int
     servers: tuple[tuple[ServerMetadata, int, int, int], ...]
     chunks: np.ndarray
-    server_chunks: np.ndarray
+    chunk_server: np.ndarray
+    server_index: Mapping[str, int]
 
 
 def _parse_structure(view: memoryview) -> SgxStructure:
@@ -584,13 +586,15 @@ def _parse_structure(view: memoryview) -> SgxStructure:
     )
     # Every count passed the bounds check above, so int64 cannot wrap.
     sizes = chunks["n_points"].astype(np.int64) * _POINT_BYTES
-    per_server = np.array(
-        [end - first for _metadata, first, end, _n_points in servers], dtype=np.int64
-    )
+    per_server = [end - first for _metadata, first, end, _n_points in servers]
     chunks["payload_offset"] = np.cumsum(sizes) - sizes + np.repeat(shifts, per_server)
+    chunk_server = np.repeat(np.arange(len(servers)), per_server)
     chunks.flags.writeable = False
-    per_server.flags.writeable = False
-    return SgxStructure(interval, total, n_dict, tuple(servers), chunks, per_server)
+    chunk_server.flags.writeable = False
+    server_index = {metadata.server_id: i for i, (metadata, *_rest) in enumerate(servers)}
+    return SgxStructure(
+        interval, total, n_dict, tuple(servers), chunks, chunk_server, server_index
+    )
 
 
 class _BufferSource:
@@ -703,23 +707,23 @@ def _prune(
     checksummed.
     """
     chunks = structure.chunks
-    per_server = structure.server_chunks
-    row_server = np.repeat(np.arange(per_server.shape[0]), per_server)
+    row_server = structure.chunk_server
+    n_servers = len(structure.servers)
     if servers is None and predicate is None:
-        server_kept = np.ones(per_server.shape[0], dtype=bool)
+        server_kept = np.ones(n_servers, dtype=bool)
         row_kept = np.ones(chunks.shape[0], dtype=bool)
     else:
-        allow = frozenset(servers) if servers is not None else None
-        server_kept = np.fromiter(
-            (
-                (allow is None or metadata.server_id in allow)
-                and (predicate is None or bool(predicate(metadata)))
-                for metadata, _first, _end, _n_points in structure.servers
-            ),
-            dtype=bool,
-            count=per_server.shape[0],
-        )
-        row_kept = np.repeat(server_kept, per_server)
+        # An allow-list is resolved through the id index, not by walking
+        # every record; the predicate sees only the servers it admits.
+        candidates: Iterable[int] = range(n_servers)
+        if servers is not None:
+            index = structure.server_index
+            candidates = sorted({index[server] for server in servers if server in index})
+        if predicate is not None:
+            candidates = [i for i in candidates if predicate(structure.servers[i][0])]
+        server_kept = np.zeros(n_servers, dtype=bool)
+        server_kept[list(candidates)] = True
+        row_kept = server_kept[row_server]
     bounds = None
     if start_minute is not None or end_minute is not None:
         bounds = (
