@@ -92,7 +92,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -474,12 +474,12 @@ class SgxStructure:
     table and ``n_points`` its total sample count.  ``chunks`` is one
     72-byte numpy record per chunk (:data:`_CHUNK_DTYPE`) -- a column
     store, not per-chunk Python objects, so keeping a structure costs
-    little more than the table bytes themselves.  ``chunk_server[i]`` is
-    the index in ``servers`` of chunk ``i``'s server and ``server_index``
-    maps each server id to its index, so a read can broadcast per-server
-    decisions onto the table and resolve an allow-list without walking
-    the records.  The :class:`ServerMetadata` objects are frozen and
-    shared by every read.
+    little more than the table bytes themselves.  ``server_chunks`` and
+    ``server_ids`` hold each server record's chunk count (``end -
+    first``) and id, so a read can test an allow-list and broadcast
+    per-server decisions onto the table without walking the records.
+    The :class:`ServerMetadata` objects are frozen and shared by every
+    read.
     """
 
     interval_minutes: int
@@ -487,8 +487,8 @@ class SgxStructure:
     n_dictionary_strings: int
     servers: tuple[tuple[ServerMetadata, int, int, int], ...]
     chunks: np.ndarray
-    chunk_server: np.ndarray
-    server_index: Mapping[str, int]
+    server_chunks: np.ndarray
+    server_ids: tuple[str, ...]
 
 
 def _parse_structure(view: memoryview) -> SgxStructure:
@@ -586,15 +586,14 @@ def _parse_structure(view: memoryview) -> SgxStructure:
     )
     # Every count passed the bounds check above, so int64 cannot wrap.
     sizes = chunks["n_points"].astype(np.int64) * _POINT_BYTES
-    per_server = [end - first for _metadata, first, end, _n_points in servers]
-    chunks["payload_offset"] = np.cumsum(sizes) - sizes + np.repeat(shifts, per_server)
-    chunk_server = np.repeat(np.arange(len(servers)), per_server)
-    chunks.flags.writeable = False
-    chunk_server.flags.writeable = False
-    server_index = {metadata.server_id: i for i, (metadata, *_rest) in enumerate(servers)}
-    return SgxStructure(
-        interval, total, n_dict, tuple(servers), chunks, chunk_server, server_index
+    per_server = np.array(
+        [end - first for _metadata, first, end, _n_points in servers], dtype=np.int64
     )
+    chunks["payload_offset"] = np.cumsum(sizes) - sizes + np.repeat(shifts, per_server)
+    chunks.flags.writeable = False
+    per_server.flags.writeable = False
+    server_ids = tuple(metadata.server_id for metadata, *_rest in servers)
+    return SgxStructure(interval, total, n_dict, tuple(servers), chunks, per_server, server_ids)
 
 
 class _BufferSource:
@@ -707,23 +706,30 @@ def _prune(
     checksummed.
     """
     chunks = structure.chunks
-    row_server = structure.chunk_server
-    n_servers = len(structure.servers)
+    per_server = structure.server_chunks
+    n_servers = per_server.shape[0]
+    row_server = np.repeat(np.arange(n_servers), per_server)
     if servers is None and predicate is None:
         server_kept = np.ones(n_servers, dtype=bool)
         row_kept = np.ones(chunks.shape[0], dtype=bool)
     else:
-        # An allow-list is resolved through the id index, not by walking
-        # every record; the predicate sees only the servers it admits.
-        candidates: Iterable[int] = range(n_servers)
-        if servers is not None:
-            index = structure.server_index
-            candidates = sorted({index[server] for server in servers if server in index})
+        if servers is None:
+            server_kept = np.ones(n_servers, dtype=bool)
+        else:
+            server_kept = np.fromiter(
+                map(frozenset(servers).__contains__, structure.server_ids),
+                dtype=bool,
+                count=n_servers,
+            )
         if predicate is not None:
-            candidates = [i for i in candidates if predicate(structure.servers[i][0])]
-        server_kept = np.zeros(n_servers, dtype=bool)
-        server_kept[list(candidates)] = True
-        row_kept = server_kept[row_server]
+            # The predicate sees only the servers the allow-list admits.
+            rejected = [
+                index
+                for index in np.flatnonzero(server_kept).tolist()
+                if not predicate(structure.servers[index][0])
+            ]
+            server_kept[rejected] = False
+        row_kept = np.repeat(server_kept, per_server)
     bounds = None
     if start_minute is not None or end_minute is not None:
         bounds = (
@@ -754,25 +760,31 @@ def _walk_servers(
     file order -- and fills ``stats`` one server at a time as the
     consumer advances.
     """
-    bounds, server_kept, row_kept, _row_server = _prune(
+    bounds, server_kept, row_kept, row_server = _prune(
         structure, start_minute, end_minute, servers, predicate
     )
-    chunks = structure.chunks
 
     def survivors() -> Iterator[tuple[ServerMetadata, list[tuple]]]:
-        for kept_server, (metadata, first, end, n_points) in zip(
-            server_kept.tolist(), structure.servers, strict=True
+        # Every kept row as a tuple in one call; each server takes its
+        # run of them in file order.
+        kept_rows = structure.chunks.compress(row_kept).tolist()
+        kept_counts = np.bincount(
+            row_server.compress(row_kept), minlength=server_kept.shape[0]
+        ).tolist()
+        position = 0
+        for kept_server, n_kept, (metadata, first, end, n_points) in zip(
+            server_kept.tolist(), kept_counts, structure.servers, strict=True
         ):
-            kept = chunks[first:end].compress(row_kept[first:end]).tolist() if kept_server else []
             if stats is not None:
                 stats.servers_seen += 1
                 if not kept_server:
                     stats.servers_skipped += 1
                 stats.chunks_seen += end - first
-                stats.chunks_pruned += end - first - len(kept)
+                stats.chunks_pruned += end - first - n_kept
                 stats.payload_bytes_total += n_points * _POINT_BYTES
             if kept_server:
-                yield metadata, kept
+                yield metadata, kept_rows[position : position + n_kept]
+            position += n_kept
 
     return bounds, survivors()
 
