@@ -760,31 +760,25 @@ def _walk_servers(
     file order -- and fills ``stats`` one server at a time as the
     consumer advances.
     """
-    bounds, server_kept, row_kept, row_server = _prune(
+    bounds, server_kept, row_kept, _row_server = _prune(
         structure, start_minute, end_minute, servers, predicate
     )
+    chunks = structure.chunks
 
     def survivors() -> Iterator[tuple[ServerMetadata, list[tuple]]]:
-        # Every kept row as a tuple in one call; each server takes its
-        # run of them in file order.
-        kept_rows = structure.chunks.compress(row_kept).tolist()
-        kept_counts = np.bincount(
-            row_server.compress(row_kept), minlength=server_kept.shape[0]
-        ).tolist()
-        position = 0
-        for kept_server, n_kept, (metadata, first, end, n_points) in zip(
-            server_kept.tolist(), kept_counts, structure.servers, strict=True
+        for kept_server, (metadata, first, end, n_points) in zip(
+            server_kept.tolist(), structure.servers, strict=True
         ):
+            kept = chunks[first:end].compress(row_kept[first:end]).tolist() if kept_server else []
             if stats is not None:
                 stats.servers_seen += 1
                 if not kept_server:
                     stats.servers_skipped += 1
                 stats.chunks_seen += end - first
-                stats.chunks_pruned += end - first - n_kept
+                stats.chunks_pruned += end - first - len(kept)
                 stats.payload_bytes_total += n_points * _POINT_BYTES
             if kept_server:
-                yield metadata, kept_rows[position : position + n_kept]
-            position += n_kept
+                yield metadata, kept
 
     return bounds, survivors()
 
