@@ -1081,13 +1081,13 @@ def aggregate_sgx_bytes(
     accumulator.fold_chunk_table(
         chunks.compress(answerable),
         row_server.compress(answerable),
-        lambda index: structure.servers[index][0].server_id,
+        structure.server_ids.__getitem__,
     )
     decode = row_kept & ~answerable
     for chunk, index in zip(
         chunks.compress(decode).tolist(), row_server.compress(decode).tolist(), strict=True
     ):
-        server_id = structure.servers[index][0].server_id
+        server_id = structure.server_ids[index]
         timestamps, values = _decode_chunk(
             segment._source, server_id, chunk, accumulator.values_needed, bounds, stats
         )
