@@ -19,7 +19,7 @@ from repro.fleet_ops.synthesis import populate_lake
 from repro.storage.columnar import SgxReadStats, frame_from_sgx_bytes, sgx_summary
 from repro.storage.csv_io import write_frame_csv
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.migrate import convert_lake
+from repro.storage.migrate import adopt_legacy_files, convert_lake
 from repro.telemetry.fleet import default_fleet_spec
 from repro.telemetry.generator import WorkloadGenerator
 
@@ -49,12 +49,14 @@ def test_columnar_roundtrip_is_lossless(tmp_path_factory):
     region = spec.regions[0]
     frame = WorkloadGenerator(spec).generate_weekly_extract(region, 0)
     key = ExtractKey(region=region.name, week=0)
-    # A legacy-layout CSV file, as the load-extraction query once wrote it.
+    # A legacy-layout CSV file, as the load-extraction query once wrote
+    # it, adopted and then imported: what `convert` does.
     lake = DataLakeStore(tmp_path_factory.mktemp("columnar-lake"))
     csv_path = lake.root / key.region / key.filename("csv")
     rows = write_frame_csv(frame, csv_path)
     csv_bytes = csv_path.read_bytes()
 
+    assert adopt_legacy_files(lake.manifest) == ((f"{key.region}/{csv_path.name}", len(csv_bytes)),)
     report = convert_lake(lake)
     assert report.n_converted == 1 and report.rows_converted == rows
     # Timestamps, values and metadata all feed the content hash.

@@ -8,10 +8,11 @@ Five commands:
   ``--rerun`` runs the fleet twice to show the artifact cache at work
   (the second pass serves unchanged extracts from the unit-outcome
   cache);
-* ``python -m repro.fleet_ops convert`` imports a lake's CSV entries
-  (left by older stores, or legacy ``.csv`` files) as verified ``.sgx``
-  segments, re-chunks segments under ``--chunk-minutes``, and prints a
-  rollup of extracts, rows and bytes converted;
+* ``python -m repro.fleet_ops convert`` adopts the extract files of a
+  directory that predates the manifest, imports a lake's CSV entries as
+  verified ``.sgx`` segments, re-chunks segments under
+  ``--chunk-minutes``, and prints a rollup of extracts, rows and bytes
+  converted;
 * ``python -m repro.fleet_ops manifest`` inspects a lake's transactional
   manifest: committed generation, segment files, log records, and any
   crash leftovers recovery would clean up;
@@ -36,7 +37,12 @@ from repro.core.config import PipelineConfig
 from repro.fleet_ops.orchestrator import FleetOrchestrator
 from repro.fleet_ops.synthesis import populate_lake
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.migrate import ConversionVerificationError, convert_lake
+from repro.storage.manifest import LakeManifest, LakeManifestError
+from repro.storage.migrate import (
+    ConversionVerificationError,
+    adopt_legacy_files,
+    convert_lake,
+)
 from repro.telemetry.fleet import default_fleet_spec
 
 
@@ -99,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 def build_convert_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet_ops convert",
-        description="Import a lake's CSV entries as verified columnar .sgx segments "
+        description="Adopt the extract files of a directory that predates the lake "
+        "manifest, import a lake's CSV entries as verified columnar .sgx segments "
         "(one transaction per extract) and health-check the segments already there.",
     )
     parser.add_argument("--lake-dir", required=True, help="root directory of the lake")
@@ -140,10 +147,11 @@ def convert_main(argv: list[str]) -> int:
     if args.chunk_minutes is not None and args.chunk_minutes < 0:
         print("--chunk-minutes must be non-negative", file=sys.stderr)
         return 2
-    lake = DataLakeStore(args.lake_dir)
     try:
+        # Adoption comes first: until it has run, the store refuses to open.
+        adopted = adopt_legacy_files(LakeManifest(args.lake_dir))
         report = convert_lake(
-            lake,
+            DataLakeStore(args.lake_dir),
             region=args.region,
             verify=not args.no_verify,
             chunk_minutes=args.chunk_minutes,
@@ -154,6 +162,7 @@ def convert_main(argv: list[str]) -> int:
         # traceback.
         print(f"conversion aborted: {exc}", file=sys.stderr)
         return 1
+    report.adopted = adopted
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
@@ -173,14 +182,12 @@ def build_manifest_parser() -> argparse.ArgumentParser:
 
 
 def manifest_main(argv: list[str]) -> int:
-    from repro.storage.manifest import LakeManifest, LakeManifestError
-
     args = build_manifest_parser().parse_args(argv)
     if not Path(args.lake_dir).is_dir():
         print(f"--lake-dir {args.lake_dir!r} does not exist", file=sys.stderr)
         return 2
-    manifest = LakeManifest(Path(args.lake_dir))
     try:
+        manifest = DataLakeStore(args.lake_dir).manifest
         snapshot = manifest.current()
     except LakeManifestError as exc:
         print(f"manifest unreadable: {exc}", file=sys.stderr)
@@ -198,21 +205,14 @@ def manifest_main(argv: list[str]) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"Lake manifest: {manifest.root}")
-    if manifest.exists():
-        txid = snapshot.txid if snapshot.txid is not None else "-"
-        print(f"Committed generation: {snapshot.generation} (txid {txid})")
-    else:
-        print(
-            "Committed generation: 0 (legacy lake, inferred from directory "
-            "layout; the first mutation adopts it into a manifest)"
-        )
+    txid = snapshot.txid if snapshot.txid is not None else "-"
+    print(f"Committed generation: {snapshot.generation} (txid {txid})")
     total = sum(entry.size for entry in snapshot.segments)
     print(f"Segments: {len(snapshot.segments)} ({total} bytes)")
     for entry in snapshot.segments:
-        sha = entry.sha256[:12] if entry.sha256 is not None else "legacy"
         print(
             f"  {entry.region} week {entry.week}: .{entry.fmt} "
-            f"{entry.size} bytes [{sha}] {entry.relpath}"
+            f"{entry.size} bytes [{entry.sha256[:12]}] {entry.relpath}"
         )
     suffix = (
         f"pending transaction {pending.txid} (unresolved until recovery)"
@@ -236,8 +236,6 @@ def build_gc_parser() -> argparse.ArgumentParser:
 
 
 def gc_main(argv: list[str]) -> int:
-    from repro.storage.manifest import LakeManifest, LakeManifestError
-
     args = build_gc_parser().parse_args(argv)
     if not Path(args.lake_dir).is_dir():
         print(f"--lake-dir {args.lake_dir!r} does not exist", file=sys.stderr)
@@ -327,7 +325,6 @@ def live_main(argv: list[str]) -> int:
 
     from repro.serving import LiveServingBridge, PredictionService
     from repro.storage.live import LiveIngestError, LiveIngestor
-    from repro.storage.manifest import LakeManifestError
     from repro.timeseries.calendar import (
         DEFAULT_INTERVAL_MINUTES,
         MINUTES_PER_DAY,
@@ -535,6 +532,9 @@ def run_main(argv: list[str] | None = None) -> int:
                     speedup = report.wall_seconds / rerun_report.wall_seconds
                     print(f"Warm-cache speedup: {speedup:.1f}x")
         return 0 if report.n_failed == 0 else 1
+    except LakeManifestError as exc:
+        print(f"fleet run aborted: {exc}", file=sys.stderr)
+        return 1
     finally:
         if temp_holder is not None:
             temp_holder.cleanup()

@@ -25,9 +25,9 @@
   answer (pairwise Welford merge for mean/variance), which is what lets
   ``aggregates=(...)`` queries skip decoding value buffers entirely for
   fully covered chunks.
-* :mod:`~repro.storage.migrate` -- the ``convert`` CLI's engine: imports
-  CSV manifest entries as verified ``.sgx`` segments and re-chunks
-  segments in place.
+* :mod:`~repro.storage.migrate` -- the ``convert`` CLI's engine: adopts
+  pre-manifest extract files, imports CSV manifest entries as verified
+  ``.sgx`` segments and re-chunks segments in place.
 * :mod:`~repro.storage.manifest` -- the transactional lake manifest:
   generation-numbered, atomically published snapshots over immutable
   content-addressed segment files, an append-only intent/commit log, and
@@ -53,12 +53,9 @@ from repro.storage.columnar import (
     aggregate_sgx_bytes,
     frame_from_sgx_bytes,
     frame_to_sgx_bytes,
-    read_frame_sgx,
     scan_sgx_bytes,
-    sgx_version,
-    write_frame_sgx,
 )
-from repro.storage.csv_io import read_frame_csv, write_frame_csv
+from repro.storage.csv_io import write_frame_csv
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.documentdb import Document, DocumentStore
 from repro.storage.manifest import (
@@ -73,15 +70,11 @@ from repro.storage.query import ExtractQuery, QueryError, QueryResult, ScanStats
 from repro.timeseries.calendar import MAX_MINUTE, MIN_MINUTE
 
 __all__ = [
-    "read_frame_csv",
     "write_frame_csv",
-    "read_frame_sgx",
-    "write_frame_sgx",
     "frame_from_sgx_bytes",
     "frame_to_sgx_bytes",
     "aggregate_sgx_bytes",
     "scan_sgx_bytes",
-    "sgx_version",
     "AGGREGATE_GROUP_KEYS",
     "AGGREGATE_REDUCTIONS",
     "AggregateAccumulator",

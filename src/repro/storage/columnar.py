@@ -94,7 +94,6 @@ import struct
 import zlib
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -355,16 +354,6 @@ def frame_to_sgx_bytes(frame: LoadFrame, chunk_minutes: int = DEFAULT_CHUNK_MINU
     return header + _HEADER_CRC.pack(zlib.crc32(header)) + body
 
 
-def write_frame_sgx(
-    frame: LoadFrame, path: str | Path, chunk_minutes: int = DEFAULT_CHUNK_MINUTES
-) -> int:
-    """Write ``frame`` to ``path`` as ``.sgx``; returns data rows written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes))
-    return frame.total_points()
-
-
 # --------------------------------------------------------------------- #
 # Reading
 # --------------------------------------------------------------------- #
@@ -434,16 +423,6 @@ def _parse_header(view: memoryview) -> tuple[int, int, int, int, int]:
             f"truncated .sgx extract: header declares {file_length} bytes, got {view.nbytes}"
         )
     return version, interval, n_servers, n_dict, structure_crc
-
-
-def sgx_version(data) -> int:
-    """Format version of ``data``, validated against the header CRC.
-
-    Cheap (header bytes only).  Only :data:`VERSION` is ever returned:
-    any other version raises the same :class:`ColumnarFormatError` a
-    read of the file would.
-    """
-    return _parse_header(_as_view(data))[0]
 
 
 def _dict_lookup(dictionary: list[str], index: int, what: str) -> str:
@@ -1001,19 +980,6 @@ def frame_from_sgx_bytes(
     ):
         frame.add_server(metadata, series)
     return frame
-
-
-def read_frame_sgx(
-    path: str | Path,
-    interval_minutes: int | None = None,
-    start_minute: int | None = None,
-    end_minute: int | None = None,
-    stats: SgxReadStats | None = None,
-) -> LoadFrame:
-    """Read an ``.sgx`` extract from ``path``."""
-    return frame_from_sgx_bytes(
-        Path(path).read_bytes(), interval_minutes, start_minute, end_minute, stats=stats
-    )
 
 
 # --------------------------------------------------------------------- #

@@ -52,26 +52,12 @@ def frame_to_csv_text(frame: LoadFrame) -> str:
     return buffer.getvalue()
 
 
-def read_frame_csv(
-    path: str | Path,
-    interval_minutes: int = DEFAULT_INTERVAL_MINUTES,
-) -> LoadFrame:
-    """Read a CSV extract from ``path`` into a :class:`LoadFrame`."""
-    path = Path(path)
-    with path.open("r", newline="") as handle:
-        return _read_frame(handle, interval_minutes)
-
-
 def frame_from_csv_text(
     text: str,
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES,
 ) -> LoadFrame:
     """Parse a CSV string into a :class:`LoadFrame`."""
-    return _read_frame(io.StringIO(text), interval_minutes)
-
-
-def _read_frame(handle, interval_minutes: int) -> LoadFrame:
-    reader = csv.DictReader(handle)
+    reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise CsvSchemaError("CSV extract is empty (no header row)")
     missing = [column for column in REQUIRED_COLUMNS if column not in reader.fieldnames]

@@ -12,8 +12,7 @@ A lake stores, queries and writes one format: the binary columnar
 without a copy or a parse; zone maps, server filters and chunk statistics
 decide which of them are read from disk at all).  The paper's CSV schema
 (Section 5.3.1) lives at two edges: ``convert``
-(:mod:`repro.storage.migrate`) *imports* a CSV manifest entry -- left by a
-store that predates this rule, or a legacy-layout ``.csv`` file -- and
+(:mod:`repro.storage.migrate`) *imports* a CSV manifest entry and
 :meth:`DataLakeStore.read_extract_text` *exports* a segment as text.
 Until imported, a CSV entry is listed and deletable, and every read of
 its key raises :class:`ExtractNotImportedError` naming that command.
@@ -47,14 +46,14 @@ started on, never a mix.  Deletes retire files logically; physical
 reclaim is the explicit ``gc`` pass
 (:meth:`~repro.storage.manifest.LakeManifest.collect_garbage`).  Opening
 a store with ``pinned_generation=N`` yields a read-only view of exactly
-generation ``N`` (what out-of-process fleet workers do).  Pre-manifest
-lakes keep working: generation 0 is inferred from the legacy directory
-layout and the first mutation adopts it into a real manifest.
+generation ``N`` (what out-of-process fleet workers do).  A directory
+holding extract files that predate the manifest does not open
+(:class:`~repro.storage.manifest.LakeNotAdoptedError`) until ``convert``
+has adopted them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -69,6 +68,7 @@ from repro.storage.columnar import ColumnarFormatError, SgxReadStats
 from repro.storage.manifest import (
     LakeManifest,
     LakeManifestError,
+    LakeNotAdoptedError,
     ManifestSnapshot,
     SegmentEntry,
 )
@@ -97,6 +97,7 @@ __all__ = [
     "ExtractNotImportedError",
     "ExtractQuery",
     "LakeManifestError",
+    "LakeNotAdoptedError",
     "QueryError",
     "QueryResult",
     "ScanStats",
@@ -142,9 +143,7 @@ class _StructureCache:
     Bounded by the total chunk-table entries retained
     (:data:`MAX_CACHED_CHUNKS`), not by entry count: segments differ a
     hundredfold in size and the table is what a structure costs.  A
-    structure larger than the whole bound is simply not retained, and
-    neither is one without a sha256 (a legacy adopted file is not
-    content-addressed, so nothing names its bytes).
+    structure larger than the whole bound is simply not retained.
     """
 
     def __init__(self) -> None:
@@ -153,12 +152,10 @@ class _StructureCache:
         )
         self._chunks = 0
 
-    def get(
-        self, sha256: str | None, signature: _FileSignature
-    ) -> columnar.SgxStructure | None:
+    def get(self, sha256: str, signature: _FileSignature) -> columnar.SgxStructure | None:
         """The structure cached for ``sha256`` if the file still carries
         ``signature``; an entry whose file changed is dropped."""
-        entry = self._entries.get(sha256) if sha256 is not None else None
+        entry = self._entries.get(sha256)
         if entry is None:
             return None
         if entry[0] != signature:
@@ -169,10 +166,8 @@ class _StructureCache:
         return entry[1]
 
     def put(
-        self, sha256: str | None, signature: _FileSignature, structure: columnar.SgxStructure
+        self, sha256: str, signature: _FileSignature, structure: columnar.SgxStructure
     ) -> None:
-        if sha256 is None:
-            return
         self._entries[sha256] = (signature, structure)
         self._chunks += structure.chunks.shape[0]
         while self._chunks > MAX_CACHED_CHUNKS:
@@ -222,11 +217,8 @@ class DataLakeStore:
     server: chunks pruned by zone map, skipped by a server filter or
     answered from chunk statistics are never read from disk.
 
-    A retained structure is reused only when all of these hold:
+    A retained structure is reused only when both of these hold:
 
-    * the manifest entry carries a sha256 -- legacy adopted files are
-      not content-addressed, so they are read whole every time and never
-      retained;
     * the whole structure verified when it was filled -- a fill that
       raises caches nothing, so the next read fills (and raises) again;
     * the opened descriptor's ``(st_dev, st_ino, st_size, st_mtime_ns)``
@@ -269,6 +261,11 @@ class DataLakeStore:
             chunk_minutes if chunk_minutes is not None else columnar.DEFAULT_CHUNK_MINUTES
         )
         self._manifest = LakeManifest(self._root)
+        if not self._manifest.exists() and self._manifest.legacy_files():
+            raise LakeNotAdoptedError(
+                f"{self._root} holds extract files that predate the lake manifest; "
+                f"adopt them with `python -m repro.fleet_ops convert --lake-dir {self._root}`"
+            )
         self._live: LiveTailIndex | None = None
         self._structures = _StructureCache()
         self._pinned: ManifestSnapshot | None = None
@@ -302,7 +299,7 @@ class DataLakeStore:
     def current_generation(self, principal: str | None = None) -> int:
         """The committed manifest generation reads currently resolve to.
 
-        ``0`` for a legacy lake that has not been adopted yet; for pinned
+        ``0`` for a lake nothing has been committed to yet; for pinned
         stores, the pin.
         """
         self._check_access(principal)
@@ -409,7 +406,6 @@ class DataLakeStore:
             self._structures.put(entry.sha256, signature, segment.structure)
             yield segment
         except ColumnarFormatError as exc:
-            sha256 = entry.sha256[:12] if entry.sha256 is not None else "unrecorded"
             remedy = "re-extract it or restore that file"
             if snap.entry(key.region, key.week, "csv") is not None:
                 remedy = (
@@ -418,7 +414,7 @@ class DataLakeStore:
                 )
             raise ColumnarFormatError(
                 f"damaged extract for {key.region} week {key.week} (segment "
-                f"{entry.relpath}, sha256 {sha256}; {remedy}): {exc}"
+                f"{entry.relpath}, sha256 {entry.sha256[:12]}; {remedy}): {exc}"
             ) from exc
 
     # ------------------------------------------------------------------ #
@@ -941,36 +937,20 @@ class DataLakeStore:
         self._check_access(principal)
         return self._snapshot().formats(key.region, key.week)
 
-    def extract_fingerprint(
-        self, key: ExtractKey, principal: str | None = None, *, verify: bool = False
-    ) -> str:
+    def extract_fingerprint(self, key: ExtractKey, principal: str | None = None) -> str:
         """Hex sha256 digest of the stored segment's raw bytes.
 
-        Hashing the stored bytes is much cheaper than parsing the extract,
-        which lets the fleet orchestrator decide "unchanged since last
-        run?" without paying the ingestion cost.  The digest covers the
-        bytes the next read would ingest: re-chunking a lake changes
+        The digest the manifest recorded when the segment was staged: no
+        file is read, which lets the fleet orchestrator decide "unchanged
+        since last run?" without paying the ingestion cost.  It covers
+        the bytes the next read would ingest: re-chunking a lake changes
         fingerprints (the stored bytes changed) even though frame
         content -- and therefore every stage-cache key -- is unchanged.
-
-        For manifested segments the default is the digest recorded at
-        stage time (no file read at all), which describes the bytes the
-        transaction *committed* -- out-of-band damage to the file on disk
-        is invisible to it.  Pass ``verify=True`` to hash the stored
-        bytes themselves when detecting such damage matters more than
-        speed.
+        Out-of-band damage to the file does not change it; the next read
+        of the damaged bytes raises instead.
         """
         self._check_access(principal)
-        entry = self._entry(key, self._snapshot())
-        if entry.sha256 is not None and not verify:
-            # Content-addressed segments record their digest in the
-            # manifest at stage time; no re-hash needed.
-            return entry.sha256
-        digest = hashlib.sha256()
-        with (self._root / entry.relpath).open("rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-        return digest.hexdigest()
+        return self._entry(key, self._snapshot()).sha256
 
     def has_extract(self, key: ExtractKey, principal: str | None = None) -> bool:
         """Return whether ``key`` has a manifest entry (imported or not)."""

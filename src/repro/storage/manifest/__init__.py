@@ -29,6 +29,7 @@ from repro.storage.manifest.manifest import (
     GcReport,
     LakeManifest,
     LakeManifestError,
+    LakeNotAdoptedError,
     ManifestSnapshot,
     ManifestTransaction,
     SegmentEntry,
@@ -43,6 +44,7 @@ __all__ = [
     "InjectedCrash",
     "LakeManifest",
     "LakeManifestError",
+    "LakeNotAdoptedError",
     "ManifestSnapshot",
     "ManifestTransaction",
     "PendingTransaction",

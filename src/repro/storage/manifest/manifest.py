@@ -28,12 +28,12 @@ writes and conversions.  Deletes are therefore *logical* -- they drop
 manifest entries and retire the files -- and ``collect_garbage`` is the
 only code that unlinks published payload files.
 
-Lakes that predate the manifest are adopted lazily: until the first
-mutation, generation 0 is inferred from the directory layout
-(``<region>/extract_<region>_week<NNNN>.<fmt>``) and nothing is written;
-the first transaction materialises that inferred snapshot as
-``gen-00000000.json`` and builds generation 1 on top of it, keeping the
-legacy files as the entries they already were.
+A directory without a committed pointer is generation 0, the empty
+lake.  Extract files that predate the manifest
+(``<region>/extract_<region>_week<NNNN>.<fmt>``) are not part of it:
+:meth:`LakeManifest.legacy_files` finds them, ``DataLakeStore`` refuses
+to open such a directory (:class:`LakeNotAdoptedError`), and
+``python -m repro.fleet_ops convert`` adopts them in one transaction.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import TracebackType
 
@@ -60,6 +60,7 @@ __all__ = [
     "LIVE_DIR_NAME",
     "LakeManifest",
     "LakeManifestError",
+    "LakeNotAdoptedError",
     "ManifestSnapshot",
     "ManifestTransaction",
     "SegmentEntry",
@@ -104,8 +105,8 @@ _FMT_ALTERNATION = "|".join(re.escape(fmt) for fmt in ENTRY_FORMATS)
 
 #: Content-addressed segment file names: the legacy stem plus 12 hex
 #: digits of the payload's sha256.  The week digits being followed by
-#: ``-<hash>`` is what keeps these files invisible to the legacy
-#: directory inference (which requires the stem to *end* in digits).
+#: ``-<hash>`` is what keeps these names apart from legacy ones (whose
+#: stem *ends* in digits).
 _SEGMENT_RE = re.compile(
     r"extract_(?P<region>.+)_week(?P<week>\d{4,})-(?P<sha>[0-9a-f]{12})"
     rf"\.(?P<fmt>{_FMT_ALTERNATION})$"
@@ -121,6 +122,11 @@ _LEGACY_RE = re.compile(
 class LakeManifestError(RuntimeError):
     """Raised for manifest protocol violations (missing generations,
     writes against a pinned snapshot, corrupt manifest files)."""
+
+
+class LakeNotAdoptedError(LakeManifestError):
+    """Raised on opening a directory whose extract files predate the
+    manifest: ``python -m repro.fleet_ops convert`` has to adopt them."""
 
 
 def _gen_filename(generation: int) -> str:
@@ -153,9 +159,8 @@ class SegmentEntry:
     #: Path relative to the lake root (``<region>/<filename>``).
     relpath: str
     size: int
-    #: Hex sha256 of the payload bytes; ``None`` for legacy files adopted
-    #: without hashing (fingerprints then hash the file on demand).
-    sha256: str | None = None
+    #: Hex sha256 of the payload bytes.
+    sha256: str
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -169,14 +174,20 @@ class SegmentEntry:
 
     @staticmethod
     def from_dict(raw: dict[str, object]) -> "SegmentEntry":
-        return SegmentEntry(
-            region=str(raw["region"]),
-            week=int(raw["week"]),  # type: ignore[arg-type]
-            fmt=str(raw["fmt"]),
-            relpath=str(raw["relpath"]),
-            size=int(raw["size"]),  # type: ignore[arg-type]
-            sha256=None if raw.get("sha256") is None else str(raw["sha256"]),
-        )
+        try:
+            sha256 = raw["sha256"]
+            if not isinstance(sha256, str):
+                raise TypeError("sha256 is not a string")
+            return SegmentEntry(
+                region=str(raw["region"]),
+                week=int(raw["week"]),  # type: ignore[arg-type]
+                fmt=str(raw["fmt"]),
+                relpath=str(raw["relpath"]),
+                size=int(raw["size"]),  # type: ignore[arg-type]
+                sha256=sha256,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed entry {raw!r} ({exc!r})") from exc
 
 
 @dataclass(frozen=True)
@@ -224,6 +235,11 @@ class ManifestSnapshot:
         }
 
 
+#: Generation 0 of every lake: what a directory with no committed pointer
+#: holds.
+EMPTY_SNAPSHOT = ManifestSnapshot(generation=0, txid=None, segments=())
+
+
 @dataclass
 class GcReport:
     """What one :meth:`LakeManifest.collect_garbage` pass reclaimed."""
@@ -234,12 +250,7 @@ class GcReport:
     bytes_freed: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "segments_removed": self.segments_removed,
-            "generations_removed": self.generations_removed,
-            "tmp_removed": self.tmp_removed,
-            "bytes_freed": self.bytes_freed,
-        }
+        return asdict(self)
 
 
 class _WriterLock:
@@ -307,23 +318,43 @@ class LakeManifest:
         return self._log
 
     def exists(self) -> bool:
-        """Whether the lake has been adopted (a committed pointer exists)."""
+        """Whether anything has been committed (the pointer exists)."""
         return self.pointer_path.exists()
 
-    def _read_pointer(self) -> dict[str, object] | None:
+    def _read_pointer(self) -> tuple[int, object] | None:
+        """``(generation, txid)`` of the committed pointer, ``None`` when
+        nothing has been committed yet."""
         try:
             raw = self.pointer_path.read_bytes()
         except FileNotFoundError:
             return None
         try:
             pointer = json.loads(raw)
-        except ValueError as exc:
+            return int(pointer["generation"]), pointer.get("txid")
+        except (KeyError, TypeError, ValueError) as exc:
             # The pointer is written atomically; a corrupt one means
             # something other than this module scribbled on it.
             raise LakeManifestError(f"corrupt manifest pointer {self.pointer_path}: {exc}") from exc
-        if not isinstance(pointer, dict) or "generation" not in pointer:
-            raise LakeManifestError(f"malformed manifest pointer {self.pointer_path}")
-        return pointer
+
+    def legacy_files(self) -> list[tuple[str, int, str, Path]]:
+        """Pre-manifest extract files, as ``(region, week, fmt, path)``.
+
+        Only files named exactly ``extract_<region>_week<NNNN>.<fmt>``
+        under their own region directory count; content-addressed
+        segments, temp files and foreign files do not.
+        """
+        found = []
+        for region_dir in self._region_dirs():
+            for path in sorted(region_dir.iterdir()):
+                match = _LEGACY_RE.fullmatch(path.name)
+                if match is not None and match.group("region") == region_dir.name:
+                    week, fmt = int(match.group("week")), match.group("fmt")
+                    found.append((region_dir.name, week, fmt, path))
+        return found
+
+    def _region_dirs(self) -> list[Path]:
+        dirs = self._root.iterdir()
+        return sorted(path for path in dirs if path.is_dir() and path.name != MANIFEST_DIR_NAME)
 
     # ------------------------------------------------------------------ #
     # Snapshots
@@ -337,8 +368,8 @@ class LakeManifest:
     def _load_current(self) -> ManifestSnapshot:
         pointer = self._read_pointer()
         if pointer is None:
-            return self._infer_legacy()
-        return self._load_generation(int(pointer["generation"]))  # type: ignore[arg-type]
+            return EMPTY_SNAPSHOT
+        return self._load_generation(pointer[0])
 
     def snapshot_at(self, generation: int) -> ManifestSnapshot:
         """Load one committed generation by number (for pinned readers).
@@ -348,17 +379,13 @@ class LakeManifest:
         snapshot file has been garbage-collected.
         """
         pointer = self._read_pointer()
-        if pointer is None:
-            if generation == 0:
-                return self._infer_legacy()
-            raise LakeManifestError(
-                f"lake at {self._root} has no manifest; only generation 0 exists"
-            )
-        committed = int(pointer["generation"])  # type: ignore[arg-type]
+        committed = 0 if pointer is None else pointer[0]
         if generation > committed:
             raise LakeManifestError(
                 f"generation {generation} is not committed (lake is at {committed})"
             )
+        if pointer is None and generation == 0:
+            return EMPTY_SNAPSHOT
         return self._load_generation(generation)
 
     def _load_generation(self, generation: int) -> ManifestSnapshot:
@@ -368,52 +395,20 @@ class LakeManifest:
         path = self._dir / _gen_filename(generation)
         try:
             raw = json.loads(path.read_bytes())
+            snapshot = ManifestSnapshot(
+                generation=int(raw["generation"]),
+                txid=raw.get("txid"),
+                segments=tuple(SegmentEntry.from_dict(entry) for entry in raw["segments"]),
+            )
         except FileNotFoundError:
             raise LakeManifestError(
                 f"generation {generation} of {self._root} is gone "
                 "(garbage-collected or never committed)"
             ) from None
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise LakeManifestError(f"corrupt manifest generation file {path}: {exc}") from exc
-        snapshot = ManifestSnapshot(
-            generation=int(raw["generation"]),
-            txid=raw.get("txid"),
-            segments=tuple(SegmentEntry.from_dict(entry) for entry in raw["segments"]),
-        )
         self._snapshots[generation] = snapshot
         return snapshot
-
-    def _infer_legacy(self) -> ManifestSnapshot:
-        """Generation 0 of a pre-manifest lake, inferred from the layout.
-
-        Only files named exactly ``extract_<region>_week<NNNN>.<fmt>``
-        under their own region directory count; content-addressed
-        segments, temp files and foreign files are ignored.
-        """
-        entries: list[SegmentEntry] = []
-        if self._root.is_dir():
-            for region_dir in sorted(self._root.iterdir()):
-                if not region_dir.is_dir() or region_dir.name == MANIFEST_DIR_NAME:
-                    continue
-                for path in sorted(region_dir.iterdir()):
-                    match = _LEGACY_RE.fullmatch(path.name)
-                    if (
-                        match is None
-                        or match.group("region") != region_dir.name
-                        or match.group("fmt") not in ENTRY_FORMATS
-                    ):
-                        continue
-                    entries.append(
-                        SegmentEntry(
-                            region=region_dir.name,
-                            week=int(match.group("week")),
-                            fmt=match.group("fmt"),
-                            relpath=f"{region_dir.name}/{path.name}",
-                            size=path.stat().st_size,
-                            sha256=None,
-                        )
-                    )
-        return ManifestSnapshot(generation=0, txid=None, segments=tuple(entries))
 
     # ------------------------------------------------------------------ #
     # Recovery
@@ -427,7 +422,7 @@ class LakeManifest:
             return
         self._recovered = True
         if not self._dir.is_dir():
-            return  # pure legacy lake: nothing to replay
+            return  # nothing was ever written: nothing to replay
         lock = _WriterLock(self._dir / LOCK_NAME)
         if not lock.acquire(blocking=False):
             return
@@ -445,11 +440,7 @@ class LakeManifest:
         pointer = self._read_pointer()
         if pending is not None:
             target = pending.generation_from + 1
-            committed = pointer is not None and (
-                int(pointer["generation"]) == target  # type: ignore[arg-type]
-                and pointer.get("txid") == pending.txid
-            )
-            if committed:
+            if pointer == (target, pending.txid):
                 # The pointer swap happened; only the commit record was
                 # lost to the crash.  The transaction is durable.
                 self._log.append(
@@ -476,7 +467,7 @@ class LakeManifest:
         if sweep:
             self._sweep_orphans(pointer)
 
-    def _sweep_orphans(self, pointer: dict[str, object] | None) -> None:
+    def _sweep_orphans(self, pointer: tuple[int, object] | None) -> None:
         """Delete temp files and unreferenced content-addressed segments.
 
         A crash between publishing a segment file and logging its
@@ -485,17 +476,17 @@ class LakeManifest:
         retained generation references -- legacy-named and foreign files
         are never touched here.
         """
-        if pointer is None:
-            # No committed manifest: every gen file is staged garbage.
-            for path in self._dir.glob("gen-*.json"):
-                path.unlink(missing_ok=True)
         referenced: set[str] = set()
         for gen_path in self._dir.glob("gen-*.json"):
+            if pointer is None:
+                # No committed manifest: every gen file is staged garbage.
+                gen_path.unlink(missing_ok=True)
+                continue
             try:
                 raw = json.loads(gen_path.read_bytes())
                 for entry in raw.get("segments", ()):
                     referenced.add(str(entry["relpath"]))
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, AttributeError):
                 continue
         for path in self._dir.glob("*.tmp-*"):
             # Non-recursive on purpose: _manifest/live/ (active tail WALs
@@ -503,9 +494,7 @@ class LakeManifest:
             if path.is_dir():
                 continue
             path.unlink(missing_ok=True)
-        for region_dir in self._root.iterdir():
-            if not region_dir.is_dir() or region_dir.name == MANIFEST_DIR_NAME:
-                continue
+        for region_dir in self._region_dirs():
             for path in region_dir.iterdir():
                 if ".tmp-" in path.name:
                     path.unlink(missing_ok=True)
@@ -535,12 +524,12 @@ class LakeManifest:
 
     def collect_garbage(self) -> GcReport:
         """Physically reclaim everything the *current* generation does not
-        reference: retired segment files, superseded legacy copies, old
-        generation snapshots and stray temp files.
+        reference: retired segment files, old generation snapshots and
+        stray temp files.  Legacy-named and foreign files are never
+        touched.
 
         This is the one operation that invalidates pinned readers of
-        older generations -- run it when none are live.  A lake that was
-        never adopted only has temp files to sweep.
+        older generations -- run it when none are live.
         """
         self.ensure_recovered()
         report = GcReport()
@@ -552,24 +541,16 @@ class LakeManifest:
             # Resolve any dangling intent first (rolled-back segment files
             # then count as gc'd garbage below, not as live segments).
             self._recover_locked(sweep=False)
-            pointer = self._read_pointer()
-            referenced: frozenset[str] | None = None
-            if pointer is None:
-                # Never adopted: any generation file is staging garbage
-                # from a rolled-back first transaction.
-                for gen_path in self._dir.glob("gen-*.json"):
+            current = self._load_current()
+            # With nothing committed, every generation file is staging
+            # garbage from a rolled-back first transaction.
+            keep = _gen_filename(current.generation) if self.exists() else None
+            for gen_path in self._dir.glob("gen-*.json"):
+                if gen_path.name != keep:
                     report.generations_removed += 1
-                    gen_path.unlink(missing_ok=True)
-            else:
-                current = self._load_current()
-                referenced = current.relpaths()
-                keep = _gen_filename(current.generation)
-                for gen_path in self._dir.glob("gen-*.json"):
-                    if gen_path.name != keep:
-                        report.generations_removed += 1
-                        report.bytes_freed += gen_path.stat().st_size
-                        gen_path.unlink()
-                self._snapshots = {current.generation: current}
+                    report.bytes_freed += gen_path.stat().st_size
+                    gen_path.unlink()
+            self._snapshots = {current.generation: current}
             for path in self._dir.glob("*.tmp-*"):
                 # Non-recursive on purpose: never descend into
                 # _manifest/live/ -- unsealed tail rows live there and
@@ -578,23 +559,19 @@ class LakeManifest:
                     continue
                 report.tmp_removed += 1
                 path.unlink(missing_ok=True)
-            for region_dir in self._root.iterdir():
-                if not region_dir.is_dir() or region_dir.name == MANIFEST_DIR_NAME:
-                    continue
+            referenced = current.relpaths()
+            for region_dir in self._region_dirs():
                 for path in region_dir.iterdir():
                     if ".tmp-" in path.name:
                         report.tmp_removed += 1
                         path.unlink(missing_ok=True)
                         continue
-                    relpath = f"{region_dir.name}/{path.name}"
-                    if referenced is not None and relpath in referenced:
-                        continue
                     match = _SEGMENT_RE.fullmatch(path.name)
-                    if referenced is not None and match is None:
-                        # Adopted lake: retired legacy copies are garbage
-                        # too, once no longer referenced.
-                        match = _LEGACY_RE.fullmatch(path.name)
-                    if match is None or match.group("region") != region_dir.name:
+                    if (
+                        match is None
+                        or match.group("region") != region_dir.name
+                        or f"{region_dir.name}/{path.name}" in referenced
+                    ):
                         continue
                     report.segments_removed += 1
                     report.bytes_freed += path.stat().st_size
@@ -769,9 +746,9 @@ class ManifestTransaction:
         entries.update(self._staged)
         generation = self._base.generation + 1
         if not manifest.exists():
-            # Adoption: materialise the inferred legacy snapshot so
-            # pinned readers of generation 0 resolve from a file even
-            # after the pointer appears.
+            # The first commit materialises the empty generation 0 so
+            # pinned readers of it resolve from a file even after the
+            # pointer appears.
             self._publish_file(
                 manifest.directory / _gen_filename(self._base.generation),
                 json.dumps(self._base.as_dict(), sort_keys=True).encode("utf-8"),

@@ -1,12 +1,14 @@
-"""The lake's CSV import edge, and in-place ``.sgx`` re-chunking.
+"""The lake's adoption and CSV import edges, and in-place ``.sgx`` re-chunking.
 
 A lake stores ``.sgx`` segments only.  ``python -m repro.fleet_ops
-convert`` (:func:`convert_lake`) is how anything else gets in: a CSV
-manifest entry -- left by a store that predates the one-format rule, or a
-legacy-layout ``.csv`` file adopted as generation 0 -- becomes a verified
-segment, and this module is the only caller of
-:func:`repro.storage.csv_io.frame_from_csv_text`.  The same pass
-health-checks (and, on request, re-chunks) the segments already there.
+convert`` is how anything else gets in.  On a directory whose extract
+files predate the manifest it first adopts them
+(:func:`adopt_legacy_files`): one transaction stages each file's bytes as
+a content-addressed entry with its sha256.  Then :func:`convert_lake`
+turns every CSV manifest entry into a verified segment -- this module is
+the only caller of :func:`repro.storage.csv_io.frame_from_csv_text` --
+and health-checks (and, on request, re-chunks) the segments already
+there.
 
 Every key is one transaction through the lake's write API
 (:mod:`repro.storage.manifest`): a crash mid-conversion leaves the key
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.storage import columnar, csv_io
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.manifest import SegmentEntry
+from repro.storage.manifest import LakeManifest, SegmentEntry
 from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES
 from repro.timeseries.frame import LoadFrame
 
@@ -66,6 +68,9 @@ class LakeConversionReport:
 
     verified: bool
     records: list[ConversionRecord] = field(default_factory=list)
+    #: ``(relpath, bytes)`` of the pre-manifest files adopted first; they
+    #: stay on disk, untouched (see :func:`adopt_legacy_files`).
+    adopted: tuple[tuple[str, int], ...] = ()
 
     @property
     def n_converted(self) -> int:
@@ -112,6 +117,7 @@ class LakeConversionReport:
             "n_csv_retired": self.n_csv_retired,
             "csv_bytes_retired": self.csv_bytes_retired,
             "extracts": [record.as_dict() for record in self.records],
+            "adopted": [{"relpath": relpath, "bytes": size} for relpath, size in self.adopted],
         }
 
     def render_text(self) -> str:
@@ -119,6 +125,12 @@ class LakeConversionReport:
             f"Lake conversion: {self.n_converted} extract(s) converted, "
             f"{self.n_skipped} already current"
         ]
+        if self.adopted:
+            lines.append(
+                f"Adopted {len(self.adopted)} pre-manifest file(s) into the manifest "
+                "(originals left in place):"
+            )
+            lines += [f"  {relpath} ({size} bytes)" for relpath, size in self.adopted]
         for record in self.records:
             where = f"  {record.key.region} week {record.key.week}: "
             if record.skipped:
@@ -143,6 +155,27 @@ class LakeConversionReport:
                 f"gc reclaims their {self.csv_bytes_retired} bytes"
             )
         return "\n".join(lines)
+
+
+def adopt_legacy_files(manifest: LakeManifest) -> tuple[tuple[str, int], ...]:
+    """Adopt the extract files of a directory that predates the manifest.
+
+    Every legacy-named file (:meth:`LakeManifest.legacy_files`) is staged
+    byte for byte, under its content-addressed name and with its sha256,
+    in one ``adopt`` transaction; a crash in it rolls back like any other
+    and the next call adopts again.  The originals stay where they are,
+    untouched, and are returned as ``(relpath, bytes)``.  A lake that
+    already has a committed generation, or holds no legacy file, is left
+    exactly as it is.
+    """
+    legacy = [] if manifest.exists() else manifest.legacy_files()
+    if not legacy:
+        return ()
+    with manifest.transaction("adopt") as txn:
+        return tuple(
+            (f"{region}/{path.name}", txn.stage(region, week, fmt, path.read_bytes()).size)
+            for region, week, fmt, path in legacy
+        )
 
 
 def _check_round_trip(key: ExtractKey, frame: LoadFrame, payload: bytes) -> None:

@@ -7,13 +7,23 @@ import zlib
 
 import numpy as np
 
+from repro.storage.columnar import frame_to_sgx_bytes
 from repro.storage.csv_io import frame_to_csv_text
-from repro.storage.migrate import convert_lake
+from repro.storage.migrate import adopt_legacy_files, convert_lake
 from repro.timeseries.calendar import MINUTES_PER_DAY, points_per_day
-from repro.timeseries.frame import LoadFrame
+from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
 POINTS_PER_DAY = points_per_day(5)
+
+
+def small_frame(n: int = 2, level: float = 1.0) -> LoadFrame:
+    """``n`` servers ``s<i>`` of region ``r0``, two samples each."""
+    frame = LoadFrame(5)
+    for index in range(n):
+        metadata = ServerMetadata(server_id=f"s{index}", region="r0")
+        frame.add_server(metadata, make_series([level, level + 1.0]))
+    return frame
 
 
 def plant_csv(lake, key, frame, legacy_layout: bool = False) -> None:
@@ -21,17 +31,25 @@ def plant_csv(lake, key, frame, legacy_layout: bool = False) -> None:
 
     By default the way a PR <= 18 store wrote it: a manifest transaction
     staging ``"csv"`` bytes (beside whatever ``.sgx`` entry the key has).
-    ``legacy_layout`` drops a pre-manifest ``.csv`` file instead, which a
-    lake that was never adopted infers as part of generation 0.
+    ``legacy_layout``: the way a pre-manifest directory does (:func:`plant_legacy`).
     """
-    payload = frame_to_csv_text(frame).encode("utf-8")
     if legacy_layout:
-        path = lake.root / key.region / key.filename("csv")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)  # repro: allow[manifest-boundary] fabricating a pre-manifest legacy lake
-        return
+        return plant_legacy(lake, {key: frame})
     with lake.manifest.transaction(f"write {key.filename('csv')}") as txn:
-        txn.stage(key.region, key.week, "csv", payload)
+        txn.stage(key.region, key.week, "csv", frame_to_csv_text(frame).encode("utf-8"))
+
+
+def plant_legacy(lake, frames, fmt: str = "csv", adopt: bool = True) -> None:
+    """Drop ``frames`` (key -> frame) as pre-manifest ``.<fmt>`` files into
+    the not yet manifested ``lake``, then (``adopt``) run the adopt step
+    ``convert`` starts with."""
+    for key, frame in frames.items():
+        payload = frame_to_csv_text(frame).encode() if fmt == "csv" else frame_to_sgx_bytes(frame)
+        path = lake.root / key.region / key.filename(fmt)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload)  # repro: allow[manifest-boundary] fabricating a pre-manifest file for adoption
+    if adopt:
+        adopt_legacy_files(lake.manifest)
 
 
 def write_via(origin: str, lake, key, frame) -> None:

@@ -9,8 +9,9 @@ gc, a second committer, reopened writers, pinned generations -- and
 requires the same rows, content hashes, aggregates, ``scan()`` streams
 *and* ``ScanStats``: a reader cannot tell a cache hit from a miss.
 
-Histories also cross the CSV import edge.  A lake may start as a legacy
-directory of ``.csv`` files, a PR <= 18 writer may have left a key as a
+Histories also cross the adoption and CSV import edges.  A lake may
+start as a pre-manifest directory of ``.csv`` files taken in by the adopt
+step, a PR <= 18 writer may have left a key as a
 CSV entry, a PR <= 18 ``convert`` may have left one beside a segment:
 every read of a CSV-only key raises the typed error on both stores until
 ``convert`` has imported it, after which both answer with the frame that
@@ -34,7 +35,7 @@ from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series, plant_csv
+from tests.helpers import make_series, plant_csv, plant_legacy
 
 KEYS = (ExtractKey("r0", 0), ExtractKey("r0", 1), ExtractKey("r1", 0))
 DAY = MINUTES_PER_DAY
@@ -139,13 +140,13 @@ class LakeHistory(RuleBasedStateMachine):
     @initialize(legacy=st.booleans())
     def start_with_something(self, legacy):
         """Two keys to cache -- or, ``legacy``, a pre-manifest directory of
-        ``.csv`` files that generation 0 is inferred from."""
-        for key in KEYS[:2]:
-            frame = history_frame(key, 0, 3, 2)
-            if legacy:
-                plant_csv(self.writer, key, frame, legacy_layout=True)
-                self.unimported[key] = frame
-            else:
+        ``.csv`` files, adopted as CSV entries."""
+        frames = {key: history_frame(key, 0, 3, 2) for key in KEYS[:2]}
+        if legacy:
+            plant_legacy(self.writer, frames)
+            self.unimported.update(frames)
+        else:
+            for key, frame in frames.items():
                 self.store.write_extract(key, frame)
 
     def _csv_entry_gone(self, key):

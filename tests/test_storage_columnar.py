@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.storage import columnar
+from repro.storage.aggregate import AggregateAccumulator
 from repro.storage.columnar import (
     HEADER_BYTES,
     MAGIC,
@@ -15,11 +16,11 @@ from repro.storage.columnar import (
     SgxReadStats,
     frame_from_sgx_bytes,
     frame_to_sgx_bytes,
-    read_frame_sgx,
     sgx_summary,
-    sgx_version,
-    write_frame_sgx,
 )
+from repro.storage.datalake import DataLakeStore, ExtractKey
+from repro.storage.migrate import ConversionVerificationError, convert_lake
+from repro.storage.query import ExtractQuery
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
@@ -69,9 +70,8 @@ class TestRoundTrip:
     def test_roundtrip_on_disk(self, tmp_path):
         frame = build_frame()
         path = tmp_path / "extract.sgx"
-        rows = write_frame_sgx(frame, path)
-        assert rows == frame.total_points()
-        assert read_frame_sgx(path).content_hash() == frame.content_hash()
+        path.write_bytes(frame_to_sgx_bytes(frame))
+        assert frame_from_sgx_bytes(path.read_bytes()).content_hash() == frame.content_hash()
 
     def test_empty_frame_roundtrip(self):
         frame = LoadFrame(5)
@@ -317,10 +317,9 @@ class TestUnsortedRejection:
 
     def test_unsorted_series_never_reaches_disk(self, tmp_path):
         frame = self._frame_with_timestamps([0, 10, 5])
-        path = tmp_path / "bad.sgx"
         with pytest.raises(ColumnarFormatError):
-            write_frame_sgx(frame, path)
-        assert not path.exists()
+            DataLakeStore(tmp_path).write_extract(ExtractKey("r0", 0), frame)
+        assert not list(tmp_path.glob("*/*.sgx*"))
 
     def test_irregular_but_sorted_series_is_accepted(self):
         # Sortedness, not grid regularity, is what zone maps need.
@@ -467,7 +466,7 @@ class TestVersionGate:
     def test_version_four_is_current(self):
         assert columnar.VERSION == 4
         assert columnar.SUPPORTED_VERSIONS == (4,)
-        assert sgx_version(frame_to_sgx_bytes(build_frame())) == 4
+        assert sgx_summary(frame_to_sgx_bytes(build_frame()))["version"] == 4
         # The hand-packed header is a genuine (empty) extract at v4, so
         # the rejections below are about the version and nothing else.
         assert len(frame_from_sgx_bytes(bare_sgx_header(4))) == 0
@@ -486,15 +485,12 @@ class TestVersionGate:
 
     @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_every_byte_level_reader_rejects_other_versions(self, version):
-        from repro.storage.aggregate import AggregateAccumulator
-
         data = bare_sgx_header(version)
         readers = [
             lambda: frame_from_sgx_bytes(data),
             lambda: list(columnar.scan_sgx_bytes(data)),
             lambda: columnar.aggregate_sgx_bytes(data, AggregateAccumulator(("count",), ())),
             lambda: sgx_summary(data),
-            lambda: sgx_version(data),
         ]
         for read in readers:
             with pytest.raises(ColumnarFormatError, match=f"version {version}.*only v4"):
@@ -512,10 +508,6 @@ class TestVersionGate:
 
     @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_lake_rejects_a_lone_other_version_extract(self, tmp_path, version):
-        from repro.storage.datalake import DataLakeStore, ExtractKey
-        from repro.storage.migrate import ConversionVerificationError, convert_lake
-        from repro.storage.query import ExtractQuery
-
         lake = DataLakeStore(tmp_path / "lake")
         key = ExtractKey("westus2", 0)
         lake.write_extract_bytes(key, bare_sgx_header(version))
@@ -536,10 +528,6 @@ class TestVersionGate:
     def test_lake_answers_from_a_colocated_csv_copy(self, tmp_path, version):
         # ...once ``convert`` has re-imported it: until then the read
         # raises, and says that a CSV entry is there to re-import from.
-        from repro.storage.datalake import DataLakeStore, ExtractKey
-        from repro.storage.migrate import convert_lake
-        from repro.storage.query import ExtractQuery
-
         lake = DataLakeStore(tmp_path / "lake")
         key = ExtractKey("westus2", 0)
         frame = build_frame()
@@ -712,8 +700,6 @@ class TestSegment:
     """A verified structure plus a descriptor reads like the bytes do."""
 
     def test_descriptor_reads_match_buffer_reads(self, tmp_path):
-        from repro.storage.aggregate import AggregateAccumulator
-
         frame = multi_day_frame(n_servers=3, n_days=4)
         data = frame_to_sgx_bytes(frame)
         path = tmp_path / "x.sgx"

@@ -35,24 +35,20 @@ class TestFileRoundTrip:
     def test_roundtrip_preserves_series_and_metadata(self, frame, tmp_path):
         path = tmp_path / "sub" / "extract.csv"
         csv_io.write_frame_csv(frame, path)
-        loaded = csv_io.read_frame_csv(path)
+        loaded = csv_io.frame_from_csv_text(path.read_text())
         assert loaded.server_ids() == frame.server_ids()
         for sid in frame.server_ids():
             assert loaded.series(sid) == frame.series(sid)
             assert loaded.metadata(sid).engine == "mysql"
             assert loaded.metadata(sid).true_class == "stable"
 
-    def test_read_missing_columns_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("server_id,foo\na,1\n")
+    def test_read_missing_columns_raises(self):
         with pytest.raises(csv_io.CsvSchemaError):
-            csv_io.read_frame_csv(path)
+            csv_io.frame_from_csv_text("server_id,foo\na,1\n")
 
-    def test_read_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
+    def test_read_empty_file_raises(self):
         with pytest.raises(csv_io.CsvSchemaError):
-            csv_io.read_frame_csv(path)
+            csv_io.frame_from_csv_text("")
 
 
 class TestTextRoundTrip:

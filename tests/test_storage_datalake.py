@@ -14,16 +14,7 @@ from repro.storage.migrate import convert_lake
 from repro.storage.query import ExtractQuery
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series, naive_rows, plant_csv, write_via
-
-
-def small_frame(n=2) -> LoadFrame:
-    frame = LoadFrame(5)
-    for index in range(n):
-        frame.add_server(
-            ServerMetadata(server_id=f"s{index}", region="r0"), make_series([1.0, 2.0])
-        )
-    return frame
+from tests.helpers import make_series, naive_rows, plant_csv, small_frame, write_via
 
 
 class TestStoreBasics:

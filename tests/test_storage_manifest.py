@@ -1,121 +1,150 @@
 """Unit tests for the transactional lake manifest subsystem."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.fleet_ops.cli import gc_main, main as fleet_main, manifest_main
-from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotImportedError
+from repro.storage.datalake import DataLakeStore, ExtractKey
+from repro.storage.live import LiveIngestor
 from repro.storage.manifest import (
     FAULT_POINTS,
+    InjectedCrash,
     LakeManifest,
     LakeManifestError,
+    LakeNotAdoptedError,
     ManifestSnapshot,
     TransactionLog,
+    fault_handler,
 )
-from repro.timeseries.frame import LoadFrame, ServerMetadata
+from repro.storage.migrate import adopt_legacy_files
+from repro.timeseries.frame import ServerMetadata
 
-from tests.helpers import make_series, plant_csv
+from tests.helpers import CrashInjector, plant_legacy, small_frame
 
 KEY = ExtractKey("r0", 3)
+CONVERT = "python -m repro.fleet_ops convert --lake-dir"
 
 
-def small_frame(n=2, level=1.0) -> LoadFrame:
-    frame = LoadFrame(5)
-    for index in range(n):
-        frame.add_server(
-            ServerMetadata(server_id=f"s{index}", region="r0"),
-            make_series([level, level + 1.0]),
-        )
-    return frame
+@pytest.fixture
+def lake(tmp_path) -> DataLakeStore:
+    """A lake whose generation 1 holds ``KEY``."""
+    store = DataLakeStore(tmp_path)
+    store.write_extract(KEY, small_frame())
+    return store
 
 
-def plant_legacy_extract(root, key: ExtractKey) -> None:
-    """Fabricate a pre-manifest lake file under its legacy name."""
-    plant_csv(DataLakeStore(root), key, small_frame(), legacy_layout=True)
+def build_layout(root, layout: str) -> None:
+    """A directory without a committed manifest, holding ``layout``."""
+    if layout == "legacy-file":
+        plant_legacy(DataLakeStore(root), {KEY: small_frame()}, adopt=False)
+    elif layout == "fleet-spec":
+        (root / "_fleet_spec.json").write_text("{}")
+    elif layout == "foreign-files":  # a note, and an r0 legacy name filed under r9
+        (root / "r9").mkdir()
+        for name in ("notes.txt", KEY.filename("csv")):
+            (root / "r9" / name).write_text("not an extract of r9")
+    elif layout == "live-only":
+        with LiveIngestor(DataLakeStore(root), interval_minutes=5) as ingestor:
+            ingestor.ingest(KEY, ServerMetadata("s0", "r0"), np.arange(3), np.ones(3))
+            ingestor.flush()
+    elif layout == "crashed-first-transaction":
+        with fault_handler(CrashInjector("segment.tmp")), pytest.raises(InjectedCrash):
+            DataLakeStore(root).write_extract(KEY, small_frame())
 
 
 class TestAdoption:
-    def test_legacy_lake_reads_as_generation_zero(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY)
-        lake = DataLakeStore(tmp_path)
-        assert lake.current_generation() == 0
-        assert lake.list_extracts() == [KEY]
-        assert not (tmp_path / "_manifest" / "MANIFEST.json").exists()
+    """A directory whose extract files predate the manifest does not open
+    until ``convert`` has adopted them in one transaction."""
 
-    def test_first_mutation_adopts_and_materialises_gen_zero(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY)
-        lake = DataLakeStore(tmp_path)
-        other = ExtractKey("r1", 5)
-        lake.write_extract(other, small_frame())
-        assert lake.current_generation() == 1
-        manifest_dir = tmp_path / "_manifest"
-        assert (manifest_dir / "MANIFEST.json").exists()
-        # Adoption materialises the inferred legacy snapshot so pinned
-        # readers of generation 0 resolve from a file afterwards.
-        assert (manifest_dir / "gen-00000000.json").exists()
-        assert (manifest_dir / "gen-00000001.json").exists()
-        # The legacy file is carried into generation 1 as-is: a CSV entry
-        # that is listed, and read once ``convert`` has imported it.
-        assert sorted(lake.list_extracts()) == [KEY, other]
-        with pytest.raises(ExtractNotImportedError):
-            lake.read_extract(KEY)
+    @pytest.mark.parametrize(
+        "layout",
+        ["legacy-file", "empty", "fleet-spec", "foreign-files", "live-only",
+         "crashed-first-transaction"],
+    )
+    def test_only_legacy_files_keep_a_directory_from_opening(self, tmp_path, layout):
+        build_layout(tmp_path, layout)
+        if layout == "legacy-file":
+            with pytest.raises(LakeNotAdoptedError, match=f"{CONVERT} {tmp_path}"):
+                DataLakeStore(tmp_path)
+            return
+        store = DataLakeStore(tmp_path)
+        assert store.current_generation() == 0 and store.list_extracts() == []
+        # ... and convert has nothing to adopt or import.
         assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
-        assert lake.read_extract(KEY).server_ids() == ["s0", "s1"]
+        assert not store.manifest.exists()
 
-    def test_foreign_and_content_addressed_files_invisible_to_inference(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY)
-        (tmp_path / KEY.region / "notes.txt").write_text("not an extract")
-        snapshot = LakeManifest(tmp_path).current()
-        assert snapshot.generation == 0
-        assert [(e.region, e.week, e.fmt) for e in snapshot.segments] == [
-            (KEY.region, KEY.week, "csv")
-        ]
+    def test_convert_adopts_every_legacy_file_once(self, tmp_path, capsys):
+        sgx_key = ExtractKey("r1", 5)
+        frames = {KEY: small_frame(), sgx_key: small_frame(level=3.0)}
+        lake = DataLakeStore(tmp_path)
+        plant_legacy(lake, {KEY: frames[KEY]}, adopt=False)
+        plant_legacy(lake, {sgx_key: frames[sgx_key]}, "sgx", adopt=False)
+        originals = {p: p.read_bytes() for p in tmp_path.glob("r*/extract_*")}
+        convert = ["convert", "--lake-dir", str(tmp_path), "--json"]
+        assert fleet_main(convert) == 0
+        adopted = json.loads(capsys.readouterr().out)["adopted"]
+        assert {(tmp_path / a["relpath"], a["bytes"]) for a in adopted} == {
+            (path, len(data)) for path, data in originals.items()
+        }
+        # Generation 1 is the adopt transaction: the originals' bytes,
+        # content-addressed; the CSV import then publishes generation 2.
+        gen1 = lake.manifest.snapshot_at(1)
+        assert sorted((e.week, e.fmt) for e in gen1.segments) == [(3, "csv"), (5, "sgx")]
+        assert lake.current_generation() == 2
+        for entry in (*gen1.segments, *lake.manifest.current().segments):
+            data = (tmp_path / entry.relpath).read_bytes()
+            assert entry.sha256 == hashlib.sha256(data).hexdigest()
+            assert entry.relpath.endswith(f"-{entry.sha256[:12]}.{entry.fmt}")
+        for key, frame in frames.items():
+            assert DataLakeStore(tmp_path).read_extract(key).content_hash() == frame.content_hash()
+        assert {path: path.read_bytes() for path in originals} == originals
+        assert fleet_main(convert) == 0 and lake.current_generation() == 2
+        assert json.loads(capsys.readouterr().out)["adopted"] == []
+
+    def test_crashed_adoption_rolls_back_and_convert_adopts_again(self, tmp_path):
+        keys = [KEY, ExtractKey("r0", 4)]
+        plant_legacy(DataLakeStore(tmp_path), {key: small_frame() for key in keys}, adopt=False)
+        with fault_handler(CrashInjector("txlog.staged", 2)), pytest.raises(InjectedCrash):
+            adopt_legacy_files(LakeManifest(tmp_path))
+        with pytest.raises(LakeNotAdoptedError):
+            DataLakeStore(tmp_path)
+        assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
+        assert DataLakeStore(tmp_path).list_extracts() == keys
+
+    @pytest.mark.parametrize(
+        "argv", [["manifest"], [], ["live", "--days", "1"]], ids=["manifest", "run", "live"]
+    )
+    def test_cli_refuses_an_unadopted_directory(self, tmp_path, capsys, argv):
+        build_layout(tmp_path, "legacy-file")
+        assert fleet_main([*argv, "--lake-dir", str(tmp_path)]) == 1
+        assert f"{CONVERT} {tmp_path}" in capsys.readouterr().err
 
 
 class TestContentAddressing:
-    def test_segment_names_carry_payload_hash(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_segment_names_carry_payload_hash(self, lake):
         path = lake.extract_path(KEY)
         fingerprint = lake.extract_fingerprint(KEY)
         assert f"-{fingerprint[:12]}.sgx" in path.name
 
-    def test_identical_payload_reuses_the_segment_file(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_identical_payload_reuses_the_segment_file(self, lake):
         first_path = lake.extract_path(KEY)
         first_gen = lake.current_generation()
         lake.write_extract(KEY, small_frame())  # byte-identical re-write
         assert lake.extract_path(KEY) == first_path
         assert lake.current_generation() == first_gen + 1
 
-    def test_fingerprint_served_from_manifest_entry(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_fingerprint_served_from_manifest_entry(self, lake):
         snapshot = lake.manifest.current()
         entry = snapshot.entry(KEY.region, KEY.week, "sgx")
         assert entry.sha256 == lake.extract_fingerprint(KEY)
         assert entry.size == lake.extract_size_bytes(KEY)
 
-    def test_fingerprint_verify_hashes_the_stored_bytes(self, tmp_path):
-        """The default fingerprint is the digest recorded at stage time;
-        ``verify=True`` reads the file and therefore sees out-of-band
-        damage the fast path by design does not."""
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
-        recorded = lake.extract_fingerprint(KEY)
-        assert lake.extract_fingerprint(KEY, verify=True) == recorded
-        # repro: allow[manifest-boundary] simulating out-of-band disk damage
-        lake.extract_path(KEY).write_bytes(b"scribbled over")
-        assert lake.extract_fingerprint(KEY) == recorded
-        assert lake.extract_fingerprint(KEY, verify=True) != recorded
-
 
 class TestLogicalDeleteAndGc:
-    def test_delete_is_logical_until_gc(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_delete_is_logical_until_gc(self, lake):
         path = lake.extract_path(KEY)
         lake.delete_extract(KEY)
         assert not lake.has_extract(KEY)
@@ -125,13 +154,12 @@ class TestLogicalDeleteAndGc:
         assert report.segments_removed == 1
         assert report.bytes_freed > 0
 
-    def test_gc_keeps_only_the_current_generation(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        for level in (1.0, 2.0, 3.0):
+    def test_gc_keeps_only_the_current_generation(self, tmp_path, lake):
+        for level in (2.0, 3.0):
             lake.write_extract(KEY, small_frame(level=level))
         manifest_dir = tmp_path / "_manifest"
-        # Generations 1..3 plus the (empty) generation 0 materialised at
-        # adoption by the first write.
+        # Generations 1..3 plus the (empty) generation 0 materialised by
+        # the first commit.
         assert len(list(manifest_dir.glob("gen-*.json"))) == 4
         report = lake.collect_garbage()
         assert report.generations_removed == 3
@@ -140,9 +168,7 @@ class TestLogicalDeleteAndGc:
         assert [p.name for p in kept] == ["gen-00000003.json"]
         assert lake.read_extract(KEY).server_ids() == ["s0", "s1"]
 
-    def test_gc_invalidates_pinned_readers_of_old_generations(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame(level=1.0))
+    def test_gc_invalidates_pinned_readers_of_old_generations(self, tmp_path, lake):
         pinned_gen = lake.current_generation()
         reader = DataLakeStore(tmp_path, pinned_generation=pinned_gen)
         lake.write_extract(KEY, small_frame(level=9.0))
@@ -153,9 +179,7 @@ class TestLogicalDeleteAndGc:
         with pytest.raises(FileNotFoundError):
             reader.read_extract_bytes(KEY)
 
-    def test_delete_of_absent_extract_publishes_no_generation(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_delete_of_absent_extract_publishes_no_generation(self, lake):
         generation = lake.current_generation()
         lake.delete_extract(ExtractKey("r9", 99))  # nothing to drop
         assert lake.current_generation() == generation
@@ -163,9 +187,7 @@ class TestLogicalDeleteAndGc:
         lake.delete_extract(KEY)  # a real drop still commits
         assert lake.current_generation() == generation + 1
 
-    def test_gc_spares_foreign_files(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_gc_spares_foreign_files(self, tmp_path, lake):
         foreign = tmp_path / KEY.region / "README.txt"
         foreign.write_text("hands off")
         lake.delete_extract(KEY)
@@ -174,9 +196,7 @@ class TestLogicalDeleteAndGc:
 
 
 class TestPinnedStores:
-    def test_pinned_store_is_read_only(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_pinned_store_is_read_only(self, tmp_path, lake):
         reader = DataLakeStore(tmp_path, pinned_generation=lake.current_generation())
         with pytest.raises(LakeManifestError):
             reader.write_extract(KEY, small_frame(level=2.0))
@@ -185,18 +205,9 @@ class TestPinnedStores:
         with pytest.raises(LakeManifestError):
             reader.collect_garbage()
 
-    def test_uncommitted_generation_cannot_be_pinned(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_uncommitted_generation_cannot_be_pinned(self, tmp_path, lake):
         with pytest.raises(LakeManifestError):
             DataLakeStore(tmp_path, pinned_generation=lake.current_generation() + 1)
-
-    def test_legacy_lake_pins_only_generation_zero(self, tmp_path):
-        plant_legacy_extract(tmp_path, KEY)
-        reader = DataLakeStore(tmp_path, pinned_generation=0)
-        assert reader.list_extracts() == [KEY]
-        with pytest.raises(LakeManifestError):
-            DataLakeStore(tmp_path, pinned_generation=1)
 
 
 class TestManifestInternals:
@@ -209,9 +220,7 @@ class TestManifestInternals:
         assert snapshot.formats("r0", 1) == ()
         assert snapshot.entry("r0", 1, "sgx") is None
 
-    def test_torn_txlog_tail_is_tolerated(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_torn_txlog_tail_is_tolerated(self, tmp_path, lake):
         log_path = tmp_path / "_manifest" / "txlog.jsonl"
         with log_path.open("ab") as handle:
             handle.write(b'{"type": "intent", "txid": "tx-torn"')  # no newline
@@ -228,7 +237,7 @@ class TestManifestInternals:
         assert [r["type"] for r in log.records()] == ["intent", "recovered"]
         assert log.pending() is None
 
-    def test_torn_commit_record_survives_later_commits(self, tmp_path):
+    def test_torn_commit_record_survives_later_commits(self, tmp_path, lake):
         """A torn final log line must not resurrect a resolved intent.
 
         Recovery's resolution record lands on its own fresh line; were it
@@ -236,8 +245,6 @@ class TestManifestInternals:
         stale intent and -- once another transaction commits -- roll it
         back as 'uncommitted', unlinking a committed generation's files.
         """
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
         log_path = tmp_path / "_manifest" / "txlog.jsonl"
         raw = log_path.read_bytes()
         assert raw.endswith(b"\n")
@@ -251,45 +258,57 @@ class TestManifestInternals:
         assert reopened.read_extract(other).server_ids() == ["s0", "s1"]
         assert reopened.manifest.log.pending() is None
 
-    def test_corrupt_pointer_is_a_typed_error(self, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_corrupt_pointer_is_a_typed_error(self, tmp_path, lake):
         (tmp_path / "_manifest" / "MANIFEST.json").write_text("not json")
         with pytest.raises(LakeManifestError):
             DataLakeStore(tmp_path).list_extracts()
 
+    @pytest.mark.parametrize(
+        "file, damage",
+        [
+            ("gen-00000001.json", lambda raw: raw["segments"][0].pop("week")),
+            ("gen-00000001.json", lambda raw: raw["segments"][0].update(sha256=None)),
+            ("gen-00000001.json", lambda raw: raw["segments"][0].update(size="big")),
+            ("MANIFEST.json", lambda raw: raw.update(generation="one")),
+        ],
+        ids=["missing-key", "null-sha256", "non-integer-size", "non-integer-pointer"],
+    )
+    def test_malformed_entry_is_a_typed_error(self, tmp_path, lake, capsys, file, damage):
+        path = tmp_path / "_manifest" / file
+        raw = json.loads(path.read_text())
+        damage(raw)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(LakeManifestError, match=file) as excinfo:
+            DataLakeStore(tmp_path).list_extracts()
+        if "segments" in raw:  # the message names the entry too
+            assert raw["segments"][0]["relpath"] in str(excinfo.value)
+        assert manifest_main(["--lake-dir", str(tmp_path)]) == 1
+        assert file in capsys.readouterr().err
+
 
 class TestCli:
-    def test_manifest_command_reports_state(self, capsys, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_manifest_command_reports_state(self, capsys, tmp_path, lake):
         assert fleet_main(["manifest", "--lake-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Committed generation: 1" in out
         assert f"{KEY.region} week {KEY.week}: .sgx" in out
         assert "no pending transaction" in out
 
-    def test_manifest_command_json(self, capsys, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_manifest_command_json(self, capsys, tmp_path, lake):
         assert manifest_main(["--lake-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["adopted"] is True
         assert payload["snapshot"]["generation"] == 1
         assert payload["pending_txid"] is None
 
-    def test_gc_command_reclaims_and_reports(self, capsys, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame(level=1.0))
+    def test_gc_command_reclaims_and_reports(self, capsys, tmp_path, lake):
         lake.write_extract(KEY, small_frame(level=2.0))
         assert fleet_main(["gc", "--lake-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Lake gc at generation 2" in out
         assert "1 segment file(s)" in out
 
-    def test_gc_command_json(self, capsys, tmp_path):
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        lake.write_extract(KEY, small_frame())
+    def test_gc_command_json(self, capsys, tmp_path, lake):
         assert gc_main(["--lake-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["generation"] == 1

@@ -264,20 +264,6 @@ class TestWhenAStructureMayBeReused:
         lake.query(point_query())
         assert len(parses) == 3
 
-    def test_legacy_entry_without_sha256_is_never_retained(self, tmp_path, parses):
-        # A pre-manifest file is not content-addressed: rewritten in place
-        # at the same size and mtime it must be seen at once.
-        path = tmp_path / KEY.region / KEY.filename("sgx")
-        path.parent.mkdir(parents=True)
-        path.write_bytes(frame_to_sgx_bytes(week_frame(2, 1)))
-        store = DataLakeStore(tmp_path)
-        assert store.current_generation() == 0
-        assert store.read_extract(KEY).content_hash() == week_frame(2, 1).content_hash()
-        changed = week_frame(2, 1, level=9.0)
-        rewrite_in_place(path, frame_to_sgx_bytes(changed), keep_mtime=True)
-        assert store.read_extract(KEY).content_hash() == changed.content_hash()
-        assert len(parses) == 2
-
     def test_cache_is_bounded_by_retained_chunk_table_entries(self, lake, parses, monkeypatch):
         keys = [ExtractKey("r0", week) for week in (1, 2, 3)]
         for week, key in enumerate(keys):
