@@ -11,7 +11,7 @@ requires the same rows, content hashes, aggregates, ``scan()`` streams
 
 Histories also cross the adoption and CSV import edges.  A lake may
 start as a pre-manifest directory of ``.csv`` files taken in by the adopt
-step, a PR <= 18 writer may have left a key as a
+step, an older writer may have left a key as a
 CSV entry, a PR <= 18 ``convert`` may have left one beside a segment:
 every read of a CSV-only key raises the typed error on both stores until
 ``convert`` has imported it, after which both answer with the frame that
