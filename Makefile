@@ -18,11 +18,13 @@ hygiene:
 lint: invariants
 	ruff check .
 
-## Repo-specific AST invariant linter (api-boundary, import-layering,
-## lock-discipline, format-invariants, frozen-dataclass, broad-except,
-## manifest-boundary, live-boundary).
+## Repo-specific AST invariant linter (the ownership rows api-boundary,
+## manifest-boundary, live-boundary and format-invariants, plus
+## import-layering, lock-discipline, frozen-dataclass, broad-except).
+## Run by path: it imports nothing from repro, so it needs no installed
+## dependency and reports a file that does not parse as parse-error.
 invariants:
-	PYTHONPATH=src python -m repro.devtools.lint src
+	python src/repro/devtools/lint.py src
 
 ## Mypy over the typed API surface, storage (with its manifest
 ## subsystem), serving, fleet_ops and parallel (requires mypy; CI

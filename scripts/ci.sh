@@ -28,7 +28,7 @@ fi
 
 echo
 echo "== invariants (repo-specific AST linter) =="
-PYTHONPATH=src python -m repro.devtools.lint src
+python src/repro/devtools/lint.py src
 
 echo
 echo "== typecheck (mypy: storage incl. manifest + serving + fleet_ops + parallel) =="

@@ -1,29 +1,1 @@
-"""Repo-specific developer tooling.
-
-:mod:`repro.devtools.lint` is an AST-based invariant linter: it machine-
-checks the conventions the codebase grew by review (API boundaries,
-import layering, lock discipline, ``.sgx`` format invariants, frozen-
-dataclass discipline, typed-error discipline) and fails CI when one is
-violated -- the same way the bench-baseline job fails on a perf
-regression.
-
-The package is deliberately **stdlib-only** and imports nothing from the
-rest of :mod:`repro`: the linter must be able to parse and judge a tree
-whose runtime packages are broken, and must never itself create an
-import-layering edge.  Run it as::
-
-    python -m repro.devtools.lint src
-"""
-
-__all__ = ["Finding", "run_lint"]
-
-
-def __getattr__(name):
-    # Lazy re-export: an eager `from repro.devtools.lint import ...` here
-    # would make `python -m repro.devtools.lint` execute the module twice
-    # (runpy warns about exactly this).
-    if name in __all__:
-        from repro.devtools import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+"""Developer tooling: the stdlib-only invariant linter is :mod:`repro.devtools.lint`."""

@@ -47,7 +47,7 @@ def plant_legacy(lake, frames, fmt: str = "csv", adopt: bool = True) -> None:
         payload = frame_to_csv_text(frame).encode() if fmt == "csv" else frame_to_sgx_bytes(frame)
         path = lake.root / key.region / key.filename(fmt)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)  # repro: allow[manifest-boundary] fabricating a pre-manifest file for adoption
+        path.write_bytes(payload)  # fabricates a pre-manifest file for adoption
     if adopt:
         adopt_legacy_files(lake.manifest)
 

@@ -427,7 +427,7 @@ class TestColumnarFleetRuns:
         segment = lake.extract_path(damaged_key)
         damaged = bytearray(segment.read_bytes())
         damaged[-3] ^= 0xFF
-        segment.write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
+        segment.write_bytes(bytes(damaged))  # simulates out-of-band disk damage
         frame = lake.read_extract(csv_only_key)
         lake.delete_extract(csv_only_key)
         plant_csv(lake, csv_only_key, frame)
