@@ -143,12 +143,19 @@ OWNERSHIP: tuple[Owned, ...] = (
 #: Dotted keys place sub-packages for outside importers (longest prefix).
 LAYERS: dict[str, int] = {
     "timeseries": 0,
-    "models": 1, "parallel": 1, "validation": 1,
+    "models": 1,
+    "parallel": 1,
+    "validation": 1,
     "metrics": 2,
-    "features": 3, "storage": 3, "storage.manifest": 3,
-    "storage.live": 4, "core": 4, "telemetry": 4,
+    "features": 3,
+    "storage": 3,
+    "storage.manifest": 3,
+    "storage.live": 4,
+    "core": 4,
+    "telemetry": 4,
     "serving": 5,
-    "autoscale": 6, "scheduling": 6,
+    "autoscale": 6,
+    "scheduling": 6,
     "fleet_ops": 7,
 }
 
@@ -156,8 +163,14 @@ LAYERS: dict[str, int] = {
 BROAD_EXCEPT_PACKAGES: tuple[str, ...] = ("repro.storage", "repro.serving")
 
 RULES: tuple[str, ...] = (
-    "api-boundary", "import-layering", "lock-discipline", "format-invariants",
-    "frozen-dataclass", "broad-except", "manifest-boundary", "live-boundary",
+    "api-boundary",
+    "import-layering",
+    "lock-discipline",
+    "format-invariants",
+    "frozen-dataclass",
+    "broad-except",
+    "manifest-boundary",
+    "live-boundary",
 )
 
 #: Engine diagnostics (not suppressible, not selectable off).
@@ -278,12 +291,14 @@ def _is_write_mode(node: ast.Call) -> bool:
     index = 0 if isinstance(node.func, ast.Attribute) else 1
     candidates: list[ast.AST] = list(node.args[index : index + 1])
     candidates.extend(kw.value for kw in node.keywords if kw.arg == "mode")
-    return any(
-        isinstance(expr, ast.Constant)
-        and isinstance(expr.value, str)
-        and any(flag in expr.value for flag in "wax+")
-        for expr in candidates
-    )
+    for expr in candidates:
+        if (
+            isinstance(expr, ast.Constant)
+            and isinstance(expr.value, str)
+            and any(flag in expr.value for flag in ("w", "a", "x", "+"))
+        ):
+            return True
+    return False
 
 
 def _carries_mark(node: ast.Call, row: Owned) -> bool:
