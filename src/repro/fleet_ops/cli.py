@@ -42,6 +42,7 @@ from repro.storage.migrate import (
     ConversionVerificationError,
     adopt_legacy_files,
     convert_lake,
+    fold_seal_watermarks,
 )
 from repro.telemetry.fleet import default_fleet_spec
 
@@ -148,8 +149,11 @@ def convert_main(argv: list[str]) -> int:
         print("--chunk-minutes must be non-negative", file=sys.stderr)
         return 2
     try:
-        # Adoption comes first: until it has run, the store refuses to open.
-        adopted = adopt_legacy_files(LakeManifest(args.lake_dir))
+        # Adoption and the watermark fold come first: until they have run,
+        # the store refuses to open.
+        manifest = LakeManifest(args.lake_dir)
+        adopted = adopt_legacy_files(manifest)
+        fold_seal_watermarks(manifest)
         report = convert_lake(
             DataLakeStore(args.lake_dir),
             region=args.region,
@@ -192,14 +196,12 @@ def manifest_main(argv: list[str]) -> int:
     except LakeManifestError as exc:
         print(f"manifest unreadable: {exc}", file=sys.stderr)
         return 1
-    records = manifest.log.records()
     pending = manifest.log.pending()
     if args.json:
         payload = {
             "root": str(manifest.root),
             "adopted": manifest.exists(),
             "snapshot": snapshot.as_dict(),
-            "log_records": len(records),
             "pending_txid": pending.txid if pending is not None else None,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -219,7 +221,7 @@ def manifest_main(argv: list[str]) -> int:
         if pending is not None
         else "no pending transaction"
     )
-    print(f"Transaction log: {len(records)} record(s), {suffix}")
+    print(f"Transaction log: {suffix}")
     return 0
 
 

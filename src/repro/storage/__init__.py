@@ -26,12 +26,13 @@
   ``aggregates=(...)`` queries skip decoding value buffers entirely for
   fully covered chunks.
 * :mod:`~repro.storage.migrate` -- the ``convert`` CLI's engine: adopts
-  pre-manifest extract files, imports CSV manifest entries as verified
-  ``.sgx`` segments and re-chunks segments in place.
+  pre-manifest extract files, folds an old lake's seal watermarks into a
+  generation, imports CSV manifest entries as verified ``.sgx`` segments
+  and re-chunks segments in place.
 * :mod:`~repro.storage.manifest` -- the transactional lake manifest:
   generation-numbered, atomically published snapshots over immutable
-  content-addressed segment files, an append-only intent/commit log, and
-  crash recovery -- the durability layer every
+  content-addressed segment files, a log of the one transaction in
+  flight, and crash recovery -- the durability layer every
   :class:`~repro.storage.datalake.DataLakeStore` mutation goes through.
 * :class:`~repro.storage.artifacts.ArtifactStore` -- a content-addressed
   cache of pipeline stage outputs keyed by extract content hash, which is

@@ -49,7 +49,9 @@ a store with ``pinned_generation=N`` yields a read-only view of exactly
 generation ``N`` (what out-of-process fleet workers do).  A directory
 holding extract files that predate the manifest does not open
 (:class:`~repro.storage.manifest.LakeNotAdoptedError`) until ``convert``
-has adopted them.
+has adopted them, nor does a lake whose generations predate seal
+watermarks (:class:`~repro.storage.manifest.LakeNotFoldedError`), unless
+pinned, until ``convert`` has folded them in.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from repro.storage.manifest import (
     LakeManifest,
     LakeManifestError,
     LakeNotAdoptedError,
+    LakeNotFoldedError,
     ManifestSnapshot,
     SegmentEntry,
 )
@@ -273,6 +276,14 @@ class DataLakeStore:
             # Loaded eagerly: generation files are immutable, so the pin
             # is one read here and zero manifest I/O per query after.
             self._pinned = self._manifest.snapshot_at(pinned_generation)
+        elif self._manifest.unfolded() is not None:
+            # Only an unpinned store reads the tail and writes, the two
+            # things the seal watermarks are for.
+            raise LakeNotFoldedError(
+                f"{self._root} was written by a store whose generations carry no seal "
+                "watermarks; fold them in from its transaction log with "
+                f"`python -m repro.fleet_ops convert --lake-dir {self._root}`"
+            )
 
     # ------------------------------------------------------------------ #
 
@@ -545,6 +556,7 @@ class DataLakeStore:
         key: ExtractKey,
         q: ExtractQuery,
         stats: ScanStats | None,
+        snap: ManifestSnapshot,
         tails: "LiveTailIndex",
     ) -> LoadFrame | None:
         """Materialise ``q`` against ``key``'s live tail, if it has one.
@@ -552,10 +564,12 @@ class DataLakeStore:
         Raw tail rows go through the same filters and projections the
         committed paths apply, bucketed onto ``q.interval_minutes`` (or,
         when the query defers, the grid the ingestor records in the WAL
-        header -- the grid a seal would produce).  Rows consulted are
-        counted in ``stats.tail_rows_scanned``.
+        header -- the grid a seal would produce).  Rows below ``snap``'s
+        seal watermark are left out; rows consulted are counted in
+        ``stats.tail_rows_scanned``.
         """
-        snapshot = tails.tail(key.region, key.week)
+        sealed_through = snap.sealed_through.get((key.region, key.week))
+        snapshot = tails.tail(key.region, key.week, sealed_through)
         if snapshot is None:
             return None
         target = (
@@ -590,16 +604,19 @@ class DataLakeStore:
         q: ExtractQuery,
         accumulator: AggregateAccumulator,
         stats: ScanStats | None,
+        snap: ManifestSnapshot,
         tails: "LiveTailIndex",
     ) -> None:
-        """Fold ``key``'s live tail into ``accumulator``.
+        """Fold ``key``'s live tail above ``snap``'s seal watermark into
+        ``accumulator``.
 
         Tail rows are bucketed onto the ingestor's grid first -- the same
         representation a seal would commit -- so an aggregate's answer
         does not change when the window it covers moves from the tail
         into a sealed segment.
         """
-        snapshot = tails.tail(key.region, key.week)
+        sealed_through = snap.sealed_through.get((key.region, key.week))
+        snapshot = tails.tail(key.region, key.week, sealed_through)
         if snapshot is None:
             return
         allow = set(q.servers) if q.servers is not None else None
@@ -672,7 +689,7 @@ class DataLakeStore:
             if snap.formats(key.region, key.week):
                 self._aggregate_one(key, q, accumulator, stats, snap)
             if tails is not None:
-                self._aggregate_tail(key, q, accumulator, stats, tails)
+                self._aggregate_tail(key, q, accumulator, stats, snap, tails)
         empty = LoadFrame(
             q.interval_minutes if q.interval_minutes is not None else DEFAULT_INTERVAL_MINUTES
         )
@@ -728,7 +745,7 @@ class DataLakeStore:
             if snap.formats(key.region, key.week):
                 frames.append(self._read_one_for_query(key, q, stats, snap))
             if tails is not None:
-                tail_frame = self._tail_frame_for_query(key, q, stats, tails)
+                tail_frame = self._tail_frame_for_query(key, q, stats, snap, tails)
                 if tail_frame is not None:
                     frames.append(tail_frame)
             for frame in frames:
@@ -814,7 +831,7 @@ class DataLakeStore:
                     continue
                 yield metadata, series
         if tails is not None:
-            tail_frame = self._tail_frame_for_query(key, q, stats, tails)
+            tail_frame = self._tail_frame_for_query(key, q, stats, snap, tails)
             if tail_frame is not None:
                 for _server_id, metadata, series in tail_frame.items():
                     yield metadata, series

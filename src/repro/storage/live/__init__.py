@@ -32,7 +32,6 @@ from repro.storage.live.wal import (
     LiveWalError,
     LiveWalWarning,
     TailSnapshot,
-    committed_seal_watermark,
     live_dir,
     wal_path,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SealReport",
     "StaleBatchError",
     "TailSnapshot",
-    "committed_seal_watermark",
     "live_dir",
     "wal_path",
 ]

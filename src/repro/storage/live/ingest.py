@@ -15,19 +15,19 @@ isolation, pinning, gc):
    transaction starts);
 2. bucket the tail rows below the watermark ``W`` onto the extract grid
    and merge them after the partition's committed rows;
-3. ``ManifestTransaction``: intent (op = ``live-seal <region> week<NNNN>
-   through <W>``) -> content-addressed ``.sgx`` v4 segment -> generation
-   N+1 -> atomic pointer swap;
+3. ``ManifestTransaction``: intent -> content-addressed ``.sgx`` v4
+   segment -> generation N+1, whose ``sealed_through`` sets the
+   partition's watermark to ``W`` -> atomic pointer swap -> log reset;
 4. rewrite the WAL keeping only rows ``>= W``, header watermark = ``W``.
 
-The commit point is step 3's pointer swap.  A crash before it rolls the
-seal back (tail rows still in the WAL, readers on generation N); a crash
-*after* it but before step 4 leaves sealed rows in the WAL -- which is why
-the op string carries ``W``: replay dedupes against the committed txlog
-watermark (:func:`~repro.storage.live.wal.committed_seal_watermark`), so
-the rows surface exactly once however the crash lands.  Step 4 has its own
-fault point (:data:`SEAL_WAL_FAULT_POINT`) so the crash harness can aim at
-precisely that window.
+The commit point is step 3's pointer swap, which publishes the segment
+and ``W`` together.  A crash before it rolls the seal back (tail rows
+still in the WAL, readers on generation N); a crash *after* it but before
+step 4 leaves sealed rows in the WAL -- which is why the generation
+carries ``W``: replay and reads dedupe against the committed snapshot's
+watermark, so the rows surface exactly once however the crash lands.
+Step 4 has its own fault point (:data:`SEAL_WAL_FAULT_POINT`) so the
+crash harness can aim at precisely that window.
 """
 
 from __future__ import annotations
@@ -39,14 +39,7 @@ import numpy as np
 from repro.storage import columnar
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.live import wal as livewal
-from repro.storage.live.wal import (
-    NO_WATERMARK,
-    TailFrame,
-    TailWal,
-    committed_seal_watermark,
-    committed_seal_watermarks,
-    seal_op,
-)
+from repro.storage.live.wal import NO_WATERMARK, TailFrame, TailWal
 from repro.storage.manifest import FAULT_POINTS, fault_point
 from repro.storage.query import ExtractQuery
 from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES, align_down
@@ -185,29 +178,27 @@ class LiveIngestor:
     # ------------------------------------------------------------------ #
 
     def _replay_existing(self) -> None:
-        # One txlog walk answers for every partition.
-        watermarks = committed_seal_watermarks(self._root)
         for region, week in livewal.LiveTailIndex(self._root).keys():
-            self._open_tail(
-                ExtractKey(region=region, week=week),
-                watermarks.get((region, week), NO_WATERMARK),
-            )
+            self._open_tail(ExtractKey(region=region, week=week))
 
-    def _open_tail(self, key: ExtractKey, watermark: int | None = None) -> _ActiveTail:
-        """The partition's open tail, opening it against ``watermark`` (its
-        committed seal watermark, looked up in the txlog when not given)."""
+    def _sealed_through(self, key: ExtractKey) -> int | None:
+        """``key``'s watermark in the committed generation (``None``:
+        never sealed)."""
+        return self._store.manifest.current().sealed_through.get((key.region, key.week))
+
+    def _open_tail(self, key: ExtractKey) -> _ActiveTail:
+        """The partition's open tail, opening it against its committed
+        seal watermark."""
         tail = self._tails.get(key)
         if tail is not None:
             return tail
-        if watermark is None:
-            watermark = committed_seal_watermark(self._root, key.region, key.week)
         wal, replay = TailWal.open(
             livewal.wal_path(self._root, key.region, key.week),
             key.region,
             key.week,
             self._interval,
             fsync_every=self._fsync_every,
-            watermark=watermark if watermark != NO_WATERMARK else None,
+            watermark=self._sealed_through(key),
         )
         tail = _ActiveTail(wal=wal, frames=replay.frames, watermark=replay.sealed_through)
         self._tails[key] = tail
@@ -243,7 +234,8 @@ class LiveIngestor:
         tail = self._tails.get(key)
         if tail is not None:
             return tail.watermark
-        return committed_seal_watermark(self._root, key.region, key.week)
+        sealed_through = self._sealed_through(key)
+        return NO_WATERMARK if sealed_through is None else sealed_through
 
     # ------------------------------------------------------------------ #
 
@@ -362,14 +354,16 @@ class LiveIngestor:
 
         payload = columnar.frame_to_sgx_bytes(merged, chunk_minutes=self._chunk)
         manifest = self._store.manifest
-        with manifest.transaction(seal_op(key.region, key.week, through)) as txn:
+        op = f"live-seal {key.region} week{key.week:04d} through {through}"
+        with manifest.transaction(op) as txn:
             txn.stage(key.region, key.week, "sgx", payload)
+            txn.set_sealed_through(key.region, key.week, through)
             txn.drop(key.region, key.week, "csv")
         generation = manifest.current().generation
 
         # -- committed.  The trim below is pure hygiene: if we crash here
         # (the fault point simulates exactly that), replay dedupes the
-        # still-present sealed rows against the txlog watermark.
+        # still-present sealed rows against the generation's watermark.
         fault_point(SEAL_WAL_FAULT_POINT)
         remaining: list[TailFrame] = []
         for frame in tail.frames:

@@ -26,10 +26,10 @@ with :func:`repro.timeseries.resample.regularize`.
 have been sealed into an immutable ``.sgx`` segment by a committed
 manifest transaction and must be ignored on replay.  Because a crash can
 land *between* the manifest commit and the WAL rewrite that trims the
-sealed rows, the committed transaction log is the second half of the
-truth: the seal transaction's ``op`` string encodes the watermark, and
-:func:`committed_seal_watermark` recovers it, so replay dedupes exactly
-like PR 9's recovery replays the txlog.
+sealed rows, the header is not the whole truth: the committed generation
+carries the seal's watermark too (``ManifestSnapshot.sealed_through``,
+published by the same pointer swap as the segment), and replay and reads
+cut at the higher of the two, so sealed rows surface exactly once.
 
 A torn tail (crash mid-append) is detected by the length/CRC framing:
 the partial last frame is dropped *loudly* (a :class:`LiveWalWarning` plus
@@ -60,12 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.storage.manifest.manifest import (
-    LIVE_DIR_NAME,
-    MANIFEST_DIR_NAME,
-    TXLOG_NAME,
-)
-from repro.storage.manifest.txlog import TransactionLog
+from repro.storage.manifest.manifest import LIVE_DIR_NAME, MANIFEST_DIR_NAME, _fsync_dir
 from repro.timeseries.frame import ServerMetadata
 
 __all__ = [
@@ -78,10 +73,7 @@ __all__ = [
     "TailReplay",
     "TailSnapshot",
     "TailWal",
-    "committed_seal_watermark",
-    "committed_seal_watermarks",
     "live_dir",
-    "seal_op",
     "wal_path",
 ]
 
@@ -97,9 +89,6 @@ _U32 = struct.Struct("<I")
 NO_WATERMARK = -(1 << 62)
 
 _WAL_NAME_RE = re.compile(r"^week(?P<week>\d{4,})\.tail\.wal$")
-_SEAL_OP_RE = re.compile(
-    r"^live-seal (?P<region>.+) week(?P<week>\d+) through (?P<through>-?\d+)$"
-)
 
 
 class LiveWalError(RuntimeError):
@@ -118,55 +107,6 @@ def live_dir(root: Path) -> Path:
 def wal_path(root: Path, region: str, week: int) -> Path:
     """Path of the tail WAL for one ``(region, week)`` partition."""
     return live_dir(root) / region / f"week{week:04d}.tail.wal"
-
-
-def seal_op(region: str, week: int, through: int) -> str:
-    """The manifest-transaction ``op`` string for a seal through ``through``.
-
-    The watermark rides in the txlog on purpose: a committed seal whose
-    WAL rewrite was lost to a crash is recovered by parsing committed
-    ``live-seal`` ops back out of the log (see
-    :func:`committed_seal_watermark`).
-    """
-    return f"live-seal {region} week{week:04d} through {through}"
-
-
-def committed_seal_watermarks(root: Path) -> dict[tuple[str, int], int]:
-    """Highest *committed* seal watermark of every ``(region, week)``.
-
-    One walk of the manifest transaction log, exactly like crash recovery
-    does it: an ``intent`` whose op parses as a seal contributes its
-    watermark to its partition once a ``commit`` (or a ``recovered``
-    resolution with ``action="commit"``) for the same txid follows.
-    Partitions no seal ever committed for are absent.
-    """
-    log = TransactionLog(root / MANIFEST_DIR_NAME / TXLOG_NAME)
-    watermarks: dict[tuple[str, int], int] = {}
-    intents: dict[str, tuple[tuple[str, int], int]] = {}
-    for record in log.records():
-        kind = record.get("type")
-        if kind == "intent":
-            match = _SEAL_OP_RE.match(str(record.get("op", "")))
-            if match is not None:
-                intents[str(record.get("txid", ""))] = (
-                    (match.group("region"), int(match.group("week"))),
-                    int(match.group("through")),
-                )
-        elif kind == "commit" or (
-            kind == "recovered" and record.get("action") == "commit"
-        ):
-            sealed = intents.get(str(record.get("txid", "")))
-            if sealed is not None:
-                key, through = sealed
-                watermarks[key] = max(watermarks.get(key, NO_WATERMARK), through)
-    return watermarks
-
-
-def committed_seal_watermark(root: Path, region: str, week: int) -> int:
-    """Highest watermark of any *committed* seal of ``(region, week)``;
-    :data:`NO_WATERMARK` when no seal ever committed (see
-    :func:`committed_seal_watermarks`)."""
-    return committed_seal_watermarks(root).get((region, week), NO_WATERMARK)
 
 
 @dataclass(frozen=True)
@@ -324,12 +264,12 @@ def _walk_frames(data: bytes, offset: int, watermark: int) -> _FrameWalk:
 def read_tail(path: Path, *, watermark: int | None = None) -> TailReplay | None:
     """Replay one WAL file; ``None`` when it does not exist.
 
-    ``watermark``, when given, is the effective seal watermark (already
-    max'd with the txlog -- see :func:`committed_seal_watermark`); frames
-    are filtered to rows at or above it so sealed rows never surface
-    twice.  A torn or corrupt tail is dropped loudly: every complete,
-    checksummed frame before the damage survives, the rest is counted in
-    the replay report and warned about.  A file torn inside its *header*
+    ``watermark``, when given, is the committed generation's seal
+    watermark; frames are filtered to rows at or above the higher of it
+    and the header's, so sealed rows never surface twice.  A torn or
+    corrupt tail is dropped loudly: every complete, checksummed frame
+    before the damage survives, the rest is counted in the replay report
+    and warned about.  A file torn inside its *header*
     (creation crashed before the first fsync) replays as an empty,
     headerless tail -- the caller recreates it.
     """
@@ -391,14 +331,6 @@ def _try_decode_header(
         return None
     region = data[_HEADER_FIXED.size:end].decode("utf-8")
     return region, week, interval, sealed_through, end + _U32.size
-
-
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class TailWal:
@@ -534,8 +466,8 @@ class TailWal:
 
         The seal path's trim step: tmp file, fsync, ``os.replace``,
         directory fsync -- a crash anywhere leaves either the old complete
-        WAL (replay dedupes against the committed txlog watermark) or the
-        new complete one, never a mix.
+        WAL (replay dedupes against the committed generation's watermark)
+        or the new complete one, never a mix.
         """
         self._rewrite(frames, sealed_through)
 
@@ -719,15 +651,12 @@ class LiveTailIndex:
 
     Queries consult this instead of talking to a :class:`TailWal` writer;
     a reader in a different process than the ingestor sees exactly what
-    is on disk.  Two things are cached, each behind the stat signature of
-    the file it was read from:
-
-    * per ``(region, week)``, a :class:`_VerifiedPrefix`: the WAL's
-      identity and header bytes, the offset up to which its frames were
-      verified, and the per-server rows folded so far;
-    * the committed seal watermark of every partition, from one walk of
-      ``txlog.jsonl``, keyed on the txlog's signature alone -- a commit
-      that seals nothing re-walks the log once and re-parses no WAL.
+    is on disk.  The caller passes the partition's seal watermark from the
+    committed snapshot it already resolved.  What is cached, per ``(region,
+    week)`` and behind the stat signature of the WAL it was read from, is
+    a :class:`_VerifiedPrefix`: the WAL's identity and header bytes, the
+    offset up to which its frames were verified, and the per-server rows
+    folded so far.
 
     A read whose WAL signature and watermark are what they were opens
     nothing.  Otherwise the WAL is opened once, ``fstat``-ed, and read
@@ -735,7 +664,7 @@ class LiveTailIndex:
 
     1. ``(st_dev, st_ino)`` are the prefix's,
     2. the header bytes are byte-equal,
-    3. the effective watermark ``max(header, txlog)`` is unchanged,
+    3. the effective watermark ``max(header, snapshot)`` is unchanged,
     4. ``st_size`` is not below the verified offset, and
     5. the frame header of the last verified frame still reads back
        identically at its offset (a delete + recreate can reuse an inode).
@@ -754,11 +683,6 @@ class LiveTailIndex:
     def __init__(self, root: Path) -> None:
         self._root = root
         self._prefixes: dict[tuple[str, int], _VerifiedPrefix] = {}
-        #: ``(txlog stat signature, every partition's watermark)``; no
-        #: txlog (signature ``None``) is no committed seal.
-        self._seals: tuple[
-            tuple[int, int, int, int] | None, dict[tuple[str, int], int]
-        ] = (None, {})
 
     def keys(self) -> list[tuple[str, int]]:
         """Partitions with an on-disk tail WAL, sorted."""
@@ -775,28 +699,18 @@ class LiveTailIndex:
                     found.append((region_dir.name, int(match.group("week"))))
         return sorted(found)
 
-    def _watermark(self, key: tuple[str, int]) -> int:
-        """``key``'s committed seal watermark; the txlog is re-walked only
-        when its stat signature moved.  Stat first, then read: a commit
-        landing in between is read again next time, never missed."""
-        try:
-            signature = _stat_signature((self._root / MANIFEST_DIR_NAME / TXLOG_NAME).stat())
-        except FileNotFoundError:
-            signature = None
-        if self._seals[0] != signature:
-            self._seals = (signature, committed_seal_watermarks(self._root))
-        return self._seals[1].get(key, NO_WATERMARK)
-
-    def tail(self, region: str, week: int) -> TailSnapshot | None:
-        """The partition's current tail snapshot (``None``: no tail/empty)."""
+    def tail(self, region: str, week: int, sealed_through: int | None) -> TailSnapshot | None:
+        """The partition's current tail snapshot above ``sealed_through``,
+        its committed seal watermark (``None``: never sealed), or ``None``
+        when it has no tail or an empty one."""
         key = (region, week)
+        watermark = NO_WATERMARK if sealed_through is None else sealed_through
         path = wal_path(self._root, region, week)
         try:
             signature = _stat_signature(path.stat())
         except FileNotFoundError:
             self._prefixes.pop(key, None)
             return None
-        watermark = self._watermark(key)
         prefix = self._prefixes.get(key)
         if prefix is not None and (
             max(prefix.header_sealed, watermark) != prefix.snapshot.sealed_through

@@ -9,8 +9,8 @@ on-disk layout and protocol):
   writers, ``collect_garbage()`` for explicit physical reclaim.
 * :class:`ManifestSnapshot` / :class:`SegmentEntry` -- an immutable view
   of one committed generation and its content-addressed payload files.
-* :mod:`~repro.storage.manifest.txlog` -- the append-only intent/commit
-  log recovery replays.
+* :mod:`~repro.storage.manifest.txlog` -- the log of the one transaction
+  in flight, which recovery resolves (empty at rest).
 * :mod:`~repro.storage.manifest.faults` -- the crash-injection hooks
   (:func:`fault_point`, :class:`InjectedCrash`) the test harness uses to
   kill writers at every step of the protocol.
@@ -30,6 +30,7 @@ from repro.storage.manifest.manifest import (
     LakeManifest,
     LakeManifestError,
     LakeNotAdoptedError,
+    LakeNotFoldedError,
     ManifestSnapshot,
     ManifestTransaction,
     SegmentEntry,
@@ -45,6 +46,7 @@ __all__ = [
     "LakeManifest",
     "LakeManifestError",
     "LakeNotAdoptedError",
+    "LakeNotFoldedError",
     "ManifestSnapshot",
     "ManifestTransaction",
     "PendingTransaction",

@@ -6,7 +6,7 @@ A manifested lake keeps its truth in ``<root>/_manifest/``::
         MANIFEST.json      # tiny pointer: {"generation": N, "txid", "file"}
         gen-00000000.json  # immutable snapshot of generation 0
         gen-00000001.json  # ... one file per committed generation
-        txlog.jsonl        # append-only intent/commit log (txlog.py)
+        txlog.jsonl        # the transaction in flight; empty at rest (txlog.py)
         LOCK               # advisory flock taken by writers
 
 Payload bytes live in immutable, content-addressed **segment files**
@@ -16,9 +16,12 @@ time.  Mutations never touch published files: a transaction stages new
 segments under temp names, fsyncs them into place, writes generation
 ``N+1``'s snapshot file, and finally publishes it by atomically swapping
 ``MANIFEST.json`` via ``os.replace`` -- the one instant the transaction
-commits.  The transaction log brackets those steps so crash recovery can
-always tell "not yet committed, roll the leftovers back" from "committed,
-only the commit record is missing".
+commits.  A snapshot also carries each live partition's seal watermark
+(``sealed_through``), so the swap publishes a sealed segment and its
+watermark together.  The transaction log records the steps of the one
+transaction in flight, so crash recovery can always tell "not yet
+committed, roll the leftovers back" from "committed, only the log reset
+is missing".
 
 Readers load a snapshot once and keep it: every file a snapshot
 references is immutable and survives until an explicit
@@ -42,9 +45,10 @@ import hashlib
 import json
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from types import TracebackType
+from types import MappingProxyType, TracebackType
 
 from repro.storage.manifest.faults import fault_point
 from repro.storage.manifest.txlog import TransactionLog
@@ -61,6 +65,7 @@ __all__ = [
     "LakeManifest",
     "LakeManifestError",
     "LakeNotAdoptedError",
+    "LakeNotFoldedError",
     "ManifestSnapshot",
     "ManifestTransaction",
     "SegmentEntry",
@@ -92,7 +97,7 @@ FAULT_POINTS: tuple[str, ...] = (
     "txlog.staged",
     "manifest.generation",
     "manifest.pointer",
-    "txlog.commit",
+    "txlog.reset",
 )
 
 #: Format names a manifest entry may carry, ``.sgx`` first.  A lake reads
@@ -127,6 +132,12 @@ class LakeManifestError(RuntimeError):
 class LakeNotAdoptedError(LakeManifestError):
     """Raised on opening a directory whose extract files predate the
     manifest: ``python -m repro.fleet_ops convert`` has to adopt them."""
+
+
+class LakeNotFoldedError(LakeManifestError):
+    """Raised on opening a lake whose committed generation predates seal
+    watermarks in generations: ``python -m repro.fleet_ops convert`` has
+    to fold them in from the transaction log."""
 
 
 def _gen_filename(generation: int) -> str:
@@ -202,6 +213,9 @@ class ManifestSnapshot:
     generation: int
     txid: str | None
     segments: tuple[SegmentEntry, ...]
+    #: Seal watermark of every sealed ``(region, week)``: its rows strictly
+    #: below the watermark are in the partition's committed segment.
+    sealed_through: Mapping[tuple[str, int], int] = field(default_factory=dict)
     _index: dict[tuple[str, int, str], SegmentEntry] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -209,6 +223,7 @@ class ManifestSnapshot:
     def __post_init__(self) -> None:
         index = {(e.region, e.week, e.fmt): e for e in self.segments}
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "sealed_through", MappingProxyType(dict(self.sealed_through)))
 
     def entry(self, region: str, week: int, fmt: str) -> SegmentEntry | None:
         return self._index.get((region, week, fmt))
@@ -232,6 +247,10 @@ class ManifestSnapshot:
             "generation": self.generation,
             "txid": self.txid,
             "segments": [entry.as_dict() for entry in ordered],
+            "sealed_through": [
+                {"region": region, "week": week, "through": through}
+                for (region, week), through in sorted(self.sealed_through.items())
+            ],
         }
 
 
@@ -294,6 +313,8 @@ class LakeManifest:
         self._dir = self._root / MANIFEST_DIR_NAME
         self._log = TransactionLog(self._dir / TXLOG_NAME)
         self._snapshots: dict[int, ManifestSnapshot] = {}
+        #: Loaded generations whose file has no ``sealed_through`` field.
+        self._unfolded: set[int] = set()
         self._recovered = False
         self._txn_counter = 0
 
@@ -352,6 +373,17 @@ class LakeManifest:
                     found.append((region_dir.name, week, fmt, path))
         return found
 
+    def unfolded(self) -> ManifestSnapshot | None:
+        """The committed snapshot, if a store from before generations
+        carried seal watermarks wrote it (``None``: nothing committed, or
+        a current generation).  Read without recovery: such a store's
+        log is history that only ``convert``'s fold reads."""
+        pointer = self._read_pointer()
+        if pointer is None:
+            return None
+        snapshot = self._load_generation(pointer[0])
+        return snapshot if snapshot.generation in self._unfolded else None
+
     def _region_dirs(self) -> list[Path]:
         dirs = self._root.iterdir()
         return sorted(path for path in dirs if path.is_dir() and path.name != MANIFEST_DIR_NAME)
@@ -395,10 +427,17 @@ class LakeManifest:
         path = self._dir / _gen_filename(generation)
         try:
             raw = json.loads(path.read_bytes())
+            # Absent from a store from before watermarks: empty, which is
+            # all a reader pinned to such a generation (no tail) needs.
+            marks = raw.get("sealed_through")
             snapshot = ManifestSnapshot(
                 generation=int(raw["generation"]),
                 txid=raw.get("txid"),
                 segments=tuple(SegmentEntry.from_dict(entry) for entry in raw["segments"]),
+                sealed_through={
+                    (str(mark["region"]), int(mark["week"])): int(mark["through"])
+                    for mark in marks or ()
+                },
             )
         except FileNotFoundError:
             raise LakeManifestError(
@@ -407,6 +446,8 @@ class LakeManifest:
             ) from None
         except (KeyError, TypeError, ValueError) as exc:
             raise LakeManifestError(f"corrupt manifest generation file {path}: {exc}") from exc
+        if marks is None:
+            self._unfolded.add(generation)
         self._snapshots[generation] = snapshot
         return snapshot
 
@@ -432,38 +473,29 @@ class LakeManifest:
             lock.release()
 
     def _recover_locked(self, sweep: bool) -> None:
-        """Replay the log and (with ``sweep``) remove crash leftovers.
-        Caller holds the lock; transaction begin resolves dangling
-        intents but skips the directory sweep (it is the open-time and
-        gc-time job)."""
-        pending = self._log.pending()
+        """Resolve the transaction the log holds, reset the log and (with
+        ``sweep``) remove crash leftovers.  Caller holds the lock;
+        transaction begin resolves but skips the directory sweep (it is
+        the open-time and gc-time job)."""
+        try:
+            pending = self._log.pending()
+        except ValueError as exc:
+            raise LakeManifestError(f"corrupt transaction log {self._log.path}: {exc}") from exc
         pointer = self._read_pointer()
         if pending is not None:
             target = pending.generation_from + 1
-            if pointer == (target, pending.txid):
-                # The pointer swap happened; only the commit record was
-                # lost to the crash.  The transaction is durable.
-                self._log.append(
-                    {
-                        "type": "recovered",
-                        "txid": pending.txid,
-                        "action": "commit",
-                        "generation": target,
-                    }
-                )
-            else:
+            if pointer != (target, pending.txid):
                 # Not committed: the old pointer still rules.  Remove
                 # everything the transaction durably staged (files whose
                 # identical bytes predate the transaction are kept) and
-                # its generation file, then mark the intent resolved.
+                # its generation file.  A committed one (the pointer swap
+                # happened) only lost its log reset.
                 for relpath, reused in pending.staged:
                     if not reused:
                         (self._root / relpath).unlink(missing_ok=True)
                 (self._dir / _gen_filename(target)).unlink(missing_ok=True)
-                self._log.append(
-                    {"type": "recovered", "txid": pending.txid, "action": "abort"}
-                )
-            pointer = self._read_pointer()
+        # Also drops a torn intent line: a transaction that never began.
+        self._log.reset()
         if sweep:
             self._sweep_orphans(pointer)
 
@@ -594,11 +626,12 @@ class ManifestTransaction:
             staged record appended -> txlog.staged
         gen N+1 file published     -> manifest.generation
         MANIFEST.json swapped      -> manifest.pointer   (the commit point)
-        commit record appended     -> txlog.commit
+        log reset to empty         -> txlog.reset
 
-    Used as a context manager it commits on clean exit and rolls back on
-    failure.  A writer-side :class:`Exception` aborts cleanly (staged
-    files removed, ``abort`` logged); an
+    Generation N+1 carries generation N's seal watermarks forward, with
+    any :meth:`set_sealed_through` applied.  Used as a context manager it
+    commits on clean exit and rolls back on failure.  A writer-side
+    :class:`Exception` aborts cleanly (staged files removed, log reset); an
     :class:`~repro.storage.manifest.faults.InjectedCrash` (or any other
     ``BaseException``) releases the lock and nothing else -- exactly the
     state a killed process leaves for recovery to mop up.
@@ -613,6 +646,7 @@ class ManifestTransaction:
         self._staged: dict[tuple[str, int, str], SegmentEntry] = {}
         self._created: list[tuple[str, bool]] = []
         self._dropped: set[tuple[str, int, str]] = set()
+        self._sealed: dict[tuple[str, int], int] = {}
         self._published = False
         self._done = False
 
@@ -633,6 +667,7 @@ class ManifestTransaction:
             manifest._recovered = True
             manifest._recover_locked(sweep=sweep)
             self._base = manifest._load_current()
+            self._sealed = dict(self._base.sealed_through)
             self._txid = manifest._next_txid(self._base.generation + 1)
             manifest.log.append(
                 {
@@ -659,10 +694,10 @@ class ManifestTransaction:
                 if not self._done:
                     self.commit()
             elif isinstance(exc, Exception) and not self._published:
-                self._abort(repr(exc))
+                self._abort()
             # else: simulated (or real) catastrophic exit -- leave every
             # file exactly as it is; recovery owns the mess.  A published
-            # pointer with a lost commit record is resolved the same way.
+            # pointer whose log reset was lost is resolved the same way.
         finally:
             self._lock.release()
 
@@ -716,27 +751,34 @@ class ManifestTransaction:
         self._dropped.add(key)
         self._staged.pop(key, None)
 
+    def set_sealed_through(self, region: str, week: int, through: int) -> None:
+        """Set ``(region, week)``'s seal watermark in the generation being
+        built: the pointer swap publishes it with the staged segment."""
+        self._sealed[(region, week)] = through
+
     # -- commit / abort ------------------------------------------------ #
 
     def commit(self) -> ManifestSnapshot:
         """Publish the new generation; returns its snapshot.
 
-        A transaction that staged nothing and dropped nothing that
-        exists is a no-op: it resolves its intent with an ``abort``
-        record instead of publishing an identical generation, and the
-        committed snapshot stays exactly where it was.
+        A transaction that staged nothing, dropped nothing that exists
+        and moved no watermark is a no-op: it resets the log instead of
+        publishing an identical generation -- unless its base predates
+        watermarks in generations, which is what ``convert``'s fold
+        publishes a generation to change.
         """
         assert self._base is not None, "transaction not entered"
         if self._done:
             raise LakeManifestError("transaction already committed or aborted")
         self._done = True
         manifest = self._manifest
-        if not self._staged and not any(
-            self._base.entry(*key) is not None for key in self._dropped
+        if (
+            not self._staged
+            and self._sealed == self._base.sealed_through
+            and not any(self._base.entry(*key) is not None for key in self._dropped)
+            and self._base.generation not in manifest._unfolded
         ):
-            manifest.log.append(
-                {"type": "abort", "txid": self._txid, "reason": "empty transaction"}
-            )
+            manifest.log.reset()
             return self._base
         entries = {
             (e.region, e.week, e.fmt): e
@@ -754,7 +796,10 @@ class ManifestTransaction:
                 json.dumps(self._base.as_dict(), sort_keys=True).encode("utf-8"),
             )
         snapshot = ManifestSnapshot(
-            generation=generation, txid=self._txid, segments=tuple(entries.values())
+            generation=generation,
+            txid=self._txid,
+            segments=tuple(entries.values()),
+            sealed_through=self._sealed,
         )
         self._publish_file(
             manifest.directory / _gen_filename(generation),
@@ -771,10 +816,8 @@ class ManifestTransaction:
         )
         self._published = True
         fault_point("manifest.pointer")
-        manifest.log.append(
-            {"type": "commit", "txid": self._txid, "generation": generation}
-        )
-        fault_point("txlog.commit")
+        manifest.log.reset()
+        fault_point("txlog.reset")
         manifest._snapshots[generation] = snapshot
         return snapshot
 
@@ -787,7 +830,7 @@ class ManifestTransaction:
         os.replace(tmp, path)
         _fsync_dir(path.parent)
 
-    def _abort(self, reason: str) -> None:
+    def _abort(self) -> None:
         """Roll back a writer-side failure while the writer is alive."""
         if self._done:
             return
@@ -805,4 +848,4 @@ class ManifestTransaction:
         (manifest.directory / _gen_filename(self._base.generation + 1)).unlink(
             missing_ok=True
         )
-        manifest.log.append({"type": "abort", "txid": self._txid, "reason": reason})
+        manifest.log.reset()

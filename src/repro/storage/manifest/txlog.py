@@ -1,131 +1,92 @@
-"""Append-only intent/commit log for lake manifest transactions.
+"""The manifest's write-ahead log: the one transaction in flight.
 
-The write-ahead half of the manifest's recoverability story (the design
-follows the partially-constrained-log idea of Zhou et al.: constrain only
-the orderings recovery needs, let everything else race).  Every record is
-one JSON object per line, appended with ``flush + fsync`` before the
-transaction takes its next durable step, so after a crash the log always
-says how far the writer got:
+After Zhou et al.'s partially constrained logs, it holds only what
+recovery needs.  Each record is one JSON line, appended with ``flush +
+fsync`` before the transaction's next durable step:
 
 ``intent``
     A transaction started on top of generation ``generation_from``.
 ``staged``
-    The transaction published one content-addressed segment file
-    (``reused`` marks a file that already existed -- identical payload
-    bytes hash to the same name -- and therefore must survive rollback).
-``commit``
-    The transaction's generation pointer swap completed; the new
-    generation is durable and visible.
-``abort``
-    The transaction rolled itself back (writer-side failure with the
-    writer still alive).
-``recovered``
-    Appended by crash recovery when it resolves a dangling ``intent``:
-    ``action="commit"`` when the pointer swap had already happened
-    (the transaction *did* commit; only its commit record was lost) and
-    ``action="abort"`` when recovery rolled the leftovers back.
+    It published one content-addressed segment file (``reused``: the
+    file already existed, so rollback must keep it).
 
-A torn line (the crash happened mid-append) is expected and skipped by
-:meth:`TransactionLog.records`; every complete record was fsync'd and is
-trusted.  :meth:`TransactionLog.append` repairs a torn tail by starting
-a fresh line, so records appended after the crash -- recovery's
-``recovered`` resolution in particular -- stay parsable instead of being
-glued onto the torn fragment.
+Transactions hold one exclusive writer lock, and every resolution -- the
+commit after its pointer swap, an abort, crash recovery -- resets the
+log to empty: at rest it is empty, otherwise it holds one transaction.
+A torn line (a crash mid-append) was never acknowledged and is skipped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 __all__ = ["PendingTransaction", "TransactionLog"]
 
 
 @dataclass
 class PendingTransaction:
-    """A dangling ``intent`` record with no ``commit``/``abort`` resolution."""
+    """The unresolved transaction a non-empty log holds."""
 
     txid: str
     generation_from: int
-    op: str
-    #: ``(relpath, reused)`` for every segment the transaction durably
-    #: staged before the crash, in staging order.
-    staged: list[tuple[str, bool]] = field(default_factory=list)
+    #: ``(relpath, reused)`` of every segment durably staged, in order.
+    staged: list[tuple[str, bool]]
+
+
+def _checked(record: Any, kind: str, **types: type) -> dict[str, Any]:
+    """``record``, if it is a ``kind`` record whose fields have ``types``."""
+    if isinstance(record, dict) and record.get("type") == kind and all(
+        type(record.get(name)) is want for name, want in types.items()
+    ):
+        return record
+    raise ValueError(f"not a well-formed {kind} record: {record!r}")
 
 
 class TransactionLog:
-    """One lake's append-only transaction log (``_manifest/txlog.jsonl``)."""
+    """One lake's transaction log (``_manifest/txlog.jsonl``)."""
 
     def __init__(self, path: Path) -> None:
-        self._path = path
-
-    @property
-    def path(self) -> Path:
-        return self._path
+        self.path = path
 
     def append(self, record: dict[str, object]) -> None:
-        """Durably append one record: the call returns only after the
-        line (and the records before it) survive a crash."""
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-        with self._path.open("a+b") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    # A crash tore the previous append mid-line.  Start a
-                    # fresh line so this record stays parsable; the torn
-                    # fragment becomes its own line, skipped by records().
-                    handle.write(b"\n")
-            handle.write(line)
+        """Durably append one record: returns once it survives a crash."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("ab") as handle:
+            handle.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
 
-    def records(self) -> list[dict[str, object]]:
+    def reset(self) -> None:
+        """Durably empty the log; a no-op when it is empty or absent."""
+        if self.path.exists() and self.path.stat().st_size:
+            with self.path.open("r+b") as handle:
+                handle.truncate(0)
+                os.fsync(handle.fileno())
+
+    def records(self) -> list[Any]:
         """Every complete record, oldest first (torn lines are skipped)."""
         try:
-            text = self._path.read_text(encoding="utf-8")
+            lines = self.path.read_bytes().splitlines()
         except FileNotFoundError:
             return []
-        records: list[dict[str, object]] = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # A torn append: the crash hit mid-write, so the record
-                # was never acknowledged and it is as if it never
-                # happened.  append() repaired the tail with a newline,
-                # so every record after the fragment sits on its own
-                # parsable line -- skip the fragment, keep reading.
-                continue
-            if isinstance(record, dict):
-                records.append(record)
+        records = []
+        for line in lines:
+            with contextlib.suppress(ValueError):  # a torn append, never acknowledged
+                records.append(json.loads(line))
         return records
 
     def pending(self) -> PendingTransaction | None:
-        """The dangling transaction recovery must resolve, if any.
-
-        Transactions run under an exclusive writer lock, so at most one
-        ``intent`` can be unresolved at a time -- the last one.
-        """
-        pending: PendingTransaction | None = None
-        for record in self.records():
-            kind = record.get("type")
-            if kind == "intent":
-                pending = PendingTransaction(
-                    txid=str(record.get("txid", "")),
-                    generation_from=int(record.get("generation_from", 0)),  # type: ignore[arg-type]
-                    op=str(record.get("op", "")),
-                )
-            elif pending is not None and record.get("txid") == pending.txid:
-                if kind == "staged":
-                    pending.staged.append(
-                        (str(record.get("relpath", "")), bool(record.get("reused", False)))
-                    )
-                elif kind in ("commit", "abort", "recovered"):
-                    pending = None
-        return pending
+        """The transaction the log holds, if any.  Raises :class:`ValueError`
+        unless the log is one ``intent`` record and ``staged`` records."""
+        records = self.records()
+        if not records:
+            return None
+        intent = _checked(records[0], "intent", txid=str, generation_from=int)
+        staged = [_checked(r, "staged", relpath=str, reused=bool) for r in records[1:]]
+        pairs = [(record["relpath"], record["reused"]) for record in staged]
+        return PendingTransaction(intent["txid"], intent["generation_from"], pairs)

@@ -4,7 +4,9 @@ A lake stores ``.sgx`` segments only.  ``python -m repro.fleet_ops
 convert`` is how anything else gets in.  On a directory whose extract
 files predate the manifest it first adopts them
 (:func:`adopt_legacy_files`): one transaction stages each file's bytes as
-a content-addressed entry with its sha256.  Then :func:`convert_lake`
+a content-addressed entry with its sha256.  On a lake whose generations
+predate seal watermarks it folds them in from the transaction log
+(:func:`fold_seal_watermarks`).  Then :func:`convert_lake`
 turns every CSV manifest entry into a verified segment -- this module is
 the only caller of :func:`repro.storage.csv_io.frame_from_csv_text` --
 and health-checks (and, on request, re-chunks) the segments already
@@ -20,11 +22,14 @@ readers pinned to an older generation keep working, until the explicit
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import dataclass, field
 
 from repro.storage import columnar, csv_io
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.manifest import LakeManifest, SegmentEntry
+from repro.storage.manifest import LakeManifest, SegmentEntry, TransactionLog
+from repro.storage.manifest.manifest import _fsync_dir
 from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES
 from repro.timeseries.frame import LoadFrame
 
@@ -176,6 +181,58 @@ def adopt_legacy_files(manifest: LakeManifest) -> tuple[tuple[str, int], ...]:
             (f"{region}/{path.name}", txn.stage(region, week, fmt, path.read_bytes()).size)
             for region, week, fmt, path in legacy
         )
+
+
+#: How a store from before watermarks in generations labelled a seal
+#: transaction; its committed seals are the only place it kept ``W``.
+_SEAL_OP_RE = re.compile(
+    r"^live-seal (?P<region>.+) week(?P<week>\d+) through (?P<through>-?\d+)$"
+)
+
+
+def fold_seal_watermarks(manifest: LakeManifest) -> None:
+    """Fold a lake's seal watermarks from its transaction log into a
+    generation, if a store from before watermarks in generations wrote it.
+
+    Such a store kept every record it ever logged and each seal's
+    watermark only in the seal's op.  The fold moves that log aside, so
+    the transaction it commits starts on an empty log, takes the highest
+    committed ``W`` of each partition -- a seal whose intent is followed
+    by a ``commit`` record, a ``recovered`` one with ``action="commit"``,
+    or that the pointer names (only its record was lost) -- and commits
+    one generation carrying them, possibly none.  A crash before the
+    pointer swap leaves the lake unfolded with the log still aside, so the
+    next fold reads it from there.  Any other lake is left as it is.
+    """
+    aside = manifest.log.path.with_name("txlog.unfolded.jsonl")
+    head = manifest.unfolded()
+    if head is None:
+        aside.unlink(missing_ok=True)  # a fold that crashed after its commit
+        return
+    if not aside.exists() and manifest.log.path.exists():
+        os.replace(manifest.log.path, aside)
+        _fsync_dir(aside.parent)
+    seals: dict[object, tuple[tuple[str, int], int]] = {}
+    committed = {head.txid}
+    for record in TransactionLog(aside).records():
+        if not isinstance(record, dict):
+            continue
+        match = _SEAL_OP_RE.match(str(record.get("op", "")))
+        if record.get("type") == "intent" and match is not None:
+            key = (match.group("region"), int(match.group("week")))
+            seals[record.get("txid")] = (key, int(match.group("through")))
+        elif record.get("type") in ("commit", "recovered") and (
+            record.get("action", "commit") == "commit"
+        ):
+            committed.add(record.get("txid"))
+    watermarks: dict[tuple[str, int], int] = {}
+    for txid, (key, through) in seals.items():
+        if txid in committed:
+            watermarks[key] = max(through, watermarks.get(key, through))
+    with manifest.transaction("fold seal watermarks") as txn:
+        for (region, week), through in sorted(watermarks.items()):
+            txn.set_sealed_through(region, week, through)
+    aside.unlink(missing_ok=True)
 
 
 def _check_round_trip(key: ExtractKey, frame: LoadFrame, payload: bytes) -> None:

@@ -463,7 +463,7 @@ def test_seal_protocol_hits_manifest_points_then_wal_trim(tmp_path):
 
 def test_crash_between_commit_and_trim_rolls_forward_once(tmp_path):
     """The seal's own window: commit landed, trim did not.  Replay must
-    dedupe the sealed rows against the txlog watermark -- reopening and
+    dedupe the sealed rows against the generation's watermark -- reopening and
     re-sealing is a no-op, and ingestion continues above the watermark."""
     _live_setup(tmp_path)
     injector = CrashInjector("live.wal.rewrite")

@@ -29,13 +29,14 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotImportedError
-from repro.storage.live import LiveIngestor
+from repro.storage.live import LIVE_FAULT_POINTS, LiveIngestor
+from repro.storage.manifest import InjectedCrash, fault_handler
 from repro.storage.migrate import convert_lake
 from repro.storage.query import ExtractQuery, ScanStats
-from repro.timeseries.calendar import MINUTES_PER_DAY
+from repro.timeseries.calendar import MINUTES_PER_DAY, align_down
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series, plant_csv, plant_legacy
+from tests.helpers import CrashInjector, make_series, plant_csv, plant_legacy
 
 KEYS = (ExtractKey("r0", 0), ExtractKey("r0", 1), ExtractKey("r1", 0))
 DAY = MINUTES_PER_DAY
@@ -131,6 +132,8 @@ class LakeHistory(RuleBasedStateMachine):
         self.unimported: dict[ExtractKey, LoadFrame] = {}
         #: Keys holding a CSV entry beside their segment.
         self.dual: set[ExtractKey] = set()
+        #: Highest ``through`` of the seals that committed, per partition.
+        self.sealed: dict[tuple[str, int], int] = {}
 
     def teardown(self):
         shutil.rmtree(self.root.parent)
@@ -197,9 +200,11 @@ class LakeHistory(RuleBasedStateMachine):
         self.unimported.clear()
         self.dual.clear()
 
-    @rule(key=keys, rows=st.integers(1, 200), seal=st.booleans())
-    def live_ingest(self, key, rows, seal):
-        """One collector session: ingest a batch, maybe seal, close."""
+    @rule(key=keys, rows=st.integers(1, 200), seal=st.booleans(),
+          crash_at=st.none() | st.sampled_from(LIVE_FAULT_POINTS))
+    def live_ingest(self, key, rows, seal, crash_at):
+        """One collector session: ingest a batch, maybe seal -- killed at
+        ``crash_at`` if the seal gets there -- close."""
         ts = self.live_clock + np.arange(rows, dtype=np.int64)
         self.live_clock += rows
         metadata = ServerMetadata(server_id=f"{key.region}-live", region=key.region)
@@ -207,14 +212,22 @@ class LakeHistory(RuleBasedStateMachine):
             ingestor.ingest(key, metadata, ts, ts % 13 + 0.25)
             ingestor.flush()
             try:
-                sealed = ingestor.seal(key) if seal else None
+                with fault_handler(CrashInjector(crash_at)):
+                    sealed = ingestor.seal(key) if seal else None
             except ExtractNotImportedError:
                 # Nothing to merge the rows after until convert has run;
                 # they stay in the tail.
                 assert key in self.unimported
+            except InjectedCrash:
+                # From the pointer swap on, the seal through the tail's last
+                # chunk boundary committed.
+                if LIVE_FAULT_POINTS.index(crash_at) >= LIVE_FAULT_POINTS.index("manifest.pointer"):
+                    self.sealed[(key.region, key.week)] = align_down(int(ts[-1]), 60)
+                    self._csv_entry_gone(key)
             else:
                 if sealed is not None:
                     assert key not in self.unimported
+                    self.sealed[(key.region, key.week)] = sealed.sealed_through
                     self._csv_entry_gone(key)
 
     @rule()
@@ -256,6 +269,10 @@ class LakeHistory(RuleBasedStateMachine):
                 assert formats == ("csv",), key
             else:
                 assert formats in ((), ("sgx",)), key
+
+    @invariant()
+    def each_partition_is_sealed_through_its_last_committed_seal(self):
+        assert self.store.manifest.current().sealed_through == self.sealed
 
     @invariant()
     def pinned_stores_keep_answering_their_generation(self):

@@ -32,7 +32,6 @@ from repro.storage.live import (
     LiveWalError,
     LiveWalWarning,
     StaleBatchError,
-    committed_seal_watermark,
     wal_path,
 )
 from repro.storage.live import wal as livewal
@@ -193,21 +192,21 @@ class TestLiveTailIndex:
         wal.append(META, *minute_batch(0, 5))
         wal.flush()
         index = LiveTailIndex(tmp_path)
-        first = index.tail("r0", 0)
+        first = index.tail("r0", 0, None)
         assert first is not None and first.raw_rows == 5
-        assert index.tail("r0", 0) is first  # unchanged signature -> cached
+        assert index.tail("r0", 0, None) is first  # unchanged signature -> cached
 
         wal.append(META, *minute_batch(5, 5))
         wal.flush()
-        assert index.tail("r0", 0).raw_rows == 10
+        assert index.tail("r0", 0, None).raw_rows == 10
         wal.close()
 
     def test_empty_or_missing_tail_is_none(self, tmp_path):
         index = LiveTailIndex(tmp_path)
-        assert index.tail("r0", 0) is None
+        assert index.tail("r0", 0, None) is None
         wal, _ = TailWal.open(wal_path(tmp_path, "r0", 0), "r0", 0, 5)
         wal.close()
-        assert index.tail("r0", 0) is None  # header only, no frames
+        assert index.tail("r0", 0, None) is None  # header only, no frames
 
     def test_torn_header_is_no_tail_until_the_writer_recreates_it(self, tmp_path):
         path = wal_path(tmp_path, "r0", 0)
@@ -216,12 +215,12 @@ class TestLiveTailIndex:
         index = LiveTailIndex(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert index.tail("r0", 0) is None
+            assert index.tail("r0", 0, None) is None
         with pytest.warns(LiveWalWarning, match="header torn"):
             wal, _ = TailWal.open(path, "r0", 0, 5)
         wal.append(META, *minute_batch(0, 5))
         wal.close()
-        assert index.tail("r0", 0).raw_rows == 5
+        assert index.tail("r0", 0, None).raw_rows == 5
 
 
 def assert_same_snapshot(got, expected):
@@ -272,10 +271,10 @@ class TestIncrementalTail:
             warnings.simplefilter("error")  # torn bytes stay silent on the read side
             for start, end in zip(cuts, cuts[1:]):
                 append_bytes(path, frame[start:end])
-                whole = index.tail("r0", 0)
+                whole = index.tail("r0", 0, None)
                 assert whole.raw_rows == (5 if end < len(frame) else 10)
         assert whole.raw_rows == 10
-        assert_same_snapshot(whole, LiveTailIndex(tmp_path).tail("r0", 0))
+        assert_same_snapshot(whole, LiveTailIndex(tmp_path).tail("r0", 0, None))
 
     def test_torn_tail_healed_by_reopen_keeps_the_prefix_and_sees_new_frames(self, tmp_path):
         path = wal_path(tmp_path, "r0", 0)
@@ -285,17 +284,17 @@ class TestIncrementalTail:
         wal.close()
         append_bytes(path, b"\xde\xad\xbe\xef torn")
         index = LiveTailIndex(tmp_path)
-        assert index.tail("r0", 0).raw_rows == 10
+        assert index.tail("r0", 0, None).raw_rows == 10
         torn_size = path.stat().st_size
 
         with pytest.warns(LiveWalWarning):
             wal, _ = TailWal.open(path, "r0", 0, 5)  # same frames, shorter file
         assert path.stat().st_size < torn_size
-        assert index.tail("r0", 0).raw_rows == 10
+        assert index.tail("r0", 0, None).raw_rows == 10
         wal.append(META, *minute_batch(5, 5))
         wal.close()
-        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
-        assert index.tail("r0", 0).raw_rows == 15
+        assert_same_snapshot(index.tail("r0", 0, None), LiveTailIndex(tmp_path).tail("r0", 0, None))
+        assert index.tail("r0", 0, None).raw_rows == 15
 
     def test_seal_trim_drops_the_sealed_rows_from_a_warm_reader(self, tmp_path):
         store, ingestor = make_ingestor(tmp_path)
@@ -321,7 +320,7 @@ class TestIncrementalTail:
 
         with fault_handler(CrashInjector("live.wal.rewrite")), pytest.raises(InjectedCrash):
             ingestor.seal(KEY, MINUTES_PER_DAY)
-        # Only the txlog watermark moved; the WAL still carries the sealed day.
+        # Only the generation's watermark moved; the WAL still carries the sealed day.
         assert wal_path(store.root, "r0", 0).read_bytes() == wal_bytes
         warm, cold = store.query(q), DataLakeStore(store.root).query(q)
         assert warm.stats.tail_rows_scanned == cold.stats.tail_rows_scanned == 60
@@ -341,14 +340,14 @@ class TestIncrementalTail:
 
         old = write(1.0)
         index = LiveTailIndex(tmp_path)
-        assert set(index.tail("r0", 0).servers["srv-a"][2]) == {1.0, 2.0}
+        assert set(index.tail("r0", 0, None).servers["srv-a"][2]) == {1.0, 2.0}
 
         path.unlink()
         new = write(3.0)
         assert new.st_size == old.st_size  # the inode may well be the old one too
         bump_mtime(path, old)
-        assert set(index.tail("r0", 0).servers["srv-a"][2]) == {3.0, 4.0}
-        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
+        assert set(index.tail("r0", 0, None).servers["srv-a"][2]) == {3.0, 4.0}
+        assert_same_snapshot(index.tail("r0", 0, None), LiveTailIndex(tmp_path).tail("r0", 0, None))
 
     def test_same_inode_same_frames_under_another_header(self, tmp_path):
         def write(root, watermark):
@@ -361,7 +360,7 @@ class TestIncrementalTail:
 
         path = write(tmp_path, None)
         index = LiveTailIndex(tmp_path)
-        assert index.tail("r0", 0).raw_rows == 10
+        assert index.tail("r0", 0, None).raw_rows == 10
 
         # What a delete + recreate that lands on the old inode looks like,
         # without depending on the filesystem to hand the inode out again:
@@ -372,8 +371,8 @@ class TestIncrementalTail:
         with path.open("r+b") as handle:
             handle.write(other)
         bump_mtime(path, before)
-        assert index.tail("r0", 0).raw_rows == 7
-        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
+        assert index.tail("r0", 0, None).raw_rows == 7
+        assert_same_snapshot(index.tail("r0", 0, None), LiveTailIndex(tmp_path).tail("r0", 0, None))
 
     def test_replaced_by_a_file_that_differs_only_before_the_last_frame(self, tmp_path):
         path = wal_path(tmp_path, "r0", 0)
@@ -382,7 +381,7 @@ class TestIncrementalTail:
         wal.append(META, *minute_batch(5, 5, level=2.0))
         wal.flush()
         index = LiveTailIndex(tmp_path)
-        first = index.tail("r0", 0)
+        first = index.tail("r0", 0, None)
         size = path.stat().st_size
 
         # Same header, same size, same last frame: only the inode says
@@ -392,10 +391,10 @@ class TestIncrementalTail:
         wal.rewrite(replay.frames, NO_WATERMARK)
         wal.close()
         assert path.stat().st_size == size
-        second = index.tail("r0", 0)
+        second = index.tail("r0", 0, None)
         assert set(second.servers["srv-a"][2]) == {7.0, 2.0}
         assert set(first.servers["srv-a"][2]) == {1.0, 2.0}
-        assert_same_snapshot(second, LiveTailIndex(tmp_path).tail("r0", 0))
+        assert_same_snapshot(second, LiveTailIndex(tmp_path).tail("r0", 0, None))
 
     def test_truncated_in_place_below_the_verified_offset(self, tmp_path):
         path = wal_path(tmp_path, "r0", 0)
@@ -404,11 +403,11 @@ class TestIncrementalTail:
         wal.append(META, *minute_batch(5, 5))
         wal.close()
         index = LiveTailIndex(tmp_path)
-        assert index.tail("r0", 0).raw_rows == 10
+        assert index.tail("r0", 0, None).raw_rows == 10
 
         os.truncate(path, path.stat().st_size - 20)  # the last frame's header survives
-        assert index.tail("r0", 0).raw_rows == 5
-        assert_same_snapshot(index.tail("r0", 0), LiveTailIndex(tmp_path).tail("r0", 0))
+        assert index.tail("r0", 0, None).raw_rows == 5
+        assert_same_snapshot(index.tail("r0", 0, None), LiveTailIndex(tmp_path).tail("r0", 0, None))
 
     def test_a_read_decodes_only_the_frames_appended_since_the_last_one(
         self, tmp_path, monkeypatch
@@ -427,23 +426,23 @@ class TestIncrementalTail:
         for batch in range(7):
             wal.append(META if batch % 2 else META_B, *minute_batch(5 * batch, 5))
         wal.flush()
-        assert index.tail("r0", 0).raw_rows == 35 and len(decodes) == 7
+        assert index.tail("r0", 0, None).raw_rows == 35 and len(decodes) == 7
 
         for batch in range(7, 10):
             wal.append(META, *minute_batch(5 * batch, 5))
         wal.flush()
-        grown = index.tail("r0", 0)
+        grown = index.tail("r0", 0, None)
         assert grown.raw_rows == 50 and len(decodes) == 7 + 3
-        assert index.tail("r0", 0) is grown and len(decodes) == 10
+        assert index.tail("r0", 0, None) is grown and len(decodes) == 10
 
-        # An unrelated commit moves the txlog, not this tail's watermark.
+        # An unrelated commit moves the generation, not this tail's watermark.
         frame = LoadFrame(5)
         frame.add_server(META, make_series([1.0] * 12))
         store.write_extract(ExtractKey(region="elsewhere", week=3), frame)
-        assert index.tail("r0", 0) is grown and len(decodes) == 10
+        assert index.tail("r0", 0, None) is grown and len(decodes) == 10
         wal.close()
         del decodes[:]
-        assert_same_snapshot(grown, LiveTailIndex(tmp_path).tail("r0", 0))
+        assert_same_snapshot(grown, LiveTailIndex(tmp_path).tail("r0", 0, None))
         assert len(decodes) == 10  # what a reader without a prefix pays
 
     def test_snapshots_already_handed_out_are_never_written_to(self, tmp_path):
@@ -452,12 +451,12 @@ class TestIncrementalTail:
         wal.append(META_B, *minute_batch(0, 5))
         wal.flush()
         index = LiveTailIndex(tmp_path)
-        first = index.tail("r0", 0)
+        first = index.tail("r0", 0, None)
         held = {sid: (ts.copy(), vs.copy()) for sid, (_, ts, vs) in first.servers.items()}
 
         wal.append(META, *minute_batch(5, 5, level=99.0))
         wal.close()
-        second = index.tail("r0", 0)
+        second = index.tail("r0", 0, None)
         assert second.servers["srv-a"][1].size == 10
         for server_id, (ts, vs) in held.items():
             np.testing.assert_array_equal(first.servers[server_id][1], ts)
@@ -501,13 +500,14 @@ class TailIndexHistory(RuleBasedStateMachine):
             # A seal boundary every 15 minutes: short histories reach one.
             return LiveIngestor(self.store, interval_minutes=5, chunk_minutes=15, fsync_every=4)
 
+    @staticmethod
+    def _sealed_through(store, key):
+        return store.manifest.current().sealed_through.get((key.region, key.week))
+
     def _next_batch(self, key, server, rows, irregular):
         """The server's next ``rows`` samples: one-minute cadence, or
         gaps of one to three minutes."""
-        start = max(
-            self.clock.get((key, server), 0),
-            committed_seal_watermark(self.root, key.region, key.week),
-        )
+        start = max(self.clock.get((key, server), 0), self._sealed_through(self.store, key) or 0)
         gaps = (np.arange(rows) * 7 + start) % 3 if irregular else np.zeros(rows, dtype=np.int64)
         ts = start + np.arange(rows) + np.cumsum(gaps) - gaps[0]
         self.clock[(key, server)] = int(ts[-1]) + 1
@@ -601,8 +601,10 @@ class TailIndexHistory(RuleBasedStateMachine):
         cold_index, cold_store = LiveTailIndex(self.root), DataLakeStore(self.root)
         assert self.index.keys() == cold_index.keys()
         for key in HISTORY_KEYS:
+            watermark = self._sealed_through(cold_store, key)
             assert_same_snapshot(
-                self.index.tail(key.region, key.week), cold_index.tail(key.region, key.week)
+                self.index.tail(key.region, key.week, watermark),
+                cold_index.tail(key.region, key.week, watermark),
             )
             q = ExtractQuery.for_key(key)
             warm, cold = self.store.query(q), cold_store.query(q)
@@ -667,7 +669,7 @@ class TestLiveIngestor:
         assert report.generation == 1
         assert report.tail_rows_remaining == 60
         assert store.manifest.current().generation == 1
-        assert committed_seal_watermark(store.root, "r0", 0) == MINUTES_PER_DAY
+        assert store.manifest.current().sealed_through == {("r0", 0): MINUTES_PER_DAY}
 
         # The committed segment holds exactly the sealed window; the
         # unified read surface adds the 60 unsealed minutes on top.
@@ -700,6 +702,17 @@ class TestLiveIngestor:
         # At/above the watermark is fine.
         assert ingestor.ingest(KEY, META, *minute_batch(MINUTES_PER_DAY, 10)) == 10
         ingestor.close()
+
+    def test_write_of_the_sealed_key_keeps_the_watermark(self, tmp_path):
+        store, ingestor = make_ingestor(tmp_path)
+        ingestor.ingest(KEY, META, *minute_batch(0, MINUTES_PER_DAY))
+        ingestor.seal(KEY, MINUTES_PER_DAY)
+        ingestor.close()
+        store.write_extract(KEY, store.read_extract(KEY))
+        wal_path(store.root, "r0", 0).unlink()  # only the generation knows W now
+        with LiveIngestor(store, interval_minutes=5) as reopened:
+            with pytest.raises(StaleBatchError, match="immutable"):
+                reopened.ingest(KEY, META, *minute_batch(MINUTES_PER_DAY - 5, 10))
 
     def test_consecutive_seals_extend_the_segment(self, tmp_path):
         store, ingestor = make_ingestor(tmp_path)
@@ -845,7 +858,7 @@ class TestTailReads:
         wal.close()
 
         result = store.query(ExtractQuery.for_key(KEY))
-        # The txlog watermark wins: sealed rows surface exactly once.
+        # The generation's watermark wins: sealed rows surface exactly once.
         assert len(result.frame.series("srv-a")) == (MINUTES_PER_DAY + 60) // 5
         assert result.stats.tail_rows_scanned == 60
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.storage.manifest import (
     LakeManifest,
     LakeManifestError,
     LakeNotAdoptedError,
+    LakeNotFoldedError,
     ManifestSnapshot,
     TransactionLog,
     fault_handler,
@@ -113,6 +115,31 @@ class TestAdoption:
             DataLakeStore(tmp_path)
         assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
         assert DataLakeStore(tmp_path).list_extracts() == keys
+
+    def test_convert_folds_an_old_lakes_seal_watermarks(self, tmp_path, lake):
+        """A store from before watermarks in generations kept them in the
+        seal ops of its whole log.  Its lake opens once ``convert`` has
+        folded the highest committed one into a generation."""
+        manifest_dir = tmp_path / "_manifest"
+        gen = json.loads((manifest_dir / "gen-00000001.json").read_text())
+        del gen["sealed_through"]
+        (manifest_dir / "gen-00000001.json").write_text(json.dumps(gen))
+        seal = "live-seal r0 week0000 through {}".format
+        old_log = [
+            {"type": "intent", "txid": "a", "generation_from": 0, "op": seal(720)},
+            {"type": "commit", "txid": "a", "generation": 1},
+            {"type": "intent", "txid": "b", "generation_from": 1, "op": seal(2880)},
+            {"type": "recovered", "txid": "b", "action": "abort"},
+            # Committed: the pointer names it, only its commit record was lost.
+            {"type": "intent", "txid": gen["txid"], "generation_from": 1, "op": seal(1440)},
+        ]
+        (manifest_dir / "txlog.jsonl").write_text("".join(f"{json.dumps(r)}\n" for r in old_log))
+        with pytest.raises(LakeNotFoldedError, match=f"{CONVERT} {tmp_path}"):
+            DataLakeStore(tmp_path)
+        assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
+        snapshot = DataLakeStore(tmp_path).manifest.current()
+        assert snapshot.generation == 2 and snapshot.sealed_through == {("r0", 0): 1440}
+        assert [p.read_bytes() for p in manifest_dir.glob("txlog*")] == [b""]
 
     @pytest.mark.parametrize(
         "argv", [["manifest"], [], ["live", "--days", "1"]], ids=["manifest", "run", "live"]
@@ -228,35 +255,52 @@ class TestManifestInternals:
         assert reopened.read_extract(KEY).server_ids() == ["s0", "s1"]
         reopened.write_extract(KEY, small_frame(level=4.0))
 
-    def test_txlog_append_repairs_torn_tail(self, tmp_path):
-        log = TransactionLog(tmp_path / "txlog.jsonl")
-        log.append({"type": "intent", "txid": "a"})
-        with log.path.open("ab") as handle:
-            handle.write(b'{"type": "commit", "txid"')  # crash mid-append
-        log.append({"type": "recovered", "txid": "a", "action": "commit"})
-        assert [r["type"] for r in log.records()] == ["intent", "recovered"]
-        assert log.pending() is None
-
     def test_torn_commit_record_survives_later_commits(self, tmp_path, lake):
-        """A torn final log line must not resurrect a resolved intent.
-
-        Recovery's resolution record lands on its own fresh line; were it
-        glued onto the torn fragment, every later open would re-see the
-        stale intent and -- once another transaction commits -- roll it
-        back as 'uncommitted', unlinking a committed generation's files.
-        """
+        """A torn last line of a crashed transaction's log must neither
+        lose that committed transaction nor resurrect it later: recovery
+        resets the log, so the next transaction starts on an empty one
+        instead of behind the torn fragment."""
+        crashed, other = ExtractKey("r1", 4), ExtractKey("r1", 5)
+        with fault_handler(CrashInjector("manifest.pointer")), pytest.raises(InjectedCrash):
+            lake.write_extract(crashed, small_frame())
         log_path = tmp_path / "_manifest" / "txlog.jsonl"
-        raw = log_path.read_bytes()
-        assert raw.endswith(b"\n")
-        log_path.write_bytes(raw[:-10])  # tear the commit record mid-line
-        other = ExtractKey("r1", 5)
+        log_path.write_bytes(log_path.read_bytes()[:-10])  # tear the staged record
         # First reopen resolves the dangling intent, then commits anew.
         DataLakeStore(tmp_path).write_extract(other, small_frame(level=2.0))
         reopened = DataLakeStore(tmp_path)  # recovery runs again here
-        assert sorted(reopened.list_extracts()) == [KEY, other]
-        assert reopened.read_extract(KEY).server_ids() == ["s0", "s1"]
-        assert reopened.read_extract(other).server_ids() == ["s0", "s1"]
+        assert sorted(reopened.list_extracts()) == [KEY, crashed, other]
+        for key in (KEY, crashed, other):
+            assert reopened.read_extract(key).server_ids() == ["s0", "s1"]
         assert reopened.manifest.log.pending() is None
+
+    @pytest.mark.parametrize("line", [
+        b'{"type": "intent", "txid": "x", "generation_from": null}',
+        b'{"type": "commit", "txid": "x", "generation": 1}',  # no longer a log record
+        b"[1, 2]",
+    ])
+    def test_malformed_txlog_record_is_a_typed_error(self, tmp_path, lake, line):
+        with (tmp_path / "_manifest" / "txlog.jsonl").open("ab") as handle:
+            handle.write(line + b"\n")
+        with pytest.raises(LakeManifestError, match="txlog.jsonl"):
+            DataLakeStore(tmp_path).list_extracts()
+
+    def test_txlog_is_empty_at_rest_however_old_the_lake(self, tmp_path, monkeypatch):
+        """500 commits: the log is no larger than after 5 (empty), and no
+        transaction begin parses more than one transaction's records."""
+        monkeypatch.setattr(os, "fsync", lambda fd: None)  # durability is not measured here
+        parsed = []
+        records = TransactionLog.records
+        monkeypatch.setattr(
+            TransactionLog, "records", lambda log: parsed.append(records(log)) or parsed[-1]
+        )
+        store = DataLakeStore(tmp_path)
+        log_path = tmp_path / "_manifest" / "txlog.jsonl"
+        for commit in range(500):
+            store.write_extract(ExtractKey("r0", commit % 5), small_frame(level=float(commit)))
+            if commit == 4:
+                after_five = log_path.stat().st_size
+        assert log_path.stat().st_size <= after_five == 0
+        assert len(parsed) >= 500 and not any(parsed)
 
     def test_corrupt_pointer_is_a_typed_error(self, tmp_path, lake):
         (tmp_path / "_manifest" / "MANIFEST.json").write_text("not json")
@@ -295,10 +339,15 @@ class TestCli:
         assert "no pending transaction" in out
 
     def test_manifest_command_json(self, capsys, tmp_path, lake):
+        with lake.manifest.transaction("seal") as txn:
+            txn.set_sealed_through(KEY.region, KEY.week, 1440)
         assert manifest_main(["--lake-dir", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["adopted"] is True
-        assert payload["snapshot"]["generation"] == 1
+        assert payload["snapshot"]["generation"] == 2
+        assert payload["snapshot"]["sealed_through"] == [
+            {"region": KEY.region, "week": KEY.week, "through": 1440}
+        ]
         assert payload["pending_txid"] is None
 
     def test_gc_command_reclaims_and_reports(self, capsys, tmp_path, lake):
