@@ -109,6 +109,8 @@ def pattern_strength(
     A softer, continuous companion to the boolean pattern predicates, used
     as a model-selection feature and in the ablation benchmarks.
     """
+    if lag_days <= 0:
+        raise ValueError("lag_days must be positive")
     days = _evaluable_days(series, lag_days)
     if not days:
         return float("nan")

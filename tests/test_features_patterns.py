@@ -75,6 +75,13 @@ class TestPatternStrength:
     def test_strength_nan_without_reference_days(self):
         assert np.isnan(pattern_strength(diurnal_series(1), 7))
 
+    @pytest.mark.parametrize("lag", [0, -1])
+    @pytest.mark.parametrize("n_days", [0, 1, 3])
+    def test_rejects_non_positive_lag_whatever_the_series(self, n_days, lag):
+        series = diurnal_series(n_days) if n_days else LoadSeries.empty()
+        with pytest.raises(ValueError, match="lag_days must be positive"):
+            pattern_strength(series, lag)
+
     def test_weekly_stronger_than_daily_for_weekly_profile(self):
         series = weekly_profile_series(28)
         assert pattern_strength(series, 7) > pattern_strength(series, 1)
