@@ -21,9 +21,11 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.features.lifespan import DEFAULT_LIFESPAN_THRESHOLD_DAYS, is_long_lived, lifespan_days
-from repro.features.patterns import has_daily_pattern, has_weekly_pattern
-from repro.features.stability import is_stable
+import numpy as np
+
+from repro.features.lifespan import DEFAULT_LIFESPAN_THRESHOLD_DAYS, is_long_lived
+from repro.features.patterns import DayMatrix, conforms
+from repro.features.stability import stability_bucket_ratio
 from repro.metrics.bucket_ratio import (
     DEFAULT_ACCURACY_THRESHOLD,
     DEFAULT_ERROR_BOUND,
@@ -90,6 +92,43 @@ class ClassificationResult:
         }
 
 
+@dataclass(frozen=True)
+class ServerAssessment:
+    """What Section 3.2 classifies one server by, each computed once:
+    the stability ratio and the lag-1 and lag-7 ratios of every evaluable
+    day (ascending)."""
+
+    label: ServerClassLabel
+    stability_ratio: float
+    daily_ratios: np.ndarray
+    weekly_ratios: np.ndarray
+
+
+def assess_server(
+    series: LoadSeries,
+    bound: ErrorBound = DEFAULT_ERROR_BOUND,
+    threshold: float = DEFAULT_ACCURACY_THRESHOLD,
+    lifespan_threshold_days: int = DEFAULT_LIFESPAN_THRESHOLD_DAYS,
+) -> ServerAssessment:
+    """Assign one server to its class following Section 3.2's decision
+    order, keeping the stability ratio and day ratios it was decided by."""
+    stability_ratio = stability_bucket_ratio(series, bound)
+    matrix = DayMatrix(series)
+    daily = matrix.ratios(1, bound)[1]
+    weekly = matrix.ratios(7, bound)[1]
+    if not is_long_lived(series, lifespan_threshold_days):
+        label = ServerClassLabel.SHORT_LIVED
+    elif stability_ratio >= threshold:
+        label = ServerClassLabel.STABLE
+    elif conforms(daily, threshold):  # Definition 5
+        label = ServerClassLabel.DAILY
+    elif conforms(weekly, threshold):  # Definition 6: not daily, checked above
+        label = ServerClassLabel.WEEKLY
+    else:
+        label = ServerClassLabel.NO_PATTERN
+    return ServerAssessment(label, stability_ratio, daily, weekly)
+
+
 def classify_server(
     series: LoadSeries,
     bound: ErrorBound = DEFAULT_ERROR_BOUND,
@@ -97,15 +136,7 @@ def classify_server(
     lifespan_threshold_days: int = DEFAULT_LIFESPAN_THRESHOLD_DAYS,
 ) -> ServerClassLabel:
     """Assign one server to its class following Section 3.2's decision order."""
-    if not is_long_lived(series, lifespan_threshold_days):
-        return ServerClassLabel.SHORT_LIVED
-    if is_stable(series, bound, threshold):
-        return ServerClassLabel.STABLE
-    if has_daily_pattern(series, bound, threshold):
-        return ServerClassLabel.DAILY
-    if has_weekly_pattern(series, bound, threshold):
-        return ServerClassLabel.WEEKLY
-    return ServerClassLabel.NO_PATTERN
+    return assess_server(series, bound, threshold, lifespan_threshold_days).label
 
 
 def classify_frame(

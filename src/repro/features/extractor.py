@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.features.classification import ServerClassLabel, classify_server
+from repro.features.classification import ServerClassLabel, assess_server
 from repro.features.lifespan import lifespan_days
-from repro.features.patterns import pattern_strength
-from repro.features.stability import stability_bucket_ratio
+from repro.features.patterns import mean_ratio
 from repro.metrics.bucket_ratio import (
     DEFAULT_ACCURACY_THRESHOLD,
     DEFAULT_ERROR_BOUND,
@@ -105,7 +104,7 @@ class FeatureExtractionModule:
 
     def extract_server(self, metadata: ServerMetadata, series: LoadSeries) -> ServerFeatures:
         """Extract features for one server."""
-        label = classify_server(series, self._bound, self._threshold)
+        assessment = assess_server(series, self._bound, self._threshold)
         max_load = series.maximum() if not series.is_empty else 0.0
         return ServerFeatures(
             server_id=metadata.server_id,
@@ -115,10 +114,10 @@ class FeatureExtractionModule:
             mean_load=series.mean() if not series.is_empty else 0.0,
             std_load=series.std() if not series.is_empty else 0.0,
             max_load=max_load,
-            stability_ratio=stability_bucket_ratio(series, self._bound),
-            daily_pattern_strength=pattern_strength(series, 1, self._bound),
-            weekly_pattern_strength=pattern_strength(series, 7, self._bound),
-            label=label,
+            stability_ratio=assessment.stability_ratio,
+            daily_pattern_strength=mean_ratio(assessment.daily_ratios),
+            weekly_pattern_strength=mean_ratio(assessment.weekly_ratios),
+            label=assessment.label,
             is_busy=max_load > self._busy_threshold,
             reaches_capacity=max_load >= self._capacity_threshold,
             backup_duration_minutes=metadata.backup_duration_minutes,

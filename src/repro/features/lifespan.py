@@ -28,13 +28,3 @@ def is_long_lived(
     """Definition 3: the server existed for more than ``threshold_days`` days."""
     return lifespan_days(series) > threshold_days
 
-
-def observed_day_range(series: LoadSeries) -> tuple[int, int]:
-    """Return the first and last zero-based day indices with telemetry.
-
-    Returns ``(-1, -1)`` for an empty series.
-    """
-    days = series.days()
-    if not days:
-        return -1, -1
-    return days[0], days[-1]

@@ -17,7 +17,6 @@ from repro.metrics.bucket_ratio import (
     ErrorBound,
     bucket_ratio,
 )
-from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.series import LoadSeries
 
 

@@ -7,7 +7,6 @@ from repro.features.lifespan import (
     DEFAULT_LIFESPAN_THRESHOLD_DAYS,
     is_long_lived,
     lifespan_days,
-    observed_day_range,
 )
 from repro.features.stability import is_stable, is_stable_database, stability_bucket_ratio
 from repro.timeseries.series import LoadSeries
@@ -34,13 +33,6 @@ class TestLifespan:
 
     def test_short_lived(self):
         assert not is_long_lived(diurnal_series(5))
-
-    def test_observed_day_range(self):
-        series = diurnal_series(3, start_day=4)
-        assert observed_day_range(series) == (4, 6)
-
-    def test_observed_day_range_empty(self):
-        assert observed_day_range(LoadSeries.empty()) == (-1, -1)
 
 
 class TestStableServer:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.features.patterns import (
-    conforms_on_day,
     day_over_day_bucket_ratio,
     has_daily_pattern,
     has_weekly_pattern,
@@ -27,10 +26,6 @@ class TestDayOverDayRatio:
     def test_rejects_non_positive_lag(self):
         with pytest.raises(ValueError):
             day_over_day_bucket_ratio(diurnal_series(3), 1, 0)
-
-    def test_conforms_on_day(self):
-        series = diurnal_series(10, noise=0.3, seed=2)
-        assert conforms_on_day(series, 4, 1)
 
 
 class TestDailyPattern:
