@@ -38,14 +38,20 @@ test:
 
 ## Every script under examples/ runs to completion, and the fleet CLI's
 ## warm re-run over a fresh --cache-dir exits 0 with every unit served
-## from the unit cache (also part of `ci`; the CI test job runs this target).
+## from the unit cache; a second model over the same --cache-dir then
+## reuses every unit's features and misses one model stage per unit
+## (also part of `ci`; the CI test job runs this target).
 examples-smoke:
 	@for f in examples/*.py; do python "$$f" >/dev/null || exit 1; echo "ok $$f"; done
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 \
 		--cache-dir "$$tmp/cache" --rerun --json > "$$tmp/report.json" \
 	&& python -c 'import json, sys; warm = json.load(open(sys.argv[1]))["rerun"]; sys.exit(warm["cache"]["unit_hits"] != warm["n_units"])' "$$tmp/report.json" \
-	&& echo "ok python -m repro.fleet_ops --cache-dir --rerun"
+	&& echo "ok python -m repro.fleet_ops --cache-dir --rerun" \
+	&& PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 \
+		--cache-dir "$$tmp/cache" --model persistent_previous_week_average --json > "$$tmp/model.json" \
+	&& python -c 'import json, sys; run = json.load(open(sys.argv[1]))["run"]; n = run["n_units"]; sys.exit((run["cache"]["stage_hits"], run["cache"]["stage_misses"]) != (n, n))' "$$tmp/model.json" \
+	&& echo "ok python -m repro.fleet_ops --cache-dir --model (features reused, one model stage per unit)"
 
 ## Quick benchmark smoke: the jobs CI runs on every PR.
 bench-smoke:

@@ -20,12 +20,17 @@ One run of the pipeline processes one weekly extract of one region:
 Component runtimes are recorded per run, which is exactly the data behind
 Figure 12(a).
 
-The heavy stages (feature extraction, model training + inference, accuracy
-evaluation) have stable inputs and outputs and can be served from an
-:class:`~repro.storage.artifacts.ArtifactStore`: when the extract content
-hash and the relevant configuration are unchanged since a previous run,
-the stage output is decoded from the cache instead of recomputed.  Cache
-decisions are recorded per stage in ``PipelineRunResult.cache_events``.
+The heavy work has stable inputs and outputs and can be served from an
+:class:`~repro.storage.artifacts.ArtifactStore` as two stages: ``features``
+(feature extraction) and ``model`` (training, inference and accuracy
+evaluation together).  When the extract content hash and the relevant
+configuration are unchanged since a previous run, a stage's output is
+decoded from the cache instead of recomputed.  The ``model`` entry is
+written once, at the end of accuracy evaluation, and holds only what a hit
+reads: backup days, the served backup-day predictions and the per-day
+evaluations (the summary and the predictability verdicts are folded from
+them again).  Cache decisions are recorded per stage in
+``PipelineRunResult.cache_events``.
 """
 
 from __future__ import annotations
@@ -132,15 +137,23 @@ class PipelineRunResult:
 class _DeployableModels:
     """Output of the training stage handed to deployment and evaluation."""
 
+    #: Per server, the model to deploy: freshly fitted, or on a cache hit a
+    #: :class:`~repro.models.cached.PrecomputedForecaster` of the cached
+    #: backup-day prediction.
     forecasters: dict[str, Forecaster]
-    eval_predictions: dict[str, LoadSeries]
-    eval_days: dict[str, list[int]]
+    #: Concatenated history-day predictions per server, to be scored by
+    #: accuracy evaluation; empty on a cache hit.
+    eval_predictions: dict[str, LoadSeries] = field(default_factory=dict)
+    #: The history days each server's ``eval_predictions`` cover.
+    eval_days: dict[str, list[int]] = field(default_factory=dict)
+    #: The cached per-day evaluations on a hit; ``None`` when they still
+    #: have to be computed.
+    evaluations: list[ServerDayEvaluation] | None = None
     #: Seconds spent on history-day inference during training (the
     #: backup-day horizon is served through the serving layer afterwards).
     inference_seconds: float = 0.0
-    #: Artifact-cache key to store the stage output under once the served
-    #: backup-day predictions are known; ``None`` on a cache hit or when
-    #: caching is off.
+    #: Artifact-cache key of the ``model`` entry, stored at the end of
+    #: accuracy evaluation; ``None`` on a cache hit or when caching is off.
     cache_key: str | None = None
 
 
@@ -329,7 +342,7 @@ class SeagullPipeline:
         deployed = self._stage_train(frame, result, content_hash)
         self._stage_deploy(result, deployed.forecasters)
         self._stage_inference(result, deployed)
-        self._stage_evaluate(frame, result, content_hash, deployed)
+        self._stage_evaluate(frame, result, deployed)
         self._stage_track_accuracy(result)
 
         result.succeeded = True
@@ -415,34 +428,33 @@ class SeagullPipeline:
         The backup-day horizon itself is *not* predicted here: the fitted
         forecasters are deployed into the serving layer and the pipeline
         asks :class:`~repro.serving.service.PredictionService` for them in
-        :meth:`_stage_inference`, like every other consumer.  On a cache
-        hit the fitted models are not re-created; the cached backup-day
-        predictions are wrapped in
+        :meth:`_stage_inference`, like every other consumer.  On a ``model``
+        cache hit the fitted models are not re-created; the cached
+        backup-day predictions are wrapped in
         :class:`~repro.models.cached.PrecomputedForecaster` instances so
-        the deployed version serves identical values.
+        the deployed version serves identical values, and the cached
+        evaluations are handed on to :meth:`_stage_evaluate`.
         """
         config = self._config
         started = time.perf_counter()
         key, payload = self._cache_lookup(
-            stage_cache.STAGE_TRAIN_INFER,
+            stage_cache.STAGE_MODEL,
             content_hash,
-            stage_cache.train_infer_params(config),
+            stage_cache.model_params(config),
             result,
         )
         if payload is not None:
             try:
-                backup_days, predictions, eval_predictions, eval_days = (
-                    stage_cache.decode_train_infer(payload)
-                )
+                backup_days, predictions, evaluations = stage_cache.decode_model(payload)
                 result.backup_days = backup_days
                 forecasters: dict[str, Forecaster] = {
                     server_id: PrecomputedForecaster(prediction, config.model_name)
                     for server_id, prediction in predictions.items()
                 }
                 result.timings["model_training"] = time.perf_counter() - started
-                return _DeployableModels(forecasters, eval_predictions, eval_days)
+                return _DeployableModels(forecasters, evaluations=evaluations)
             except Exception:
-                result.cache_events[stage_cache.STAGE_TRAIN_INFER] = "miss"
+                result.cache_events[stage_cache.STAGE_MODEL] = "miss"
 
         points_day = points_per_day(config.interval_minutes)
         training_minutes = config.training_days * MINUTES_PER_DAY
@@ -530,9 +542,7 @@ class SeagullPipeline:
 
         The pipeline consumes its own deployment exactly like the backup
         scheduler or the autoscale predictor would: one batched request
-        against the region's active version.  Completing the stage also
-        persists the train/infer artifact-cache entry (it needs the served
-        predictions).
+        against the region's active version.
         """
         config = self._config
         started = time.perf_counter()
@@ -547,60 +557,32 @@ class SeagullPipeline:
         result.timings["inference"] = deployed.inference_seconds + (
             time.perf_counter() - started
         )
+
+    def _stage_evaluate(
+        self, frame: LoadFrame, result: PipelineRunResult, deployed: "_DeployableModels"
+    ) -> None:
+        """Historical accuracy evaluation and predictability verdicts.
+
+        The per-day evaluations come from the ``model`` cache entry on a
+        hit and are computed otherwise; the summary and the verdicts are
+        folded from them either way.  On a miss the ``model`` entry is
+        stored here, once everything it holds is known.
+        """
+        started = time.perf_counter()
+        required_days = self._config.history_weeks
+        evaluations = deployed.evaluations
+        if evaluations is None:
+            evaluations = self._evaluator.evaluate(
+                frame, deployed.eval_predictions, deployed.eval_days
+            )
+        result.evaluations = evaluations
+        result.summary = self._evaluator.summarize(evaluations, required_days)
+        result.predictability = self._evaluator.predictability(evaluations, required_days)
+        result.timings["accuracy_evaluation"] = time.perf_counter() - started
         if deployed.cache_key is not None:
             self._cache_store(
                 deployed.cache_key,
-                stage_cache.encode_train_infer(
-                    result.backup_days,
-                    result.predictions,
-                    deployed.eval_predictions,
-                    deployed.eval_days,
-                ),
-            )
-
-    def _stage_evaluate(
-        self,
-        frame: LoadFrame,
-        result: PipelineRunResult,
-        content_hash: str,
-        deployed: "_DeployableModels",
-    ) -> None:
-        """Historical accuracy evaluation and predictability verdicts."""
-        config = self._config
-        started = time.perf_counter()
-        key, payload = self._cache_lookup(
-            stage_cache.STAGE_EVALUATION,
-            content_hash,
-            stage_cache.evaluation_params(config),
-            result,
-        )
-        if payload is not None:
-            try:
-                evaluations, summary, predictability = stage_cache.decode_evaluation(payload)
-                result.evaluations = evaluations
-                result.summary = summary
-                result.predictability = predictability
-                result.timings["accuracy_evaluation"] = time.perf_counter() - started
-                return
-            except Exception:
-                result.cache_events[stage_cache.STAGE_EVALUATION] = "miss"
-        result.evaluations = self._evaluator.evaluate(
-            frame, deployed.eval_predictions, deployed.eval_days
-        )
-        result.summary = self._evaluator.summarize(
-            result.evaluations, required_days=config.history_weeks
-        )
-        result.predictability = self._evaluator.predictability(
-            frame, deployed.eval_predictions, deployed.eval_days,
-            required_days=config.history_weeks,
-        )
-        result.timings["accuracy_evaluation"] = time.perf_counter() - started
-        if key is not None:
-            self._cache_store(
-                key,
-                stage_cache.encode_evaluation(
-                    result.evaluations, result.summary, result.predictability
-                ),
+                stage_cache.encode_model(result.backup_days, result.predictions, evaluations),
             )
 
     def _stage_track_accuracy(self, result: PipelineRunResult) -> None:

@@ -3,19 +3,21 @@
 The Seagull pipeline is factored into stages with stable, serializable
 inputs and outputs (the "partially constrained log" view of a run: each
 stage's output is durable, resumable state rather than a throwaway
-in-memory value).  This module defines, per cacheable stage, which
+in-memory value).  That view also bounds what is persisted: only the state
+a resume actually reads.  This module defines, per cacheable stage, which
 configuration parameters feed its cache key and how its output round-trips
 through JSON.
 
 Stages and their keys:
 
-* ``features``   -- frame content hash + error bound + accuracy threshold.
-* ``train_infer`` -- frame content hash + model name + training window
-  parameters.
-* ``evaluation`` -- frame content hash + model/window parameters + metric
-  parameters (its inputs are the frame and the train/infer output, and the
-  latter is a deterministic function of the former under the same key
-  material).
+* ``features`` -- frame content hash + error bound + accuracy threshold.
+* ``model`` -- frame content hash + model name + training window
+  parameters.  It holds what a hit needs to skip training, inference and
+  accuracy evaluation: the backup day per server, the served backup-day
+  predictions (redeployed as precomputed forecasters) and the per-day
+  evaluations, from which the summary and the predictability verdicts are
+  folded again.  The history-day predictions the evaluations were scored
+  on are not kept: nothing reads them on a hit.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from typing import Any
 
 from repro.core.config import PipelineConfig
 from repro.features.extractor import ServerFeatures
-from repro.metrics.evaluation import EvaluationSummary, ServerDayEvaluation
-from repro.metrics.predictable import PredictabilityVerdict
+from repro.metrics.predictable import ServerDayEvaluation
 from repro.timeseries.series import LoadSeries
 
 #: Stage names used in cache keys and in ``PipelineRunResult.cache_events``.
 STAGE_FEATURES = "features"
-STAGE_TRAIN_INFER = "train_infer"
-STAGE_EVALUATION = "evaluation"
+STAGE_MODEL = "model"
 
 #: Fleet-orchestrator whole-unit outcome (see ``repro.fleet_ops``).
 STAGE_UNIT_OUTCOME = "unit_outcome"
@@ -52,11 +52,12 @@ def features_params(config: PipelineConfig) -> dict[str, Any]:
     }
 
 
-def train_infer_params(config: PipelineConfig) -> dict[str, Any]:
-    """Configuration the training/inference output depends on.
+def model_params(config: PipelineConfig) -> dict[str, Any]:
+    """Configuration the model stage's output depends on.
 
     Includes the feature parameters because the trained-server set is
-    derived from the per-server classification labels.
+    derived from the per-server classification labels, and the error bound
+    and accuracy threshold score the evaluations.
     """
     return {
         **features_params(config),
@@ -68,19 +69,14 @@ def train_infer_params(config: PipelineConfig) -> dict[str, Any]:
     }
 
 
-def evaluation_params(config: PipelineConfig) -> dict[str, Any]:
-    """Configuration the accuracy-evaluation output depends on."""
-    return train_infer_params(config)
-
-
 # --------------------------------------------------------------------- #
 # Series round trip
 # --------------------------------------------------------------------- #
 
 
 def series_payload(series: LoadSeries) -> dict[str, Any]:
-    """JSON-serializable form of a series (explicit timestamps: predictions
-    for weekly-spaced history days concatenate into gappy grids)."""
+    """JSON-serializable form of a series (explicit timestamps, so the round
+    trip reproduces the series exactly whatever grid it sits on)."""
     return {
         "timestamps": series.timestamps.tolist(),
         "values": series.values.tolist(),
@@ -112,60 +108,24 @@ def decode_features(payload: dict[str, Any]) -> dict[str, ServerFeatures]:
     }
 
 
-def encode_train_infer(
+def encode_model(
     backup_days: dict[str, int],
     predictions: dict[str, LoadSeries],
-    eval_predictions: dict[str, LoadSeries],
-    eval_days: dict[str, list[int]],
+    evaluations: list[ServerDayEvaluation],
 ) -> dict[str, Any]:
     return {
         "backup_days": dict(backup_days),
         "predictions": {sid: series_payload(s) for sid, s in predictions.items()},
-        "eval_predictions": {sid: series_payload(s) for sid, s in eval_predictions.items()},
-        "eval_days": {sid: list(days) for sid, days in eval_days.items()},
+        "evaluations": [evaluation.as_dict() for evaluation in evaluations],
     }
 
 
-def decode_train_infer(
+def decode_model(
     payload: dict[str, Any],
-) -> tuple[dict[str, int], dict[str, LoadSeries], dict[str, LoadSeries], dict[str, list[int]]]:
+) -> tuple[dict[str, int], dict[str, LoadSeries], list[ServerDayEvaluation]]:
     backup_days = {sid: int(day) for sid, day in payload["backup_days"].items()}
     predictions = {
         sid: series_from_payload(body) for sid, body in payload["predictions"].items()
     }
-    eval_predictions = {
-        sid: series_from_payload(body) for sid, body in payload["eval_predictions"].items()
-    }
-    eval_days = {
-        sid: [int(day) for day in days] for sid, days in payload["eval_days"].items()
-    }
-    return backup_days, predictions, eval_predictions, eval_days
-
-
-def encode_evaluation(
-    evaluations: list[ServerDayEvaluation],
-    summary: EvaluationSummary | None,
-    predictability: dict[str, PredictabilityVerdict],
-) -> dict[str, Any]:
-    return {
-        "evaluations": [evaluation.as_dict() for evaluation in evaluations],
-        "summary": summary.as_dict() if summary is not None else None,
-        "predictability": {sid: verdict.as_dict() for sid, verdict in predictability.items()},
-    }
-
-
-def decode_evaluation(
-    payload: dict[str, Any],
-) -> tuple[
-    list[ServerDayEvaluation],
-    EvaluationSummary | None,
-    dict[str, PredictabilityVerdict],
-]:
     evaluations = [ServerDayEvaluation.from_dict(body) for body in payload["evaluations"]]
-    summary_body = payload["summary"]
-    summary = EvaluationSummary.from_dict(summary_body) if summary_body is not None else None
-    predictability = {
-        sid: PredictabilityVerdict.from_dict(body)
-        for sid, body in payload["predictability"].items()
-    }
-    return evaluations, summary, predictability
+    return backup_days, predictions, evaluations

@@ -12,9 +12,9 @@ Two cache layers make re-runs cheap:
 
 * a **unit-level outcome cache** keyed by unit and raw extract fingerprint
   -- an unchanged extract skips ingestion, parsing and every pipeline stage;
-* the pipeline's **stage-level artifact cache** (features, train/infer,
-  evaluation) keyed by extract content hash -- a changed configuration
-  reuses whichever stages its parameters do not touch.
+* the pipeline's **stage-level artifact cache** (``features``, ``model``)
+  keyed by extract content hash -- a changed configuration reuses
+  whichever stages its parameters do not touch.
 
 Both layers live in one :class:`~repro.storage.artifacts.ArtifactStore`
 directory, ``cache_dir``, which every worker opens for itself: entries are

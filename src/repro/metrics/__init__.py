@@ -4,8 +4,9 @@
   bucket-ratio metric (Definitions 1 and 2).
 * :mod:`~repro.metrics.ll_window` -- lowest-load windows and the
   correctly-chosen-window metric (Definitions 7 and 8).
-* :mod:`~repro.metrics.predictable` -- the predictable-server rule
-  (Definition 9: three weeks of correct windows and accurate load).
+* :mod:`~repro.metrics.predictable` -- the per-day evaluation and the
+  predictable-server rule folded from it (Definition 9: three weeks of
+  correct windows and accurate load).
 * :mod:`~repro.metrics.standard` -- Mean NRMSE and MASE used by the
   auto-scale use case (Appendix A.2).
 * :mod:`~repro.metrics.evaluation` -- the Accuracy Evaluation Module of the

@@ -90,7 +90,10 @@ def is_accurate_prediction(
 
     An empty comparison (no overlapping points) is never accurate.
     """
-    ratio = bucket_ratio(predicted, true, bound)
-    if np.isnan(ratio):
-        return False
-    return ratio >= threshold
+    return is_accurate_ratio(bucket_ratio(predicted, true, bound), threshold)
+
+
+def is_accurate_ratio(ratio: float, threshold: float = DEFAULT_ACCURACY_THRESHOLD) -> bool:
+    """Definition 2 on a bucket ratio already computed; ``nan`` (no
+    overlapping points) is never accurate."""
+    return not np.isnan(ratio) and ratio >= threshold

@@ -2,91 +2,34 @@
 
 Given true and predicted load per server, this module evaluates, per server
 and per backup day, whether the lowest-load window was chosen correctly and
-whether the load during that window was predicted accurately.  It can run
+whether the load during that window was predicted accurately (the per-day
+check, :func:`~repro.metrics.predictable.evaluate_server_day`).  It can run
 single-threaded or partitioned per server on a parallel executor -- the
-comparison plotted in Figure 12(b).
+comparison plotted in Figure 12(b).  Predictability verdicts and the fleet
+summary are folds over those per-day evaluations; nothing is scored twice.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.metrics.bucket_ratio import (
     DEFAULT_ACCURACY_THRESHOLD,
     DEFAULT_ERROR_BOUND,
     ErrorBound,
-    bucket_ratio,
-    is_accurate_prediction,
-)
-from repro.metrics.ll_window import (
-    WindowSearchError,
-    is_window_correctly_chosen,
-    lowest_load_window,
 )
 from repro.metrics.predictable import (
     DEFAULT_HISTORY_WEEKS,
     PredictabilityVerdict,
-    is_predictable_server,
+    ServerDayEvaluation,
+    evaluate_server_day,
+    fold_predictability,
 )
 from repro.parallel.executor import PartitionedExecutor
 from repro.parallel.partition import partition_list
 from repro.timeseries.frame import LoadFrame
 from repro.timeseries.series import LoadSeries
-
-
-@dataclass(frozen=True)
-class ServerDayEvaluation:
-    """Evaluation of one server on one (backup) day."""
-
-    server_id: str
-    day: int
-    window_correct: bool
-    load_accurate: bool
-    bucket_ratio_in_window: float
-    bucket_ratio_full_day: float
-    predicted_window_start: int
-    true_window_start: int
-    predicted_window_load: float
-    true_window_load: float
-    evaluable: bool = True
-    failure_reason: str = ""
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "server_id": self.server_id,
-            "day": self.day,
-            "window_correct": self.window_correct,
-            "load_accurate": self.load_accurate,
-            "bucket_ratio_in_window": self.bucket_ratio_in_window,
-            "bucket_ratio_full_day": self.bucket_ratio_full_day,
-            "predicted_window_start": self.predicted_window_start,
-            "true_window_start": self.true_window_start,
-            "predicted_window_load": self.predicted_window_load,
-            "true_window_load": self.true_window_load,
-            "evaluable": self.evaluable,
-            "failure_reason": self.failure_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "ServerDayEvaluation":
-        """Inverse of :meth:`as_dict` (used by the artifact cache)."""
-        return cls(
-            server_id=str(payload["server_id"]),
-            day=int(payload["day"]),
-            window_correct=bool(payload["window_correct"]),
-            load_accurate=bool(payload["load_accurate"]),
-            bucket_ratio_in_window=float(payload["bucket_ratio_in_window"]),
-            bucket_ratio_full_day=float(payload["bucket_ratio_full_day"]),
-            predicted_window_start=int(payload["predicted_window_start"]),
-            true_window_start=int(payload["true_window_start"]),
-            predicted_window_load=float(payload["predicted_window_load"]),
-            true_window_load=float(payload["true_window_load"]),
-            evaluable=bool(payload["evaluable"]),
-            failure_reason=str(payload["failure_reason"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -117,79 +60,6 @@ class EvaluationSummary:
             "n_servers": self.n_servers,
             "n_predictable_servers": self.n_predictable_servers,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, float]) -> "EvaluationSummary":
-        """Inverse of :meth:`as_dict` (used by the artifact cache)."""
-        return cls(
-            n_server_days=int(payload["n_server_days"]),
-            n_evaluable=int(payload["n_evaluable"]),
-            pct_windows_correct=float(payload["pct_windows_correct"]),
-            pct_load_accurate=float(payload["pct_load_accurate"]),
-            pct_predictable_servers=float(payload["pct_predictable_servers"]),
-            n_servers=int(payload["n_servers"]),
-            n_predictable_servers=int(payload["n_predictable_servers"]),
-        )
-
-
-def evaluate_server_day(
-    server_id: str,
-    true_series: LoadSeries,
-    predicted_series: LoadSeries,
-    day: int,
-    backup_duration_minutes: int,
-    bound: ErrorBound = DEFAULT_ERROR_BOUND,
-    accuracy_threshold: float = DEFAULT_ACCURACY_THRESHOLD,
-) -> ServerDayEvaluation:
-    """Evaluate one server on one day (Definitions 2 and 8 combined)."""
-    try:
-        predicted_window = lowest_load_window(
-            predicted_series, day, backup_duration_minutes
-        )
-        true_window = lowest_load_window(true_series, day, backup_duration_minutes)
-    except WindowSearchError as exc:
-        return ServerDayEvaluation(
-            server_id=server_id,
-            day=day,
-            window_correct=False,
-            load_accurate=False,
-            bucket_ratio_in_window=float("nan"),
-            bucket_ratio_full_day=float("nan"),
-            predicted_window_start=-1,
-            true_window_start=-1,
-            predicted_window_load=float("nan"),
-            true_window_load=float("nan"),
-            evaluable=False,
-            failure_reason=str(exc),
-        )
-
-    window_correct = is_window_correctly_chosen(
-        predicted_series, true_series, day, backup_duration_minutes, bound
-    )
-
-    predicted_in_window = predicted_series.slice(predicted_window.start, predicted_window.end)
-    true_in_window = true_series.slice(predicted_window.start, predicted_window.end)
-    ratio_in_window = bucket_ratio(predicted_in_window, true_in_window, bound)
-    load_accurate = is_accurate_prediction(
-        predicted_in_window, true_in_window, bound, accuracy_threshold
-    )
-
-    ratio_full_day = bucket_ratio(
-        predicted_series.day(day), true_series.day(day), bound
-    )
-
-    return ServerDayEvaluation(
-        server_id=server_id,
-        day=day,
-        window_correct=window_correct,
-        load_accurate=load_accurate,
-        bucket_ratio_in_window=ratio_in_window,
-        bucket_ratio_full_day=ratio_full_day,
-        predicted_window_start=predicted_window.start,
-        true_window_start=true_window.start,
-        predicted_window_load=predicted_window.average_load,
-        true_window_load=true_window.average_load,
-    )
 
 
 def _evaluate_task(task: tuple) -> list[ServerDayEvaluation]:
@@ -292,18 +162,9 @@ class AccuracyEvaluationModule:
         evaluable = [e for e in evaluations if e.evaluable]
         n_windows_correct = sum(1 for e in evaluable if e.window_correct)
         n_load_accurate = sum(1 for e in evaluable if e.load_accurate)
-
-        per_server: dict[str, list[ServerDayEvaluation]] = {}
-        for evaluation in evaluable:
-            per_server.setdefault(evaluation.server_id, []).append(evaluation)
-        n_predictable = 0
-        for server_evals in per_server.values():
-            if len(server_evals) >= required_days and all(
-                e.window_correct and e.load_accurate for e in server_evals
-            ):
-                n_predictable += 1
-
-        n_servers = len({e.server_id for e in evaluations})
+        verdicts = self.predictability(evaluations, required_days)
+        n_predictable = sum(1 for verdict in verdicts.values() if verdict.predictable)
+        n_servers = len(verdicts)
         return EvaluationSummary(
             n_server_days=len(evaluations),
             n_evaluable=len(evaluable),
@@ -316,27 +177,18 @@ class AccuracyEvaluationModule:
 
     def predictability(
         self,
-        true_frame: LoadFrame,
-        predictions: Mapping[str, LoadSeries],
-        days_by_server: Mapping[str, Iterable[int]],
+        evaluations: Iterable[ServerDayEvaluation],
         required_days: int = DEFAULT_HISTORY_WEEKS,
     ) -> dict[str, PredictabilityVerdict]:
-        """Apply Definition 9 per server over its evaluation days."""
-        verdicts: dict[str, PredictabilityVerdict] = {}
-        for server_id in true_frame.server_ids():
-            if server_id not in predictions or server_id not in days_by_server:
-                continue
-            verdicts[server_id] = is_predictable_server(
-                server_id,
-                true_frame.series(server_id),
-                predictions[server_id],
-                days_by_server[server_id],
-                true_frame.metadata(server_id).backup_duration_minutes,
-                self._bound,
-                self._threshold,
-                required_days,
-            )
-        return verdicts
+        """Apply Definition 9 per server: fold each server's evaluations
+        (as :meth:`evaluate` returned them) into its verdict."""
+        per_server: dict[str, list[ServerDayEvaluation]] = {}
+        for evaluation in evaluations:
+            per_server.setdefault(evaluation.server_id, []).append(evaluation)
+        return {
+            server_id: fold_predictability(server_id, server_evals, required_days)
+            for server_id, server_evals in per_server.items()
+        }
 
 
 def _evaluate_batch(batch: list[tuple]) -> list[ServerDayEvaluation]:

@@ -185,10 +185,9 @@ class TestArtifactCachedPipeline:
         assert result.succeeded
         assert result.cache_events == {
             "features": "miss",
-            "train_infer": "miss",
-            "evaluation": "miss",
+            "model": "miss",
         }
-        assert cache.stats.puts == 3
+        assert cache.stats.puts == 2
 
     def test_warm_run_hits_every_stage(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore
@@ -203,8 +202,7 @@ class TestArtifactCachedPipeline:
         assert warm.succeeded
         assert warm.cache_events == {
             "features": "hit",
-            "train_infer": "hit",
-            "evaluation": "hit",
+            "model": "hit",
         }
 
     def test_content_change_invalidates(self, small_frame, tmp_path):
@@ -226,8 +224,7 @@ class TestArtifactCachedPipeline:
         )
         assert second.cache_events == {
             "features": "miss",
-            "train_infer": "miss",
-            "evaluation": "miss",
+            "model": "miss",
         }
 
     def test_config_change_invalidates_model_stages_only(self, small_frame, tmp_path):
@@ -242,8 +239,7 @@ class TestArtifactCachedPipeline:
         ).run(small_frame, region="region-0", week=3)
         # Features do not depend on the forecaster, so they are reused.
         assert other_model.cache_events["features"] == "hit"
-        assert other_model.cache_events["train_infer"] == "miss"
-        assert other_model.cache_events["evaluation"] == "miss"
+        assert other_model.cache_events["model"] == "miss"
 
     def test_cached_outputs_identical_to_fresh(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore, canonical_json
@@ -274,6 +270,55 @@ class TestArtifactCachedPipeline:
             )
             assert response.series == prediction
 
+    def test_model_entry_holds_only_what_a_hit_reads(self, small_frame, tmp_path):
+        from repro.core import stage_cache
+        from repro.storage.artifacts import ArtifactStore, artifact_key
+
+        cache = ArtifactStore.at(tmp_path)
+        result = SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
+            small_frame, region="region-0", week=3
+        )
+        key = artifact_key(
+            stage_cache.STAGE_MODEL,
+            small_frame.content_hash(),
+            stage_cache.model_params(PipelineConfig()),
+        )
+        payload = cache.get(key)
+        assert set(payload) == {"backup_days", "predictions", "evaluations"}
+        # Only the served backup-day forecasts, not the history days the
+        # evaluations were scored on.
+        assert set(payload["predictions"]) == set(result.predictions)
+        assert len(payload["evaluations"]) == len(result.evaluations)
+
+    def test_corrupt_model_entry_is_a_counted_miss_and_recomputed(
+        self, small_frame, tmp_path
+    ):
+        from repro.storage.artifacts import ArtifactStore, canonical_json
+
+        fresh = SeagullPipeline(PipelineConfig()).run(small_frame, region="region-0", week=3)
+        cache = ArtifactStore.at(tmp_path)
+        SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
+            small_frame, region="region-0", week=3
+        )
+        (entry,) = (tmp_path / "model").glob("*.json")
+        entry.write_bytes(entry.read_bytes()[:-20])
+        recomputed = SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
+            small_frame, region="region-0", week=3
+        )
+        assert recomputed.cache_events == {"features": "hit", "model": "miss"}
+        assert cache.stats.corrupt_entries == 1
+        assert recomputed.summary == fresh.summary
+        assert recomputed.predictability == fresh.predictability
+        assert canonical_json([e.as_dict() for e in recomputed.evaluations]) == canonical_json(
+            [e.as_dict() for e in fresh.evaluations]
+        )
+        # The recomputed entry was stored again and serves the next run.
+        warm = SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
+            small_frame, region="region-0", week=3
+        )
+        assert warm.cache_events == {"features": "hit", "model": "hit"}
+        assert warm.predictability == fresh.predictability
+
     def test_corrupt_cache_entry_recomputes_without_crash(self, small_frame, tmp_path):
         from repro.storage.artifacts import ArtifactStore
 
@@ -283,7 +328,7 @@ class TestArtifactCachedPipeline:
         )
         # Corrupt every cached entry in place.
         entries = list(tmp_path.glob("*/*.json"))
-        assert len(entries) == 3
+        assert len(entries) == 2
         for entry in entries:
             entry.write_text('{"garbage": true}')
         result = SeagullPipeline(PipelineConfig(), artifact_cache=cache).run(
@@ -292,10 +337,9 @@ class TestArtifactCachedPipeline:
         assert result.succeeded
         assert result.cache_events == {
             "features": "miss",
-            "train_infer": "miss",
-            "evaluation": "miss",
+            "model": "miss",
         }
-        assert cache.stats.corrupt_entries == 3
+        assert cache.stats.corrupt_entries == 2
 
 
 class TestEndToEndFromLake:

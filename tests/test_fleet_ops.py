@@ -221,7 +221,7 @@ class TestOrchestratorCaching:
             cold = orchestrator.run()
             warm = orchestrator.run()
         assert cold.cache_summary()["unit_hits"] == 0
-        assert cold.cache_summary()["stage_misses"] == 12  # 3 stages x 4 units
+        assert cold.cache_summary()["stage_misses"] == 8  # 2 stages x 4 units
         assert warm.cache_summary()["unit_hits"] == 4
         assert all(outcome.from_unit_cache for outcome in warm.outcomes)
 
@@ -269,7 +269,7 @@ class TestOrchestratorCaching:
         assert report.cache_summary()["unit_hits"] == 0
         for outcome in report.outcomes:
             assert outcome.cache_events["features"] == "hit"
-            assert outcome.cache_events["train_infer"] == "miss"
+            assert outcome.cache_events["model"] == "miss"
 
     def test_corrupt_unit_cache_file_recovers(self, disk_lake, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -470,8 +470,7 @@ class TestColumnarFleetRuns:
         assert report.cache_summary()["unit_hits"] == 0
         for outcome in report.outcomes:
             assert outcome.cache_events["features"] == "hit"
-            assert outcome.cache_events["train_infer"] == "hit"
-            assert outcome.cache_events["evaluation"] == "hit"
+            assert outcome.cache_events["model"] == "hit"
 
 
 class TestConvertCli:

@@ -125,8 +125,8 @@ class TestAccuracyEvaluationModule:
         days = [6, 13, 20]
         predictions = perfect_predictions(frame, days)
         module = AccuracyEvaluationModule()
-        verdicts = module.predictability(
-            frame, predictions, {sid: days for sid in frame.server_ids()}
-        )
+        evaluations = module.evaluate(frame, predictions, {sid: days for sid in frame.server_ids()})
+        verdicts = module.predictability(evaluations)
         assert len(verdicts) == 2
         assert all(v.predictable for v in verdicts.values())
+        assert all(v.evaluated_days == tuple(days) for v in verdicts.values())
