@@ -5,7 +5,7 @@ This example exercises the complete path the paper describes:
 1. raw telemetry lands in the (simulated) raw store,
 2. the weekly load-extraction query writes per-region extracts to the data
    lake,
-3. the pipeline scheduler runs the AML pipeline once per region,
+3. the AML pipeline runs once per region on that region's extracts,
 4. the backup scheduler moves backups of predictable servers into their
    predicted lowest-load windows via the service-fabric property,
 5. the impact analysis reports the Figure 13(a) quantities.
@@ -27,7 +27,6 @@ from repro import (
     BackupImpactAnalyzer,
     BackupScheduler,
     DataLakeStore,
-    DocumentStore,
     ExtractKey,
     PipelineConfig,
     SeagullPipeline,
@@ -63,8 +62,7 @@ def walkthrough(lake_dir: str) -> None:
                   f"{report.servers} servers, {report.extracted_points:,} points")
 
     # ---- 3. Pipeline run per region ---------------------------------------
-    store = DocumentStore()
-    pipeline = SeagullPipeline(PipelineConfig(), data_lake=lake, document_store=store)
+    pipeline = SeagullPipeline(PipelineConfig())
     results = {}
     for region in regions:
         # Stitch the four weekly extracts into one 4-week frame, the input

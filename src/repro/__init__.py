@@ -5,14 +5,16 @@ The package mirrors the paper's architecture:
 
 * :mod:`repro.timeseries`, :mod:`repro.storage`, :mod:`repro.telemetry`,
   :mod:`repro.parallel` -- substrates (time series containers, the data
-  lake / document store stand-ins, the synthetic telemetry generator and
-  the Dask-substitute executor).
+  lake and artifact cache, the synthetic telemetry generator and the
+  Dask-substitute executor).
 * :mod:`repro.validation`, :mod:`repro.features`, :mod:`repro.models`,
   :mod:`repro.metrics` -- pipeline modules (data validation, feature
   extraction / server classification, forecasting models, use-case-specific
   accuracy metrics).
 * :mod:`repro.core` -- the use-case-agnostic pipeline, model registry,
-  scoring endpoints, scheduler, incidents and dashboard.
+  scoring endpoints, incidents and dashboard.
+* :mod:`repro.fleet_ops` -- the fleet orchestrator that runs the pipeline
+  once per region per week.
 * :mod:`repro.serving` -- the unified prediction-serving API: typed
   requests/responses, version routing with fallback, batching and an LRU
   prediction cache.  Every prediction consumer goes through it.
@@ -38,7 +40,6 @@ True
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import PipelineRunResult, SeagullPipeline
 from repro.core.registry import ModelRegistry
-from repro.core.scheduler import PipelineScheduler
 from repro.features.classification import ServerClassLabel, classify_frame, classify_server
 from repro.fleet_ops import FleetOrchestrator, FleetReport, populate_lake
 from repro.metrics.bucket_ratio import ErrorBound, bucket_ratio, is_accurate_prediction
@@ -55,7 +56,6 @@ from repro.serving import (
 )
 from repro.storage.artifacts import ArtifactStore
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.documentdb import DocumentStore
 from repro.telemetry.fleet import FleetSpec, RegionSpec, default_fleet_spec, sql_database_fleet_spec
 from repro.telemetry.generator import WorkloadGenerator
 from repro.timeseries.frame import LoadFrame, ServerMetadata
@@ -75,7 +75,6 @@ __all__ = [
     "WorkloadGenerator",
     "DataLakeStore",
     "ExtractKey",
-    "DocumentStore",
     "ErrorBound",
     "bucket_ratio",
     "is_accurate_prediction",
@@ -95,7 +94,6 @@ __all__ = [
     "PredictionRequest",
     "PredictionResponse",
     "BatchPredictionResponse",
-    "PipelineScheduler",
     "BackupScheduler",
     "BackupImpactAnalyzer",
     "ArtifactStore",

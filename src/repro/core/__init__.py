@@ -13,8 +13,6 @@ components:
 * :mod:`~repro.core.endpoints` -- the "REST endpoint" abstraction that
   serves predictions for a deployed model version (an internal transport
   of :mod:`repro.serving`; consumers address the serving API instead).
-* :mod:`~repro.core.scheduler` -- the recurring pipeline scheduler (one run
-  per region per week).
 * :mod:`~repro.core.incidents` -- incident management (alerts raised on
   validation failures, model regressions, run errors).
 * :mod:`~repro.core.dashboard` -- the Application-Insights-style dashboard
@@ -36,7 +34,6 @@ from repro.core.endpoints import BatchScoringResult, ScoringEndpoint
 from repro.core.incidents import Incident, IncidentManager, IncidentSeverity
 from repro.core.pipeline import PipelineRunResult, SeagullPipeline
 from repro.core.registry import ModelRecord, ModelRegistry, ModelStatus
-from repro.core.scheduler import PipelineScheduler, ScheduledRun
 
 __all__ = [
     "PipelineConfig",
@@ -47,8 +44,6 @@ __all__ = [
     "ModelStatus",
     "ScoringEndpoint",
     "BatchScoringResult",
-    "PipelineScheduler",
-    "ScheduledRun",
     "IncidentManager",
     "Incident",
     "IncidentSeverity",

@@ -9,7 +9,7 @@ constructing a different configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.metrics.bucket_ratio import (
     DEFAULT_ACCURACY_THRESHOLD,
@@ -27,8 +27,6 @@ class PipelineConfig:
 
     Attributes
     ----------
-    use_case:
-        Free-form scenario name ("backup_scheduling", "auto_scale", ...).
     model_name:
         Registry name of the forecaster to train and deploy.
     interval_minutes:
@@ -55,7 +53,6 @@ class PipelineConfig:
         known-good model version.
     """
 
-    use_case: str = "backup_scheduling"
     model_name: str = "persistent_previous_day"
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES
     training_days: int = 7
@@ -68,9 +65,6 @@ class PipelineConfig:
     n_workers: int | None = None
     fallback_on_regression: bool = True
     fallback_threshold_pct: float = 80.0
-    results_container: str = "seagull_results"
-    models_container: str = "seagull_models"
-    schedules_container: str = "seagull_schedules"
 
     def __post_init__(self) -> None:
         if self.training_days < 1:
@@ -84,21 +78,8 @@ class PipelineConfig:
         if self.min_history_days < 1:
             raise ValueError("min_history_days must be at least 1")
 
-    def with_model(self, model_name: str) -> "PipelineConfig":
-        """Return a copy configured for a different forecaster."""
-        return replace(self, model_name=model_name)
-
-    def with_executor(
-        self, backend: ExecutionBackend | str, n_workers: int | None = None
-    ) -> "PipelineConfig":
-        """Return a copy with a different parallel-execution backend."""
-        if isinstance(backend, str):
-            backend = ExecutionBackend(backend)
-        return replace(self, executor_backend=backend, n_workers=n_workers)
-
     def as_dict(self) -> dict[str, object]:
         return {
-            "use_case": self.use_case,
             "model_name": self.model_name,
             "interval_minutes": self.interval_minutes,
             "training_days": self.training_days,
@@ -114,11 +95,3 @@ class PipelineConfig:
             "fallback_threshold_pct": self.fallback_threshold_pct,
         }
 
-
-#: Configuration used for the Appendix A auto-scale scenario: coarser
-#: telemetry, a 24-hour horizon and standard error metrics downstream.
-AUTOSCALE_CONFIG = PipelineConfig(
-    use_case="auto_scale",
-    interval_minutes=15,
-    horizon_days=1,
-)

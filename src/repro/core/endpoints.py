@@ -88,9 +88,6 @@ class ScoringEndpoint:
         """Server ids this endpoint can score."""
         return sorted(self._forecasters)
 
-    def can_score(self, server_id: str) -> bool:
-        return server_id in self._forecasters
-
     # ------------------------------------------------------------------ #
 
     def predict(self, server_id: str, n_points: int) -> LoadSeries:

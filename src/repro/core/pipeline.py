@@ -2,7 +2,8 @@
 
 One run of the pipeline processes one weekly extract of one region:
 
-1. **Data ingestion** -- read the extract (from the data lake or a frame).
+1. **Data ingestion** -- take the extract as a frame (the fleet
+   orchestrator reads it from the data lake).
 2. **Data validation** -- schema/bound anomaly detection; invalid extracts
    raise a critical incident and abort the run.
 3. **Feature extraction** -- per-server features and classification.
@@ -60,9 +61,6 @@ from repro.parallel.executor import PartitionedExecutor
 from repro.serving.api import BatchPredictionResponse  # repro: allow[import-layering] the pipeline deploys into serving by design (PR 4); serving never imports pipeline
 from repro.serving.service import PredictionService  # repro: allow[import-layering] the pipeline deploys into serving by design (PR 4); serving never imports pipeline
 from repro.storage.artifacts import ArtifactStore, artifact_key
-from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.query import ExtractQuery
-from repro.storage.documentdb import DocumentStore
 from repro.timeseries.calendar import MINUTES_PER_DAY, day_index, points_per_day
 from repro.timeseries.frame import LoadFrame
 from repro.timeseries.series import LoadSeries
@@ -111,10 +109,6 @@ class PipelineRunResult:
     def timing(self, component: str) -> float:
         """Runtime of one component in seconds (0.0 if it did not run)."""
         return self.timings.get(component, 0.0)
-
-    def total_runtime(self) -> float:
-        """Total runtime across all timed components."""
-        return sum(self.timings.values())
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -165,8 +159,6 @@ class SeagullPipeline:
     def __init__(
         self,
         config: PipelineConfig | None = None,
-        data_lake: DataLakeStore | None = None,
-        document_store: DocumentStore | None = None,
         model_registry: ModelRegistry | None = None,
         incident_manager: IncidentManager | None = None,
         dashboard: Dashboard | None = None,
@@ -175,8 +167,6 @@ class SeagullPipeline:
         serving: PredictionService | None = None,
     ) -> None:
         self._config = config if config is not None else PipelineConfig()
-        self._lake = data_lake
-        self._store = document_store
         self._incidents = incident_manager if incident_manager is not None else IncidentManager()
         self._dashboard = dashboard if dashboard is not None else Dashboard()
         # The pipeline deploys fitted models *into* the serving layer and
@@ -188,22 +178,11 @@ class SeagullPipeline:
                 raise ValueError(
                     "serving and model_registry must share the same ModelRegistry"
                 )
-            if document_store is not None and serving.registry.store is None:
-                # Refuse loudly: silently adopting the service's in-memory
-                # registry would stop persisting model records to the
-                # document store this pipeline was explicitly given.
-                raise ValueError(
-                    "pipeline has a document store but the injected serving's "
-                    "registry does not persist records; construct the "
-                    "PredictionService with ModelRegistry(document_store, ...)"
-                )
             self._registry = serving.registry
             self._serving = serving
         else:
             self._registry = (
-                model_registry
-                if model_registry is not None
-                else ModelRegistry(document_store, self._config.models_container)
+                model_registry if model_registry is not None else ModelRegistry()
             )
             self._serving = PredictionService(
                 registry=self._registry, dashboard=self._dashboard
@@ -229,8 +208,6 @@ class SeagullPipeline:
             accuracy_threshold=self._config.accuracy_threshold,
             executor=executor,
         )
-        if self._store is not None:
-            self._store.create_container(self._config.results_container)
 
     # ------------------------------------------------------------------ #
     # Public accessors
@@ -279,41 +256,8 @@ class SeagullPipeline:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Entry points
+    # Entry point
     # ------------------------------------------------------------------ #
-
-    def run_from_lake(self, region: str, week: int) -> PipelineRunResult:
-        """Ingest the region/week extract from the data lake and run.
-
-        Ingestion goes through the lake's declarative query surface: one
-        :class:`~repro.storage.query.ExtractQuery` pinned to the
-        ``(region, week)`` partition.  A query matching no stored extract
-        (``stats.extracts_scanned == 0``) aborts the run with the
-        missing-input incident, exactly as the old keyed read did.
-        """
-        run_id = self._next_run_id(region, week)
-        result = PipelineRunResult(run_id=run_id, region=region, week=week, config=self._config)
-        if self._lake is None:
-            raise DeploymentError("pipeline was constructed without a data lake")
-        started = time.perf_counter()
-        query = ExtractQuery.for_key(
-            ExtractKey(region=region, week=week),
-            interval_minutes=self._config.interval_minutes,
-        )
-        answer = self._lake.query(query)
-        if answer.stats.extracts_scanned == 0:
-            self._incidents.raise_incident(
-                IncidentSeverity.CRITICAL,
-                source="data_ingestion",
-                message=f"missing input extract for {region} week {week}",
-                region=region,
-            )
-            result.abort_reason = "missing input data"
-            result.timings["data_ingestion"] = time.perf_counter() - started
-            self._emit_summary(result)
-            return result
-        result.timings["data_ingestion"] = time.perf_counter() - started
-        return self._run_internal(answer.frame, result)
 
     def run(self, frame: LoadFrame, region: str, week: int) -> PipelineRunResult:
         """Run the pipeline on an already-ingested frame."""
@@ -324,13 +268,6 @@ class SeagullPipeline:
         # mirrors the cheap manifest check production ingestion performs.
         _ = frame.total_points()
         result.timings["data_ingestion"] = time.perf_counter() - started
-        return self._run_internal(frame, result)
-
-    # ------------------------------------------------------------------ #
-    # Orchestration
-    # ------------------------------------------------------------------ #
-
-    def _run_internal(self, frame: LoadFrame, result: PipelineRunResult) -> PipelineRunResult:
         if not self._stage_validation(frame, result):
             self._emit_summary(result)
             return result
@@ -346,7 +283,6 @@ class SeagullPipeline:
         self._stage_track_accuracy(result)
 
         result.succeeded = True
-        self._persist(result)
         self._emit_summary(result)
         return result
 
@@ -632,11 +568,6 @@ class SeagullPipeline:
 
     def _next_run_id(self, region: str, week: int) -> str:
         return f"run-{next(self._run_counter):05d}-{region}-w{week}"
-
-    def _persist(self, result: PipelineRunResult) -> None:
-        if self._store is None:
-            return
-        self._store.upsert(self._config.results_container, result.run_id, result.as_dict())
 
     def _emit_summary(self, result: PipelineRunResult) -> None:
         for component, seconds in result.timings.items():

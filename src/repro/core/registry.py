@@ -5,14 +5,16 @@ all versions, knows which one is active, records the evaluated accuracy of
 each version and supports falling back to the previously known-good version
 when a new deployment regresses -- the behaviour summarised in the abstract
 as "fallback to previously known good models".
+
+Records live in memory for the life of the registry.  The paper keeps them
+in Cosmos DB; here nothing reads a record back after the run, and a rerun
+redeploys from the artifact cache's ``model`` entry instead.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-
-from repro.storage.documentdb import DocumentStore
+from dataclasses import dataclass, replace
 
 
 class ModelStatus(enum.Enum):
@@ -42,36 +44,12 @@ class ModelRecord:
     accuracy_pct: float = float("nan")
     notes: str = ""
 
-    @property
-    def key(self) -> str:
-        return f"{self.region}:v{self.version}"
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "region": self.region,
-            "version": self.version,
-            "model_name": self.model_name,
-            "trained_week": self.trained_week,
-            "status": self.status.value,
-            "accuracy_pct": self.accuracy_pct,
-            "notes": self.notes,
-        }
-
 
 class ModelRegistry:
     """Tracks deployed model versions per region."""
 
-    def __init__(self, store: DocumentStore | None = None, container: str = "seagull_models") -> None:
+    def __init__(self) -> None:
         self._records: dict[str, list[ModelRecord]] = {}
-        self._store = store
-        self._container = container
-        if self._store is not None:
-            self._store.create_container(container)
-
-    @property
-    def store(self) -> DocumentStore | None:
-        """The document store records are persisted to (``None`` = in-memory)."""
-        return self._store
 
     # ------------------------------------------------------------------ #
 
@@ -101,7 +79,6 @@ class ModelRegistry:
             notes=notes,
         )
         versions.append(record)
-        self._persist(record)
         return record
 
     def record_accuracy(self, region: str, version: int, accuracy_pct: float) -> ModelRecord:
@@ -111,18 +88,6 @@ class ModelRegistry:
             if record.version == version:
                 updated = replace(record, accuracy_pct=accuracy_pct)
                 versions[index] = updated
-                self._persist(updated)
-                return updated
-        raise DeploymentError(f"no version {version} deployed in region {region!r}")
-
-    def mark_failed(self, region: str, version: int, notes: str = "") -> ModelRecord:
-        """Mark a version as failed (e.g. deployment error or regression)."""
-        versions = self._records.get(region, [])
-        for index, record in enumerate(versions):
-            if record.version == version:
-                updated = replace(record, status=ModelStatus.FAILED, notes=notes or record.notes)
-                versions[index] = updated
-                self._persist(updated)
                 return updated
         raise DeploymentError(f"no version {version} deployed in region {region!r}")
 
@@ -149,11 +114,9 @@ class ModelRegistry:
             versions[active_index] = replace(
                 versions[active_index], status=ModelStatus.FAILED, notes="regression fallback"
             )
-            self._persist(versions[active_index])
         index, record = candidates[-1]
         restored = replace(record, status=ModelStatus.ACTIVE, notes="restored by fallback")
         versions[index] = restored
-        self._persist(restored)
         return restored
 
     # ------------------------------------------------------------------ #
@@ -172,10 +135,3 @@ class ModelRegistry:
     def regions(self) -> list[str]:
         """Regions with at least one deployment."""
         return sorted(self._records)
-
-    # ------------------------------------------------------------------ #
-
-    def _persist(self, record: ModelRecord) -> None:
-        if self._store is None:
-            return
-        self._store.upsert(self._container, record.key, record.as_dict())

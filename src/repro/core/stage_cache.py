@@ -70,30 +70,6 @@ def model_params(config: PipelineConfig) -> dict[str, Any]:
 
 
 # --------------------------------------------------------------------- #
-# Series round trip
-# --------------------------------------------------------------------- #
-
-
-def series_payload(series: LoadSeries) -> dict[str, Any]:
-    """JSON-serializable form of a series (explicit timestamps, so the round
-    trip reproduces the series exactly whatever grid it sits on)."""
-    return {
-        "timestamps": series.timestamps.tolist(),
-        "values": series.values.tolist(),
-        "interval": series.interval_minutes,
-    }
-
-
-def series_from_payload(payload: dict[str, Any]) -> LoadSeries:
-    return LoadSeries(
-        payload["timestamps"],
-        payload["values"],
-        int(payload["interval"]),
-        validate=False,
-    )
-
-
-# --------------------------------------------------------------------- #
 # Stage payload codecs
 # --------------------------------------------------------------------- #
 
@@ -113,9 +89,18 @@ def encode_model(
     predictions: dict[str, LoadSeries],
     evaluations: list[ServerDayEvaluation],
 ) -> dict[str, Any]:
+    # Explicit timestamps, so the round trip reproduces each series exactly
+    # whatever grid it sits on.
     return {
         "backup_days": dict(backup_days),
-        "predictions": {sid: series_payload(s) for sid, s in predictions.items()},
+        "predictions": {
+            sid: {
+                "timestamps": s.timestamps.tolist(),
+                "values": s.values.tolist(),
+                "interval": s.interval_minutes,
+            }
+            for sid, s in predictions.items()
+        },
         "evaluations": [evaluation.as_dict() for evaluation in evaluations],
     }
 
@@ -125,7 +110,8 @@ def decode_model(
 ) -> tuple[dict[str, int], dict[str, LoadSeries], list[ServerDayEvaluation]]:
     backup_days = {sid: int(day) for sid, day in payload["backup_days"].items()}
     predictions = {
-        sid: series_from_payload(body) for sid, body in payload["predictions"].items()
+        sid: LoadSeries(body["timestamps"], body["values"], int(body["interval"]), validate=False)
+        for sid, body in payload["predictions"].items()
     }
     evaluations = [ServerDayEvaluation.from_dict(body) for body in payload["evaluations"]]
     return backup_days, predictions, evaluations

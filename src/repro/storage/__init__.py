@@ -5,10 +5,6 @@
 * :class:`~repro.storage.datalake.DataLakeStore` -- a local, partitioned
   file store playing the role of Azure Data Lake Store (ADLS): extracts are
   keyed by ``(region, week)`` and stored as ``.sgx`` segments.
-* :class:`~repro.storage.documentdb.DocumentStore` -- a lightweight
-  in-process document store playing the role of Cosmos DB: pipeline
-  results, model records and scheduling decisions are kept as keyed
-  documents in named containers (nothing is written to disk).
 * :mod:`~repro.storage.columnar` -- the binary columnar ``.sgx`` extract
   format: dictionary-encoded metadata, per-server column chunks with
   zone maps and checksums; a column buffer becomes an array through
@@ -58,7 +54,6 @@ from repro.storage.columnar import (
 )
 from repro.storage.csv_io import write_frame_csv
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.documentdb import Document, DocumentStore
 from repro.storage.manifest import (
     GcReport,
     LakeManifest,
@@ -91,8 +86,6 @@ __all__ = [
     "QueryError",
     "QueryResult",
     "ScanStats",
-    "DocumentStore",
-    "Document",
     "ArtifactStore",
     "ArtifactCacheStats",
     "artifact_key",

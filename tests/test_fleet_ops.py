@@ -9,6 +9,7 @@ from repro.fleet_ops.cli import main as fleet_main
 from repro.fleet_ops.orchestrator import FleetOrchestrator
 from repro.fleet_ops.report import FleetReport, FleetUnitOutcome
 from repro.fleet_ops.synthesis import populate_lake
+from repro.parallel.executor import ExecutionBackend
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.telemetry.fleet import default_fleet_spec, extract_spec
 from repro.timeseries.calendar import MINUTES_PER_DAY
@@ -154,6 +155,10 @@ class TestOrchestratorRun:
         assert report.n_failed == 1
         failed = [o for o in report.outcomes if not o.succeeded][0]
         assert failed.region == "region-9"
+        assert failed.abort_reason == "missing input extract for region-9 week 7"
+        (incident,) = failed.incidents
+        assert incident["source"] == "data_ingestion"
+        assert incident["severity"] == "critical"
         assert report.incident_rollup()["by_severity"].get("critical") == 1
 
     def test_executor_shared_across_runs(self, fleet_lake):
@@ -316,7 +321,7 @@ class TestOrchestratorCaching:
         # computes: the cached outcome must still be served.
         with FleetOrchestrator(
             disk_lake,
-            PipelineConfig().with_executor("threads", 2),
+            PipelineConfig(executor_backend=ExecutionBackend.THREADS, n_workers=2),
             cache_dir=cache_dir,
         ) as orchestrator:
             warm = orchestrator.run(units)

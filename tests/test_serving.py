@@ -313,31 +313,6 @@ class TestHealthPublishing:
         assert len(events) == 1
         assert events[0].payload["active_version"] == 1
 
-    def test_pipeline_rejects_serving_that_cannot_persist_records(self):
-        """A pipeline given a document store must not silently adopt an
-        injected service whose registry skips persistence."""
-        from repro.core.registry import ModelRegistry
-        from repro.storage.documentdb import DocumentStore
-
-        store = DocumentStore()
-        with pytest.raises(ValueError):
-            SeagullPipeline(
-                PipelineConfig(), document_store=store, serving=PredictionService()
-            )
-        # A store-backed registry behind the service is accepted and used.
-        registry = ModelRegistry(store, container="models")
-        pipeline = SeagullPipeline(
-            PipelineConfig(),
-            document_store=store,
-            serving=PredictionService(registry=registry),
-        )
-        assert pipeline.registry is registry
-        spec = default_fleet_spec(servers_per_region=(6,), weeks=4, seed=3)
-        frame = WorkloadGenerator(spec).generate_region("region-0")
-        result = pipeline.run(frame, region="region-0", week=3)
-        assert result.succeeded
-        assert store.count("models") >= 1
-
     def test_pipeline_run_emits_serving_health(self):
         spec = default_fleet_spec(servers_per_region=(8,), weeks=4, seed=7)
         frame = WorkloadGenerator(spec).generate_region("region-0")
