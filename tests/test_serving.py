@@ -313,6 +313,21 @@ class TestHealthPublishing:
         assert len(events) == 1
         assert events[0].payload["active_version"] == 1
 
+    def test_pipeline_deploys_into_the_injected_services_registry(self):
+        from repro.core.registry import ModelRegistry
+
+        registry = ModelRegistry()
+        service = PredictionService(registry=registry)
+        with pytest.raises(ValueError):
+            SeagullPipeline(PipelineConfig(), model_registry=ModelRegistry(), serving=service)
+        pipeline = SeagullPipeline(PipelineConfig(), serving=service)
+        assert pipeline.registry is registry
+        spec = default_fleet_spec(servers_per_region=(6,), weeks=4, seed=3)
+        frame = WorkloadGenerator(spec).generate_region("region-0")
+        result = pipeline.run(frame, region="region-0", week=3)
+        assert result.succeeded
+        assert registry.active("region-0") == result.model_record
+
     def test_pipeline_run_emits_serving_health(self):
         spec = default_fleet_spec(servers_per_region=(8,), weeks=4, seed=7)
         frame = WorkloadGenerator(spec).generate_region("region-0")
