@@ -2,17 +2,32 @@
 and dashboard."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.core import stage_cache
 from repro.core.config import PipelineConfig
 from repro.core.dashboard import Dashboard
 from repro.core.endpoints import EndpointError, ScoringEndpoint
 from repro.core.incidents import IncidentManager, IncidentSeverity
 from repro.core.registry import DeploymentError, ModelRegistry, ModelStatus
+from repro.metrics.bucket_ratio import ErrorBound
+from repro.metrics.predictable import ServerDayEvaluation
 from repro.models.persistent import PreviousDayForecaster
+from repro.parallel.executor import ExecutionBackend
+from repro.storage.query import ExtractQuery
 
 from tests.helpers import diurnal_series
+
+#: A valid value other than the default for every PipelineConfig field.
+OTHER_VALUES = {
+    "model_name": "ssa", "interval_minutes": 15, "training_days": 14, "horizon_days": 2,
+    "history_weeks": 4, "error_bound": ErrorBound(over_tolerance=20.0),
+    "accuracy_threshold": 0.5, "min_history_days": 4, "n_workers": 2,
+    "executor_backend": ExecutionBackend.THREADS, "fallback_on_regression": False,
+    "fallback_threshold_pct": 50.0,
+}
 
 
 class TestPipelineConfig:
@@ -54,6 +69,30 @@ class TestPipelineConfig:
         }
         assert set(PipelineConfig().as_dict()) == expected
         assert set(_EXECUTION_ONLY_FIELDS) <= expected
+
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(PipelineConfig)])
+    def test_field_changes_unit_key_unless_execution_only(self, name):
+        from repro.fleet_ops.orchestrator import _EXECUTION_ONLY_FIELDS, _unit_cache_params
+        from repro.fleet_ops.orchestrator import _UnitTask
+
+        def unit_key(config):
+            return _unit_cache_params(_UnitTask("r0", 0, config, "", ExtractQuery(), 0))
+
+        base = PipelineConfig()
+        changed = dataclasses.replace(base, **{name: OTHER_VALUES[name]})
+        assert changed.as_dict() != base.as_dict()
+        assert (unit_key(changed) == unit_key(base)) == (name in _EXECUTION_ONLY_FIELDS)
+
+    @pytest.mark.parametrize(
+        "bad", [{"history_weeks": 0}, {"accuracy_threshold": 0.0}, {"training_days": -1}]
+    )
+    def test_rejects_value_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            PipelineConfig(**bad)
+
+    def test_accepts_range_bounds(self):
+        bounds = dict(training_days=1, horizon_days=1, history_weeks=1, min_history_days=1)
+        assert PipelineConfig(accuracy_threshold=1.0, **bounds).accuracy_threshold == 1.0
 
 
 class TestModelRegistry:
@@ -106,6 +145,79 @@ class TestModelRegistry:
         registry.deploy("a", "pf", 1)
         registry.deploy("b", "pf", 1)
         assert registry.regions() == ["a", "b"]
+
+    def test_active_in_unknown_region_is_none(self):
+        assert ModelRegistry().active("r0") is None
+        assert ModelRegistry().versions("r0") == []
+
+    def test_versions_returns_a_copy(self):
+        registry = ModelRegistry()
+        registry.deploy("r0", "pf", 1)
+        registry.versions("r0").clear()
+        assert len(registry.versions("r0")) == 1
+
+    def test_versions_are_numbered_per_region(self):
+        registry = ModelRegistry()
+        registry.deploy("a", "pf", 1)
+        registry.deploy("a", "pf", 2)
+        assert registry.deploy("b", "pf", 2).version == 1
+        assert registry.active("a").version == 2
+
+    def test_fallback_skips_failed_versions(self):
+        registry = ModelRegistry()
+        for week in (1, 2, 3):
+            registry.deploy("r0", "pf", week)
+        assert registry.fallback("r0").version == 2
+        assert registry.fallback("r0").version == 1
+        statuses = [record.status for record in registry.versions("r0")]
+        assert statuses == [ModelStatus.ACTIVE, ModelStatus.FAILED, ModelStatus.FAILED]
+
+    def test_deploy_after_fallback_retires_restored_version(self):
+        registry = ModelRegistry()
+        registry.deploy("r0", "pf", 1)
+        registry.deploy("r0", "ssa", 2)
+        registry.fallback("r0")
+        third = registry.deploy("r0", "ssa", 3)
+        assert third.version == 3
+        assert registry.versions("r0")[0].status is ModelStatus.RETIRED
+        # Version 2 failed once, so a second fallback goes back to version 1.
+        assert registry.fallback("r0").version == 1
+
+    def test_fallback_leaves_other_regions_alone(self):
+        registry = ModelRegistry()
+        for region in ("a", "b"):
+            registry.deploy(region, "pf", 1)
+            registry.deploy(region, "ssa", 2)
+        registry.fallback("a")
+        assert registry.active("b").version == 2
+        assert all(r.status is not ModelStatus.FAILED for r in registry.versions("b"))
+
+    def test_record_accuracy_keeps_status(self):
+        registry = ModelRegistry()
+        registry.deploy("r0", "pf", 1)
+        registry.deploy("r0", "ssa", 2)
+        updated = registry.record_accuracy("r0", 1, 88.0)
+        assert updated.status is ModelStatus.RETIRED
+        assert registry.versions("r0")[0] == updated
+
+    def test_record_accuracy_in_other_region_raises(self):
+        registry = ModelRegistry()
+        registry.deploy("a", "pf", 1)
+        with pytest.raises(DeploymentError, match="region 'b'"):
+            registry.record_accuracy("b", 1, 50.0)
+
+
+def test_model_stage_payload_round_trips_through_json():
+    # Off the day grid: the payload keeps explicit timestamps.
+    series = diurnal_series(2, interval=15).slice(35, 2000)
+    evaluation = ServerDayEvaluation("srv-0", 1, True, False, 0.9, 0.8, 120, 135, 40.5, 41.0)
+    encoded = stage_cache.encode_model({"srv-0": 1}, {"srv-0": series}, [evaluation])
+    payload = json.loads(json.dumps(encoded))
+    backup_days, predictions, evaluations = stage_cache.decode_model(payload)
+    assert backup_days == {"srv-0": 1}
+    assert predictions["srv-0"] == series
+    assert predictions["srv-0"].interval_minutes == 15
+    assert evaluations == [evaluation]
 
 
 class TestScoringEndpoint:
