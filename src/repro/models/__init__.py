@@ -6,7 +6,12 @@ next day of per-server load:
 * :mod:`~repro.models.persistent` -- the three persistent-forecast variants
   (previous day, previous equivalent day, previous-week average).
 * :mod:`~repro.models.ssa` -- a Singular Spectrum Analysis forecaster, the
-  stand-in for NimbusML's ``SsaForecaster``.
+  stand-in for NimbusML's ``SsaForecaster``.  It takes the leading subspace
+  from the top eigenvectors of the L x L lag-covariance X Xᵀ, which span the
+  same subspace as the trajectory matrix's leading left singular vectors,
+  so the recurrence is the SVD route's.  The forecast starts from the last
+  L - 1 reconstructed points, and only the last L - 1 columns of X reach
+  them, so only those columns are projected.
 * :mod:`~repro.models.feedforward` -- a numpy feed-forward network, the
   stand-in for GluonTS's simple feed-forward estimator.
 * :mod:`~repro.models.seasonal` -- an additive trend + seasonality model,

@@ -1,40 +1,30 @@
 """Singular Spectrum Analysis forecaster (the NimbusML stand-in).
 
 NimbusML's contribution to the paper's comparison is its
-``SsaForecaster`` transform.  SSA decomposes the trajectory (Hankel) matrix
-of the series with an SVD, keeps the leading components and forecasts with
-the linear recurrence implied by the retained subspace.  This file
-implements the classic "Basic SSA + recurrent forecasting" algorithm on
-numpy.
+``SsaForecaster`` transform.  SSA embeds the series in its L x K trajectory
+(Hankel) matrix X, keeps the leading r-dimensional left singular subspace
+and forecasts with the linear recurrence implied by that subspace ("Basic
+SSA + recurrent forecasting").
+
+The subspace comes from the L x L lag-covariance X Xᵀ = U S² Uᵀ: its top-r
+eigenvectors span the same subspace as the top-r left singular vectors, and
+the recurrence depends only on that subspace (through the projector
+U_r U_rᵀ), so it is the SVD route's recurrence without the L x K
+decomposition.  The forecast starts from the last L - 1 points of the
+diagonal-averaged rank-r reconstruction U_r U_rᵀ X; every anti-diagonal
+ending at one of those points lies in the last L - 1 columns of X, so only
+those columns are projected.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import linalg
 
 from repro.models.base import Forecaster, ForecastError
 from repro.timeseries.calendar import points_per_day
 from repro.timeseries.series import LoadSeries
-
-
-def _hankel(values: np.ndarray, window: int) -> np.ndarray:
-    """Trajectory matrix with ``window`` rows and ``N - window + 1`` columns."""
-    n = values.shape[0]
-    k = n - window + 1
-    indices = np.arange(window)[:, None] + np.arange(k)[None, :]
-    return values[indices]
-
-
-def _diagonal_average(matrix: np.ndarray) -> np.ndarray:
-    """Average the anti-diagonals of a trajectory matrix back into a series."""
-    window, k = matrix.shape
-    n = window + k - 1
-    reconstructed = np.zeros(n)
-    counts = np.zeros(n)
-    for row in range(window):
-        reconstructed[row : row + k] += matrix[row]
-        counts[row : row + k] += 1.0
-    return reconstructed / counts
 
 
 class SsaForecaster(Forecaster):
@@ -73,22 +63,27 @@ class SsaForecaster(Forecaster):
             )
         rank = int(min(self._rank, window - 1))
 
-        trajectory = _hankel(values, window)
-        u, s, vt = np.linalg.svd(trajectory, full_matrices=False)
-        u_r = u[:, :rank]
-        s_r = s[:rank]
-        vt_r = vt[:rank, :]
+        trajectory = np.ascontiguousarray(sliding_window_view(values, n - window + 1))
+        eigenvalues, u_r = linalg.eigh(
+            trajectory @ trajectory.T, subset_by_index=[window - rank, window - 1]
+        )
+        # Components below the eigensolver's resolution carry no signal and
+        # their eigenvectors are arbitrary; none of them joins the subspace.
+        u_r = u_r[:, eigenvalues > eigenvalues[-1] * window * np.finfo(np.float64).eps]
 
-        # Linear recurrence coefficients from the retained left singular vectors.
+        # Linear recurrence coefficients from the retained subspace.
         pi = u_r[-1, :]
         nu_sq = float(np.dot(pi, pi))
         if nu_sq >= 1.0 - 1e-10:
             raise ForecastError(f"{self.name}: series is not forecastable (verticality ~ 1)")
         self._recurrence = (u_r[:-1, :] @ pi) / (1.0 - nu_sq)
 
-        approx = (u_r * s_r) @ vt_r
-        reconstructed = _diagonal_average(approx)
-        self._reconstructed_tail = reconstructed[-(window - 1):].copy()
+        # Anti-diagonals window-1 .. 2*window-3 of the last window-1 columns'
+        # reconstruction are the last window-1 points of the series.
+        approx = u_r @ (u_r.T @ trajectory[:, -(window - 1):])
+        diagonal = np.add.outer(np.arange(window), np.arange(window - 1)).ravel()
+        sums = np.bincount(diagonal, weights=approx.ravel())[window - 1:]
+        self._reconstructed_tail = sums / np.arange(window - 1, 0, -1)
 
     def _predict_values(self, n_points: int) -> np.ndarray:
         assert self._recurrence is not None and self._reconstructed_tail is not None

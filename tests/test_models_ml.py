@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.standard import mean_absolute_error
 from repro.models.arima import ArimaConfig, ArimaForecaster
@@ -9,6 +11,7 @@ from repro.models.base import ForecastError
 from repro.models.feedforward import FeedForwardConfig, FeedForwardForecaster
 from repro.models.seasonal import SeasonalAdditiveForecaster, SeasonalConfig
 from repro.models.ssa import SsaForecaster
+from repro.timeseries.calendar import points_per_day
 from repro.timeseries.series import LoadSeries
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series, make_series
@@ -47,6 +50,145 @@ class TestSsaForecaster:
     def test_custom_window(self, weekly_history):
         forecast = SsaForecaster(window_points=96, rank=4).fit(weekly_history).predict(48)
         assert len(forecast) == 48
+
+
+def reference_ssa_forecast(values, n_points, window, rank):
+    """Basic SSA + recurrent forecasting from a full SVD of the trajectory matrix."""
+    n = values.shape[0]
+    window = min(window, n // 2)
+    if window < 2:
+        raise ForecastError("history too short")
+    trajectory = np.array([values[i : i + n - window + 1] for i in range(window)])
+    u, s, vt = np.linalg.svd(trajectory, full_matrices=False)
+    r = min(rank, window - 1)
+    nu_sq = u[-1, :r] @ u[-1, :r]
+    if nu_sq >= 1.0 - 1e-10:
+        raise ForecastError("verticality ~ 1")
+    recurrence = u[:-1, :r] @ u[-1, :r] / (1.0 - nu_sq)
+    flipped = np.flipud((u[:, :r] * s[:r]) @ vt[:r])  # anti-diagonals become diagonals
+    series = [flipped.diagonal(t - window + 1).mean() for t in range(n)]
+    for _ in range(n_points):
+        series.append(recurrence @ series[-(window - 1) :])
+    return np.clip(series[n:], 0.0, 100.0)
+
+
+SSA_ORACLE = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+INTERVALS = st.sampled_from([5, 15, 30, 60])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_ssa_matches_reference(values, interval, window_points=None, rank=8):
+    """Both routes raise ``ForecastError`` on the same input; otherwise a
+    day of forecast agrees to 1e-8 of the series' scale."""
+    values = np.asarray(values, dtype=np.float64)
+    window = window_points if window_points is not None else points_per_day(interval)
+    n_points = points_per_day(interval)
+    try:
+        want = reference_ssa_forecast(values, n_points, window, rank)
+    except ForecastError:
+        with pytest.raises(ForecastError):
+            SsaForecaster(window_points, rank).fit(make_series(values, interval=interval))
+        return
+    got = SsaForecaster(window_points, rank).fit(make_series(values, interval=interval))
+    scale = float(np.abs(values).max())
+    np.testing.assert_allclose(got.predict(n_points).values, want, rtol=1e-8, atol=1e-8 * scale)
+
+
+def noisy_diurnal(days, interval, level, amplitude, noise, seed):
+    n = days * points_per_day(interval)
+    phase = 2 * np.pi * np.arange(n) / points_per_day(interval)
+    values = level + amplitude * np.sin(phase) + np.random.default_rng(seed).normal(0, noise, n)
+    return np.clip(values, 0.0, 100.0)
+
+
+class TestSsaMatchesSvdReference:
+    """The lag-covariance fit against a plain SVD SSA written above."""
+
+    @SSA_ORACLE
+    @given(
+        days=st.integers(2, 8),
+        interval=INTERVALS,
+        level=st.floats(0.0, 60.0),
+        amplitude=st.floats(0.0, 40.0),
+        noise=st.floats(0.1, 10.0),
+        seed=SEEDS,
+    )
+    def test_noisy_diurnal(self, days, interval, level, amplitude, noise, seed):
+        values = noisy_diurnal(days, interval, level, amplitude, noise, seed)
+        assert_ssa_matches_reference(values, interval)
+
+    @SSA_ORACLE
+    @given(
+        days=st.integers(2, 8),
+        interval=INTERVALS,
+        level=st.floats(1.0, 100.0),
+        log_noise=st.floats(-5.0, -1.0),
+        seed=SEEDS,
+    )
+    @example(days=7, interval=5, level=42.0, log_noise=-np.inf, seed=0)
+    @example(days=7, interval=5, level=0.0, log_noise=-np.inf, seed=0)
+    def test_near_constant(self, days, interval, level, log_noise, seed):
+        """Noise from 1e-5 to 1e-1 of the level, and exactly constant
+        (including all zero), where every component past the first is
+        arbitrary in both routes."""
+        n = days * points_per_day(interval)
+        noise = np.random.default_rng(seed).normal(0.0, level * 10.0**log_noise, n)
+        assert_ssa_matches_reference(level + noise, interval)
+
+    @SSA_ORACLE
+    @given(
+        days=st.integers(2, 8),
+        interval=INTERVALS,
+        level=st.floats(20.0, 60.0),
+        amplitude=st.floats(1.0, 20.0),
+        periods_per_day=st.integers(1, 4),
+    )
+    def test_exactly_low_rank_sine(self, days, interval, level, amplitude, periods_per_day):
+        """Rank 3 against eight kept components: the trailing eigenvectors
+        are arbitrary in both routes, the forecast is not."""
+        n = days * points_per_day(interval)
+        phase = 2 * np.pi * periods_per_day * np.arange(n) / points_per_day(interval)
+        assert_ssa_matches_reference(level + amplitude * np.sin(phase), interval)
+
+    @SSA_ORACLE
+    @given(values=st.lists(st.integers(0, 100), min_size=1, max_size=5), interval=INTERVALS)
+    @example(values=[0, 0, 0, 5], interval=5)
+    def test_shortest_windows(self, values, interval):
+        """Up to three points is too short; four or five give ``n // 2 == 2``,
+        and a lone spike at the end is vertical."""
+        assert_ssa_matches_reference(values, interval)
+
+    @SSA_ORACLE
+    @given(
+        days=st.integers(2, 8),
+        interval=INTERVALS,
+        window_points=st.integers(2, 120),
+        rank=st.integers(1, 12),
+        seed=SEEDS,
+    )
+    def test_custom_window_and_rank(self, days, interval, window_points, rank, seed):
+        values = noisy_diurnal(days, interval, 30.0, 25.0, 3.0, seed)
+        assert_ssa_matches_reference(values, interval, window_points, rank)
+
+    def test_vertical_spike_raises(self):
+        values = np.r_[np.zeros(7 * POINTS_PER_DAY - 1), 50.0]
+        with pytest.raises(ForecastError):
+            reference_ssa_forecast(values, POINTS_PER_DAY, POINTS_PER_DAY, 8)
+        assert_ssa_matches_reference(values, 5)
+
+    @pytest.mark.parametrize("relative_noise", [1e-6, 1e-8, 1e-10])
+    def test_noise_below_eigensolver_resolution_moves_forecast_less_than_itself(
+        self, relative_noise
+    ):
+        """X Xᵀ squares the condition number: a component whose energy is
+        under ``window * eps`` of the leading one is not kept, where the SVD
+        route keeps it.  The forecasts then differ by less than the noise."""
+        level = 42.0
+        noise = np.random.default_rng(1).normal(0.0, level * relative_noise, 7 * POINTS_PER_DAY)
+        values = level + noise
+        got = SsaForecaster().fit(make_series(values)).predict(POINTS_PER_DAY).values
+        want = reference_ssa_forecast(values, POINTS_PER_DAY, POINTS_PER_DAY, 8)
+        assert np.abs(got - want).max() < np.abs(noise).max()
 
 
 class TestFeedForwardForecaster:
