@@ -34,11 +34,6 @@ class BatchScoringResult:
     skipped: tuple[str, ...] = ()
     failed: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def complete(self) -> bool:
-        """Whether every requested server was actually scored."""
-        return not self.skipped and not self.failed
-
 
 class ScoringEndpoint:
     """Serves predictions from the fitted forecasters of one model version."""

@@ -46,7 +46,7 @@ from repro.core.config import PipelineConfig
 from repro.core.dashboard import Dashboard
 from repro.core.incidents import IncidentManager, IncidentSeverity
 from repro.core.registry import DeploymentError, ModelRecord, ModelRegistry
-from repro.features.classification import ClassificationResult, ServerClassLabel, classify_frame
+from repro.features.classification import ClassificationResult, ServerClassLabel
 from repro.features.extractor import FeatureExtractionModule, ServerFeatures
 from repro.metrics.evaluation import (
     AccuracyEvaluationModule,

@@ -245,7 +245,6 @@ class TestScoringEndpoint:
         assert list(result.predictions) == ["srv-0"]
         assert result.skipped == ("ghost",)
         assert result.failed == {}
-        assert not result.complete
         # Skipped servers were never scorable: no request/failure counted.
         assert endpoint.request_count == 1
         assert endpoint.failure_count == 0
@@ -268,7 +267,7 @@ class TestScoringEndpoint:
         endpoint = self.build_endpoint()
         result = endpoint.predict_many(iter(["srv-0"]), 6)
         assert list(result.predictions) == ["srv-0"]
-        assert result.complete
+        assert result.skipped == () and result.failed == {}
 
     def test_health_summary(self):
         endpoint = self.build_endpoint()
