@@ -39,8 +39,9 @@ test:
 ## Every script under examples/ runs to completion, and the fleet CLI's
 ## warm re-run over a fresh --cache-dir exits 0 with every unit served
 ## from the unit cache; a second model over the same --cache-dir then
-## reuses every unit's features and misses one model stage per unit
-## (also part of `ci`; the CI test job runs this target).
+## reuses every unit's features and misses one model stage per unit, and
+## an SSA fleet run fits every unit without a failure (also part of `ci`;
+## the CI test job runs this target).
 examples-smoke:
 	@for f in examples/*.py; do python "$$f" >/dev/null || exit 1; echo "ok $$f"; done
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -51,7 +52,10 @@ examples-smoke:
 	&& PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 \
 		--cache-dir "$$tmp/cache" --model persistent_previous_week_average --json > "$$tmp/model.json" \
 	&& python -c 'import json, sys; run = json.load(open(sys.argv[1]))["run"]; n = run["n_units"]; sys.exit((run["cache"]["stage_hits"], run["cache"]["stage_misses"]) != (n, n))' "$$tmp/model.json" \
-	&& echo "ok python -m repro.fleet_ops --cache-dir --model (features reused, one model stage per unit)"
+	&& echo "ok python -m repro.fleet_ops --cache-dir --model (features reused, one model stage per unit)" \
+	&& PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 --model ssa --json > "$$tmp/ssa.json" \
+	&& python -c 'import json, sys; run = json.load(open(sys.argv[1]))["run"]; sys.exit(run["n_failed"] != 0)' "$$tmp/ssa.json" \
+	&& echo "ok python -m repro.fleet_ops --model ssa (no failed unit)"
 
 ## Quick benchmark smoke: the jobs CI runs on every PR.
 bench-smoke:
