@@ -39,9 +39,10 @@ test:
 ## Every script under examples/ runs to completion, and the fleet CLI's
 ## warm re-run over a fresh --cache-dir exits 0 with every unit served
 ## from the unit cache; a second model over the same --cache-dir then
-## reuses every unit's features and misses one model stage per unit, and
-## an SSA fleet run fits every unit without a failure (also part of `ci`;
-## the CI test job runs this target).
+## reuses every unit's features and misses one model stage per unit, an
+## SSA fleet run fits every unit without a failure, and `convert` adopts a
+## legacy directory (one .csv, one .sgx) at generation 1 with .sgx entries
+## only (also part of `ci`; the CI test job runs this target).
 examples-smoke:
 	@for f in examples/*.py; do python "$$f" >/dev/null || exit 1; echo "ok $$f"; done
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -55,7 +56,12 @@ examples-smoke:
 	&& echo "ok python -m repro.fleet_ops --cache-dir --model (features reused, one model stage per unit)" \
 	&& PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 --model ssa --json > "$$tmp/ssa.json" \
 	&& python -c 'import json, sys; run = json.load(open(sys.argv[1]))["run"]; sys.exit(run["n_failed"] != 0)' "$$tmp/ssa.json" \
-	&& echo "ok python -m repro.fleet_ops --model ssa (no failed unit)"
+	&& echo "ok python -m repro.fleet_ops --model ssa (no failed unit)" \
+	&& PYTHONPATH=src python -c 'import sys; from pathlib import Path; from repro.storage import columnar, csv_io; from repro.timeseries.frame import LoadFrame, ServerMetadata; from repro.timeseries.series import LoadSeries; f = LoadFrame(5); f.add_server(ServerMetadata("s0", "r0"), LoadSeries.from_values([1.0, 2.0, 3.0])); d = Path(sys.argv[1]) / "r0"; csv_io.write_frame_csv(f, d / "extract_r0_week0000.csv"); (d / "extract_r0_week0001.sgx").write_bytes(columnar.frame_to_sgx_bytes(f))' "$$tmp/legacy" \
+	&& PYTHONPATH=src python -m repro.fleet_ops convert --lake-dir "$$tmp/legacy" > /dev/null \
+	&& PYTHONPATH=src python -m repro.fleet_ops manifest --lake-dir "$$tmp/legacy" --json > "$$tmp/manifest.json" \
+	&& python -c 'import json, sys; snap = json.load(open(sys.argv[1]))["snapshot"]; paths = [s["relpath"] for s in snap["segments"]]; sys.exit(snap["generation"] != 1 or len(paths) != 2 or not all(p.endswith(".sgx") for p in paths))' "$$tmp/manifest.json" \
+	&& echo "ok python -m repro.fleet_ops convert (a legacy .csv and .sgx adopted at generation 1, .sgx entries only)"
 
 ## Quick benchmark smoke: the jobs CI runs on every PR.
 bench-smoke:

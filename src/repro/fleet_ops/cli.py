@@ -8,11 +8,12 @@ Five commands:
   ``--rerun`` runs the fleet twice to show the artifact cache at work
   (the second pass serves unchanged extracts from the unit-outcome
   cache);
-* ``python -m repro.fleet_ops convert`` adopts the extract files of a
-  directory that predates the manifest, imports a lake's CSV entries as
-  verified ``.sgx`` segments, re-chunks segments under
-  ``--chunk-minutes``, and prints a rollup of extracts, rows and bytes
-  converted;
+* ``python -m repro.fleet_ops convert`` adopts what an older store left
+  (the extract files of a directory that predates the manifest, CSV
+  entries of a committed generation, seal watermarks kept only in the
+  log) in one transaction that turns CSV into verified ``.sgx``
+  segments, re-chunks segments under ``--chunk-minutes``, and prints a
+  rollup of extracts, rows and bytes converted;
 * ``python -m repro.fleet_ops manifest`` inspects a lake's transactional
   manifest: committed generation, segment files, log records, and any
   crash leftovers recovery would clean up;
@@ -42,7 +43,6 @@ from repro.storage.migrate import (
     ConversionVerificationError,
     adopt_legacy_files,
     convert_lake,
-    fold_seal_watermarks,
 )
 from repro.telemetry.fleet import default_fleet_spec
 
@@ -106,12 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
 def build_convert_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet_ops convert",
-        description="Adopt the extract files of a directory that predates the lake "
-        "manifest, import a lake's CSV entries as verified columnar .sgx segments "
-        "(one transaction per extract) and health-check the segments already there.",
+        description="Adopt what an older store left (extract files that predate the "
+        "lake manifest, CSV entries, seal watermarks kept in the log) in one transaction, "
+        "CSV as verified columnar .sgx segments, then health-check (and re-chunk) every "
+        "segment, one transaction per extract.",
     )
     parser.add_argument("--lake-dir", required=True, help="root directory of the lake")
-    parser.add_argument("--region", default=None, help="convert only this region")
+    parser.add_argument(
+        "--region",
+        default=None,
+        help="health-check (and re-chunk) only this region; adoption takes in the whole lake",
+    )
     parser.add_argument(
         "--chunk-minutes",
         type=int,
@@ -125,7 +130,7 @@ def build_convert_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the lossless round-trip verification of each converted extract",
+        help="skip the lossless round-trip verification of each re-chunked extract",
     )
     parser.add_argument("--json", action="store_true", help="emit the rollup as JSON")
     return parser
@@ -149,11 +154,8 @@ def convert_main(argv: list[str]) -> int:
         print("--chunk-minutes must be non-negative", file=sys.stderr)
         return 2
     try:
-        # Adoption and the watermark fold come first: until they have run,
-        # the store refuses to open.
-        manifest = LakeManifest(args.lake_dir)
-        adopted = adopt_legacy_files(manifest)
-        fold_seal_watermarks(manifest)
+        # Adoption comes first: until it has run, the store refuses to open.
+        adopted = adopt_legacy_files(LakeManifest(args.lake_dir))
         report = convert_lake(
             DataLakeStore(args.lake_dir),
             region=args.region,
@@ -213,7 +215,7 @@ def manifest_main(argv: list[str]) -> int:
     print(f"Segments: {len(snapshot.segments)} ({total} bytes)")
     for entry in snapshot.segments:
         print(
-            f"  {entry.region} week {entry.week}: .{entry.fmt} "
+            f"  {entry.region} week {entry.week}: "
             f"{entry.size} bytes [{entry.sha256[:12]}] {entry.relpath}"
         )
     suffix = (

@@ -49,12 +49,7 @@ from repro.parallel.executor import (
     recommended_fleet_workers,
 )
 from repro.storage.artifacts import ArtifactStore, artifact_key
-from repro.storage.datalake import (
-    DataLakeStore,
-    ExtractKey,
-    ExtractNotFoundError,
-    ExtractNotImportedError,
-)
+from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotFoundError
 from repro.storage.query import ExtractQuery
 
 
@@ -81,9 +76,9 @@ class _UnitTask:
     """Everything a (possibly out-of-process) worker needs for one unit.
 
     Deliberately tiny and payload-free (see the module docstring): the
-    worker reads its shard through its own :class:`DataLakeStore`, and an
-    extract that is damaged or not imported yet fails that unit with the
-    lake's message, never the run.
+    worker reads its shard through its own :class:`DataLakeStore`, and a
+    damaged extract fails that unit with the lake's message, never the
+    run.
     """
 
     region: str
@@ -140,8 +135,6 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     # stay valid.
     try:
         fingerprint = lake.extract_fingerprint(key)
-    except ExtractNotImportedError as exc:
-        return _failed_outcome(task, exc.args[0], time.perf_counter() - started)
     except ExtractNotFoundError:
         return _failed_outcome(
             task,
@@ -169,7 +162,7 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
     ingest_started = time.perf_counter()
     try:
         answer = lake.query(task.query)
-    except (ExtractNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         return _failed_outcome(task, f"unreadable extract for {key}: {exc}", time.perf_counter() - started)
     frame = answer.frame
     ingest_seconds = time.perf_counter() - ingest_started
@@ -184,7 +177,7 @@ def _execute_unit(task: _UnitTask) -> FleetUnitOutcome:
         agg = lake.query(
             replace(task.query, aggregates=("count", "mean", "max"), group_by=("day",))
         )
-    except (ExtractNotFoundError, ValueError):
+    except ValueError:
         pass
     else:
         groups = agg.aggregates or {}

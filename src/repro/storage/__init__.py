@@ -21,10 +21,11 @@
   answer (pairwise Welford merge for mean/variance), which is what lets
   ``aggregates=(...)`` queries skip decoding value buffers entirely for
   fully covered chunks.
-* :mod:`~repro.storage.migrate` -- the ``convert`` CLI's engine: adopts
-  pre-manifest extract files, folds an old lake's seal watermarks into a
-  generation, imports CSV manifest entries as verified ``.sgx`` segments
-  and re-chunks segments in place.
+* :mod:`~repro.storage.migrate` -- the ``convert`` CLI's engine: one
+  adopt transaction takes in pre-manifest extract files and an older
+  lake's CSV entries (CSV as verified ``.sgx`` segments) and folds its
+  seal watermarks into a generation; then segments are re-chunked in
+  place.
 * :mod:`~repro.storage.manifest` -- the transactional lake manifest:
   generation-numbered, atomically published snapshots over immutable
   content-addressed segment files, a log of the one transaction in

@@ -11,12 +11,10 @@ A lake stores, queries and writes one format: the binary columnar
 ``.sgx`` of :mod:`repro.storage.columnar` (column buffers become arrays
 without a copy or a parse; zone maps, server filters and chunk statistics
 decide which of them are read from disk at all).  The paper's CSV schema
-(Section 5.3.1) lives at two edges: ``convert``
-(:mod:`repro.storage.migrate`) *imports* a CSV manifest entry and
-:meth:`DataLakeStore.read_extract_text` *exports* a segment as text.
-Until imported, a CSV entry is listed and deletable, and every read of
-its key raises :class:`ExtractNotImportedError` naming that command.
-Nothing answers for a damaged segment either: the read raises
+(Section 5.3.1) lives at two edges: ``convert``'s adoption
+(:mod:`repro.storage.migrate`) turns CSV into segments as a lake is
+adopted, and :meth:`DataLakeStore.read_extract_text` *exports* a segment
+as text.  Nothing answers for a damaged segment: the read raises
 :class:`~repro.storage.columnar.ColumnarFormatError` naming the extract,
 the segment file and the remedy.  Every accessor -- the metadata ones
 included -- enforces the principal allow-list.
@@ -47,7 +45,8 @@ reclaim is the explicit ``gc`` pass
 (:meth:`~repro.storage.manifest.LakeManifest.collect_garbage`).  Opening
 a store with ``pinned_generation=N`` yields a read-only view of exactly
 generation ``N`` (what out-of-process fleet workers do).  A directory
-holding extract files that predate the manifest does not open
+holding extract files that predate the manifest, or a generation holding
+an older store's CSV entries, pinned or not, does not open
 (:class:`~repro.storage.manifest.LakeNotAdoptedError`) until ``convert``
 has adopted them, nor does a lake whose generations predate seal
 watermarks (:class:`~repro.storage.manifest.LakeNotFoldedError`), unless
@@ -62,7 +61,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from repro.storage import columnar, csv_io
 from repro.storage.aggregate import AggregateAccumulator
@@ -97,7 +96,6 @@ __all__ = [
     "DataLakeStore",
     "ExtractKey",
     "ExtractNotFoundError",
-    "ExtractNotImportedError",
     "ExtractQuery",
     "LakeManifestError",
     "LakeNotAdoptedError",
@@ -109,11 +107,6 @@ __all__ = [
 
 class ExtractNotFoundError(KeyError):
     """Raised when an extract for a requested (region, week) does not exist."""
-
-
-class ExtractNotImportedError(ExtractNotFoundError):
-    """Raised on every read of a key whose only manifest entry is CSV:
-    ``python -m repro.fleet_ops convert`` has to import it first."""
 
 
 class AccessDeniedError(PermissionError):
@@ -254,8 +247,8 @@ class DataLakeStore:
         self._granted = set(granted_principals) if granted_principals is not None else None
         if write_format != "sgx":
             raise ValueError(
-                f"a lake stores .sgx only, not {write_format!r}: CSV entries are "
-                "imported by `python -m repro.fleet_ops convert` and CSV text is "
+                f"a lake stores .sgx only, not {write_format!r}: CSV files are "
+                "adopted by `python -m repro.fleet_ops convert` and CSV text is "
                 "exported by read_extract_text()"
             )
         if chunk_minutes is not None and chunk_minutes < 0:
@@ -263,20 +256,22 @@ class DataLakeStore:
         self._chunk_minutes = (
             chunk_minutes if chunk_minutes is not None else columnar.DEFAULT_CHUNK_MINUTES
         )
-        self._manifest = LakeManifest(self._root)
-        if not self._manifest.exists() and self._manifest.legacy_files():
-            raise LakeNotAdoptedError(
-                f"{self._root} holds extract files that predate the lake manifest; "
-                f"adopt them with `python -m repro.fleet_ops convert --lake-dir {self._root}`"
-            )
+        self._manifest = manifest = LakeManifest(self._root)
         self._live: LiveTailIndex | None = None
         self._structures = _StructureCache()
         self._pinned: ManifestSnapshot | None = None
+        # A pin is loaded eagerly: generation files are immutable, so it
+        # is one read here and zero manifest I/O per query after.
+        opened = manifest.head() if pinned_generation is None else manifest.snapshot_at(
+            pinned_generation
+        )
+        if not manifest.exists() and manifest.legacy_files():
+            self._refuse("holds extract files that predate the lake manifest")
+        if opened.unimported:
+            self._refuse(f"holds CSV entries in generation {opened.generation}")
         if pinned_generation is not None:
-            # Loaded eagerly: generation files are immutable, so the pin
-            # is one read here and zero manifest I/O per query after.
-            self._pinned = self._manifest.snapshot_at(pinned_generation)
-        elif self._manifest.unfolded() is not None:
+            self._pinned = opened
+        elif opened.unfolded:
             # Only an unpinned store reads the tail and writes, the two
             # things the seal watermarks are for.
             raise LakeNotFoldedError(
@@ -350,11 +345,21 @@ class DataLakeStore:
 
         Resolved once per public read operation and threaded through, so
         one ``query()``/``scan()`` never mixes two generations however
-        many extracts it touches.
+        many extracts it touches.  A generation an older store committed
+        with CSV entries is refused, as it is at open.
         """
         if self._pinned is not None:
             return self._pinned
-        return self._manifest.current()
+        snap = self._manifest.current()
+        if snap.unimported:
+            self._refuse(f"holds CSV entries in generation {snap.generation}")
+        return snap
+
+    def _refuse(self, why: str) -> NoReturn:
+        raise LakeNotAdoptedError(
+            f"{self._root} {why}, which a lake does not read; adopt them with "
+            f"`python -m repro.fleet_ops convert --lake-dir {self._root}`"
+        )
 
     def _tail_index(self) -> "LiveTailIndex | None":
         """The lake's live-tail view, or ``None`` when reads must not see
@@ -372,18 +377,11 @@ class DataLakeStore:
         return self._live
 
     def _entry(self, key: ExtractKey, snap: ManifestSnapshot) -> SegmentEntry:
-        """The ``.sgx`` entry every read of ``key`` answers from."""
-        entry = snap.entry(key.region, key.week, "sgx")
-        if entry is not None:
-            return entry
-        unimported = snap.entry(key.region, key.week, "csv")
-        if unimported is None:
+        """The segment entry every read of ``key`` answers from."""
+        entry = snap.entry(key.region, key.week)
+        if entry is None:
             raise ExtractNotFoundError(f"no extract for {key}")
-        raise ExtractNotImportedError(
-            f"extract for {key.region} week {key.week} is stored only as CSV "
-            f"({unimported.relpath}), which a lake does not read; import it with "
-            f"`python -m repro.fleet_ops convert --lake-dir {self._root}`"
-        )
+        return entry
 
     @contextmanager
     def _open_sgx(self, key: ExtractKey, snap: ManifestSnapshot) -> Iterator[columnar.SgxSegment]:
@@ -417,15 +415,10 @@ class DataLakeStore:
             self._structures.put(entry.sha256, signature, segment.structure)
             yield segment
         except ColumnarFormatError as exc:
-            remedy = "re-extract it or restore that file"
-            if snap.entry(key.region, key.week, "csv") is not None:
-                remedy = (
-                    f"`python -m repro.fleet_ops convert --lake-dir {self._root}` "
-                    "re-imports it from the CSV entry this generation still holds"
-                )
             raise ColumnarFormatError(
                 f"damaged extract for {key.region} week {key.week} (segment "
-                f"{entry.relpath}, sha256 {entry.sha256[:12]}; {remedy}): {exc}"
+                f"{entry.relpath}, sha256 {entry.sha256[:12]}; re-extract it or "
+                f"restore that file): {exc}"
             ) from exc
 
     # ------------------------------------------------------------------ #
@@ -472,13 +465,10 @@ class DataLakeStore:
         self._require_writable()
         # One manifest transaction: the new segment is staged under a
         # content-addressed name, fsync'd, and becomes visible in one
-        # atomic pointer swap together with the retirement of any
-        # un-imported CSV entry for the key -- a later ``convert`` must
-        # never import stale text over these rows.  A crash at any point
-        # leaves readers on the previous committed generation.
+        # atomic pointer swap.  A crash at any point leaves readers on the
+        # previous committed generation.
         with self._manifest.transaction(f"write {key.filename()}") as txn:
-            txn.stage(key.region, key.week, "sgx", payload)
-            txn.drop(key.region, key.week, "csv")
+            txn.stage(key.region, key.week, payload)
 
     # ------------------------------------------------------------------ #
     # The query surface (the one read path)
@@ -686,7 +676,7 @@ class DataLakeStore:
         assert q.aggregates is not None
         accumulator = AggregateAccumulator(q.aggregates, q.group_by)
         for key in self._query_keys(q, snap, tails):
-            if snap.formats(key.region, key.week):
+            if snap.entry(key.region, key.week) is not None:
                 self._aggregate_one(key, q, accumulator, stats, snap)
             if tails is not None:
                 self._aggregate_tail(key, q, accumulator, stats, snap, tails)
@@ -715,9 +705,8 @@ class DataLakeStore:
         query) -- keeping the metadata of the first key that carried it.
         ``q.limit`` caps the total rows materialised; once reached, the
         remaining extracts are not read at all.  A matched key that is
-        damaged (:class:`~repro.storage.columnar.ColumnarFormatError`) or
-        not imported yet (:class:`ExtractNotImportedError`) fails the
-        whole query.
+        damaged (:class:`~repro.storage.columnar.ColumnarFormatError`)
+        fails the whole query.
 
         Unless ``include_tail=False`` (or the store is pinned),
         partitions with live-tail rows answer from committed segments *plus* the tail: the unsealed
@@ -742,7 +731,7 @@ class DataLakeStore:
             if remaining is not None and remaining <= 0:
                 break
             frames: list[LoadFrame] = []
-            if snap.formats(key.region, key.week):
+            if snap.entry(key.region, key.week) is not None:
                 frames.append(self._read_one_for_query(key, q, stats, snap))
             if tails is not None:
                 tail_frame = self._tail_frame_for_query(key, q, stats, snap, tails)
@@ -823,7 +812,7 @@ class DataLakeStore:
     ) -> Iterator[tuple[ServerMetadata, LoadSeries]]:
         """One partition's scan stream: committed servers first (resampled
         onto ``q.interval_minutes``), then its live-tail servers."""
-        if snap.formats(key.region, key.week):
+        if snap.entry(key.region, key.week) is not None:
             rng = q.time_range() if q.is_ranged else None
             for metadata, series in self._scan_one(key, q, stats, snap):
                 series = resample_series(series, q.interval_minutes, rng)
@@ -944,16 +933,6 @@ class DataLakeStore:
         """
         return self.extract_path(key, principal).read_bytes()
 
-    def extract_formats(
-        self, key: ExtractKey, principal: str | None = None
-    ) -> tuple[str, ...]:
-        """Formats of ``key``'s manifest entries, ``.sgx`` first (may be
-        empty).  Anything but ``("sgx",)`` is work left for ``convert``:
-        a ``"csv"`` alone cannot be read until it is imported, one beside
-        an ``.sgx`` is an un-retired source the reads ignore."""
-        self._check_access(principal)
-        return self._snapshot().formats(key.region, key.week)
-
     def extract_fingerprint(self, key: ExtractKey, principal: str | None = None) -> str:
         """Hex sha256 digest of the stored segment's raw bytes.
 
@@ -970,19 +949,18 @@ class DataLakeStore:
         return self._entry(key, self._snapshot()).sha256
 
     def has_extract(self, key: ExtractKey, principal: str | None = None) -> bool:
-        """Return whether ``key`` has a manifest entry (imported or not)."""
-        return bool(self.extract_formats(key, principal))
+        """Return whether ``key`` has a committed segment."""
+        self._check_access(principal)
+        return self._snapshot().entry(key.region, key.week) is not None
 
     def list_extracts(
         self, region: str | None = None, principal: str | None = None
     ) -> list[ExtractKey]:
         """List available extract keys, optionally restricted to a region.
 
-        Every key with a manifest entry is listed once, un-imported CSV
-        entries included.  The listing is the committed manifest
-        generation's (pinned stores list their pinned generation), so
-        files staged by an in-flight or crashed transaction are never
-        visible here.
+        The listing is the committed manifest generation's (pinned stores
+        list their pinned generation), so files staged by an in-flight or
+        crashed transaction are never visible here.
         """
         self._check_access(principal)
         return self._list_keys(self._snapshot(), region)
@@ -999,10 +977,9 @@ class DataLakeStore:
     def delete_extract(self, key: ExtractKey, principal: str | None = None) -> None:
         """Remove the extract for ``key`` if present.
 
-        One manifest transaction publishing a generation without any of
-        the key's entries (an un-imported CSV entry goes too): readers
-        see the key or they do not, and a crash mid-delete rolls back
-        cleanly on the next open.  Deleting an absent extract drops
+        One manifest transaction publishing a generation without the
+        key's segment: readers see the key or they do not, and a crash
+        mid-delete rolls back cleanly on the next open.  Deleting an absent extract drops
         nothing and publishes no new generation.  The payload files
         themselves are retired logically -- still on disk (older pinned
         generations may reference them) until :meth:`collect_garbage`
@@ -1010,13 +987,10 @@ class DataLakeStore:
         """
         self._check_access(principal)
         self._require_writable()
-        # Presence is decided from txn.base *inside* the transaction lock:
-        # a pre-lock snapshot could race a concurrent writer committing
-        # between the check and the drop.  A transaction that drops
-        # nothing commits nothing.
+        # A transaction that drops nothing commits nothing: presence is
+        # decided at commit, inside the writer lock.
         with self._manifest.transaction(f"delete {key}") as txn:
-            for fmt in txn.base.formats(key.region, key.week):
-                txn.drop(key.region, key.week, fmt)
+            txn.drop(key.region, key.week)
 
     def collect_garbage(self, principal: str | None = None):
         """Physically reclaim segment files and generations no longer

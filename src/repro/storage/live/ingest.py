@@ -356,9 +356,8 @@ class LiveIngestor:
         manifest = self._store.manifest
         op = f"live-seal {key.region} week{key.week:04d} through {through}"
         with manifest.transaction(op) as txn:
-            txn.stage(key.region, key.week, "sgx", payload)
+            txn.stage(key.region, key.week, payload)
             txn.set_sealed_through(key.region, key.week, through)
-            txn.drop(key.region, key.week, "csv")
         generation = manifest.current().generation
 
         # -- committed.  The trim below is pure hygiene: if we crash here

@@ -9,10 +9,11 @@ A manifested lake keeps its truth in ``<root>/_manifest/``::
         txlog.jsonl        # the transaction in flight; empty at rest (txlog.py)
         LOCK               # advisory flock taken by writers
 
-Payload bytes live in immutable, content-addressed **segment files**
-(``<region>/extract_<region>_week<NNNN>-<sha12>.<fmt>``); a generation
-file is just the list of segments that make up the lake at that point in
-time.  Mutations never touch published files: a transaction stages new
+Payload bytes live in immutable, content-addressed ``.sgx`` **segment
+files** (``<region>/extract_<region>_week<NNNN>-<sha12>.sgx``); a
+generation file is just the list of segments that make up the lake at
+that point in time, one per ``(region, week)``.  Mutations never touch
+published files: a transaction stages new
 segments under temp names, fsyncs them into place, writes generation
 ``N+1``'s snapshot file, and finally publishes it by atomically swapping
 ``MANIFEST.json`` via ``os.replace`` -- the one instant the transaction
@@ -33,10 +34,14 @@ only code that unlinks published payload files.
 
 A directory without a committed pointer is generation 0, the empty
 lake.  Extract files that predate the manifest
-(``<region>/extract_<region>_week<NNNN>.<fmt>``) are not part of it:
+(``<region>/extract_<region>_week<NNNN>.<sgx|csv>``) are not part of it:
 :meth:`LakeManifest.legacy_files` finds them, ``DataLakeStore`` refuses
 to open such a directory (:class:`LakeNotAdoptedError`), and
 ``python -m repro.fleet_ops convert`` adopts them in one transaction.
+The same holds for a generation an older store committed with CSV
+entries (``-<sha12>.csv``): it loads, with those entries apart in
+:attr:`ManifestSnapshot.unimported`, but it opens nowhere and publishes
+no successor until that adoption has staged every key they name.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import hashlib
 import json
 import os
 import re
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType, TracebackType
@@ -79,11 +84,12 @@ LOCK_NAME = "LOCK"
 #: active tail WALs (``live/<region>/week<NNNN>.tail.wal``).  Those files
 #: hold *unsealed* ingested rows -- data that exists nowhere else -- so
 #: neither the orphan sweep nor :meth:`LakeManifest.collect_garbage` may
-#: ever reclaim anything under it.  Both walks below are structurally
-#: safe (non-recursive ``_manifest`` globs; region walks skip
-#: ``_manifest`` entirely) and additionally skip directories outright;
-#: live-tail hygiene (crashed rewrite temps, fully-sealed WALs) is the
-#: ingestor's job on open, never gc's.
+#: ever reclaim anything under it.  The one walk both run
+#: (``LakeManifest._reclaim``) is structurally safe (a non-recursive
+#: ``_manifest`` glob; region walks skip ``_manifest`` entirely) and
+#: additionally skips directories outright; live-tail hygiene (crashed
+#: rewrite temps, fully-sealed WALs) is the ingestor's job on open, never
+#: gc's.
 LIVE_DIR_NAME = "live"
 
 #: Every crash-injectable step of a transaction, in protocol order.  The
@@ -100,28 +106,18 @@ FAULT_POINTS: tuple[str, ...] = (
     "txlog.reset",
 )
 
-#: Format names a manifest entry may carry, ``.sgx`` first.  A lake reads
-#: and writes ``.sgx`` only; ``csv`` entries come from stores that predate
-#: that (or from adopted legacy files) and wait for ``convert`` to import
-#: them, so they must keep parsing, listing and garbage-collecting.
-ENTRY_FORMATS = ("sgx", "csv")
-
-_FMT_ALTERNATION = "|".join(re.escape(fmt) for fmt in ENTRY_FORMATS)
-
 #: Content-addressed segment file names: the legacy stem plus 12 hex
 #: digits of the payload's sha256.  The week digits being followed by
 #: ``-<hash>`` is what keeps these names apart from legacy ones (whose
-#: stem *ends* in digits).
+#: stem *ends* in digits).  ``.csv`` ones are an older store's entries,
+#: garbage once adoption has imported them.
 _SEGMENT_RE = re.compile(
-    r"extract_(?P<region>.+)_week(?P<week>\d{4,})-(?P<sha>[0-9a-f]{12})"
-    rf"\.(?P<fmt>{_FMT_ALTERNATION})$"
+    r"extract_(?P<region>.+)_week(?P<week>\d{4,})-(?P<sha>[0-9a-f]{12})\.(sgx|csv)$"
 )
 
 #: Legacy (pre-manifest) extract file names, exactly as
 #: ``ExtractKey.filename`` produces them.
-_LEGACY_RE = re.compile(
-    rf"extract_(?P<region>.+)_week(?P<week>\d{{4,}})\.(?P<fmt>{_FMT_ALTERNATION})$"
-)
+_LEGACY_RE = re.compile(r"extract_(?P<region>.+)_week(?P<week>\d{4,})\.(?P<fmt>sgx|csv)$")
 
 
 class LakeManifestError(RuntimeError):
@@ -131,7 +127,9 @@ class LakeManifestError(RuntimeError):
 
 class LakeNotAdoptedError(LakeManifestError):
     """Raised on opening a directory whose extract files predate the
-    manifest: ``python -m repro.fleet_ops convert`` has to adopt them."""
+    manifest, or a generation holding CSV entries, and on committing on
+    such a generation: ``python -m repro.fleet_ops convert`` has to adopt
+    them."""
 
 
 class LakeNotFoldedError(LakeManifestError):
@@ -166,7 +164,6 @@ class SegmentEntry:
 
     region: str
     week: int
-    fmt: str
     #: Path relative to the lake root (``<region>/<filename>``).
     relpath: str
     size: int
@@ -177,7 +174,6 @@ class SegmentEntry:
         return {
             "region": self.region,
             "week": self.week,
-            "fmt": self.fmt,
             "relpath": self.relpath,
             "size": self.size,
             "sha256": self.sha256,
@@ -192,7 +188,6 @@ class SegmentEntry:
             return SegmentEntry(
                 region=str(raw["region"]),
                 week=int(raw["week"]),  # type: ignore[arg-type]
-                fmt=str(raw["fmt"]),
                 relpath=str(raw["relpath"]),
                 size=int(raw["size"]),  # type: ignore[arg-type]
                 sha256=sha256,
@@ -216,33 +211,34 @@ class ManifestSnapshot:
     #: Seal watermark of every sealed ``(region, week)``: its rows strictly
     #: below the watermark are in the partition's committed segment.
     sealed_through: Mapping[tuple[str, int], int] = field(default_factory=dict)
-    _index: dict[tuple[str, int, str], SegmentEntry] = field(
+    #: CSV entries an older store committed (``-<sha12>.csv``): never
+    #: read, kept referenced until adoption imports them.
+    unimported: tuple[SegmentEntry, ...] = ()
+    #: The generation file has no ``sealed_through``: a store from before
+    #: watermarks in generations wrote it, and its log (read without
+    #: recovery: it is history) holds them until ``convert`` folds them in.
+    unfolded: bool = False
+    _index: dict[tuple[str, int], SegmentEntry] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        index = {(e.region, e.week, e.fmt): e for e in self.segments}
+        index = {(e.region, e.week): e for e in self.segments}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "sealed_through", MappingProxyType(dict(self.sealed_through)))
 
-    def entry(self, region: str, week: int, fmt: str) -> SegmentEntry | None:
-        return self._index.get((region, week, fmt))
-
-    def formats(self, region: str, week: int) -> tuple[str, ...]:
-        """Entry formats present for ``(region, week)``, ``.sgx`` first."""
-        return tuple(
-            fmt for fmt in ENTRY_FORMATS if (region, week, fmt) in self._index
-        )
+    def entry(self, region: str, week: int) -> SegmentEntry | None:
+        return self._index.get((region, week))
 
     def keys(self) -> list[tuple[str, int]]:
-        """Sorted distinct ``(region, week)`` pairs with at least one segment."""
-        return sorted({(e.region, e.week) for e in self.segments})
+        """Sorted ``(region, week)`` pairs with a segment."""
+        return sorted(self._index)
 
     def relpaths(self) -> frozenset[str]:
-        return frozenset(entry.relpath for entry in self.segments)
+        return frozenset(entry.relpath for entry in (*self.segments, *self.unimported))
 
     def as_dict(self) -> dict[str, object]:
-        ordered = sorted(self.segments, key=lambda e: (e.region, e.week, e.fmt))
+        ordered = sorted(self.segments, key=lambda e: (e.region, e.week))
         return {
             "generation": self.generation,
             "txid": self.txid,
@@ -313,8 +309,6 @@ class LakeManifest:
         self._dir = self._root / MANIFEST_DIR_NAME
         self._log = TransactionLog(self._dir / TXLOG_NAME)
         self._snapshots: dict[int, ManifestSnapshot] = {}
-        #: Loaded generations whose file has no ``sealed_through`` field.
-        self._unfolded: set[int] = set()
         self._recovered = False
         self._txn_counter = 0
 
@@ -373,17 +367,6 @@ class LakeManifest:
                     found.append((region_dir.name, week, fmt, path))
         return found
 
-    def unfolded(self) -> ManifestSnapshot | None:
-        """The committed snapshot, if a store from before generations
-        carried seal watermarks wrote it (``None``: nothing committed, or
-        a current generation).  Read without recovery: such a store's
-        log is history that only ``convert``'s fold reads."""
-        pointer = self._read_pointer()
-        if pointer is None:
-            return None
-        snapshot = self._load_generation(pointer[0])
-        return snapshot if snapshot.generation in self._unfolded else None
-
     def _region_dirs(self) -> list[Path]:
         dirs = self._root.iterdir()
         return sorted(path for path in dirs if path.is_dir() and path.name != MANIFEST_DIR_NAME)
@@ -395,9 +378,11 @@ class LakeManifest:
     def current(self) -> ManifestSnapshot:
         """The last *committed* generation (after crash recovery, if due)."""
         self.ensure_recovered()
-        return self._load_current()
+        return self.head()
 
-    def _load_current(self) -> ManifestSnapshot:
+    def head(self) -> ManifestSnapshot:
+        """The last committed generation, read without crash recovery
+        (which never moves the pointer)."""
         pointer = self._read_pointer()
         if pointer is None:
             return EMPTY_SNAPSHOT
@@ -430,14 +415,17 @@ class LakeManifest:
             # Absent from a store from before watermarks: empty, which is
             # all a reader pinned to such a generation (no tail) needs.
             marks = raw.get("sealed_through")
+            entries = [SegmentEntry.from_dict(entry) for entry in raw["segments"]]
             snapshot = ManifestSnapshot(
                 generation=int(raw["generation"]),
                 txid=raw.get("txid"),
-                segments=tuple(SegmentEntry.from_dict(entry) for entry in raw["segments"]),
+                segments=tuple(e for e in entries if not e.relpath.endswith(".csv")),
+                unimported=tuple(e for e in entries if e.relpath.endswith(".csv")),
                 sealed_through={
                     (str(mark["region"]), int(mark["week"])): int(mark["through"])
                     for mark in marks or ()
                 },
+                unfolded=marks is None,
             )
         except FileNotFoundError:
             raise LakeManifestError(
@@ -446,8 +434,6 @@ class LakeManifest:
             ) from None
         except (KeyError, TypeError, ValueError) as exc:
             raise LakeManifestError(f"corrupt manifest generation file {path}: {exc}") from exc
-        if marks is None:
-            self._unfolded.add(generation)
         self._snapshots[generation] = snapshot
         return snapshot
 
@@ -520,22 +506,31 @@ class LakeManifest:
                     referenced.add(str(entry["relpath"]))
             except (ValueError, KeyError, TypeError, AttributeError):
                 continue
-        for path in self._dir.glob("*.tmp-*"):
-            # Non-recursive on purpose: _manifest/live/ (active tail WALs
-            # and their rewrite temps) belongs to repro.storage.live.
-            if path.is_dir():
-                continue
-            path.unlink(missing_ok=True)
+        self._reclaim(referenced, GcReport())
+
+    def _reclaim(self, referenced: Collection[str], report: GcReport) -> None:
+        """Delete stray temp files and every content-addressed segment not
+        in ``referenced``, counting them into ``report``.  Legacy-named and
+        foreign files are never touched, nor is anything under
+        ``_manifest/live/``: the glob there is non-recursive on purpose
+        (see :data:`LIVE_DIR_NAME`)."""
+        temps = [path for path in self._dir.glob("*.tmp-*") if not path.is_dir()]
         for region_dir in self._region_dirs():
             for path in region_dir.iterdir():
-                if ".tmp-" in path.name:
-                    path.unlink(missing_ok=True)
-                    continue
                 match = _SEGMENT_RE.fullmatch(path.name)
-                if match is None or match.group("region") != region_dir.name:
-                    continue
-                if f"{region_dir.name}/{path.name}" not in referenced:
+                if ".tmp-" in path.name:
+                    temps.append(path)
+                elif (
+                    match is not None
+                    and match.group("region") == region_dir.name
+                    and f"{region_dir.name}/{path.name}" not in referenced
+                ):
+                    report.segments_removed += 1
+                    report.bytes_freed += path.stat().st_size
                     path.unlink(missing_ok=True)
+        for path in temps:
+            report.tmp_removed += 1
+            path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -573,7 +568,7 @@ class LakeManifest:
             # Resolve any dangling intent first (rolled-back segment files
             # then count as gc'd garbage below, not as live segments).
             self._recover_locked(sweep=False)
-            current = self._load_current()
+            current = self.head()
             # With nothing committed, every generation file is staging
             # garbage from a rolled-back first transaction.
             keep = _gen_filename(current.generation) if self.exists() else None
@@ -583,31 +578,7 @@ class LakeManifest:
                     report.bytes_freed += gen_path.stat().st_size
                     gen_path.unlink()
             self._snapshots = {current.generation: current}
-            for path in self._dir.glob("*.tmp-*"):
-                # Non-recursive on purpose: never descend into
-                # _manifest/live/ -- unsealed tail rows live there and
-                # exist nowhere else (see LIVE_DIR_NAME).
-                if path.is_dir():
-                    continue
-                report.tmp_removed += 1
-                path.unlink(missing_ok=True)
-            referenced = current.relpaths()
-            for region_dir in self._region_dirs():
-                for path in region_dir.iterdir():
-                    if ".tmp-" in path.name:
-                        report.tmp_removed += 1
-                        path.unlink(missing_ok=True)
-                        continue
-                    match = _SEGMENT_RE.fullmatch(path.name)
-                    if (
-                        match is None
-                        or match.group("region") != region_dir.name
-                        or f"{region_dir.name}/{path.name}" in referenced
-                    ):
-                        continue
-                    report.segments_removed += 1
-                    report.bytes_freed += path.stat().st_size
-                    path.unlink()
+            self._reclaim(current.relpaths(), report)
         finally:
             lock.release()
         return report
@@ -643,9 +614,9 @@ class ManifestTransaction:
         self._lock = _WriterLock(manifest.directory / LOCK_NAME)
         self._base: ManifestSnapshot | None = None
         self._txid = ""
-        self._staged: dict[tuple[str, int, str], SegmentEntry] = {}
+        self._staged: dict[tuple[str, int], SegmentEntry] = {}
         self._created: list[tuple[str, bool]] = []
-        self._dropped: set[tuple[str, int, str]] = set()
+        self._dropped: set[tuple[str, int]] = set()
         self._sealed: dict[tuple[str, int], int] = {}
         self._published = False
         self._done = False
@@ -666,7 +637,7 @@ class ManifestTransaction:
             sweep = not manifest._recovered  # this handle recovers right here
             manifest._recovered = True
             manifest._recover_locked(sweep=sweep)
-            self._base = manifest._load_current()
+            self._base = manifest.head()
             self._sealed = dict(self._base.sealed_through)
             self._txid = manifest._next_txid(self._base.generation + 1)
             manifest.log.append(
@@ -703,9 +674,9 @@ class ManifestTransaction:
 
     # -- staging ------------------------------------------------------- #
 
-    def stage(self, region: str, week: int, fmt: str, payload: bytes) -> SegmentEntry:
-        """Durably stage ``payload`` as the segment for ``(region, week,
-        fmt)`` in the generation being built.
+    def stage(self, region: str, week: int, payload: bytes) -> SegmentEntry:
+        """Durably stage ``.sgx`` ``payload`` as the segment for
+        ``(region, week)`` in the generation being built.
 
         The file lands under its final content-addressed name before the
         commit point, which is safe precisely because nothing references
@@ -717,7 +688,7 @@ class ManifestTransaction:
         """
         assert self._base is not None, "transaction not entered"
         sha = hashlib.sha256(payload).hexdigest()
-        filename = f"extract_{region}_week{week:04d}-{sha[:12]}.{fmt}"
+        filename = f"extract_{region}_week{week:04d}-{sha[:12]}.sgx"
         relpath = f"{region}/{filename}"
         final = self._manifest.root / relpath
         final.parent.mkdir(parents=True, exist_ok=True)
@@ -732,22 +703,20 @@ class ManifestTransaction:
             {"type": "staged", "txid": self._txid, "relpath": relpath, "reused": reused}
         )
         fault_point("txlog.staged")
-        entry = SegmentEntry(
-            region=region, week=week, fmt=fmt, relpath=relpath, size=len(payload), sha256=sha
-        )
-        key = (region, week, fmt)
+        entry = SegmentEntry(region, week, relpath, len(payload), sha)
+        key = (region, week)
         self._staged[key] = entry
         self._created.append((relpath, reused))
         self._dropped.discard(key)
         return entry
 
-    def drop(self, region: str, week: int, fmt: str) -> None:
-        """Drop ``(region, week, fmt)`` from the generation being built.
+    def drop(self, region: str, week: int) -> None:
+        """Drop ``(region, week)`` from the generation being built.
 
         Logical only: the retired file stays on disk for pinned readers
         until :meth:`LakeManifest.collect_garbage`.
         """
-        key = (region, week, fmt)
+        key = (region, week)
         self._dropped.add(key)
         self._staged.pop(key, None)
 
@@ -765,25 +734,39 @@ class ManifestTransaction:
         and moved no watermark is a no-op: it resets the log instead of
         publishing an identical generation -- unless its base predates
         watermarks in generations, which is what ``convert``'s fold
-        publishes a generation to change.
+        publishes a generation to change.  A base holding CSV entries
+        publishes a successor only once each of their keys is staged
+        anew, which is what adoption does: any other commit raises
+        :class:`LakeNotAdoptedError` rather than drop them.
         """
         assert self._base is not None, "transaction not entered"
         if self._done:
             raise LakeManifestError("transaction already committed or aborted")
-        self._done = True
         manifest = self._manifest
         if (
             not self._staged
             and self._sealed == self._base.sealed_through
             and not any(self._base.entry(*key) is not None for key in self._dropped)
-            and self._base.generation not in manifest._unfolded
+            and not self._base.unfolded
         ):
+            self._done = True
             manifest.log.reset()
             return self._base
+        unimported = [
+            e.relpath for e in self._base.unimported if (e.region, e.week) not in self._staged
+        ]
+        if unimported:
+            self._abort()
+            raise LakeNotAdoptedError(
+                f"generation {self._base.generation} of {manifest.root} holds CSV entries "
+                f"({', '.join(unimported)}); import them with "
+                f"`python -m repro.fleet_ops convert --lake-dir {manifest.root}`"
+            )
+        self._done = True
         entries = {
-            (e.region, e.week, e.fmt): e
+            (e.region, e.week): e
             for e in self._base.segments
-            if (e.region, e.week, e.fmt) not in self._dropped
+            if (e.region, e.week) not in self._dropped
         }
         entries.update(self._staged)
         generation = self._base.generation + 1

@@ -1,34 +1,34 @@
-"""The lake's adoption and CSV import edges, and in-place ``.sgx`` re-chunking.
+"""The lake's adoption edge, and in-place ``.sgx`` re-chunking.
 
 A lake stores ``.sgx`` segments only.  ``python -m repro.fleet_ops
-convert`` is how anything else gets in.  On a directory whose extract
-files predate the manifest it first adopts them
-(:func:`adopt_legacy_files`): one transaction stages each file's bytes as
-a content-addressed entry with its sha256.  On a lake whose generations
-predate seal watermarks it folds them in from the transaction log
-(:func:`fold_seal_watermarks`).  Then :func:`convert_lake`
-turns every CSV manifest entry into a verified segment -- this module is
-the only caller of :func:`repro.storage.csv_io.frame_from_csv_text` --
-and health-checks (and, on request, re-chunks) the segments already
-there.
+convert`` starts with one ``adopt`` transaction
+(:func:`adopt_legacy_files`), which takes in whatever an older store
+left:
 
-Every key is one transaction through the lake's write API
-(:mod:`repro.storage.manifest`): a crash mid-conversion leaves the key
-on its last committed entry -- CSV or ``.sgx``, never both by this
-module's doing, never neither.  Retired CSV bytes stay on disk, and
-readers pinned to an older generation keep working, until the explicit
-``gc`` pass (``python -m repro.fleet_ops gc``).
+* the extract files of a directory that predates the manifest;
+* the CSV entries of a committed generation, which no store opens;
+* the seal watermarks of a lake whose generations predate them, folded
+  in from its transaction log.
+
+That transaction is the lake's one CSV -> ``.sgx`` edge -- this module
+is the only caller of :func:`repro.storage.csv_io.frame_from_csv_text`.
+Then :func:`convert_lake` health-checks (and, on request, re-chunks)
+every segment, one transaction per key.  A crash anywhere leaves the
+lake on its last committed generation.  Files taken in stay on disk:
+legacy-named ones for good, retired entries until the explicit ``gc``
+pass (``python -m repro.fleet_ops gc``).
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro.storage import columnar, csv_io
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.manifest import LakeManifest, SegmentEntry, TransactionLog
+from repro.storage.manifest import LakeManifest, TransactionLog
 from repro.storage.manifest.manifest import _fsync_dir
 from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES
 from repro.timeseries.frame import LoadFrame
@@ -40,31 +40,18 @@ class ConversionVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConversionRecord:
-    """Outcome of converting one extract."""
+    """Outcome of health-checking (and maybe re-chunking) one segment."""
 
     key: ExtractKey
-    #: ``"csv"`` for an import; ``"sgx"`` for a re-chunk or a segment
-    #: that was already current (``skipped``).
-    source_format: str
     rows: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
+    #: The segment was already current: nothing was written.
     skipped: bool = False
-    #: Size of the CSV entry this conversion retired from the manifest
-    #: (``None``: the key had none); reclaimed by the next ``gc``.
-    csv_bytes_retired: int | None = None
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "region": self.key.region,
-            "week": self.key.week,
-            "source_format": self.source_format,
-            "rows": self.rows,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "skipped": self.skipped,
-            "csv_bytes_retired": self.csv_bytes_retired,
-        }
+        fields = asdict(self)
+        return {**fields.pop("key"), **fields}  # region, week, then the counts
 
 
 @dataclass
@@ -73,8 +60,8 @@ class LakeConversionReport:
 
     verified: bool
     records: list[ConversionRecord] = field(default_factory=list)
-    #: ``(relpath, bytes)`` of the pre-manifest files adopted first; they
-    #: stay on disk, untouched (see :func:`adopt_legacy_files`).
+    #: ``(relpath, bytes)`` of the files adopted first; they stay on disk,
+    #: untouched (see :func:`adopt_legacy_files`).
     adopted: tuple[tuple[str, int], ...] = ()
 
     @property
@@ -98,14 +85,6 @@ class LakeConversionReport:
         return sum(record.bytes_out for record in self.records if not record.skipped)
 
     @property
-    def n_csv_retired(self) -> int:
-        return sum(1 for record in self.records if record.csv_bytes_retired is not None)
-
-    @property
-    def csv_bytes_retired(self) -> int:
-        return sum(record.csv_bytes_retired or 0 for record in self.records)
-
-    @property
     def size_ratio(self) -> float:
         """Converted size relative to source size (< 1.0 means smaller)."""
         return self.bytes_out / self.bytes_in if self.bytes_in else 0.0
@@ -119,8 +98,6 @@ class LakeConversionReport:
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "size_ratio": self.size_ratio,
-            "n_csv_retired": self.n_csv_retired,
-            "csv_bytes_retired": self.csv_bytes_retired,
             "extracts": [record.as_dict() for record in self.records],
             "adopted": [{"relpath": relpath, "bytes": size} for relpath, size in self.adopted],
         }
@@ -132,21 +109,18 @@ class LakeConversionReport:
         ]
         if self.adopted:
             lines.append(
-                f"Adopted {len(self.adopted)} pre-manifest file(s) into the manifest "
+                f"Adopted {len(self.adopted)} file(s) an older store left into the manifest "
                 "(originals left in place):"
             )
             lines += [f"  {relpath} ({size} bytes)" for relpath, size in self.adopted]
         for record in self.records:
             where = f"  {record.key.region} week {record.key.week}: "
             if record.skipped:
-                note = ""
-                if record.csv_bytes_retired is not None:
-                    note = f"; retired its CSV entry ({record.csv_bytes_retired} bytes)"
-                lines.append(f"{where}already .sgx{note}")
+                lines.append(f"{where}already current")
             else:
                 lines.append(
                     f"{where}{record.rows} rows, {record.bytes_in} -> {record.bytes_out} "
-                    f"bytes (.{record.source_format} -> .sgx)"
+                    "bytes (re-chunked)"
                 )
         if self.n_converted:
             lines.append(
@@ -154,33 +128,86 @@ class LakeConversionReport:
                 f"({self.size_ratio:.2f}x size), "
                 f"verified={'yes' if self.verified else 'no'}"
             )
-        if self.n_csv_retired:
-            lines.append(
-                f"Retired {self.n_csv_retired} CSV entry(ies); "
-                f"gc reclaims their {self.csv_bytes_retired} bytes"
-            )
         return "\n".join(lines)
 
 
 def adopt_legacy_files(manifest: LakeManifest) -> tuple[tuple[str, int], ...]:
-    """Adopt the extract files of a directory that predates the manifest.
+    """Adopt what an older store left, in one ``adopt`` transaction.
 
-    Every legacy-named file (:meth:`LakeManifest.legacy_files`) is staged
-    byte for byte, under its content-addressed name and with its sha256,
-    in one ``adopt`` transaction; a crash in it rolls back like any other
-    and the next call adopts again.  The originals stay where they are,
-    untouched, and are returned as ``(relpath, bytes)``.  A lake that
-    already has a committed generation, or holds no legacy file, is left
-    exactly as it is.
+    * Legacy-named files (:meth:`LakeManifest.legacy_files`) of a
+      directory with no committed generation: an ``.sgx`` file is staged
+      byte for byte, a ``.csv`` one as its ``.sgx`` encoding.
+    * CSV entries of the committed generation: every key they name is
+      staged anew, so its successor holds none.
+    * Seal watermarks of a generation from before they were kept in
+      generations: folded in from the log (:func:`_folded_watermarks`).
+
+    A CSV source beside an ``.sgx`` one for the same key (two legacy
+    files, or a CSV entry beside a segment) follows three rules: a
+    readable segment holding the same frame, by content hash, is kept
+    and the CSV dropped; one holding another frame raises
+    :class:`ConversionVerificationError`; one the reader rejects is
+    replaced by the CSV's encoding.  Every encoding is decoded in memory
+    and compared by content hash before it is staged.  A failure or a
+    crash publishes nothing, and the next call adopts again.  The files
+    taken in stay where they are, untouched, and are returned as
+    ``(relpath, bytes)``.  A lake with nothing to adopt is left as it is.
     """
+    aside = manifest.log.path.with_name("txlog.unfolded.jsonl")
+    head = manifest.head()  # without recovery: an unfolded lake's log is history
+    if head.unfolded and not aside.exists() and manifest.log.path.exists():
+        # It moves aside, so the adoption starts on an empty log and reads
+        # the history there.
+        os.replace(manifest.log.path, aside)
+        _fsync_dir(aside.parent)
     legacy = [] if manifest.exists() else manifest.legacy_files()
-    if not legacy:
+    if not head.unfolded and not legacy and not head.unimported:
+        aside.unlink(missing_ok=True)  # an adoption that crashed after its commit
         return ()
     with manifest.transaction("adopt") as txn:
-        return tuple(
-            (f"{region}/{path.name}", txn.stage(region, week, fmt, path.read_bytes()).size)
-            for region, week, fmt, path in legacy
-        )
+        if head.unfolded:
+            for (region, week), through in _folded_watermarks(aside, head.txid).items():
+                txn.set_sealed_through(region, week, through)
+        base = txn.base
+        segments = {(r, w): path for r, w, fmt, path in legacy if fmt == "sgx"}
+        texts = {(r, w): path for r, w, fmt, path in legacy if fmt == "csv"}
+        for entry in base.unimported:
+            key = (entry.region, entry.week)
+            texts[key] = manifest.root / entry.relpath
+            sibling = base.entry(*key)
+            if sibling is not None:
+                segments[key] = manifest.root / sibling.relpath
+        # One key's bytes in memory at a time.
+        for key in sorted(segments.keys() - texts.keys()):
+            txn.stage(*key, segments[key].read_bytes())
+        for key in sorted(texts):
+            segment = segments[key].read_bytes() if key in segments else None
+            where = "{} week {}".format(*key)
+            txn.stage(*key, _adopted_csv(where, texts[key].read_bytes(), segment))
+    aside.unlink(missing_ok=True)
+    files = tuple((f"{region}/{path.name}", path.stat().st_size) for region, _, _, path in legacy)
+    return files + tuple((entry.relpath, entry.size) for entry in base.unimported)
+
+
+def _adopted_csv(where: str, text: bytes, segment: bytes | None) -> bytes:
+    """The segment a CSV source leaves its key with, under the rules of
+    :func:`adopt_legacy_files`.  The schema records no interval, so the
+    text is read on the canonical grid."""
+    frame = csv_io.frame_from_csv_text(text.decode("utf-8"), DEFAULT_INTERVAL_MINUTES)
+    if segment is not None:
+        try:
+            stored = columnar.frame_from_sgx_bytes(segment)
+        except ValueError:
+            pass  # the reader rejects the segment: the CSV's encoding replaces it
+        else:
+            if stored.content_hash() != frame.content_hash():
+                raise ConversionVerificationError(
+                    f"the CSV source of {where} disagrees with its .sgx segment; adopting nothing"
+                )
+            return segment
+    payload = columnar.frame_to_sgx_bytes(frame)
+    _check_round_trip(where, frame, payload)
+    return payload
 
 
 #: How a store from before watermarks in generations labelled a seal
@@ -190,31 +217,15 @@ _SEAL_OP_RE = re.compile(
 )
 
 
-def fold_seal_watermarks(manifest: LakeManifest) -> None:
-    """Fold a lake's seal watermarks from its transaction log into a
-    generation, if a store from before watermarks in generations wrote it.
-
-    Such a store kept every record it ever logged and each seal's
-    watermark only in the seal's op.  The fold moves that log aside, so
-    the transaction it commits starts on an empty log, takes the highest
-    committed ``W`` of each partition -- a seal whose intent is followed
-    by a ``commit`` record, a ``recovered`` one with ``action="commit"``,
-    or that the pointer names (only its record was lost) -- and commits
-    one generation carrying them, possibly none.  A crash before the
-    pointer swap leaves the lake unfolded with the log still aside, so the
-    next fold reads it from there.  Any other lake is left as it is.
-    """
-    aside = manifest.log.path.with_name("txlog.unfolded.jsonl")
-    head = manifest.unfolded()
-    if head is None:
-        aside.unlink(missing_ok=True)  # a fold that crashed after its commit
-        return
-    if not aside.exists() and manifest.log.path.exists():
-        os.replace(manifest.log.path, aside)
-        _fsync_dir(aside.parent)
+def _folded_watermarks(log: Path, head_txid: object) -> dict[tuple[str, int], int]:
+    """The highest committed seal watermark of each partition, from the
+    whole log a store from before watermarks in generations kept.  A
+    seal committed if its intent is followed by a ``commit`` record, by a
+    ``recovered`` one with ``action="commit"``, or if the pointer names
+    it (``head_txid``: only its record was lost)."""
     seals: dict[object, tuple[tuple[str, int], int]] = {}
-    committed = {head.txid}
-    for record in TransactionLog(aside).records():
+    committed = {head_txid}
+    for record in TransactionLog(log).records():
         if not isinstance(record, dict):
             continue
         match = _SEAL_OP_RE.match(str(record.get("op", "")))
@@ -229,107 +240,18 @@ def fold_seal_watermarks(manifest: LakeManifest) -> None:
     for txid, (key, through) in seals.items():
         if txid in committed:
             watermarks[key] = max(through, watermarks.get(key, through))
-    with manifest.transaction("fold seal watermarks") as txn:
-        for (region, week), through in sorted(watermarks.items()):
-            txn.set_sealed_through(region, week, through)
-    aside.unlink(missing_ok=True)
+    return watermarks
 
 
-def _check_round_trip(key: ExtractKey, frame: LoadFrame, payload: bytes) -> None:
+def _check_round_trip(where: str, frame: LoadFrame, payload: bytes) -> None:
     """Decode ``payload`` in memory and compare it with ``frame`` by content
     hash -- before any write, because what the bytes replace may be the
     only other copy.  The caller lands exactly the bytes checked here."""
     if columnar.frame_from_sgx_bytes(payload).content_hash() != frame.content_hash():
         raise ConversionVerificationError(
-            f".sgx encoding of {key} does not round-trip losslessly; "
+            f".sgx encoding of {where} does not round-trip losslessly; "
             "leaving the stored entry untouched"
         )
-
-
-def _csv_entry_frame(lake: DataLakeStore, entry: SegmentEntry) -> LoadFrame:
-    """Parse a CSV manifest entry: the import edge.  The lake's read API
-    does not read CSV, so the bytes come from where the manifest says
-    they are; the schema records no interval, so the canonical grid."""
-    text = (lake.root / entry.relpath).read_bytes().decode("utf-8")
-    return csv_io.frame_from_csv_text(text, DEFAULT_INTERVAL_MINUTES)
-
-
-def _import_csv(
-    lake: DataLakeStore,
-    key: ExtractKey,
-    csv_entry: SegmentEntry,
-    verify: bool,
-    principal: str | None,
-    chunk_minutes: int | None,
-) -> ConversionRecord:
-    """Stage ``csv_entry``'s frame as ``key``'s segment and retire the
-    entry, in one transaction."""
-    frame = _csv_entry_frame(lake, csv_entry)
-    if chunk_minutes is None:
-        chunk_minutes = lake.chunk_minutes
-    payload = columnar.frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes)
-    if verify:
-        _check_round_trip(key, frame, payload)
-    lake.write_extract_bytes(key, payload, principal=principal)
-    return ConversionRecord(
-        key,
-        "csv",
-        rows=frame.total_points(),
-        bytes_in=csv_entry.size,
-        bytes_out=len(payload),
-        csv_bytes_retired=csv_entry.size,
-    )
-
-
-def _check_segment(
-    lake: DataLakeStore,
-    key: ExtractKey,
-    csv_entry: SegmentEntry | None,
-    verify: bool,
-    principal: str | None,
-    chunk_minutes: int | None,
-) -> ConversionRecord | None:
-    """Health-check ``key``'s stored segment, re-chunk it when the policy
-    is forced, retire a CSV entry still beside it.  ``None`` means the
-    segment is unreadable and ``csv_entry`` is there to re-import from."""
-    raw = lake.read_extract_bytes(key, principal=principal)
-    try:
-        stored = columnar.frame_from_sgx_bytes(raw)
-    except ValueError as exc:
-        if csv_entry is not None:
-            return None
-        raise ConversionVerificationError(
-            f"stored .sgx segment of {key} is unreadable and the key has no "
-            f"CSV entry to re-import it from: {exc}"
-        ) from exc
-    if (
-        csv_entry is not None
-        and verify
-        and _csv_entry_frame(lake, csv_entry).content_hash() != stored.content_hash()
-    ):
-        raise ConversionVerificationError(
-            f"the CSV entry of {key} disagrees with its .sgx segment; refusing to retire it"
-        )
-    # With the policy forced, a differently chunked segment is not
-    # "already current": re-encode it in place.
-    payload = raw
-    if chunk_minutes is not None:
-        payload = columnar.frame_to_sgx_bytes(stored, chunk_minutes=chunk_minutes)
-        if verify and payload != raw:
-            _check_round_trip(key, stored, payload)
-    if payload != raw or csv_entry is not None:
-        lake.write_extract_bytes(key, payload, principal=principal)
-    retired = csv_entry.size if csv_entry is not None else None
-    if payload == raw:
-        return ConversionRecord(key, "sgx", skipped=True, csv_bytes_retired=retired)
-    return ConversionRecord(
-        key,
-        "sgx",
-        rows=stored.total_points(),
-        bytes_in=len(raw),
-        bytes_out=len(payload),
-        csv_bytes_retired=retired,
-    )
 
 
 def convert_lake(
@@ -340,38 +262,37 @@ def convert_lake(
     principal: str | None = None,
     chunk_minutes: int | None = None,
 ) -> LakeConversionReport:
-    """Import every CSV entry of ``lake`` (optionally one region) as an
-    ``.sgx`` segment and health-check the segments already there.
+    """Health-check every segment of ``lake`` (optionally one region).
 
-    Per key, one transaction:
-
-    * **CSV entry only** -- parsed, encoded under ``chunk_minutes``
-      (default: the lake's policy), verified, then staged while the CSV
-      entry is retired.
-    * **readable segment** -- skipped as already current; passing
-      ``chunk_minutes`` explicitly re-chunks it under that policy unless
-      its bytes already are what the policy produces.  A CSV entry beside
-      it is retired once its content hash equals the segment's; a
-      mismatch raises :class:`ConversionVerificationError`.
-    * **unreadable segment** (damaged, or a pre-v4 layout this reader
-      rejects) -- re-imported from the CSV entry beside it; alone it
-      raises :class:`ConversionVerificationError`.
-
-    With ``verify`` (the default) every new encoding is round-tripped in
-    memory and compared by frame content hash before it is written, and
-    no CSV entry is retired unchecked; a failure raises and publishes
-    nothing for that key.  A lake with nothing left to do publishes no
-    generation.
+    A readable segment is already current and skipped -- unless
+    ``chunk_minutes`` is passed, which re-chunks it under that policy,
+    one transaction per key, when its bytes are not already what the
+    policy produces.  An unreadable one (damaged, or a pre-v4 layout
+    this reader rejects) raises :class:`ConversionVerificationError`.
+    With ``verify`` (the default) every re-chunked encoding is
+    round-tripped in memory and compared by frame content hash before it
+    is written.  A lake with nothing to do publishes no generation.
     """
     report = LakeConversionReport(verified=verify)
     for key in lake.list_extracts(region, principal=principal):
-        snap = lake.manifest.current()
-        csv_entry = snap.entry(key.region, key.week, "csv")
-        record = None
-        if snap.entry(key.region, key.week, "sgx") is not None:
-            record = _check_segment(lake, key, csv_entry, verify, principal, chunk_minutes)
-        if record is None and csv_entry is not None:
-            record = _import_csv(lake, key, csv_entry, verify, principal, chunk_minutes)
-        if record is not None:
-            report.records.append(record)
+        raw = lake.read_extract_bytes(key, principal=principal)
+        try:
+            stored = columnar.frame_from_sgx_bytes(raw)
+        except ValueError as exc:
+            raise ConversionVerificationError(
+                f"stored .sgx segment of {key} is unreadable (re-extract it or restore "
+                f"that file): {exc}"
+            ) from exc
+        payload = raw
+        if chunk_minutes is not None:
+            payload = columnar.frame_to_sgx_bytes(stored, chunk_minutes=chunk_minutes)
+        if payload == raw:
+            report.records.append(ConversionRecord(key, skipped=True))
+            continue
+        if verify:
+            _check_round_trip(str(key), stored, payload)
+        lake.write_extract_bytes(key, payload, principal=principal)
+        report.records.append(
+            ConversionRecord(key, stored.total_points(), bytes_in=len(raw), bytes_out=len(payload))
+        )
     return report

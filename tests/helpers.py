@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import struct
 import zlib
 
@@ -9,7 +11,7 @@ import numpy as np
 
 from repro.storage.columnar import frame_to_sgx_bytes
 from repro.storage.csv_io import frame_to_csv_text
-from repro.storage.migrate import adopt_legacy_files, convert_lake
+from repro.storage.migrate import adopt_legacy_files
 from repro.timeseries.calendar import MINUTES_PER_DAY, points_per_day
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
@@ -26,17 +28,35 @@ def small_frame(n: int = 2, level: float = 1.0) -> LoadFrame:
     return frame
 
 
-def plant_csv(lake, key, frame, legacy_layout: bool = False) -> None:
-    """Leave ``key`` with a CSV entry, as a lake may still hold one.
-
-    By default the way a PR <= 18 store wrote it: a manifest transaction
-    staging ``"csv"`` bytes (beside whatever ``.sgx`` entry the key has).
-    ``legacy_layout``: the way a pre-manifest directory does (:func:`plant_legacy`).
-    """
-    if legacy_layout:
-        return plant_legacy(lake, {key: frame})
-    with lake.manifest.transaction(f"write {key.filename('csv')}") as txn:
-        txn.stage(key.region, key.week, "csv", frame_to_csv_text(frame).encode("utf-8"))
+def plant_csv(lake, key, frame) -> None:
+    """Commit a generation holding a CSV entry for ``key`` (which has
+    none yet), beside whatever segment the key has, as an older store
+    wrote one: a content-addressed ``.csv`` file, and a generation file
+    in which every entry carries its ``"fmt"``.  No store opens it until
+    ``convert`` has adopted it."""
+    text = frame_to_csv_text(frame).encode("utf-8")
+    sha = hashlib.sha256(text).hexdigest()
+    relpath = f"{key.region}/extract_{key.region}_week{key.week:04d}-{sha[:12]}.csv"
+    (lake.root / key.region).mkdir(parents=True, exist_ok=True)
+    (lake.root / relpath).write_bytes(text)  # what an older store staged
+    manifest_dir = lake.root / "_manifest"
+    pointer = manifest_dir / "MANIFEST.json"
+    if pointer.exists():
+        gen = json.loads((manifest_dir / json.loads(pointer.read_text())["file"]).read_text())
+    else:
+        manifest_dir.mkdir(exist_ok=True)
+        gen = {"generation": 0, "segments": [], "sealed_through": []}
+    entry = {"region": key.region, "week": key.week, "relpath": relpath, "size": len(text)}
+    gen["segments"] = [
+        {**e, "fmt": e["relpath"].rsplit(".", 1)[1]}
+        for e in [*gen["segments"], {**entry, "sha256": sha}]
+    ]
+    gen["generation"] += 1
+    gen["txid"] = f"planted-{gen['generation']}"
+    name = f"gen-{gen['generation']:08d}.json"
+    (manifest_dir / name).write_text(json.dumps(gen))
+    committed = {"generation": gen["generation"], "txid": gen["txid"], "file": name}
+    pointer.write_text(json.dumps(committed))
 
 
 def plant_legacy(lake, frames, fmt: str = "csv", adopt: bool = True) -> None:
@@ -53,14 +73,14 @@ def plant_legacy(lake, frames, fmt: str = "csv", adopt: bool = True) -> None:
 
 
 def write_via(origin: str, lake, key, frame) -> None:
-    """Store ``frame`` under ``key`` natively (``"sgx"``) or by importing
-    a planted CSV entry with ``convert`` (``"csv"``): whatever a test
-    asserts of a written lake has to hold for an imported one too."""
+    """Store ``frame`` under ``key`` natively (``"sgx"``) or by adopting a
+    planted CSV entry (``"csv"``): whatever a test asserts of a written
+    lake has to hold for an adopted one too."""
     if origin == "sgx":
         lake.write_extract(key, frame)
     else:
         plant_csv(lake, key, frame)
-        convert_lake(lake, region=key.region)
+        adopt_legacy_files(lake.manifest)
 
 
 def naive_rows(frame: LoadFrame, q) -> LoadFrame:

@@ -2,15 +2,16 @@
 
 Every mutation of an on-disk :class:`DataLakeStore` is one manifest
 transaction; this suite kills the writer at every fault point of every
-mutation protocol (fresh write, overwrite, byte write, delete, CSV
-import, in-place ``.sgx`` re-chunk) and asserts the recovered lake is
+mutation protocol (fresh write, overwrite, byte write, delete, the
+adoption of CSV entries, in-place ``.sgx`` re-chunk) and asserts the
+recovered lake is
 *exactly* the pre-transaction or the post-transaction state -- never a
 mix -- and that re-running the interrupted mutation converges on the
 clean outcome.  A hypothesis property test does the same over random
 operation sequences, and a pinned-reader test asserts the ISSUE's
 acceptance criterion: a reader holding generation N through a concurrent
 convert keeps answering byte-for-byte from generation N.  CSV entries are
-planted the way a PR <= 18 store wrote them (``tests.helpers.plant_csv``).
+planted the way an older store committed them (``tests.helpers.plant_csv``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from hypothesis import strategies as st
 from repro.storage.columnar import frame_to_sgx_bytes
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.live import LIVE_FAULT_POINTS, LiveIngestor
-from repro.storage.manifest import FAULT_POINTS, InjectedCrash, fault_handler
-from repro.storage.migrate import convert_lake
+from repro.storage.manifest import FAULT_POINTS, InjectedCrash, LakeManifest, fault_handler
+from repro.storage.migrate import adopt_legacy_files, convert_lake
 from repro.storage.query import ExtractQuery
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
@@ -52,16 +53,18 @@ def small_frame(n: int = 2, level: float = 1.0, prefix: str = "s") -> LoadFrame:
 def lake_state(root: Path) -> dict:
     """The complete reader-observable state of the lake at ``root``.
 
-    Keys, the formats of their entries, and a digest of every entry's
-    payload file -- byte-level, so an in-place ``.sgx`` re-chunk (same
-    logical content, different bytes) still reads as a distinct state.
-    Opening a fresh store here is the point: it runs crash recovery
-    exactly like a process that reopens the lake after a kill.
+    Keys, the suffixes of their entries (``sgx``, or ``csv`` before
+    adoption), and a digest of every entry's payload file -- byte-level,
+    so an in-place ``.sgx`` re-chunk (same logical content, different
+    bytes) still reads as a distinct state.  Opening a fresh manifest
+    here is the point: it runs crash recovery exactly like a process
+    that reopens the lake after a kill.
     """
     state: dict = {}
-    for entry in DataLakeStore(root).manifest.current().segments:
+    snapshot = LakeManifest(root).current()
+    for entry in (*snapshot.segments, *snapshot.unimported):
         digest = hashlib.sha256((root / entry.relpath).read_bytes()).hexdigest()
-        state.setdefault((entry.region, entry.week), {})[entry.fmt] = digest
+        state.setdefault((entry.region, entry.week), {})[entry.relpath[-3:]] = digest
     return state
 
 
@@ -93,20 +96,30 @@ class Scenario:
 
 
 KEY = ExtractKey("r0", 7)
+SIBLING_KEY = ExtractKey("r0", 8)
 
 
 def _setup_empty(root: Path) -> None:
     DataLakeStore(root)
 
 
-def _setup_csv(root: Path) -> None:
-    plant_csv(DataLakeStore(root), KEY, small_frame())
+def _setup_written(root: Path) -> None:
+    DataLakeStore(root).write_extract(KEY, small_frame())
 
 
-def _setup_dual(root: Path) -> None:
+def _setup_csv_entries(root: Path) -> None:
+    """A generation holding a CSV entry alone (``KEY``) and one beside the
+    segment it matches (``SIBLING_KEY``)."""
     lake = DataLakeStore(root)
-    lake.write_extract(KEY, small_frame())
+    lake.write_extract(SIBLING_KEY, small_frame(level=4.0))
+    plant_csv(lake, SIBLING_KEY, small_frame(level=4.0))
     plant_csv(lake, KEY, small_frame())
+
+
+def _convert(root: Path) -> None:
+    """What ``python -m repro.fleet_ops convert`` runs."""
+    adopt_legacy_files(LakeManifest(root))
+    convert_lake(DataLakeStore(root))
 
 
 def _setup_day_chunked(root: Path) -> None:
@@ -129,33 +142,31 @@ SCENARIOS = [
         ),
     ),
     Scenario(
-        # Overwriting an un-imported CSV entry retires it in the same
-        # transaction -- a crash must never publish one half.
-        name="overwrite-drops-other-format",
-        setup=_setup_csv,
+        name="overwrite",
+        setup=_setup_written,
         mutate=lambda root: DataLakeStore(root).write_extract(KEY, small_frame(level=5.0)),
     ),
     Scenario(
         name="write-bytes",
-        setup=_setup_csv,
+        setup=_setup_written,
         mutate=lambda root: DataLakeStore(root).write_extract_bytes(
             KEY, frame_to_sgx_bytes(small_frame(level=9.0))
         ),
     ),
     Scenario(
-        name="delete-dual-format",
-        setup=_setup_dual,
+        name="delete",
+        setup=_setup_written,
         mutate=lambda root: DataLakeStore(root).delete_extract(KEY),
         stages_segments=False,
     ),
     Scenario(
-        # An import is one transaction per key -- stage the verified
-        # .sgx, retire the CSV entry -- so there is no ``ref_stages``
-        # middle state: a crash leaves the key CSV or .sgx, never both,
-        # never neither.
-        name="convert-imports-csv",
-        setup=_setup_csv,
-        mutate=lambda root: convert_lake(DataLakeStore(root)),
+        # Adoption imports every CSV entry in one transaction -- the lone
+        # one encoded, the sibling's segment staged anew -- so there is
+        # no ``ref_stages`` middle state: a crash leaves the generation
+        # with both CSV entries or the one with neither.
+        name="adopt-imports-csv-entries",
+        setup=_setup_csv_entries,
+        mutate=_convert,
     ),
     Scenario(
         # Forced in-place re-chunk (verify in memory, then overwrite the
@@ -223,7 +234,7 @@ def test_commit_point_is_the_pointer_swap(tmp_path):
     commit_index = FAULT_POINTS.index("manifest.pointer")
     for index, point in enumerate(FAULT_POINTS):
         root = tmp_path / point
-        _setup_csv(root)
+        _setup_written(root)
         pre = lake_state(root)
         injector = CrashInjector(point)
         with fault_handler(injector):
@@ -234,7 +245,6 @@ def test_commit_point_is_the_pointer_swap(tmp_path):
             assert recovered == pre, f"crash at {point} must roll back"
         else:
             assert recovered != pre, f"crash at {point} must roll forward"
-            assert tuple(recovered[(KEY.region, KEY.week)]) == ("sgx",)
 
 
 def test_write_protocol_hits_every_fault_point_in_order(tmp_path):

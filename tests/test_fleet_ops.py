@@ -15,7 +15,7 @@ from repro.telemetry.fleet import default_fleet_spec, extract_spec
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.telemetry.generator import WorkloadGenerator
 
-from tests.helpers import plant_csv
+from tests.helpers import bare_sgx_header, plant_csv
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def fleet_spec():
 
 
 def csv_lake(root, spec, weeks) -> DataLakeStore:
-    """What ``populate_lake`` left behind up to PR 18 by default: every
+    """What an older ``populate_lake`` left behind by default: every
     extract of ``spec`` as a CSV manifest entry, waiting for ``convert``."""
     lake = DataLakeStore(root)
     generator = WorkloadGenerator(spec)
@@ -395,10 +395,10 @@ class TestFleetReportEdgeCases:
 
 class TestColumnarFleetRuns:
     def test_sgx_lake_matches_csv_lake(self, fleet_spec, tmp_path):
-        from repro.storage.migrate import convert_lake
+        from repro.storage.migrate import adopt_legacy_files
 
         imported = csv_lake(tmp_path / "csv", fleet_spec, weeks=[0])
-        convert_lake(imported)
+        adopt_legacy_files(imported.manifest)
         sgx_lake = DataLakeStore(tmp_path / "sgx")
         populate_lake(sgx_lake, fleet_spec, weeks=[0])
         with FleetOrchestrator(imported, PipelineConfig()) as orchestrator:
@@ -419,25 +419,18 @@ class TestColumnarFleetRuns:
             report = orchestrator.run()
         assert report.n_failed == 0
 
-    def test_damaged_or_unimported_extract_fails_only_its_unit(self, fleet_spec, tmp_path):
-        # Nothing answers for a damaged segment or an un-imported CSV
-        # entry: each fails exactly its unit, carrying the lake's message
-        # (which extract, which file, what to run), and ``convert``
-        # re-imports both from the CSV entries the generation holds.
-        from repro.storage.migrate import convert_lake
-
+    def test_damaged_extract_fails_only_its_unit(self, fleet_spec, tmp_path):
+        # Nothing answers for a damaged segment: it fails exactly its
+        # unit, carrying the lake's message (which extract, which file,
+        # what to do), and a re-extract mends it.
         lake = DataLakeStore(tmp_path)
-        damaged_key, csv_only_key, *healthy = populate_lake(lake, fleet_spec, weeks=[0, 1])
-        plant_csv(lake, damaged_key, lake.read_extract(damaged_key))
+        damaged_key, *healthy = populate_lake(lake, fleet_spec, weeks=[0, 1])
+        frame = lake.read_extract(damaged_key, None)
         segment = lake.extract_path(damaged_key)
         damaged = bytearray(segment.read_bytes())
         damaged[-3] ^= 0xFF
         segment.write_bytes(bytes(damaged))  # simulates out-of-band disk damage
-        frame = lake.read_extract(csv_only_key)
-        lake.delete_extract(csv_only_key)
-        plant_csv(lake, csv_only_key, frame)
 
-        remedy = f"python -m repro.fleet_ops convert --lake-dir {tmp_path}"
         with FleetOrchestrator(lake, PipelineConfig()) as orchestrator:
             report = orchestrator.run()
             reasons = {
@@ -445,15 +438,14 @@ class TestColumnarFleetRuns:
                 for o in report.outcomes
                 if not o.succeeded
             }
-            assert set(reasons) == {damaged_key, csv_only_key}
-            assert report.n_succeeded == len(healthy) == 2
+            assert set(reasons) == {damaged_key}
+            assert report.n_succeeded == len(healthy) == 3
             relpath = segment.relative_to(tmp_path).as_posix()
             assert relpath in reasons[damaged_key] and "checksum mismatch" in reasons[damaged_key]
-            assert remedy in reasons[damaged_key] and remedy in reasons[csv_only_key]
-            assert "stored only as CSV" in reasons[csv_only_key]
+            assert "re-extract it or restore that file" in reasons[damaged_key]
             assert report.outcomes[0].incidents[0]["message"] == reasons[damaged_key]
 
-            assert convert_lake(lake).n_converted == 2
+            lake.write_extract(damaged_key, frame)
             assert orchestrator.run().n_failed == 0
 
     def test_convert_refreshes_fingerprints_but_keeps_stage_cache(
@@ -489,23 +481,20 @@ class TestConvertCli:
         code = fleet_main(["convert", "--lake-dir", str(lake.root)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "4 extract(s) converted" in out
-        assert "rows" in out and "bytes" in out
-        assert "Retired 4 CSV entry(ies)" in out
-        for key in lake.list_extracts():
-            assert lake.extract_formats(key) == ("sgx",)
+        assert "Adopted 4 file(s)" in out and "bytes" in out
+        assert "0 extract(s) converted, 4 already current" in out
+        assert lake.manifest.current().unimported == ()
 
     def test_convert_delete_source_migrates_in_place(self, capsys, tmp_path):
-        # One transaction per key stages the segment and retires the CSV
-        # source: no flag, no second pass, no dual-format middle state.
+        # One adopt transaction imports every CSV entry and retires it: no
+        # flag, no second pass, no dual-format middle state.
         lake = self._csv_lake(tmp_path)
-        generation = lake.current_generation()
+        generation = lake.manifest.head().generation
         assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
-        assert lake.current_generation() == generation + 4
+        assert lake.current_generation() == generation + 1
         generator = WorkloadGenerator(self.SPEC)
         for key in lake.list_extracts():
             planted = generator.generate_weekly_extract(key.region, key.week)
-            assert lake.extract_formats(key) == ("sgx",)
             assert lake.read_extract(key).content_hash() == planted.content_hash()
         for removed in ("--delete-source", "--to=csv"):
             with pytest.raises(SystemExit) as excinfo:
@@ -516,12 +505,12 @@ class TestConvertCli:
         # CSV text in, CSV text out: what the export edge hands back is
         # byte for byte what the import edge was given.
         lake = self._csv_lake(tmp_path)
-        snapshot = lake.manifest.current()
         planted = {
             ExtractKey(e.region, e.week): (lake.root / e.relpath).read_bytes()
-            for e in snapshot.segments
+            for e in lake.manifest.head().unimported
         }
         assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
+        assert len(planted) == 4
         for key, text in planted.items():
             identical = lake.read_extract_text(key).encode("utf-8") == text
             assert identical, key  # not ``assert a == b``: a diff of megabytes never ends
@@ -540,85 +529,64 @@ class TestConvertCli:
         code = fleet_main(["convert", "--lake-dir", str(lake.root), "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["n_converted"] == 4
-        assert payload["rows_converted"] > 0
-        assert payload["bytes_out"] < payload["bytes_in"]  # columnar is smaller
-        assert payload["n_csv_retired"] == 4
-        assert payload["csv_bytes_retired"] == payload["bytes_in"]
+        assert payload["n_converted"] == 0 and payload["n_skipped"] == 4
+        csv_bytes = sum(adopted["bytes"] for adopted in payload["adopted"])
+        sgx_bytes = sum(lake.extract_size_bytes(key) for key in lake.list_extracts())
+        assert len(payload["adopted"]) == 4 and sgx_bytes < csv_bytes  # columnar is smaller
 
     def _dual_lake(self, tmp_path):
-        """What a PR <= 18 ``convert`` without ``--delete-source`` left:
+        """What an older ``convert`` without ``--delete-source`` left:
         every key's segment with the same rows as a CSV entry beside it."""
-        from repro.storage.migrate import convert_lake
-
-        lake = self._csv_lake(tmp_path)
-        convert_lake(lake)
-        for key in lake.list_extracts():
-            plant_csv(lake, key, lake.read_extract(key))
-            assert lake.extract_formats(key) == ("sgx", "csv")
+        lake = DataLakeStore(tmp_path / "lake")
+        keys = populate_lake(lake, self.SPEC, weeks=range(2))
+        frames = {key: lake.read_extract(key, None) for key in keys}
+        for key, frame in frames.items():
+            plant_csv(lake, key, frame)
         return lake
 
     def test_delete_source_cleans_up_dual_format_lake(self, capsys, tmp_path):
         # Every key is already .sgx, and the CSV entries beside them still
         # have to go -- after the same lossless check.
         lake = self._dual_lake(tmp_path)
+        segments = lake.manifest.head().segments
         assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
-        for key in lake.list_extracts():
-            assert lake.extract_formats(key) == ("sgx",)
+        assert lake.manifest.current().segments == segments
+        assert lake.manifest.current().unimported == ()
         # The run retired entries: it must say so, not read like a no-op.
         out = capsys.readouterr().out
         assert "0 extract(s) converted, 4 already current" in out
-        assert "Retired 4 CSV entry(ies)" in out
-        assert "retired its CSV entry" in out
+        assert "Adopted 4 file(s)" in out
 
     def test_delete_source_refuses_on_diverged_copies(self, tmp_path):
-        from repro.storage.migrate import ConversionVerificationError, convert_lake
+        from repro.storage.manifest import LakeNotAdoptedError
+        from repro.storage.migrate import ConversionVerificationError, adopt_legacy_files
 
-        lake = self._dual_lake(tmp_path)
-        keys = lake.list_extracts()
-        # Make one CSV entry diverge from the segment it sits beside.
-        frame = lake.read_extract(keys[0])
+        lake = DataLakeStore(tmp_path / "lake")
+        key, *_others = populate_lake(lake, self.SPEC, weeks=[0])
+        # A CSV entry that diverges from the segment it sits beside.
+        frame = lake.read_extract(key, None)
         frame.remove_server(frame.server_ids()[0])
-        plant_csv(lake, keys[0], frame)
-        generation = lake.current_generation()
+        plant_csv(lake, key, frame)
+        generation = lake.manifest.head().generation
         with pytest.raises(ConversionVerificationError, match="disagrees"):
-            convert_lake(lake)
-        assert lake.extract_formats(keys[0]) == ("sgx", "csv")  # nothing retired
-        assert lake.current_generation() == generation
+            adopt_legacy_files(lake.manifest)
+        assert lake.manifest.current().generation == generation  # nothing retired
+        with pytest.raises(LakeNotAdoptedError):
+            DataLakeStore(lake.root)
 
     def test_convert_heals_pre_v4_sgx_from_its_csv_sibling(self, tmp_path):
         # A pre-v4 .sgx is unreadable to this reader; with a CSV entry
-        # beside it one run re-imports from the CSV and retires it.
-        from repro.storage.migrate import convert_lake
+        # beside it adoption re-imports from the CSV and retires it.
+        from repro.storage.migrate import adopt_legacy_files
 
-        from tests.helpers import bare_sgx_header
-
-        lake = self._dual_lake(tmp_path)
-        key = lake.list_extracts()[0]
+        lake = DataLakeStore(tmp_path / "lake")
+        key, *_others = populate_lake(lake, self.SPEC, weeks=[0])
         frame = lake.read_extract(key, None)
         lake.write_extract_bytes(key, bare_sgx_header(1))
         plant_csv(lake, key, frame)
-        report = convert_lake(lake)
-        for each in lake.list_extracts():
-            assert lake.extract_formats(each) == ("sgx",)
-        converted = [r for r in report.records if not r.skipped]
-        assert len(converted) == 1
-        assert converted[0].source_format == "csv"
-        assert converted[0].csv_bytes_retired == converted[0].bytes_in
+        adopted = adopt_legacy_files(lake.manifest)
+        assert [relpath[-4:] for relpath, _size in adopted] == [".csv"]
         assert lake.read_extract(key, None).content_hash() == frame.content_hash()
-
-    def test_convert_honours_store_chunk_policy(self, tmp_path):
-        # Without an explicit --chunk-minutes, imports follow the lake's
-        # configured policy, same as any other .sgx write.
-        from repro.storage.columnar import sgx_summary
-        from repro.storage.migrate import convert_lake
-
-        seeded = self._csv_lake(tmp_path)
-        lake = DataLakeStore(seeded.root, chunk_minutes=0)
-        convert_lake(lake)
-        key = lake.list_extracts()[0]
-        info = sgx_summary(lake.read_extract_bytes(key))
-        assert info["n_chunks"] == info["n_servers"]  # whole-series chunks
 
     def test_convert_chunk_minutes_rechunks_already_current_lake(self, capsys, tmp_path):
         from repro.storage.columnar import sgx_summary
@@ -669,29 +637,25 @@ class TestConvertCli:
         lake.extract_path(key).write_bytes(bytes(damaged))  # repro: allow[manifest-boundary] simulating out-of-band disk damage
 
     def test_reconverts_damaged_target_from_healthy_source(self, tmp_path):
-        from repro.storage.migrate import convert_lake
+        from repro.storage.migrate import adopt_legacy_files
 
-        lake = self._dual_lake(tmp_path)
-        key = lake.list_extracts()[0]
-        expected = lake.read_extract(key).content_hash()
+        lake = DataLakeStore(tmp_path / "lake")
+        key, *_others = populate_lake(lake, self.SPEC, weeks=[0])
+        expected = lake.read_extract(key, None)
         self._corrupt_sgx_file(lake, key)
-        # Re-running must not trust the damaged .sgx -- with or without
-        # verification.
-        report = convert_lake(lake, verify=False)
-        assert report.n_converted == 1  # the damaged one, from its CSV
-        assert lake.extract_formats(key) == ("sgx",)
-        assert lake.read_extract(key).content_hash() == expected
+        plant_csv(lake, key, expected)
+        # Adoption must not trust the damaged .sgx beside the CSV entry.
+        adopt_legacy_files(lake.manifest)
+        assert lake.read_extract(key, None).content_hash() == expected.content_hash()
 
     def test_damaged_target_without_source_aborts_cleanly(self, capsys, tmp_path):
-        from repro.storage.migrate import convert_lake
+        from repro.storage.migrate import ConversionVerificationError, convert_lake
 
         lake = self._csv_lake(tmp_path)
+        assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
         key = lake.list_extracts()[0]
-        convert_lake(lake)
         self._corrupt_sgx_file(lake, key)
         # Library: typed error naming the problem.
-        from repro.storage.migrate import ConversionVerificationError
-
         with pytest.raises(ConversionVerificationError, match="unreadable"):
             convert_lake(lake)
         # CLI: documented exit code and message, not a traceback.
@@ -720,13 +684,16 @@ class TestConvertCli:
         assert lake.read_extract(key, None).content_hash() == frame.content_hash()
 
     def test_convert_single_region(self, capsys, tmp_path):
+        # Adoption takes in the whole lake (no store opens it before);
+        # the health check is what ``--region`` narrows.
         lake = self._csv_lake(tmp_path)
         code = fleet_main(
-            ["convert", "--lake-dir", str(lake.root), "--region", "region-1"]
+            ["convert", "--lake-dir", str(lake.root), "--region", "region-1", "--json"]
         )
         assert code == 0
-        assert lake.extract_formats(ExtractKey("region-0", 0)) == ("csv",)
-        assert lake.extract_formats(ExtractKey("region-1", 0)) == ("sgx",)
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["adopted"]) == 4
+        assert {extract["region"] for extract in payload["extracts"]} == {"region-1"}
 
 
 class TestQueryHandoff:

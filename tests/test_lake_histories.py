@@ -9,13 +9,12 @@ gc, a second committer, reopened writers, pinned generations -- and
 requires the same rows, content hashes, aggregates, ``scan()`` streams
 *and* ``ScanStats``: a reader cannot tell a cache hit from a miss.
 
-Histories also cross the adoption and CSV import edges.  A lake may
-start as a pre-manifest directory of ``.csv`` files taken in by the adopt
-step, an older writer may have left a key as a
-CSV entry, a PR <= 18 ``convert`` may have left one beside a segment:
-every read of a CSV-only key raises the typed error on both stores until
-``convert`` has imported it, after which both answer with the frame that
-was planted, and no write, seal or convert leaves a key with two entries.
+Histories also cross the adoption edge.  A lake may start as a
+pre-manifest directory of ``.csv`` files, and an older writer may commit
+a generation with a CSV entry, alone or beside the segment holding the
+same rows: no store opens or reads that generation until ``convert``'s
+adoption has imported the entry, after which both stores answer with
+the frame that was planted.
 """
 
 import hashlib
@@ -24,14 +23,15 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotImportedError
+from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.live import LIVE_FAULT_POINTS, LiveIngestor
-from repro.storage.manifest import InjectedCrash, fault_handler
-from repro.storage.migrate import convert_lake
+from repro.storage.manifest import InjectedCrash, LakeManifest, LakeNotAdoptedError, fault_handler
+from repro.storage.migrate import adopt_legacy_files, convert_lake
 from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.calendar import MINUTES_PER_DAY, align_down
 from repro.timeseries.frame import LoadFrame, ServerMetadata
@@ -91,19 +91,16 @@ QUERIES = queries()
 
 def answer(store: DataLakeStore, q: ExtractQuery) -> tuple:
     """Everything a reader can observe of ``q``: the materialised answer,
-    the streamed one, both ``ScanStats`` -- or the refusal, verbatim."""
-    try:
-        result = store.query(q)
-        streamed = None
-        if not q.is_aggregate:
-            stats = ScanStats()
-            digest = hashlib.sha256()
-            for key, metadata, series in store.scan(q, stats=stats):
-                digest.update(f"{key}|{metadata.server_id}|".encode())
-                digest.update(series.timestamps.tobytes() + series.values.tobytes())
-            streamed = (digest.hexdigest(), stats.as_dict())
-    except ExtractNotImportedError as exc:
-        return ("not imported", exc.args[0])
+    the streamed one and both ``ScanStats``."""
+    result = store.query(q)
+    streamed = None
+    if not q.is_aggregate:
+        stats = ScanStats()
+        digest = hashlib.sha256()
+        for key, metadata, series in store.scan(q, stats=stats):
+            digest.update(f"{key}|{metadata.server_id}|".encode())
+            digest.update(series.timestamps.tobytes() + series.values.tobytes())
+        streamed = (digest.hexdigest(), stats.as_dict())
     return (
         result.rows,
         result.frame.content_hash(),
@@ -128,10 +125,8 @@ class LakeHistory(RuleBasedStateMachine):
         self.version = 0
         self.live_clock = LIVE_START
         self.pins: list[tuple[DataLakeStore, list[tuple]]] = []
-        #: Keys whose only entry is CSV, with the frame that was planted.
+        #: Keys holding a CSV entry, with the frame that was planted.
         self.unimported: dict[ExtractKey, LoadFrame] = {}
-        #: Keys holding a CSV entry beside their segment.
-        self.dual: set[ExtractKey] = set()
         #: Highest ``through`` of the seals that committed, per partition.
         self.sealed: dict[tuple[str, int], int] = {}
 
@@ -143,63 +138,55 @@ class LakeHistory(RuleBasedStateMachine):
     @initialize(legacy=st.booleans())
     def start_with_something(self, legacy):
         """Two keys to cache -- or, ``legacy``, a pre-manifest directory of
-        ``.csv`` files, adopted as CSV entries."""
+        ``.csv`` files, imported by the adopt step."""
         frames = {key: history_frame(key, 0, 3, 2) for key in KEYS[:2]}
         if legacy:
             plant_legacy(self.writer, frames)
-            self.unimported.update(frames)
         else:
             for key, frame in frames.items():
                 self.store.write_extract(key, frame)
+        for key, frame in frames.items():
+            assert self.store.query(committed(key)).frame.content_hash() == frame.content_hash()
 
-    def _csv_entry_gone(self, key):
-        self.unimported.pop(key, None)
-        self.dual.discard(key)
-
+    @precondition(lambda self: not self.unimported)
     @rule(key=keys, n_servers=st.integers(1, 4), n_days=st.integers(1, 3),
           second_writer=st.booleans())
     def write_or_overwrite(self, key, n_servers, n_days, second_writer):
         self.version += 1
         store = self.writer if second_writer else self.store
         store.write_extract(key, history_frame(key, self.version, n_servers, n_days))
-        self._csv_entry_gone(key)
 
+    @precondition(lambda self: not self.unimported)
     @rule(key=keys, second_writer=st.booleans())
     def delete(self, key, second_writer):
         (self.writer if second_writer else self.store).delete_extract(key)
-        self._csv_entry_gone(key)
 
-    @rule(key=keys, n_servers=st.integers(1, 4), n_days=st.integers(1, 3))
-    def a_pr18_writer_leaves_a_csv_entry(self, key, n_servers, n_days):
-        """``write_extract(fmt="csv")`` as it was: the text is staged and
-        the key's segment retired."""
-        self.version += 1
-        frame = history_frame(key, self.version, n_servers, n_days)
-        self.writer.delete_extract(key)
-        plant_csv(self.writer, key, frame)
-        self._csv_entry_gone(key)
-        self.unimported[key] = frame
-
-    @rule(key=keys)
-    def a_pr18_convert_leaves_a_csv_sibling(self, key):
-        """``convert`` without ``--delete-source`` as it was: the same
-        rows as text beside the segment, which reads must ignore."""
-        if self.writer.extract_formats(key) == ("sgx",):
+    @precondition(lambda self: not self.unimported)
+    @rule(key=keys, n_servers=st.integers(1, 4), n_days=st.integers(1, 3), beside=st.booleans())
+    def an_older_writer_leaves_a_csv_entry(self, key, n_servers, n_days, beside):
+        """A CSV entry as an older store committed one: ``beside`` the
+        key's segment, holding its rows, or alone with new ones."""
+        if beside and self.writer.has_extract(key):
             frame = self.writer.query(committed(key), include_tail=False).frame
-            plant_csv(self.writer, key, frame)
-            self.dual.add(key)
+        else:
+            self.version += 1
+            frame = history_frame(key, self.version, n_servers, n_days)
+            self.writer.delete_extract(key)
+        plant_csv(self.writer, key, frame)
+        self.unimported[key] = frame
 
     @rule(chunk_minutes=st.sampled_from((None, 0, 360, DAY)))
     def convert(self, chunk_minutes):
-        """Import what is CSV-only, retire siblings, maybe force a re-chunk."""
+        """Adopt what an older writer left, maybe force a re-chunk."""
+        adopt_legacy_files(LakeManifest(self.root))
         convert_lake(self.writer, chunk_minutes=chunk_minutes)
         for key, planted in self.unimported.items():
             for store in (self.store, DataLakeStore(self.root)):
                 got = store.query(committed(key), include_tail=False).frame
                 assert got.content_hash() == planted.content_hash(), key
         self.unimported.clear()
-        self.dual.clear()
 
+    @precondition(lambda self: not self.unimported)
     @rule(key=keys, rows=st.integers(1, 200), seal=st.booleans(),
           crash_at=st.none() | st.sampled_from(LIVE_FAULT_POINTS))
     def live_ingest(self, key, rows, seal, crash_at):
@@ -214,31 +201,26 @@ class LakeHistory(RuleBasedStateMachine):
             try:
                 with fault_handler(CrashInjector(crash_at)):
                     sealed = ingestor.seal(key) if seal else None
-            except ExtractNotImportedError:
-                # Nothing to merge the rows after until convert has run;
-                # they stay in the tail.
-                assert key in self.unimported
             except InjectedCrash:
                 # From the pointer swap on, the seal through the tail's last
                 # chunk boundary committed.
                 if LIVE_FAULT_POINTS.index(crash_at) >= LIVE_FAULT_POINTS.index("manifest.pointer"):
                     self.sealed[(key.region, key.week)] = align_down(int(ts[-1]), 60)
-                    self._csv_entry_gone(key)
             else:
                 if sealed is not None:
-                    assert key not in self.unimported
                     self.sealed[(key.region, key.week)] = sealed.sealed_through
-                    self._csv_entry_gone(key)
 
     @rule()
     def collect_garbage(self):
         self.writer.collect_garbage()
         self.pins.clear()  # gc invalidates stores pinned to older generations
 
+    @precondition(lambda self: not self.unimported)
     @rule()
     def reopen_writer(self):
         self.writer = DataLakeStore(self.root)
 
+    @precondition(lambda self: not self.unimported)
     @rule()
     def pin_the_current_generation(self):
         generation = self.store.current_generation()
@@ -246,6 +228,7 @@ class LakeHistory(RuleBasedStateMachine):
             pinned = DataLakeStore(self.root, pinned_generation=generation)
             self.pins.append((pinned, answers(pinned)))
 
+    @precondition(lambda self: not self.unimported)
     @invariant()
     def a_store_that_saw_everything_answers_like_a_cold_one(self):
         warm, cold = answers(self.store), answers(DataLakeStore(self.root))
@@ -253,22 +236,14 @@ class LakeHistory(RuleBasedStateMachine):
             assert got == want, q
 
     @invariant()
-    def exactly_the_csv_only_keys_refuse_to_be_read(self):
-        for store in (self.store, DataLakeStore(self.root)):
-            for key in KEYS:
-                refused = answer(store, ExtractQuery.for_key(key))[0] == "not imported"
-                assert refused == (key in self.unimported), key
-
-    @invariant()
-    def a_key_has_one_entry_unless_a_pr18_convert_left_two(self):
-        for key in KEYS:
-            formats = self.store.extract_formats(key)
-            if key in self.dual:
-                assert formats == ("sgx", "csv"), key
-            elif key in self.unimported:
-                assert formats == ("csv",), key
-            else:
-                assert formats in ((), ("sgx",)), key
+    def a_generation_with_csv_entries_opens_and_reads_nowhere(self):
+        planted = {(key.region, key.week) for key in self.unimported}
+        unimported = LakeManifest(self.root).current().unimported
+        assert {(entry.region, entry.week) for entry in unimported} == planted
+        if planted:
+            for refused in (lambda: DataLakeStore(self.root), lambda: answers(self.store)):
+                with pytest.raises(LakeNotAdoptedError):
+                    refused()
 
     @invariant()
     def each_partition_is_sealed_through_its_last_committed_seal(self):
@@ -282,7 +257,7 @@ class LakeHistory(RuleBasedStateMachine):
 
 TestLakeHistories = LakeHistory.TestCase
 # 30 x 30 rather than 20 x 20: with the derandomised draw the shorter
-# budget ran ``convert`` once; this one imports ~50 entries.
+# budget ran ``convert`` once; this one adopts ~45 planted CSV entries.
 TestLakeHistories.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None, derandomize=True, database=None
 )

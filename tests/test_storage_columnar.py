@@ -19,7 +19,8 @@ from repro.storage.columnar import (
     sgx_summary,
 )
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.migrate import ConversionVerificationError, convert_lake
+from repro.storage.manifest import LakeNotAdoptedError
+from repro.storage.migrate import ConversionVerificationError, adopt_legacy_files, convert_lake
 from repro.storage.query import ExtractQuery
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
@@ -538,18 +539,17 @@ class TestVersionGate:
 
     @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_lake_answers_from_a_colocated_csv_copy(self, tmp_path, version):
-        # ...once ``convert`` has re-imported it: until then the read
-        # raises, and says that a CSV entry is there to re-import from.
+        # ...once ``convert``'s adoption has re-imported it: until then
+        # the lake does not read the generation holding the CSV entry.
         lake = DataLakeStore(tmp_path / "lake")
         key = ExtractKey("westus2", 0)
         frame = build_frame()
         lake.write_extract_bytes(key, bare_sgx_header(version))
         plant_csv(lake, key, frame)
-        assert lake.extract_formats(key) == ("sgx", "csv")
-        with pytest.raises(ColumnarFormatError, match=f"convert --lake-dir.*version {version}"):
+        with pytest.raises(LakeNotAdoptedError, match="convert --lake-dir"):
             lake.query(ExtractQuery.for_key(key))
-        assert convert_lake(lake).records[0].source_format == "csv"
-        assert lake.extract_formats(key) == ("sgx",)
+        assert len(adopt_legacy_files(lake.manifest)) == 1
+        assert lake.read_extract_bytes(key) != bare_sgx_header(version)
         result = lake.query(ExtractQuery.for_key(key))
         assert result.frame.content_hash() == frame.content_hash()
         assert result.stats.chunks_seen > 0

@@ -8,13 +8,23 @@ from repro.storage.datalake import (
     DataLakeStore,
     ExtractKey,
     ExtractNotFoundError,
-    ExtractNotImportedError,
 )
-from repro.storage.migrate import convert_lake
+from repro.storage.manifest import LakeManifest, LakeNotAdoptedError
+from repro.storage.migrate import ConversionVerificationError, adopt_legacy_files
 from repro.storage.query import ExtractQuery
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series, naive_rows, plant_csv, small_frame, write_via
+from tests.helpers import (
+    bare_sgx_header,
+    make_series,
+    naive_rows,
+    plant_csv,
+    plant_legacy,
+    small_frame,
+    write_via,
+)
+
+CONVERT = "python -m repro.fleet_ops convert --lake-dir"
 
 
 class TestStoreBasics:
@@ -118,7 +128,6 @@ class TestAccessControl:
             lambda: store.has_extract(key),
             lambda: store.list_extracts(),
             lambda: store.read_extract_bytes(key),
-            lambda: store.extract_formats(key),
             lambda: store.delete_extract(key),
         ):
             with pytest.raises(AccessDeniedError):
@@ -161,44 +170,26 @@ class TestListExtractParsing:
 
 
 class TestFormatNegotiation:
-    """What is left of it: reads answer from the ``.sgx`` entry alone, a
-    CSV entry (planted the way a PR <= 18 store wrote one) is listed,
-    ignored by reads and retired by the next write."""
+    """What is left of it: a lake reads and writes ``.sgx`` alone; CSV
+    enters only when ``convert`` adopts it (:class:`TestCsvEntries`)."""
 
     def test_sgx_write_and_read(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 2)
         rows = store.write_extract(key, small_frame())
         assert rows == 4  # 2 servers x 2 points
-        assert store.extract_formats(key) == ("sgx",)
+        assert store.extract_path(key).suffix == ".sgx"
         loaded = store.read_extract(key)
         assert loaded.content_hash() == small_frame().content_hash()
 
-    def test_sgx_preferred_over_csv(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(3))
-        plant_csv(store, key, small_frame())
-        assert store.extract_formats(key) == ("sgx", "csv")
-        assert len(store.read_extract(key)) == 3  # the CSV entry is never read
-        assert store.read_extract_bytes(key).startswith(b"SGXF")
-
-    def test_write_drops_stale_other_format(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        plant_csv(store, key, small_frame())
-        store.write_extract(key, small_frame(3))
-        # A later convert must not import the stale text over these rows.
-        assert store.extract_formats(key) == ("sgx",)
-        assert len(store.read_extract(key)) == 3
-
     def test_mixed_lake_lists_each_key_once(self, tmp_path):
         store = DataLakeStore(tmp_path)
-        plant_csv(store, ExtractKey("r0", 0), small_frame())
         store.write_extract(ExtractKey("r0", 1), small_frame())
         store.write_extract(ExtractKey("r1", 0), small_frame())
+        plant_csv(store, ExtractKey("r0", 0), small_frame())
         plant_csv(store, ExtractKey("r1", 0), small_frame())
-        assert store.list_extracts() == [
+        adopt_legacy_files(store.manifest)
+        assert DataLakeStore(tmp_path).list_extracts() == [
             ExtractKey("r0", 0),
             ExtractKey("r0", 1),
             ExtractKey("r1", 0),
@@ -207,9 +198,9 @@ class TestFormatNegotiation:
     def test_mixed_lake_reads_consistently(self, tmp_path):
         store = DataLakeStore(tmp_path)
         frame = small_frame()
-        plant_csv(store, ExtractKey("r0", 0), frame)
         store.write_extract(ExtractKey("r0", 1), frame)
-        convert_lake(store)
+        plant_csv(store, ExtractKey("r0", 0), frame)
+        adopt_legacy_files(store.manifest)
         imported = store.read_extract(ExtractKey("r0", 0))
         written = store.read_extract(ExtractKey("r0", 1))
         assert imported.content_hash() == written.content_hash() == frame.content_hash()
@@ -223,23 +214,6 @@ class TestFormatNegotiation:
         # Same content, different stored representation: new fingerprint.
         assert store.read_extract(key).content_hash() == small_frame().content_hash()
         assert store.extract_fingerprint(key) != per_day
-
-    def test_size_reports_preferred_format(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame())
-        plant_csv(store, key, small_frame())
-        assert store.extract_size_bytes(key) == store.extract_path(key).stat().st_size
-        assert store.extract_path(key).suffix == ".sgx"
-
-    def test_delete_removes_all_formats(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame())
-        plant_csv(store, key, small_frame())
-        store.delete_extract(key)
-        assert not store.has_extract(key)
-        assert store.list_extracts() == []
 
     def test_read_extract_text_decodes_columnar(self, tmp_path):
         store = DataLakeStore(tmp_path)
@@ -258,55 +232,94 @@ class TestFormatNegotiation:
         with pytest.raises(TypeError):
             DataLakeStore(tmp_path).write_extract(ExtractKey("r0", 0), small_frame(), fmt="csv")
 
+    def test_a_csv_generation_takes_no_read_or_write_but_adoption(self, tmp_path):
+        """A store opened before an older writer committed a CSV entry
+        neither reads that generation nor commits over it (the entry
+        would be lost)."""
+        store = DataLakeStore(tmp_path)
+        store.write_extract(ExtractKey("r0", 0), small_frame())
+        segments = set(tmp_path.glob("r0/*.sgx"))
+        plant_csv(store, ExtractKey("r0", 1), small_frame())
+        generation = store.manifest.head().generation
+        for call in (
+            lambda: store.read_extract(ExtractKey("r0", 0)),
+            lambda: store.write_extract(ExtractKey("r0", 2), small_frame()),
+            lambda: store.write_extract_bytes(ExtractKey("r0", 0), frame_to_sgx_bytes(small_frame())),
+            lambda: store.delete_extract(ExtractKey("r0", 0)),
+        ):
+            with pytest.raises(LakeNotAdoptedError, match=f"{CONVERT} {tmp_path}"):
+                call()
+            assert store.manifest.current().generation == generation
+        assert set(tmp_path.glob("r0/*.sgx")) == segments
+
 
 @pytest.mark.parametrize("legacy_layout", [False, True], ids=["manifest-entry", "legacy-file"])
 class TestCsvEntries:
-    """A generation holding a CSV entry lists it, refuses every read of it
-    with one typed error naming the remedy, and answers after ``convert``."""
+    """A CSV source -- a committed generation's CSV entry, or a legacy
+    ``.csv`` file -- keeps the lake from opening, pinned or not, until
+    ``convert``'s adoption imports it; beside an ``.sgx`` source for the
+    same key it follows the three sibling rules."""
 
     KEY = ExtractKey("r0", 4)
 
-    def test_listed_but_unreadable(self, tmp_path, legacy_layout):
-        store = DataLakeStore(tmp_path)
-        plant_csv(store, self.KEY, small_frame(), legacy_layout)
-        assert store.has_extract(self.KEY) and store.list_extracts() == [self.KEY]
-        assert store.extract_formats(self.KEY) == ("csv",)
-        q = ExtractQuery.for_key(self.KEY)
-        for read in (
-            lambda: store.query(q),
-            lambda: store.query(ExtractQuery(aggregates=("count",))),
-            lambda: list(store.scan(q)),
-            lambda: store.read_extract(self.KEY),
-            lambda: store.read_extract_text(self.KEY),
-            lambda: store.read_extract_bytes(self.KEY),
-            lambda: store.extract_path(self.KEY),
-            lambda: store.extract_fingerprint(self.KEY),
-            lambda: store.extract_size_bytes(self.KEY),
-        ):
-            with pytest.raises(ExtractNotImportedError) as excinfo:
-                read()
-            message = excinfo.value.args[0]
-            assert "r0 week 4" in message and f"r0/{self.KEY.filename('csv')[:-4]}" in message
-            assert f"python -m repro.fleet_ops convert --lake-dir {tmp_path}" in message
-        assert isinstance(excinfo.value, ExtractNotFoundError)  # what the fleet isolates
+    def plant(self, root, legacy_layout, frame, sgx: bytes | None = None) -> None:
+        """Leave ``KEY`` with a CSV source of ``frame`` (and ``sgx`` bytes
+        as its segment or legacy ``.sgx`` file)."""
+        store = DataLakeStore(root)
+        if legacy_layout:
+            if sgx is not None:
+                (root / "r0").mkdir()
+                (root / "r0" / self.KEY.filename()).write_bytes(sgx)  # a pre-manifest file
+            plant_legacy(store, {self.KEY: frame}, adopt=False)
+        else:
+            if sgx is not None:
+                store.write_extract_bytes(self.KEY, sgx)
+            plant_csv(store, self.KEY, frame)
+
+    def test_refused_at_open_pinned_or_not(self, tmp_path, legacy_layout):
+        self.plant(tmp_path, legacy_layout, small_frame())
+        generation = LakeManifest(tmp_path).head().generation
+        for pin in (None, generation):
+            with pytest.raises(LakeNotAdoptedError, match=f"{CONVERT} {tmp_path}"):
+                DataLakeStore(tmp_path, pinned_generation=pin)
 
     def test_convert_imports_once(self, tmp_path, legacy_layout):
+        self.plant(tmp_path, legacy_layout, small_frame())
+        assert len(adopt_legacy_files(LakeManifest(tmp_path))) == 1
         store = DataLakeStore(tmp_path)
-        plant_csv(store, self.KEY, small_frame(), legacy_layout)
-        report = convert_lake(store)
-        assert report.n_converted == 1 and report.records[0].source_format == "csv"
-        assert store.extract_formats(self.KEY) == ("sgx",)
-        for reader in (store, DataLakeStore(tmp_path)):
-            assert reader.read_extract(self.KEY).content_hash() == small_frame().content_hash()
+        assert store.read_extract(self.KEY).content_hash() == small_frame().content_hash()
+        assert store.manifest.current().unimported == ()
         generation = store.current_generation()
-        assert convert_lake(store).n_converted == 0
+        assert adopt_legacy_files(LakeManifest(tmp_path)) == ()
         assert store.current_generation() == generation
+        # gc reclaims a retired CSV entry; a legacy-named original stays.
+        store.collect_garbage()
+        assert not list(tmp_path.glob("r0/*-*.csv"))
+        assert (tmp_path / "r0" / self.KEY.filename("csv")).exists() == legacy_layout
 
-    def test_deletable(self, tmp_path, legacy_layout):
+    def test_matching_segment_is_kept(self, tmp_path, legacy_layout):
+        frame = LoadFrame(5)
+        frame.add_server(ServerMetadata("s0", "r0"), make_series([1.0, 2.0], start=1435))
+        sgx = frame_to_sgx_bytes(frame, chunk_minutes=0)  # adoption would write two chunks
+        assert sgx != frame_to_sgx_bytes(frame)
+        self.plant(tmp_path, legacy_layout, frame, sgx)
+        adopt_legacy_files(LakeManifest(tmp_path))
+        assert DataLakeStore(tmp_path).read_extract_bytes(self.KEY) == sgx
+
+    def test_mismatched_segment_publishes_nothing(self, tmp_path, legacy_layout):
+        self.plant(tmp_path, legacy_layout, small_frame(), frame_to_sgx_bytes(small_frame(3)))
+        generation = LakeManifest(tmp_path).head().generation
+        with pytest.raises(ConversionVerificationError, match="r0 week 4 disagrees"):
+            adopt_legacy_files(LakeManifest(tmp_path))
+        assert LakeManifest(tmp_path).current().generation == generation
+        with pytest.raises(LakeNotAdoptedError):
+            DataLakeStore(tmp_path)
+
+    def test_rejected_segment_is_reimported(self, tmp_path, legacy_layout):
+        self.plant(tmp_path, legacy_layout, small_frame(), bare_sgx_header(3))
+        adopt_legacy_files(LakeManifest(tmp_path))
         store = DataLakeStore(tmp_path)
-        plant_csv(store, self.KEY, small_frame(), legacy_layout)
-        store.delete_extract(self.KEY)
-        assert not store.has_extract(self.KEY)
+        assert store.read_extract(self.KEY).content_hash() == small_frame().content_hash()
 
 
 class TestTimeRangeReads:
@@ -388,13 +401,6 @@ class TestChunkPolicy:
         payload = frame_to_sgx_bytes(self.week_frame(), chunk_minutes=0)
         store.write_extract_bytes(key, payload)
         assert store.read_extract_bytes(key) == payload
-
-    def test_write_extract_bytes_drops_stale_other_format(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        plant_csv(store, key, self.week_frame())
-        store.write_extract_bytes(key, frame_to_sgx_bytes(self.week_frame()))
-        assert store.extract_formats(key) == ("sgx",)
 
     def test_partial_read_within_server_matches_slice(self, tmp_path):
         store = DataLakeStore(tmp_path, write_format="sgx")

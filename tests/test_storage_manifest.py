@@ -18,13 +18,14 @@ from repro.storage.manifest import (
     LakeNotAdoptedError,
     LakeNotFoldedError,
     ManifestSnapshot,
+    SegmentEntry,
     TransactionLog,
     fault_handler,
 )
 from repro.storage.migrate import adopt_legacy_files
 from repro.timeseries.frame import ServerMetadata
 
-from tests.helpers import CrashInjector, plant_legacy, small_frame
+from tests.helpers import CrashInjector, plant_csv, plant_legacy, small_frame
 
 KEY = ExtractKey("r0", 3)
 CONVERT = "python -m repro.fleet_ops convert --lake-dir"
@@ -91,20 +92,33 @@ class TestAdoption:
         assert {(tmp_path / a["relpath"], a["bytes"]) for a in adopted} == {
             (path, len(data)) for path, data in originals.items()
         }
-        # Generation 1 is the adopt transaction: the originals' bytes,
-        # content-addressed; the CSV import then publishes generation 2.
-        gen1 = lake.manifest.snapshot_at(1)
-        assert sorted((e.week, e.fmt) for e in gen1.segments) == [(3, "csv"), (5, "sgx")]
-        assert lake.current_generation() == 2
-        for entry in (*gen1.segments, *lake.manifest.current().segments):
+        # One adopt transaction: the CSV file is imported inside it.
+        snapshot = lake.manifest.current()
+        assert snapshot.generation == 1 and snapshot.unimported == ()
+        assert [(e.region, e.week) for e in snapshot.segments] == [("r0", 3), ("r1", 5)]
+        for entry in snapshot.segments:
             data = (tmp_path / entry.relpath).read_bytes()
             assert entry.sha256 == hashlib.sha256(data).hexdigest()
-            assert entry.relpath.endswith(f"-{entry.sha256[:12]}.{entry.fmt}")
+            assert entry.relpath.endswith(f"-{entry.sha256[:12]}.sgx")
         for key, frame in frames.items():
             assert DataLakeStore(tmp_path).read_extract(key).content_hash() == frame.content_hash()
         assert {path: path.read_bytes() for path in originals} == originals
-        assert fleet_main(convert) == 0 and lake.current_generation() == 2
+        assert fleet_main(convert) == 0 and lake.current_generation() == 1
         assert json.loads(capsys.readouterr().out)["adopted"] == []
+
+    def test_an_older_generation_file_opens_and_reads_unchanged(self, tmp_path, lake):
+        """Until a lake held ``.sgx`` entries alone, every entry of a
+        generation file carried ``"fmt": "sgx"``."""
+        before = lake.read_extract(KEY)
+        gen_path = tmp_path / "_manifest" / "gen-00000001.json"
+        gen = json.loads(gen_path.read_text())
+        gen["segments"] = [{**entry, "fmt": "sgx"} for entry in gen["segments"]]
+        gen_path.write_text(json.dumps(gen))
+        for store in (DataLakeStore(tmp_path), DataLakeStore(tmp_path, pinned_generation=1)):
+            assert store.manifest.current().segments == lake.manifest.current().segments
+            assert store.read_extract(KEY).content_hash() == before.content_hash()
+        DataLakeStore(tmp_path).write_extract(ExtractKey("r0", 4), small_frame())
+        assert DataLakeStore(tmp_path).list_extracts() == [KEY, ExtractKey("r0", 4)]
 
     def test_crashed_adoption_rolls_back_and_convert_adopts_again(self, tmp_path):
         keys = [KEY, ExtractKey("r0", 4)]
@@ -116,14 +130,19 @@ class TestAdoption:
         assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
         assert DataLakeStore(tmp_path).list_extracts() == keys
 
-    def test_convert_folds_an_old_lakes_seal_watermarks(self, tmp_path, lake):
+    @pytest.mark.parametrize("csv_entry", [False, True], ids=["sgx-only", "with-csv-entry"])
+    def test_convert_folds_an_old_lakes_seal_watermarks(self, tmp_path, lake, csv_entry):
         """A store from before watermarks in generations kept them in the
         seal ops of its whole log.  Its lake opens once ``convert`` has
-        folded the highest committed one into a generation."""
+        folded the highest committed one into a generation -- in the adopt
+        transaction, which also imports a CSV entry an older store left."""
+        if csv_entry:
+            plant_csv(lake, ExtractKey("r0", 4), small_frame(level=2.0))
         manifest_dir = tmp_path / "_manifest"
-        gen = json.loads((manifest_dir / "gen-00000001.json").read_text())
+        head = LakeManifest(tmp_path).head().generation
+        gen = json.loads((manifest_dir / f"gen-{head:08d}.json").read_text())
         del gen["sealed_through"]
-        (manifest_dir / "gen-00000001.json").write_text(json.dumps(gen))
+        (manifest_dir / f"gen-{head:08d}.json").write_text(json.dumps(gen))
         seal = "live-seal r0 week0000 through {}".format
         old_log = [
             {"type": "intent", "txid": "a", "generation_from": 0, "op": seal(720)},
@@ -134,11 +153,14 @@ class TestAdoption:
             {"type": "intent", "txid": gen["txid"], "generation_from": 1, "op": seal(1440)},
         ]
         (manifest_dir / "txlog.jsonl").write_text("".join(f"{json.dumps(r)}\n" for r in old_log))
-        with pytest.raises(LakeNotFoldedError, match=f"{CONVERT} {tmp_path}"):
+        refused = LakeNotAdoptedError if csv_entry else LakeNotFoldedError
+        with pytest.raises(refused, match=f"{CONVERT} {tmp_path}"):
             DataLakeStore(tmp_path)
         assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
-        snapshot = DataLakeStore(tmp_path).manifest.current()
-        assert snapshot.generation == 2 and snapshot.sealed_through == {("r0", 0): 1440}
+        store = DataLakeStore(tmp_path)
+        snapshot = store.manifest.current()
+        assert snapshot.generation == head + 1 and snapshot.sealed_through == {("r0", 0): 1440}
+        assert store.list_extracts() == [KEY, ExtractKey("r0", 4)][: 1 + csv_entry]
         assert [p.read_bytes() for p in manifest_dir.glob("txlog*")] == [b""]
 
     @pytest.mark.parametrize(
@@ -165,7 +187,7 @@ class TestContentAddressing:
 
     def test_fingerprint_served_from_manifest_entry(self, lake):
         snapshot = lake.manifest.current()
-        entry = snapshot.entry(KEY.region, KEY.week, "sgx")
+        entry = snapshot.entry(KEY.region, KEY.week)
         assert entry.sha256 == lake.extract_fingerprint(KEY)
         assert entry.size == lake.extract_size_bytes(KEY)
 
@@ -242,10 +264,11 @@ class TestManifestInternals:
         assert FAULT_POINTS.index("manifest.pointer") == len(FAULT_POINTS) - 2
         assert FAULT_POINTS[0] == "txlog.intent"
 
-    def test_snapshot_formats_in_preference_order(self):
-        snapshot = ManifestSnapshot(generation=1, txid=None, segments=())
-        assert snapshot.formats("r0", 1) == ()
-        assert snapshot.entry("r0", 1, "sgx") is None
+    def test_snapshot_indexes_one_segment_per_key(self):
+        entry = SegmentEntry("r0", 1, "r0/extract_r0_week0001-0123456789ab.sgx", 3, "0" * 64)
+        snapshot = ManifestSnapshot(generation=1, txid=None, segments=(entry,))
+        assert snapshot.entry("r0", 1) == entry and snapshot.entry("r0", 2) is None
+        assert snapshot.keys() == [("r0", 1)]
 
     def test_torn_txlog_tail_is_tolerated(self, tmp_path, lake):
         log_path = tmp_path / "_manifest" / "txlog.jsonl"
@@ -335,7 +358,7 @@ class TestCli:
         assert fleet_main(["manifest", "--lake-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Committed generation: 1" in out
-        assert f"{KEY.region} week {KEY.week}: .sgx" in out
+        assert f"{KEY.region} week {KEY.week}: " in out and ".sgx\n" in out
         assert "no pending transaction" in out
 
     def test_manifest_command_json(self, capsys, tmp_path, lake):

@@ -18,7 +18,7 @@ import pytest
 from repro.storage import columnar, datalake
 from repro.storage.columnar import ColumnarFormatError, SgxSegment, frame_to_sgx_bytes
 from repro.storage.datalake import DataLakeStore, ExtractKey
-from repro.storage.migrate import convert_lake
+from repro.storage.migrate import adopt_legacy_files
 from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
@@ -330,20 +330,13 @@ class TestDamageIsLoud:
             next(scan)
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_beside_csv_names_convert(self, lake, warm):
+    def test_adoption_heals_from_a_csv_sibling(self, lake, warm):
         frame = week_frame()
-        plant_csv(lake, KEY, frame)
         if warm:
             lake.query(point_query())
         damage(lake.extract_path(KEY), "payload")
-        remedy = f"python -m repro.fleet_ops convert --lake-dir {lake.root}"
-        for shape in READS:
-            with pytest.raises(ColumnarFormatError, match="'s11'") as excinfo:
-                READS[shape](lake)
-            assert remedy in str(excinfo.value)
-        report = convert_lake(lake)
-        assert [r.source_format for r in report.records] == ["csv"]
-        assert lake.extract_formats(KEY) == ("sgx",)
+        plant_csv(lake, KEY, frame)
+        assert len(adopt_legacy_files(lake.manifest)) == 1
         for store in (lake, DataLakeStore(lake.root)):
             assert store.read_extract(KEY).content_hash() == frame.content_hash()
 
