@@ -7,9 +7,7 @@ percentage of predictable servers (d).  The headline finding is that the ML
 models are *not* significantly more accurate than persistent forecast.
 """
 
-import pytest
-
-from bench_utils import FIGURE11_MODELS, REGION_SIZES, forecast_backup_day, print_table
+from bench_utils import FIGURE11_MODELS, forecast_backup_day, print_table
 from repro.features.classification import ServerClassLabel, classify_frame
 from repro.metrics.evaluation import AccuracyEvaluationModule
 

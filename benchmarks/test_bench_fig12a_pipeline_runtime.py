@@ -6,7 +6,7 @@ Model Deployment is roughly constant, everything else grows with input
 size, and Accuracy Evaluation dominates for the largest regions.
 """
 
-from bench_utils import REGION_SIZES, print_table
+from bench_utils import print_table
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import SeagullPipeline
 

@@ -7,7 +7,7 @@ pattern; 53.7% of servers expected to be predictable.
 """
 
 from bench_utils import print_table
-from repro.features.classification import ServerClassLabel, classify_frame
+from repro.features.classification import classify_frame
 
 PAPER_PERCENTAGES = {
     "short_lived": 42.1,

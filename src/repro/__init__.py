@@ -45,7 +45,7 @@ from repro.fleet_ops import FleetOrchestrator, FleetReport, populate_lake
 from repro.metrics.bucket_ratio import ErrorBound, bucket_ratio, is_accurate_prediction
 from repro.metrics.evaluation import AccuracyEvaluationModule
 from repro.metrics.ll_window import lowest_load_window, is_window_correctly_chosen
-from repro.models.registry import available_models, create_forecaster
+from repro.models.registry import create_forecaster
 from repro.scheduling.backup import BackupScheduler
 from repro.scheduling.impact import BackupImpactAnalyzer
 from repro.serving import (
@@ -85,7 +85,6 @@ __all__ = [
     "classify_frame",
     "ServerClassLabel",
     "create_forecaster",
-    "available_models",
     "PipelineConfig",
     "SeagullPipeline",
     "PipelineRunResult",

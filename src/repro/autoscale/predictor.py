@@ -205,26 +205,6 @@ class AutoscalePredictor:
 
     # ------------------------------------------------------------------ #
 
-    def predict_database(
-        self,
-        database_id: str,
-        series: LoadSeries,
-        model_name: str,
-        target_day: int,
-    ) -> DatabaseForecast | None:
-        """Fit on the week preceding ``target_day`` and forecast that day.
-
-        The forecast is served through the prediction service (a
-        one-database deployment), so it carries serving metadata.  Returns
-        ``None`` when the database lacks history or the model cannot be
-        fit.
-        """
-        fitted = self._fit_database(database_id, series, model_name, target_day)
-        if fitted is None:
-            return None
-        results = self._serve_deployment(model_name, target_day // 7, [fitted])
-        return results[0] if results else None
-
     def evaluate_fleet(
         self,
         frame: LoadFrame,

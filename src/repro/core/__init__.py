@@ -22,9 +22,6 @@ components:
 from repro.core.config import PipelineConfig
 from repro.core.dashboard import Dashboard, DashboardEvent
 from repro.core.drift import (
-    DriftDetector,
-    DriftReport,
-    DriftThresholds,
     LoadWindowDriftDetector,
     WindowDriftReport,
     WindowDriftThresholds,
@@ -49,9 +46,6 @@ __all__ = [
     "IncidentSeverity",
     "Dashboard",
     "DashboardEvent",
-    "DriftDetector",
-    "DriftReport",
-    "DriftThresholds",
     "LoadWindowDriftDetector",
     "WindowDriftReport",
     "WindowDriftThresholds",

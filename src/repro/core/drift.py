@@ -1,14 +1,5 @@
-"""Usage-pattern drift detection.
+"""Live-window drift detection.
 
-Section 2.1 motivates the infrastructure's modularity with the observation
-that "usage patterns may change over time.  This observation justifies the
-need for a robust infrastructure that automatically detects these changes,
-notifies about them, and allows to easily replace the model."  This module
-implements that detector: it compares the accuracy summaries of consecutive
-pipeline runs per region and raises incidents when the fleet's behaviour
-shifts (accuracy drop, predictable-share drop, class-mix shift).
-
-The live data plane gets its own, lower-level detector:
 :class:`LoadWindowDriftDetector` compares the raw load *distribution* of
 consecutive sealed tail windows (mean and dispersion shift, servers
 appearing/disappearing) without waiting for a full pipeline run -- it is
@@ -24,133 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.incidents import IncidentManager, IncidentSeverity
-from repro.core.pipeline import PipelineRunResult
-from repro.features.classification import ServerClassLabel
 from repro.timeseries.frame import LoadFrame
-
-
-@dataclass(frozen=True)
-class DriftThresholds:
-    """How much week-over-week movement counts as drift."""
-
-    max_accuracy_drop_pct: float = 5.0
-    max_predictable_drop_pct: float = 10.0
-    max_class_shift_pct: float = 15.0
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    """Outcome of comparing one run against the previous run of its region."""
-
-    region: str
-    accuracy_drop_pct: float
-    predictable_drop_pct: float
-    class_shift_pct: float
-    drifted: bool
-    details: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "region": self.region,
-            "accuracy_drop_pct": self.accuracy_drop_pct,
-            "predictable_drop_pct": self.predictable_drop_pct,
-            "class_shift_pct": self.class_shift_pct,
-            "drifted": self.drifted,
-            "details": list(self.details),
-        }
-
-
-class DriftDetector:
-    """Compares consecutive pipeline runs per region and flags drift."""
-
-    def __init__(
-        self,
-        thresholds: DriftThresholds | None = None,
-        incidents: IncidentManager | None = None,
-    ) -> None:
-        self._thresholds = thresholds if thresholds is not None else DriftThresholds()
-        self._incidents = incidents
-        self._previous: dict[str, PipelineRunResult] = {}
-
-    def observe(self, result: PipelineRunResult) -> DriftReport | None:
-        """Record a run; returns a report once a previous run exists.
-
-        Unsuccessful runs are ignored (they already raise their own
-        incidents) and do not overwrite the last good baseline.
-        """
-        if not result.succeeded or result.summary is None:
-            return None
-        previous = self._previous.get(result.region)
-        self._previous[result.region] = result
-        if previous is None or previous.summary is None:
-            return None
-        report = self._compare(previous, result)
-        if report.drifted and self._incidents is not None:
-            self._incidents.raise_incident(
-                IncidentSeverity.WARNING,
-                source="drift_detection",
-                message="; ".join(report.details) or "usage pattern drift detected",
-                region=result.region,
-            )
-        return report
-
-    # ------------------------------------------------------------------ #
-
-    def _compare(
-        self, previous: PipelineRunResult, current: PipelineRunResult
-    ) -> DriftReport:
-        assert previous.summary is not None and current.summary is not None
-        thresholds = self._thresholds
-        details: list[str] = []
-
-        accuracy_drop = (
-            previous.summary.pct_windows_correct - current.summary.pct_windows_correct
-        )
-        if accuracy_drop > thresholds.max_accuracy_drop_pct:
-            details.append(
-                f"window-selection accuracy dropped {accuracy_drop:.1f} points"
-            )
-
-        predictable_drop = (
-            previous.summary.pct_predictable_servers
-            - current.summary.pct_predictable_servers
-        )
-        if predictable_drop > thresholds.max_predictable_drop_pct:
-            details.append(
-                f"predictable-server share dropped {predictable_drop:.1f} points"
-            )
-
-        class_shift = self._class_shift(previous, current)
-        if class_shift > thresholds.max_class_shift_pct:
-            details.append(f"class mix shifted by {class_shift:.1f} points")
-
-        return DriftReport(
-            region=current.region,
-            accuracy_drop_pct=accuracy_drop,
-            predictable_drop_pct=predictable_drop,
-            class_shift_pct=class_shift,
-            drifted=bool(details),
-            details=tuple(details),
-        )
-
-    @staticmethod
-    def _class_shift(previous: PipelineRunResult, current: PipelineRunResult) -> float:
-        """Total variation distance (in percentage points) between class mixes."""
-        if previous.classification is None or current.classification is None:
-            return 0.0
-        shift = 0.0
-        for label in ServerClassLabel:
-            before = previous.classification.percentage(label)
-            after = current.classification.percentage(label)
-            if before != before or after != after:  # NaN guard for empty runs
-                continue
-            shift += abs(after - before)
-        return shift / 2.0
-
-
-# ---------------------------------------------------------------------- #
-# Live-window drift (the streaming data plane's detector)
-# ---------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
@@ -238,10 +103,15 @@ def _relative_shift_pct(before: float, after: float) -> float:
 class LoadWindowDriftDetector:
     """Compares consecutive sealed live windows per region and flags drift.
 
-    The streaming counterpart of :class:`DriftDetector`: it needs only
+    Section 2.1 motivates the infrastructure's modularity with the
+    observation that "usage patterns may change over time.  This
+    observation justifies the need for a robust infrastructure that
+    automatically detects these changes, notifies about them, and allows
+    to easily replace the model."  This is that detector: it needs only
     the sealed window's load distribution (no labels, no pipeline run),
-    so a verdict is available the moment a seal commits.  Empty windows
-    are ignored and never overwrite the last populated baseline.
+    so a verdict is available the moment a seal commits, and a drifted
+    verdict raises an incident and makes the live bridge retrain.  Empty
+    windows are ignored and never overwrite the last populated baseline.
     """
 
     def __init__(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class IncidentSeverity(enum.Enum):

@@ -184,9 +184,7 @@ class SeagullPipeline:
             self._registry = (
                 model_registry if model_registry is not None else ModelRegistry()
             )
-            self._serving = PredictionService(
-                registry=self._registry, dashboard=self._dashboard
-            )
+            self._serving = PredictionService(registry=self._registry)
         self._artifacts = artifact_cache
         # Data properties are deduced per region (Section 2.4): region sizes
         # and load distributions differ, so each region gets its own

@@ -125,7 +125,7 @@ OWNERSHIP: tuple[Owned, ...] = (
     Owned("manifest-boundary", ("repro.storage.manifest",),
           frozenset({"write_bytes", "write_text", "unlink", "open"}),
           "lake payload file; mutate lakes through a manifest transaction "
-          "(DataLakeStore.write_extract*/delete_extract)",
+          "(DataLakeStore.write_extract*)",
           fragments=(".sgx", ".csv"), helpers=frozenset({"filename", "extract_path"}),
           write_open=True),
     Owned("live-boundary", ("repro.storage.live",), _FILE_IO_CALLS | {"unlink", "replace"},

@@ -129,27 +129,3 @@ class FeatureExtractionModule:
             server_id: self.extract_server(metadata, series)
             for server_id, metadata, series in frame.items()
         }
-
-    def capacity_histogram(
-        self, features: dict[str, ServerFeatures], bin_edges: tuple[float, ...] = (20, 40, 60, 80, 99, 100.1)
-    ) -> dict[str, float]:
-        """Percentage of servers per maximal CPU load bucket (Figure 13(b))."""
-        if not features:
-            return {}
-        counts = [0] * len(bin_edges)
-        for feature in features.values():
-            placed = False
-            for index, edge in enumerate(bin_edges):
-                if feature.max_load < edge:
-                    counts[index] += 1
-                    placed = True
-                    break
-            if not placed:
-                counts[-1] += 1
-        labels = []
-        previous = 0.0
-        for edge in bin_edges:
-            labels.append(f"{previous:g}-{min(edge, 100):g}%")
-            previous = edge
-        total = len(features)
-        return {label: 100.0 * count / total for label, count in zip(labels, counts, strict=True)}

@@ -160,17 +160,3 @@ def has_weekly_pattern(
     return not conforms(matrix.ratios(1, bound)[1], threshold, min_days) and conforms(
         matrix.ratios(7, bound)[1], threshold, min_days
     )
-
-
-def pattern_strength(
-    series: LoadSeries,
-    lag_days: int,
-    bound: ErrorBound = DEFAULT_ERROR_BOUND,
-) -> float:
-    """Average day-over-day bucket ratio at the given lag.
-
-    A softer, continuous companion to the boolean pattern predicates, used
-    as a model-selection feature and in the ablation benchmarks.
-    """
-    _check_lag(lag_days)
-    return mean_ratio(DayMatrix(series).ratios(lag_days, bound)[1])

@@ -19,7 +19,7 @@ Five commands:
   crash leftovers recovery would clean up;
 * ``python -m repro.fleet_ops gc`` physically reclaims segment files and
   generations no longer referenced by the current committed generation
-  (deletes are logical until this runs);
+  (an overwritten file stays on disk until this runs);
 * ``python -m repro.fleet_ops live`` simulates the streaming data plane:
   telemetry batches land in per-partition tail WALs, day-boundary seals
   commit manifest transactions, and drift verdicts on sealed windows
@@ -231,8 +231,8 @@ def build_gc_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet_ops gc",
         description="Physically reclaim lake files no longer referenced by "
-        "the current committed generation (deletes are logical until this "
-        "runs). Invalidates readers pinned to older generations.",
+        "the current committed generation (an overwritten file stays on disk "
+        "until this runs). Invalidates readers pinned to older generations.",
     )
     parser.add_argument("--lake-dir", required=True, help="root directory of the lake")
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.metrics.bucket_ratio import DEFAULT_ERROR_BOUND, ErrorBound
-from repro.timeseries import calendar
 from repro.timeseries.series import LoadSeries
 
 
@@ -35,10 +34,6 @@ class LowestLoadWindow:
     @property
     def end(self) -> int:
         return self.start + self.duration_minutes
-
-    def overlaps(self, other: "LowestLoadWindow") -> bool:
-        """Return whether two windows overlap in time."""
-        return self.start < other.end and other.start < self.end
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -129,23 +124,6 @@ def is_window_correctly_chosen(
         true, predicted_window.start, duration_minutes
     )
     return bound.within(true_load_in_predicted, true_window.average_load)
-
-
-def window_for_default_backup(
-    series: LoadSeries,
-    default_start: int,
-    duration_minutes: int,
-) -> LowestLoadWindow:
-    """Describe the default backup window as a :class:`LowestLoadWindow`.
-
-    Used by the Figure 13(a) impact analysis to compare default windows
-    against predicted LL windows.
-    """
-    return LowestLoadWindow(
-        start=default_start,
-        duration_minutes=duration_minutes,
-        average_load=window_average_load(series, default_start, duration_minutes),
-    )
 
 
 def default_window_is_lowest(

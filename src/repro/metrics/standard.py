@@ -94,13 +94,3 @@ def rmse(forecast: LoadSeries | np.ndarray, true: LoadSeries | np.ndarray) -> fl
     if forecast_values.size == 0:
         return float("nan")
     return float(np.sqrt(np.mean((forecast_values - true_values) ** 2)))
-
-
-def mean_absolute_error(
-    forecast: LoadSeries | np.ndarray, true: LoadSeries | np.ndarray
-) -> float:
-    """Plain mean absolute error (used in diagnostics and ablations)."""
-    forecast_values, true_values = _to_arrays(forecast, true)
-    if forecast_values.size == 0:
-        return float("nan")
-    return float(np.mean(np.abs(forecast_values - true_values)))

@@ -26,13 +26,11 @@ from repro.models.base import FitResult, Forecaster, ForecastError
 from repro.models.arima import ArimaForecaster
 from repro.models.feedforward import FeedForwardForecaster
 from repro.models.persistent import (
-    PersistentForecastVariant,
     PreviousDayForecaster,
     PreviousEquivalentDayForecaster,
     PreviousWeekAverageForecaster,
-    make_persistent_forecaster,
 )
-from repro.models.registry import MODEL_DISPLAY_NAMES, available_models, create_forecaster
+from repro.models.registry import MODEL_DISPLAY_NAMES, create_forecaster
 from repro.models.seasonal import SeasonalAdditiveForecaster
 from repro.models.ssa import SsaForecaster
 
@@ -40,16 +38,13 @@ __all__ = [
     "Forecaster",
     "FitResult",
     "ForecastError",
-    "PersistentForecastVariant",
     "PreviousDayForecaster",
     "PreviousEquivalentDayForecaster",
     "PreviousWeekAverageForecaster",
-    "make_persistent_forecaster",
     "SsaForecaster",
     "FeedForwardForecaster",
     "SeasonalAdditiveForecaster",
     "ArimaForecaster",
     "create_forecaster",
-    "available_models",
     "MODEL_DISPLAY_NAMES",
 ]

@@ -95,10 +95,6 @@ class Forecaster(abc.ABC):
         start = self._history.end + self._history.interval_minutes
         return LoadSeries.from_values(values, start=start, interval_minutes=self._history.interval_minutes)
 
-    def fit_predict(self, history: LoadSeries, n_points: int) -> LoadSeries:
-        """Convenience: fit on ``history`` then predict ``n_points``."""
-        return self.fit(history).predict(n_points)
-
     @property
     def fit_result(self) -> FitResult | None:
         """Timing and metadata of the last :meth:`fit` call."""

@@ -18,24 +18,11 @@ than other models".
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro.models.base import Forecaster, ForecastError
 from repro.timeseries.calendar import MINUTES_PER_DAY, MINUTES_PER_WEEK, points_per_day
 from repro.timeseries.series import LoadSeries
-
-
-class PersistentForecastVariant(enum.Enum):
-    """The three persistent-forecast variants compared in Section 5.1."""
-
-    PREVIOUS_DAY = "previous_day"
-    PREVIOUS_EQUIVALENT_DAY = "previous_equivalent_day"
-    PREVIOUS_WEEK_AVERAGE = "previous_week_average"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 class _PersistentBase(Forecaster):
@@ -111,16 +98,3 @@ class PreviousWeekAverageForecaster(Forecaster):
 
     def _predict_values(self, n_points: int) -> np.ndarray:
         return np.full(n_points, self._weekly_mean, dtype=np.float64)
-
-
-def make_persistent_forecaster(
-    variant: PersistentForecastVariant | str = PersistentForecastVariant.PREVIOUS_DAY,
-) -> Forecaster:
-    """Construct the requested persistent-forecast variant."""
-    if isinstance(variant, str):
-        variant = PersistentForecastVariant(variant)
-    if variant is PersistentForecastVariant.PREVIOUS_DAY:
-        return PreviousDayForecaster()
-    if variant is PersistentForecastVariant.PREVIOUS_EQUIVALENT_DAY:
-        return PreviousEquivalentDayForecaster()
-    return PreviousWeekAverageForecaster()

@@ -80,21 +80,3 @@ def canonical_name(name: str) -> str:
 def create_forecaster(name: str) -> Forecaster:
     """Construct a forecaster by (possibly aliased) name."""
     return _REGISTRY[canonical_name(name)]()
-
-
-def available_models() -> list[str]:
-    """Canonical names of all registered models."""
-    return sorted(_REGISTRY)
-
-
-def register_model(name: str, factory: Callable[[], Forecaster], overwrite: bool = False) -> None:
-    """Register a custom model so the pipeline can use it by name.
-
-    This is the extension point for "any ML model can be plugged in"
-    (Section 2.1): downstream users register a factory and reference the
-    name in their pipeline configuration.
-    """
-    key = name.strip().lower()
-    if key in _REGISTRY and not overwrite:
-        raise ValueError(f"model {name!r} is already registered")
-    _REGISTRY[key] = factory

@@ -12,7 +12,7 @@ observed (Prophet slowest, Section 5.3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +45,10 @@ class SeasonalAdditiveForecaster(Forecaster):
         self._changepoints: np.ndarray = np.empty(0)
         self._t_scale = 1.0
         self._t_offset = 0.0
-        self._selected: dict[str, float] = {}
 
     @property
     def config(self) -> SeasonalConfig:
         return self._config
-
-    @property
-    def selected_hyperparameters(self) -> dict[str, float]:
-        """The ridge strength and changepoint count chosen on the hold-out."""
-        return dict(self._selected)
 
     # ------------------------------------------------------------------ #
     # Design matrix
@@ -122,7 +116,6 @@ class SeasonalAdditiveForecaster(Forecaster):
                     best = (error, alpha, n_changepoints)
 
         _, alpha, n_changepoints = best
-        self._selected = {"alpha": alpha, "n_changepoints": float(n_changepoints)}
         self._changepoints = self._make_changepoints(n_changepoints)
         full_design = self._design(timestamps, self._changepoints)
         self._coefficients = self._ridge_fit(full_design, values, alpha)

@@ -9,12 +9,11 @@ over partitions either serially, with a thread pool or with a process pool.
 """
 
 from repro.parallel.executor import ExecutionBackend, PartitionedExecutor
-from repro.parallel.partition import chunk_evenly, partition_dict, partition_list
+from repro.parallel.partition import chunk_evenly, partition_list
 
 __all__ = [
     "ExecutionBackend",
     "PartitionedExecutor",
     "chunk_evenly",
     "partition_list",
-    "partition_dict",
 ]

@@ -134,11 +134,6 @@ class PartitionedExecutor:
         return self._n_workers
 
     @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
-
-    @property
     def last_report(self) -> ExecutionReport | None:
         """Timing report of the most recent :meth:`map` call."""
         return self._last_report
@@ -202,14 +197,6 @@ class PartitionedExecutor:
             elapsed_seconds=elapsed,
         )
         return results
-
-    def map_flat(self, fn: Callable[[T], Sequence[R]], partitions: Sequence[T]) -> list[R]:
-        """Like :meth:`map` but concatenates per-partition result sequences."""
-        nested = self.map(fn, partitions)
-        flat: list[R] = []
-        for chunk in nested:
-            flat.extend(chunk)
-        return flat
 
     @classmethod
     def serial(cls) -> "PartitionedExecutor":

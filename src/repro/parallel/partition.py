@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import TypeVar
 
 T = TypeVar("T")
-K = TypeVar("K")
-V = TypeVar("V")
 
 
 def chunk_evenly(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -34,14 +32,3 @@ def chunk_evenly(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
 def partition_list(items: Sequence[T], n_partitions: int) -> list[list[T]]:
     """Split a sequence into at most ``n_partitions`` balanced lists."""
     return [list(items[start:end]) for start, end in chunk_evenly(len(items), n_partitions)]
-
-
-def partition_dict(mapping: Mapping[K, V], n_partitions: int) -> list[dict[K, V]]:
-    """Split a mapping into at most ``n_partitions`` balanced sub-mappings.
-
-    Iteration order of the input mapping is preserved within and across
-    partitions, so results recombine deterministically.
-    """
-    keys = list(mapping)
-    partitions = partition_list(keys, n_partitions)
-    return [{key: mapping[key] for key in part} for part in partitions]

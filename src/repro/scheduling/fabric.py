@@ -48,28 +48,6 @@ class FabricPropertyStore:
         record = self._properties.get(server_id, {}).get(name)
         return default if record is None else record.value
 
-    def get_record(self, server_id: str, name: str) -> PropertyRecord | None:
-        """Read the full property record (value + version)."""
-        return self._properties.get(server_id, {}).get(name)
-
-    def clear_property(self, server_id: str, name: str) -> bool:
-        """Remove a property; returns whether it existed."""
-        server_props = self._properties.get(server_id, {})
-        return server_props.pop(name, None) is not None
-
-    def servers_with_property(self, name: str) -> list[str]:
-        """All servers that currently carry the named property."""
-        return sorted(
-            server_id
-            for server_id, props in self._properties.items()
-            if name in props
-        )
-
     def set_backup_window_start(self, server_id: str, start_minute: int) -> PropertyRecord:
         """Convenience wrapper for the property the backup service reads."""
         return self.set_property(server_id, BACKUP_WINDOW_PROPERTY, int(start_minute))
-
-    def backup_window_start(self, server_id: str) -> int | None:
-        """The scheduled backup start minute for a server, if set."""
-        value = self.get_property(server_id, BACKUP_WINDOW_PROPERTY)
-        return None if value is None else int(value)

@@ -19,14 +19,12 @@ for windows it already asked for.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.metrics.predictable import PredictabilityVerdict
 from repro.scheduling.backup import BackupDecision, BackupScheduler
 from repro.serving.api import BatchPredictionResponse, ServingError
 from repro.serving.service import PredictionService
-from repro.storage.datalake import DataLakeStore
-from repro.storage.query import ExtractQuery
 from repro.timeseries.calendar import points_per_day
 from repro.timeseries.frame import ServerMetadata
 from repro.timeseries.series import LoadSeries
@@ -102,14 +100,6 @@ class RunnerService:
     def serving(self) -> PredictionService | None:
         return self._serving
 
-    def add_probe(self, name: str, probe: Callable[[], bool]) -> None:
-        """Register an availability probe run before every execution."""
-        self._probes[name] = probe
-
-    def executions(self) -> list[RunnerExecution]:
-        """All executions performed so far."""
-        return list(self._executions)
-
     def availability(self) -> float:
         """Fraction of executions whose probes all succeeded (1.0 when none ran)."""
         if not self._executions:
@@ -162,42 +152,6 @@ class RunnerService:
             execution.decisions = self._scheduler.schedule_fleet(due, predictions, verdicts)
         self._executions.append(execution)
         return execution
-
-    def run_day_from_lake(
-        self,
-        cluster: str,
-        day: int,
-        lake: DataLakeStore,
-        verdicts: Mapping[str, PredictabilityVerdict],
-        query: ExtractQuery | None = None,
-        principal: str | None = None,
-        horizon_points: int | None = None,
-        interval_minutes: int = 5,
-    ) -> RunnerExecution:
-        """Execute one scheduling step with the due set streamed from a lake.
-
-        The runner only needs each due server's *metadata* (backup window,
-        duration), never its telemetry values, so the lake is walked with
-        :meth:`~repro.storage.datalake.DataLakeStore.scan` under a
-        timestamps-only column projection: servers stream one at a time
-        (no whole-extract frame in runner memory) and, for ``.sgx``
-        extracts, the values buffers are never decoded or checksummed.
-        ``query`` narrows the walk (weeks, server allow-list, ...); its
-        region scope is forced to this runner's region either way.
-        """
-        base = query if query is not None else ExtractQuery()
-        q = replace(base, regions=(self._region,), columns=("timestamps",))
-        metadata_by_server: dict[str, ServerMetadata] = {}
-        for _key, metadata, _series in lake.scan(q, principal=principal):
-            metadata_by_server.setdefault(metadata.server_id, metadata)
-        return self.run_day(
-            cluster,
-            day,
-            metadata_by_server,
-            verdicts,
-            horizon_points=horizon_points,
-            interval_minutes=interval_minutes,
-        )
 
     def _fetch_predictions(
         self,

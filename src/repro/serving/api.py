@@ -135,10 +135,6 @@ class BatchPredictionResponse:
         """How many responses were served from the prediction cache."""
         return sum(1 for response in self.responses if response.cache_hit)
 
-    @property
-    def failed_ids(self) -> tuple[str, ...]:
-        return tuple(server_id for server_id, _ in self.failed)
-
     def as_dict(self) -> dict[str, object]:
         return {
             "region": self.region,

@@ -23,7 +23,6 @@ import threading
 import time
 from collections.abc import Iterable, Mapping
 
-from repro.core.dashboard import Dashboard
 from repro.core.endpoints import BatchScoringResult, ScoringEndpoint
 from repro.core.registry import ModelRecord, ModelRegistry, ModelStatus
 from repro.models.base import Forecaster
@@ -80,9 +79,6 @@ class PredictionService:
         Fan-out executor for :meth:`predict_batch`.  Serial and thread
         backends are supported; the process backend is rejected because
         endpoint statistics and the cache live in this process.
-    dashboard:
-        When given, :meth:`publish_health` records serving-health events
-        onto it.
     """
 
     def __init__(
@@ -91,7 +87,6 @@ class PredictionService:
         cache: PredictionCache | None = None,
         cache_capacity: int = 4096,
         executor: PartitionedExecutor | None = None,
-        dashboard: Dashboard | None = None,
     ) -> None:
         if executor is not None and executor.backend is ExecutionBackend.PROCESSES:
             raise ValueError(
@@ -101,7 +96,6 @@ class PredictionService:
         self._registry = registry if registry is not None else ModelRegistry()
         self._cache = cache if cache is not None else PredictionCache(cache_capacity)
         self._executor = executor
-        self._dashboard = dashboard
         self._endpoints: dict[tuple[str, int], ScoringEndpoint] = {}
         self._fingerprints: dict[tuple[str, int], dict[str, str]] = {}
         self._stats: dict[str, ServingStats] = {}
@@ -140,25 +134,6 @@ class PredictionService:
         )
         self._attach(record, forecasters)
         return record
-
-    def deploy_precomputed(
-        self,
-        region: str,
-        predictions: Mapping[str, LoadSeries],
-        model_name: str = "precomputed",
-        trained_week: int = 0,
-        notes: str = "",
-    ) -> ModelRecord:
-        """Deploy already-computed prediction series behind the service.
-
-        Convenience for replay/test scenarios: each series is wrapped in a
-        :class:`~repro.models.cached.PrecomputedForecaster`.
-        """
-        forecasters = {
-            server_id: PrecomputedForecaster(series, model_name)
-            for server_id, series in predictions.items()
-        }
-        return self.deploy(region, model_name, trained_week, forecasters, notes=notes)
 
     def _attach(self, record: ModelRecord, forecasters: Mapping[str, Forecaster]) -> None:
         key = (record.region, record.version)
@@ -472,10 +447,3 @@ class PredictionService:
             "stats": stats.as_dict(),
             "cache": self._cache.stats.as_dict(),
         }
-
-    def publish_health(self, run_id: str = "serving") -> None:
-        """Record one serving-health event per region onto the dashboard."""
-        if self._dashboard is None:
-            return
-        for region in self.regions():
-            self._dashboard.record(run_id, region, "serving_health", self._region_health(region))

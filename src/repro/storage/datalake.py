@@ -40,7 +40,7 @@ segment files, every mutation is an intent-logged transaction published
 atomically via ``os.replace``, and every read operation resolves one
 committed :class:`~repro.storage.manifest.ManifestSnapshot` up front --
 so a query racing a writer answers entirely from the generation it
-started on, never a mix.  Deletes retire files logically; physical
+started on, never a mix.  An overwrite retires files logically; physical
 reclaim is the explicit ``gc`` pass
 (:meth:`~repro.storage.manifest.LakeManifest.collect_garbage`).  Opening
 a store with ``pinned_generation=N`` yields a read-only view of exactly
@@ -265,7 +265,7 @@ class DataLakeStore:
         opened = manifest.head() if pinned_generation is None else manifest.snapshot_at(
             pinned_generation
         )
-        if not manifest.exists() and manifest.legacy_files():
+        if manifest.legacy_files():
             self._refuse("holds extract files that predate the lake manifest")
         if opened.unimported:
             self._refuse(f"holds CSV entries in generation {opened.generation}")
@@ -973,24 +973,6 @@ class DataLakeStore:
         """
         self._check_access(principal)
         return self._entry(key, self._snapshot()).size
-
-    def delete_extract(self, key: ExtractKey, principal: str | None = None) -> None:
-        """Remove the extract for ``key`` if present.
-
-        One manifest transaction publishing a generation without the
-        key's segment: readers see the key or they do not, and a crash
-        mid-delete rolls back cleanly on the next open.  Deleting an absent extract drops
-        nothing and publishes no new generation.  The payload files
-        themselves are retired logically -- still on disk (older pinned
-        generations may reference them) until :meth:`collect_garbage`
-        reclaims them.
-        """
-        self._check_access(principal)
-        self._require_writable()
-        # A transaction that drops nothing commits nothing: presence is
-        # decided at commit, inside the writer lock.
-        with self._manifest.transaction(f"delete {key}") as txn:
-            txn.drop(key.region, key.week)
 
     def collect_garbage(self, principal: str | None = None):
         """Physically reclaim segment files and generations no longer

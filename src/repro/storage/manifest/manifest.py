@@ -28,9 +28,10 @@ Readers load a snapshot once and keep it: every file a snapshot
 references is immutable and survives until an explicit
 :meth:`LakeManifest.collect_garbage`, so a reader (or out-of-process
 fleet worker) pinned to generation ``N`` is untouched by concurrent
-writes and conversions.  Deletes are therefore *logical* -- they drop
-manifest entries and retire the files -- and ``collect_garbage`` is the
-only code that unlinks published payload files.
+writes and conversions.  An overwrite therefore retires the file it
+replaces *logically* -- the new generation no longer references it --
+and ``collect_garbage`` is the only code that unlinks published payload
+files.
 
 A directory without a committed pointer is generation 0, the empty
 lake.  Extract files that predate the manifest
@@ -354,10 +355,15 @@ class LakeManifest:
     def legacy_files(self) -> list[tuple[str, int, str, Path]]:
         """Pre-manifest extract files, as ``(region, week, fmt, path)``.
 
-        Only files named exactly ``extract_<region>_week<NNNN>.<fmt>``
-        under their own region directory count; content-addressed
-        segments, temp files and foreign files do not.
+        Only a directory without a committed pointer has any: once a
+        generation exists, the lake is what the manifest lists, and a file
+        outside it is not part of the lake.  Only files named exactly
+        ``extract_<region>_week<NNNN>.<fmt>`` under their own region
+        directory count; content-addressed segments, temp files and
+        foreign files do not.
         """
+        if self.exists():
+            return []
         found = []
         for region_dir in self._region_dirs():
             for path in sorted(region_dir.iterdir()):
@@ -585,7 +591,7 @@ class LakeManifest:
 
 
 class ManifestTransaction:
-    """One atomic lake mutation: stage segments, drop entries, publish.
+    """One atomic lake mutation: stage segments, publish.
 
     The protocol (each step durable before the next, each step a named
     fault point)::
@@ -616,7 +622,6 @@ class ManifestTransaction:
         self._txid = ""
         self._staged: dict[tuple[str, int], SegmentEntry] = {}
         self._created: list[tuple[str, bool]] = []
-        self._dropped: set[tuple[str, int]] = set()
         self._sealed: dict[tuple[str, int], int] = {}
         self._published = False
         self._done = False
@@ -704,21 +709,9 @@ class ManifestTransaction:
         )
         fault_point("txlog.staged")
         entry = SegmentEntry(region, week, relpath, len(payload), sha)
-        key = (region, week)
-        self._staged[key] = entry
+        self._staged[(region, week)] = entry
         self._created.append((relpath, reused))
-        self._dropped.discard(key)
         return entry
-
-    def drop(self, region: str, week: int) -> None:
-        """Drop ``(region, week)`` from the generation being built.
-
-        Logical only: the retired file stays on disk for pinned readers
-        until :meth:`LakeManifest.collect_garbage`.
-        """
-        key = (region, week)
-        self._dropped.add(key)
-        self._staged.pop(key, None)
 
     def set_sealed_through(self, region: str, week: int, through: int) -> None:
         """Set ``(region, week)``'s seal watermark in the generation being
@@ -730,8 +723,8 @@ class ManifestTransaction:
     def commit(self) -> ManifestSnapshot:
         """Publish the new generation; returns its snapshot.
 
-        A transaction that staged nothing, dropped nothing that exists
-        and moved no watermark is a no-op: it resets the log instead of
+        A transaction that staged nothing and moved no watermark is a
+        no-op: it resets the log instead of
         publishing an identical generation -- unless its base predates
         watermarks in generations, which is what ``convert``'s fold
         publishes a generation to change.  A base holding CSV entries
@@ -746,7 +739,6 @@ class ManifestTransaction:
         if (
             not self._staged
             and self._sealed == self._base.sealed_through
-            and not any(self._base.entry(*key) is not None for key in self._dropped)
             and not self._base.unfolded
         ):
             self._done = True
@@ -763,11 +755,7 @@ class ManifestTransaction:
                 f"`python -m repro.fleet_ops convert --lake-dir {manifest.root}`"
             )
         self._done = True
-        entries = {
-            (e.region, e.week): e
-            for e in self._base.segments
-            if (e.region, e.week) not in self._dropped
-        }
+        entries = {(e.region, e.week): e for e in self._base.segments}
         entries.update(self._staged)
         generation = self._base.generation + 1
         if not manifest.exists():

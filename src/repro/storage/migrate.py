@@ -160,7 +160,7 @@ def adopt_legacy_files(manifest: LakeManifest) -> tuple[tuple[str, int], ...]:
         # the history there.
         os.replace(manifest.log.path, aside)
         _fsync_dir(aside.parent)
-    legacy = [] if manifest.exists() else manifest.legacy_files()
+    legacy = manifest.legacy_files()
     if not head.unfolded and not legacy and not head.unimported:
         aside.unlink(missing_ok=True)  # an adoption that crashed after its commit
         return ()

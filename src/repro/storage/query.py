@@ -27,11 +27,10 @@ tail riding after them):
   scope (see :func:`~repro.storage.columnar.aggregate_sgx_bytes`).
 
 Queries are value objects: equivalent constructions (list vs tuple server
-ids, unordered inputs) normalise to the same instance, hash equal, and
-produce the same :func:`~repro.storage.artifacts.artifact_key` component
-via :meth:`ExtractQuery.cache_token`.  They are also the fleet's unit of
-worker handoff -- the orchestrator ships ``(lake root, ExtractQuery)`` to
-process workers instead of whole extract payloads.
+ids, unordered inputs) normalise to the same instance and hash equal.
+They are also the fleet's unit of worker handoff -- the orchestrator
+ships ``(lake root, ExtractQuery)`` to process workers instead of whole
+extract payloads.
 
 :class:`QueryResult` pairs the materialised
 :class:`~repro.timeseries.frame.LoadFrame` with a :class:`ScanStats`
@@ -212,26 +211,6 @@ class ExtractQuery:
             return None
         engines = frozenset(self.engines)
         return lambda metadata: metadata.engine in engines
-
-    def cache_token(self) -> dict[str, Any]:
-        """This query as an :func:`~repro.storage.artifacts.artifact_key`
-        params component.
-
-        Covers exactly the fields that determine the materialised frame.
-        """
-        return {
-            "regions": self.regions,
-            "weeks": self.weeks,
-            "start_minute": self.start_minute,
-            "end_minute": self.end_minute,
-            "servers": self.servers,
-            "engines": self.engines,
-            "columns": self.columns,
-            "limit": self.limit,
-            "interval_minutes": self.interval_minutes,
-            "aggregates": self.aggregates,
-            "group_by": self.group_by,
-        }
 
 
 @dataclass

@@ -123,12 +123,6 @@ class LoadExtractionQuery:
             verified=verify,
         )
 
-    def extract_weeks(
-        self, region: str, weeks: range, verify: bool = False
-    ) -> list[ExtractionReport]:
-        """Run the extraction for several consecutive weeks of one region."""
-        return [self.extract_week(region, week, verify=verify) for week in weeks]
-
     def extract_all_regions(self, week: int, verify: bool = False) -> list[ExtractionReport]:
         """Run the weekly extraction for every region with raw telemetry.
 

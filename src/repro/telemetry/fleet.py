@@ -99,10 +99,6 @@ class FleetSpec:
         if self.interval_minutes <= 0:
             raise ValueError("interval_minutes must be positive")
 
-    @property
-    def total_servers(self) -> int:
-        return sum(region.n_servers for region in self.regions)
-
     def region(self, name: str) -> RegionSpec:
         for region in self.regions:
             if region.name == name:

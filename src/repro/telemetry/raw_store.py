@@ -15,7 +15,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.timeseries.frame import LoadFrame, ServerMetadata
-from repro.timeseries.series import LoadSeries
 
 
 class RawTelemetryStore:
@@ -123,12 +122,3 @@ class RawTelemetryStore:
         for server_id in self.servers_in_region(region):
             ts, vs = self._rows[region][server_id]
             yield server_id, ts.copy(), vs.copy()
-
-    def row_count(self, region: str | None = None) -> int:
-        """Total number of raw rows, optionally restricted to one region."""
-        regions = [region] if region is not None else list(self._rows)
-        total = 0
-        for name in regions:
-            for ts, _ in self._rows.get(name, {}).values():
-                total += ts.shape[0]
-        return total

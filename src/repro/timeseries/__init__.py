@@ -22,14 +22,11 @@ from repro.timeseries.calendar import (
     day_index,
     day_start,
     minute_of_day,
-    next_day_start,
-    previous_day_start,
-    previous_equivalent_day_start,
     week_index,
     week_start,
 )
 from repro.timeseries.frame import LoadFrame, ServerMetadata
-from repro.timeseries.resample import downsample_mean, fill_gaps, regularize
+from repro.timeseries.resample import regularize
 from repro.timeseries.series import LoadSeries
 
 __all__ = [
@@ -41,12 +38,7 @@ __all__ = [
     "day_index",
     "day_start",
     "minute_of_day",
-    "next_day_start",
-    "previous_day_start",
-    "previous_equivalent_day_start",
     "week_index",
     "week_start",
-    "downsample_mean",
-    "fill_gaps",
     "regularize",
 ]

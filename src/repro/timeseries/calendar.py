@@ -28,17 +28,6 @@ DEFAULT_INTERVAL_MINUTES = 5
 #: Sampling interval for SQL database telemetry (Appendix A).
 SQL_INTERVAL_MINUTES = 15
 
-DAY_NAMES = (
-    "Monday",
-    "Tuesday",
-    "Wednesday",
-    "Thursday",
-    "Friday",
-    "Saturday",
-    "Sunday",
-)
-
-
 def day_index(timestamp: int) -> int:
     """Return the zero-based day number containing ``timestamp``."""
     return timestamp // MINUTES_PER_DAY
@@ -59,43 +48,9 @@ def week_start(timestamp: int) -> int:
     return week_index(timestamp) * MINUTES_PER_WEEK
 
 
-def next_day_start(timestamp: int) -> int:
-    """Return the first minute of the day after the one containing ``timestamp``."""
-    return day_start(timestamp) + MINUTES_PER_DAY
-
-
-def previous_day_start(timestamp: int) -> int:
-    """Return the first minute of the day before the one containing ``timestamp``."""
-    return day_start(timestamp) - MINUTES_PER_DAY
-
-
-def previous_equivalent_day_start(timestamp: int) -> int:
-    """Return the first minute of the same weekday one week earlier.
-
-    Definition 6 in the paper compares a server's load on day ``d`` against
-    its load on the previous equivalent day of the week ``d - 7``.
-    """
-    return day_start(timestamp) - MINUTES_PER_WEEK
-
-
 def minute_of_day(timestamp: int) -> int:
     """Return the minute offset of ``timestamp`` within its day (0..1439)."""
     return timestamp % MINUTES_PER_DAY
-
-
-def minute_of_week(timestamp: int) -> int:
-    """Return the minute offset of ``timestamp`` within its week."""
-    return timestamp % MINUTES_PER_WEEK
-
-
-def day_of_week(timestamp: int) -> int:
-    """Return the zero-based weekday (0 = Monday) of ``timestamp``."""
-    return day_index(timestamp) % 7
-
-
-def day_name(timestamp: int) -> str:
-    """Return the weekday name of ``timestamp`` (epoch minute 0 is a Monday)."""
-    return DAY_NAMES[day_of_week(timestamp)]
 
 
 def day_bounds(day: int) -> tuple[int, int]:
@@ -121,16 +76,6 @@ def points_per_day(interval_minutes: int = DEFAULT_INTERVAL_MINUTES) -> int:
     return MINUTES_PER_DAY // interval_minutes
 
 
-def points_per_week(interval_minutes: int = DEFAULT_INTERVAL_MINUTES) -> int:
-    """Return the number of samples per week at the given interval."""
-    return 7 * points_per_day(interval_minutes)
-
-
 def align_down(timestamp: int, interval_minutes: int) -> int:
     """Round ``timestamp`` down to the sampling grid."""
     return (timestamp // interval_minutes) * interval_minutes
-
-
-def align_up(timestamp: int, interval_minutes: int) -> int:
-    """Round ``timestamp`` up to the sampling grid."""
-    return -((-timestamp) // interval_minutes) * interval_minutes

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,11 +49,6 @@ class ServerMetadata:
     default_backup_end: int = 0
     backup_duration_minutes: int = 60
     true_class: str = ""
-
-    def with_backup_window(self, start: int, end: int) -> "ServerMetadata":
-        """Return a copy with a different default backup window."""
-        return replace(self, default_backup_start=start, default_backup_end=end)
-
 
 @dataclass
 class _ServerRecord:
@@ -94,10 +89,6 @@ class LoadFrame:
         if metadata.server_id in self._records and not overwrite:
             raise KeyError(f"server {metadata.server_id!r} already present")
         self._records[metadata.server_id] = _ServerRecord(metadata, series)
-
-    def remove_server(self, server_id: str) -> None:
-        """Remove a server; raises ``KeyError`` if absent."""
-        del self._records[server_id]
 
     # ------------------------------------------------------------------ #
     # Access
@@ -192,20 +183,6 @@ class LoadFrame:
         for server_id in server_ids:
             record = self._records[server_id]
             out.add_server(record.metadata, record.series)
-        return out
-
-    def slice_time(self, start: int, end: int) -> "LoadFrame":
-        """Return a new frame with every series cut to ``[start, end)``."""
-        out = LoadFrame(self._interval)
-        for _server_id, metadata, series in self.items():
-            out.add_server(metadata, series.slice(start, end))
-        return out
-
-    def map_series(self, fn: Callable[[str, LoadSeries], LoadSeries]) -> "LoadFrame":
-        """Return a new frame with ``fn`` applied to every series."""
-        out = LoadFrame(self._interval)
-        for server_id, metadata, series in self.items():
-            out.add_server(metadata, fn(server_id, series))
         return out
 
     def partition(self, n_partitions: int) -> list["LoadFrame"]:

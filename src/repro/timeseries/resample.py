@@ -3,8 +3,7 @@
 Raw production telemetry (simulated by :mod:`repro.telemetry.raw_store`)
 arrives at minute granularity with gaps and out-of-order rows.  The load
 extraction query (Section 2.2) aggregates it to the average user CPU
-percentage per five minutes.  This module provides that aggregation plus
-gap-filling, so the rest of the pipeline always sees a regular grid.
+percentage per five minutes.  This module provides that aggregation.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES, align_down
+from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES
 from repro.timeseries.series import LoadSeries
 
 
@@ -26,8 +25,7 @@ def regularize(
 
     Rows are bucketed into ``interval_minutes`` bins aligned to the epoch,
     each bin's value is the mean of the raw values in it, and empty bins
-    between the first and last observed bins are left out (use
-    :func:`fill_gaps` to impute them).
+    between the first and last observed bins are left out.
     """
     ts = np.asarray(list(timestamps) if not isinstance(timestamps, np.ndarray) else timestamps, dtype=np.int64)
     vs = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=np.float64)
@@ -46,55 +44,3 @@ def regularize(
     counts = np.diff(np.append(start_idx, vs.shape[0]))
     means = sums / counts
     return LoadSeries(unique_buckets, means, interval_minutes, validate=False)
-
-
-def fill_gaps(series: LoadSeries, fill_value: float | None = None) -> LoadSeries:
-    """Return ``series`` with missing grid points filled in.
-
-    When ``fill_value`` is ``None`` gaps are filled by linear interpolation
-    between the neighbouring observed points; otherwise the constant is used.
-    """
-    if series.is_empty or len(series) == 1:
-        return series.copy()
-    interval = series.interval_minutes
-    full_ts = np.arange(series.start, series.end + interval, interval, dtype=np.int64)
-    if full_ts.shape[0] == len(series):
-        return series.copy()
-    if fill_value is None:
-        full_vs = np.interp(full_ts, series.timestamps, series.values)
-    else:
-        full_vs = np.full(full_ts.shape[0], float(fill_value))
-        idx = np.searchsorted(full_ts, series.timestamps)
-        full_vs[idx] = series.values
-    return LoadSeries(full_ts, full_vs, interval, validate=False)
-
-
-def downsample_mean(series: LoadSeries, target_interval_minutes: int) -> LoadSeries:
-    """Downsample a series to a coarser grid by averaging within each bucket.
-
-    Used to turn 5-minute PostgreSQL/MySQL style traces into the 15-minute
-    granularity of the SQL database use case (Appendix A).
-    """
-    if target_interval_minutes < series.interval_minutes:
-        raise ValueError("target interval must be at least the source interval")
-    if target_interval_minutes % series.interval_minutes:
-        raise ValueError("target interval must be a multiple of the source interval")
-    if target_interval_minutes == series.interval_minutes or series.is_empty:
-        return series.copy() if target_interval_minutes == series.interval_minutes else LoadSeries.empty(target_interval_minutes)
-    return regularize(series.timestamps, series.values, target_interval_minutes)
-
-
-def coverage_fraction(series: LoadSeries, start: int, end: int) -> float:
-    """Fraction of grid points present in ``[start, end)``.
-
-    The data-validation module uses this to flag servers whose telemetry is
-    too sparse to predict.
-    """
-    if end <= start:
-        raise ValueError("end must be after start")
-    interval = series.interval_minutes
-    expected = (align_down(end - 1, interval) - align_down(start, interval)) // interval + 1
-    observed = len(series.slice(start, end))
-    if expected <= 0:
-        return 0.0
-    return observed / expected

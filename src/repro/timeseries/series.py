@@ -162,11 +162,6 @@ class LoadSeries:
             return 0
         return self.end - self.start + self._interval
 
-    @property
-    def span_days(self) -> float:
-        """Covered span expressed in days."""
-        return self.span_minutes / MINUTES_PER_DAY
-
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
@@ -260,25 +255,11 @@ class LoadSeries:
         del common
         return self._values[self_idx].copy(), other._values[other_idx].copy()
 
-    def value_at(self, timestamp: int, default: float | None = None) -> float:
-        """Return the load at ``timestamp``; ``default`` if absent."""
-        idx = int(np.searchsorted(self._timestamps, timestamp, side="left"))
-        if idx < len(self) and self._timestamps[idx] == timestamp:
-            return float(self._values[idx])
-        if default is None:
-            raise KeyError(f"timestamp {timestamp} not present in series")
-        return float(default)
-
     def days(self) -> list[int]:
         """Return the sorted list of zero-based day indices covered."""
         if self.is_empty:
             return []
         return sorted(set((self._timestamps // MINUTES_PER_DAY).tolist()))
-
-    def has_complete_day(self, day: int) -> bool:
-        """Return whether day ``day`` has a full complement of samples."""
-        expected = calendar.points_per_day(self._interval)
-        return len(self.day(day)) == expected
 
     # ------------------------------------------------------------------ #
     # Aggregation
@@ -315,16 +296,6 @@ class LoadSeries:
             minimum=self.minimum(),
             maximum=self.maximum(),
         )
-
-    def rolling_mean(self, window_points: int) -> np.ndarray:
-        """Return the trailing rolling mean over ``window_points`` samples."""
-        if window_points <= 0:
-            raise ValueError("window_points must be positive")
-        if self.is_empty:
-            return np.empty(0, dtype=np.float64)
-        kernel = np.ones(window_points) / window_points
-        padded = np.concatenate([np.full(window_points - 1, self._values[0]), self._values])
-        return np.convolve(padded, kernel, mode="valid")
 
     def window_average(self, start: int, duration_minutes: int) -> float:
         """Average load over ``[start, start + duration_minutes)``."""

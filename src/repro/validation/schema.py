@@ -3,15 +3,12 @@
 To adapt the validation module to a new scenario without code changes, the
 schema and simple data properties (min/max of numeric attributes, expected
 sampling interval, expected coverage) are deduced from a reference extract,
-persisted to a JSON file, reviewed by a domain expert and then enforced on
-later extracts.
+reviewed by a domain expert and then enforced on later extracts.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.timeseries.frame import LoadFrame
 
@@ -33,7 +30,7 @@ class DataProperties:
         Minimum plausible number of servers per extract, used to detect
         missing or truncated input data.
     verified_by:
-        Name of the domain expert who signed off on the properties file
+        Name of the domain expert who signed off on the properties
         (empty until verified).
     """
 
@@ -64,29 +61,6 @@ class DataProperties:
             "min_servers": self.min_servers,
             "verified_by": self.verified_by,
         }
-
-    # ------------------------------------------------------------------ #
-    # Persistence ("stored in a file ... verified by a domain expert")
-    # ------------------------------------------------------------------ #
-
-    def save(self, path: str | Path) -> None:
-        """Persist the properties to a JSON file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DataProperties":
-        """Load properties from a JSON file produced by :meth:`save`."""
-        payload = json.loads(Path(path).read_text())
-        return cls(
-            columns=tuple(payload["columns"]),
-            load_min=float(payload["load_min"]),
-            load_max=float(payload["load_max"]),
-            interval_minutes=int(payload["interval_minutes"]),
-            min_servers=int(payload.get("min_servers", 1)),
-            verified_by=str(payload.get("verified_by", "")),
-        )
 
 
 def infer_properties(frame: LoadFrame, min_servers: int | None = None) -> DataProperties:

@@ -28,12 +28,13 @@ def small_frame(n: int = 2, level: float = 1.0) -> LoadFrame:
     return frame
 
 
-def plant_csv(lake, key, frame) -> None:
+def plant_csv(lake, key, frame, alone: bool = False) -> None:
     """Commit a generation holding a CSV entry for ``key`` (which has
-    none yet), beside whatever segment the key has, as an older store
-    wrote one: a content-addressed ``.csv`` file, and a generation file
-    in which every entry carries its ``"fmt"``.  No store opens it until
-    ``convert`` has adopted it."""
+    none yet), beside whatever segment the key has -- or, ``alone``, in
+    its place, as an older store's CSV overwrite left it -- as an older
+    store wrote one: a content-addressed ``.csv`` file, and a generation
+    file in which every entry carries its ``"fmt"``.  No store opens it
+    until ``convert`` has adopted it."""
     text = frame_to_csv_text(frame).encode("utf-8")
     sha = hashlib.sha256(text).hexdigest()
     relpath = f"{key.region}/extract_{key.region}_week{key.week:04d}-{sha[:12]}.csv"
@@ -47,9 +48,12 @@ def plant_csv(lake, key, frame) -> None:
         manifest_dir.mkdir(exist_ok=True)
         gen = {"generation": 0, "segments": [], "sealed_through": []}
     entry = {"region": key.region, "week": key.week, "relpath": relpath, "size": len(text)}
+    kept = [
+        e for e in gen["segments"]
+        if not alone or (e["region"], e["week"]) != (key.region, key.week)
+    ]
     gen["segments"] = [
-        {**e, "fmt": e["relpath"].rsplit(".", 1)[1]}
-        for e in [*gen["segments"], {**entry, "sha256": sha}]
+        {**e, "fmt": e["relpath"].rsplit(".", 1)[1]} for e in [*kept, {**entry, "sha256": sha}]
     ]
     gen["generation"] += 1
     gen["txid"] = f"planted-{gen['generation']}"

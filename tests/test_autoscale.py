@@ -72,11 +72,13 @@ class TestAutoscalePredictor:
         score = evaluation.score("persistent_previous_day")
         assert score.total_fit_seconds < 1.0
 
-    def test_predict_database_skips_short_history(self):
-        predictor = AutoscalePredictor()
-        short = make_series(np.full(10, 5.0), interval=15)
-        result = predictor.predict_database("db", short, "persistent_previous_day", target_day=20)
-        assert result is None
+    def test_database_without_history_is_skipped(self):
+        frame = LoadFrame(15)
+        frame.add_server(ServerMetadata("db", "sql"), make_series(np.full(10, 5.0), interval=15))
+        evaluation = AutoscalePredictor().evaluate_fleet(
+            frame, ["persistent_previous_day"], target_day=20
+        )
+        assert evaluation.forecasts["persistent_previous_day"] == []
 
     def test_invalid_training_days(self):
         with pytest.raises(ValueError):
@@ -87,10 +89,10 @@ class TestAutoscalePredictor:
         sid = next(
             sid for sid, md, s in sql_fleet.items() if md.true_class != "short_lived"
         )
-        series = sql_fleet.series(sid)
-        result = predictor.predict_database(sid, series, "persistent_previous_day", series.days()[-1])
-        assert result is not None
+        evaluation = predictor.evaluate_fleet(sql_fleet.select([sid]), ["persistent_previous_day"])
+        [result] = evaluation.forecasts["persistent_previous_day"]
         assert len(result.forecast) == 96
+        assert np.isfinite(result.nrmse) and np.isfinite(result.mase)
 
 
 class TestAutoscalePolicy:

@@ -1,106 +1,10 @@
-"""Unit tests for usage-pattern drift detection."""
+"""Unit tests for live-window drift detection."""
 
 import numpy as np
 import pytest
 
-from repro.core.config import PipelineConfig
-from repro.core.drift import DriftDetector, DriftThresholds
 from repro.core.incidents import IncidentManager
-from repro.core.pipeline import SeagullPipeline
-from repro.telemetry.fleet import default_fleet_spec
-from repro.telemetry.generator import WorkloadGenerator
 from repro.timeseries.series import LoadSeries
-
-
-@pytest.fixture(scope="module")
-def stable_run_pair():
-    """Two consecutive runs on the same fleet (no drift expected)."""
-    spec = default_fleet_spec(servers_per_region=(15,), weeks=4, seed=51)
-    frame = WorkloadGenerator(spec).generate_region("region-0")
-    pipeline = SeagullPipeline(PipelineConfig())
-    first = pipeline.run(frame, region="region-0", week=2)
-    second = pipeline.run(frame, region="region-0", week=3)
-    return first, second
-
-
-@pytest.fixture(scope="module")
-def drifted_run():
-    """A run on a fleet whose behaviour degenerated into pattern-free noise."""
-    spec = default_fleet_spec(servers_per_region=(15,), weeks=4, seed=51)
-    frame = WorkloadGenerator(spec).generate_region("region-0")
-    rng = np.random.default_rng(5)
-
-    def scramble(server_id, series):
-        if series.is_empty:
-            return series
-        noisy = np.clip(
-            series.values + np.cumsum(rng.normal(0, 2.0, len(series))), 0, 100
-        )
-        return series.with_values(noisy)
-
-    scrambled = frame.map_series(scramble)
-    pipeline = SeagullPipeline(PipelineConfig())
-    return pipeline.run(scrambled, region="region-0", week=4)
-
-
-class TestDriftDetector:
-    def test_first_observation_has_no_report(self, stable_run_pair):
-        first, _ = stable_run_pair
-        detector = DriftDetector()
-        assert detector.observe(first) is None
-
-    def test_identical_fleet_does_not_drift(self, stable_run_pair):
-        first, second = stable_run_pair
-        detector = DriftDetector()
-        detector.observe(first)
-        report = detector.observe(second)
-        assert report is not None
-        assert not report.drifted
-        assert report.class_shift_pct == pytest.approx(0.0, abs=1.0)
-
-    def test_degenerated_fleet_is_flagged(self, stable_run_pair, drifted_run):
-        first, _ = stable_run_pair
-        incidents = IncidentManager()
-        detector = DriftDetector(incidents=incidents)
-        detector.observe(first)
-        report = detector.observe(drifted_run)
-        assert report is not None
-        assert report.drifted
-        assert report.details
-        assert incidents.incidents(region="region-0")
-
-    def test_failed_runs_are_ignored(self, stable_run_pair):
-        from repro.core.pipeline import PipelineRunResult
-
-        first, _ = stable_run_pair
-        detector = DriftDetector()
-        detector.observe(first)
-        failed = PipelineRunResult(
-            run_id="x", region="region-0", week=9, config=first.config, succeeded=False
-        )
-        assert detector.observe(failed) is None
-
-    def test_thresholds_configurable(self, stable_run_pair, drifted_run):
-        first, _ = stable_run_pair
-        lenient = DriftThresholds(
-            max_accuracy_drop_pct=100.0,
-            max_predictable_drop_pct=100.0,
-            max_class_shift_pct=100.0,
-        )
-        detector = DriftDetector(thresholds=lenient)
-        detector.observe(first)
-        report = detector.observe(drifted_run)
-        assert report is not None
-        assert not report.drifted
-
-    def test_report_as_dict(self, stable_run_pair):
-        first, second = stable_run_pair
-        detector = DriftDetector()
-        detector.observe(first)
-        report = detector.observe(second)
-        payload = report.as_dict()
-        assert payload["region"] == "region-0"
-        assert isinstance(payload["details"], list)
 
 
 # ---------------------------------------------------------------------- #

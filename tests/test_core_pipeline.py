@@ -9,6 +9,7 @@ from repro.parallel.executor import ExecutionBackend
 from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.telemetry.fleet import default_fleet_spec
 from repro.telemetry.generator import WorkloadGenerator
+from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
 from tests.helpers import make_series
@@ -49,7 +50,7 @@ class TestPipelineRun:
         # Every server with a prediction must be long-lived and the forecast
         # must cover one full day on the 5-minute grid.
         for server_id, prediction in result.predictions.items():
-            assert fleet_frame.series(server_id).span_days > 21
+            assert fleet_frame.series(server_id).span_minutes > 21 * MINUTES_PER_DAY
             assert len(prediction) == 288
 
     def test_summary_accuracy_reasonable(self, run_result):
@@ -143,7 +144,7 @@ class TestPipelineExecutorLifecycle:
         with pipeline:
             result = pipeline.run(fleet_frame, region="region-0", week=3)
             assert result.succeeded
-        assert pipeline._executor.closed
+        assert pipeline._executor._closed
 
     def test_injected_executor_left_open(self, fleet_frame):
         from repro.parallel.executor import PartitionedExecutor
@@ -151,7 +152,7 @@ class TestPipelineExecutorLifecycle:
         executor = PartitionedExecutor("threads", 2)
         with SeagullPipeline(PipelineConfig(), executor=executor) as pipeline:
             pipeline.run(fleet_frame, region="region-0", week=3)
-        assert not executor.closed
+        assert not executor._closed
         executor.close()
 
 

@@ -29,6 +29,14 @@ OTHER_VALUES = {
     "fallback_threshold_pct": 50.0,
 }
 
+#: PipelineConfig fields that change no stage output, and why.
+NON_STAGE_FIELDS = {
+    "n_workers": "how many workers run the stages, not what they compute",
+    "executor_backend": "where the stages run, not what they compute",
+    "fallback_on_regression": "acts on the registry after the model stage has run",
+    "fallback_threshold_pct": "the accuracy drop that fallback acts on",
+}
+
 
 class TestPipelineConfig:
     def test_defaults_match_paper(self):
@@ -82,6 +90,10 @@ class TestPipelineConfig:
         changed = dataclasses.replace(base, **{name: OTHER_VALUES[name]})
         assert changed.as_dict() != base.as_dict()
         assert (unit_key(changed) == unit_key(base)) == (name in _EXECUTION_ONLY_FIELDS)
+        # Every field feeds the stage key or is named as changing no stage
+        # output; a new field fails here until it is classified.
+        stage_key_changes = stage_cache.model_params(changed) != stage_cache.model_params(base)
+        assert stage_key_changes != (name in NON_STAGE_FIELDS)
 
     @pytest.mark.parametrize(
         "bad", [{"history_weeks": 0}, {"accuracy_threshold": 0.0}, {"training_days": -1}]

@@ -2,7 +2,7 @@
 
 Every mutation of an on-disk :class:`DataLakeStore` is one manifest
 transaction; this suite kills the writer at every fault point of every
-mutation protocol (fresh write, overwrite, byte write, delete, the
+mutation protocol (fresh write, overwrite, byte write, the
 adoption of CSV entries, in-place ``.sgx`` re-chunk) and asserts the
 recovered lake is
 *exactly* the pre-transaction or the post-transaction state -- never a
@@ -86,9 +86,6 @@ class Scenario:
     setup: Callable[[Path], None]
     mutate: Callable[[Path], None]
     ref_stages: list[Callable[[Path], None]] = field(default_factory=list)
-    #: Whether the mutation stages payload bytes (delete-only
-    #: transactions never reach the segment.* fault points).
-    stages_segments: bool = True
 
     def __post_init__(self) -> None:
         if not self.ref_stages:
@@ -154,12 +151,6 @@ SCENARIOS = [
         ),
     ),
     Scenario(
-        name="delete",
-        setup=_setup_written,
-        mutate=lambda root: DataLakeStore(root).delete_extract(KEY),
-        stages_segments=False,
-    ),
-    Scenario(
         # Adoption imports every CSV entry in one transaction -- the lone
         # one encoded, the sibling's segment staged anew -- so there is
         # no ``ref_stages`` middle state: a crash leaves the generation
@@ -198,12 +189,7 @@ def test_crash_at_every_fault_point_recovers_atomically(tmp_path, scenario):
         scenario.mutate(recorded)
     assert lake_state(recorded) == allowed[-1]
     counts = Counter(recorder.seen)
-    expected_points = (
-        set(FAULT_POINTS)
-        if scenario.stages_segments
-        else set(FAULT_POINTS) - {"segment.tmp", "segment.final", "txlog.staged"}
-    )
-    assert set(counts) == expected_points
+    assert set(counts) == set(FAULT_POINTS)
 
     # Crash at the i-th hit of every fault point; recovery must land on
     # a transaction boundary, and a re-run must converge on the clean
@@ -260,23 +246,13 @@ def test_write_protocol_hits_every_fault_point_in_order(tmp_path):
 
 _KEYS = [ExtractKey("r0", 1), ExtractKey("r0", 2), ExtractKey("r1", 1)]
 
-_op = st.one_of(
-    st.tuples(
-        st.just("write"),
-        st.sampled_from(range(len(_KEYS))),
-        st.integers(min_value=0, max_value=5),
-    ),
-    st.tuples(st.just("delete"), st.sampled_from(range(len(_KEYS)))),
-)
+#: A write of one key at one load level; a repeated key is an overwrite.
+_op = st.tuples(st.sampled_from(range(len(_KEYS))), st.integers(min_value=0, max_value=5))
 
 
 def _apply(root: Path, op: tuple) -> None:
-    lake = DataLakeStore(root)
-    if op[0] == "write":
-        _tag, key_index, level = op
-        lake.write_extract(_KEYS[key_index], small_frame(level=float(level)))
-    else:
-        lake.delete_extract(_KEYS[op[1]])
+    key_index, level = op
+    DataLakeStore(root).write_extract(_KEYS[key_index], small_frame(level=float(level)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -305,17 +281,13 @@ def test_random_sequence_crash_parity(ops, crash_index, point):
                 _apply(work, ops[crash_index])
         except InjectedCrash:
             pass
-        recovered = lake_state(work)
-        if injector.fired:
-            assert recovered in (
-                prefix_states[crash_index],
-                prefix_states[crash_index + 1],
-            )
-        else:
-            # The op never reached that point (e.g. a delete of a missing
-            # key commits nothing, so the publish fault points never
-            # fire) and simply completed.
-            assert recovered == prefix_states[crash_index + 1]
+        # Every write stages a segment and publishes, so it reaches
+        # every fault point.
+        assert injector.fired
+        assert lake_state(work) in (
+            prefix_states[crash_index],
+            prefix_states[crash_index + 1],
+        )
 
         # Retry the interrupted op and play out the rest of the tape.
         for op in ops[crash_index:]:

@@ -10,7 +10,6 @@ from repro.features.classification import (
     classify_frame,
     classify_server,
 )
-from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series, make_series, weekly_profile_series

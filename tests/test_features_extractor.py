@@ -5,7 +5,7 @@ import pytest
 
 from repro.features.classification import ServerClassLabel
 from repro.features.extractor import FeatureExtractionModule, ServerFeatures
-from repro.timeseries.frame import LoadFrame, ServerMetadata
+from repro.timeseries.frame import ServerMetadata
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series, make_series
 
@@ -62,11 +62,3 @@ class TestExtractFrame:
         features = module.extract_frame(small_fleet)
         assert sorted(features) == sorted(small_fleet.server_ids())
         assert all(isinstance(f, ServerFeatures) for f in features.values())
-
-    def test_capacity_histogram_sums_to_100(self, module, small_fleet):
-        features = module.extract_frame(small_fleet)
-        histogram = module.capacity_histogram(features)
-        assert sum(histogram.values()) == pytest.approx(100.0)
-
-    def test_capacity_histogram_empty(self, module):
-        assert module.capacity_histogram({}) == {}

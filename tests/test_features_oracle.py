@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 from repro.features.classification import ServerClassLabel, classify_server
 from repro.features.extractor import FeatureExtractionModule
 from repro.features.patterns import (
+    DayMatrix,
     day_over_day_bucket_ratio,
     has_daily_pattern,
     has_weekly_pattern,
-    pattern_strength,
+    mean_ratio,
 )
 from repro.features.stability import is_stable, stability_bucket_ratio
 from repro.metrics.bucket_ratio import ErrorBound
@@ -180,9 +181,10 @@ class TestPatternDefinitions:
 
     @ORACLE
     @given(histories(), st.sampled_from([1, 2, 7]))
-    def test_pattern_strength(self, history, lag):
+    def test_mean_day_ratio(self, history, lag):
         points, series = history
-        assert same(pattern_strength(series, lag), ref_strength(points, lag), tol=1e-12)
+        ratios = DayMatrix(series).ratios(lag, ErrorBound())[1]
+        assert same(mean_ratio(ratios), ref_strength(points, lag), tol=1e-12)
 
     @ORACLE
     @given(histories())
@@ -220,7 +222,7 @@ def test_a_day_sharing_no_minute_is_nan(lag):
     # Two days with samples but no common minute of day: evaluable, no ratio.
     series = LoadSeries([0, 5, lag * DAY + 1, lag * DAY + 6], [1.0, 1.0, 1.0, 1.0], 5, validate=False)
     assert math.isnan(day_over_day_bucket_ratio(series, lag, lag))
-    assert math.isnan(pattern_strength(series, lag))
+    assert math.isnan(mean_ratio(DayMatrix(series).ratios(lag, ErrorBound())[1]))
     # ... and such a day is non-conforming, however low ``min_days`` is.
     conforms = has_daily_pattern if lag == 1 else has_weekly_pattern
     assert not conforms(series, min_days=1)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.features.patterns import (
+    DayMatrix,
     day_over_day_bucket_ratio,
     has_daily_pattern,
     has_weekly_pattern,
-    pattern_strength,
+    mean_ratio,
 )
+from repro.metrics.bucket_ratio import DEFAULT_ERROR_BOUND
 from repro.timeseries.series import LoadSeries
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series, weekly_profile_series
@@ -63,20 +65,25 @@ class TestWeeklyPattern:
         assert not has_weekly_pattern(weekly_profile_series(10))
 
 
+def strength(series, lag):
+    """The extractor's pattern strength: the mean day ratio at ``lag``."""
+    return mean_ratio(DayMatrix(series).ratios(lag, DEFAULT_ERROR_BOUND)[1])
+
+
 class TestPatternStrength:
     def test_strength_of_perfect_daily_pattern(self):
-        assert pattern_strength(diurnal_series(14, noise=0.0), 1) == pytest.approx(1.0)
+        assert strength(diurnal_series(14, noise=0.0), 1) == pytest.approx(1.0)
 
     def test_strength_nan_without_reference_days(self):
-        assert np.isnan(pattern_strength(diurnal_series(1), 7))
+        assert np.isnan(strength(diurnal_series(1), 7))
 
     @pytest.mark.parametrize("lag", [0, -1])
     @pytest.mark.parametrize("n_days", [0, 1, 3])
     def test_rejects_non_positive_lag_whatever_the_series(self, n_days, lag):
         series = diurnal_series(n_days) if n_days else LoadSeries.empty()
         with pytest.raises(ValueError, match="lag_days must be positive"):
-            pattern_strength(series, lag)
+            day_over_day_bucket_ratio(series, 1, lag)
 
     def test_weekly_stronger_than_daily_for_weekly_profile(self):
         series = weekly_profile_series(28)
-        assert pattern_strength(series, 7) > pattern_strength(series, 1)
+        assert strength(series, 7) > strength(series, 1)

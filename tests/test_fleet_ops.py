@@ -170,7 +170,7 @@ class TestOrchestratorRun:
             assert orchestrator.executor._pool is first_pool
         finally:
             orchestrator.close()
-        assert orchestrator.executor.closed
+        assert orchestrator.executor._closed
 
     def test_access_controlled_lake_with_principal(self, tmp_path, fleet_spec):
         lake = DataLakeStore(tmp_path / "lake", granted_principals={"seagull"})
@@ -208,7 +208,7 @@ class TestOrchestratorRun:
         executor = PartitionedExecutor.serial()
         with FleetOrchestrator(fleet_lake, PipelineConfig(), executor=executor):
             pass
-        assert not executor.closed
+        assert not executor._closed
 
 
 class TestOrchestratorCaching:
@@ -565,7 +565,7 @@ class TestConvertCli:
         key, *_others = populate_lake(lake, self.SPEC, weeks=[0])
         # A CSV entry that diverges from the segment it sits beside.
         frame = lake.read_extract(key, None)
-        frame.remove_server(frame.server_ids()[0])
+        frame = frame.select(frame.server_ids()[1:])
         plant_csv(lake, key, frame)
         generation = lake.manifest.head().generation
         with pytest.raises(ConversionVerificationError, match="disagrees"):

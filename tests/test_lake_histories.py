@@ -4,7 +4,7 @@
 structures by segment sha256, the live-tail index), so "what does a store
 that has seen everything answer?" is a different question from "what does
 the disk say?".  This machine asks both after every step of a generated
-history -- writes, overwrites, deletes, re-chunks, live ingest and seal,
+history -- writes, overwrites, re-chunks, live ingest and seal,
 gc, a second committer, reopened writers, pinned generations -- and
 requires the same rows, content hashes, aggregates, ``scan()`` streams
 *and* ``ScanStats``: a reader cannot tell a cache hit from a miss.
@@ -157,22 +157,17 @@ class LakeHistory(RuleBasedStateMachine):
         store.write_extract(key, history_frame(key, self.version, n_servers, n_days))
 
     @precondition(lambda self: not self.unimported)
-    @rule(key=keys, second_writer=st.booleans())
-    def delete(self, key, second_writer):
-        (self.writer if second_writer else self.store).delete_extract(key)
-
-    @precondition(lambda self: not self.unimported)
     @rule(key=keys, n_servers=st.integers(1, 4), n_days=st.integers(1, 3), beside=st.booleans())
     def an_older_writer_leaves_a_csv_entry(self, key, n_servers, n_days, beside):
         """A CSV entry as an older store committed one: ``beside`` the
         key's segment, holding its rows, or alone with new ones."""
-        if beside and self.writer.has_extract(key):
+        beside = beside and self.writer.has_extract(key)
+        if beside:
             frame = self.writer.query(committed(key), include_tail=False).frame
         else:
             self.version += 1
             frame = history_frame(key, self.version, n_servers, n_days)
-            self.writer.delete_extract(key)
-        plant_csv(self.writer, key, frame)
+        plant_csv(self.writer, key, frame, alone=not beside)
         self.unimported[key] = frame
 
     @rule(chunk_minutes=st.sampled_from((None, 0, 360, DAY)))

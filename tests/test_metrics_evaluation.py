@@ -13,7 +13,7 @@ from repro.parallel.executor import PartitionedExecutor
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
-from tests.helpers import POINTS_PER_DAY, diurnal_series
+from tests.helpers import diurnal_series
 
 
 def build_truth_frame(n_servers=4, n_days=28) -> LoadFrame:

@@ -12,7 +12,6 @@ from repro.metrics.ll_window import (
     lowest_load_window,
     predicted_and_true_windows,
     window_average_load,
-    window_for_default_backup,
 )
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.series import LoadSeries
@@ -70,8 +69,6 @@ class TestLowestLoadWindow:
     def test_window_properties(self):
         window = LowestLoadWindow(start=100, duration_minutes=60, average_load=3.0)
         assert window.end == 160
-        assert window.overlaps(LowestLoadWindow(start=150, duration_minutes=30, average_load=1.0))
-        assert not window.overlaps(LowestLoadWindow(start=160, duration_minutes=30, average_load=1.0))
         assert window.as_dict()["duration_minutes"] == 60
 
 
@@ -142,11 +139,6 @@ class TestDefaultWindowHelpers:
     def test_window_average_load(self):
         series = make_series([10, 20, 30, 40], start=0)
         assert window_average_load(series, 0, 10) == pytest.approx(15.0)
-
-    def test_window_for_default_backup(self):
-        series = day_with_valley(0, 12)
-        window = window_for_default_backup(series, 0, 60)
-        assert window.average_load == pytest.approx(5.0)
 
     def test_default_window_is_lowest_true_case(self):
         series = day_with_valley(100, 24)

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.metrics.predictable import is_predictable_server
-from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.series import LoadSeries
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series

@@ -5,7 +5,6 @@ import pytest
 
 from repro.metrics.standard import (
     mase,
-    mean_absolute_error,
     mean_nrmse,
     prediction_error,
     rmse,
@@ -82,11 +81,7 @@ class TestAuxiliaryMetrics:
     def test_rmse(self):
         assert rmse(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))
 
-    def test_mae(self):
-        assert mean_absolute_error(np.array([1.0, 3.0]), np.array([2.0, 1.0])) == pytest.approx(1.5)
-
     def test_empty_aux_metrics_nan(self):
         a = make_series([1], start=0)
         b = make_series([1], start=100)
         assert np.isnan(rmse(a, b))
-        assert np.isnan(mean_absolute_error(a, b))

@@ -5,13 +5,10 @@ import pytest
 
 from repro.models.base import ForecastError, NotFittedError
 from repro.models.persistent import (
-    PersistentForecastVariant,
     PreviousDayForecaster,
     PreviousEquivalentDayForecaster,
     PreviousWeekAverageForecaster,
-    make_persistent_forecaster,
 )
-from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.series import LoadSeries
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series, weekly_profile_series
@@ -88,27 +85,7 @@ class TestPreviousWeekAverage:
             PreviousWeekAverageForecaster().fit(diurnal_series(1).slice(0, 200))
 
 
-class TestFactory:
-    def test_factory_by_enum(self):
-        assert isinstance(
-            make_persistent_forecaster(PersistentForecastVariant.PREVIOUS_DAY),
-            PreviousDayForecaster,
-        )
-
-    def test_factory_by_string(self):
-        assert isinstance(
-            make_persistent_forecaster("previous_equivalent_day"),
-            PreviousEquivalentDayForecaster,
-        )
-        assert isinstance(
-            make_persistent_forecaster("previous_week_average"),
-            PreviousWeekAverageForecaster,
-        )
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_persistent_forecaster("nope")
-
+class TestFitResult:
     def test_fit_result_reports_zero_cost_training(self):
         forecaster = PreviousDayForecaster().fit(diurnal_series(7))
         assert forecaster.fit_result is not None

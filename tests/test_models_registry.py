@@ -2,25 +2,22 @@
 
 import pytest
 
-from repro.models.base import Forecaster
 from repro.models.persistent import PreviousDayForecaster
+from repro.models import registry
 from repro.models.registry import (
     MODEL_DISPLAY_NAMES,
     UnknownModelError,
-    available_models,
     canonical_name,
     create_forecaster,
-    register_model,
 )
 from repro.models.seasonal import SeasonalAdditiveForecaster
 from repro.models.ssa import SsaForecaster
 
 
 class TestLookup:
-    def test_available_models_contains_paper_lineup(self):
-        models = available_models()
+    def test_registry_contains_paper_lineup(self):
         for name in ("persistent_previous_day", "ssa", "feedforward", "seasonal_additive", "arima"):
-            assert name in models
+            assert canonical_name(name) == name
 
     def test_canonical_name_resolves_aliases(self):
         assert canonical_name("Prophet") == "seasonal_additive"
@@ -50,20 +47,4 @@ class TestLookup:
         assert isinstance(create_forecaster("persistent"), PreviousDayForecaster)
 
     def test_display_names_cover_all_models(self):
-        for name in available_models():
-            assert name in MODEL_DISPLAY_NAMES
-
-
-class TestRegisterModel:
-    def test_register_and_create_custom_model(self):
-        class ConstantForecaster(PreviousDayForecaster):
-            name = "constant_test_model"
-
-        register_model("constant_test_model", ConstantForecaster, overwrite=True)
-        created = create_forecaster("constant_test_model")
-        assert isinstance(created, ConstantForecaster)
-        assert isinstance(created, Forecaster)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_model("ssa", SsaForecaster)
+        assert set(MODEL_DISPLAY_NAMES) == set(registry._REGISTRY)

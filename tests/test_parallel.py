@@ -8,7 +8,7 @@ from repro.parallel.executor import (
     PartitionedExecutor,
     default_worker_count,
 )
-from repro.parallel.partition import chunk_evenly, partition_dict, partition_list
+from repro.parallel.partition import chunk_evenly, partition_list
 
 
 def square_sum(chunk):
@@ -44,14 +44,6 @@ class TestPartitionHelpers:
         parts = partition_list(items, 4)
         assert sorted(x for part in parts for x in part) == items
 
-    def test_partition_dict(self):
-        parts = partition_dict({"a": 1, "b": 2, "c": 3}, 2)
-        assert len(parts) == 2
-        merged = {}
-        for part in parts:
-            merged.update(part)
-        assert merged == {"a": 1, "b": 2, "c": 3}
-
 
 class TestExecutorBackends:
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
@@ -65,11 +57,6 @@ class TestExecutorBackends:
 
     def test_empty_partitions(self):
         assert PartitionedExecutor().map(square_sum, []) == []
-
-    def test_map_flat(self):
-        executor = PartitionedExecutor()
-        result = executor.map_flat(lambda chunk: [x + 1 for x in chunk], [[1, 2], [3]])
-        assert result == [2, 3, 4]
 
     def test_last_report_populated(self):
         executor = PartitionedExecutor()
@@ -147,8 +134,8 @@ class TestExecutorLifecycle:
     def test_context_manager_closes_pool(self):
         with PartitionedExecutor("threads", n_workers=2) as executor:
             assert executor.map(square_sum, [[1, 2], [3]]) == [5, 9]
-            assert not executor.closed
-        assert executor.closed
+            assert not executor._closed
+        assert executor._closed
         assert executor._pool is None
 
     def test_map_after_close_raises(self):
@@ -168,7 +155,7 @@ class TestExecutorLifecycle:
         executor.map(square_sum, [[1], [2]])
         executor.close()
         executor.close()
-        assert executor.closed
+        assert executor._closed
 
     def test_process_pool_reused_across_map_calls(self):
         with PartitionedExecutor("processes", n_workers=1) as executor:

@@ -16,7 +16,7 @@ from repro.parallel.partition import chunk_evenly, partition_list
 from repro.storage import csv_io
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
-from repro.timeseries.resample import downsample_mean, fill_gaps, regularize
+from repro.timeseries.resample import regularize
 from repro.timeseries.series import LoadSeries
 
 # Strategy helpers -------------------------------------------------------- #
@@ -109,22 +109,22 @@ class TestSeriesProperties:
 
     @given(load_arrays(min_size=1, max_size=400))
     @settings(max_examples=60, deadline=None)
-    def test_downsample_preserves_mean(self, values):
+    def test_regularize_to_a_coarser_grid_preserves_mean(self, values):
         # Pad to a multiple of 3 so every coarse bucket is full.
         pad = (-values.shape[0]) % 3
         if pad:
             values = np.concatenate([values, np.repeat(values[-1], pad)])
         series = LoadSeries.from_values(values, interval_minutes=5)
-        coarse = downsample_mean(series, 15)
+        coarse = regularize(series.timestamps, series.values, 15)
         assert np.isclose(coarse.mean(), series.mean())
 
     @given(load_arrays(min_size=2, max_size=300))
     @settings(max_examples=60, deadline=None)
-    def test_regularize_then_fill_produces_regular_grid(self, values):
+    def test_regularize_lands_on_the_grid(self, values):
         timestamps = np.arange(values.shape[0]) * 7  # irregular vs 5-minute grid
-        series = fill_gaps(regularize(timestamps, values, 5))
-        deltas = np.diff(series.timestamps)
-        assert np.all(deltas == 5)
+        series = regularize(timestamps, values, 5)
+        assert np.all(series.timestamps % 5 == 0)
+        assert np.all(np.diff(series.timestamps) > 0)
 
     @given(load_arrays(min_size=1, max_size=200), st.integers(min_value=-5000, max_value=5000))
     @settings(max_examples=60, deadline=None)

@@ -53,18 +53,11 @@ class TestFabricPropertyStore:
     def test_default_for_missing(self):
         assert FabricPropertyStore().get_property("srv", "missing", default="x") == "x"
 
-    def test_clear_property(self):
-        fabric = FabricPropertyStore()
-        fabric.set_property("srv", "key", 1)
-        assert fabric.clear_property("srv", "key") is True
-        assert fabric.clear_property("srv", "key") is False
-
-    def test_backup_window_helpers(self):
+    def test_backup_window_property(self):
         fabric = FabricPropertyStore()
         fabric.set_backup_window_start("srv", 1234)
-        assert fabric.backup_window_start("srv") == 1234
-        assert fabric.backup_window_start("other") is None
-        assert fabric.servers_with_property(BACKUP_WINDOW_PROPERTY) == ["srv"]
+        assert fabric.get_property("srv", BACKUP_WINDOW_PROPERTY) == 1234
+        assert fabric.get_property("other", BACKUP_WINDOW_PROPERTY) is None
 
 
 class TestBackupScheduler:
@@ -109,7 +102,7 @@ class TestBackupScheduler:
         scheduler = BackupScheduler()
         metadata = metadata_for("srv")
         scheduler.schedule_server(metadata, diurnal_series(28).day(27), predictable_verdict())
-        assert scheduler.fabric.backup_window_start("srv") is not None
+        assert scheduler.fabric.get_property("srv", BACKUP_WINDOW_PROPERTY) is not None
 
     def test_schedule_fleet(self):
         scheduler = BackupScheduler()
@@ -132,10 +125,12 @@ class TestBackupScheduler:
 
 def serving_with(predictions, region="region-0"):
     """A PredictionService with one deployed version replaying ``predictions``."""
+    from repro.models.cached import PrecomputedForecaster
     from repro.serving import PredictionService
 
     serving = PredictionService()
-    serving.deploy_precomputed(region, predictions, model_name="pf", trained_week=3)
+    forecasters = {sid: PrecomputedForecaster(series, "pf") for sid, series in predictions.items()}
+    serving.deploy(region, "pf", 3, forecasters)
     return serving
 
 
@@ -201,55 +196,6 @@ class TestRunnerService:
         metadata = {"srv-0": metadata_for("srv-0")}  # region-0 server
         execution = runner.run_day("cluster-1", 27, metadata, {})
         assert execution.decisions == {}
-
-    def test_add_probe_and_executions(self):
-        runner = RunnerService("region-0")
-        runner.add_probe("ok", lambda: True)
-        runner.run_day("c", 1, {}, {})
-        assert len(runner.executions()) == 1
-
-    def _lake_with_due_servers(self, tmp_path):
-        from repro.storage.datalake import DataLakeStore, ExtractKey
-
-        lake = DataLakeStore(tmp_path, write_format="sgx")
-        frame = LoadFrame(5)
-        frame.add_server(metadata_for("srv-0"), diurnal_series(28))
-        frame.add_server(metadata_for("srv-1"), diurnal_series(28, seed=2))
-        lake.write_extract(ExtractKey("region-0", 0), frame)
-        other = LoadFrame(5)
-        other_metadata = ServerMetadata(
-            server_id="foreign", region="region-9", default_backup_start=100
-        )
-        other.add_server(other_metadata, diurnal_series(1))
-        lake.write_extract(ExtractKey("region-9", 0), other)
-        return lake
-
-    def test_run_day_from_lake_streams_due_metadata(self, tmp_path):
-        predictions = {"srv-0": diurnal_series(28).day(27)}
-        runner = RunnerService("region-0", serving=serving_with(predictions))
-        lake = self._lake_with_due_servers(tmp_path)
-        verdicts = {"srv-0": predictable_verdict("srv-0")}
-        execution = runner.run_day_from_lake("cluster-1", 27, lake, verdicts)
-        assert execution.succeeded
-        # Both region-0 servers were scheduled; the foreign region's
-        # extract partition was never scanned.
-        assert set(execution.decisions) == {"srv-0", "srv-1"}
-        assert execution.decisions["srv-0"].moved
-
-    def test_run_day_from_lake_narrows_with_query(self, tmp_path):
-        from repro.storage.query import ExtractQuery
-
-        runner = RunnerService("region-0", serving=serving_with({}))
-        lake = self._lake_with_due_servers(tmp_path)
-        execution = runner.run_day_from_lake(
-            "cluster-1",
-            27,
-            lake,
-            {},
-            query=ExtractQuery(servers=("srv-1",), regions=("ignored",)),
-        )
-        # The runner forces its own region; the server allow-list holds.
-        assert set(execution.decisions) == {"srv-1"}
 
 
 class TestBackupImpactAnalyzer:

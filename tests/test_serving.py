@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import SeagullPipeline
+from repro.models.cached import PrecomputedForecaster
 from repro.models.persistent import PreviousDayForecaster
 from repro.parallel.executor import PartitionedExecutor
 from repro.serving import (
@@ -132,7 +133,7 @@ class TestPredictBatch:
         )
         assert list(batch.predictions()) == ["good"]
         assert batch.skipped == ("ghost",)
-        assert batch.failed_ids == ("bad",)
+        assert [server_id for server_id, _ in batch.failed] == ["bad"]
 
     def test_batch_cache_hits_counted(self):
         service = service_with_version()
@@ -288,7 +289,7 @@ class TestDeployPrecomputed:
     def test_precomputed_round_trip(self):
         prediction = diurnal_series(1)
         service = PredictionService()
-        record = service.deploy_precomputed("r0", {"srv-0": prediction}, model_name="pf")
+        record = service.deploy("r0", "pf", 0, {"srv-0": PrecomputedForecaster(prediction, "pf")})
         assert record.version == 1
         response = service.predict(
             PredictionRequest(region="r0", server_id="srv-0", n_points=len(prediction))
@@ -302,17 +303,6 @@ class TestDeployPrecomputed:
 
 
 class TestHealthPublishing:
-    def test_publish_health_records_dashboard_events(self):
-        from repro.core.dashboard import Dashboard
-
-        dashboard = Dashboard()
-        service = PredictionService(dashboard=dashboard)
-        service.deploy("r0", "pf", 1, {"srv-0": fitted_forecaster()})
-        service.publish_health(run_id="probe")
-        events = dashboard.events(kind="serving_health")
-        assert len(events) == 1
-        assert events[0].payload["active_version"] == 1
-
     def test_pipeline_deploys_into_the_injected_services_registry(self):
         from repro.core.registry import ModelRegistry
 

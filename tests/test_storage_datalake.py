@@ -68,14 +68,6 @@ class TestStoreBasics:
         with pytest.raises(ExtractNotFoundError):
             DataLakeStore(tmp_path).extract_size_bytes(ExtractKey("r0", 9))
 
-    def test_delete_extract(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame())
-        store.delete_extract(key)
-        assert not store.has_extract(key)
-
-
 class TestFileBackedStore:
     def test_roundtrip_on_disk(self, tmp_path):
         store = DataLakeStore(tmp_path)
@@ -89,14 +81,6 @@ class TestFileBackedStore:
         key = ExtractKey("westus", 1)
         store.write_extract(key, small_frame())
         assert store.extract_size_bytes(key) == store.extract_path(key).stat().st_size
-
-    def test_delete_on_disk(self, tmp_path):
-        store = DataLakeStore(tmp_path)
-        key = ExtractKey("r", 0)
-        store.write_extract(key, small_frame())
-        store.delete_extract(key)
-        assert not store.has_extract(key)
-
 
 class TestAccessControl:
     def test_denies_unknown_principal(self, tmp_path):
@@ -128,7 +112,6 @@ class TestAccessControl:
             lambda: store.has_extract(key),
             lambda: store.list_extracts(),
             lambda: store.read_extract_bytes(key),
-            lambda: store.delete_extract(key),
         ):
             with pytest.raises(AccessDeniedError):
                 call()
@@ -245,7 +228,6 @@ class TestFormatNegotiation:
             lambda: store.read_extract(ExtractKey("r0", 0)),
             lambda: store.write_extract(ExtractKey("r0", 2), small_frame()),
             lambda: store.write_extract_bytes(ExtractKey("r0", 0), frame_to_sgx_bytes(small_frame())),
-            lambda: store.delete_extract(ExtractKey("r0", 0)),
         ):
             with pytest.raises(LakeNotAdoptedError, match=f"{CONVERT} {tmp_path}"):
                 call()

@@ -79,6 +79,14 @@ class TestAdoption:
         assert fleet_main(["convert", "--lake-dir", str(tmp_path)]) == 0
         assert not store.manifest.exists()
 
+    def test_a_file_dropped_in_after_the_first_commit_is_not_part_of_the_lake(self, tmp_path):
+        store = DataLakeStore(tmp_path)  # an empty directory: generation 0
+        plant_legacy(store, {ExtractKey("r0", 0): small_frame()}, adopt=False)
+        store.write_extract(ExtractKey("r1", 0), small_frame())
+        assert store.manifest.legacy_files() == []
+        assert DataLakeStore(tmp_path).list_extracts() == [ExtractKey("r1", 0)]
+        assert (tmp_path / "r0" / ExtractKey("r0", 0).filename("csv")).exists()
+
     def test_convert_adopts_every_legacy_file_once(self, tmp_path, capsys):
         sgx_key = ExtractKey("r1", 5)
         frames = {KEY: small_frame(), sgx_key: small_frame(level=3.0)}
@@ -192,12 +200,12 @@ class TestContentAddressing:
         assert entry.size == lake.extract_size_bytes(KEY)
 
 
-class TestLogicalDeleteAndGc:
-    def test_delete_is_logical_until_gc(self, lake):
+class TestLogicalRetirementAndGc:
+    def test_overwrite_is_logical_until_gc(self, lake):
         path = lake.extract_path(KEY)
-        lake.delete_extract(KEY)
-        assert not lake.has_extract(KEY)
-        assert path.exists(), "delete retires the entry, not the bytes"
+        lake.write_extract(KEY, small_frame(level=2.0))
+        assert lake.extract_path(KEY) != path
+        assert path.exists(), "an overwrite retires the entry, not the bytes"
         report = lake.collect_garbage()
         assert not path.exists()
         assert report.segments_removed == 1
@@ -228,19 +236,21 @@ class TestLogicalDeleteAndGc:
         with pytest.raises(FileNotFoundError):
             reader.read_extract_bytes(KEY)
 
-    def test_delete_of_absent_extract_publishes_no_generation(self, lake):
+    def test_empty_transaction_publishes_no_generation(self, lake):
         generation = lake.current_generation()
-        lake.delete_extract(ExtractKey("r9", 99))  # nothing to drop
+        with lake.manifest.transaction("noop"):
+            pass  # stages nothing, moves no watermark
         assert lake.current_generation() == generation
         assert lake.manifest.log.pending() is None
-        lake.delete_extract(KEY)  # a real drop still commits
+        lake.write_extract(KEY, small_frame(level=2.0))  # a real write still commits
         assert lake.current_generation() == generation + 1
 
     def test_gc_spares_foreign_files(self, tmp_path, lake):
         foreign = tmp_path / KEY.region / "README.txt"
         foreign.write_text("hands off")
-        lake.delete_extract(KEY)
-        lake.collect_garbage()
+        lake.write_extract(KEY, small_frame(level=2.0))
+        assert lake.collect_garbage().segments_removed == 1
+
         assert foreign.exists()
 
 
@@ -249,8 +259,6 @@ class TestPinnedStores:
         reader = DataLakeStore(tmp_path, pinned_generation=lake.current_generation())
         with pytest.raises(LakeManifestError):
             reader.write_extract(KEY, small_frame(level=2.0))
-        with pytest.raises(LakeManifestError):
-            reader.delete_extract(KEY)
         with pytest.raises(LakeManifestError):
             reader.collect_garbage()
 

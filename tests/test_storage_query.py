@@ -5,8 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.storage.artifacts import artifact_key
-from repro.storage.columnar import ColumnarFormatError, frame_to_sgx_bytes
+from repro.storage.columnar import ColumnarFormatError
 from repro.storage.datalake import (
     AccessDeniedError,
     DataLakeStore,
@@ -93,28 +92,22 @@ class TestExtractQueryValueSemantics:
         assert ExtractQuery(start_minute=10).time_range() == (10, MAX_MINUTE)
 
 
-class TestQueryCacheKey:
-    """Satellite: query hashability as a stage-cache key component."""
+class TestQueryEquality:
+    """Queries normalise on construction, so they compare and hash by meaning."""
 
-    CONTENT_HASH = "f" * 64
-
-    def _key(self, q: ExtractQuery) -> str:
-        return artifact_key("features", self.CONTENT_HASH, {"query": q.cache_token()})
-
-    def test_equivalent_queries_share_the_artifact_key(self):
+    def test_equivalent_queries_are_equal(self):
         by_list = ExtractQuery(regions=["r0"], servers=["b", "a"], weeks=[1])
         by_tuple = ExtractQuery(regions=("r0",), servers=("a", "b"), weeks=(1,))
-        assert self._key(by_list) == self._key(by_tuple)
+        assert by_list == by_tuple and hash(by_list) == hash(by_tuple)
 
-    def test_different_projection_changes_the_artifact_key(self):
+    def test_different_projection_is_a_different_query(self):
         full = ExtractQuery(regions=("r0",))
-        projected = ExtractQuery(regions=("r0",), columns=("timestamps",))
-        assert self._key(full) != self._key(projected)
+        assert full != ExtractQuery(regions=("r0",), columns=("timestamps",))
 
-    def test_different_range_and_servers_change_the_artifact_key(self):
+    def test_different_range_and_servers_are_different_queries(self):
         base = ExtractQuery(regions=("r0",))
-        assert self._key(base) != self._key(ExtractQuery(regions=("r0",), end_minute=1440))
-        assert self._key(base) != self._key(ExtractQuery(regions=("r0",), servers=("s0",)))
+        assert base != ExtractQuery(regions=("r0",), end_minute=1440)
+        assert base != ExtractQuery(regions=("r0",), servers=("s0",))
 
     def test_queries_usable_as_dict_keys(self):
         cache = {ExtractQuery(servers=["x"]): 1}

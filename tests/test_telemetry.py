@@ -21,7 +21,7 @@ from repro.telemetry.generator import (
     weekly_trace,
 )
 from repro.telemetry.raw_store import RawTelemetryStore
-from repro.timeseries.calendar import MINUTES_PER_WEEK
+from repro.timeseries.calendar import MINUTES_PER_DAY, MINUTES_PER_WEEK
 
 from tests.helpers import POINTS_PER_DAY
 
@@ -33,7 +33,7 @@ class TestFleetSpec:
     def test_default_fleet_spec_regions(self):
         spec = default_fleet_spec()
         assert len(spec.regions) == 4
-        assert spec.total_servers == 750
+        assert sum(region.n_servers for region in spec.regions) == 750
         assert spec.region_names() == [f"region-{i}" for i in range(4)]
 
     def test_region_lookup(self):
@@ -58,7 +58,7 @@ class TestFleetSpec:
     def test_sql_fleet_spec(self):
         spec = sql_database_fleet_spec(n_databases=100)
         assert spec.interval_minutes == 15
-        assert spec.total_servers == 100
+        assert sum(region.n_servers for region in spec.regions) == 100
         assert spec.engine_mix == {"sql": 1.0}
 
 
@@ -108,12 +108,12 @@ class TestWorkloadGenerator:
     def test_short_lived_servers_are_short(self, small_fleet):
         for _server_id, metadata, series in small_fleet.items():
             if metadata.true_class == "short_lived":
-                assert series.span_days < 21
+                assert series.span_minutes < 21 * MINUTES_PER_DAY
 
     def test_long_lived_servers_cover_horizon(self, small_fleet):
         for _server_id, metadata, series in small_fleet.items():
             if metadata.true_class != "short_lived":
-                assert series.span_days == pytest.approx(28.0)
+                assert series.span_minutes == 28 * MINUTES_PER_DAY
 
     def test_default_backup_on_last_day(self, small_fleet, small_fleet_spec):
         last_day_start = (small_fleet_spec.weeks * 7 - 1) * 1440
@@ -145,7 +145,8 @@ class TestRawStoreAndExtraction:
     def test_ingest_creates_minute_rows(self, raw_setup):
         _, frame, store = raw_setup
         assert store.regions() == ["region-0"]
-        assert store.row_count("region-0") > frame.total_points()
+        raw_rows = sum(ts.size for _, ts, _ in store.iter_region("region-0"))
+        assert raw_rows > frame.total_points()
 
     def test_raw_rows_accessible(self, raw_setup):
         _, frame, store = raw_setup

@@ -26,30 +26,10 @@ class TestDayAndWeekIndices:
         ts = 2 * calendar.MINUTES_PER_WEEK + 5000
         assert calendar.week_start(ts) == 2 * calendar.MINUTES_PER_WEEK
 
-    def test_next_and_previous_day_start(self):
-        ts = 5 * calendar.MINUTES_PER_DAY + 100
-        assert calendar.next_day_start(ts) == 6 * calendar.MINUTES_PER_DAY
-        assert calendar.previous_day_start(ts) == 4 * calendar.MINUTES_PER_DAY
-
-    def test_previous_equivalent_day_is_one_week_back(self):
-        ts = 10 * calendar.MINUTES_PER_DAY + 50
-        assert calendar.previous_equivalent_day_start(ts) == 3 * calendar.MINUTES_PER_DAY
-
 
 class TestMinuteOffsets:
     def test_minute_of_day(self):
         assert calendar.minute_of_day(2 * calendar.MINUTES_PER_DAY + 61) == 61
-
-    def test_minute_of_week(self):
-        assert calendar.minute_of_week(calendar.MINUTES_PER_WEEK + 5) == 5
-
-    def test_day_of_week_epoch_is_monday(self):
-        assert calendar.day_of_week(0) == 0
-        assert calendar.day_name(0) == "Monday"
-
-    def test_day_of_week_wraps(self):
-        assert calendar.day_of_week(7 * calendar.MINUTES_PER_DAY) == 0
-        assert calendar.day_name(6 * calendar.MINUTES_PER_DAY) == "Sunday"
 
 
 class TestBounds:
@@ -71,9 +51,6 @@ class TestPointsPerDay:
     def test_fifteen_minute_grid(self):
         assert calendar.points_per_day(15) == 96
 
-    def test_points_per_week(self):
-        assert calendar.points_per_week(5) == 2016
-
     def test_rejects_non_divisor_interval(self):
         with pytest.raises(ValueError):
             calendar.points_per_day(7)
@@ -89,9 +66,3 @@ class TestAlignment:
 
     def test_align_down_exact(self):
         assert calendar.align_down(20, 5) == 20
-
-    def test_align_up(self):
-        assert calendar.align_up(17, 5) == 20
-
-    def test_align_up_exact(self):
-        assert calendar.align_up(20, 5) == 20

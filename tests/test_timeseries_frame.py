@@ -40,14 +40,6 @@ class TestMutation:
         with pytest.raises(ValueError):
             frame.add_server(ServerMetadata(server_id="x"), make_series([1.0], interval=15))
 
-    def test_remove_server(self):
-        frame = build_frame(2)
-        frame.remove_server("srv-0")
-        assert "srv-0" not in frame
-        with pytest.raises(KeyError):
-            frame.remove_server("srv-0")
-
-
 class TestAccess:
     def test_server_ids_preserve_order(self):
         frame = build_frame(3)
@@ -86,16 +78,6 @@ class TestTransform:
     def test_select_unknown_raises(self):
         with pytest.raises(KeyError):
             build_frame(1).select(["nope"])
-
-    def test_slice_time(self):
-        frame = build_frame(2, points=10)
-        sliced = frame.slice_time(0, 25)
-        assert all(len(sliced.series(sid)) == 5 for sid in sliced.server_ids())
-
-    def test_map_series(self):
-        frame = build_frame(2)
-        doubled = frame.map_series(lambda sid, series: series.with_values(series.values * 2))
-        assert doubled.series("srv-1").values.tolist() == [2.0] * 10
 
     def test_partition_covers_all_servers(self):
         frame = build_frame(5)
@@ -144,12 +126,3 @@ class TestCsvRoundTrip:
         ]
         frame = LoadFrame.from_rows(rows)
         assert frame.series("a").values.tolist() == [1.0, 2.0]
-
-
-class TestServerMetadata:
-    def test_with_backup_window(self):
-        metadata = ServerMetadata(server_id="x")
-        updated = metadata.with_backup_window(100, 160)
-        assert updated.default_backup_start == 100
-        assert updated.default_backup_end == 160
-        assert metadata.default_backup_start == 0

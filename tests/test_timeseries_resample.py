@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.timeseries.resample import coverage_fraction, downsample_mean, fill_gaps, regularize
-from repro.timeseries.series import LoadSeries
-
-from tests.helpers import make_series
+from repro.timeseries.resample import regularize
 
 
 class TestRegularize:
@@ -38,65 +35,3 @@ class TestRegularize:
         vs = np.array([1.0, 2.0])
         series = regularize(ts, vs, 5)
         assert series.timestamps.tolist() == [0, 20]
-
-
-class TestFillGaps:
-    def test_interpolates_missing_points(self):
-        gappy = regularize(np.array([0, 20]), np.array([0.0, 4.0]), 5)
-        filled = fill_gaps(gappy)
-        assert filled.timestamps.tolist() == [0, 5, 10, 15, 20]
-        assert filled.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_constant_fill(self):
-        gappy = regularize(np.array([0, 15]), np.array([1.0, 2.0]), 5)
-        filled = fill_gaps(gappy, fill_value=0.0)
-        assert filled.values.tolist() == [1.0, 0.0, 0.0, 2.0]
-
-    def test_no_gaps_is_copy(self):
-        series = make_series([1, 2, 3])
-        assert fill_gaps(series) == series
-
-    def test_single_point_is_copy(self):
-        series = make_series([5.0])
-        assert fill_gaps(series) == series
-
-
-class TestDownsample:
-    def test_five_to_fifteen_minutes(self):
-        series = make_series([1, 2, 3, 4, 5, 6], start=0, interval=5)
-        coarse = downsample_mean(series, 15)
-        assert coarse.interval_minutes == 15
-        assert coarse.values.tolist() == [2.0, 5.0]
-
-    def test_same_interval_returns_copy(self):
-        series = make_series([1, 2, 3])
-        assert downsample_mean(series, 5) == series
-
-    def test_rejects_finer_interval(self):
-        series = make_series([1, 2], interval=15)
-        with pytest.raises(ValueError):
-            downsample_mean(series, 5)
-
-    def test_rejects_non_multiple(self):
-        series = make_series([1, 2], interval=5)
-        with pytest.raises(ValueError):
-            downsample_mean(series, 7)
-
-    def test_empty_series(self):
-        coarse = downsample_mean(LoadSeries.empty(5), 15)
-        assert coarse.is_empty
-        assert coarse.interval_minutes == 15
-
-
-class TestCoverage:
-    def test_full_coverage(self):
-        series = make_series([1, 2, 3, 4], start=0)
-        assert coverage_fraction(series, 0, 20) == pytest.approx(1.0)
-
-    def test_partial_coverage(self):
-        series = make_series([1, 2], start=0)
-        assert coverage_fraction(series, 0, 20) == pytest.approx(0.5)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            coverage_fraction(make_series([1]), 10, 10)

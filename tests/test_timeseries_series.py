@@ -71,26 +71,9 @@ class TestSpanAndAccessors:
         series = make_series([1, 2, 3], start=0, interval=5)
         assert series.span_minutes == 15
 
-    def test_span_days(self):
-        series = diurnal_series(2)
-        assert series.span_days == pytest.approx(2.0)
-
     def test_iteration_yields_pairs(self):
         series = make_series([1.5, 2.5], start=0)
         assert list(series) == [(0, 1.5), (5, 2.5)]
-
-    def test_value_at_present_timestamp(self):
-        series = make_series([1.0, 2.0], start=0)
-        assert series.value_at(5) == 2.0
-
-    def test_value_at_missing_uses_default(self):
-        series = make_series([1.0, 2.0], start=0)
-        assert series.value_at(123, default=-1.0) == -1.0
-
-    def test_value_at_missing_without_default_raises(self):
-        series = make_series([1.0])
-        with pytest.raises(KeyError):
-            series.value_at(999)
 
 
 class TestSlicing:
@@ -125,11 +108,6 @@ class TestSlicing:
     def test_days_lists_covered_days(self):
         series = diurnal_series(3, start_day=2)
         assert series.days() == [2, 3, 4]
-
-    def test_has_complete_day(self):
-        series = diurnal_series(2)
-        assert series.has_complete_day(0)
-        assert not series.has_complete_day(5)
 
 
 class TestShiftAndAlign:
@@ -177,16 +155,6 @@ class TestAggregation:
     def test_window_average(self):
         series = make_series([1, 2, 3, 4], start=0)
         assert series.window_average(0, 10) == pytest.approx(1.5)
-
-    def test_rolling_mean_shape_and_tail(self):
-        series = make_series([1, 1, 4, 4])
-        rolled = series.rolling_mean(2)
-        assert rolled.shape == (4,)
-        assert rolled[-1] == pytest.approx(4.0)
-
-    def test_rolling_mean_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            make_series([1, 2]).rolling_mean(0)
 
     def test_clip(self):
         series = make_series([-5.0, 50.0, 150.0])

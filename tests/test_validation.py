@@ -1,7 +1,6 @@
 """Unit tests for the Data Validation Module."""
 
 import numpy as np
-import pytest
 
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
@@ -16,7 +15,7 @@ from repro.validation.rules import (
 from repro.validation.schema import DataProperties, infer_properties
 from repro.validation.validator import DataValidationModule
 
-from tests.helpers import POINTS_PER_DAY, diurnal_series, make_series
+from tests.helpers import diurnal_series, make_series
 
 
 def healthy_frame(n_servers=4) -> LoadFrame:
@@ -42,13 +41,6 @@ class TestSchemaInference:
         properties = infer_properties(LoadFrame(5))
         assert properties.load_min == 0.0
         assert properties.load_max == 100.0
-
-    def test_save_and_load_roundtrip(self, tmp_path):
-        properties = infer_properties(healthy_frame())
-        path = tmp_path / "props.json"
-        properties.save(path)
-        loaded = DataProperties.load(path)
-        assert loaded == properties
 
     def test_verified_copy(self):
         properties = infer_properties(healthy_frame())
