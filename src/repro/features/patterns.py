@@ -110,11 +110,6 @@ def mean_ratio(ratios: np.ndarray) -> float:
     return float(np.mean(finite)) if finite.size else float("nan")
 
 
-def _check_lag(lag_days: int) -> None:
-    if lag_days <= 0:
-        raise ValueError("lag_days must be positive")
-
-
 def day_over_day_bucket_ratio(
     series: LoadSeries,
     day: int,
@@ -128,7 +123,8 @@ def day_over_day_bucket_ratio(
     only timestamps present on both days are compared.  Returns ``nan``
     when either day lacks samples or they share no timestamp.
     """
-    _check_lag(lag_days)
+    if lag_days <= 0:
+        raise ValueError("lag_days must be positive")
     days, ratios = DayMatrix(series).ratios(lag_days, bound)
     index = int(np.searchsorted(days, day))
     return float(ratios[index]) if index < days.size and days[index] == day else float("nan")

@@ -724,10 +724,9 @@ class ManifestTransaction:
         """Publish the new generation; returns its snapshot.
 
         A transaction that staged nothing and moved no watermark is a
-        no-op: it resets the log instead of
-        publishing an identical generation -- unless its base predates
-        watermarks in generations, which is what ``convert``'s fold
-        publishes a generation to change.  A base holding CSV entries
+        no-op: it resets the log instead of publishing an identical
+        generation -- unless its base predates watermarks in generations,
+        which is what ``convert``'s fold publishes a generation to change.  A base holding CSV entries
         publishes a successor only once each of their keys is staged
         anew, which is what adoption does: any other commit raises
         :class:`LakeNotAdoptedError` rather than drop them.
