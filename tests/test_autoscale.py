@@ -1,5 +1,7 @@
 """Unit tests for the preemptive auto-scale use case (Appendix A)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,13 @@ class TestAutoscalePolicy:
         recommendation = AutoscalePolicy().recommend("db", LoadSeries.empty(15))
         assert recommendation.action is ScaleAction.HOLD
         assert np.isnan(recommendation.predicted_peak)
+
+    def test_recommendation_as_dict_is_plain_json(self):
+        forecast = make_series(np.full(96, 90.0), interval=15)
+        payload = AutoscalePolicy().recommend("db", forecast).as_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert (payload["database_id"], payload["action"]) == ("db", "scale_up")
+        assert payload["predicted_peak"] == pytest.approx(90.0)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

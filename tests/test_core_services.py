@@ -320,6 +320,16 @@ class TestIncidentManager:
         manager.raise_incident(IncidentSeverity.INFO, "s", "m")
         assert len(seen) == 1
 
+    def test_incident_as_dict_is_plain_json(self):
+        manager = IncidentManager()
+        incident = manager.raise_incident(
+            IncidentSeverity.CRITICAL, "training", "boom", region="r1"
+        )
+        payload = incident.as_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert (payload["severity"], payload["region"]) == ("critical", "r1")
+        assert payload["acknowledged"] is False
+
     def test_clear(self):
         manager = IncidentManager()
         manager.raise_incident(IncidentSeverity.INFO, "s", "m")
@@ -337,6 +347,17 @@ class TestDashboard:
         assert len(dashboard.events(region="r0")) == 2
         assert dashboard.runs() == ["run-1", "run-2"]
         assert dashboard.latest_summary("r1") == {"succeeded": False}
+
+    def test_event_as_dict_copies_its_payload(self):
+        dashboard = Dashboard()
+        dashboard.record("run-1", "r0", "run_summary", {"succeeded": True})
+        [event] = dashboard.events()
+        payload = event.as_dict()
+        assert payload == {
+            "run_id": "run-1", "region": "r0", "kind": "run_summary", "payload": {"succeeded": True}
+        }
+        payload["payload"]["succeeded"] = False
+        assert event.payload == {"succeeded": True}
 
     def test_latest_summary_missing_region(self):
         assert Dashboard().latest_summary("nowhere") is None

@@ -1,7 +1,11 @@
 """Unit tests for the model registry / plug-in point."""
 
+import itertools
+
+import numpy as np
 import pytest
 
+from repro.models.base import ForecastError, NotFittedError
 from repro.models.persistent import PreviousDayForecaster
 from repro.models import registry
 from repro.models.registry import (
@@ -12,6 +16,10 @@ from repro.models.registry import (
 )
 from repro.models.seasonal import SeasonalAdditiveForecaster
 from repro.models.ssa import SsaForecaster
+from repro.timeseries.calendar import points_per_day
+from repro.timeseries.series import LoadSeries
+
+from tests.helpers import diurnal_series
 
 
 class TestLookup:
@@ -48,3 +56,56 @@ class TestLookup:
 
     def test_display_names_cover_all_models(self):
         assert set(MODEL_DISPLAY_NAMES) == set(registry._REGISTRY)
+
+
+#: Every registered model, on the PostgreSQL/MySQL (5 min, Section 2.2)
+#: and the SQL database (15 min, Appendix A) telemetry grid.
+_NAMES = sorted(registry._REGISTRY)
+_GRIDS = list(itertools.product(_NAMES, (5, 15)))
+
+
+@pytest.fixture(scope="module", params=_GRIDS, ids=[f"{n}-{i}min" for n, i in _GRIDS])
+def fitted(request):
+    """A registered model fit on eight noisy diurnal days (fit once per module)."""
+    name, interval = request.param
+    history = diurnal_series(8, noise=2.0, interval=interval, seed=3)
+    return create_forecaster(name).fit(history), history
+
+
+class TestForecasterContract:
+    """What the pipeline assumes of any model it plugs in by name."""
+
+    @pytest.mark.parametrize("name", _NAMES)
+    def test_predict_before_fit_raises_not_fitted(self, name):
+        with pytest.raises(NotFittedError):
+            create_forecaster(name).predict(12)
+
+    @pytest.mark.parametrize("name", _NAMES)
+    def test_fit_on_an_empty_history_raises(self, name):
+        with pytest.raises(ForecastError):
+            create_forecaster(name).fit(LoadSeries.empty(5))
+
+    def test_next_day_forecast_continues_the_history_grid(self, fitted):
+        forecaster, history = fitted
+        n = points_per_day(history.interval_minutes)
+        forecast = forecaster.predict(n)
+        assert forecast.interval_minutes == history.interval_minutes
+        assert forecast.start == history.end + history.interval_minutes
+        assert len(forecast) == n
+        assert np.isfinite(forecast.values).all()
+        assert ((forecast.values >= 0.0) & (forecast.values <= 100.0)).all()
+        assert forecaster.fit_result.model_name == forecaster.name
+        assert canonical_name(forecaster.name) == forecaster.name
+        assert forecaster.fit_result.n_training_points == len(history)
+
+    def test_forecast_is_repeatable_and_a_shorter_horizon_is_its_prefix(self, fitted):
+        # The serving cache keys on (version, horizon, history) and the
+        # scheduler reads one day out of whatever horizon it was served:
+        # a forecast must not depend on being asked before, or for more.
+        forecaster, history = fitted
+        n = points_per_day(history.interval_minutes)
+        day = forecaster.predict(n)
+        assert forecaster.predict(n) == day
+        half = forecaster.predict(n // 2)
+        assert half.timestamps.tolist() == day.timestamps[: n // 2].tolist()
+        assert np.allclose(half.values, day.values[: n // 2])

@@ -1,5 +1,7 @@
 """Tests for the unified prediction-serving API (repro.serving)."""
 
+import json
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -55,6 +57,14 @@ class TestPredict:
         assert response.served_by_model == "persistent_previous_day"
         assert not response.cache_hit
         assert response.latency_seconds >= 0.0
+
+    def test_response_as_dict_is_plain_json_without_the_series(self):
+        service = service_with_version()
+        response = service.predict(PredictionRequest(region="r0", server_id="srv-0", n_points=12))
+        payload = response.as_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert (payload["region"], payload["server_id"], payload["n_points"]) == ("r0", "srv-0", 12)
+        assert payload["served_by_version"] == 1 and "series" not in payload
 
     def test_predict_cache_hit_on_repeat(self):
         service = service_with_version()
@@ -261,6 +271,23 @@ class TestPredictionCache:
         stats = cache.stats
         assert stats.hits == 1 and stats.misses == 1 and stats.size == 1
         assert 0.0 < stats.hit_rate < 1.0
+
+    def test_clear_drops_entries_but_keeps_counters(self):
+        cache = PredictionCache(capacity=4)
+        key = prediction_cache_key("r", "a", 1, 4, "f")
+        cache.put(key, diurnal_series(1))
+        assert cache.get(key) is not None
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.get(key) is None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
+    def test_len_counts_distinct_keys_up_to_capacity(self):
+        cache = PredictionCache(capacity=2)
+        for server in ("a", "a", "b", "c"):
+            cache.put(prediction_cache_key("r", server, 1, 4, "f"), diurnal_series(1))
+        assert len(cache) == cache.capacity == 2
+        assert cache.stats.evictions == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

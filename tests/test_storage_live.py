@@ -174,6 +174,15 @@ class TestTailWal:
         assert not stray.exists()
         assert replay.rows == 5
 
+    def test_leaving_the_context_makes_appended_frames_durable_and_closes(self, tmp_path):
+        path = wal_path(tmp_path, "r0", 0)
+        wal, _ = TailWal.open(path, "r0", 0, 5, fsync_every=100)
+        with wal:
+            wal.append(META, *minute_batch(0, 5))
+        with pytest.raises(LiveWalError, match="closed"):
+            wal.append(META, *minute_batch(5, 5))
+        assert read_tail(path).rows == 5
+
     def test_fsync_every_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="fsync_every"):
             TailWal(wal_path(tmp_path, "r0", 0), "r0", 0, 5, fsync_every=0)

@@ -354,6 +354,15 @@ class TestLakeScan:
         assert stats.servers_seen == 4
         assert stats.rows == 4 * 288
 
+    def test_full_scan_verifies_every_stored_payload_byte(self, lake_one_key):
+        assert ScanStats().verified_fraction == 1.0  # an empty scan avoided nothing
+        lake, key = lake_one_key
+        stats = ScanStats()
+        for _ in lake.scan(ExtractQuery.for_key(key), stats=stats):
+            pass
+        assert stats.payload_bytes_stored > 0
+        assert stats.verified_fraction == 1.0
+
     def test_scan_early_exit_skips_remaining_payloads(self, tmp_path):
         # Abandon the scan after the first server while a later server's
         # payload is corrupt: laziness means the damage is never read.

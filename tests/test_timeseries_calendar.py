@@ -1,8 +1,17 @@
 """Unit tests for calendar arithmetic."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.timeseries import calendar
+
+#: Epoch minutes on both sides of minute zero (a day index can be negative).
+minutes = st.integers(min_value=-10 * calendar.MINUTES_PER_WEEK, max_value=10**9)
+#: Every sampling interval that evenly divides a day.
+divisors = st.sampled_from(
+    [i for i in range(1, calendar.MINUTES_PER_DAY + 1) if calendar.MINUTES_PER_DAY % i == 0]
+)
 
 
 class TestDayAndWeekIndices:
@@ -66,3 +75,32 @@ class TestAlignment:
 
     def test_align_down_exact(self):
         assert calendar.align_down(20, 5) == 20
+
+
+class TestCalendarProperties:
+    @given(minutes)
+    def test_a_timestamp_lies_in_the_bounds_of_its_day(self, ts):
+        start, end = calendar.day_bounds(calendar.day_index(ts))
+        assert start == calendar.day_start(ts) <= ts < end
+        assert calendar.minute_of_day(ts) == ts - start
+
+    @given(minutes)
+    def test_a_timestamp_lies_in_the_bounds_of_its_week(self, ts):
+        start, end = calendar.week_bounds(calendar.week_index(ts))
+        assert start == calendar.week_start(ts) <= ts < end
+
+    @given(minutes)
+    def test_a_week_holds_seven_whole_days(self, ts):
+        week_start = calendar.week_start(ts)
+        assert calendar.day_start(week_start) == week_start
+        assert calendar.day_index(ts) - calendar.day_index(week_start) in range(7)
+
+    @given(minutes, divisors)
+    def test_align_down_lands_on_the_grid_within_one_interval(self, ts, interval):
+        aligned = calendar.align_down(ts, interval)
+        assert aligned % interval == 0
+        assert aligned <= ts < aligned + interval
+
+    @given(divisors)
+    def test_a_days_points_tile_the_day(self, interval):
+        assert calendar.points_per_day(interval) * interval == calendar.MINUTES_PER_DAY

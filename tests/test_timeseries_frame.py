@@ -40,10 +40,16 @@ class TestMutation:
         with pytest.raises(ValueError):
             frame.add_server(ServerMetadata(server_id="x"), make_series([1.0], interval=15))
 
+
 class TestAccess:
     def test_server_ids_preserve_order(self):
         frame = build_frame(3)
         assert frame.server_ids() == ["srv-0", "srv-1", "srv-2"]
+
+    def test_iteration_yields_server_ids_in_insertion_order(self):
+        frame = build_frame(3)
+        assert list(frame) == ["srv-0", "srv-1", "srv-2"]
+        assert "srv-1" in frame and "srv-9" not in frame
 
     def test_metadata_roundtrip(self):
         frame = build_frame(1)

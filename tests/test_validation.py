@@ -1,5 +1,7 @@
 """Unit tests for the Data Validation Module."""
 
+import json
+
 import numpy as np
 
 from repro.timeseries.frame import LoadFrame, ServerMetadata
@@ -136,6 +138,18 @@ class TestValidator:
         payload = report.as_dict()
         assert payload["passed"] is True
         assert payload["n_servers"] == 4
+
+    def test_report_as_dict_lists_each_issue_as_plain_json(self):
+        module = DataValidationModule()
+        module.bootstrap(healthy_frame())
+        bad = LoadFrame(5)
+        bad.add_server(ServerMetadata(server_id="hot"), make_series(np.full(10, 1000.0)))
+        payload = module.validate(bad).as_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["n_errors"] + payload["n_warnings"] == len(payload["issues"])
+        bounds = [issue for issue in payload["issues"] if issue["server_id"] == "hot"]
+        assert bounds and {issue["severity"] for issue in bounds} <= {"warning", "error"}
+        assert "error" in {issue["severity"] for issue in payload["issues"]}
 
     def test_preconfigured_properties(self):
         properties = DataProperties(
