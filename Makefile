@@ -1,6 +1,6 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
-.PHONY: ci hygiene lint invariants typecheck test examples-smoke bench-smoke bench-baseline fleet-demo
+.PHONY: ci hygiene lint invariants typecheck test examples-smoke bench-smoke bench-baseline bench-record fleet-demo
 
 ## Run every CI gate locally (hygiene + lint + typecheck + tests + examples
 ## smoke + bench baseline).
@@ -72,6 +72,12 @@ bench-baseline:
 	python -m pytest benchmarks tests/test_crash_recovery.py -q -k "classification or fig12a or columnar or serving or query or aggregates or crash or live" \
 		--bench-json BENCH_current.json
 	python scripts/bench_baseline.py BENCH_current.json
+
+## Trajectory record of this tree, both seeds, from the unmodified harness:
+## `make bench-record N=<n>` writes BENCH_<n>.json (commit it).
+bench-record:
+	@test -n "$(N)" || { echo "usage: make bench-record N=<number>" >&2; exit 2; }
+	python -m bench run --seed 11 --second-seed 12 --out BENCH_$(N).json
 
 ## Fleet orchestrator demo: cold + warm-cache run over a synthetic fleet.
 fleet-demo:

@@ -3,7 +3,7 @@
 The lake stores extracts as raw little-endian column buffers that
 deserialise via ``numpy.frombuffer``; the paper's CSV schema is an
 import/export edge.  This benchmark checks the edges are lossless to the
-byte (CSV text -> ``convert`` -> ``read_extract_text``), that the stored
+byte (CSV text -> ``convert`` -> a query -> ``frame_to_csv_text``), that the stored
 segment is smaller than the text it was imported from, and shows what
 zone-map pruning saves on time-range reads.  (The CSV-vs-``.sgx`` cold
 read race that used to live here went with the CSV read path; wall-clock
@@ -17,8 +17,8 @@ import time
 from bench_utils import print_table
 from repro.fleet_ops.synthesis import populate_lake
 from repro.storage.columnar import SgxReadStats, frame_from_sgx_bytes, sgx_summary
-from repro.storage.csv_io import write_frame_csv
-from repro.storage.datalake import DataLakeStore, ExtractKey
+from repro.storage.csv_io import frame_to_csv_text, write_frame_csv
+from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractQuery
 from repro.storage.migrate import adopt_legacy_files, convert_lake
 from repro.telemetry.fleet import default_fleet_spec
 from repro.telemetry.generator import WorkloadGenerator
@@ -57,13 +57,14 @@ def test_columnar_roundtrip_is_lossless(tmp_path_factory):
     csv_bytes = csv_path.read_bytes()
 
     assert adopt_legacy_files(lake.manifest) == ((f"{key.region}/{csv_path.name}", len(csv_bytes)),)
-    assert lake.read_extract(key, None).total_points() == rows
+    whole = ExtractQuery.for_key(key, interval_minutes=None)
+    assert lake.query(whole).frame.total_points() == rows
     report = convert_lake(lake)  # nothing left to do but the health check
     assert report.n_converted == 0 and report.n_skipped == 1
     # Timestamps, values and metadata all feed the content hash.
-    assert lake.read_extract(key, None).content_hash() == frame.content_hash()
+    assert lake.query(whole).frame.content_hash() == frame.content_hash()
     # And exporting keeps the bytes-level schema identical.
-    assert lake.read_extract_text(key).encode("utf-8") == csv_bytes
+    assert frame_to_csv_text(lake.query(whole).frame).encode("utf-8") == csv_bytes
     sgx_bytes = lake.extract_size_bytes(key)
     print_table(
         "One extract, as CSV text and as the .sgx segment imported from it",
@@ -82,7 +83,7 @@ def test_columnar_partial_read_prunes_within_server(
     spec = default_fleet_spec(servers_per_region=(N_SERVERS,), weeks=1, seed=311)
     lake = DataLakeStore(tmp_path_factory.mktemp("chunked-lake"))
     key = populate_lake(lake, spec, weeks=[0])[0]
-    raw = lake.read_extract_bytes(key)
+    raw = lake.extract_path(key).read_bytes()
 
     # Per-server chunking is observable through the inspector walk.
     info = sgx_summary(raw)
@@ -151,17 +152,17 @@ def test_columnar_zone_map_pruned_read(benchmark, tmp_path_factory):
     lake = DataLakeStore(tmp_path_factory.mktemp("columnar-lake"))
     key = populate_lake(lake, spec, weeks=[0])[0]
     day_minutes = 24 * 60
+    day = ExtractQuery.for_key(key, start_minute=0, end_minute=day_minutes)
+    week = ExtractQuery.for_key(key)
 
     def read_day_vs_week():
-        day_seconds = _best_of(
-            3, lambda: lake.read_extract(key, start_minute=0, end_minute=day_minutes)
-        )
-        week_seconds = _best_of(3, lambda: lake.read_extract(key))
+        day_seconds = _best_of(3, lambda: lake.query(day))
+        week_seconds = _best_of(3, lambda: lake.query(week))
         return day_seconds, week_seconds
 
     day_seconds, week_seconds = benchmark.pedantic(read_day_vs_week, rounds=1, iterations=1)
-    one_day = lake.read_extract(key, start_minute=0, end_minute=day_minutes)
-    full = lake.read_extract(key)
+    one_day = lake.query(day).frame
+    full = lake.query(week).frame
     print_table(
         "Zone-map pruned partial read: first day vs full week (.sgx)",
         ["read", "servers", "points", "seconds"],

@@ -35,6 +35,7 @@ from repro import (
 )
 from repro.features.extractor import FeatureExtractionModule
 from repro.scheduling.runner import RunnerService
+from repro.storage.query import ExtractQuery
 from repro.telemetry.extraction import LoadExtractionQuery
 from repro.telemetry.raw_store import RawTelemetryStore
 from repro.timeseries.frame import LoadFrame
@@ -69,7 +70,7 @@ def walkthrough(lake_dir: str) -> None:
         # shape the paper uses for the model comparison (Section 5.3.1).
         merged: LoadFrame | None = None
         for week in range(spec.weeks):
-            weekly = lake.read_extract(ExtractKey(region, week))
+            weekly = lake.query(ExtractQuery.for_key(ExtractKey(region, week))).frame
             if merged is None:
                 merged = weekly
                 continue

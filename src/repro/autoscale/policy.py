@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.features.extractor import CAPACITY_THRESHOLD
 from repro.timeseries.frame import LoadFrame
 from repro.timeseries.series import LoadSeries
 
@@ -117,10 +118,12 @@ class AutoscalePolicy:
         return counts
 
 
-def capacity_headroom_histogram(
-    frame: LoadFrame,
-    bin_edges: tuple[float, ...] = (20.0, 40.0, 60.0, 80.0, 99.0, 100.1),
-) -> dict[str, float]:
+#: Upper edges of the Figure 13(b) maximal-load buckets, in percent; the
+#: last bucket, from the capacity threshold up, counts servers at capacity.
+HEADROOM_BIN_EDGES = (20.0, 40.0, 60.0, 80.0, CAPACITY_THRESHOLD, 100.1)
+
+
+def capacity_headroom_histogram(frame: LoadFrame) -> dict[str, float]:
     """Percentage of servers per maximal observed CPU load bucket.
 
     This is the Figure 13(b) histogram computed directly on observed load;
@@ -135,7 +138,7 @@ def capacity_headroom_histogram(
     histogram: dict[str, float] = {}
     previous = 0.0
     remaining = np.ones(max_loads.shape[0], dtype=bool)
-    for edge in bin_edges:
+    for edge in HEADROOM_BIN_EDGES:
         in_bin = remaining & (max_loads < edge)
         label = f"{previous:g}-{min(edge, 100):g}%"
         histogram[label] = 100.0 * float(np.count_nonzero(in_bin)) / max_loads.shape[0]
@@ -146,12 +149,12 @@ def capacity_headroom_histogram(
     return histogram
 
 
-def pct_reaching_capacity(frame: LoadFrame, capacity_threshold: float = 99.0) -> float:
+def pct_reaching_capacity(frame: LoadFrame) -> float:
     """Percentage of servers whose observed weekly maximum reaches capacity."""
     max_loads = [
         series.maximum() for _, _, series in frame.items() if not series.is_empty
     ]
     if not max_loads:
         return float("nan")
-    reaching = sum(1 for value in max_loads if value >= capacity_threshold)
+    reaching = sum(1 for value in max_loads if value >= CAPACITY_THRESHOLD)
     return 100.0 * reaching / len(max_loads)

@@ -115,11 +115,11 @@ class _FittedDatabase:
 class AutoscalePredictor:
     """Runs the Appendix A forecasting comparison over a database fleet."""
 
-    def __init__(self, training_days: int = 7, serving: PredictionService | None = None) -> None:
+    def __init__(self, training_days: int = 7) -> None:
         if training_days < 1:
             raise ValueError("training_days must be at least 1")
         self._training_days = training_days
-        self._serving = serving if serving is not None else PredictionService()
+        self._serving = PredictionService()
 
     @property
     def serving(self) -> PredictionService:
@@ -209,11 +209,10 @@ class AutoscalePredictor:
         self,
         frame: LoadFrame,
         model_names: Iterable[str],
-        target_day: int | None = None,
     ) -> AutoscaleEvaluation:
-        """Run the comparison for every database and model.
+        """Run the comparison for every database and model on each
+        database's last covered day.
 
-        ``target_day`` defaults to each database's last fully covered day.
         Each model's fitted forecasters are deployed as **one** serving
         version covering the whole fleet, then served with batched
         requests.
@@ -225,7 +224,7 @@ class AutoscalePredictor:
             for database_id, _, series in frame.items():
                 if series.is_empty:
                     continue
-                day = target_day if target_day is not None else series.days()[-1]
+                day = series.days()[-1]
                 trained_week = max(trained_week, day // 7)
                 entry = self._fit_database(database_id, series, model_name, day)
                 if entry is not None:

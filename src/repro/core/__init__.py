@@ -24,7 +24,6 @@ from repro.core.dashboard import Dashboard, DashboardEvent
 from repro.core.drift import (
     LoadWindowDriftDetector,
     WindowDriftReport,
-    WindowDriftThresholds,
     WindowSummary,
 )
 from repro.core.endpoints import BatchScoringResult, ScoringEndpoint
@@ -48,6 +47,5 @@ __all__ = [
     "DashboardEvent",
     "LoadWindowDriftDetector",
     "WindowDriftReport",
-    "WindowDriftThresholds",
     "WindowSummary",
 ]

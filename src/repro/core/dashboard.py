@@ -50,10 +50,10 @@ class Dashboard:
             result = [e for e in result if e.kind == kind]
         return list(result)
 
-    def runs(self, region: str | None = None) -> list[str]:
+    def runs(self) -> list[str]:
         """Distinct run ids, oldest first."""
         seen: dict[str, None] = {}
-        for event in self.events(region=region):
+        for event in self._events:
             seen.setdefault(event.run_id, None)
         return list(seen)
 
@@ -64,10 +64,10 @@ class Dashboard:
             return None
         return dict(summaries[-1].payload)
 
-    def render_text(self, region: str | None = None) -> str:
+    def render_text(self) -> str:
         """Render a plain-text view of recent runs (for CLI examples)."""
         lines = ["Seagull pipeline dashboard", "=" * 30]
-        for run_id in self.runs(region=region):
+        for run_id in self.runs():
             run_events = [e for e in self._events if e.run_id == run_id]
             region_name = run_events[0].region if run_events else "?"
             lines.append(f"run {run_id} ({region_name})")

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.incidents import IncidentManager, IncidentSeverity
 from repro.timeseries.frame import LoadFrame
+
+#: How much window-over-window distribution movement counts as drift:
+#: the relative shift of the mean load, in percent of the previous mean;
+MAX_MEAN_SHIFT_PCT = 25.0
+#: of the load dispersion (standard deviation);
+MAX_STD_SHIFT_PCT = 50.0
+#: and the share of the server population appearing or disappearing.
+MAX_POPULATION_SHIFT_PCT = 30.0
 
 
 @dataclass(frozen=True)
@@ -51,18 +58,6 @@ class WindowSummary:
             mean_load=float(values.mean()) if values.size else math.nan,
             std_load=float(values.std()) if values.size else math.nan,
         )
-
-
-@dataclass(frozen=True)
-class WindowDriftThresholds:
-    """How much window-over-window distribution movement counts as drift."""
-
-    #: Relative shift of the mean load, in percent of the previous mean.
-    max_mean_shift_pct: float = 25.0
-    #: Relative shift of the load dispersion (standard deviation).
-    max_std_shift_pct: float = 50.0
-    #: Share of the server population appearing or disappearing.
-    max_population_shift_pct: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -110,19 +105,11 @@ class LoadWindowDriftDetector:
     to easily replace the model."  This is that detector: it needs only
     the sealed window's load distribution (no labels, no pipeline run),
     so a verdict is available the moment a seal commits, and a drifted
-    verdict raises an incident and makes the live bridge retrain.  Empty
+    verdict makes the live bridge retrain.  Empty
     windows are ignored and never overwrite the last populated baseline.
     """
 
-    def __init__(
-        self,
-        thresholds: WindowDriftThresholds | None = None,
-        incidents: IncidentManager | None = None,
-    ) -> None:
-        self._thresholds = (
-            thresholds if thresholds is not None else WindowDriftThresholds()
-        )
-        self._incidents = incidents
+    def __init__(self) -> None:
         self._previous: dict[str, WindowSummary] = {}
 
     def observe(self, summary: WindowSummary) -> WindowDriftReport | None:
@@ -133,31 +120,22 @@ class LoadWindowDriftDetector:
         self._previous[summary.region] = summary
         if previous is None:
             return None
-        report = self._compare(previous, summary)
-        if report.drifted and self._incidents is not None:
-            self._incidents.raise_incident(
-                IncidentSeverity.WARNING,
-                source="live_window_drift",
-                message="; ".join(report.details) or "live load distribution drifted",
-                region=summary.region,
-            )
-        return report
+        return self._compare(previous, summary)
 
     def _compare(
         self, previous: WindowSummary, current: WindowSummary
     ) -> WindowDriftReport:
-        thresholds = self._thresholds
         details: list[str] = []
 
         mean_shift = _relative_shift_pct(previous.mean_load, current.mean_load)
-        if mean_shift > thresholds.max_mean_shift_pct:
+        if mean_shift > MAX_MEAN_SHIFT_PCT:
             details.append(
                 f"mean load shifted {mean_shift:.1f}% "
                 f"({previous.mean_load:.2f} -> {current.mean_load:.2f})"
             )
 
         std_shift = _relative_shift_pct(previous.std_load, current.std_load)
-        if std_shift > thresholds.max_std_shift_pct:
+        if std_shift > MAX_STD_SHIFT_PCT:
             details.append(
                 f"load dispersion shifted {std_shift:.1f}% "
                 f"({previous.std_load:.2f} -> {current.std_load:.2f})"
@@ -168,7 +146,7 @@ class LoadWindowDriftDetector:
             population = (
                 abs(current.n_servers - previous.n_servers) / previous.n_servers * 100.0
             )
-        if population > thresholds.max_population_shift_pct:
+        if population > MAX_POPULATION_SHIFT_PCT:
             details.append(
                 f"server population shifted {population:.1f}% "
                 f"({previous.n_servers} -> {current.n_servers})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -99,21 +99,9 @@ class IncidentManager:
                 return
         raise KeyError(f"no incident with id {incident_id}")
 
-    def incidents(
-        self,
-        severity: IncidentSeverity | None = None,
-        region: str | None = None,
-        unacknowledged_only: bool = False,
-    ) -> list[Incident]:
-        """Return incidents matching the filters, oldest first."""
-        result: Iterable[Incident] = self._incidents
-        if severity is not None:
-            result = (i for i in result if i.severity is severity)
-        if region is not None:
-            result = (i for i in result if i.region == region)
-        if unacknowledged_only:
-            result = (i for i in result if not i.acknowledged)
-        return list(result)
+    def incidents(self) -> list[Incident]:
+        """Return every incident, oldest first."""
+        return list(self._incidents)
 
     def has_critical(self) -> bool:
         """Whether any unacknowledged critical incident is outstanding."""

@@ -159,32 +159,17 @@ class SeagullPipeline:
     def __init__(
         self,
         config: PipelineConfig | None = None,
-        model_registry: ModelRegistry | None = None,
         incident_manager: IncidentManager | None = None,
-        dashboard: Dashboard | None = None,
         artifact_cache: ArtifactStore | None = None,
-        executor: PartitionedExecutor | None = None,
-        serving: PredictionService | None = None,
     ) -> None:
         self._config = config if config is not None else PipelineConfig()
         self._incidents = incident_manager if incident_manager is not None else IncidentManager()
-        self._dashboard = dashboard if dashboard is not None else Dashboard()
+        self._dashboard = Dashboard()
         # The pipeline deploys fitted models *into* the serving layer and
-        # serves its own backup-day inference through it.  An injected
-        # service must share one registry with the pipeline, otherwise
-        # accuracy tracking and fallback would diverge from routing.
-        if serving is not None:
-            if model_registry is not None and serving.registry is not model_registry:
-                raise ValueError(
-                    "serving and model_registry must share the same ModelRegistry"
-                )
-            self._registry = serving.registry
-            self._serving = serving
-        else:
-            self._registry = (
-                model_registry if model_registry is not None else ModelRegistry()
-            )
-            self._serving = PredictionService(registry=self._registry)
+        # serves its own backup-day inference through it, over one
+        # registry, so accuracy tracking and fallback follow routing.
+        self._registry = ModelRegistry()
+        self._serving = PredictionService(registry=self._registry)
         self._artifacts = artifact_cache
         # Data properties are deduced per region (Section 2.4): region sizes
         # and load distributions differ, so each region gets its own
@@ -194,17 +179,13 @@ class SeagullPipeline:
             bound=self._config.error_bound,
             accuracy_threshold=self._config.accuracy_threshold,
         )
-        # An injected executor is shared with (and owned by) the caller --
-        # the fleet orchestrator reuses one worker pool across many runs
-        # instead of paying pool start-up per pipeline.
-        self._owns_executor = executor is None
-        if executor is None:
-            executor = PartitionedExecutor(self._config.executor_backend, self._config.n_workers)
-        self._executor = executor
+        self._executor = PartitionedExecutor(
+            self._config.executor_backend, self._config.n_workers
+        )
         self._evaluator = AccuracyEvaluationModule(
             bound=self._config.error_bound,
             accuracy_threshold=self._config.accuracy_threshold,
-            executor=executor,
+            executor=self._executor,
         )
 
     # ------------------------------------------------------------------ #
@@ -237,15 +218,13 @@ class SeagullPipeline:
         return self._artifacts
 
     def close(self) -> None:
-        """Release the evaluation worker pool if this pipeline created it.
+        """Release the evaluation worker pool.
 
-        Injected executors belong to the caller and are left running.
         Serial pipelines (the default) never create a pool, so closing is
         only required for long-lived processes that construct many
         pipelines with parallel backends.
         """
-        if self._owns_executor:
-            self._executor.close()
+        self._executor.close()
 
     def __enter__(self) -> "SeagullPipeline":
         return self

@@ -18,7 +18,6 @@ a synthetic fleet.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,14 +143,10 @@ def classify_frame(
     bound: ErrorBound = DEFAULT_ERROR_BOUND,
     threshold: float = DEFAULT_ACCURACY_THRESHOLD,
     lifespan_threshold_days: int = DEFAULT_LIFESPAN_THRESHOLD_DAYS,
-    server_ids: Iterable[str] | None = None,
 ) -> ClassificationResult:
-    """Classify every server of a frame (or a subset of it)."""
-    ids = list(server_ids) if server_ids is not None else frame.server_ids()
+    """Classify every server of a frame."""
     labels = {
-        server_id: classify_server(
-            frame.series(server_id), bound, threshold, lifespan_threshold_days
-        )
-        for server_id in ids
+        server_id: classify_server(series, bound, threshold, lifespan_threshold_days)
+        for server_id, _metadata, series in frame.items()
     }
     return ClassificationResult(labels=labels)

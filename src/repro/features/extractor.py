@@ -94,13 +94,9 @@ class FeatureExtractionModule:
         self,
         bound: ErrorBound = DEFAULT_ERROR_BOUND,
         accuracy_threshold: float = DEFAULT_ACCURACY_THRESHOLD,
-        busy_threshold: float = BUSY_LOAD_THRESHOLD,
-        capacity_threshold: float = CAPACITY_THRESHOLD,
     ) -> None:
         self._bound = bound
         self._threshold = accuracy_threshold
-        self._busy_threshold = busy_threshold
-        self._capacity_threshold = capacity_threshold
 
     def extract_server(self, metadata: ServerMetadata, series: LoadSeries) -> ServerFeatures:
         """Extract features for one server."""
@@ -118,8 +114,8 @@ class FeatureExtractionModule:
             daily_pattern_strength=mean_ratio(assessment.daily_ratios),
             weekly_pattern_strength=mean_ratio(assessment.weekly_ratios),
             label=assessment.label,
-            is_busy=max_load > self._busy_threshold,
-            reaches_capacity=max_load >= self._capacity_threshold,
+            is_busy=max_load > BUSY_LOAD_THRESHOLD,
+            reaches_capacity=max_load >= CAPACITY_THRESHOLD,
             backup_duration_minutes=metadata.backup_duration_minutes,
         )
 

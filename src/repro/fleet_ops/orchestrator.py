@@ -247,21 +247,15 @@ class FleetOrchestrator:
         along inside tasks, with any backend.
     config:
         Pipeline configuration applied to every unit.
-    backend / n_workers / executor:
-        How units are sharded.  Passing an ``executor`` shares one worker
-        pool across successive :meth:`run` calls; otherwise the
-        orchestrator creates (and owns) one from ``backend``/``n_workers``
-        at the first :meth:`run`, defaulting ``n_workers`` to
+    backend / n_workers:
+        How units are sharded.  The orchestrator creates one worker pool
+        at the first :meth:`run` and reuses it across successive runs,
+        defaulting ``n_workers`` to
         :func:`~repro.parallel.executor.recommended_fleet_workers` for the
         unit count being sharded.
     cache_dir:
         Directory of the artifact cache shared by every unit and worker.
         ``None`` disables caching.
-    principal:
-        Principal presented to the lake's access checks (required for
-        lakes constructed with ``granted_principals``).  Out-of-process
-        workers reopen the lake from the root path without the
-        allow-list, so enforcement happens here at the coordinator.
     """
 
     def __init__(
@@ -270,17 +264,13 @@ class FleetOrchestrator:
         config: PipelineConfig | None = None,
         backend: ExecutionBackend | str = ExecutionBackend.SERIAL,
         n_workers: int | None = None,
-        executor: PartitionedExecutor | None = None,
         cache_dir: str | Path | None = None,
-        principal: str | None = None,
     ) -> None:
         self._lake = lake
-        self._principal = principal
         self._config = config if config is not None else PipelineConfig()
         self._backend = backend
         self._n_workers = n_workers
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor: PartitionedExecutor | None = None
         self._cache_dir = str(cache_dir) if cache_dir is not None else None
 
     def _make_executor(self, n_units: int | None) -> PartitionedExecutor:
@@ -307,8 +297,8 @@ class FleetOrchestrator:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release the worker pool (if owned)."""
-        if self._owns_executor and self._executor is not None:
+        """Release the worker pool."""
+        if self._executor is not None:
             self._executor.close()
 
     def __enter__(self) -> "FleetOrchestrator":
@@ -329,16 +319,13 @@ class FleetOrchestrator:
         cache activity and scan/pushdown statistics.
         """
         started = time.perf_counter()
-        # Enforced here for explicit unit lists too: workers reopen
-        # the lake without the allow-list, so the coordinator is the gate.
-        self._lake.check_access(self._principal)
         if units is None:
-            units = self._lake.list_extracts(principal=self._principal)
+            units = self._lake.list_extracts()
         # Pin the whole run to the lake's current committed generation:
         # every worker reads the same immutable snapshot, so a writer
         # publishing mid-run cannot make two units disagree about the
         # lake's contents.
-        generation = self._lake.current_generation(principal=self._principal)
+        generation = self._lake.current_generation()
         tasks = [
             _UnitTask(
                 region=key.region,

@@ -37,33 +37,28 @@ def populate_lake(
     lake: DataLakeStore,
     spec: FleetSpec,
     weeks: Iterable[int] | None = None,
-    skip_existing: bool = True,
 ) -> list[ExtractKey]:
     """Write one weekly extract per ``(region, week)`` into ``lake``.
 
     ``weeks`` defaults to ``range(spec.weeks)``.  Existing extracts are
-    kept by default -- content is deterministic per key within one spec,
-    so re-generating them would be wasted work (a key that still waits
-    for ``python -m repro.fleet_ops convert`` to import it counts as
-    existing: importing is that command's job, not the generator's).
-    Pass ``skip_existing=False`` to overwrite.  The lake records the
-    spec in a ``_fleet_spec.json`` manifest: when the spec changes (seed,
+    kept -- content is deterministic per key within one spec, so
+    re-generating them would be wasted work.  The lake records the spec
+    in a ``_fleet_spec.json`` manifest: when the spec changes (seed,
     region sizes, horizon, ...), existing extracts are stale and are
     regenerated instead of silently reused.  Returns every key now
     present for the spec.
     """
-    if skip_existing:
-        manifest_path = lake.root / SPEC_MANIFEST_NAME
-        manifest = _spec_manifest(spec)
-        stored: object = None
-        if manifest_path.exists():
-            try:
-                stored = json.loads(manifest_path.read_text())
-            except (ValueError, OSError):
-                stored = None
-        if stored != manifest:
-            skip_existing = False
-            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    manifest_path = lake.root / SPEC_MANIFEST_NAME
+    manifest = _spec_manifest(spec)
+    stored: object = None
+    if manifest_path.exists():
+        try:
+            stored = json.loads(manifest_path.read_text())
+        except (ValueError, OSError):
+            stored = None
+    same_spec = stored == manifest
+    if not same_spec:
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
     generator = WorkloadGenerator(spec)
     week_list = list(weeks) if weeks is not None else list(range(spec.weeks))
@@ -72,7 +67,7 @@ def populate_lake(
         for week in week_list:
             key = ExtractKey(region=region.name, week=week)
             keys.append(key)
-            if skip_existing and lake.has_extract(key):
+            if same_spec and lake.has_extract(key):
                 continue
             lake.write_extract(key, generator.generate_weekly_extract(region, week))
     return keys

@@ -98,9 +98,9 @@ class FeedForwardForecaster(Forecaster):
 
     name = "feedforward"
 
-    def __init__(self, config: FeedForwardConfig | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._config = config if config is not None else FeedForwardConfig()
+        self._config = FeedForwardConfig()
         self._mlp: _Mlp | None = None
         self._mean = 0.0
         self._scale = 1.0

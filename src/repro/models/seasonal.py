@@ -38,9 +38,9 @@ class SeasonalAdditiveForecaster(Forecaster):
 
     name = "seasonal_additive"
 
-    def __init__(self, config: SeasonalConfig | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._config = config if config is not None else SeasonalConfig()
+        self._config = SeasonalConfig()
         self._coefficients: np.ndarray | None = None
         self._changepoints: np.ndarray = np.empty(0)
         self._t_scale = 1.0

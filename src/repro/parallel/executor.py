@@ -50,14 +50,14 @@ def default_worker_count() -> int:
 MAX_FLEET_WORKERS = 8
 
 
-def recommended_fleet_workers(n_units: int, available: int | None = None) -> int:
+def recommended_fleet_workers(n_units: int) -> int:
     """Worker count for sharding ``n_units`` fleet work units.
 
     The heuristic the fleet orchestrator, CLI and benchmarks share (the
     ROADMAP open item asked for it to be explicit and tested): never more
     workers than units (surplus workers only add pool start-up cost),
-    never more than the usable CPUs (``available`` defaults to
-    :func:`default_worker_count`, which respects container affinity), and
+    never more than the usable CPUs (:func:`default_worker_count`, which
+    respects container affinity), and
     never more than :data:`MAX_FLEET_WORKERS`.  A result of 1 means
     parallel sharding cannot win on this host/workload; a larger result
     is a sizing bound, not a promise of a speed-up -- whether a pool
@@ -66,8 +66,7 @@ def recommended_fleet_workers(n_units: int, available: int | None = None) -> int
     """
     if n_units < 1:
         return 1
-    cores = available if available is not None else default_worker_count()
-    return max(1, min(n_units, cores, MAX_FLEET_WORKERS))
+    return max(1, min(n_units, default_worker_count(), MAX_FLEET_WORKERS))
 
 
 class ExecutionBackend(enum.Enum):
@@ -202,8 +201,3 @@ class PartitionedExecutor:
     def serial(cls) -> "PartitionedExecutor":
         """Convenience constructor for the single-threaded baseline."""
         return cls(ExecutionBackend.SERIAL)
-
-    @classmethod
-    def parallel(cls, n_workers: int | None = None) -> "PartitionedExecutor":
-        """Convenience constructor for the process-pool backend."""
-        return cls(ExecutionBackend.PROCESSES, n_workers=n_workers)

@@ -43,10 +43,10 @@ class FabricPropertyStore:
         server_props[name] = record
         return record
 
-    def get_property(self, server_id: str, name: str, default: object = None) -> object:
-        """Read a property value, returning ``default`` when unset."""
+    def get_property(self, server_id: str, name: str) -> object:
+        """Read a property value; ``None`` when unset."""
         record = self._properties.get(server_id, {}).get(name)
-        return default if record is None else record.value
+        return None if record is None else record.value
 
     def set_backup_window_start(self, server_id: str, start_minute: int) -> PropertyRecord:
         """Convenience wrapper for the property the backup service reads."""

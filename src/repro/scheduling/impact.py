@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.features.extractor import BUSY_LOAD_THRESHOLD, ServerFeatures
-from repro.metrics.bucket_ratio import DEFAULT_ERROR_BOUND, ErrorBound
+from repro.metrics.bucket_ratio import DEFAULT_ERROR_BOUND
 from repro.metrics.ll_window import (
     WindowSearchError,
     default_window_is_lowest,
@@ -58,9 +58,6 @@ class BackupImpactReport:
 class BackupImpactAnalyzer:
     """Computes :class:`BackupImpactReport` from decisions and true load."""
 
-    def __init__(self, bound: ErrorBound = DEFAULT_ERROR_BOUND) -> None:
-        self._bound = bound
-
     def analyze(
         self,
         true_frame: LoadFrame,
@@ -92,13 +89,13 @@ class BackupImpactAnalyzer:
             n_servers += 1
 
             default_is_ll = default_window_is_lowest(
-                series, decision.default_start, day, duration, self._bound
+                series, decision.default_start, day, duration, DEFAULT_ERROR_BOUND
             )
             if default_is_ll:
                 n_default_already_ll += 1
 
             scheduled_load = window_average_load(series, decision.scheduled_start, duration)
-            scheduled_is_correct = self._bound.within(scheduled_load, true_window.average_load)
+            scheduled_is_correct = DEFAULT_ERROR_BOUND.within(scheduled_load, true_window.average_load)
             if not scheduled_is_correct:
                 n_incorrect += 1
 

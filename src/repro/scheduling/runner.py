@@ -25,7 +25,7 @@ from repro.metrics.predictable import PredictabilityVerdict
 from repro.scheduling.backup import BackupDecision, BackupScheduler
 from repro.serving.api import BatchPredictionResponse, ServingError
 from repro.serving.service import PredictionService
-from repro.timeseries.calendar import points_per_day
+from repro.timeseries.calendar import DEFAULT_INTERVAL_MINUTES, points_per_day
 from repro.timeseries.frame import ServerMetadata
 from repro.timeseries.series import LoadSeries
 
@@ -114,13 +114,12 @@ class RunnerService:
         day: int,
         metadata_by_server: Mapping[str, ServerMetadata],
         verdicts: Mapping[str, PredictabilityVerdict],
-        horizon_points: int | None = None,
-        interval_minutes: int = 5,
+        horizon_points: int = points_per_day(DEFAULT_INTERVAL_MINUTES),
     ) -> RunnerExecution:
         """Execute the scheduling step for one cluster on one day.
 
         ``horizon_points`` is the prediction horizon requested from the
-        serving layer (default: one day at ``interval_minutes``).  Servers
+        serving layer (default: one day on the default grid).  Servers
         the serving version cannot score keep their default windows (they
         surface in ``execution.serving.skipped`` / ``failed``), and a
         region without any active version schedules everything into the
@@ -142,13 +141,7 @@ class RunnerService:
                 for server_id, metadata in metadata_by_server.items()
                 if metadata.region == self._region
             }
-            predictions = self._fetch_predictions(
-                due,
-                horizon_points
-                if horizon_points is not None
-                else points_per_day(interval_minutes),
-                execution,
-            )
+            predictions = self._fetch_predictions(due, horizon_points, execution)
             execution.decisions = self._scheduler.schedule_fleet(due, predictions, verdicts)
         self._executions.append(execution)
         return execution

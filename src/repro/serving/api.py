@@ -120,7 +120,6 @@ class BatchPredictionResponse:
     skipped: tuple[str, ...] = ()
     failed: tuple[tuple[str, str], ...] = ()
     latency_seconds: float = 0.0
-    n_partitions: int = 1
 
     def predictions(self) -> dict[str, LoadSeries]:
         """The served series keyed by server id."""
@@ -145,7 +144,6 @@ class BatchPredictionResponse:
             "n_failed": len(self.failed),
             "cache_hits": self.cache_hits,
             "latency_seconds": self.latency_seconds,
-            "n_partitions": self.n_partitions,
         }
 
 

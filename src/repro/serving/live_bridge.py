@@ -42,11 +42,7 @@ if TYPE_CHECKING:
     # Imported lazily at runtime: repro.core.drift sits in the middle of
     # the core package's import of the pipeline, which imports serving --
     # a module-level import here would close that cycle.
-    from repro.core.drift import (
-        LoadWindowDriftDetector,
-        WindowDriftReport,
-        WindowSummary,
-    )
+    from repro.core.drift import WindowDriftReport, WindowSummary
 
 __all__ = ["LiveServingBridge", "LiveServingEvent"]
 
@@ -87,11 +83,8 @@ class LiveServingBridge:
     model_name:
         Forecaster family to (re)train (a
         :func:`repro.models.registry.create_forecaster` name).
-    detector:
-        The window-drift detector; a default-threshold
-        :class:`~repro.core.drift.LoadWindowDriftDetector` when omitted.
-    principal:
-        Principal used for every lake read.
+
+    Drift is judged by a :class:`~repro.core.drift.LoadWindowDriftDetector`.
     """
 
     def __init__(
@@ -100,16 +93,13 @@ class LiveServingBridge:
         service: PredictionService,
         *,
         model_name: str = "persistent_previous_day",
-        detector: LoadWindowDriftDetector | None = None,
-        principal: str | None = None,
     ) -> None:
         from repro.core.drift import LoadWindowDriftDetector
 
         self._store = store
         self._service = service
         self._model_name = model_name
-        self._detector = detector if detector is not None else LoadWindowDriftDetector()
-        self._principal = principal
+        self._detector = LoadWindowDriftDetector()
         self._bootstrapped: set[str] = set()
         self._events: list[LiveServingEvent] = []
 
@@ -128,8 +118,7 @@ class LiveServingBridge:
                 weeks=(report.week,),
                 start_minute=report.window_start,
                 end_minute=report.sealed_through,
-            ),
-            principal=self._principal,
+            )
         ).frame
         summary = WindowSummary.from_frame(
             report.region, window, report.window_start, report.sealed_through
@@ -158,8 +147,7 @@ class LiveServingBridge:
         """Fit fresh forecasters on the region's committed history and
         deploy them; ``None`` when no server has enough history yet."""
         history = self._store.query(
-            ExtractQuery(regions=(report.region,), end_minute=report.sealed_through),
-            principal=self._principal,
+            ExtractQuery(regions=(report.region,), end_minute=report.sealed_through)
         ).frame
         forecasters: dict[str, Forecaster] = {}
         for server_id, _metadata, series in history.items():

@@ -9,11 +9,9 @@ internal transport detail), requests are routed through the
 every answer passes through an LRU prediction cache keyed on
 ``(region, server, version, horizon, history fingerprint)``.
 
-Batches fan out across servers via a
-:class:`~repro.parallel.executor.PartitionedExecutor` (serial by default;
-a thread-pool executor shards the miss set).  The service aggregates
-request statistics, endpoint health and cache counters per region for the
-dashboard.
+A batch answers its cache hits inline and scores the miss set in one
+endpoint call.  The service aggregates request statistics, endpoint
+health and cache counters per region for the dashboard.
 """
 
 from __future__ import annotations
@@ -23,13 +21,11 @@ import threading
 import time
 from collections.abc import Iterable, Mapping
 
-from repro.core.endpoints import BatchScoringResult, ScoringEndpoint
+from repro.core.endpoints import ScoringEndpoint
 from repro.core.registry import ModelRecord, ModelRegistry, ModelStatus
 from repro.models.base import Forecaster
 from repro.models.cached import PrecomputedForecaster
 from repro.models.registry import UnknownModelError, canonical_name
-from repro.parallel.executor import ExecutionBackend, PartitionedExecutor
-from repro.parallel.partition import partition_list
 from repro.serving.api import (
     BatchPredictionResponse,
     NoActiveVersionError,
@@ -75,10 +71,6 @@ class PredictionService:
         serving).  A fresh registry is created when omitted.
     cache:
         Prediction LRU cache; ``cache_capacity`` sizes a default one.
-    executor:
-        Fan-out executor for :meth:`predict_batch`.  Serial and thread
-        backends are supported; the process backend is rejected because
-        endpoint statistics and the cache live in this process.
     """
 
     def __init__(
@@ -86,16 +78,9 @@ class PredictionService:
         registry: ModelRegistry | None = None,
         cache: PredictionCache | None = None,
         cache_capacity: int = 4096,
-        executor: PartitionedExecutor | None = None,
     ) -> None:
-        if executor is not None and executor.backend is ExecutionBackend.PROCESSES:
-            raise ValueError(
-                "PredictionService fan-out needs shared endpoint/cache state; "
-                "use the serial or threads backend"
-            )
         self._registry = registry if registry is not None else ModelRegistry()
         self._cache = cache if cache is not None else PredictionCache(cache_capacity)
-        self._executor = executor
         self._endpoints: dict[tuple[str, int], ScoringEndpoint] = {}
         self._fingerprints: dict[tuple[str, int], dict[str, str]] = {}
         self._stats: dict[str, ServingStats] = {}
@@ -205,9 +190,9 @@ class PredictionService:
             )
         return endpoint
 
-    def servers(self, region: str, version: int | None = None) -> list[str]:
-        """Server ids servable by a region's (active or pinned) version."""
-        return self._endpoint_for(self.resolve(region, version=version)).servers()
+    def servers(self, region: str) -> list[str]:
+        """Server ids servable by a region's active version."""
+        return self._endpoint_for(self.resolve(region)).servers()
 
     def regions(self) -> list[str]:
         """Regions with at least one deployed version."""
@@ -261,19 +246,17 @@ class PredictionService:
         region: str,
         n_points: int,
         server_ids: Iterable[str] | None = None,
-        model: str | None = None,
-        version: int | None = None,
         use_cache: bool = True,
     ) -> BatchPredictionResponse:
-        """Fan one horizon query across a region's servers.
+        """Answer one horizon query for a region's servers.
 
-        ``server_ids`` defaults to every server the serving version can
+        ``server_ids`` defaults to every server the active version can
         score.  The version is resolved once for the whole batch; cache
-        hits are answered inline and only the miss set is fanned across
-        the executor.  Per-server failures are isolated into ``failed``.
+        hits are answered inline and only the miss set is scored.
+        Per-server failures are isolated into ``failed``.
         """
         started = time.perf_counter()
-        record = self.resolve(region, model=model, version=version)
+        record = self.resolve(region)
         endpoint = self._endpoint_for(record)
         servers = list(server_ids) if server_ids is not None else endpoint.servers()
         stats = self._region_stats(region)
@@ -300,11 +283,12 @@ class PredictionService:
 
         skipped: list[str] = []
         failed: list[tuple[str, str]] = []
-        chunks = self._partition(misses)
-        for scored, elapsed in self._score_chunks(endpoint, chunks, n_points):
+        if misses:
+            scoring_started = time.perf_counter()
+            scored = endpoint.predict_many(misses, n_points)
+            share = (time.perf_counter() - scoring_started) / max(1, len(scored.predictions))
             skipped.extend(scored.skipped)
             failed.extend(sorted(scored.failed.items()))
-            share = elapsed / max(1, len(scored.predictions))
             for server_id, series in scored.predictions.items():
                 if use_cache:
                     self._cache.put(self._cache_key(record, server_id, n_points), series)
@@ -334,27 +318,7 @@ class PredictionService:
             skipped=tuple(skipped),
             failed=tuple(failed),
             latency_seconds=latency,
-            n_partitions=max(1, len(chunks)),
         )
-
-    def _partition(self, server_ids: list[str]) -> list[list[str]]:
-        if not server_ids:
-            return []
-        if self._executor is None or self._executor.backend is ExecutionBackend.SERIAL:
-            return [server_ids]
-        return partition_list(server_ids, self._executor.n_workers)
-
-    def _score_chunks(
-        self, endpoint: ScoringEndpoint, chunks: list[list[str]], n_points: int
-    ) -> list[tuple[BatchScoringResult, float]]:
-        def score(chunk: list[str]) -> tuple[BatchScoringResult, float]:
-            chunk_started = time.perf_counter()
-            scored = endpoint.predict_many(chunk, n_points)
-            return scored, time.perf_counter() - chunk_started
-
-        if self._executor is None or len(chunks) <= 1:
-            return [score(chunk) for chunk in chunks]
-        return self._executor.map(score, chunks)
 
     def _response(
         self,

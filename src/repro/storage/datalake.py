@@ -3,29 +3,28 @@
 The load-extraction query writes one extract file per ``(region, week)``;
 the AML pipeline later picks up the extract for the region it is scheduled
 on (Section 2.2).  :class:`DataLakeStore` reproduces that contract on the
-local filesystem with listing, existence checks and simple access control
-mirroring the "location of input data in ADLS and access rights to this
-data" knobs called out in Section 2.4.
+local filesystem: the "location of input data in ADLS" knob of Section
+2.4 is its ``root``.  The "access rights to this data" are the store's
+own (ADLS's), not something this process checks.
 
 A lake stores, queries and writes one format: the binary columnar
 ``.sgx`` of :mod:`repro.storage.columnar` (column buffers become arrays
 without a copy or a parse; zone maps, server filters and chunk statistics
 decide which of them are read from disk at all).  The paper's CSV schema
-(Section 5.3.1) lives at two edges: ``convert``'s adoption
+(Section 5.3.1) lives at the edges: ``convert``'s adoption
 (:mod:`repro.storage.migrate`) turns CSV into segments as a lake is
-adopted, and :meth:`DataLakeStore.read_extract_text` *exports* a segment
-as text.  Nothing answers for a damaged segment: the read raises
-:class:`~repro.storage.columnar.ColumnarFormatError` naming the extract,
-the segment file and the remedy.  Every accessor -- the metadata ones
-included -- enforces the principal allow-list.
+adopted, and :func:`repro.storage.csv_io.frame_to_csv_text` turns a
+queried frame back into text.  Nothing answers for a damaged segment:
+the read raises :class:`~repro.storage.columnar.ColumnarFormatError`
+naming the extract, the segment file and the remedy.
 
 Reading goes through one declarative surface:
 :meth:`DataLakeStore.query` materialises a typed
 :class:`~repro.storage.query.ExtractQuery` (server filters and column
 projections are pushed down into the ``.sgx`` reader) and
-:meth:`DataLakeStore.scan` streams the same answer one server at a time;
-``read_extract`` is the one-key convenience over it.  Extracts are read
-at the sampling interval they record and bucket-mean resampled onto
+:meth:`DataLakeStore.scan` streams the same answer one server at a time
+(``ExtractQuery.for_key`` scopes either to one extract).  Extracts are
+read at the sampling interval they record and bucket-mean resampled onto
 ``q.interval_minutes`` on the way out.  Reads also unify the committed
 lake with the *live tail* (:mod:`repro.storage.live`): unsealed rows
 under ``_manifest/live/`` answer through the same filters, projections
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from repro.storage import columnar, csv_io
+from repro.storage import columnar
 from repro.storage.aggregate import AggregateAccumulator
 from repro.storage.columnar import ColumnarFormatError, SgxReadStats
 from repro.storage.manifest import (
@@ -92,7 +91,6 @@ if TYPE_CHECKING:
     from repro.storage.live.wal import LiveTailIndex
 
 __all__ = [
-    "AccessDeniedError",
     "DataLakeStore",
     "ExtractKey",
     "ExtractNotFoundError",
@@ -107,10 +105,6 @@ __all__ = [
 
 class ExtractNotFoundError(KeyError):
     """Raised when an extract for a requested (region, week) does not exist."""
-
-
-class AccessDeniedError(PermissionError):
-    """Raised when the caller's principal is not granted access to the store."""
 
 
 @dataclass(frozen=True, order=True)
@@ -179,10 +173,6 @@ class DataLakeStore:
     root:
         Directory to persist extracts under (created if missing).  Tests
         that want a throwaway lake point it at a temporary directory.
-    granted_principals:
-        Optional allow-list of principal names.  When set, every operation
-        (reads, writes and metadata accessors alike) must pass a
-        ``principal`` that is in the list.
     write_format:
         Accepted for callers that still pass ``write_format="sgx"``; it
         selects nothing, and any other value raises :class:`ValueError`.
@@ -237,19 +227,17 @@ class DataLakeStore:
     def __init__(
         self,
         root: str | Path,
-        granted_principals: set[str] | None = None,
         write_format: str = "sgx",
         chunk_minutes: int | None = None,
         pinned_generation: int | None = None,
     ) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        self._granted = set(granted_principals) if granted_principals is not None else None
         if write_format != "sgx":
             raise ValueError(
                 f"a lake stores .sgx only, not {write_format!r}: CSV files are "
-                "adopted by `python -m repro.fleet_ops convert` and CSV text is "
-                "exported by read_extract_text()"
+                "adopted by `python -m repro.fleet_ops convert`, and a queried frame "
+                "becomes CSV text through csv_io.frame_to_csv_text()"
             )
         if chunk_minutes is not None and chunk_minutes < 0:
             raise ValueError("chunk_minutes must be a non-negative number of minutes")
@@ -302,43 +290,25 @@ class DataLakeStore:
         """Generation this store is pinned to (``None``: follow commits)."""
         return self._pinned.generation if self._pinned is not None else None
 
-    def current_generation(self, principal: str | None = None) -> int:
+    def current_generation(self) -> int:
         """The committed manifest generation reads currently resolve to.
 
         ``0`` for a lake nothing has been committed to yet; for pinned
         stores, the pin.
         """
-        self._check_access(principal)
         return self._snapshot().generation
 
-    def extract_path(self, key: ExtractKey, principal: str | None = None) -> Path:
-        """Filesystem path of the segment backing ``key``.
+    def extract_path(self, key: ExtractKey) -> Path:
+        """Filesystem path of the segment backing ``key``; raises
+        :class:`ExtractNotFoundError` when ``key`` has none.
 
-        The path is an *immutable segment file* owned by the manifest:
-        valid for reading (tests also use it to simulate disk damage),
-        never for writing -- mutations go through the write API so they
-        are published transactionally.
+        The one byte-level accessor.  The path is an *immutable segment
+        file* owned by the manifest: valid for reading (``convert`` reads
+        the stored bytes through it; tests use it to simulate disk
+        damage), never for writing -- mutations go through the write API
+        so they are published transactionally.
         """
-        self._check_access(principal)
         return self._root / self._entry(key, self._snapshot()).relpath
-
-    def check_access(self, principal: str | None = None) -> None:
-        """Raise :class:`AccessDeniedError` unless ``principal`` is granted.
-
-        An explicit probe for coordinators (e.g. the fleet orchestrator)
-        that hand work to out-of-process workers which reopen the lake
-        from the root path without the allow-list -- the coordinator
-        checks once up front, whatever unit list it was given.
-        """
-        self._check_access(principal)
-
-    def _check_access(self, principal: str | None) -> None:
-        if self._granted is None:
-            return
-        if principal is None or principal not in self._granted:
-            raise AccessDeniedError(
-                f"principal {principal!r} is not granted access to this data lake"
-            )
 
     def _snapshot(self) -> ManifestSnapshot:
         """The committed manifest generation this operation reads from.
@@ -423,35 +393,22 @@ class DataLakeStore:
 
     # ------------------------------------------------------------------ #
 
-    def write_extract(
-        self,
-        key: ExtractKey,
-        frame: LoadFrame,
-        principal: str | None = None,
-        chunk_minutes: int | None = None,
-    ) -> int:
-        """Persist ``frame`` as the extract for ``key``; returns rows written.
-
-        ``chunk_minutes`` overrides the store's chunking policy for this
-        write (``None``: use the store's).
-        """
-        self._check_access(principal)
-        if chunk_minutes is None:
-            chunk_minutes = self._chunk_minutes
-        self._store_payload(key, columnar.frame_to_sgx_bytes(frame, chunk_minutes=chunk_minutes))
+    def write_extract(self, key: ExtractKey, frame: LoadFrame) -> int:
+        """Persist ``frame`` as the extract for ``key`` under the store's
+        chunking policy; returns rows written."""
+        self._store_payload(
+            key, columnar.frame_to_sgx_bytes(frame, chunk_minutes=self._chunk_minutes)
+        )
         return frame.total_points()
 
-    def write_extract_bytes(
-        self, key: ExtractKey, payload: bytes, principal: str | None = None
-    ) -> None:
+    def write_extract_bytes(self, key: ExtractKey, payload: bytes) -> None:
         """Persist pre-encoded ``.sgx`` ``payload`` as ``key``'s segment.
 
-        The byte-level dual of :meth:`read_extract_bytes`: the payload is
-        stored exactly as given, trusting the caller's encoding -- the
-        lake converter uses this to land precisely the bytes it verified
-        in memory, with no re-encode in between.
+        The byte-level dual of :meth:`extract_path`: the payload is stored
+        exactly as given, trusting the caller's encoding -- the lake
+        converter uses this to land precisely the bytes it verified in
+        memory, with no re-encode in between.
         """
-        self._check_access(principal)
         self._store_payload(key, bytes(payload))
 
     def _require_writable(self) -> None:
@@ -687,13 +644,7 @@ class DataLakeStore:
             query=q, frame=empty, stats=stats, aggregates=accumulator.results()
         )
 
-    def query(
-        self,
-        q: ExtractQuery,
-        principal: str | None = None,
-        *,
-        include_tail: bool = True,
-    ) -> QueryResult:
+    def query(self, q: ExtractQuery, *, include_tail: bool = True) -> QueryResult:
         """Answer ``q`` with one materialised frame plus scan statistics.
 
         Every extract in ``q``'s partition scope is read with the
@@ -719,7 +670,6 @@ class DataLakeStore:
         ``result.aggregates`` instead of rows -- see
         :meth:`_query_aggregate` for the decode-avoidance contract.
         """
-        self._check_access(principal)
         stats = ScanStats()
         snap = self._snapshot()
         tails = self._tail_index() if include_tail else None
@@ -826,12 +776,7 @@ class DataLakeStore:
                     yield metadata, series
 
     def scan(
-        self,
-        q: ExtractQuery,
-        principal: str | None = None,
-        stats: ScanStats | None = None,
-        *,
-        include_tail: bool = True,
+        self, q: ExtractQuery, stats: ScanStats | None = None
     ) -> Iterator[tuple[ExtractKey, ServerMetadata, LoadSeries]]:
         """Stream ``q``'s answer as ``(key, metadata, series)`` triples.
 
@@ -844,12 +789,11 @@ class DataLakeStore:
         next server's payload would be decoded).  Like :meth:`query`, a
         scan refuses to silently mix sampling intervals across matched
         extracts, applies the ``q.interval_minutes`` resample, and (unless
-        ``include_tail=False`` or a pinned store) streams each
-        partition's live-tail servers after its committed ones.
+        the store is pinned) streams each partition's live-tail servers
+        after its committed ones.
         ``stats``, when given, fills in as the scan advances.
         Aggregate queries have no row stream -- use :meth:`query`.
         """
-        self._check_access(principal)
         if q.is_aggregate:
             raise QueryError(
                 "aggregate queries produce reductions, not a row stream; "
@@ -863,7 +807,7 @@ class DataLakeStore:
         # writers publishing new generations never change what an
         # in-flight scan observes.
         snap = self._snapshot()
-        tails = self._tail_index() if include_tail else None
+        tails = self._tail_index()
         expected_interval: int | None = None
         for key in self._query_keys(q, snap, tails):
             for metadata, series in self._scan_sources(key, q, stats, snap, tails):
@@ -886,54 +830,7 @@ class DataLakeStore:
                     # would decode the next server's payload.
                     return
 
-    def read_extract(
-        self,
-        key: ExtractKey,
-        interval_minutes: int | None = DEFAULT_INTERVAL_MINUTES,
-        principal: str | None = None,
-        start_minute: int | None = None,
-        end_minute: int | None = None,
-    ) -> LoadFrame:
-        """Load the extract for ``key``; raises :class:`ExtractNotFoundError`.
-
-        The one-key convenience over :meth:`query`, with its own
-        contract: a key without a committed extract raises instead of
-        answering with an empty frame.  ``interval_minutes=None`` means
-        "the interval the extract itself records";
-        ``start_minute``/``end_minute`` cut to a half-open time range.
-        """
-        self._check_access(principal)
-        self._entry(key, self._snapshot())
-        q = ExtractQuery.for_key(
-            key,
-            interval_minutes=interval_minutes,
-            start_minute=start_minute,
-            end_minute=end_minute,
-        )
-        return self.query(q, principal=principal).frame
-
-    def read_extract_text(self, key: ExtractKey, principal: str | None = None) -> str:
-        """Export the stored extract for ``key`` as CSV text.
-
-        The export edge: the segment is decoded and serialised to the
-        paper's row-oriented schema (Section 5.3.1) for callers that need
-        text -- hand-offs, debugging, a lake that predates ``.sgx``.
-        """
-        self._check_access(principal)
-        with self._open_sgx(key, self._snapshot()) as segment:
-            frame = columnar.frame_from_sgx_bytes(segment)
-        return csv_io.frame_to_csv_text(frame)
-
-    def read_extract_bytes(self, key: ExtractKey, principal: str | None = None) -> bytes:
-        """Return the raw bytes of ``key``'s stored segment.
-
-        The byte-level dual of :meth:`write_extract_bytes`: the lake
-        converter's health check reads the stored segment through here so
-        it decodes exactly the bytes on disk.
-        """
-        return self.extract_path(key, principal).read_bytes()
-
-    def extract_fingerprint(self, key: ExtractKey, principal: str | None = None) -> str:
+    def extract_fingerprint(self, key: ExtractKey) -> str:
         """Hex sha256 digest of the stored segment's raw bytes.
 
         The digest the manifest recorded when the segment was staged: no
@@ -945,36 +842,30 @@ class DataLakeStore:
         Out-of-band damage to the file does not change it; the next read
         of the damaged bytes raises instead.
         """
-        self._check_access(principal)
         return self._entry(key, self._snapshot()).sha256
 
-    def has_extract(self, key: ExtractKey, principal: str | None = None) -> bool:
+    def has_extract(self, key: ExtractKey) -> bool:
         """Return whether ``key`` has a committed segment."""
-        self._check_access(principal)
         return self._snapshot().entry(key.region, key.week) is not None
 
-    def list_extracts(
-        self, region: str | None = None, principal: str | None = None
-    ) -> list[ExtractKey]:
+    def list_extracts(self, region: str | None = None) -> list[ExtractKey]:
         """List available extract keys, optionally restricted to a region.
 
         The listing is the committed manifest generation's (pinned stores
         list their pinned generation), so files staged by an in-flight or
         crashed transaction are never visible here.
         """
-        self._check_access(principal)
         return self._list_keys(self._snapshot(), region)
 
-    def extract_size_bytes(self, key: ExtractKey, principal: str | None = None) -> int:
+    def extract_size_bytes(self, key: ExtractKey) -> int:
         """Size in bytes of the stored segment (what a full read ingests).
 
         Region extract size is the scalability axis of Figure 12; the
         benchmark harness reports it alongside runtimes.
         """
-        self._check_access(principal)
         return self._entry(key, self._snapshot()).size
 
-    def collect_garbage(self, principal: str | None = None):
+    def collect_garbage(self):
         """Physically reclaim segment files and generations no longer
         referenced by the current committed generation.
 
@@ -984,6 +875,5 @@ class DataLakeStore:
         stores pinned to older generations -- run it only when no pinned
         readers are in flight.
         """
-        self._check_access(principal)
         self._require_writable()
         return self._manifest.collect_garbage()

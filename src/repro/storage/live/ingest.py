@@ -125,13 +125,10 @@ class LiveIngestor:
         The extract grid sealed segments are bucketed onto.
     chunk_minutes:
         Seal boundary and ``.sgx`` chunking policy.  Defaults to the
-        store's ``chunk_minutes`` (or the columnar per-day default); must
-        be a positive multiple of ``interval_minutes``.
+        store's ``chunk_minutes``; must be a positive multiple of
+        ``interval_minutes``.
     fsync_every:
         Append batches between WAL fsyncs (1 = every batch durable).
-    principal:
-        Principal the ingestor acts as, checked against the store's
-        allow-list up front and used for every seal write.
 
     Opening the ingestor replays every on-disk tail WAL: complete frames
     survive, a torn tail is dropped loudly, and rows below a committed
@@ -147,17 +144,13 @@ class LiveIngestor:
         interval_minutes: int = DEFAULT_INTERVAL_MINUTES,
         chunk_minutes: int | None = None,
         fsync_every: int = 16,
-        principal: str | None = None,
     ) -> None:
         if store.pinned_generation is not None:
             raise ValueError("cannot ingest into a pinned (read-only) store")
-        store.check_access(principal)
         if interval_minutes <= 0:
             raise ValueError("interval_minutes must be positive")
         if chunk_minutes is None:
             chunk_minutes = store.chunk_minutes
-        if chunk_minutes is None:
-            chunk_minutes = columnar.DEFAULT_CHUNK_MINUTES
         if chunk_minutes <= 0:
             raise ValueError("live sealing needs a positive chunk_minutes boundary")
         if chunk_minutes % interval_minutes != 0:
@@ -171,7 +164,6 @@ class LiveIngestor:
         self._interval = int(interval_minutes)
         self._chunk = int(chunk_minutes)
         self._fsync_every = fsync_every
-        self._principal = principal
         self._tails: dict[ExtractKey, _ActiveTail] = {}
         self._replay_existing()
 
@@ -221,11 +213,8 @@ class LiveIngestor:
         """Partitions with an open tail, sorted."""
         return sorted(self._tails)
 
-    def pending_rows(self, key: ExtractKey | None = None) -> int:
-        """Raw unsealed rows in one tail (or across all of them)."""
-        if key is not None:
-            tail = self._tails.get(key)
-            return tail.rows if tail is not None else 0
+    def pending_rows(self) -> int:
+        """Raw unsealed rows across every tail."""
         return sum(tail.rows for tail in self._tails.values())
 
     def watermark(self, key: ExtractKey) -> int:
@@ -272,10 +261,9 @@ class LiveIngestor:
         tail.frames.append(TailFrame(metadata, ts, vs))
         return int(ts.size)
 
-    def flush(self, key: ExtractKey | None = None) -> None:
-        """Fsync one tail WAL (or all of them) now."""
-        tails = [self._tails[key]] if key is not None else list(self._tails.values())
-        for tail in tails:
+    def flush(self) -> None:
+        """Fsync every tail WAL now."""
+        for tail in self._tails.values():
             tail.wal.flush()
 
     # ------------------------------------------------------------------ #
@@ -322,7 +310,6 @@ class LiveIngestor:
 
         base = self._store.query(
             ExtractQuery.for_key(key, interval_minutes=self._interval),
-            principal=self._principal,
             include_tail=False,
         ).frame
         merged = LoadFrame(self._interval)

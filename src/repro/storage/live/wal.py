@@ -350,7 +350,7 @@ class TailWal:
         week: int,
         interval_minutes: int,
         *,
-        fsync_every: int = 16,
+        fsync_every: int,
     ) -> None:
         if fsync_every < 1:
             raise ValueError("fsync_every must be at least 1")

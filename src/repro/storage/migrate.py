@@ -259,7 +259,6 @@ def convert_lake(
     *,
     region: str | None = None,
     verify: bool = True,
-    principal: str | None = None,
     chunk_minutes: int | None = None,
 ) -> LakeConversionReport:
     """Health-check every segment of ``lake`` (optionally one region).
@@ -274,8 +273,8 @@ def convert_lake(
     is written.  A lake with nothing to do publishes no generation.
     """
     report = LakeConversionReport(verified=verify)
-    for key in lake.list_extracts(region, principal=principal):
-        raw = lake.read_extract_bytes(key, principal=principal)
+    for key in lake.list_extracts(region):
+        raw = lake.extract_path(key).read_bytes()
         try:
             stored = columnar.frame_from_sgx_bytes(raw)
         except ValueError as exc:
@@ -291,7 +290,7 @@ def convert_lake(
             continue
         if verify:
             _check_round_trip(str(key), stored, payload)
-        lake.write_extract_bytes(key, payload, principal=principal)
+        lake.write_extract_bytes(key, payload)
         report.records.append(
             ConversionRecord(key, stored.total_points(), bytes_in=len(raw), bytes_out=len(payload))
         )

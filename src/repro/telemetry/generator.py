@@ -71,10 +71,9 @@ def stable_trace(
     rng: np.random.Generator,
     n_points: int,
     base_load: float,
-    noise_std: float = _PREDICTABLE_NOISE,
 ) -> np.ndarray:
     """Roughly constant load around ``base_load`` with Gaussian noise."""
-    return base_load + rng.normal(0.0, noise_std, n_points)
+    return base_load + rng.normal(0.0, _PREDICTABLE_NOISE, n_points)
 
 
 def daily_trace(
@@ -83,13 +82,12 @@ def daily_trace(
     points_day: int,
     base_load: float,
     amplitude: float,
-    noise_std: float = _PREDICTABLE_NOISE,
 ) -> np.ndarray:
     """A diurnal shape repeated every day plus small noise."""
     shape = _smooth_daily_shape(rng, points_day)
     n_days = -(-n_points // points_day)
     repeated = np.tile(shape, n_days)[:n_points]
-    return base_load + amplitude * repeated + rng.normal(0.0, noise_std, n_points)
+    return base_load + amplitude * repeated + rng.normal(0.0, _PREDICTABLE_NOISE, n_points)
 
 
 def weekly_trace(
@@ -98,7 +96,6 @@ def weekly_trace(
     points_day: int,
     base_load: float,
     amplitude: float,
-    noise_std: float = _PREDICTABLE_NOISE,
 ) -> np.ndarray:
     """Weekday/weekend shapes repeated weekly.
 
@@ -122,7 +119,7 @@ def weekly_trace(
         else:
             days.append(amplitude * weekday_shape)
     values = np.concatenate(days)[:n_points]
-    return base_load + values + rng.normal(0.0, noise_std, n_points)
+    return base_load + values + rng.normal(0.0, _PREDICTABLE_NOISE, n_points)
 
 
 def unstable_trace(

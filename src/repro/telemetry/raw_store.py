@@ -16,6 +16,11 @@ import numpy as np
 
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
+#: Share of raw rows :meth:`RawTelemetryStore.ingest_frame` drops, and
+#: share it delivers twice (at-least-once telemetry delivery).
+DROP_FRACTION = 0.01
+DUPLICATE_FRACTION = 0.005
+
 
 class RawTelemetryStore:
     """Holds raw minute-granularity telemetry rows per server and region."""
@@ -54,8 +59,6 @@ class RawTelemetryStore:
         self,
         frame: LoadFrame,
         noise_rng: np.random.Generator | None = None,
-        drop_fraction: float = 0.01,
-        duplicate_fraction: float = 0.005,
     ) -> None:
         """Explode a clean frame into messy raw minute-granularity rows.
 
@@ -81,10 +84,10 @@ class RawTelemetryStore:
             raw_vs = np.repeat(series.values, interval) + rng.normal(0.0, 0.5, raw_ts.shape[0])
             raw_vs = np.clip(raw_vs, 0.0, 100.0)
 
-            keep = rng.uniform(size=raw_ts.shape[0]) >= drop_fraction
+            keep = rng.uniform(size=raw_ts.shape[0]) >= DROP_FRACTION
             raw_ts, raw_vs = raw_ts[keep], raw_vs[keep]
 
-            n_dup = int(duplicate_fraction * raw_ts.shape[0])
+            n_dup = int(DUPLICATE_FRACTION * raw_ts.shape[0])
             if n_dup > 0:
                 dup_idx = rng.integers(0, raw_ts.shape[0], n_dup)
                 raw_ts = np.concatenate([raw_ts, raw_ts[dup_idx]])

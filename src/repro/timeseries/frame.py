@@ -201,7 +201,7 @@ class LoadFrame:
         chunks = np.array_split(np.array(ids, dtype=object), n_partitions)
         return [self.select(chunk.tolist()) for chunk in chunks if chunk.size]
 
-    def merge(self, other: "LoadFrame", overwrite: bool = False) -> "LoadFrame":
+    def merge(self, other: "LoadFrame") -> "LoadFrame":
         """Return the union of two frames."""
         if other.interval_minutes != self._interval:
             raise ValueError("cannot merge frames with different intervals")
@@ -209,7 +209,7 @@ class LoadFrame:
         for _server_id, metadata, series in self.items():
             out.add_server(metadata, series)
         for _server_id, metadata, series in other.items():
-            out.add_server(metadata, series, overwrite=overwrite)
+            out.add_server(metadata, series)
         return out
 
     # ------------------------------------------------------------------ #

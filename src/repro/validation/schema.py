@@ -2,8 +2,8 @@
 
 To adapt the validation module to a new scenario without code changes, the
 schema and simple data properties (min/max of numeric attributes, expected
-sampling interval, expected coverage) are deduced from a reference extract,
-reviewed by a domain expert and then enforced on later extracts.
+sampling interval, expected coverage) are deduced from a reference extract
+and then enforced on later extracts.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ class DataProperties:
     min_servers:
         Minimum plausible number of servers per extract, used to detect
         missing or truncated input data.
-    verified_by:
-        Name of the domain expert who signed off on the properties
-        (empty until verified).
     """
 
     columns: tuple[str, ...]
@@ -39,35 +36,14 @@ class DataProperties:
     load_max: float
     interval_minutes: int
     min_servers: int = 1
-    verified_by: str = ""
-
-    def verified(self, expert: str) -> "DataProperties":
-        """Return a copy marked as verified by ``expert``."""
-        return DataProperties(
-            columns=self.columns,
-            load_min=self.load_min,
-            load_max=self.load_max,
-            interval_minutes=self.interval_minutes,
-            min_servers=self.min_servers,
-            verified_by=expert,
-        )
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "columns": list(self.columns),
-            "load_min": self.load_min,
-            "load_max": self.load_max,
-            "interval_minutes": self.interval_minutes,
-            "min_servers": self.min_servers,
-            "verified_by": self.verified_by,
-        }
 
 
-def infer_properties(frame: LoadFrame, min_servers: int | None = None) -> DataProperties:
+def infer_properties(frame: LoadFrame) -> DataProperties:
     """Deduce :class:`DataProperties` from a reference extract.
 
     The load bounds are the observed min/max across all servers; the
-    expected column set is the standard extract schema.
+    expected column set is the standard extract schema, and at least half
+    the reference extract's servers must be present.
     """
     load_min = float("inf")
     load_max = float("-inf")
@@ -83,5 +59,5 @@ def infer_properties(frame: LoadFrame, min_servers: int | None = None) -> DataPr
         load_min=load_min,
         load_max=load_max,
         interval_minutes=frame.interval_minutes,
-        min_servers=min_servers if min_servers is not None else max(1, len(frame) // 2),
+        min_servers=max(1, len(frame) // 2),
     )

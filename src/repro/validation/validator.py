@@ -50,16 +50,15 @@ class ValidationReport:
 
 
 class DataValidationModule:
-    """Validates extracts against inferred (and expert-verified) properties.
+    """Validates extracts against inferred properties.
 
-    The module can bootstrap its own :class:`DataProperties` from the first
+    The module bootstraps its :class:`DataProperties` from the first
     extract it sees (mirroring Section 2.4's "automatically deduce schema
-    and other data properties from the input data"), or be constructed with
-    properties loaded from a verified file.
+    and other data properties from the input data").
     """
 
-    def __init__(self, properties: DataProperties | None = None) -> None:
-        self._properties = properties
+    def __init__(self) -> None:
+        self._properties: DataProperties | None = None
 
     @property
     def properties(self) -> DataProperties | None:

@@ -12,6 +12,7 @@ import numpy as np
 from repro.storage.columnar import frame_to_sgx_bytes
 from repro.storage.csv_io import frame_to_csv_text
 from repro.storage.migrate import adopt_legacy_files
+from repro.storage.query import ExtractQuery
 from repro.timeseries.calendar import MINUTES_PER_DAY, points_per_day
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
@@ -26,6 +27,11 @@ def small_frame(n: int = 2, level: float = 1.0) -> LoadFrame:
         metadata = ServerMetadata(server_id=f"s{index}", region="r0")
         frame.add_server(metadata, make_series([level, level + 1.0]))
     return frame
+
+
+def read_frame(lake, key, **overrides) -> LoadFrame:
+    """``key``'s extract as one frame, read through ``lake.query``."""
+    return lake.query(ExtractQuery.for_key(key, **overrides)).frame
 
 
 def plant_csv(lake, key, frame, alone: bool = False) -> None:

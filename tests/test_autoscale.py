@@ -77,9 +77,7 @@ class TestAutoscalePredictor:
     def test_database_without_history_is_skipped(self):
         frame = LoadFrame(15)
         frame.add_server(ServerMetadata("db", "sql"), make_series(np.full(10, 5.0), interval=15))
-        evaluation = AutoscalePredictor().evaluate_fleet(
-            frame, ["persistent_previous_day"], target_day=20
-        )
+        evaluation = AutoscalePredictor().evaluate_fleet(frame, ["persistent_previous_day"])
         assert evaluation.forecasts["persistent_previous_day"] == []
 
     def test_invalid_training_days(self):
@@ -158,6 +156,14 @@ class TestCapacityAnalysis:
         CPU capacity within the observation window."""
         pct = pct_reaching_capacity(small_fleet)
         assert pct < 25.0
+
+    def test_reaching_capacity_starts_at_99_percent(self):
+        frame = LoadFrame(5)
+        for server_id, peak in (("at", 99.0), ("below", 98.9)):
+            frame.add_server(ServerMetadata(server_id), make_series([10.0, peak]))
+        assert pct_reaching_capacity(frame) == pytest.approx(50.0)
+        histogram = capacity_headroom_histogram(frame)
+        assert histogram["80-99%"] == histogram["99-100%"] == pytest.approx(50.0)
 
     def test_empty_frame(self):
         assert capacity_headroom_histogram(LoadFrame(5)) == {}

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.incidents import IncidentManager
 from repro.timeseries.series import LoadSeries
 
 
@@ -41,18 +40,41 @@ class TestLoadWindowDriftDetector:
         report = detector.observe(window_summary(52.0, start=1440))
         assert report is not None and not report.drifted
 
-    def test_mean_shift_flags_drift_and_raises_incident(self):
+    def test_mean_shift_flags_drift(self):
         from repro.core.drift import LoadWindowDriftDetector
-        from repro.core.incidents import IncidentSeverity
 
-        incidents = IncidentManager()
-        detector = LoadWindowDriftDetector(incidents=incidents)
+        detector = LoadWindowDriftDetector()
         detector.observe(window_summary(50.0))
         report = detector.observe(window_summary(150.0, start=1440))
         assert report.drifted and report.mean_shift_pct == pytest.approx(200.0)
-        (incident,) = incidents.incidents()
-        assert incident.source == "live_window_drift"
-        assert incident.severity is IncidentSeverity.WARNING
+        assert report.details[0].startswith("mean load shifted 200.0%")
+
+    def test_dispersion_shift_flags_drift(self):
+        from repro.core.drift import LoadWindowDriftDetector
+
+        detector = LoadWindowDriftDetector()
+        detector.observe(window_summary(50.0, std=5.0))
+        report = detector.observe(window_summary(50.0, std=15.0, start=1440))
+        assert report.drifted and report.std_shift_pct == pytest.approx(200.0)
+        assert report.details == (report.details[0],)
+        assert report.details[0].startswith("load dispersion shifted")
+
+    @pytest.mark.parametrize(
+        "after",
+        [
+            {"mean": 62.5},  # +25% mean
+            {"mean": 50.0, "std": 7.5},  # +50% dispersion
+            {"mean": 50.0, "n_servers": 7},  # 30% of the population gone
+        ],
+        ids=["mean", "dispersion", "population"],
+    )
+    def test_a_shift_exactly_at_its_bound_is_not_drift(self, after):
+        from repro.core.drift import LoadWindowDriftDetector
+
+        detector = LoadWindowDriftDetector()
+        detector.observe(window_summary(50.0, std=5.0, n_servers=10))
+        report = detector.observe(window_summary(**{"std": 5.0, "n_servers": 10, **after}))
+        assert report is not None and not report.drifted
 
     def test_population_shift_flags_drift(self):
         from repro.core.drift import LoadWindowDriftDetector
@@ -72,19 +94,6 @@ class TestLoadWindowDriftDetector:
         # The next populated window still compares against mean 50.
         report = detector.observe(window_summary(150.0, start=2880))
         assert report.drifted
-
-    def test_thresholds_configurable(self):
-        from repro.core.drift import LoadWindowDriftDetector, WindowDriftThresholds
-
-        lenient = WindowDriftThresholds(
-            max_mean_shift_pct=1000.0,
-            max_std_shift_pct=1000.0,
-            max_population_shift_pct=1000.0,
-        )
-        detector = LoadWindowDriftDetector(thresholds=lenient)
-        detector.observe(window_summary(50.0))
-        report = detector.observe(window_summary(150.0, start=1440))
-        assert report is not None and not report.drifted
 
     def test_summary_from_frame_concatenates_servers(self):
         from repro.core.drift import WindowSummary

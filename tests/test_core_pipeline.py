@@ -12,7 +12,7 @@ from repro.telemetry.generator import WorkloadGenerator
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series
+from tests.helpers import make_series, read_frame
 
 
 @pytest.fixture(scope="module")
@@ -145,15 +145,6 @@ class TestPipelineExecutorLifecycle:
             result = pipeline.run(fleet_frame, region="region-0", week=3)
             assert result.succeeded
         assert pipeline._executor._closed
-
-    def test_injected_executor_left_open(self, fleet_frame):
-        from repro.parallel.executor import PartitionedExecutor
-
-        executor = PartitionedExecutor("threads", 2)
-        with SeagullPipeline(PipelineConfig(), executor=executor) as pipeline:
-            pipeline.run(fleet_frame, region="region-0", week=3)
-        assert not executor._closed
-        executor.close()
 
 
 class TestArtifactCachedPipeline:
@@ -346,7 +337,7 @@ class TestEndToEndFromLake:
         for week in range(4):
             query.extract_week("region-0", week)
         for week in range(4):
-            weekly = lake.read_extract(ExtractKey("region-0", week))
+            weekly = read_frame(lake, ExtractKey("region-0", week))
             for sid, _metadata, _series in weekly.items():
                 if sid in merged:
                     merged = merged.merge(

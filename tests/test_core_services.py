@@ -11,12 +11,15 @@ from repro.core.config import PipelineConfig
 from repro.core.dashboard import Dashboard
 from repro.core.endpoints import EndpointError, ScoringEndpoint
 from repro.core.incidents import IncidentManager, IncidentSeverity
+from repro.core.pipeline import SeagullPipeline
 from repro.core.registry import DeploymentError, ModelRegistry, ModelStatus
 from repro.metrics.bucket_ratio import ErrorBound
 from repro.metrics.predictable import ServerDayEvaluation
 from repro.models.persistent import PreviousDayForecaster
 from repro.parallel.executor import ExecutionBackend
 from repro.storage.query import ExtractQuery
+from repro.telemetry.fleet import default_fleet_spec
+from repro.telemetry.generator import WorkloadGenerator
 
 from tests.helpers import diurnal_series
 
@@ -105,6 +108,35 @@ class TestPipelineConfig:
     def test_accepts_range_bounds(self):
         bounds = dict(training_days=1, horizon_days=1, history_weeks=1, min_history_days=1)
         assert PipelineConfig(accuracy_threshold=1.0, **bounds).accuracy_threshold == 1.0
+
+
+def stage_outputs(frame, config: PipelineConfig) -> str:
+    """The ``features`` and ``model`` stage outputs of one run, as JSON (a
+    ratio no day could be judged on is NaN, which equals nothing)."""
+    with SeagullPipeline(config) as pipeline:
+        result = pipeline.run(frame, region="region-0", week=3)
+    assert result.succeeded
+    outputs = (
+        stage_cache.encode_features(result.features),
+        stage_cache.encode_model(result.backup_days, result.predictions, result.evaluations),
+    )
+    return json.dumps(outputs, sort_keys=True)
+
+
+class TestNonStageFieldsChangeNoStageOutput:
+    @pytest.fixture(scope="class")
+    def unit(self):
+        spec = default_fleet_spec(servers_per_region=(6,), weeks=4, seed=3)
+        return WorkloadGenerator(spec).generate_region("region-0")
+
+    @pytest.fixture(scope="class")
+    def default_outputs(self, unit):
+        return stage_outputs(unit, PipelineConfig())
+
+    @pytest.mark.parametrize("name", sorted(NON_STAGE_FIELDS))
+    def test_stage_outputs_equal_the_default_runs(self, name, unit, default_outputs):
+        config = dataclasses.replace(PipelineConfig(), **{name: OTHER_VALUES[name]})
+        assert stage_outputs(unit, config) == default_outputs
 
 
 class TestModelRegistry:
@@ -297,9 +329,9 @@ class TestIncidentManager:
         manager = IncidentManager()
         manager.raise_incident(IncidentSeverity.WARNING, "validation", "odd data", region="r0")
         manager.raise_incident(IncidentSeverity.CRITICAL, "training", "boom", region="r1")
-        assert len(manager.incidents()) == 2
-        assert len(manager.incidents(severity=IncidentSeverity.CRITICAL)) == 1
-        assert len(manager.incidents(region="r0")) == 1
+        first, second = manager.incidents()
+        assert (first.severity, first.region) == (IncidentSeverity.WARNING, "r0")
+        assert (second.severity, second.region) == (IncidentSeverity.CRITICAL, "r1")
         assert manager.has_critical()
 
     def test_acknowledge(self):
@@ -307,7 +339,7 @@ class TestIncidentManager:
         incident = manager.raise_incident(IncidentSeverity.CRITICAL, "x", "y")
         manager.acknowledge(incident.incident_id)
         assert not manager.has_critical()
-        assert manager.incidents(unacknowledged_only=True) == []
+        assert [i.acknowledged for i in manager.incidents()] == [True]
 
     def test_acknowledge_unknown_raises(self):
         with pytest.raises(KeyError):

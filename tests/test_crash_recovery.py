@@ -312,16 +312,16 @@ def test_pinned_reader_survives_concurrent_convert(tmp_path):
     reader = DataLakeStore(tmp_path, pinned_generation=lake.current_generation())
     q = ExtractQuery(regions=("r0",))
     before = reader.query(q)
-    before_bytes = {key: reader.read_extract_bytes(key) for key in keys}
+    before_bytes = {key: reader.extract_path(key).read_bytes() for key in keys}
 
     assert convert_lake(DataLakeStore(tmp_path), chunk_minutes=5).n_converted == 2
 
     # The live lake moved on...
     live = DataLakeStore(tmp_path)
     assert live.current_generation() > reader.pinned_generation
-    assert all(live.read_extract_bytes(key) != before_bytes[key] for key in keys)
+    assert all(live.extract_path(key).read_bytes() != before_bytes[key] for key in keys)
     # ...but the pinned reader still serves generation N, byte for byte.
-    assert {key: reader.read_extract_bytes(key) for key in keys} == before_bytes
+    assert {key: reader.extract_path(key).read_bytes() for key in keys} == before_bytes
     after = reader.query(q)
     assert after.rows == before.rows
     assert after.frame.content_hash() == before.frame.content_hash()
@@ -459,7 +459,7 @@ def test_crash_between_commit_and_trim_rolls_forward_once(tmp_path):
         store, interval_minutes=5, chunk_minutes=MINUTES_PER_DAY
     ) as ingestor:
         # Replay deduped the sealed day; only the trailing hour is live.
-        assert ingestor.pending_rows(LIVE_KEY) == 60
+        assert ingestor.pending_rows() == 60
         assert ingestor.watermark(LIVE_KEY) == MINUTES_PER_DAY
         assert ingestor.seal(LIVE_KEY, MINUTES_PER_DAY) is None
         ts = np.arange(MINUTES_PER_DAY + 60, MINUTES_PER_DAY + 120, dtype=np.int64)

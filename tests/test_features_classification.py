@@ -89,11 +89,6 @@ class TestClassifyFrame:
         result = classify_frame(small_fleet)
         assert len(result.labels) == len(small_fleet)
 
-    def test_subset_classification(self, small_fleet):
-        ids = small_fleet.server_ids()[:5]
-        result = classify_frame(small_fleet, server_ids=ids)
-        assert sorted(result.labels) == sorted(ids)
-
     def test_fleet_mix_matches_generator_intent(self, small_fleet):
         """The classifier should broadly recover the generated class mix:
         most servers stable or short-lived, few pattern-free."""

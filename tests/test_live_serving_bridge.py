@@ -108,7 +108,7 @@ class TestLiveLoop:
             reopened = LiveIngestor(store, chunk_minutes=MINUTES_PER_DAY)
         # Every fsync'd row survived; only the torn frame is gone, and
         # the reopen healed the file in place.
-        assert reopened.pending_rows(KEY) == 3 * MINUTES_PER_DAY
+        assert reopened.pending_rows() == 3 * MINUTES_PER_DAY
         assert reopened.watermark(KEY) == MINUTES_PER_DAY
         assert path.stat().st_size == durable
 

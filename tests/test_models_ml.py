@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.models.arima import ArimaConfig, ArimaForecaster
 from repro.models.base import ForecastError
-from repro.models.feedforward import FeedForwardConfig, FeedForwardForecaster
+from repro.models.feedforward import FeedForwardForecaster
 from repro.models.seasonal import SeasonalAdditiveForecaster
 from repro.models.ssa import SsaForecaster
 from repro.timeseries.calendar import points_per_day
@@ -189,8 +189,7 @@ class TestSsaMatchesSvdReference:
 
 class TestFeedForwardForecaster:
     def test_learns_diurnal_shape(self, weekly_history, next_day_truth):
-        config = FeedForwardConfig(hidden_units=32, epochs=8, seed=1)
-        forecast = FeedForwardForecaster(config).fit(weekly_history).predict(POINTS_PER_DAY)
+        forecast = FeedForwardForecaster().fit(weekly_history).predict(POINTS_PER_DAY)
         error = mae(forecast.values, next_day_truth.values)
         # The network should clearly beat a constant-mean prediction.
         baseline = mae(
@@ -199,9 +198,8 @@ class TestFeedForwardForecaster:
         assert error < baseline
 
     def test_deterministic_given_seed(self, weekly_history):
-        config = FeedForwardConfig(epochs=2, seed=7)
-        first = FeedForwardForecaster(config).fit(weekly_history).predict(48)
-        second = FeedForwardForecaster(config).fit(weekly_history).predict(48)
+        first = FeedForwardForecaster().fit(weekly_history).predict(48)
+        second = FeedForwardForecaster().fit(weekly_history).predict(48)
         np.testing.assert_allclose(first.values, second.values)
 
     def test_history_too_short_raises(self):
@@ -209,8 +207,7 @@ class TestFeedForwardForecaster:
             FeedForwardForecaster().fit(make_series(np.ones(100)))
 
     def test_multi_chunk_forecast_length(self, weekly_history):
-        config = FeedForwardConfig(epochs=2, seed=3)
-        forecast = FeedForwardForecaster(config).fit(weekly_history).predict(POINTS_PER_DAY + 7)
+        forecast = FeedForwardForecaster().fit(weekly_history).predict(POINTS_PER_DAY + 7)
         assert len(forecast) == POINTS_PER_DAY + 7
 
 

@@ -69,8 +69,6 @@ class TestExecutorBackends:
 
     def test_constructors(self):
         assert PartitionedExecutor.serial().backend is ExecutionBackend.SERIAL
-        assert PartitionedExecutor.parallel(2).backend is ExecutionBackend.PROCESSES
-        assert PartitionedExecutor.parallel(2).n_workers == 2
 
     def test_n_workers_defaults_to_positive(self):
         assert PartitionedExecutor().n_workers >= 1
@@ -80,29 +78,31 @@ class TestWorkerCountDefault:
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
 
-    def test_recommended_fleet_workers_never_exceeds_units(self):
-        from repro.parallel.executor import recommended_fleet_workers
+    @staticmethod
+    def cores(monkeypatch, n):
+        monkeypatch.setattr(executor_module, "default_worker_count", lambda: n)
 
-        assert recommended_fleet_workers(3, available=16) == 3
-        assert recommended_fleet_workers(1, available=16) == 1
+    def test_recommended_fleet_workers_never_exceeds_units(self, monkeypatch):
+        self.cores(monkeypatch, 16)
+        assert executor_module.recommended_fleet_workers(3) == 3
+        assert executor_module.recommended_fleet_workers(1) == 1
 
-    def test_recommended_fleet_workers_never_exceeds_cores(self):
-        from repro.parallel.executor import recommended_fleet_workers
+    def test_recommended_fleet_workers_never_exceeds_cores(self, monkeypatch):
+        self.cores(monkeypatch, 4)
+        assert executor_module.recommended_fleet_workers(100) == 4
+        self.cores(monkeypatch, 1)
+        assert executor_module.recommended_fleet_workers(100) == 1
 
-        assert recommended_fleet_workers(100, available=4) == 4
-        assert recommended_fleet_workers(100, available=1) == 1
+    def test_recommended_fleet_workers_capped(self, monkeypatch):
+        self.cores(monkeypatch, 64)
+        limit = executor_module.MAX_FLEET_WORKERS
+        assert executor_module.recommended_fleet_workers(1000) == limit
 
-    def test_recommended_fleet_workers_capped(self):
-        from repro.parallel.executor import MAX_FLEET_WORKERS, recommended_fleet_workers
-
-        assert recommended_fleet_workers(1000, available=64) == MAX_FLEET_WORKERS
-
-    def test_recommended_fleet_workers_degenerate_inputs(self):
-        from repro.parallel.executor import recommended_fleet_workers
-
-        assert recommended_fleet_workers(0) == 1
-        assert recommended_fleet_workers(-5, available=8) == 1
-        assert recommended_fleet_workers(4) >= 1  # host default path
+    def test_recommended_fleet_workers_degenerate_inputs(self, monkeypatch):
+        assert executor_module.recommended_fleet_workers(4) >= 1  # host default path
+        self.cores(monkeypatch, 8)
+        assert executor_module.recommended_fleet_workers(0) == 1
+        assert executor_module.recommended_fleet_workers(-5) == 1
 
     def test_safe_when_cpu_count_is_none(self, monkeypatch):
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: None)

@@ -51,7 +51,7 @@ class TestFabricPropertyStore:
         assert record.version == 2
 
     def test_default_for_missing(self):
-        assert FabricPropertyStore().get_property("srv", "missing", default="x") == "x"
+        assert FabricPropertyStore().get_property("srv", "missing") is None
 
     def test_backup_window_property(self):
         fabric = FabricPropertyStore()
@@ -149,6 +149,14 @@ class TestRunnerService:
         assert execution.serving.n_served == 1
         assert execution.serving.served_by_version == 1
         assert runner.availability() == 1.0
+
+    def test_run_day_asks_for_one_day_by_default(self):
+        predictions = {"srv-0": diurnal_series(28).day(27)}
+        runner = RunnerService("region-0", serving=serving_with(predictions))
+        metadata = {"srv-0": metadata_for("srv-0")}
+        execution = runner.run_day("cluster-1", 27, metadata, {})
+        (response,) = execution.serving.responses
+        assert response.request.n_points == POINTS_PER_DAY
 
     def test_repeated_run_day_served_from_prediction_cache(self):
         predictions = {"srv-0": diurnal_series(28).day(27)}

@@ -8,7 +8,6 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import SeagullPipeline
 from repro.models.cached import PrecomputedForecaster
 from repro.models.persistent import PreviousDayForecaster
-from repro.parallel.executor import PartitionedExecutor
 from repro.serving import (
     NoActiveVersionError,
     PredictionCache,
@@ -152,19 +151,6 @@ class TestPredictBatch:
         assert cold.cache_hits == 0
         assert warm.cache_hits == 2
         assert warm.predictions() == cold.predictions()
-
-    def test_batch_with_thread_executor(self):
-        with PartitionedExecutor("threads", 2) as executor:
-            service = PredictionService(executor=executor)
-            forecasters = {f"srv-{i}": fitted_forecaster(seed=i) for i in range(8)}
-            service.deploy("r0", "pf", 1, forecasters)
-            batch = service.predict_batch(region="r0", n_points=12, use_cache=False)
-            assert batch.n_served == 8
-            assert batch.n_partitions == 2
-
-    def test_process_executor_rejected(self):
-        with pytest.raises(ValueError):
-            PredictionService(executor=PartitionedExecutor("processes", 2))
 
     def test_concurrent_scoring_keeps_exact_endpoint_counts(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -330,15 +316,10 @@ class TestDeployPrecomputed:
 
 
 class TestHealthPublishing:
-    def test_pipeline_deploys_into_the_injected_services_registry(self):
-        from repro.core.registry import ModelRegistry
-
-        registry = ModelRegistry()
-        service = PredictionService(registry=registry)
-        with pytest.raises(ValueError):
-            SeagullPipeline(PipelineConfig(), model_registry=ModelRegistry(), serving=service)
-        pipeline = SeagullPipeline(PipelineConfig(), serving=service)
-        assert pipeline.registry is registry
+    def test_pipeline_deploys_into_its_services_registry(self):
+        pipeline = SeagullPipeline(PipelineConfig())
+        registry = pipeline.registry
+        assert pipeline.serving.registry is registry
         spec = default_fleet_spec(servers_per_region=(6,), weeks=4, seed=3)
         frame = WorkloadGenerator(spec).generate_region("region-0")
         result = pipeline.run(frame, region="region-0", week=3)

@@ -267,7 +267,7 @@ class TestConvertKeepsChunking:
         lake.write_extract_bytes(key, raw)
         report = convert_lake(lake)
         assert report.n_converted == 0 and report.n_skipped == 1
-        assert lake.read_extract_bytes(key) == raw
+        assert lake.extract_path(key).read_bytes() == raw
 
 
 # Hypothesis strategies ---------------------------------------------------- #

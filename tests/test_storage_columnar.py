@@ -535,7 +535,7 @@ class TestVersionGate:
         with pytest.raises(ConversionVerificationError, match=f"version {version}"):
             convert_lake(lake)
         assert lake.current_generation() == generation
-        assert lake.read_extract_bytes(key) == bare_sgx_header(version)
+        assert lake.extract_path(key).read_bytes() == bare_sgx_header(version)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_lake_answers_from_a_colocated_csv_copy(self, tmp_path, version):
@@ -549,7 +549,7 @@ class TestVersionGate:
         with pytest.raises(LakeNotAdoptedError, match="convert --lake-dir"):
             lake.query(ExtractQuery.for_key(key))
         assert len(adopt_legacy_files(lake.manifest)) == 1
-        assert lake.read_extract_bytes(key) != bare_sgx_header(version)
+        assert lake.extract_path(key).read_bytes() != bare_sgx_header(version)
         result = lake.query(ExtractQuery.for_key(key))
         assert result.frame.content_hash() == frame.content_hash()
         assert result.stats.chunks_seen > 0

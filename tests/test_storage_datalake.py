@@ -3,18 +3,15 @@
 import pytest
 
 from repro.storage.columnar import ColumnarFormatError, frame_to_sgx_bytes
-from repro.storage.datalake import (
-    AccessDeniedError,
-    DataLakeStore,
-    ExtractKey,
-    ExtractNotFoundError,
-)
+from repro.storage.csv_io import frame_to_csv_text
+from repro.storage.datalake import DataLakeStore, ExtractKey, ExtractNotFoundError
 from repro.storage.manifest import LakeManifest, LakeNotAdoptedError
 from repro.storage.migrate import ConversionVerificationError, adopt_legacy_files
 from repro.storage.query import ExtractQuery
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
 from tests.helpers import (
+    read_frame,
     bare_sgx_header,
     make_series,
     naive_rows,
@@ -37,12 +34,15 @@ class TestStoreBasics:
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 3)
         store.write_extract(key, small_frame())
-        loaded = store.read_extract(key)
+        loaded = read_frame(store, key)
         assert len(loaded) == 2
 
-    def test_read_missing_raises(self, tmp_path):
+    def test_missing_key_reads_empty_and_has_no_segment(self, tmp_path):
+        store = DataLakeStore(tmp_path)
+        result = store.query(ExtractQuery.for_key(ExtractKey("r0", 0)))
+        assert len(result.frame) == 0 and result.stats.extracts_scanned == 0
         with pytest.raises(ExtractNotFoundError):
-            DataLakeStore(tmp_path).read_extract(ExtractKey("r0", 0))
+            store.extract_path(ExtractKey("r0", 0))
 
     def test_has_extract(self, tmp_path):
         store = DataLakeStore(tmp_path)
@@ -68,12 +68,19 @@ class TestStoreBasics:
         with pytest.raises(ExtractNotFoundError):
             DataLakeStore(tmp_path).extract_size_bytes(ExtractKey("r0", 9))
 
+    @pytest.mark.parametrize("accessor", ["extract_path", "extract_fingerprint"])
+    def test_segment_accessor_of_missing_key_raises(self, tmp_path, accessor):
+        store = DataLakeStore(tmp_path)
+        store.write_extract(ExtractKey("r0", 0), small_frame())
+        with pytest.raises(ExtractNotFoundError, match="r0"):
+            getattr(store, accessor)(ExtractKey("r0", 9))
+
 class TestFileBackedStore:
     def test_roundtrip_on_disk(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("westus", 12)
         store.write_extract(key, small_frame(3))
-        assert store.read_extract(key).server_ids() == ["s0", "s1", "s2"]
+        assert read_frame(store, key).server_ids() == ["s0", "s1", "s2"]
         assert store.list_extracts() == [key]
 
     def test_size_matches_file(self, tmp_path):
@@ -81,50 +88,6 @@ class TestFileBackedStore:
         key = ExtractKey("westus", 1)
         store.write_extract(key, small_frame())
         assert store.extract_size_bytes(key) == store.extract_path(key).stat().st_size
-
-class TestAccessControl:
-    def test_denies_unknown_principal(self, tmp_path):
-        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
-        with pytest.raises(AccessDeniedError):
-            store.write_extract(ExtractKey("r0", 0), small_frame(), principal="intruder")
-
-    def test_denies_missing_principal(self, tmp_path):
-        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
-        with pytest.raises(AccessDeniedError):
-            store.read_extract(ExtractKey("r0", 0))
-
-    def test_allows_granted_principal(self, tmp_path):
-        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), principal="seagull")
-        assert len(store.read_extract(key, principal="seagull")) == 2
-
-    def test_metadata_accessors_enforce_access(self, tmp_path):
-        # extract_fingerprint / extract_size_bytes / has_extract /
-        # list_extracts historically bypassed the allow-list, leaking
-        # existence, size and change signals to ungranted callers.
-        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), principal="seagull")
-        for call in (
-            lambda: store.extract_fingerprint(key),
-            lambda: store.extract_size_bytes(key),
-            lambda: store.has_extract(key),
-            lambda: store.list_extracts(),
-            lambda: store.read_extract_bytes(key),
-        ):
-            with pytest.raises(AccessDeniedError):
-                call()
-
-    def test_metadata_accessors_allow_granted_principal(self, tmp_path):
-        store = DataLakeStore(tmp_path, granted_principals={"seagull"})
-        key = ExtractKey("r0", 0)
-        store.write_extract(key, small_frame(), principal="seagull")
-        assert store.has_extract(key, principal="seagull")
-        assert store.list_extracts(principal="seagull") == [key]
-        assert store.extract_fingerprint(key, principal="seagull")
-        assert store.extract_size_bytes(key, principal="seagull") > 0
-
 
 class TestListExtractParsing:
     def test_region_name_containing_week_parses_from_directory(self, tmp_path):
@@ -162,7 +125,7 @@ class TestFormatNegotiation:
         rows = store.write_extract(key, small_frame())
         assert rows == 4  # 2 servers x 2 points
         assert store.extract_path(key).suffix == ".sgx"
-        loaded = store.read_extract(key)
+        loaded = read_frame(store, key)
         assert loaded.content_hash() == small_frame().content_hash()
 
     def test_mixed_lake_lists_each_key_once(self, tmp_path):
@@ -184,8 +147,8 @@ class TestFormatNegotiation:
         store.write_extract(ExtractKey("r0", 1), frame)
         plant_csv(store, ExtractKey("r0", 0), frame)
         adopt_legacy_files(store.manifest)
-        imported = store.read_extract(ExtractKey("r0", 0))
-        written = store.read_extract(ExtractKey("r0", 1))
+        imported = read_frame(store, ExtractKey("r0", 0))
+        written = read_frame(store, ExtractKey("r0", 1))
         assert imported.content_hash() == written.content_hash() == frame.content_hash()
 
     def test_fingerprint_covers_stored_bytes(self, tmp_path):
@@ -193,16 +156,16 @@ class TestFormatNegotiation:
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
         per_day = store.extract_fingerprint(key)
-        store.write_extract(key, small_frame(), chunk_minutes=5)
+        DataLakeStore(tmp_path, chunk_minutes=5).write_extract(key, small_frame())
         # Same content, different stored representation: new fingerprint.
-        assert store.read_extract(key).content_hash() == small_frame().content_hash()
+        assert read_frame(store, key).content_hash() == small_frame().content_hash()
         assert store.extract_fingerprint(key) != per_day
 
-    def test_read_extract_text_decodes_columnar(self, tmp_path):
+    def test_csv_export_decodes_columnar(self, tmp_path):
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
-        text = store.read_extract_text(key)
+        text = frame_to_csv_text(read_frame(store, key))
         assert text.startswith("server_id,")
         assert "s0" in text
 
@@ -225,7 +188,7 @@ class TestFormatNegotiation:
         plant_csv(store, ExtractKey("r0", 1), small_frame())
         generation = store.manifest.head().generation
         for call in (
-            lambda: store.read_extract(ExtractKey("r0", 0)),
+            lambda: read_frame(store, ExtractKey("r0", 0)),
             lambda: store.write_extract(ExtractKey("r0", 2), small_frame()),
             lambda: store.write_extract_bytes(ExtractKey("r0", 0), frame_to_sgx_bytes(small_frame())),
         ):
@@ -269,7 +232,7 @@ class TestCsvEntries:
         self.plant(tmp_path, legacy_layout, small_frame())
         assert len(adopt_legacy_files(LakeManifest(tmp_path))) == 1
         store = DataLakeStore(tmp_path)
-        assert store.read_extract(self.KEY).content_hash() == small_frame().content_hash()
+        assert read_frame(store, self.KEY).content_hash() == small_frame().content_hash()
         assert store.manifest.current().unimported == ()
         generation = store.current_generation()
         assert adopt_legacy_files(LakeManifest(tmp_path)) == ()
@@ -286,7 +249,7 @@ class TestCsvEntries:
         assert sgx != frame_to_sgx_bytes(frame)
         self.plant(tmp_path, legacy_layout, frame, sgx)
         adopt_legacy_files(LakeManifest(tmp_path))
-        assert DataLakeStore(tmp_path).read_extract_bytes(self.KEY) == sgx
+        assert DataLakeStore(tmp_path).extract_path(self.KEY).read_bytes() == sgx
 
     def test_mismatched_segment_publishes_nothing(self, tmp_path, legacy_layout):
         self.plant(tmp_path, legacy_layout, small_frame(), frame_to_sgx_bytes(small_frame(3)))
@@ -301,7 +264,7 @@ class TestCsvEntries:
         self.plant(tmp_path, legacy_layout, small_frame(), bare_sgx_header(3))
         adopt_legacy_files(LakeManifest(tmp_path))
         store = DataLakeStore(tmp_path)
-        assert store.read_extract(self.KEY).content_hash() == small_frame().content_hash()
+        assert read_frame(store, self.KEY).content_hash() == small_frame().content_hash()
 
 
 class TestTimeRangeReads:
@@ -322,7 +285,7 @@ class TestTimeRangeReads:
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         write_via(fmt, store, key, self.frame_two_days())
-        part = store.read_extract(key, start_minute=1440, end_minute=2880)
+        part = read_frame(store, key, start_minute=1440, end_minute=2880)
         assert part.server_ids() == ["b"]
         assert part.total_points() == 288
 
@@ -332,8 +295,8 @@ class TestTimeRangeReads:
         store = DataLakeStore(tmp_path)
         write_via("csv", store, ExtractKey("r0", 0), frame)
         write_via("sgx", store, ExtractKey("r0", 1), frame)
-        via_csv = store.read_extract(ExtractKey("r0", 0), start_minute=100, end_minute=700)
-        via_sgx = store.read_extract(ExtractKey("r0", 1), start_minute=100, end_minute=700)
+        via_csv = read_frame(store, ExtractKey("r0", 0), start_minute=100, end_minute=700)
+        via_sgx = read_frame(store, ExtractKey("r0", 1), start_minute=100, end_minute=700)
         assert via_csv.content_hash() == via_sgx.content_hash()
         want = naive_rows(frame, ExtractQuery(start_minute=100, end_minute=700))
         assert via_csv.content_hash() == want.content_hash()
@@ -353,7 +316,7 @@ class TestChunkPolicy:
     def _chunks(self, store, key) -> int:
         from repro.storage.columnar import sgx_summary
 
-        return sgx_summary(store.read_extract_bytes(key))["n_chunks"]
+        return sgx_summary(store.extract_path(key).read_bytes())["n_chunks"]
 
     def test_default_policy_is_one_chunk_per_day(self, tmp_path):
         store = DataLakeStore(tmp_path, write_format="sgx")
@@ -367,10 +330,10 @@ class TestChunkPolicy:
         store.write_extract(key, self.week_frame())
         assert self._chunks(store, key) == 1
 
-    def test_write_extract_override_beats_store_config(self, tmp_path):
-        store = DataLakeStore(tmp_path, write_format="sgx", chunk_minutes=0)
+    def test_store_chunk_minutes_splits_within_a_day(self, tmp_path):
+        store = DataLakeStore(tmp_path, chunk_minutes=720)
         key = ExtractKey("r0", 0)
-        store.write_extract(key, self.week_frame(), chunk_minutes=720)
+        store.write_extract(key, self.week_frame())
         assert self._chunks(store, key) == 14
 
     def test_negative_chunk_minutes_rejected(self, tmp_path):
@@ -382,14 +345,14 @@ class TestChunkPolicy:
         key = ExtractKey("r0", 0)
         payload = frame_to_sgx_bytes(self.week_frame(), chunk_minutes=0)
         store.write_extract_bytes(key, payload)
-        assert store.read_extract_bytes(key) == payload
+        assert store.extract_path(key).read_bytes() == payload
 
     def test_partial_read_within_server_matches_slice(self, tmp_path):
         store = DataLakeStore(tmp_path, write_format="sgx")
         key = ExtractKey("r0", 0)
         frame = self.week_frame()
         store.write_extract(key, frame)
-        part = store.read_extract(key, start_minute=1440, end_minute=2880)
+        part = read_frame(store, key, start_minute=1440, end_minute=2880)
         assert part.series("s0") == frame.series("s0").slice(1440, 2880)
 
     def test_unsorted_series_write_is_rejected_loudly(self, tmp_path):
@@ -429,7 +392,7 @@ class TestCorruptionFallback:
         store.write_extract(key, small_frame())
         self._corrupt_sgx(store, key)
         with pytest.raises(ColumnarFormatError):
-            store.read_extract(key)
+            read_frame(store, key)
 
     def test_truncated_sgx_header_raises_typed_error(self, tmp_path):
         store = DataLakeStore(tmp_path)
@@ -438,7 +401,7 @@ class TestCorruptionFallback:
         truncated = store.extract_path(key).read_bytes()[:10]
         store.extract_path(key).write_bytes(truncated)  # repro: allow[manifest-boundary] simulating out-of-band disk damage
         with pytest.raises(ColumnarFormatError, match="truncated"):
-            store.read_extract(key)
+            read_frame(store, key)
 
 
 class TestExtractKey:

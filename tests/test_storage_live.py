@@ -41,7 +41,7 @@ from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import CrashInjector, make_series, naive_rows, write_via
+from tests.helpers import CrashInjector, make_series, naive_rows, read_frame, write_via
 
 META = ServerMetadata(server_id="srv-a", region="r0")
 META_B = ServerMetadata(server_id="srv-b", region="r0")
@@ -532,7 +532,7 @@ class TailIndexHistory(RuleBasedStateMachine):
     def ingest(self, key, server, rows, irregular, flush):
         self.ingestor.ingest(key, *self._next_batch(key, server, rows, irregular))
         if flush:
-            self.ingestor.flush(key)
+            self.ingestor.flush()
 
     @alive
     @rule()
@@ -657,12 +657,12 @@ class TestLiveIngestor:
         store, ingestor = make_ingestor(tmp_path)
         ingestor.ingest(KEY, META, *minute_batch(0, 60))
         ingestor.ingest(KEY, META_B, *minute_batch(0, 30))
-        assert ingestor.pending_rows(KEY) == 90
+        assert ingestor.pending_rows() == 90
         assert ingestor.tails() == [KEY]
         ingestor.close()
 
         reopened = LiveIngestor(store, interval_minutes=5)
-        assert reopened.pending_rows(KEY) == 90
+        assert reopened.pending_rows() == 90
         assert reopened.watermark(KEY) == NO_WATERMARK
         reopened.close()
 
@@ -685,7 +685,7 @@ class TestLiveIngestor:
         sealed = store.query(ExtractQuery.for_key(KEY), include_tail=False).frame
         assert sealed.series("srv-a").start == 0
         assert len(sealed.series("srv-a")) == MINUTES_PER_DAY // 5
-        unified = store.read_extract(KEY)
+        unified = read_frame(store, KEY)
         assert len(unified.series("srv-a")) == (MINUTES_PER_DAY + 60) // 5
 
     def test_seal_boundary_must_be_chunk_aligned(self, tmp_path):
@@ -717,7 +717,7 @@ class TestLiveIngestor:
         ingestor.ingest(KEY, META, *minute_batch(0, MINUTES_PER_DAY))
         ingestor.seal(KEY, MINUTES_PER_DAY)
         ingestor.close()
-        store.write_extract(KEY, store.read_extract(KEY))
+        store.write_extract(KEY, read_frame(store, KEY))
         wal_path(store.root, "r0", 0).unlink()  # only the generation knows W now
         with LiveIngestor(store, interval_minutes=5) as reopened:
             with pytest.raises(StaleBatchError, match="immutable"):
@@ -732,7 +732,7 @@ class TestLiveIngestor:
 
         assert (first.generation, second.generation) == (1, 2)
         assert second.window_start == MINUTES_PER_DAY
-        series = store.read_extract(KEY).series("srv-a")
+        series = read_frame(store, KEY).series("srv-a")
         assert len(series) == 2 * MINUTES_PER_DAY // 5
         assert ingestor.pending_rows() == 0
 
@@ -760,7 +760,7 @@ class TestLiveIngestor:
         assert report.generation == 2
         # The pinned reader still sees exactly generation 1's bytes and
         # never the tail.
-        assert len(pinned.read_extract(KEY).series("srv-a")) == 288
+        assert len(read_frame(pinned, KEY).series("srv-a")) == 288
         assert pinned.query(ExtractQuery.for_key(KEY)).stats.tail_rows_scanned == 0
 
 
@@ -781,15 +781,16 @@ class TestTailReads:
         assert result.stats.tail_rows_scanned == 300
         ingestor.close()
 
-    def test_tail_only_partition_visible_to_query_not_read_extract(self, tmp_path):
+    def test_tail_only_partition_visible_to_query_not_as_a_segment(self, tmp_path):
         store, ingestor = make_ingestor(tmp_path)
         ingestor.ingest(KEY, META, *minute_batch(0, 50))
         ingestor.flush()
 
         result = store.query(ExtractQuery.for_key(KEY))
         assert len(result.frame.series("srv-a")) == 10  # 50 raw -> 5-minute grid
+        assert not store.has_extract(KEY)
         with pytest.raises(ExtractNotFoundError):
-            store.read_extract(KEY)  # stored-segment contract unchanged
+            store.extract_path(KEY)  # nothing is committed for the key yet
         ingestor.close()
 
     def test_include_tail_false_and_a_pin_exclude_the_tail(self, tmp_path):
@@ -899,7 +900,7 @@ class TestGcSafety:
 
         # And the ingestor keeps working across the gc.
         ingestor.ingest(KEY, META, *minute_batch(2 * MINUTES_PER_DAY + 120, 60))
-        assert ingestor.pending_rows(KEY) == 180
+        assert ingestor.pending_rows() == 180
         ingestor.close()
 
     def test_orphan_sweep_ignores_live_tmp_files(self, tmp_path):

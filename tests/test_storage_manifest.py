@@ -25,7 +25,7 @@ from repro.storage.manifest import (
 from repro.storage.migrate import adopt_legacy_files
 from repro.timeseries.frame import ServerMetadata
 
-from tests.helpers import CrashInjector, plant_csv, plant_legacy, small_frame
+from tests.helpers import CrashInjector, plant_csv, plant_legacy, read_frame, small_frame
 
 KEY = ExtractKey("r0", 3)
 CONVERT = "python -m repro.fleet_ops convert --lake-dir"
@@ -109,7 +109,7 @@ class TestAdoption:
             assert entry.sha256 == hashlib.sha256(data).hexdigest()
             assert entry.relpath.endswith(f"-{entry.sha256[:12]}.sgx")
         for key, frame in frames.items():
-            assert DataLakeStore(tmp_path).read_extract(key).content_hash() == frame.content_hash()
+            assert read_frame(DataLakeStore(tmp_path), key).content_hash() == frame.content_hash()
         assert {path: path.read_bytes() for path in originals} == originals
         assert fleet_main(convert) == 0 and lake.current_generation() == 1
         assert json.loads(capsys.readouterr().out)["adopted"] == []
@@ -117,14 +117,14 @@ class TestAdoption:
     def test_an_older_generation_file_opens_and_reads_unchanged(self, tmp_path, lake):
         """Until a lake held ``.sgx`` entries alone, every entry of a
         generation file carried ``"fmt": "sgx"``."""
-        before = lake.read_extract(KEY)
+        before = read_frame(lake, KEY)
         gen_path = tmp_path / "_manifest" / "gen-00000001.json"
         gen = json.loads(gen_path.read_text())
         gen["segments"] = [{**entry, "fmt": "sgx"} for entry in gen["segments"]]
         gen_path.write_text(json.dumps(gen))
         for store in (DataLakeStore(tmp_path), DataLakeStore(tmp_path, pinned_generation=1)):
             assert store.manifest.current().segments == lake.manifest.current().segments
-            assert store.read_extract(KEY).content_hash() == before.content_hash()
+            assert read_frame(store, KEY).content_hash() == before.content_hash()
         DataLakeStore(tmp_path).write_extract(ExtractKey("r0", 4), small_frame())
         assert DataLakeStore(tmp_path).list_extracts() == [KEY, ExtractKey("r0", 4)]
 
@@ -223,7 +223,7 @@ class TestLogicalRetirementAndGc:
         assert report.segments_removed == 2  # two superseded payloads
         kept = list(manifest_dir.glob("gen-*.json"))
         assert [p.name for p in kept] == ["gen-00000003.json"]
-        assert lake.read_extract(KEY).server_ids() == ["s0", "s1"]
+        assert read_frame(lake, KEY).server_ids() == ["s0", "s1"]
 
     def test_gc_invalidates_pinned_readers_of_old_generations(self, tmp_path, lake):
         pinned_gen = lake.current_generation()
@@ -234,7 +234,7 @@ class TestLogicalRetirementAndGc:
             DataLakeStore(tmp_path, pinned_generation=pinned_gen)
         # The already-open reader's payload file is gone too.
         with pytest.raises(FileNotFoundError):
-            reader.read_extract_bytes(KEY)
+            reader.extract_path(KEY).read_bytes()
 
     def test_empty_transaction_publishes_no_generation(self, lake):
         generation = lake.current_generation()
@@ -283,7 +283,7 @@ class TestManifestInternals:
         with log_path.open("ab") as handle:
             handle.write(b'{"type": "intent", "txid": "tx-torn"')  # no newline
         reopened = DataLakeStore(tmp_path)
-        assert reopened.read_extract(KEY).server_ids() == ["s0", "s1"]
+        assert read_frame(reopened, KEY).server_ids() == ["s0", "s1"]
         reopened.write_extract(KEY, small_frame(level=4.0))
 
     def test_torn_commit_record_survives_later_commits(self, tmp_path, lake):
@@ -301,7 +301,7 @@ class TestManifestInternals:
         reopened = DataLakeStore(tmp_path)  # recovery runs again here
         assert sorted(reopened.list_extracts()) == [KEY, crashed, other]
         for key in (KEY, crashed, other):
-            assert reopened.read_extract(key).server_ids() == ["s0", "s1"]
+            assert read_frame(reopened, key).server_ids() == ["s0", "s1"]
         assert reopened.manifest.log.pending() is None
 
     @pytest.mark.parametrize("line", [

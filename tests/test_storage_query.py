@@ -6,18 +6,13 @@ import numpy as np
 import pytest
 
 from repro.storage.columnar import ColumnarFormatError
-from repro.storage.datalake import (
-    AccessDeniedError,
-    DataLakeStore,
-    ExtractKey,
-    ExtractNotFoundError,
-)
+from repro.storage.datalake import DataLakeStore, ExtractKey
 from repro.storage.query import ExtractQuery, QueryError, ScanStats
 from repro.timeseries.calendar import MAX_MINUTE, MIN_MINUTE
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 from repro.timeseries.series import LoadSeries
 
-from tests.helpers import make_series, naive_rows, write_via
+from tests.helpers import make_series, naive_rows, read_frame, write_via
 
 
 def mixed_frame(n=4, points=288, interval=5) -> LoadFrame:
@@ -115,20 +110,15 @@ class TestQueryEquality:
 
 
 class TestLakeQuery:
-    def test_query_matches_read_extract(self, lake_one_key):
+    def test_query_for_key_answers_what_was_written(self, lake_one_key):
         lake, key = lake_one_key
-        q = ExtractQuery.for_key(key)
-        assert lake.query(q).frame.content_hash() == lake.read_extract(key).content_hash()
+        assert read_frame(lake, key).content_hash() == mixed_frame().content_hash()
 
     def test_query_no_match_returns_empty_result(self, tmp_path):
         lake = DataLakeStore(tmp_path)
         result = lake.query(ExtractQuery(regions=("nowhere",)))
         assert result.stats.extracts_scanned == 0
         assert len(result.frame) == 0
-
-    def test_read_extract_shim_still_raises_on_missing(self, tmp_path):
-        with pytest.raises(ExtractNotFoundError):
-            DataLakeStore(tmp_path).read_extract(ExtractKey("r0", 0))
 
     def test_server_allow_list(self, lake_one_key):
         lake, key = lake_one_key
@@ -162,7 +152,7 @@ class TestLakeQuery:
     def test_timestamps_projection_yields_nan_values(self, lake_one_key):
         lake, key = lake_one_key
         result = lake.query(ExtractQuery.for_key(key, columns=("timestamps",)))
-        full = lake.read_extract(key)
+        full = read_frame(lake, key)
         for server_id in full.server_ids():
             series = result.frame.series(server_id)
             assert np.array_equal(series.timestamps, full.series(server_id).timestamps)
@@ -192,13 +182,6 @@ class TestLakeQuery:
         lake.write_extract(ExtractKey("r0", 1), frame)  # same samples again
         with pytest.raises(QueryError, match="overlapping"):
             lake.query(ExtractQuery(regions=("r0",)))
-
-    def test_access_control_enforced(self, tmp_path):
-        lake = DataLakeStore(tmp_path, granted_principals={"seagull"})
-        with pytest.raises(AccessDeniedError):
-            lake.query(ExtractQuery())
-        with pytest.raises(AccessDeniedError):
-            list(lake.scan(ExtractQuery()))
 
     def test_interval_none_preserves_recorded_interval(self, tmp_path):
         lake = DataLakeStore(tmp_path, write_format="sgx")

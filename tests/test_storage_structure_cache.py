@@ -22,7 +22,7 @@ from repro.storage.migrate import adopt_legacy_files
 from repro.storage.query import ExtractQuery, ScanStats
 from repro.timeseries.frame import LoadFrame, ServerMetadata
 
-from tests.helpers import make_series, plant_csv
+from tests.helpers import make_series, plant_csv, read_frame
 
 DAY = 1440
 KEY = ExtractKey("r0", 0)
@@ -246,7 +246,7 @@ class TestWhenAStructureMayBeReused:
         else:
             rewrite_in_place(path, data, keep_mtime=gives_it_away == "size")
         for _ in range(2):
-            assert lake.read_extract(KEY).content_hash() == other.content_hash()
+            assert read_frame(lake, KEY).content_hash() == other.content_hash()
         assert len(parses) == 2  # dropped, read cold once, retained again
 
     def test_structure_damaged_before_the_first_read_caches_nothing(self, lake, parses):
@@ -270,14 +270,14 @@ class TestWhenAStructureMayBeReused:
             lake.write_extract(key, week_frame(4, 3, level=week))  # 12 chunks each
         monkeypatch.setattr(datalake, "MAX_CACHED_CHUNKS", 30)
         for key in keys:
-            lake.read_extract(key)
+            read_frame(lake, key)
         del parses[:]
-        lake.read_extract(keys[2]), lake.read_extract(keys[1])
+        read_frame(lake, keys[2]), read_frame(lake, keys[1])
         assert parses == []  # the two most recent fit: 24 entries
-        lake.read_extract(keys[0])
+        read_frame(lake, keys[0])
         assert len(parses) == 1  # evicted to make room for the third
-        lake.read_extract(KEY)  # 36 entries: larger than the whole bound
-        lake.read_extract(KEY)
+        read_frame(lake, KEY)  # 36 entries: larger than the whole bound
+        read_frame(lake, KEY)
         assert len(parses) == 3
 
 
@@ -338,7 +338,7 @@ class TestDamageIsLoud:
         plant_csv(lake, KEY, frame)
         assert len(adopt_legacy_files(lake.manifest)) == 1
         for store in (lake, DataLakeStore(lake.root)):
-            assert store.read_extract(KEY).content_hash() == frame.content_hash()
+            assert read_frame(store, KEY).content_hash() == frame.content_hash()
 
 
 class TestDescriptors:

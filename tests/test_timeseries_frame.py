@@ -110,6 +110,10 @@ class TestTransform:
         merged = a.merge(b)
         assert len(merged) == 3
 
+    def test_merge_refuses_a_server_both_frames_hold(self):
+        with pytest.raises(KeyError, match="srv-0"):
+            build_frame(2).merge(build_frame(1))
+
     def test_merge_interval_mismatch(self):
         with pytest.raises(ValueError):
             build_frame(1).merge(LoadFrame(15))

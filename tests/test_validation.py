@@ -14,7 +14,7 @@ from repro.validation.rules import (
     check_finite,
     check_schema,
 )
-from repro.validation.schema import DataProperties, infer_properties
+from repro.validation.schema import infer_properties
 from repro.validation.validator import DataValidationModule
 
 from tests.helpers import diurnal_series, make_series
@@ -43,12 +43,6 @@ class TestSchemaInference:
         properties = infer_properties(LoadFrame(5))
         assert properties.load_min == 0.0
         assert properties.load_max == 100.0
-
-    def test_verified_copy(self):
-        properties = infer_properties(healthy_frame())
-        verified = properties.verified("domain-expert")
-        assert verified.verified_by == "domain-expert"
-        assert properties.verified_by == ""
 
 
 class TestRules:
@@ -150,14 +144,3 @@ class TestValidator:
         bounds = [issue for issue in payload["issues"] if issue["server_id"] == "hot"]
         assert bounds and {issue["severity"] for issue in bounds} <= {"warning", "error"}
         assert "error" in {issue["severity"] for issue in payload["issues"]}
-
-    def test_preconfigured_properties(self):
-        properties = DataProperties(
-            columns=LoadFrame.CSV_HEADER,
-            load_min=0.0,
-            load_max=100.0,
-            interval_minutes=5,
-            min_servers=1,
-        )
-        module = DataValidationModule(properties)
-        assert module.validate(healthy_frame()).passed
