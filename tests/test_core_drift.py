@@ -56,7 +56,7 @@ class TestLoadWindowDriftDetector:
         detector.observe(window_summary(50.0, std=5.0))
         report = detector.observe(window_summary(50.0, std=15.0, start=1440))
         assert report.drifted and report.std_shift_pct == pytest.approx(200.0)
-        assert report.details == (report.details[0],)
+        assert len(report.details) == 1
         assert report.details[0].startswith("load dispersion shifted")
 
     @pytest.mark.parametrize(
