@@ -10,8 +10,6 @@ chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.models.base import Forecaster, ForecastError
@@ -19,18 +17,14 @@ from repro.timeseries.calendar import points_per_day
 from repro.timeseries.series import LoadSeries
 
 
-@dataclass(frozen=True)
-class FeedForwardConfig:
-    """Hyper-parameters of the feed-forward forecaster."""
-
-    context_points: int | None = None    # default: one day of samples
-    prediction_points: int | None = None  # default: a quarter day per chunk
-    hidden_units: int = 48
-    epochs: int = 12
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    l2: float = 1e-5
-    seed: int = 13
+# Hyper-parameters.  The context window is one day of samples and each
+# prediction chunk a quarter day, on the history's own grid.
+_HIDDEN_UNITS = 48
+_EPOCHS = 12
+_BATCH_SIZE = 32
+_LEARNING_RATE = 1e-3
+_L2 = 1e-5
+_SEED = 13
 
 
 class _Mlp:
@@ -100,22 +94,16 @@ class FeedForwardForecaster(Forecaster):
 
     def __init__(self) -> None:
         super().__init__()
-        self._config = FeedForwardConfig()
         self._mlp: _Mlp | None = None
         self._mean = 0.0
         self._scale = 1.0
         self._context = 0
         self._chunk = 0
 
-    @property
-    def config(self) -> FeedForwardConfig:
-        return self._config
-
     def _fit(self, history: LoadSeries) -> None:
-        cfg = self._config
         points_day = points_per_day(history.interval_minutes)
-        self._context = cfg.context_points if cfg.context_points is not None else points_day
-        self._chunk = cfg.prediction_points if cfg.prediction_points is not None else max(1, points_day // 4)
+        self._context = points_day
+        self._chunk = max(1, points_day // 4)
 
         values = history.values.astype(np.float64)
         if values.shape[0] < self._context + self._chunk:
@@ -135,19 +123,19 @@ class FeedForwardForecaster(Forecaster):
             [normalized[s + self._context : s + self._context + self._chunk] for s in starts]
         )
 
-        rng = np.random.default_rng(cfg.seed)
-        self._mlp = _Mlp(self._context, cfg.hidden_units, self._chunk, rng)
+        rng = np.random.default_rng(_SEED)
+        self._mlp = _Mlp(self._context, _HIDDEN_UNITS, self._chunk, rng)
 
         n = inputs.shape[0]
-        for _ in range(cfg.epochs):
+        for _ in range(_EPOCHS):
             order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
+            for start in range(0, n, _BATCH_SIZE):
+                batch = order[start : start + _BATCH_SIZE]
                 x, y = inputs[batch], targets[batch]
                 prediction, cache = self._mlp.forward(x)
                 grad = 2.0 * (prediction - y) / x.shape[0]
-                grads = self._mlp.backward(grad, cache, cfg.l2)
-                self._mlp.adam_update(grads, cfg.learning_rate)
+                grads = self._mlp.backward(grad, cache, _L2)
+                self._mlp.adam_update(grads, _LEARNING_RATE)
 
     def _predict_values(self, n_points: int) -> np.ndarray:
         assert self._mlp is not None and self._history is not None

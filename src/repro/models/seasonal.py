@@ -12,8 +12,6 @@ observed (Prophet slowest, Section 5.3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.models.base import Forecaster, ForecastError
@@ -21,16 +19,14 @@ from repro.timeseries.calendar import MINUTES_PER_DAY, MINUTES_PER_WEEK
 from repro.timeseries.series import LoadSeries
 
 
-@dataclass(frozen=True)
-class SeasonalConfig:
-    """Hyper-parameters of the additive seasonal forecaster."""
-
-    daily_order: int = 8
-    weekly_order: int = 3
-    n_changepoints: int = 12
-    ridge_candidates: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
-    changepoint_candidates: tuple[int, ...] = (0, 6, 12, 25)
-    holdout_fraction: float = 0.2
+# Hyper-parameters: Fourier orders of the daily and weekly seasonalities,
+# the ridge strengths and changepoint counts searched, and the share of
+# the history held out to choose between them.
+_DAILY_ORDER = 8
+_WEEKLY_ORDER = 3
+_RIDGE_CANDIDATES = (0.1, 1.0, 10.0, 100.0)
+_CHANGEPOINT_CANDIDATES = (0, 6, 12, 25)
+_HOLDOUT_FRACTION = 0.2
 
 
 class SeasonalAdditiveForecaster(Forecaster):
@@ -40,32 +36,26 @@ class SeasonalAdditiveForecaster(Forecaster):
 
     def __init__(self) -> None:
         super().__init__()
-        self._config = SeasonalConfig()
         self._coefficients: np.ndarray | None = None
         self._changepoints: np.ndarray = np.empty(0)
         self._t_scale = 1.0
         self._t_offset = 0.0
-
-    @property
-    def config(self) -> SeasonalConfig:
-        return self._config
 
     # ------------------------------------------------------------------ #
     # Design matrix
     # ------------------------------------------------------------------ #
 
     def _design(self, timestamps: np.ndarray, changepoints: np.ndarray) -> np.ndarray:
-        cfg = self._config
         t = (timestamps - self._t_offset) / self._t_scale
         columns: list[np.ndarray] = [np.ones_like(t), t]
         for changepoint in changepoints:
             columns.append(np.maximum(t - changepoint, 0.0))
         day_phase = 2.0 * np.pi * (timestamps % MINUTES_PER_DAY) / MINUTES_PER_DAY
-        for order in range(1, cfg.daily_order + 1):
+        for order in range(1, _DAILY_ORDER + 1):
             columns.append(np.sin(order * day_phase))
             columns.append(np.cos(order * day_phase))
         week_phase = 2.0 * np.pi * (timestamps % MINUTES_PER_WEEK) / MINUTES_PER_WEEK
-        for order in range(1, cfg.weekly_order + 1):
+        for order in range(1, _WEEKLY_ORDER + 1):
             columns.append(np.sin(order * week_phase))
             columns.append(np.cos(order * week_phase))
         return np.column_stack(columns)
@@ -88,7 +78,6 @@ class SeasonalAdditiveForecaster(Forecaster):
     # ------------------------------------------------------------------ #
 
     def _fit(self, history: LoadSeries) -> None:
-        cfg = self._config
         timestamps = history.timestamps.astype(np.float64)
         values = history.values.astype(np.float64)
         if values.shape[0] < 4:
@@ -97,19 +86,19 @@ class SeasonalAdditiveForecaster(Forecaster):
         self._t_offset = float(timestamps[0])
         self._t_scale = max(float(timestamps[-1] - timestamps[0]), 1.0)
 
-        holdout = max(1, int(cfg.holdout_fraction * values.shape[0]))
+        holdout = max(1, int(_HOLDOUT_FRACTION * values.shape[0]))
         train_ts, train_vs = timestamps[:-holdout], values[:-holdout]
         valid_ts, valid_vs = timestamps[-holdout:], values[-holdout:]
         if train_vs.shape[0] < 4:
             train_ts, train_vs = timestamps, values
             valid_ts, valid_vs = timestamps, values
 
-        best = (float("inf"), cfg.ridge_candidates[0], cfg.changepoint_candidates[0])
-        for n_changepoints in cfg.changepoint_candidates:
+        best = (float("inf"), _RIDGE_CANDIDATES[0], _CHANGEPOINT_CANDIDATES[0])
+        for n_changepoints in _CHANGEPOINT_CANDIDATES:
             changepoints = self._make_changepoints(n_changepoints)
             train_design = self._design(train_ts, changepoints)
             valid_design = self._design(valid_ts, changepoints)
-            for alpha in cfg.ridge_candidates:
+            for alpha in _RIDGE_CANDIDATES:
                 coefficients = self._ridge_fit(train_design, train_vs, alpha)
                 error = float(np.mean((valid_design @ coefficients - valid_vs) ** 2))
                 if error < best[0]:

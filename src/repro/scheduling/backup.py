@@ -69,12 +69,8 @@ class BackupDecision:
 class BackupScheduler:
     """Schedules backups into predicted lowest-load windows."""
 
-    def __init__(self) -> None:
-        self._fabric = FabricPropertyStore()
-
-    @property
-    def fabric(self) -> FabricPropertyStore:
-        return self._fabric
+    def __init__(self, fabric: FabricPropertyStore | None = None) -> None:
+        self._fabric = fabric if fabric is not None else FabricPropertyStore()
 
     # ------------------------------------------------------------------ #
 

@@ -12,6 +12,7 @@ from repro.fleet_ops.synthesis import populate_lake
 from repro.parallel.executor import ExecutionBackend
 from repro.storage.csv_io import frame_to_csv_text
 from repro.storage.datalake import DataLakeStore, ExtractKey
+from repro.storage.query import ExtractQuery
 from repro.telemetry.fleet import default_fleet_spec, extract_spec
 from repro.timeseries.calendar import MINUTES_PER_DAY
 from repro.telemetry.generator import WorkloadGenerator
@@ -483,7 +484,8 @@ class TestConvertCli:
         assert fleet_main(["convert", "--lake-dir", str(lake.root)]) == 0
         assert len(planted) == 4
         for key, text in planted.items():
-            exported = frame_to_csv_text(read_frame(lake, key, interval_minutes=None))
+            whole = ExtractQuery.for_key(key, interval_minutes=None)
+            exported = frame_to_csv_text(lake.query(whole, include_tail=False).frame)
             identical = exported.encode("utf-8") == text
             assert identical, key  # not ``assert a == b``: a diff of megabytes never ends
 
@@ -689,8 +691,6 @@ class TestQueryHandoff:
 
     def test_tasks_carry_handle_and_query_not_payloads(self, monkeypatch, fleet_lake):
         import pickle
-
-        from repro.storage.query import ExtractQuery
 
         report, tasks, _orch = self._captured_tasks(monkeypatch, fleet_lake)
         assert report.n_failed == 0

@@ -59,8 +59,6 @@ TREE_SURVIVORS = {
     "metrics/standard.py:prediction_error": "Equation 1: the pointwise prediction error",
     "scheduling/fabric.py:get_property": "§2.3 service fabric: the backup service reads the "
     "scheduled window start the scheduler stored",
-    "scheduling/backup.py:fabric": "§2.3 service fabric: the property store the backup "
-    "service reads the scheduler's window starts from",
 }
 
 
@@ -101,6 +99,9 @@ PARAM_SURVIVORS = {
     "accuracy threshold",
     "metrics/predictable.py:is_predictable_server(required_days=)": "Definition 9: the "
     "backup days looked at",
+    "scheduling/backup.py:BackupScheduler(fabric=)": "§2.3 service fabric: an injected "
+    "collaborator, the property store the backup service reads, which a test replaces "
+    "with its own to observe the writes",
     "serving/service.py:PredictionService(cache=)": "ROADMAP item 6 removes the prediction "
     "LRU",
     "serving/service.py:PredictionService(cache_capacity=)": "ROADMAP item 6 removes the "

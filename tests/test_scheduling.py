@@ -99,10 +99,12 @@ class TestBackupScheduler:
         assert decision.outcome is ScheduleOutcome.DEFAULT_KEPT_PREDICTION_UNUSABLE
 
     def test_fabric_property_written(self):
-        scheduler = BackupScheduler()
+        fabric = FabricPropertyStore()
         metadata = metadata_for("srv")
-        scheduler.schedule_server(metadata, diurnal_series(28).day(27), predictable_verdict())
-        assert scheduler.fabric.get_property("srv", BACKUP_WINDOW_PROPERTY) is not None
+        decision = BackupScheduler(fabric).schedule_server(
+            metadata, diurnal_series(28).day(27), predictable_verdict()
+        )
+        assert fabric.get_property("srv", BACKUP_WINDOW_PROPERTY) == decision.scheduled_start
 
     def test_schedule_fleet(self):
         scheduler = BackupScheduler()

@@ -165,7 +165,7 @@ class TestFormatNegotiation:
         store = DataLakeStore(tmp_path)
         key = ExtractKey("r0", 0)
         store.write_extract(key, small_frame())
-        text = frame_to_csv_text(read_frame(store, key))
+        text = frame_to_csv_text(store.query(ExtractQuery.for_key(key), include_tail=False).frame)
         assert text.startswith("server_id,")
         assert "s0" in text
 

@@ -14,7 +14,9 @@ from repro.telemetry.fleet import (
     sql_database_fleet_spec,
 )
 from repro.telemetry.generator import (
+    _PREDICTABLE_NOISE,
     WorkloadGenerator,
+    _smooth_daily_shape,
     daily_trace,
     stable_trace,
     unstable_trace,
@@ -69,23 +71,25 @@ class TestTraceGenerators:
         assert abs(values.mean() - 20.0) < 1.0
         assert values.std() < 3.0
 
-    @staticmethod
-    def day_gap(values, a, b):
-        """Mean absolute difference between days ``a`` and ``b``."""
-        days = values.reshape(-1, POINTS_PER_DAY)
-        return float(np.abs(days[a] - days[b]).mean())
-
     def test_daily_trace_repeats(self):
+        n = 2 * POINTS_PER_DAY
+        values = daily_trace(np.random.default_rng(0), n, POINTS_PER_DAY, 10.0, 30.0)
+        # Replay the generator's draws: the daily shape, then the noise.
         rng = np.random.default_rng(0)
-        values = daily_trace(rng, 2 * POINTS_PER_DAY, POINTS_PER_DAY, 10.0, 30.0)
-        # Only the observation noise (std 1.2 a point) tells the days apart.
-        assert self.day_gap(values, 0, 1) < 2.0
+        shape = _smooth_daily_shape(rng, POINTS_PER_DAY)
+        noise = rng.normal(0.0, _PREDICTABLE_NOISE, n)
+        np.testing.assert_allclose(values, 10.0 + 30.0 * np.tile(shape, 2) + noise)
 
     def test_weekly_trace_weekend_differs(self):
+        n = 7 * POINTS_PER_DAY
+        values = weekly_trace(np.random.default_rng(0), n, POINTS_PER_DAY, 10.0, 40.0)
         rng = np.random.default_rng(0)
-        values = weekly_trace(rng, 7 * POINTS_PER_DAY, POINTS_PER_DAY, 10.0, 40.0)
-        assert self.day_gap(values, 0, 1) < 2.0  # two weekdays: noise apart
-        assert self.day_gap(values, 0, 5) > 5.0  # a weekday and Saturday
+        weekday, saturday, sunday = (_smooth_daily_shape(rng, POINTS_PER_DAY) for _ in range(3))
+        weekend_amplitude = 40.0 * rng.uniform(0.2, 0.5)
+        noise = rng.normal(0.0, _PREDICTABLE_NOISE, n)
+        week = [40.0 * weekday] * 5 + [weekend_amplitude * saturday, weekend_amplitude * sunday]
+        np.testing.assert_allclose(values, 10.0 + np.concatenate(week) + noise)
+        assert not np.allclose(week[0], week[5])  # Saturday is not a weekday
 
     def test_unstable_trace_is_volatile(self):
         rng = np.random.default_rng(0)
