@@ -40,9 +40,11 @@ test:
 ## warm re-run over a fresh --cache-dir exits 0 with every unit served
 ## from the unit cache; a second model over the same --cache-dir then
 ## reuses every unit's features and misses one model stage per unit, an
-## SSA fleet run fits every unit without a failure, and `convert` adopts a
-## legacy directory (one .csv, one .sgx) at generation 1 with .sgx entries
-## only (also part of `ci`; the CI test job runs this target).
+## SSA fleet run and a seasonal_additive one (the Prophet stand-in, through
+## lake -> orchestrator -> serving) each fit every unit without a failure,
+## and `convert` adopts a legacy directory (one .csv, one .sgx) at
+## generation 1 with .sgx entries only (also part of `ci`; the CI test job
+## runs this target).
 examples-smoke:
 	@for f in examples/*.py; do python "$$f" >/dev/null || exit 1; echo "ok $$f"; done
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -57,6 +59,9 @@ examples-smoke:
 	&& PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 --model ssa --json > "$$tmp/ssa.json" \
 	&& python -c 'import json, sys; run = json.load(open(sys.argv[1]))["run"]; sys.exit(run["n_failed"] != 0)' "$$tmp/ssa.json" \
 	&& echo "ok python -m repro.fleet_ops --model ssa (no failed unit)" \
+	&& PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 --model seasonal_additive --json > "$$tmp/seasonal.json" \
+	&& python -c 'import json, sys; run = json.load(open(sys.argv[1]))["run"]; sys.exit(run["n_failed"] != 0)' "$$tmp/seasonal.json" \
+	&& echo "ok python -m repro.fleet_ops --model seasonal_additive (no failed unit)" \
 	&& PYTHONPATH=src python -c 'import sys; from pathlib import Path; from repro.storage import columnar, csv_io; from repro.timeseries.frame import LoadFrame, ServerMetadata; from repro.timeseries.series import LoadSeries; f = LoadFrame(5); f.add_server(ServerMetadata("s0", "r0"), LoadSeries.from_values([1.0, 2.0, 3.0])); d = Path(sys.argv[1]) / "r0"; csv_io.write_frame_csv(f, d / "extract_r0_week0000.csv"); (d / "extract_r0_week0001.sgx").write_bytes(columnar.frame_to_sgx_bytes(f))' "$$tmp/legacy" \
 	&& PYTHONPATH=src python -m repro.fleet_ops convert --lake-dir "$$tmp/legacy" > /dev/null \
 	&& PYTHONPATH=src python -m repro.fleet_ops manifest --lake-dir "$$tmp/legacy" --json > "$$tmp/manifest.json" \

@@ -1,5 +1,9 @@
 """Unit tests for the ML forecasters (SSA, feed-forward, seasonal, ARIMA)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +12,9 @@ from hypothesis import strategies as st
 from repro.models.arima import ArimaConfig, ArimaForecaster
 from repro.models.base import ForecastError
 from repro.models.feedforward import FeedForwardForecaster
-from repro.models.seasonal import SeasonalAdditiveForecaster
+from repro.models.seasonal import SeasonalAdditiveForecaster, _fourier_table
 from repro.models.ssa import SsaForecaster
-from repro.timeseries.calendar import points_per_day
+from repro.timeseries.calendar import MINUTES_PER_DAY, MINUTES_PER_WEEK, points_per_day
 from repro.timeseries.series import LoadSeries
 
 from tests.helpers import POINTS_PER_DAY, diurnal_series, make_series
@@ -225,6 +229,153 @@ class TestSeasonalAdditiveForecaster:
         history = make_series(np.full(7 * POINTS_PER_DAY, 42.0))
         forecast = SeasonalAdditiveForecaster().fit(history).predict(96)
         assert np.all(np.abs(forecast.values - 42.0) < 3.0)
+
+
+def reference_ridge_fit(design, target, alpha):
+    gram = design.T @ design
+    gram += alpha * np.eye(gram.shape[0])
+    return np.linalg.solve(gram, design.T @ target)
+
+
+class LoopSeasonalReference(SeasonalAdditiveForecaster):
+    """The seasonal model as first written: one ``sin``/``cos`` pass per
+    Fourier order, ``column_stack``, and one Gram per (changepoint, ridge)
+    pair."""
+
+    def _design(self, timestamps, changepoints):
+        t = (timestamps - self._t_offset) / self._t_scale
+        columns = [np.ones_like(t), t]
+        for changepoint in changepoints:
+            columns.append(np.maximum(t - changepoint, 0.0))
+        day_phase = 2.0 * np.pi * (timestamps % MINUTES_PER_DAY) / MINUTES_PER_DAY
+        for order in range(1, 9):
+            columns.append(np.sin(order * day_phase))
+            columns.append(np.cos(order * day_phase))
+        week_phase = 2.0 * np.pi * (timestamps % MINUTES_PER_WEEK) / MINUTES_PER_WEEK
+        for order in range(1, 4):
+            columns.append(np.sin(order * week_phase))
+            columns.append(np.cos(order * week_phase))
+        return np.column_stack(columns)
+
+    def _fit(self, history):
+        timestamps = history.timestamps.astype(np.float64)
+        values = history.values.astype(np.float64)
+        self._t_offset = float(timestamps[0])
+        self._t_scale = max(float(timestamps[-1] - timestamps[0]), 1.0)
+        holdout = max(1, int(0.2 * values.shape[0]))
+        train_ts, train_vs = timestamps[:-holdout], values[:-holdout]
+        valid_ts, valid_vs = timestamps[-holdout:], values[-holdout:]
+        if train_vs.shape[0] < 4:
+            train_ts, train_vs, valid_ts, valid_vs = timestamps, values, timestamps, values
+        best = (float("inf"), 0.1, 0)
+        for n_changepoints in (0, 6, 12, 25):
+            changepoints = self._make_changepoints(n_changepoints)
+            train_design = self._design(train_ts, changepoints)
+            valid_design = self._design(valid_ts, changepoints)
+            for alpha in (0.1, 1.0, 10.0, 100.0):
+                coefficients = reference_ridge_fit(train_design, train_vs, alpha)
+                error = float(np.mean((valid_design @ coefficients - valid_vs) ** 2))
+                if error < best[0]:
+                    best = (error, alpha, n_changepoints)
+        _, alpha, n_changepoints = best
+        self._changepoints = self._make_changepoints(n_changepoints)
+        full_design = self._design(timestamps, self._changepoints)
+        self._coefficients = reference_ridge_fit(full_design, values, alpha)
+
+
+SEASONAL_ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+CHANGEPOINT_COUNTS = st.sampled_from([0, 6, 12, 25])
+# Anchors up to 2**36 weeks put timestamps far above 2**31 (and below
+# -2**31); the offset lands a span anywhere around a week boundary.
+WEEK_ANCHORS = st.integers(-(2**36), 2**36)
+WEEK_OFFSETS = st.integers(-MINUTES_PER_WEEK, MINUTES_PER_WEEK)
+
+
+def assert_design_matches_reference(timestamps, n_changepoints):
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    got, want = SeasonalAdditiveForecaster(), LoopSeasonalReference()
+    for forecaster in (got, want):
+        forecaster._t_offset = float(timestamps[0])
+        forecaster._t_scale = max(float(timestamps[-1] - timestamps[0]), 1.0)
+    changepoints = got._make_changepoints(n_changepoints)
+    design = got._design(timestamps, changepoints)
+    reference = want._design(timestamps, changepoints)
+    assert design.shape == reference.shape and design.dtype == reference.dtype
+    assert design.flags.c_contiguous
+    assert np.array_equal(design, reference)
+
+
+class TestSeasonalMatchesLoopReference:
+    """Table-gathered Fourier columns and one Gram per changepoint count
+    against the loop-built design and per-ridge Gram: bit for bit."""
+
+    @SEASONAL_ORACLE
+    @given(
+        anchor=WEEK_ANCHORS,
+        offset=WEEK_OFFSETS,
+        step=st.sampled_from([1, 5, 15, 60]),
+        n=st.integers(1, 600),
+        n_changepoints=CHANGEPOINT_COUNTS,
+    )
+    @example(anchor=2**35, offset=-30, step=15, n=200, n_changepoints=25)
+    @example(anchor=-(2**36), offset=-1, step=1, n=3, n_changepoints=6)
+    def test_design_on_a_grid(self, anchor, offset, step, n, n_changepoints):
+        start = anchor * MINUTES_PER_WEEK + offset
+        assert_design_matches_reference(start + step * np.arange(n), n_changepoints)
+
+    @SEASONAL_ORACLE
+    @given(
+        anchor=WEEK_ANCHORS,
+        offsets=st.lists(WEEK_OFFSETS, min_size=1, max_size=300, unique=True),
+        n_changepoints=CHANGEPOINT_COUNTS,
+    )
+    def test_design_off_grid(self, anchor, offsets, n_changepoints):
+        timestamps = anchor * MINUTES_PER_WEEK + np.sort(np.asarray(offsets, dtype=np.int64))
+        assert_design_matches_reference(timestamps, n_changepoints)
+
+    @SEASONAL_ORACLE
+    @given(
+        n=st.integers(4, 3000),
+        interval=st.sampled_from([1, 5, 15, 60]),
+        start_minute=st.integers(-(2**40), 2**40),
+        amplitude=st.floats(0.0, 50.0),
+        noise=st.floats(0.0, 10.0),
+        seed=SEEDS,
+    )
+    @example(n=3000, interval=5, start_minute=12, amplitude=30.0, noise=3.0, seed=1)
+    @example(n=4, interval=5, start_minute=0, amplitude=30.0, noise=1.0, seed=0)
+    @example(n=5, interval=60, start_minute=-7, amplitude=0.0, noise=0.0, seed=0)
+    def test_fit_and_forecast(self, n, interval, start_minute, amplitude, noise, seed):
+        """Four points fall back to training on the whole history."""
+        rng = np.random.default_rng(seed)
+        phase = 2 * np.pi * np.arange(n) * interval / MINUTES_PER_DAY
+        values = np.clip(50 + amplitude * np.sin(phase) + rng.normal(0, noise, n), 0, 100)
+        history = make_series(values, start=start_minute * interval, interval=interval)
+        got = SeasonalAdditiveForecaster().fit(history)
+        want = LoopSeasonalReference().fit(history)
+        assert np.array_equal(got._changepoints, want._changepoints)
+        assert np.array_equal(got._coefficients, want._coefficients)
+        for horizon in (1, 6, 144, 288, 577):
+            assert np.array_equal(got.predict(horizon).values, want.predict(horizon).values)
+
+    def test_tables_are_read_only(self):
+        SeasonalAdditiveForecaster().fit(diurnal_series(2))
+        for period, n_orders in ((MINUTES_PER_DAY, 8), (MINUTES_PER_WEEK, 3)):
+            table = _fourier_table(period, n_orders)
+            assert table.shape == (period, 2 * n_orders)
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_importing_the_package_builds_no_table(self):
+        probe = (
+            "import repro; from repro.models import seasonal; "
+            "print(seasonal._fourier_table.cache_info().currsize)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+        )
+        assert done.stdout.strip() == "0"
 
 
 class TestArimaForecaster:
