@@ -359,7 +359,6 @@ class TestSeasonalMatchesLoopReference:
             assert np.array_equal(got.predict(horizon).values, want.predict(horizon).values)
 
     def test_tables_are_read_only(self):
-        SeasonalAdditiveForecaster().fit(diurnal_series(2))
         for period, n_orders in ((MINUTES_PER_DAY, 8), (MINUTES_PER_WEEK, 3)):
             table = _fourier_table(period, n_orders)
             assert table.shape == (period, 2 * n_orders)
