@@ -238,9 +238,8 @@ def reference_ridge_fit(design, target, alpha):
 
 
 class LoopSeasonalReference(SeasonalAdditiveForecaster):
-    """The seasonal model as first written: one ``sin``/``cos`` pass per
-    Fourier order, ``column_stack``, and one Gram per (changepoint, ridge)
-    pair."""
+    """Reference seasonal model: one ``sin``/``cos`` pass per Fourier order,
+    ``column_stack``, and one Gram per (changepoint, ridge) pair."""
 
     def _design(self, timestamps, changepoints):
         t = (timestamps - self._t_offset) / self._t_scale
