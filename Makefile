@@ -38,7 +38,8 @@ test:
 
 ## Every script under examples/ runs to completion, and the fleet CLI's
 ## warm re-run over a fresh --cache-dir exits 0 with every unit served
-## from the unit cache; a second model over the same --cache-dir then
+## from the unit cache and each outcome equal to its cold twin as
+## canonical JSON (timing and cache-activity fields aside); a second model over the same --cache-dir then
 ## reuses every unit's features and misses one model stage per unit, an
 ## SSA fleet run and a seasonal_additive one (the Prophet stand-in, through
 ## lake -> orchestrator -> serving) each fit every unit without a failure,
@@ -52,6 +53,8 @@ examples-smoke:
 		--cache-dir "$$tmp/cache" --rerun --json > "$$tmp/report.json" \
 	&& python -c 'import json, sys; warm = json.load(open(sys.argv[1]))["rerun"]; sys.exit(warm["cache"]["unit_hits"] != warm["n_units"])' "$$tmp/report.json" \
 	&& echo "ok python -m repro.fleet_ops --cache-dir --rerun" \
+	&& python -c 'import json, sys; report = json.load(open(sys.argv[1])); drop = ("wall_seconds", "cache_events", "from_unit_cache"); canon = lambda o: json.dumps({k: v for k, v in o.items() if k not in drop}, sort_keys=True); sys.exit([canon(o) for o in report["run"]["outcomes"]] != [canon(o) for o in report["rerun"]["outcomes"]])' "$$tmp/report.json" \
+	&& echo "ok python -m repro.fleet_ops --rerun (each warm outcome equals its cold twin as JSON)" \
 	&& PYTHONPATH=src python -m repro.fleet_ops --servers 6,4 --weeks 1 \
 		--cache-dir "$$tmp/cache" --model persistent_previous_week_average --json > "$$tmp/model.json" \
 	&& python -c 'import json, sys; run = json.load(open(sys.argv[1]))["run"]; n = run["n_units"]; sys.exit((run["cache"]["stage_hits"], run["cache"]["stage_misses"]) != (n, n))' "$$tmp/model.json" \

@@ -129,7 +129,11 @@ def walkthrough(lake_dir: str) -> None:
         print(f"  stable servers default = LL : {report.pct_stable_default_already_ll:6.2f}%")
         print(f"  improved customer hours     : {report.improved_hours:6.1f}h")
 
-    print("\n" + pipeline.dashboard.render_text())
+    # ---- 6. Component runtimes per run (Figure 12(a)) ---------------------
+    for result in results.values():
+        print(f"\nrun {result.run_id} component runtimes")
+        for component, seconds in result.timings.items():
+            print(f"  - {component}: {seconds:.3f}s")
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ The package mirrors the paper's architecture:
   extraction / server classification, forecasting models, use-case-specific
   accuracy metrics).
 * :mod:`repro.core` -- the use-case-agnostic pipeline, model registry,
-  scoring endpoints, incidents and dashboard.
+  incident management and window drift detection.
 * :mod:`repro.fleet_ops` -- the fleet orchestrator that runs the pipeline
   once per region per week.
-* :mod:`repro.serving` -- the unified prediction-serving API: typed
+* :mod:`repro.serving` -- the unified prediction-serving API (the
+  paper's scoring endpoints): deployed model versions, typed
   requests/responses, version routing with fallback, batching and an LRU
   prediction cache.  Every prediction consumer goes through it.
 * :mod:`repro.scheduling` -- the backup-scheduling use case (online

@@ -10,23 +10,23 @@ components:
   inference and accuracy evaluation, with per-component timing.
 * :mod:`~repro.core.registry` -- model deployment and version tracking,
   including fallback to the last known-good model.
-* :mod:`~repro.core.endpoints` -- the "REST endpoint" abstraction that
-  serves predictions for a deployed model version (an internal transport
-  of :mod:`repro.serving`; consumers address the serving API instead).
 * :mod:`~repro.core.incidents` -- incident management (alerts raised on
   validation failures, model regressions, run errors).
-* :mod:`~repro.core.dashboard` -- the Application-Insights-style dashboard
-  summarising pipeline runs.
+* :mod:`~repro.core.drift` -- window-over-window load drift detection for
+  the live serving loop.
+
+The paper's REST scoring endpoints are the deployed versions of
+:class:`repro.serving.PredictionService`; its monitoring dashboard is the
+fleet report (:class:`repro.fleet_ops.FleetReport`) plus the incident
+manager.
 """
 
 from repro.core.config import PipelineConfig
-from repro.core.dashboard import Dashboard, DashboardEvent
 from repro.core.drift import (
     LoadWindowDriftDetector,
     WindowDriftReport,
     WindowSummary,
 )
-from repro.core.endpoints import BatchScoringResult, ScoringEndpoint
 from repro.core.incidents import Incident, IncidentManager, IncidentSeverity
 from repro.core.pipeline import PipelineRunResult, SeagullPipeline
 from repro.core.registry import ModelRecord, ModelRegistry, ModelStatus
@@ -38,13 +38,9 @@ __all__ = [
     "ModelRegistry",
     "ModelRecord",
     "ModelStatus",
-    "ScoringEndpoint",
-    "BatchScoringResult",
     "IncidentManager",
     "Incident",
     "IncidentSeverity",
-    "Dashboard",
-    "DashboardEvent",
     "LoadWindowDriftDetector",
     "WindowDriftReport",
     "WindowSummary",

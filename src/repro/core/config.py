@@ -35,7 +35,7 @@ class PipelineConfig:
         Days of history used to fit the model before each prediction day
         (the paper trains on one week, Section 5.3.1).
     horizon_days:
-        How many days ahead the deployed endpoint predicts (one backup day
+        How many days ahead the deployed version predicts (one backup day
         by default).
     history_weeks:
         Weeks of correct predictions required before a server is treated as

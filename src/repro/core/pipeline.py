@@ -9,8 +9,8 @@ One run of the pipeline processes one weekly extract of one region:
 3. **Feature extraction** -- per-server features and classification.
 4. **Model training** -- fit the configured forecaster per server on the
    training window preceding each prediction day.
-5. **Model deployment** -- register the new model version and expose it
-   behind a scoring endpoint.
+5. **Model deployment** -- deploy the fitted models into the serving
+   layer as a new model version.
 6. **Inference** -- predict the load of each server's upcoming backup day,
    plus the backup days of the preceding ``history_weeks`` weeks used for
    predictability.
@@ -37,13 +37,11 @@ them again).  Cache decisions are recorded per stage in
 from __future__ import annotations
 
 import contextlib
-import itertools
 import time
 from dataclasses import dataclass, field
 
 from repro.core import stage_cache
 from repro.core.config import PipelineConfig
-from repro.core.dashboard import Dashboard
 from repro.core.incidents import IncidentManager, IncidentSeverity
 from repro.core.registry import DeploymentError, ModelRecord, ModelRegistry
 from repro.features.classification import ClassificationResult, ServerClassLabel
@@ -154,8 +152,6 @@ class _DeployableModels:
 class SeagullPipeline:
     """Orchestrates one region-week run of the Seagull offline components."""
 
-    _run_counter = itertools.count(1)
-
     def __init__(
         self,
         config: PipelineConfig | None = None,
@@ -164,12 +160,11 @@ class SeagullPipeline:
     ) -> None:
         self._config = config if config is not None else PipelineConfig()
         self._incidents = incident_manager if incident_manager is not None else IncidentManager()
-        self._dashboard = Dashboard()
         # The pipeline deploys fitted models *into* the serving layer and
-        # serves its own backup-day inference through it, over one
-        # registry, so accuracy tracking and fallback follow routing.
-        self._registry = ModelRegistry()
-        self._serving = PredictionService(registry=self._registry)
+        # serves its own backup-day inference through it; accuracy
+        # tracking and fallback use the service's registry, so they follow
+        # routing.
+        self._serving = PredictionService()
         self._artifacts = artifact_cache
         # Data properties are deduced per region (Section 2.4): region sizes
         # and load distributions differ, so each region gets its own
@@ -198,7 +193,7 @@ class SeagullPipeline:
 
     @property
     def registry(self) -> ModelRegistry:
-        return self._registry
+        return self._serving.registry
 
     @property
     def serving(self) -> PredictionService:
@@ -208,10 +203,6 @@ class SeagullPipeline:
     @property
     def incidents(self) -> IncidentManager:
         return self._incidents
-
-    @property
-    def dashboard(self) -> Dashboard:
-        return self._dashboard
 
     @property
     def artifact_cache(self) -> ArtifactStore | None:
@@ -238,15 +229,15 @@ class SeagullPipeline:
 
     def run(self, frame: LoadFrame, region: str, week: int) -> PipelineRunResult:
         """Run the pipeline on an already-ingested frame."""
-        run_id = self._next_run_id(region, week)
-        result = PipelineRunResult(run_id=run_id, region=region, week=week, config=self._config)
+        result = PipelineRunResult(
+            run_id=f"run-{region}-w{week}", region=region, week=week, config=self._config
+        )
         started = time.perf_counter()
         # Ingestion cost for a pre-loaded frame is counting its rows, which
         # mirrors the cheap manifest check production ingestion performs.
         _ = frame.total_points()
         result.timings["data_ingestion"] = time.perf_counter() - started
         if not self._stage_validation(frame, result):
-            self._emit_summary(result)
             return result
         # One content hash per run keys every cacheable stage; it is only
         # computed when a cache is attached (hashing is cheap relative to
@@ -260,7 +251,6 @@ class SeagullPipeline:
         self._stage_track_accuracy(result)
 
         result.succeeded = True
-        self._emit_summary(result)
         return result
 
     # ------------------------------------------------------------------ #
@@ -506,7 +496,7 @@ class SeagullPipeline:
         accuracy = result.summary.pct_windows_correct if result.summary else float("nan")
         if record is not None:
             with contextlib.suppress(DeploymentError):
-                result.model_record = self._registry.record_accuracy(
+                result.model_record = self.registry.record_accuracy(
                     region, record.version, accuracy
                 )
         if (
@@ -515,7 +505,7 @@ class SeagullPipeline:
             and accuracy < config.fallback_threshold_pct
         ):
             try:
-                fallback_record = self._registry.fallback(region)
+                fallback_record = self.registry.fallback(region)
                 result.fell_back = True
                 result.model_record = fallback_record
                 self._incidents.raise_incident(
@@ -538,27 +528,3 @@ class SeagullPipeline:
                     ),
                     region=region,
                 )
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-
-    def _next_run_id(self, region: str, week: int) -> str:
-        return f"run-{next(self._run_counter):05d}-{region}-w{week}"
-
-    def _emit_summary(self, result: PipelineRunResult) -> None:
-        for component, seconds in result.timings.items():
-            self._dashboard.record(
-                result.run_id,
-                result.region,
-                "component_timing",
-                {"component": component, "seconds": seconds},
-            )
-        self._dashboard.record(result.run_id, result.region, "run_summary", result.as_dict())
-        if result.model_record is not None:
-            self._dashboard.record(
-                result.run_id,
-                result.region,
-                "serving_health",
-                self._serving.health(result.region),
-            )

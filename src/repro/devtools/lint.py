@@ -20,13 +20,12 @@ Rules
     expression carries one of the row's marks (a string fragment such as
     ``.sgx`` or ``tail.wal``, or a call to a path helper such as
     ``extract_path``), or, for a row without calls, the literal itself.
-    The internal symbols (``ScoringEndpoint``, the raw ``.sgx`` helpers,
-    the CSV parser) and direct ``.sgx`` I/O stay in their packages
-    (``api-boundary``); lake payload files are mutated only through a
-    manifest transaction (``manifest-boundary``); the CRC-framed live
-    tail WAL is touched only by :mod:`repro.storage.live`
-    (``live-boundary``); the ``.sgx`` magic appears only in
-    :mod:`repro.storage.columnar` (``format-invariants``).
+    The internal symbols (the raw ``.sgx`` helpers, the CSV parser) and
+    direct ``.sgx`` I/O stay in their packages (``api-boundary``); lake
+    payload files are mutated only through a manifest transaction
+    (``manifest-boundary``); the CRC-framed live tail WAL is touched only
+    by :mod:`repro.storage.live` (``live-boundary``); the ``.sgx`` magic
+    appears only in :mod:`repro.storage.columnar` (``format-invariants``).
 
 ``import-layering``
     Imports must follow the declared layer DAG (:data:`LAYERS`):
@@ -43,7 +42,7 @@ Rules
     writes to ``self._*`` attributes outside a ``with self.<lock>:``
     block are flagged (``__init__``, ``__new__`` and ``__post_init__``
     are exempt) -- a heuristic race detector for the thread-shared LRU
-    caches and endpoint statistics.
+    caches and serving statistics.
 
 ``frozen-dataclass``
     ``object.__setattr__`` is permitted only inside the
@@ -103,15 +102,12 @@ class Owned:
 
 
 _FILE_IO_CALLS = frozenset({"open", "read_bytes", "write_bytes", "read_text", "write_text"})
-_FACADE_HINT = "internal; route through the public serving/storage API"
+_FACADE_HINT = "internal; route through the public storage API"
 
-#: Who may touch what.  Everybody else goes through the public facades
-#: (``PredictionService``, ``DataLakeStore.query``), mutates a lake
-#: through a manifest transaction and observes the live tail through
-#: ``DataLakeStore.query()``.
+#: Who may touch what.  Everybody else reads a lake and observes its live
+#: tail through ``DataLakeStore.query()`` and mutates it through a
+#: manifest transaction.
 OWNERSHIP: tuple[Owned, ...] = (
-    Owned("api-boundary", ("repro.serving", "repro.core.endpoints"),
-          frozenset({"ScoringEndpoint"}), _FACADE_HINT),
     Owned("api-boundary", ("repro.storage",), frozenset({"frame_from_sgx_bytes"}), _FACADE_HINT),
     Owned("api-boundary", ("repro.storage",), frozenset({"scan_sgx_bytes"}), _FACADE_HINT),
     Owned("api-boundary", ("repro.storage",), frozenset({"aggregate_sgx_bytes"}), _FACADE_HINT),

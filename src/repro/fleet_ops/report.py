@@ -105,7 +105,8 @@ class FleetUnitOutcome:
             succeeded=bool(payload["succeeded"]),
             abort_reason=str(payload["abort_reason"]),
             timings={k: float(v) for k, v in payload["timings"].items()},
-            summary={k: float(v) for k, v in summary.items()} if summary is not None else None,
+            # Counts stay ints: a unit-cache hit equals the cold outcome.
+            summary=dict(summary) if summary is not None else None,
             n_servers=int(payload["n_servers"]),
             n_predictions=int(payload["n_predictions"]),
             n_predictable=int(payload["n_predictable"]),

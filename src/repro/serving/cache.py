@@ -3,11 +3,10 @@
 The backup scheduler and the autoscale predictor ask the serving layer for
 overlapping horizon windows every day; re-running a model for a question it
 already answered is wasted inference.  The cache keys on everything that
-determines a prediction's value -- ``(region, server, version, horizon,
-history fingerprint)`` -- so a redeployment (new version) or retraining on
-new data (new fingerprint) can never serve a stale series, while repeated
-queries against an unchanged deployment are answered without touching the
-model.
+determines a prediction's value -- ``(region, server, version, horizon)``;
+a deployed version never changes, so a redeployment (a new version) can
+never serve a stale series, while repeated queries against an unchanged
+deployment are answered without touching the model.
 """
 
 from __future__ import annotations
@@ -18,19 +17,8 @@ from dataclasses import dataclass
 
 from repro.timeseries.series import LoadSeries
 
-#: Cache key: (region, server_id, version, n_points, history_fingerprint).
-CacheKey = tuple[str, str, int, int, str]
-
-
-def prediction_cache_key(
-    region: str,
-    server_id: str,
-    version: int,
-    n_points: int,
-    history_fingerprint: str,
-) -> CacheKey:
-    """Build the canonical cache key for one prediction."""
-    return (region, server_id, version, n_points, history_fingerprint)
+#: Cache key: (region, server_id, version, n_points).
+CacheKey = tuple[str, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -62,14 +50,15 @@ class PredictionCacheStats:
 class PredictionCache:
     """Bounded, thread-safe LRU cache of served prediction series.
 
-    Thread safety matters because :class:`~repro.serving.service.
-    PredictionService` can fan batches out over a thread-pool executor;
-    all bookkeeping happens under one lock (the cached payloads are
-    immutable :class:`~repro.timeseries.series.LoadSeries`, so sharing
-    them across threads is safe).
+    One :class:`~repro.serving.service.PredictionService` may be called
+    from several threads at once (a collector thread's live bridge beside
+    consumers of the same service), so all bookkeeping happens under one
+    lock; the cached payloads are immutable
+    :class:`~repro.timeseries.series.LoadSeries`, so sharing them across
+    threads is safe.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self._capacity = capacity

@@ -1,30 +1,29 @@
 """The unified prediction-serving façade.
 
 :class:`PredictionService` is the one serving surface of the repo: trained
-per-server models are deployed *into* it (one
-:class:`~repro.core.endpoints.ScoringEndpoint` per deployed version, an
-internal transport detail), requests are routed through the
-:class:`~repro.core.registry.ModelRegistry` to the region's ACTIVE version
--- which means routing automatically honours fallback-on-regression -- and
-every answer passes through an LRU prediction cache keyed on
-``(region, server, version, horizon, history fingerprint)``.
+per-server models are deployed *into* it -- each deployment is one
+immutable version, the fitted forecasters keyed by server id and held
+under ``(region, version)`` -- and requests are routed through the
+service's :class:`~repro.core.registry.ModelRegistry` to the region's
+ACTIVE version, which means routing automatically honours
+fallback-on-regression.  Every answer passes through an LRU prediction
+cache keyed on ``(region, server, version, horizon)``: a version is never
+changed after deployment, so those four fields name the prediction.
 
-A batch answers its cache hits inline and scores the miss set in one
-endpoint call.  The service aggregates request statistics, endpoint
-health and cache counters per region for the dashboard.
+A batch answers its cache hits inline and scores the miss set with
+per-server isolation: servers the version has no model for are skipped,
+a model that raises is recorded as failed, and the rest are served.  The
+service keeps request statistics and cache counters per region.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections.abc import Iterable, Mapping
 
-from repro.core.endpoints import ScoringEndpoint
 from repro.core.registry import ModelRecord, ModelRegistry, ModelStatus
 from repro.models.base import Forecaster
-from repro.models.cached import PrecomputedForecaster
 from repro.models.registry import UnknownModelError, canonical_name
 from repro.serving.api import (
     BatchPredictionResponse,
@@ -35,54 +34,26 @@ from repro.serving.api import (
     ServingStats,
     VersionMismatchError,
 )
-from repro.serving.cache import PredictionCache, prediction_cache_key
+from repro.serving.cache import CacheKey, PredictionCache
 from repro.timeseries.series import LoadSeries
 
-
-def history_fingerprint(forecaster: Forecaster) -> str:
-    """Hex digest of the data a fitted forecaster would answer from.
-
-    Part of the prediction-cache key: retraining on different history (or
-    replaying a different precomputed series) must produce a different
-    fingerprint, so the cache can never serve a prediction computed from
-    data the deployed model no longer represents.
-    """
-    if isinstance(forecaster, PrecomputedForecaster):
-        series: LoadSeries | None = forecaster.prediction
-    else:
-        series = forecaster.history
-    if series is None or series.is_empty:
-        return "unfitted"
-    digest = hashlib.sha256()
-    digest.update(f"{series.interval_minutes}:".encode())
-    digest.update(series.timestamps.tobytes())
-    digest.update(series.values.tobytes())
-    return digest.hexdigest()[:32]
+#: Entries of the service's prediction cache.
+CACHE_CAPACITY = 4096
 
 
 class PredictionService:
     """Routes prediction requests to deployed model versions.
 
-    Parameters
-    ----------
-    registry:
-        Version tracker shared with whatever deploys models (the pipeline
-        passes its own, so registry fallback immediately re-routes
-        serving).  A fresh registry is created when omitted.
-    cache:
-        Prediction LRU cache; ``cache_capacity`` sizes a default one.
+    The service owns its version tracker (:attr:`registry`; a registry
+    fallback immediately re-routes serving) and one
+    :data:`CACHE_CAPACITY`-entry prediction cache (:attr:`cache`).
     """
 
-    def __init__(
-        self,
-        registry: ModelRegistry | None = None,
-        cache: PredictionCache | None = None,
-        cache_capacity: int = 4096,
-    ) -> None:
-        self._registry = registry if registry is not None else ModelRegistry()
-        self._cache = cache if cache is not None else PredictionCache(cache_capacity)
-        self._endpoints: dict[tuple[str, int], ScoringEndpoint] = {}
-        self._fingerprints: dict[tuple[str, int], dict[str, str]] = {}
+    def __init__(self) -> None:
+        self._registry = ModelRegistry()
+        self._cache = PredictionCache(CACHE_CAPACITY)
+        #: ``(region, version)`` -> that version's fitted forecasters by server.
+        self._versions: dict[tuple[str, int], dict[str, Forecaster]] = {}
         self._stats: dict[str, ServingStats] = {}
         self._lock = threading.Lock()
 
@@ -109,32 +80,18 @@ class PredictionService:
         """Register a new version for ``region`` and serve it.
 
         The registry makes the new version ACTIVE (retiring the previous
-        one as the fallback candidate); the fitted forecasters go behind a
-        fresh internal scoring endpoint.  Earlier versions keep their
-        endpoints, so a later :meth:`ModelRegistry.fallback` re-routes
-        serving without redeployment.
+        one as the fallback candidate) and the fitted forecasters are held
+        under it.  Earlier versions keep theirs, so a later
+        :meth:`ModelRegistry.fallback` re-routes serving without
+        redeployment.  Callers deploy fresh forecasters and never refit a
+        deployed one: the cache key trusts a version not to change.
         """
         record = self._registry.deploy(
             region=region, model_name=model_name, trained_week=trained_week, notes=notes
         )
-        self._attach(record, forecasters)
-        return record
-
-    def _attach(self, record: ModelRecord, forecasters: Mapping[str, Forecaster]) -> None:
-        key = (record.region, record.version)
-        endpoint = ScoringEndpoint(
-            region=record.region,
-            model_name=record.model_name,
-            version=record.version,
-            forecasters=forecasters,
-        )
-        fingerprints = {
-            server_id: history_fingerprint(forecaster)
-            for server_id, forecaster in forecasters.items()
-        }
         with self._lock:
-            self._endpoints[key] = endpoint
-            self._fingerprints[key] = fingerprints
+            self._versions[(record.region, record.version)] = dict(forecasters)
+        return record
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -181,18 +138,18 @@ class PredictionService:
         except UnknownModelError:
             return requested == deployed
 
-    def _endpoint_for(self, record: ModelRecord) -> ScoringEndpoint:
-        endpoint = self._endpoints.get((record.region, record.version))
-        if endpoint is None:
+    def _forecasters(self, record: ModelRecord) -> dict[str, Forecaster]:
+        forecasters = self._versions.get((record.region, record.version))
+        if forecasters is None:
             raise ServingError(
                 f"version {record.version} in region {record.region!r} was registered "
                 "without being deployed into the serving layer"
             )
-        return endpoint
+        return forecasters
 
     def servers(self, region: str) -> list[str]:
         """Server ids servable by a region's active version."""
-        return self._endpoint_for(self.resolve(region)).servers()
+        return sorted(self._forecasters(self.resolve(region)))
 
     def regions(self) -> list[str]:
         """Regions with at least one deployed version."""
@@ -203,22 +160,31 @@ class PredictionService:
     # ------------------------------------------------------------------ #
 
     def predict(self, request: PredictionRequest) -> PredictionResponse:
-        """Serve one prediction request."""
+        """Serve one prediction request.
+
+        Raises :class:`ServingError` (and counts a failure) when the
+        version has no model for the server or its model raises.
+        """
         started = time.perf_counter()
         record = self.resolve(request.region, model=request.model, version=request.version)
-        endpoint = self._endpoint_for(record)
+        forecasters = self._forecasters(record)
         stats = self._region_stats(request.region)
         stats.requests += 1
-        key = self._cache_key(record, request.server_id, request.n_points)
+        key = _cache_key(record, request.server_id, request.n_points)
 
         series: LoadSeries | None = None
-        cache_hit = False
         if request.use_cache:
             series = self._cache.get(key)
-            cache_hit = series is not None
+        cache_hit = series is not None
         if series is None:
+            forecaster = forecasters.get(request.server_id)
+            if forecaster is None:
+                stats.failures += 1
+                raise ServingError(
+                    f"{request.region} v{record.version} has no model for {request.server_id!r}"
+                )
             try:
-                series = endpoint.predict(request.server_id, request.n_points)
+                series = forecaster.predict(request.n_points)
             except Exception as exc:
                 stats.failures += 1
                 raise ServingError(
@@ -246,19 +212,20 @@ class PredictionService:
         region: str,
         n_points: int,
         server_ids: Iterable[str] | None = None,
-        use_cache: bool = True,
     ) -> BatchPredictionResponse:
         """Answer one horizon query for a region's servers.
 
         ``server_ids`` defaults to every server the active version can
-        score.  The version is resolved once for the whole batch; cache
-        hits are answered inline and only the miss set is scored.
-        Per-server failures are isolated into ``failed``.
+        score.  The version is resolved once for the whole batch; every
+        server is looked up in the cache first, then only the misses are
+        scored.  A server the version has no model for lands in
+        ``skipped`` and one whose model raises in ``failed``; neither
+        stops the batch.
         """
         started = time.perf_counter()
         record = self.resolve(region)
-        endpoint = self._endpoint_for(record)
-        servers = list(server_ids) if server_ids is not None else endpoint.servers()
+        forecasters = self._forecasters(record)
+        servers = list(server_ids) if server_ids is not None else sorted(forecasters)
         stats = self._region_stats(region)
         stats.requests += len(servers)
         stats.batches += 1
@@ -266,38 +233,33 @@ class PredictionService:
         responses: list[PredictionResponse] = []
         misses: list[str] = []
         for server_id in servers:
-            series = (
-                self._cache.get(self._cache_key(record, server_id, n_points))
-                if use_cache
-                else None
-            )
+            series = self._cache.get(_cache_key(record, server_id, n_points))
             if series is None:
                 misses.append(server_id)
                 continue
             responses.append(
-                self._response(
-                    record, server_id, n_points, series, cache_hit=True, latency=0.0,
-                    use_cache=use_cache,
-                )
+                self._response(record, server_id, n_points, series, cache_hit=True, latency=0.0)
             )
 
         skipped: list[str] = []
         failed: list[tuple[str, str]] = []
-        if misses:
-            scoring_started = time.perf_counter()
-            scored = endpoint.predict_many(misses, n_points)
-            share = (time.perf_counter() - scoring_started) / max(1, len(scored.predictions))
-            skipped.extend(scored.skipped)
-            failed.extend(sorted(scored.failed.items()))
-            for server_id, series in scored.predictions.items():
-                if use_cache:
-                    self._cache.put(self._cache_key(record, server_id, n_points), series)
-                responses.append(
-                    self._response(
-                        record, server_id, n_points, series, cache_hit=False,
-                        latency=share, use_cache=use_cache,
-                    )
-                )
+        scored: dict[str, LoadSeries] = {}
+        scoring_started = time.perf_counter()
+        for server_id in misses:
+            forecaster = forecasters.get(server_id)
+            if forecaster is None:
+                skipped.append(server_id)
+                continue
+            try:
+                scored[server_id] = forecaster.predict(n_points)
+            except Exception as exc:
+                failed.append((server_id, f"{type(exc).__name__}: {exc}"))
+        share = (time.perf_counter() - scoring_started) / max(1, len(scored))
+        for server_id, series in scored.items():
+            self._cache.put(_cache_key(record, server_id, n_points), series)
+            responses.append(
+                self._response(record, server_id, n_points, series, cache_hit=False, latency=share)
+            )
 
         latency = time.perf_counter() - started
         stats.served += len(responses)
@@ -316,45 +278,26 @@ class PredictionService:
             served_by_version=record.version,
             responses=tuple(responses),
             skipped=tuple(skipped),
-            failed=tuple(failed),
+            failed=tuple(sorted(failed)),
             latency_seconds=latency,
         )
 
+    @staticmethod
     def _response(
-        self,
         record: ModelRecord,
         server_id: str,
         n_points: int,
         series: LoadSeries,
         cache_hit: bool,
         latency: float,
-        use_cache: bool,
     ) -> PredictionResponse:
-        request = PredictionRequest(
-            region=record.region,
-            server_id=server_id,
-            n_points=n_points,
-            use_cache=use_cache,
-        )
         return PredictionResponse(
-            request=request,
+            request=PredictionRequest(region=record.region, server_id=server_id, n_points=n_points),
             series=series,
             served_by_model=record.model_name,
             served_by_version=record.version,
             latency_seconds=latency,
             cache_hit=cache_hit,
-        )
-
-    def _cache_key(
-        self, record: ModelRecord, server_id: str, n_points: int
-    ) -> tuple[str, str, int, int, str]:
-        fingerprints = self._fingerprints.get((record.region, record.version), {})
-        return prediction_cache_key(
-            record.region,
-            server_id,
-            record.version,
-            n_points,
-            fingerprints.get(server_id, "unknown"),
         )
 
     def _region_stats(self, region: str) -> ServingStats:
@@ -366,7 +309,7 @@ class PredictionService:
     # ------------------------------------------------------------------ #
 
     def health(self, region: str | None = None) -> dict[str, object]:
-        """Serving health: routing state, endpoint stats, cache counters.
+        """Serving health: routing state, request stats, cache counters.
 
         With ``region``, one region's summary (including whether routing
         has flipped to a fallback version); without, a fleet-wide view
@@ -383,31 +326,25 @@ class PredictionService:
         versions = self._registry.versions(region)
         active = self._registry.active(region)
         latest = versions[-1].version if versions else None
-        endpoint_stats = {
-            "requests": 0,
-            "failures": 0,
-            "n_servers": 0,
-        }
-        for record in versions:
-            endpoint = self._endpoints.get((region, record.version))
-            if endpoint is None:
-                continue
-            endpoint_stats["requests"] += endpoint.request_count
-            endpoint_stats["failures"] += endpoint.failure_count
-            if active is not None and record.version == active.version:
-                endpoint_stats["n_servers"] = len(endpoint.servers())
+        active_servers = (
+            self._versions.get((region, active.version), {}) if active is not None else {}
+        )
         stats = self._stats.get(region, ServingStats())
         return {
             "region": region,
             "active_version": active.version if active is not None else None,
             "active_model": active.model_name if active is not None else None,
             "n_versions": len(versions),
+            "n_servers": len(active_servers),
             "fell_back": active is not None and latest is not None
             and active.version != latest,
             "failed_versions": [
                 r.version for r in versions if r.status is ModelStatus.FAILED
             ],
-            "endpoint": endpoint_stats,
             "stats": stats.as_dict(),
             "cache": self._cache.stats.as_dict(),
         }
+
+
+def _cache_key(record: ModelRecord, server_id: str, n_points: int) -> CacheKey:
+    return (record.region, server_id, record.version, n_points)

@@ -78,9 +78,10 @@ class TestPipelineRun:
         assert result.serving.n_served == len(result.predictions)
         assert pipeline.serving.servers("region-0")
 
-    def test_dashboard_received_summary(self, run_result):
+    def test_run_id_names_the_unit(self, run_result):
         pipeline, result = run_result
-        assert pipeline.dashboard.latest_summary("region-0") is not None
+        assert result.run_id == "run-region-0-w3"
+        assert pipeline.registry.active("region-0").notes == "run run-region-0-w3"
 
     def test_run_result_as_dict(self, run_result):
         _, result = run_result
@@ -90,6 +91,16 @@ class TestPipelineRun:
 
 
 class TestPipelineFailurePaths:
+    def test_run_id_is_the_same_however_often_a_unit_runs(self):
+        frame = LoadFrame(5)
+        frame.add_server(ServerMetadata(server_id="bad"), make_series([np.nan, 1.0]))
+        pipeline = SeagullPipeline(PipelineConfig())
+        run_ids = {
+            p.run(frame, region="region-0", week=2).run_id
+            for p in (pipeline, pipeline, SeagullPipeline(PipelineConfig()))
+        }
+        assert run_ids == {"run-region-0-w2"}
+
     def test_invalid_extract_aborts_with_incident(self):
         frame = LoadFrame(5)
         frame.add_server(

@@ -1,5 +1,5 @@
-"""Unit tests for core services: config, model registry, endpoints, incidents
-and dashboard."""
+"""Unit tests for core services: config, stage cache, model registry and
+incidents."""
 
 import dataclasses
 import json
@@ -8,14 +8,11 @@ import pytest
 
 from repro.core import stage_cache
 from repro.core.config import PipelineConfig
-from repro.core.dashboard import Dashboard
-from repro.core.endpoints import EndpointError, ScoringEndpoint
 from repro.core.incidents import IncidentManager, IncidentSeverity
 from repro.core.pipeline import SeagullPipeline
 from repro.core.registry import DeploymentError, ModelRegistry, ModelStatus
 from repro.metrics.bucket_ratio import ErrorBound
 from repro.metrics.predictable import ServerDayEvaluation
-from repro.models.persistent import PreviousDayForecaster
 from repro.parallel.executor import ExecutionBackend
 from repro.storage.query import ExtractQuery
 from repro.telemetry.fleet import default_fleet_spec
@@ -264,66 +261,6 @@ def test_model_stage_payload_round_trips_through_json():
     assert evaluations == [evaluation]
 
 
-class TestScoringEndpoint:
-    def build_endpoint(self):
-        history = diurnal_series(7)
-        forecaster = PreviousDayForecaster().fit(history)
-        return ScoringEndpoint("r0", "pf", 1, {"srv-0": forecaster})
-
-    def test_predict_known_server(self):
-        endpoint = self.build_endpoint()
-        forecast = endpoint.predict("srv-0", 12)
-        assert len(forecast) == 12
-        assert endpoint.request_count == 1
-        assert endpoint.failure_count == 0
-
-    def test_predict_unknown_server_raises(self):
-        endpoint = self.build_endpoint()
-        with pytest.raises(EndpointError):
-            endpoint.predict("ghost", 12)
-        assert endpoint.failure_count == 1
-
-    def test_predict_many_skips_unknown(self):
-        endpoint = self.build_endpoint()
-        result = endpoint.predict_many(["srv-0", "ghost"], 6)
-        assert list(result.predictions) == ["srv-0"]
-        assert result.skipped == ("ghost",)
-        assert result.failed == {}
-        # Skipped servers were never scorable: no request/failure counted.
-        assert endpoint.request_count == 1
-        assert endpoint.failure_count == 0
-
-    def test_predict_many_isolates_failures(self):
-        history = diurnal_series(7)
-        good = PreviousDayForecaster().fit(history)
-        endpoint = ScoringEndpoint(
-            "r0", "pf", 1, {"srv-bad": PreviousDayForecaster(), "srv-ok": good}
-        )
-        result = endpoint.predict_many(["srv-bad", "srv-ok"], 6)
-        # The unfitted forecaster raises mid-batch; srv-ok is still scored.
-        assert list(result.predictions) == ["srv-ok"]
-        assert "srv-bad" in result.failed
-        assert "NotFittedError" in result.failed["srv-bad"]
-        assert endpoint.request_count == 2
-        assert endpoint.failure_count == 1
-
-    def test_predict_many_accepts_any_iterable(self):
-        endpoint = self.build_endpoint()
-        result = endpoint.predict_many(iter(["srv-0"]), 6)
-        assert list(result.predictions) == ["srv-0"]
-        assert result.skipped == () and result.failed == {}
-
-    def test_health_summary(self):
-        endpoint = self.build_endpoint()
-        health = endpoint.health()
-        assert health["n_servers"] == 1
-        assert health["region"] == "r0"
-
-    def test_servers(self):
-        endpoint = self.build_endpoint()
-        assert endpoint.servers() == ["srv-0"]
-
-
 class TestIncidentManager:
     def test_raise_and_query(self):
         manager = IncidentManager()
@@ -367,37 +304,3 @@ class TestIncidentManager:
         manager.raise_incident(IncidentSeverity.INFO, "s", "m")
         manager.clear()
         assert manager.incidents() == []
-
-
-class TestDashboard:
-    def test_record_and_filter(self):
-        dashboard = Dashboard()
-        dashboard.record("run-1", "r0", "component_timing", {"component": "x", "seconds": 1.0})
-        dashboard.record("run-1", "r0", "run_summary", {"succeeded": True})
-        dashboard.record("run-2", "r1", "run_summary", {"succeeded": False})
-        assert len(dashboard.events()) == 3
-        assert len(dashboard.events(region="r0")) == 2
-        assert dashboard.runs() == ["run-1", "run-2"]
-        assert dashboard.latest_summary("r1") == {"succeeded": False}
-
-    def test_event_as_dict_copies_its_payload(self):
-        dashboard = Dashboard()
-        dashboard.record("run-1", "r0", "run_summary", {"succeeded": True})
-        [event] = dashboard.events()
-        payload = event.as_dict()
-        assert payload == {
-            "run_id": "run-1", "region": "r0", "kind": "run_summary", "payload": {"succeeded": True}
-        }
-        payload["payload"]["succeeded"] = False
-        assert event.payload == {"succeeded": True}
-
-    def test_latest_summary_missing_region(self):
-        assert Dashboard().latest_summary("nowhere") is None
-
-    def test_render_text(self):
-        dashboard = Dashboard()
-        dashboard.record("run-1", "r0", "component_timing", {"component": "x", "seconds": 0.5})
-        dashboard.record("run-1", "r0", "run_summary", {"ok": True})
-        text = dashboard.render_text()
-        assert "run-1" in text and "x: 0.500s" in text
-

@@ -43,13 +43,13 @@ def case(relpath: str, source: str, expected: list[tuple[int, str]]):
 
 
 class TestApiBoundary:
-    test_scoring_endpoint_outside_serving_flags = case("repro/scheduling/bad.py", """\
-        from repro.serving.endpoints import ScoringEndpoint
+    test_raw_scan_outside_storage_flags = case("repro/scheduling/bad.py", """\
+        from repro.storage.columnar import scan_sgx_bytes
 
-        endpoint = ScoringEndpoint("region-0")
+        scan = scan_sgx_bytes(b"")
         """, [(3, "api-boundary")])
-    test_scoring_endpoint_inside_serving_passes = case(
-        "repro/serving/good.py", 'endpoint = ScoringEndpoint("region-0")\n', []
+    test_raw_scan_inside_storage_passes = case(
+        "repro/storage/good.py", 'scan = scan_sgx_bytes(b"")\n', []
     )
     # Only calls/constructions cross the boundary; re-exports and type
     # annotations are fine.
@@ -406,10 +406,10 @@ class TestPragmas:
         [],
     )
     # The call is suppressed; the import of serving on line 1 is not.
-    test_multi_rule_pragma = case("repro/storage/multi.py", """\
-        from repro.serving.endpoints import ScoringEndpoint
+    test_multi_rule_pragma = case("repro/models/multi.py", """\
+        from repro.storage.columnar import scan_sgx_bytes
 
-        endpoint = ScoringEndpoint("r0")  # repro: allow[api-boundary, import-layering] fixture
+        scan = scan_sgx_bytes(b"")  # repro: allow[api-boundary, import-layering] fixture
         """, [(1, "import-layering")])
     test_unused_pragma_is_flagged = case(
         "repro/storage/unused.py", "x = 1  # repro: allow[broad-except] nothing to suppress here\n",

@@ -163,6 +163,14 @@ class TestOrchestratorRun:
         assert incident["severity"] == "critical"
         assert report.incident_rollup()["by_severity"].get("critical") == 1
 
+    def test_run_id_does_not_depend_on_run_order_or_backend(self, fleet_lake):
+        units = [ExtractKey("region-1", 0), ExtractKey("region-0", 1)]
+        run_ids = []
+        for backend in ("serial", "serial", "threads"):
+            with FleetOrchestrator(fleet_lake, PipelineConfig(), backend=backend) as orchestrator:
+                run_ids.append([o.run_id for o in orchestrator.run(units).outcomes])
+        assert run_ids == [["run-region-0-w1", "run-region-1-w0"]] * 3
+
     def test_executor_shared_across_runs(self, fleet_lake):
         orchestrator = FleetOrchestrator(fleet_lake, PipelineConfig(), backend="threads")
         try:
@@ -213,6 +221,22 @@ class TestOrchestratorCaching:
             assert after.summary == before.summary
             assert after.n_predictable == before.n_predictable
             assert after.n_predictions == before.n_predictions
+
+    def test_warm_outcomes_equal_cold_as_json(self, disk_lake, tmp_path):
+        with FleetOrchestrator(
+            disk_lake, PipelineConfig(), cache_dir=tmp_path / "cache"
+        ) as orchestrator:
+            cold = orchestrator.run()
+            warm = orchestrator.run()
+
+        def canonical(outcome):
+            payload = outcome.to_payload()
+            for name in ("wall_seconds", "cache_events"):
+                del payload[name]
+            return json.dumps(payload, sort_keys=True)
+
+        assert all(outcome.from_unit_cache for outcome in warm.outcomes)
+        assert [canonical(o) for o in warm.outcomes] == [canonical(o) for o in cold.outcomes]
 
     def test_changed_extract_recomputes_that_unit_only(self, disk_lake, tmp_path, fleet_spec):
         cache_dir = tmp_path / "cache"
@@ -334,6 +358,19 @@ class TestUnitOutcomePayload:
         )
         restored = FleetUnitOutcome.from_payload(outcome.to_payload())
         assert restored == outcome
+
+    def test_summary_keeps_its_types_through_json(self):
+        summary = {"n_servers": 3, "n_evaluable": 2, "pct_windows_correct": 50.0}
+        outcome = FleetUnitOutcome(
+            region="r", week=0, run_id="run-r-w0", succeeded=True, abort_reason="",
+            timings={}, summary=summary, n_servers=3, n_predictions=2, n_predictable=1,
+            incidents=[], cache_events={}, wall_seconds=1.0,
+        )
+        restored = FleetUnitOutcome.from_payload(json.loads(json.dumps(outcome.to_payload())))
+        assert json.dumps(restored.to_payload(), sort_keys=True) == json.dumps(
+            outcome.to_payload(), sort_keys=True
+        )
+        assert type(restored.summary["n_servers"]) is int
 
     def test_cache_hit_view_keeps_compute_timings(self):
         outcome = FleetUnitOutcome(

@@ -39,8 +39,6 @@ CALLER_DIRS = ("src", "bench", "benchmarks", "examples", "scripts")
 
 #: ``repro.core`` names no other module uses, and why each stays.
 SURVIVORS = {
-    "dashboard.py:latest_summary": "§2.2 dashboard view: latest run summary of a region",
-    "endpoints.py:EndpointError": "§2.2 REST endpoint: what a request for an unknown server gets",
     "incidents.py:acknowledge": "§2.2 incident management: an operator acknowledges an alert",
     "incidents.py:add_handler": "§2.2 incident management: raised alerts reach their handlers",
     "incidents.py:has_critical": "§2.2 incident management: whether a critical alert is open",
@@ -48,7 +46,6 @@ SURVIVORS = {
 
 #: ``src/repro`` names nothing outside ``tests`` uses, and why each stays.
 TREE_SURVIVORS = {
-    "core/dashboard.py:latest_summary": SURVIVORS["dashboard.py:latest_summary"],
     "core/incidents.py:acknowledge": SURVIVORS["incidents.py:acknowledge"],
     "core/incidents.py:add_handler": SURVIVORS["incidents.py:add_handler"],
     "core/incidents.py:has_critical": SURVIVORS["incidents.py:has_critical"],
@@ -102,12 +99,6 @@ PARAM_SURVIVORS = {
     "scheduling/backup.py:BackupScheduler(fabric=)": "§2.3 service fabric: an injected "
     "collaborator, the property store the backup service reads, which a test replaces "
     "with its own to observe the writes",
-    "serving/service.py:PredictionService(cache=)": "ROADMAP item 6 removes the prediction "
-    "LRU",
-    "serving/service.py:PredictionService(cache_capacity=)": "ROADMAP item 6 removes the "
-    "prediction LRU",
-    "serving/service.py:PredictionService.predict_batch(use_cache=)": "ROADMAP item 6 removes "
-    "the prediction LRU",
     "storage/datalake.py:DataLakeStore.scan(stats=)": "ROADMAP item 4 pins stats that fill "
     "as the scan advances",
 }

@@ -15,8 +15,6 @@ from repro.serving import (
     PredictionService,
     ServingError,
     VersionMismatchError,
-    history_fingerprint,
-    prediction_cache_key,
 )
 from repro.telemetry.fleet import default_fleet_spec
 from repro.telemetry.generator import WorkloadGenerator
@@ -79,6 +77,8 @@ class TestPredict:
         request = PredictionRequest(region="r0", server_id="srv-0", n_points=12, use_cache=False)
         service.predict(request)
         assert not service.predict(request).cache_hit
+        stats = service.cache.stats
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
 
     def test_no_active_version_raises(self):
         with pytest.raises(NoActiveVersionError):
@@ -88,8 +88,24 @@ class TestPredict:
 
     def test_unknown_server_raises_serving_error(self):
         service = service_with_version()
-        with pytest.raises(ServingError):
+        with pytest.raises(ServingError, match="no model for 'ghost'"):
             service.predict(PredictionRequest(region="r0", server_id="ghost", n_points=1))
+        stats = service.health("r0")["stats"]
+        assert (stats["requests"], stats["served"], stats["failures"]) == (1, 0, 1)
+
+    def test_model_error_raises_serving_error_and_counts_a_failure(self):
+        service = PredictionService()
+        service.deploy("r0", "pf", 1, {"srv-0": PreviousDayForecaster()})  # unfitted
+        with pytest.raises(ServingError, match="r0 v1 failed"):
+            service.predict(PredictionRequest(region="r0", server_id="srv-0", n_points=6))
+        assert service.health("r0")["stats"]["failures"] == 1
+        assert len(service.cache) == 0
+
+    def test_registered_but_undeployed_version_raises_serving_error(self):
+        service = PredictionService()
+        service.registry.deploy("r0", "pf", trained_week=1)
+        with pytest.raises(ServingError, match="without being deployed"):
+            service.predict(PredictionRequest(region="r0", server_id="srv-0", n_points=6))
 
     def test_version_pin(self):
         service = service_with_version()
@@ -152,25 +168,48 @@ class TestPredictBatch:
         assert warm.cache_hits == 2
         assert warm.predictions() == cold.predictions()
 
-    def test_concurrent_scoring_keeps_exact_endpoint_counts(self):
+    def test_concurrent_requests_keep_exact_cache_counts(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.core.endpoints import ScoringEndpoint
-
-        forecasters = {f"srv-{i}": fitted_forecaster(seed=i) for i in range(4)}
-        endpoint = ScoringEndpoint("r0", "pf", 1, forecasters)
+        servers = tuple(f"srv-{i}" for i in range(4))
+        service = service_with_version(servers=servers)
         rounds = 50
 
         def hammer(server_id):
             for _ in range(rounds):
-                endpoint.predict_many([server_id, "ghost"], 6)
+                service.predict(PredictionRequest(region="r0", server_id=server_id, n_points=6))
 
         with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(hammer, forecasters))
-        # Counter increments are lock-protected: no lost updates under
-        # concurrent fan-out.
-        assert endpoint.request_count == 4 * rounds
-        assert endpoint.failure_count == 0
+            list(pool.map(hammer, servers))
+        # Cache bookkeeping is lock-protected: no lost updates when one
+        # service is called from several threads.
+        stats = service.cache.stats
+        assert stats.hits + stats.misses == 4 * rounds
+        assert stats.misses == stats.size == 4
+
+    def test_batch_accepts_any_iterable(self):
+        service = service_with_version()
+        batch = service.predict_batch(region="r0", n_points=6, server_ids=iter(["srv-1"]))
+        assert list(batch.predictions()) == ["srv-1"]
+
+    def test_batch_failure_names_the_error_and_is_counted(self):
+        service = PredictionService()
+        service.deploy("r0", "pf", 1, {"bad": PreviousDayForecaster(), "ok": fitted_forecaster()})
+        batch = service.predict_batch(region="r0", n_points=6, server_ids=["bad", "ok", "ghost"])
+        ((server_id, message),) = batch.failed
+        assert server_id == "bad" and message.startswith("NotFittedError")
+        stats = service.health("r0")["stats"]
+        # A skipped server was never scorable: it is no failure.
+        assert (stats["requests"], stats["served"]) == (3, 1)
+        assert (stats["skipped"], stats["failures"]) == (1, 1)
+
+    def test_failed_and_skipped_servers_are_not_cached(self):
+        service = PredictionService()
+        service.deploy("r0", "pf", 1, {"bad": PreviousDayForecaster(), "ok": fitted_forecaster()})
+        for _ in range(2):
+            batch = service.predict_batch(region="r0", n_points=6, server_ids=["bad", "ghost"])
+            assert batch.skipped == ("ghost",) and len(batch.failed) == 1
+        assert len(service.cache) == 0
 
     def test_batch_preserves_request_order(self):
         service = service_with_version()
@@ -237,9 +276,9 @@ class TestPredictionCache:
     def test_lru_eviction(self):
         cache = PredictionCache(capacity=2)
         series = diurnal_series(1)
-        k1 = prediction_cache_key("r", "a", 1, 4, "f")
-        k2 = prediction_cache_key("r", "b", 1, 4, "f")
-        k3 = prediction_cache_key("r", "c", 1, 4, "f")
+        k1 = ("r", "a", 1, 4)
+        k2 = ("r", "b", 1, 4)
+        k3 = ("r", "c", 1, 4)
         cache.put(k1, series)
         cache.put(k2, series)
         assert cache.get(k1) is not None  # refresh k1; k2 becomes LRU
@@ -250,7 +289,7 @@ class TestPredictionCache:
 
     def test_stats_counters(self):
         cache = PredictionCache(capacity=4)
-        key = prediction_cache_key("r", "a", 1, 4, "f")
+        key = ("r", "a", 1, 4)
         assert cache.get(key) is None
         cache.put(key, diurnal_series(1))
         assert cache.get(key) is not None
@@ -260,7 +299,7 @@ class TestPredictionCache:
 
     def test_clear_drops_entries_but_keeps_counters(self):
         cache = PredictionCache(capacity=4)
-        key = prediction_cache_key("r", "a", 1, 4, "f")
+        key = ("r", "a", 1, 4)
         cache.put(key, diurnal_series(1))
         assert cache.get(key) is not None
         cache.clear()
@@ -271,7 +310,7 @@ class TestPredictionCache:
     def test_len_counts_distinct_keys_up_to_capacity(self):
         cache = PredictionCache(capacity=2)
         for server in ("a", "a", "b", "c"):
-            cache.put(prediction_cache_key("r", server, 1, 4, "f"), diurnal_series(1))
+            cache.put(("r", server, 1, 4), diurnal_series(1))
         assert len(cache) == cache.capacity == 2
         assert cache.stats.evictions == 1
 
@@ -279,12 +318,32 @@ class TestPredictionCache:
         with pytest.raises(ValueError):
             PredictionCache(capacity=0)
 
-    def test_fingerprint_distinguishes_histories(self):
-        a = fitted_forecaster(seed=1)
-        b = fitted_forecaster(seed=2)
-        assert history_fingerprint(a) != history_fingerprint(b)
-        assert history_fingerprint(a) == history_fingerprint(fitted_forecaster(seed=1))
-        assert history_fingerprint(PreviousDayForecaster()) == "unfitted"
+    def test_service_owns_one_cache_of_4096_entries(self):
+        assert PredictionService().cache.capacity == 4096
+        assert PredictionService().cache is not PredictionService().cache
+
+    def test_new_version_never_hits_an_older_versions_entry(self):
+        """The same forecaster deployed again is a new version: its first
+        answer is computed, while the old version keeps its own entry."""
+        forecaster = fitted_forecaster(seed=1)
+        service = PredictionService()
+        service.deploy("r0", "pf", 1, {"srv-0": forecaster})
+        request = PredictionRequest(region="r0", server_id="srv-0", n_points=6)
+        service.predict(request)
+        service.deploy("r0", "pf", 2, {"srv-0": forecaster})
+        fresh = service.predict(request)
+        assert (fresh.served_by_version, fresh.cache_hit) == (2, False)
+        pinned = service.predict(
+            PredictionRequest(region="r0", server_id="srv-0", n_points=6, version=1)
+        )
+        assert (pinned.served_by_version, pinned.cache_hit) == (1, True)
+
+    def test_deploy_copies_the_forecaster_mapping(self):
+        forecasters = {"srv-0": fitted_forecaster()}
+        service = PredictionService()
+        service.deploy("r0", "pf", 1, forecasters)
+        forecasters["srv-1"] = fitted_forecaster(seed=1)
+        assert service.servers("r0") == ["srv-0"]
 
     def test_retraining_changes_cache_key(self):
         """Same region/server/horizon but new history must miss the cache."""
@@ -326,12 +385,23 @@ class TestHealthPublishing:
         assert result.succeeded
         assert registry.active("region-0") == result.model_record
 
-    def test_pipeline_run_emits_serving_health(self):
+    def test_pipeline_run_reports_serving_health(self):
         spec = default_fleet_spec(servers_per_region=(8,), weeks=4, seed=7)
         frame = WorkloadGenerator(spec).generate_region("region-0")
         pipeline = SeagullPipeline(PipelineConfig())
         result = pipeline.run(frame, region="region-0", week=3)
         assert result.succeeded
-        events = pipeline.dashboard.events(region="region-0", kind="serving_health")
-        assert events
-        assert events[-1].payload["active_version"] == result.model_record.version
+        health = pipeline.serving.health("region-0")
+        assert health["active_version"] == result.model_record.version
+        assert health["n_servers"] == len(result.predictions) > 0
+        assert health["stats"]["served"] == result.serving.n_served
+
+    def test_health_counts_the_active_versions_servers(self):
+        service = service_with_version(servers=("srv-0", "srv-1"))
+        service.deploy("r0", "pf", 2, {"srv-0": fitted_forecaster()})
+        assert service.health("r0")["n_servers"] == 1
+        service.registry.fallback("r0")
+        health = service.health("r0")
+        assert health["n_servers"] == 2
+        assert "endpoint" not in health
+        assert service.health("nowhere")["n_servers"] == 0
