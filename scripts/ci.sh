@@ -43,7 +43,7 @@ echo "== test suite + python -m bench smoke test =="
 python -m pytest tests bench -x -q
 
 echo
-echo "== examples smoke (each script runs to completion; fleet CLI warm re-run hits the cache; a second model reuses features; an SSA and a seasonal_additive fleet run have no failed unit; convert adopts a legacy .csv + .sgx directory at generation 1) =="
+echo "== examples smoke (each script runs to completion; fleet CLI warm re-run hits the cache and equals the cold run; a second model reuses features; an SSA and a seasonal_additive fleet run have no failed unit; convert adopts a legacy .csv + .sgx directory at generation 1) =="
 make --no-print-directory examples-smoke
 
 echo
